@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
 
@@ -27,10 +28,10 @@ from .errors import (
     RotorSpecError,
     SchemaError,
 )
-from .geometry import ParticleSystem, canonicalize
+from .geometry import DegeneracyClass, ParticleSystem, canonicalize
 from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
 from .polyalg import harmonic_basis, harmonic_basis_r3
-from .polyalg.operators import OperatorMatrix, hamiltonian_matrix, pairing_weights
+from .polyalg.operators import OperatorMatrix, hamiltonian_matrix, weighted_symmetrization
 from .quantum_structures import (
     BundleKind,
     admissible_structures,
@@ -62,19 +63,35 @@ class BundleRequestError(RotorSpecError):
 
 
 def parse_number(value, where: str):
-    """Accept JSON numbers and exact rationals written as strings 'p/q'."""
+    """Accept JSON numbers and exact rationals written as strings 'p/q'.
+
+    The value must be finite as a float: NaN and infinities (which json.load
+    accepts) and numbers beyond the float range are rejected.
+    """
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a number")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: not a rational literal: {value!r}") from exc
-    raise SchemaError(f"{where}: expected a number or 'p/q' string")
+    elif not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number or 'p/q' string")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SchemaError(f"{where}: expected a finite number in the float range")
+    return value
+
+
+def _tolerance(value, where: str) -> float:
+    """A tolerance: a positive finite number."""
+    value = float(parse_number(value, where))
+    if value <= 0:
+        raise SchemaError(f"{where}: a tolerance must be positive, got {value!r}")
+    return value
 
 
 def _vec3(value, where: str):
@@ -154,9 +171,9 @@ def load_job(path: str) -> JobConfig:
     if not isinstance(tol_doc, dict):
         raise SchemaError("'tolerances' must be an object")
     tolerances = Tolerances(
-        rel=float(parse_number(tol_doc.get("rel", DEFAULT_TOLERANCES.rel), "tolerances.rel")),
-        abs=float(parse_number(tol_doc.get("abs", DEFAULT_TOLERANCES.abs), "tolerances.abs")),
-        spec=float(parse_number(tol_doc.get("spec", DEFAULT_TOLERANCES.spec), "tolerances.spec")),
+        rel=_tolerance(tol_doc.get("rel", DEFAULT_TOLERANCES.rel), "tolerances.rel"),
+        abs=_tolerance(tol_doc.get("abs", DEFAULT_TOLERANCES.abs), "tolerances.abs"),
+        spec=_tolerance(tol_doc.get("spec", DEFAULT_TOLERANCES.spec), "tolerances.spec"),
     )
     j_max = parse_number(doc.get("j_max", J_MAX_DEFAULT), "j_max")
     hbar0 = parse_number(doc.get("hbar", 1), "hbar")
@@ -303,18 +320,22 @@ def _build_body(job: JobConfig):
     return system, config, momenta
 
 
-def _requested_bundles(job: JobConfig, degenerate: bool) -> list[BundleKind]:
-    if job.bundle == "auto":
-        return [BundleKind.PLUS] if degenerate else [BundleKind.PLUS, BundleKind.MINUS]
-    if job.bundle == "trivial":
-        return [BundleKind.PLUS]
-    if degenerate:
+_BUNDLE_REQUESTS = {
+    "trivial": [BundleKind.PLUS],
+    "nontrivial": [BundleKind.MINUS],
+    "both": [BundleKind.PLUS, BundleKind.MINUS],
+}
+
+
+def _requested_bundles(job: JobConfig, degeneracy: DegeneracyClass) -> list[BundleKind]:
+    admissible = list(admissible_structures(degeneracy).admissible)
+    wanted = admissible if job.bundle == "auto" else _BUNDLE_REQUESTS[job.bundle]
+    if not set(wanted) <= set(admissible):
+        # only the non-trivial bundle is ever missing: over a collinear body
         raise BundleRequestError(
             "the non-trivial bundle does not exist over a degenerate (collinear) body"
         )
-    if job.bundle == "nontrivial":
-        return [BundleKind.MINUS]
-    return [BundleKind.PLUS, BundleKind.MINUS]
+    return wanted
 
 
 def _free_spectrum(momenta, bundle: BundleKind, job: JobConfig) -> Spectrum:
@@ -330,9 +351,8 @@ def _free_spectrum(momenta, bundle: BundleKind, job: JobConfig) -> Spectrum:
     return asymmetric_spectrum(i1, i2, i3, bundle, k, h, j_max, tol)
 
 
-def _spectra_for_job(job: JobConfig, momenta, fixed_point: bool) -> list[Spectrum]:
-    degenerate = momenta.top_class is TopClass.DEGENERATE
-    bundles = _requested_bundles(job, degenerate)
+def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list[Spectrum]:
+    bundles = _requested_bundles(job, config.degeneracy)
     field_type = (job.field or {"type": "none"})["type"]
     if field_type == "monopole":
         if not fixed_point:
@@ -363,8 +383,6 @@ def _spectra_for_job(job: JobConfig, momenta, fixed_point: bool) -> list[Spectru
             "emitting the free spectrum",
             file=sys.stderr,
         )
-    if degenerate:
-        return [_free_spectrum(momenta, BundleKind.PLUS, job)]
     return [_free_spectrum(momenta, b, job) for b in bundles]
 
 
@@ -398,7 +416,7 @@ def cmd_classify(job: JobConfig) -> int:
 
 def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
     _, config, momenta = _build_body(job)
-    spectra = _spectra_for_job(job, momenta, fixed_point)
+    spectra = _spectra_for_job(job, config, momenta, fixed_point)
     print(render_spectra(spectra, job.output))
     return EXIT_OK
 
@@ -406,10 +424,7 @@ def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
 def _eigensection_vectors(op: OperatorMatrix) -> np.ndarray:
     """Float eigenvector coordinates (columns) in the block basis, sorted by
     eigenvalue; computed through the weighted symmetrization."""
-    w = np.array([float(x) for x in pairing_weights(op.space.p, op.space.q)])
-    s = np.sqrt(w)
-    arr = op.array.real
-    sym = (s[:, None] * arr) / s[None, :]
+    sym, s = weighted_symmetrization(op)
     _, u = np.linalg.eigh(sym)
     return u / s[:, None]
 
@@ -435,7 +450,7 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
             print(f"  [{degree},{idx}] {poly}")
         return EXIT_OK
     job_one = JobConfig(**{**job.__dict__, "bundle": bundle.value, "j_max": j})
-    spectra = _spectra_for_job(job_one, momenta, fixed_point=False)
+    spectra = _spectra_for_job(job_one, config, momenta, fixed_point=False)
     lines = [
         ln
         for spec in spectra
@@ -536,12 +551,10 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
             raise SchemaError("--hbar must be positive")
     if args.k is not None:
         job.k = parse_number(args.k, "--k")
-    if args.tol_rel is not None or args.tol_spec is not None:
-        job.tolerances = Tolerances(
-            rel=args.tol_rel if args.tol_rel is not None else job.tolerances.rel,
-            abs=job.tolerances.abs,
-            spec=args.tol_spec if args.tol_spec is not None else job.tolerances.spec,
-        )
+    if args.tol_rel is not None:
+        job.tolerances = replace(job.tolerances, rel=_tolerance(args.tol_rel, "--tol-rel"))
+    if args.tol_spec is not None:
+        job.tolerances = replace(job.tolerances, spec=_tolerance(args.tol_spec, "--tol-spec"))
     return job
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-HBAR_DEFAULT = 1
 J_MAX_DEFAULT = 6
 # Hard cap keeps exact-arithmetic block sizes bounded (blocks are (2j+1) wide).
 J_MAX_CAP = 25

@@ -83,24 +83,42 @@ def inertia_tensor(config: RigidConfiguration) -> InertiaTensor:
     return InertiaTensor(matrix=mat)
 
 
+def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Top class of a momentum triple given in any order, with the momenta
+    of the matching closed form: (I,) for a spherical top, (pair, axis) for
+    a symmetric one, None for an asymmetric one.
+
+    The triple is sorted by value; two neighbours coincide when they differ
+    by at most tol.rel times the largest momentum.  I is the middle value
+    and the pair momentum the mean of the two coinciding values, both taken
+    from the values as passed, so rational input stays exact and the result
+    does not depend on the order of the triple.  This is the one coincidence
+    rule every classifier uses.
+    """
+    i1, i2, i3 = sorted(momenta, key=float)
+    gap = tol.rel * max(abs(float(i3)), 1e-300)
+    eq12 = abs(float(i2) - float(i1)) <= gap
+    eq23 = abs(float(i3) - float(i2)) <= gap
+    if eq12 and eq23:
+        return TopClass.SPHERICAL, (i2,)
+    if eq12:
+        return TopClass.SYMMETRIC, ((i1 + i2) / 2, i3)
+    if eq23:
+        return TopClass.SYMMETRIC, ((i2 + i3) / 2, i1)
+    return TopClass.ASYMMETRIC, None
+
+
 def classify_top(
     momenta: tuple[float, float, float],
     degeneracy: DegeneracyClass | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> TopClass:
-    """Spherical / symmetric / asymmetric from coincidences among sorted
-    momenta; a degenerate body overrides the eigenvalue pattern."""
+    """Spherical / symmetric / asymmetric from coincidences among the
+    momenta (see classify_momenta); a degenerate body overrides the
+    eigenvalue pattern."""
     if degeneracy is not None and degeneracy.is_degenerate:
         return TopClass.DEGENERATE
-    i1, i2, i3 = momenta
-    gap = tol.rel * max(abs(i3), 1e-300)
-    eq12 = abs(i2 - i1) <= gap
-    eq23 = abs(i3 - i2) <= gap
-    if eq12 and eq23:
-        return TopClass.SPHERICAL
-    if eq12 or eq23:
-        return TopClass.SYMMETRIC
-    return TopClass.ASYMMETRIC
+    return classify_momenta(momenta, tol)[0]
 
 
 def principal_momenta(
@@ -123,11 +141,7 @@ def principal_momenta(
     top = classify_top(momenta, degeneracy, tol)
     pair = axis = None
     if top is TopClass.SYMMETRIC:
-        i1, i2, i3 = momenta
-        if abs(i2 - i1) <= abs(i3 - i2):
-            pair, axis = 0.5 * (i1 + i2), i3
-        else:
-            pair, axis = 0.5 * (i2 + i3), i1
+        pair, axis = classify_momenta(momenta, tol)[1]
     return PrincipalMomenta(
         momenta=momenta, axes=vecs, top_class=top, pair_momentum=pair, axis_momentum=axis
     )

@@ -102,8 +102,3 @@ class QC:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re} {sign} {abs(self.im)}*i)"
-
-
-QC_ZERO = QC(0)
-QC_ONE = QC(1)
-QC_I = QC(0, 1)

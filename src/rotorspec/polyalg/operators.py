@@ -155,7 +155,8 @@ def _verify_adjointness(rows, weights) -> str:
     selfadj = True
     skewadj = True
     for m in range(dim):
-        for n in range(dim):
+        # the condition at (n, m) is the complex conjugate of the one at (m, n)
+        for n in range(m, dim):
             lhs = QC(weights[m]) * rows[m][n]
             rhs = QC(weights[n]) * rows[n][m].conjugate()
             if lhs != rhs:
@@ -292,7 +293,7 @@ def eigenvalues(op: OperatorMatrix, prefer_exact: bool = True):
     if op.exact and op.is_diagonal():
         vals = sorted((row[i].re for i, row in enumerate(op.entries)))
         return [(v, True) for v in vals]
-    floats = _float_eigenvalues(op)
+    floats = np.linalg.eigvalsh(weighted_symmetrization(op)[0])
     if op.exact and prefer_exact:
         # candidates from the stable float diagonalization (np.roots would
         # split degenerate roots); acceptance is by exact substitution
@@ -312,14 +313,15 @@ def eigenvalues(op: OperatorMatrix, prefer_exact: bool = True):
     return [(float(v), False) for v in floats]
 
 
-def _float_eigenvalues(op: OperatorMatrix) -> np.ndarray:
-    """Float eigenvalues via similarity to a genuinely symmetric matrix.
+def weighted_symmetrization(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(S, s) with s = sqrt(w) for the pairing weights w and S = D A D^-1,
+    D = diag(s).
 
-    The matrix is self-adjoint for the weighted pairing, so conjugating by
-    diag(sqrt(w)) produces a symmetric matrix with the same spectrum.
+    A matrix A that is self-adjoint for the weighted pairing becomes the
+    genuinely symmetric (Hermitian) S with the same spectrum; an
+    eigenvector v of S maps back to the eigenvector v / s of A.
     """
     w = np.array([float(x) for x in pairing_weights(op.space.p, op.space.q)])
     s = np.sqrt(w)
     arr = op.array.real if np.max(np.abs(op.array.imag)) == 0 else op.array
-    sym = (s[:, None] * arr) / s[None, :]
-    return np.linalg.eigvalsh(sym)
+    return (s[:, None] * arr) / s[None, :], s

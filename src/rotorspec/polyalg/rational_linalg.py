@@ -7,7 +7,9 @@ of QC.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 
 from .gaussian import QC
 
@@ -24,9 +26,6 @@ def mat_identity(n: int):
         out[i][i] = QC(1)
     return out
 
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -60,10 +59,6 @@ def mat_commutator(a, b):
 
 def mat_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def nullspace(rows) -> list[list[QC]]:
@@ -102,43 +97,6 @@ def nullspace(rows) -> list[list[QC]]:
             v[c] = -m[pr][fc]
         basis.append(v)
     return basis
-
-
-def solve_exact(a_cols: list[list[QC]], b: list[QC]) -> list[QC] | None:
-    """Solve sum_j x_j a_cols[j] = b exactly.
-
-    a_cols are the columns (each a list of length n_rows).  Returns the
-    coefficient list, or None if the system is inconsistent.  Assumes the
-    columns are linearly independent (true for the bases built here).
-    """
-    n_rows = len(b)
-    n_cols = len(a_cols)
-    aug = [[a_cols[j][i] for j in range(n_cols)] + [QC.coerce(b[i])] for i in range(n_rows)]
-    r = 0
-    pivot_cols = []
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = QC(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    # inconsistent if a zeroed row has nonzero rhs
-    for i in range(r, n_rows):
-        if aug[i][n_cols]:
-            return None
-    if len(pivot_cols) < n_cols:
-        raise ValueError("columns are linearly dependent")
-    x = [QC(0)] * n_cols
-    for row, c in enumerate(pivot_cols):
-        x[c] = aug[row][n_cols]
-    return x
 
 
 def charpoly(a) -> list[Fraction]:
@@ -187,6 +145,22 @@ def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
     return out
 
 
+def _near_convergents(f: float, max_den: int):
+    """Continued-fraction convergents h/k of f with k <= max_den that lie
+    within 1e-9 (relative) of f, smallest denominator first."""
+    n, d = f.as_integer_ratio()
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    while d:
+        a = n // d
+        n, d = d, n - a * d
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        if k > max_den:
+            return
+        if abs(h / k - f) <= 1e-9 * max(1.0, abs(f)):
+            yield Fraction(h, k)
+
+
 def rational_roots_from_candidates(coeffs: list[Fraction], candidates):
     """Extract exact rational roots of a monic rational polynomial, guided
     by float approximations of its roots (with multiplicity).
@@ -194,15 +168,27 @@ def rational_roots_from_candidates(coeffs: list[Fraction], candidates):
     Each candidate is rationalized by continued fractions and accepted only
     on exact substitution, then removed by exact deflation.  Returns
     (rational roots, residual factor, unmatched candidates).
+
+    A float eigenvalue can be several ulps off its exact value p/q, and
+    limit_denominator(10**12) then returns a nearby fraction with a larger
+    denominator instead of p/q.  p/q is still a convergent of the candidate
+    whenever the error is below 1/(2 q^2), so the convergents lying within
+    1e-9 (relative) of the candidate are tried after the first two guesses;
+    by the rational root theorem only those whose denominator divides the
+    leading coefficient of the primitive integer polynomial can be roots.
     """
     work = list(coeffs)
     roots: list[Fraction] = []
     leftover: list[float] = []
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    lead = scale // math.gcd(*(int(c * scale) for c in coeffs))
     for f in candidates:
         f = float(f)
         accepted = None
         if len(work) > 1:
-            for attempt in (Fraction(f).limit_denominator(10**12), Fraction(round(f))):
+            guesses = (Fraction(f).limit_denominator(10**12), Fraction(round(f)))
+            near = (c for c in _near_convergents(f, 10**12) if lead % c.denominator == 0)
+            for attempt in chain(guesses, near):
                 if _poly_eval(work, attempt) == 0:
                     accepted = attempt
                     break

@@ -65,20 +65,8 @@ class BidegreeSpace:
         return len(self.basis)
 
     @property
-    def total_degree(self) -> int:
-        return self.p + self.q
-
-    @property
     def j(self) -> Fraction:
         return Fraction(self.p + self.q, 2)
-
-    def monomials(self) -> list[tuple[int, int, int, int]]:
-        """All bidegree-(p, q) monomials in a fixed order."""
-        out = []
-        for a in range(self.p, -1, -1):
-            for c in range(self.q, -1, -1):
-                out.append((a, self.p - a, c, self.q - c))
-        return out
 
     def coordinates(self, poly: Polynomial) -> list[QC] | None:
         """Exact coordinates of a polynomial in the basis, or None if it

@@ -24,10 +24,6 @@ class BundleKind(Enum):
     PLUS = "trivial"  # trivial bundle, integer angular momentum
     MINUS = "nontrivial"  # non-trivial bundle, half-odd angular momentum
 
-    @property
-    def tag(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class StructureSet:

@@ -31,13 +31,7 @@ import numpy as np
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .geometry import RigidConfiguration
-from .inertia import (
-    TopClass,
-    curvature_asymmetric,
-    curvature_degenerate,
-    curvature_spherical,
-    curvature_symmetric,
-)
+from .inertia import TopClass, _exact_or_float, classify_momenta, scalar_curvature
 from .polyalg import eigenvalues, hamiltonian_matrix, harmonic_basis
 from .quantum_structures import BundleKind, j_values
 
@@ -107,32 +101,40 @@ class Spectrum:
         return [ln for ln in self.lines if ln.j == Fraction(d, 2)]
 
     def group_by_energy(self, eps_spec: float = DEFAULT_TOLERANCES.spec):
-        """Merge lines with coinciding energy (arithmetical degeneracy).
-
-        Grouping is exact when every energy is rational, else relative
-        within eps_spec.  Returns (energy, total multiplicity, lines) triples
-        sorted by energy.
+        """Merge lines with coinciding energy (arithmetical degeneracy), by
+        the rule of group_energies.  Returns (energy, total multiplicity,
+        lines) triples sorted by energy.
         """
-        if not self.lines:
-            return []
-        exact = all(isinstance(ln.energy, Rational) for ln in self.lines)
-        groups: list[list[SpectralLine]] = []
-        for ln in self.lines:  # lines are already sorted by energy
-            if groups:
-                ref = groups[-1][0].energy
-                if exact:
-                    same = ln.energy == ref
-                else:
-                    same = abs(float(ln.energy) - float(ref)) <= eps_spec * max(
-                        1.0, abs(float(ref))
-                    )
-                if same:
-                    groups[-1].append(ln)
-                    continue
-            groups.append([ln])
-        return [
-            (g[0].energy, sum(x.multiplicity for x in g), tuple(g)) for g in groups
-        ]
+        groups = group_energies([(ln.energy, ln) for ln in self.lines], eps_spec)
+        return [(e, sum(ln.multiplicity for ln in g), g) for e, g in groups]
+
+
+def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
+    """Group (energy, item) pairs into levels: [(energy, items), ...].
+
+    The pairs are stably sorted by energy, so items keep their given order
+    within a level.  When every energy is rational, two energies form one
+    level only if they are equal; otherwise an energy joins the current
+    level when it lies within eps_spec * max(1, |ref|) of the level's first
+    energy ref.  The level's energy is that first energy.
+    """
+    pairs = sorted(pairs, key=lambda t: float(t[0]))
+    exact = all(isinstance(e, Rational) for e, _ in pairs)
+    groups: list[tuple[object, list]] = []
+    for energy, item in pairs:
+        if groups:
+            ref = groups[-1][0]
+            if exact:
+                same = energy == ref
+            else:
+                same = abs(float(energy) - float(ref)) <= eps_spec * max(
+                    1.0, abs(float(ref))
+                )
+            if same:
+                groups[-1][1].append(item)
+                continue
+        groups.append((energy, [item]))
+    return [(e, tuple(items)) for e, items in groups]
 
 
 # --- curvature shift --------------------------------------------------------
@@ -144,23 +146,13 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     turns it off."""
     if k == 0:
         return Fraction(0) if isinstance(k, Rational) else 0.0
-    if top_class is TopClass.SPHERICAL:
-        rho = curvature_spherical(momenta[0], hbar0)
-    elif top_class is TopClass.SYMMETRIC:
-        rho = curvature_symmetric(momenta[0], momenta[1], hbar0)
-    elif top_class is TopClass.ASYMMETRIC:
-        rho = curvature_asymmetric(momenta[0], momenta[1], momenta[2], hbar0)
-    elif top_class is TopClass.DEGENERATE:
-        rho = curvature_degenerate(momenta[0], hbar0)
-    else:
-        raise ValueError(top_class)
-    return k * rho
+    return k * scalar_curvature(top_class, momenta, hbar0)
 
 
 def _exactify(*values):
     """Map rational inputs to Fractions so downstream arithmetic is exact;
     leave floats alone."""
-    return tuple(Fraction(v) if isinstance(v, Rational) else float(v) for v in values)
+    return tuple(map(_exact_or_float, values))
 
 
 # --- closed-form spectra ------------------------------------------------------
@@ -389,22 +381,6 @@ def monopole_spectrum(
 # --- brute-force engine -------------------------------------------------------
 
 
-def _class_of_triple(i1, i2, i3, eps_rel):
-    scale = max(float(i1), float(i2), float(i3))
-    eq12 = abs(float(i2) - float(i1)) <= eps_rel * scale
-    eq23 = abs(float(i3) - float(i2)) <= eps_rel * scale
-    eq13 = abs(float(i3) - float(i1)) <= eps_rel * scale
-    if eq12 and eq23:
-        return TopClass.SPHERICAL, None
-    if eq12:
-        return TopClass.SYMMETRIC, ((i1 + i2) / 2, i3)
-    if eq23:
-        return TopClass.SYMMETRIC, ((i2 + i3) / 2, i1)
-    if eq13:
-        return TopClass.SYMMETRIC, ((i1 + i3) / 2, i2)
-    return TopClass.ASYMMETRIC, None
-
-
 def diagonalized_spectrum(
     i1,
     i2,
@@ -428,30 +404,24 @@ def diagonalized_spectrum(
     if min(float(i1), float(i2), float(i3)) <= 0:
         raise ValueError("momenta must be positive")
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
-    top, sym_pair = _class_of_triple(i1, i2, i3, tol.rel)
-    if top is TopClass.SPHERICAL:
-        rho_args = (i1,)
-    elif top is TopClass.SYMMETRIC:
-        rho_args = sym_pair
-    else:
-        rho_args = (i1, i2, i3)
-    rho = curvature_shift(1, top, rho_args, h) if k != 0 else 0
+    top, closed_momenta = classify_momenta((i1, i2, i3), tol)
+    rho = scalar_curvature(top, closed_momenta or (i1, i2, i3), h) if k != 0 else 0
     lines = []
     for j in j_values(bundle, j_max):
         d = int(2 * j)
-        found: list[tuple[object, bool, tuple]] = []
+        found: list[tuple[object, tuple]] = []
         for p, q in _degree_blocks(d):
             space = harmonic_basis(p, q)
             ham = hamiltonian_matrix(space, i1, i2, i3, h, k, rho)
             evs = eigenvalues(ham, prefer_exact=(d <= 4))
-            for idx, (value, exact) in enumerate(evs):
-                found.append((value, exact, (p, q, idx)))
-        for energy, mult, refs in _merge_block_values(found, tol.spec):
+            for idx, (value, _) in enumerate(evs):
+                found.append((value, (p, q, idx)))
+        for energy, refs in group_energies(found, tol.spec):
             lines.append(
                 SpectralLine(
                     energy=energy,
                     j=j,
-                    multiplicity=mult,
+                    multiplicity=len(refs),
                     bundle=bundle,
                     source="diagonalized",
                     eigensections=refs,
@@ -467,27 +437,6 @@ def diagonalized_spectrum(
         hbar0=h,
         j_max=Fraction(j_max),
     )
-
-
-def _merge_block_values(found, eps_spec):
-    """Group (value, exact, ref) triples into (energy, multiplicity, refs)."""
-    all_exact = all(e for _, e, _ in found)
-    ordered = sorted(found, key=lambda t: float(t[0]))
-    groups = []
-    for value, _, ref in ordered:
-        if groups:
-            ref_val = groups[-1][0]
-            if all_exact:
-                same = value == ref_val
-            else:
-                same = abs(float(value) - float(ref_val)) <= eps_spec * max(
-                    1.0, abs(float(ref_val))
-                )
-            if same:
-                groups[-1][1].append(ref)
-                continue
-        groups.append([value, [ref]])
-    return [(v, len(refs), tuple(refs)) for v, refs in groups]
 
 
 def asymmetric_spectrum(
@@ -506,13 +455,13 @@ def asymmetric_spectrum(
     warning, since the asymmetric labeling would be numerically meaningless
     there.
     """
-    top, sym_pair = _class_of_triple(i1, i2, i3, tol.rel)
+    top, closed_momenta = classify_momenta((i1, i2, i3), tol)
     if top is TopClass.SPHERICAL:
         warnings.warn("momenta nearly spherical; using the spherical closed form")
-        return spherical_spectrum(i1, bundle, k, hbar0, j_max)
+        return spherical_spectrum(*closed_momenta, bundle, k, hbar0, j_max)
     if top is TopClass.SYMMETRIC:
         warnings.warn("two momenta nearly coincide; using the symmetric closed form")
-        return symmetric_spectrum(sym_pair[0], sym_pair[1], bundle, k, hbar0, j_max)
+        return symmetric_spectrum(*closed_momenta, bundle, k, hbar0, j_max)
     spec = diagonalized_spectrum(i1, i2, i3, bundle, k, hbar0, j_max, tol)
     return replace(spec, kind="asymmetric")
 

@@ -54,6 +54,7 @@ from .quantum_structures import BundleKind, parity_projects
 from .spectra import (
     degenerate_spectrum,
     diagonalized_spectrum,
+    group_energies,
     j_squared_spectrum,
     monopole_spectrum,
     spherical_spectrum,
@@ -248,10 +249,11 @@ def check_symmetric_spectrum(j_max=6, i_pair=2, i_axis=1):
             bl = [ln for ln in brute.lines if int(2 * ln.j) == d]
             if not cl and not bl:
                 continue
-            groups = _group_exact_or_tol(cl)
+            groups = group_energies([(ln.energy, ln) for ln in cl], eps_spec=1e-10)
             if len(groups) != len(bl):
                 return False, f"degree {d}: {len(groups)} closed groups vs {len(bl)} blocks"
-            for (ce, cm), bln in zip(groups, bl):
+            for (ce, group), bln in zip(groups, bl):
+                cm = sum(ln.multiplicity for ln in group)
                 if _rel_err(ce, bln.energy) > 1e-10 or cm != bln.multiplicity:
                     return False, f"degree {d} mismatch at E = {ce}"
         if not all(isinstance(ln.energy, Fraction) for ln in closed.lines):
@@ -262,20 +264,6 @@ def check_symmetric_spectrum(j_max=6, i_pair=2, i_axis=1):
     if i_pair == 2 and i_axis == 1 and Fraction(j_max) >= 4 and not collision:
         return False, "expected arithmetical degeneracy (e.g. E(3,3) = E(4,1)) not found"
     return True, f"symmetric (I_pair={i_pair}, I_axis={i_axis}) verified for j <= {j_max}"
-
-
-def _group_exact_or_tol(lines, eps=1e-10):
-    exact = all(isinstance(ln.energy, Fraction) for ln in lines)
-    groups = []
-    for ln in sorted(lines, key=lambda x: float(x.energy)):
-        if groups:
-            ref = groups[-1][0]
-            same = (ln.energy == ref) if exact else _rel_err(ln.energy, ref) <= eps
-            if same:
-                groups[-1][1] += ln.multiplicity
-                continue
-        groups.append([ln.energy, ln.multiplicity])
-    return [(e, m) for e, m in groups]
 
 
 def check_asymmetric_j1():

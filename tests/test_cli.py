@@ -177,6 +177,34 @@ def test_schema_violations_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_numbers_exit_2(tmp_path, capsys):
+    # json.load accepts NaN and Infinity; the schema rejects them by field,
+    # as well as numbers that overflow a float
+    nan, inf = float("nan"), float("inf")
+    first, *rest = TRIANGLE["particles"]
+    cases = (("mass", nan), ("mass", 10**400), ("charge", inf), ("position", [0, nan, 0]))
+    for field, value in cases:
+        doc = {"version": 1, "particles": [{**first, field: value}, *rest]}
+        assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_SCHEMA
+        assert f"particles[0].{field}: expected a finite number" in capsys.readouterr().err
+    doc = {**TRIANGLE, "hbar": -inf}
+    assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_SCHEMA
+    assert "hbar: expected a finite number" in capsys.readouterr().err
+
+
+def test_tolerances_must_be_positive_and_finite(tmp_path, capsys):
+    path = _write(tmp_path, TRIANGLE)
+    # a negative grouping tolerance would split the j = 1 triad into nine
+    # multiplicity-1 lines
+    for flag, value in (("--tol-spec", "-5"), ("--tol-rel", "0"), ("--tol-rel", "nan"), ("--tol-spec", "inf")):
+        assert main(["spectrum", "--config", path, flag, value]) == EXIT_SCHEMA
+        assert f"error: {flag}: " in capsys.readouterr().err
+    for name in ("rel", "abs", "spec"):
+        doc = {**TRIANGLE, "tolerances": {name: -1e-9}}
+        assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_SCHEMA
+        assert f"tolerances.{name}: a tolerance must be positive" in capsys.readouterr().err
+
+
 def test_all_coincident_exit_3(tmp_path, capsys):
     doc = {
         "version": 1,
