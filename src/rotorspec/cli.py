@@ -3,8 +3,9 @@
 Pipeline: canonicalize -> classify -> inertia -> admissible structures ->
 spectrum, plus a verification mode running the oracle suite.
 
-Exit codes: 0 ok, 1 verify failure, 2 schema violation, 3 degenerate
-geometry (all particles coincide), 4 invalid bundle request.
+Exit codes: 0 ok, 1 verify failure (or an internal error, with a
+traceback), 2 schema violation, 3 degenerate geometry (all particles
+coincide), 4 invalid bundle request.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .classical_em import PatternField, decoupling_check, split_field, unsplit_field
-from .defaults import DEFAULT_TOLERANCES, J_MAX_DEFAULT, Tolerances
+from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import (
     AllCoincidentError,
     NonPositiveMassError,
@@ -42,6 +43,8 @@ from .spectra import (
     SpectralLine,
     Spectrum,
     asymmetric_spectrum,
+    check_j_max,
+    check_l_max,
     degenerate_spectrum,
     monopole_spectrum,
     spherical_spectrum,
@@ -92,6 +95,15 @@ def _tolerance(value, where: str) -> float:
     if value <= 0:
         raise SchemaError(f"{where}: a tolerance must be positive, got {value!r}")
     return value
+
+
+def _check_input(check, value) -> None:
+    """Apply a library range check to a user-supplied value, reporting a
+    violation as a schema error with the check's message."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _vec3(value, where: str):
@@ -342,7 +354,10 @@ def _free_spectrum(momenta, bundle: BundleKind, job: JobConfig) -> Spectrum:
     k, h, j_max, tol = job.k, job.hbar0, job.j_max, job.tolerances
     top = momenta.top_class
     if top is TopClass.DEGENERATE:
-        return degenerate_spectrum(momenta.transverse_momentum, k, h, int(Fraction(j_max)))
+        l_max = int(Fraction(j_max))
+        _check_input(check_l_max, l_max)
+        return degenerate_spectrum(momenta.transverse_momentum, k, h, l_max)
+    _check_input(check_j_max, j_max)
     if top is TopClass.SPHERICAL:
         return spherical_spectrum(sum(momenta.momenta) / 3, bundle, k, h, j_max)
     if top is TopClass.SYMMETRIC:
@@ -371,6 +386,9 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
                 "the monopole closed form needs a spherical or symmetric top; "
                 f"this body is {momenta.top_class.value}"
             )
+        _check_input(check_j_max, job.j_max)
+        if float(job.field["q_norm"]) < 0:
+            raise SchemaError("the center-of-charge norm must be nonnegative")
         return [
             monopole_spectrum(
                 pair, axis, b, job.field["nu"], job.field["q_norm"], job.k, job.hbar0, job.j_max
@@ -435,12 +453,16 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
         degree = degree_of_j(j)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"--j must be a nonnegative half-integer: {exc}") from exc
-    want_l = None if l_str is None else Fraction(l_str)
+    try:
+        want_l = None if l_str is None else Fraction(l_str)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(str(exc)) from exc
     _, config, momenta = _build_body(job)
     bundle = bundle_of_j(j)
     if config.degeneracy.is_degenerate:
         if bundle is BundleKind.MINUS:
             raise BundleRequestError("half-odd j does not exist over a degenerate body")
+        _check_input(check_l_max, degree)
         space = harmonic_basis_r3(degree)
         spec = degenerate_spectrum(momenta.transverse_momentum, job.k, job.hbar0, degree)
         line = spec.lines[-1]
@@ -593,6 +615,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            if args.j_max > J_MAX_CAP:
+                raise SchemaError(f"j_max exceeds the hard cap {J_MAX_CAP}")
             return verify_mod.run_suite(j_max=args.j_max)
         job = _apply_overrides(load_job(args.config), args)
         if args.command == "classify":
@@ -616,9 +640,6 @@ def main(argv=None) -> int:
     except BundleRequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUNDLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -91,9 +91,9 @@ def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
     The triple is sorted by value; two neighbours coincide when they differ
     by at most tol.rel times the largest momentum.  I is the middle value
     and the pair momentum the mean of the two coinciding values, both taken
-    from the values as passed, so rational input stays exact and the result
-    does not depend on the order of the triple.  This is the one coincidence
-    rule every classifier uses.
+    from the values as passed, so rational input (ints included) stays
+    exact and the result does not depend on the order of the triple.  This
+    is the one coincidence rule every classifier uses.
     """
     i1, i2, i3 = sorted(momenta, key=float)
     gap = tol.rel * max(abs(float(i3)), 1e-300)
@@ -102,10 +102,18 @@ def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
     if eq12 and eq23:
         return TopClass.SPHERICAL, (i2,)
     if eq12:
-        return TopClass.SYMMETRIC, ((i1 + i2) / 2, i3)
+        return TopClass.SYMMETRIC, (_pair_mean(i1, i2), i3)
     if eq23:
-        return TopClass.SYMMETRIC, ((i2 + i3) / 2, i1)
+        return TopClass.SYMMETRIC, (_pair_mean(i2, i3), i1)
     return TopClass.ASYMMETRIC, None
+
+
+def _pair_mean(x, y):
+    """(x + y) / 2, as a Fraction when both values are rational (the true
+    division of two ints would give a float)."""
+    if isinstance(x, Rational) and isinstance(y, Rational):
+        return (Fraction(x) + Fraction(y)) / 2
+    return (x + y) / 2
 
 
 def classify_top(

@@ -17,6 +17,18 @@ L_a = -i J_a with [L1, L2] = L3 cyclically; the Casimir is
 
     C = J1^2 + J2^2 + J3^2 = -(L1^2 + L2^2 + L3^2) = j(j+1) Id.
 
+On a monomial the ladder operators act as
+
+    Jp z1^a z2^b zb1^c zb2^d = b (a+1, b-1, c, d) - c (a, b, c-1, d+1)
+    Jm z1^a z2^b zb1^c zb2^d = a (a-1, b+1, c, d) - d (a, b, c+1, d-1)
+
+(exponent tuples standing for monomials), so on the integer harmonic basis
+b_0..b_2j they give exact coordinates Jp b_k = alpha_k b_(k+1) and
+Jm b_(k+1) = beta_k b_k.  The generator matrices, the pairing weights and
+the generator squares are built from alpha and beta; the polynomial route
+(apply_j* followed by coordinate extraction, `_raw_matrix`) is the oracle
+`rotorspec verify` compares them against.
+
 The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
     H = (hbar0 / 2) (J1^2 / I1 + J2^2 / I2 + J3^2 / I3) + k rho Id,
@@ -103,6 +115,61 @@ class OperatorMatrix:
         return bool(np.all(off == 0))
 
 
+def _ladder_image(terms: dict, raising: bool) -> dict:
+    """Jp (raising) or Jm of a polynomial given as {exponent: coefficient},
+    by the monomial formulas of the module docstring; zero terms dropped."""
+    out: dict = {}
+    for (a, b, c, d), v in terms.items():
+        if raising:
+            moves = ((b, (a + 1, b - 1, c, d)), (-c, (a, b, c - 1, d + 1)))
+        else:
+            moves = ((a, (a - 1, b + 1, c, d)), (-d, (a, b, c + 1, d - 1)))
+        for factor, e in moves:
+            if factor:
+                out[e] = out.get(e, 0) + factor * v
+    return {e: v for e, v in out.items() if v}
+
+
+def _multiple(image: dict, target: dict, what: str) -> Fraction:
+    """The exact factor r with image = r * target; an empty target means
+    the image must vanish (r = 0).  Raises RepresentationClosureError
+    otherwise."""
+    ratio = Fraction(0)
+    if target:
+        e0, t0 = next(iter(target.items()))
+        ratio = Fraction(image.get(e0, 0), t0)
+    if image.keys() - target.keys() or any(image.get(e, 0) != ratio * t for e, t in target.items()):
+        raise RepresentationClosureError(f"{what} is not a multiple of the adjacent basis element")
+    return ratio
+
+
+@lru_cache(maxsize=None)
+def _ladder(p: int, q: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Ladder coordinates (alpha, beta) on the basis b of H^{p,q}:
+    Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k exactly.
+
+    The basis has integer coefficients (see harmonic_basis), so the images
+    are computed in integers.  Closure is checked on every basis element:
+    each image must be exactly proportional to its neighbour, and Jp of the
+    top element and Jm of the bottom one must vanish;
+    RepresentationClosureError otherwise.
+    """
+    vecs = []
+    for b in harmonic_basis(p, q).basis:
+        if any(c.im or c.re.denominator != 1 for c in b.terms.values()):
+            raise AssertionError("harmonic basis coefficients must be integers")
+        vecs.append({e: c.re.numerator for e, c in b.terms.items()})
+    alpha, beta = [], []
+    for k, vec in enumerate(vecs):
+        up = vecs[k + 1] if k + 1 < len(vecs) else {}
+        down = vecs[k - 1] if k else {}
+        where = f"on basis element {k} of H^{{{p},{q}}}"
+        alpha.append(_multiple(_ladder_image(vec, raising=True), up, "Jp " + where))
+        beta.append(_multiple(_ladder_image(vec, raising=False), down, "Jm " + where))
+    # the last alpha and the first beta are the vanishing top and bottom images
+    return tuple(alpha[:-1]), tuple(beta[1:])
+
+
 @lru_cache(maxsize=None)
 def pairing_weights(p: int, q: int) -> tuple[Fraction, ...]:
     """Positive diagonal weights of the natural pairing on H^{p,q} in the
@@ -110,21 +177,16 @@ def pairing_weights(p: int, q: int) -> tuple[Fraction, ...]:
     mutually adjoint; normalized so the lowest-weight element has weight 1.
     """
     space = harmonic_basis(p, q)
-    jp = _raw_matrix(space, apply_jplus)
-    jm = _raw_matrix(space, apply_jminus)
-    dim = space.dim
-    w = [Fraction(1)] * dim
+    alpha, beta = _ladder(p, q)
     j = space.j
-    for k in range(dim - 1):
-        alpha = jp[k + 1][k]
-        beta = jm[k][k + 1]
-        if not (alpha.is_real and beta.is_real) or alpha.re == 0:
+    w = [Fraction(1)]
+    for l, a, b in zip(space.l_values, alpha, beta):
+        if a == 0:
             raise AssertionError("ladder matrices are not in the expected form")
-        l = space.l_values[k]
-        if alpha.re * beta.re != j * (j + 1) - l * (l + 1):
+        if a * b != j * (j + 1) - l * (l + 1):
             raise AssertionError("ladder product violates the Casimir identity")
-        w[k + 1] = w[k] * beta.re / alpha.re
-        if w[k + 1] <= 0:
+        w.append(w[-1] * b / a)
+        if w[-1] <= 0:
             raise AssertionError("pairing weights must be positive")
     return tuple(w)
 
@@ -133,7 +195,9 @@ def _raw_matrix(space: BidegreeSpace, op) -> list[list[QC]]:
     """Matrix of a bidegree-preserving operator in the space's basis.
 
     Column k holds the coordinates of op(basis[k]); raises
-    RepresentationClosureError if an image leaves the space.
+    RepresentationClosureError if an image leaves the space.  Applied to
+    apply_j1..apply_j3 this is the polynomial route, the oracle for
+    generator_matrix.
     """
     dim = space.dim
     cols = []
@@ -157,11 +221,15 @@ def _verify_adjointness(rows, weights) -> str:
     for m in range(dim):
         # the condition at (n, m) is the complex conjugate of the one at (m, n)
         for n in range(m, dim):
-            lhs = QC(weights[m]) * rows[m][n]
-            rhs = QC(weights[n]) * rows[n][m].conjugate()
+            x, y = rows[m][n], rows[n][m]
+            if not x and not y:
+                continue  # both sides of the condition vanish
+            # w_m x against w_n conj(y), by real and imaginary part
+            lhs = (weights[m] * x.re, weights[m] * x.im)
+            rhs = (weights[n] * y.re, -weights[n] * y.im)
             if lhs != rhs:
                 selfadj = False
-            if lhs != -rhs:
+            if lhs != (-rhs[0], -rhs[1]):
                 skewadj = False
     if selfadj and skewadj:
         return "zero"
@@ -175,29 +243,47 @@ def _verify_adjointness(rows, weights) -> str:
 def _wrap(space: BidegreeSpace, rows) -> OperatorMatrix:
     weights = pairing_weights(space.p, space.q)
     adj = _verify_adjointness(rows, weights)
-    arr = np.array([[c.to_complex() for c in r] for r in rows], dtype=complex)
     return OperatorMatrix(
         space=space,
         entries=tuple(tuple(r) for r in rows),
-        array=arr,
+        array=_to_array(rows),
         adjointness=adj,
     )
 
 
-_APPLY = {1: apply_j1, 2: apply_j2, 3: apply_j3}
+def _to_array(rows) -> np.ndarray:
+    """Complex array of an exact matrix, converting the nonzero entries."""
+    arr = np.zeros((len(rows), len(rows)), dtype=complex)
+    for m, row in enumerate(rows):
+        for n, c in enumerate(row):
+            if c:
+                arr[m, n] = c.to_complex()
+    return arr
 
 
 @lru_cache(maxsize=None)
 def generator_matrix(axis: int, p: int, q: int) -> OperatorMatrix:
     """Self-adjoint angular momentum matrix J_axis on H^{p,q}.
 
-    J3 is diagonal with eigenvalues -j..j in integer steps; the triple
-    satisfies [J1, J2] = i J3 cyclically.
+    J3 = diag(l), J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) (-i/2), with Jp and
+    Jm from the ladder coordinates; the triple satisfies [J1, J2] = i J3
+    cyclically.
     """
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
     space = harmonic_basis(p, q)
-    m = _wrap(space, _raw_matrix(space, _APPLY[axis]))
+    rows = [[QC(0)] * space.dim for _ in range(space.dim)]
+    if axis == 3:
+        for k, l in enumerate(space.l_values):
+            rows[k][k] = QC(l)
+    else:
+        alpha, beta = _ladder(p, q)
+        for k, (a, b) in enumerate(zip(alpha, beta)):
+            if axis == 1:
+                rows[k + 1][k], rows[k][k + 1] = QC(a / 2), QC(b / 2)
+            else:
+                rows[k + 1][k], rows[k][k + 1] = QC(0, -a / 2), QC(0, b / 2)
+    m = _wrap(space, rows)
     if m.adjointness not in ("self", "zero"):
         raise AssertionError(f"J{axis} failed the self-adjointness check")
     return m
@@ -229,8 +315,29 @@ def casimir_matrix(p: int, q: int) -> OperatorMatrix:
 
 @lru_cache(maxsize=None)
 def _generator_square(axis: int, p: int, q: int):
-    g = generator_matrix(axis, p, q)
-    return tuple(tuple(r) for r in mat_mul(g.rows(), g.rows()))
+    """J_axis^2 on H^{p,q}, exact, from the ladder coordinates.
+
+    J3^2 = diag(l^2).  J1^2 and J2^2 share the diagonal
+    (alpha_(k-1) beta_(k-1) + alpha_k beta_k) / 4 and have entries only two
+    off it: alpha_k alpha_(k+1) / 4 at (k+2, k) and beta_k beta_(k+1) / 4 at
+    (k, k+2), negated for J2.
+    """
+    space = generator_matrix(axis, p, q).space  # J_axis passes its checks first
+    dim = space.dim
+    rows = [[QC(0)] * dim for _ in range(dim)]
+    if axis == 3:
+        for k, l in enumerate(space.l_values):
+            rows[k][k] = QC(l * l)
+    else:
+        alpha, beta = _ladder(p, q)
+        products = [0, *(a * b for a, b in zip(alpha, beta)), 0]
+        sign = 1 if axis == 1 else -1
+        for k in range(dim):
+            rows[k][k] = QC(Fraction(products[k] + products[k + 1]) / 4)
+        for k in range(dim - 2):
+            rows[k + 2][k] = QC(sign * alpha[k] * alpha[k + 1] / 4)
+            rows[k][k + 2] = QC(sign * beta[k] * beta[k + 1] / 4)
+    return tuple(tuple(r) for r in rows)
 
 
 def hamiltonian_matrix(
@@ -245,23 +352,24 @@ def hamiltonian_matrix(
     """
     if min(float(i1), float(i2), float(i3)) <= 0:
         raise ValueError("principal momenta must be positive")
-    squares = [
-        [list(r) for r in _generator_square(axis, space.p, space.q)]
-        for axis in (1, 2, 3)
-    ]
+    squares = [_generator_square(axis, space.p, space.q) for axis in (1, 2, 3)]
     exact = all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho))
     if exact:
-        shift = QC(Fraction(k) * Fraction(rho))
-        rows = [[shift if a == b else QC(0) for b in range(space.dim)] for a in range(space.dim)]
-        for sq, mom in zip(squares, (i1, i2, i3)):
-            coef = QC(Fraction(hbar0) / (2 * Fraction(mom)))
-            for a in range(space.dim):
-                for b in range(space.dim):
-                    rows[a][b] = rows[a][b] + coef * sq[a][b]
+        shift = Fraction(k) * Fraction(rho)
+        coefs = [Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3)]
+        rows = [[QC(0)] * space.dim for _ in range(space.dim)]
+        # the squares vanish outside the diagonal and the entries two off it
+        for a in range(space.dim):
+            for b in (a - 2, a, a + 2):
+                if 0 <= b < space.dim:
+                    entry = shift if a == b else Fraction(0)
+                    for sq, coef in zip(squares, coefs):
+                        entry += coef * sq[a][b].re
+                    rows[a][b] = QC(entry)
         return _wrap(space, rows)
     arr = (float(k) * float(rho)) * np.eye(space.dim)
     for sq, mom in zip(squares, (i1, i2, i3)):
-        block = np.array([[c.to_complex() for c in r] for r in sq])
+        block = _to_array(sq)
         if np.max(np.abs(block.imag)) != 0:
             raise AssertionError("generator squares must be real")
         arr = arr + (float(hbar0) / (2.0 * float(mom))) * block.real

@@ -3,9 +3,16 @@
 H^{p,q} is the (p+q+1)-dimensional space of polynomials of bidegree (p, q)
 in (z1, z2, zb1, zb2) annihilated by the flat R^4 Laplacian; restricted to
 S^3 these are the building blocks of the degree-(p+q) eigenspaces.  The
-basis is computed by exact null-space extraction, one element per weight
-sector (the weight 2l = (a - b) - (c - d) is preserved by the Laplacian),
-and is ordered by ascending l.  All coefficients are exact.
+Laplacian preserves the weight 2l = (a - b) - (c - d) of a monomial
+z1^a z2^b zb1^c zb2^d, and within a weight sector it links each monomial
+(a, c) only to its neighbour (a - 1, c - 1).  Each sector therefore holds
+exactly one harmonic element, with the closed-form coefficients
+(-1)^c C(p, a) C(q, c); the basis takes one element per sector, ordered by
+ascending l.  All coefficients are exact integers.
+
+The null-space construction (Gauss-Jordan on the Laplacian restricted to
+each sector), `harmonic_basis_by_elimination`, is kept as the independent
+oracle that `rotorspec verify` compares the closed form against.
 """
 
 from __future__ import annotations
@@ -20,18 +27,14 @@ from .polynomial import Polynomial, laplacian_r3, laplacian_r4
 from .rational_linalg import nullspace
 
 
-def _normalize_integer(vec: list[QC]) -> list[QC]:
-    """Scale a rational vector to integer entries with content 1 and a
-    positive leading (first nonzero) entry."""
-    fracs = [x.re for x in vec]
-    denom = math.lcm(*(f.denominator for f in fracs if f != 0))
-    ints = [f * denom for f in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v.numerator))
-    lead = next(v for v in ints if v != 0)
-    sign = 1 if lead > 0 else -1
-    return [QC(Fraction(sign * v.numerator // g)) for v in ints]
+def _normalize_integer(vec) -> list[int]:
+    """Scale a rational vector (ints or Fractions) to integer entries with
+    content 1 and a positive leading (first nonzero) entry."""
+    denom = math.lcm(*(f.denominator for f in vec if f != 0))
+    ints = [int(f * denom) for f in vec]
+    g = math.gcd(*ints)
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    return [sign * v // g for v in ints]
 
 
 def _sector_monomials(p: int, q: int, weight2: int) -> list[tuple[int, int, int, int]]:
@@ -104,12 +107,36 @@ class BidegreeSpace:
         return coords
 
 
+def _sector_laplacian(p: int, q: int, weight2: int):
+    """The monomials of one weight sector of bidegree (p, q) and the integer
+    matrix of the Laplacian Delta = 4 (d_z1 d_zb1 + d_z2 d_zb2) on them.
+
+    Delta maps the sector into the bidegree-(p-1, q-1) monomials of the
+    same weight, which index the rows.
+    """
+    monos = _sector_monomials(p, q, weight2)
+    target = _sector_monomials(p - 1, q - 1, weight2) if p >= 1 and q >= 1 else []
+    t_index = {m: i for i, m in enumerate(target)}
+    rows = [[0] * len(monos) for _ in target]
+    for col, (a, b, c, d) in enumerate(monos):
+        if a >= 1 and c >= 1:
+            rows[t_index[(a - 1, b, c - 1, d)]][col] = 4 * a * c
+        if b >= 1 and d >= 1:
+            rows[t_index[(a, b - 1, c, d - 1)]][col] = 4 * b * d
+    return monos, rows
+
+
 @lru_cache(maxsize=None)
 def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     """Exact basis of H^{p,q}, one element per weight sector.
 
-    Each sector's kernel of the Laplacian is one-dimensional, which gives
-    the dimension count p + q + 1 for free and makes the ordering canonical.
+    The sector element is the closed-form kernel of the Laplacian,
+    (-1)^c C(p, a) C(q, c) on z1^a z2^b zb1^c zb2^d, scaled to content 1
+    and a positive first coefficient (monomials in descending
+    lexicographic order).  The sector kernel is one-dimensional, so this
+    is the vector the null-space construction returns
+    (`harmonic_basis_by_elimination`).  Every element is checked to be
+    harmonic before the space is returned.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegree must be nonnegative")
@@ -117,33 +144,44 @@ def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     basis = []
     l_vals = []
     for two_l in range(-j2, j2 + 1, 2):
-        monos = _sector_monomials(p, q, two_l)
-        # rows of the Laplacian restricted to the sector
-        target = _sector_monomials(p - 1, q - 1, two_l) if p >= 1 and q >= 1 else []
-        t_index = {m: i for i, m in enumerate(target)}
-        rows = [[QC(0)] * len(monos) for _ in target]
-        for col, (a, b, c, d) in enumerate(monos):
-            if a >= 1 and c >= 1:
-                rows[t_index[(a - 1, b, c - 1, d)]][col] = QC(4 * a * c)
-            if b >= 1 and d >= 1:
-                rows[t_index[(a, b - 1, c, d - 1)]][col] = QC(4 * b * d)
-        if target:
-            kernel = nullspace(rows)
+        monos, laplacian = _sector_laplacian(p, q, two_l)
+        vec = _normalize_integer(
+            [(-1) ** c * math.comb(p, a) * math.comb(q, c) for a, _, c, _ in monos]
+        )
+        if any(sum(x * v for x, v in zip(row, vec)) for row in laplacian):
+            raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) element is not harmonic")
+        basis.append(Polynomial(4, dict(zip(monos, vec))))
+        l_vals.append(Fraction(two_l, 2))
+    space = BidegreeSpace(p=p, q=q, basis=tuple(basis), l_values=tuple(l_vals))
+    assert space.dim == p + q + 1
+    return space
+
+
+def harmonic_basis_by_elimination(p: int, q: int) -> tuple[Polynomial, ...]:
+    """The basis of H^{p,q} by exact null-space extraction: Gauss-Jordan on
+    the Laplacian restricted to each weight sector, the one-dimensional
+    kernel normalized as in `harmonic_basis`.  Independent of the closed
+    form, and checked harmonic by polynomial differentiation;
+    `rotorspec verify` compares the two."""
+    if p < 0 or q < 0:
+        raise ValueError("bidegree must be nonnegative")
+    j2 = p + q
+    basis = []
+    for two_l in range(-j2, j2 + 1, 2):
+        monos, laplacian = _sector_laplacian(p, q, two_l)
+        if laplacian:
+            kernel = nullspace(laplacian)
         else:
             kernel = [[QC(1) if i == k else QC(0) for i in range(len(monos))] for k in range(len(monos))]
         if len(kernel) != 1:
             raise AssertionError(
                 f"sector (p={p}, q={q}, 2l={two_l}) kernel has dimension {len(kernel)}"
             )
-        vec = _normalize_integer(kernel[0])
-        poly = Polynomial(4, {m: c for m, c in zip(monos, vec) if c})
-        basis.append(poly)
-        l_vals.append(Fraction(two_l, 2))
-    space = BidegreeSpace(p=p, q=q, basis=tuple(basis), l_values=tuple(l_vals))
-    assert space.dim == p + q + 1
-    for b in space.basis:
+        vec = _normalize_integer([x.re for x in kernel[0]])
+        basis.append(Polynomial(4, {m: c for m, c in zip(monos, vec) if c}))
+    for b in basis:
         assert not laplacian_r4(b), "basis element is not harmonic"
-    return space
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -188,7 +226,7 @@ def harmonic_basis_r3(degree: int) -> R3HarmonicSpace:
         kernel = [[QC(1) if i == k else QC(0) for i in range(len(monos))] for k in range(len(monos))]
     basis = []
     for vec in kernel:
-        vec = _normalize_integer(vec)
+        vec = _normalize_integer([x.re for x in vec])
         basis.append(Polynomial(3, {m: c for m, c in zip(monos, vec) if c}))
     space = R3HarmonicSpace(degree=degree, basis=tuple(basis))
     assert space.dim == 2 * degree + 1, f"dim H_{degree} = {space.dim}"

@@ -36,11 +36,20 @@ from .polyalg import eigenvalues, hamiltonian_matrix, harmonic_basis
 from .quantum_structures import BundleKind, j_values
 
 
-def _check_j_max(j_max):
+def check_j_max(j_max):
+    """Raise ValueError unless j_max is a half-integer in [0, J_MAX_CAP]."""
     if Fraction(j_max) * 2 % 1 != 0 or j_max < 0:
         raise ValueError("j_max must be a nonnegative half-integer")
     if j_max > J_MAX_CAP:
         raise ValueError(f"j_max exceeds the hard cap {J_MAX_CAP}")
+
+
+def check_l_max(l_max):
+    """Raise ValueError unless l_max is an integer in [0, J_MAX_CAP]."""
+    if int(l_max) != l_max or l_max < 0:
+        raise ValueError("l_max must be a nonnegative integer")
+    if l_max > J_MAX_CAP:
+        raise ValueError(f"l_max exceeds the hard cap {J_MAX_CAP}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +170,7 @@ def _exactify(*values):
 def j_squared_spectrum(bundle: BundleKind, j_max, hbar0=1) -> Spectrum:
     """Spectrum of the squared angular momentum: hbar0^2 j(j+1) with
     multiplicity (2j+1)^2."""
-    _check_j_max(j_max)
+    check_j_max(j_max)
     (h,) = _exactify(hbar0)
     lines = []
     for j in j_values(bundle, j_max):
@@ -193,7 +202,7 @@ def _degree_blocks(d: int):
 def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spectrum:
     """E_j = hbar0/(2I) j(j+1) + k rho, multiplicity (2j+1)^2; eigensections
     are all degree-2j harmonic polynomials."""
-    _check_j_max(j_max)
+    check_j_max(j_max)
     if float(i_mom) <= 0:
         raise ValueError("momentum must be positive")
     i_mom, k, h = _exactify(i_mom, k, hbar0)
@@ -237,7 +246,7 @@ def symmetric_spectrum(
     2(2j+1) otherwise.  Coinciding energies across different (j, l) stay as
     separate lines; use Spectrum.group_by_energy for the merged view.
     """
-    _check_j_max(j_max)
+    check_j_max(j_max)
     if float(i_pair) <= 0 or float(i_axis) <= 0:
         raise ValueError("momenta must be positive")
     if i_pair == i_axis:
@@ -291,10 +300,7 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
     """Collinear body: S^2 levels hbar0/(2I) l(l+1) with multiplicity 2l+1,
     eigensections the degree-l harmonic polynomials on R^3 (only the trivial
     bundle exists here)."""
-    if int(l_max) != l_max or l_max < 0:
-        raise ValueError("l_max must be a nonnegative integer")
-    if l_max > J_MAX_CAP:
-        raise ValueError(f"l_max exceeds the hard cap {J_MAX_CAP}")
+    check_l_max(l_max)
     if float(i_mom) <= 0:
         raise ValueError("momentum must be positive")
     i_mom, k, h = _exactify(i_mom, k, hbar0)
@@ -334,7 +340,7 @@ def monopole_spectrum(
     and multiplicity 2j+1.  With nu = 0 this reduces termwise to the free
     symmetric spectrum.
     """
-    _check_j_max(j_max)
+    check_j_max(j_max)
     if float(i_pair) <= 0 or float(i_axis) <= 0:
         raise ValueError("momenta must be positive")
     if float(q_center_norm) < 0:
@@ -400,7 +406,7 @@ def diagonalized_spectrum(
     closed forms are verified against, and the production route for the
     asymmetric top.
     """
-    _check_j_max(j_max)
+    check_j_max(j_max)
     if min(float(i1), float(i2), float(i3)) <= 0:
         raise ValueError("momenta must be positive")
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)

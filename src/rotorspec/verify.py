@@ -1,10 +1,13 @@
 """Self-verification suite: oracle cross-checks behind `rotorspec verify`.
 
 Each check returns (ok, detail) and is independent of the code paths it
-validates wherever an independent route exists: closed-form spectra are
-checked against block diagonalization, the curvature closed forms against
-the structure-constant oracle, the asymmetric levels against a standard
-ladder-matrix construction that shares nothing with the polynomial engine.
+validates wherever an independent route exists: the closed-form harmonic
+bases against null-space extraction, the closed-form ladder matrices
+against the polynomial route (differential operators applied to the basis
+polynomials), closed-form spectra against block diagonalization, the
+curvature closed forms against the structure-constant oracle, the
+asymmetric levels against a standard ladder-matrix construction that shares
+nothing with the polynomial engine.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from .inertia import (
 )
 from .polyalg import (
     antipodal_sign,
+    apply_j1,
+    apply_j2,
+    apply_j3,
     casimir_matrix,
     generator_matrix,
     harmonic_basis,
@@ -49,7 +55,9 @@ from .polyalg import (
     vector_field_matrix,
 )
 from .polyalg.gaussian import QC
+from .polyalg.operators import _raw_matrix
 from .polyalg.rational_linalg import mat_scale
+from .polyalg.spaces import harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
 from .spectra import (
     degenerate_spectrum,
@@ -95,11 +103,17 @@ def _rel_err(a, b) -> float:
 
 def check_su2_commutators(d_max: int = 8):
     """[L_a, L_b] = L_c cyclically and [J_a, J_b] = i J_c, exact, on all
-    blocks with p + q <= d_max."""
+    blocks with p + q <= d_max; each closed-form J_a equals, entry by entry,
+    the matrix of the differential operator applied to the basis
+    polynomials."""
     for d in range(d_max + 1):
         for p in range(d + 1):
             q = d - p
             jmats = {a: generator_matrix(a, p, q).rows() for a in (1, 2, 3)}
+            space = harmonic_basis(p, q)
+            for a, apply_j in ((1, apply_j1), (2, apply_j2), (3, apply_j3)):
+                if not mat_equal(jmats[a], _raw_matrix(space, apply_j)):
+                    return False, f"J{a} differs from the polynomial route on H^({p},{q})"
             lmats = {a: vector_field_matrix(a, p, q).rows() for a in (1, 2, 3)}
             for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
                 if not mat_equal(mat_commutator(lmats[a], lmats[b]), lmats[c]):
@@ -152,7 +166,8 @@ def check_x3_spectrum(d_max: int = 8):
 
 
 def check_dimensions(d_max: int = 12):
-    """dim H^{p,q} = p+q+1 and the degree-d total is (d+1)^2."""
+    """dim H^{p,q} = p+q+1 and the degree-d total is (d+1)^2; the
+    closed-form basis equals the null-space one."""
     for d in range(d_max + 1):
         total = 0
         for p in range(d + 1):
@@ -160,6 +175,8 @@ def check_dimensions(d_max: int = 12):
             space = harmonic_basis(p, q)
             if space.dim != p + q + 1:
                 return False, f"dim H^({p},{q}) = {space.dim} != {p + q + 1}"
+            if space.basis != harmonic_basis_by_elimination(p, q):
+                return False, f"closed-form basis of H^({p},{q}) differs from the null-space basis"
             total += space.dim
         if total != (d + 1) ** 2:
             return False, f"degree {d} total {total} != {(d + 1) ** 2}"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rotorspec import BundleKind, spherical_spectrum, symmetric_spectrum
+from rotorspec import BundleKind, cli, spherical_spectrum, symmetric_spectrum
 from rotorspec.cli import (
     EXIT_BUNDLE,
     EXIT_GEOMETRY,
@@ -203,6 +203,45 @@ def test_tolerances_must_be_positive_and_finite(tmp_path, capsys):
         doc = {**TRIANGLE, "tolerances": {name: -1e-9}}
         assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_SCHEMA
         assert f"tolerances.{name}: a tolerance must be positive" in capsys.readouterr().err
+
+
+def test_out_of_range_requests_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, TRIANGLE)
+    cases = [
+        (["spectrum", "--config", path, "--j-max", "30"], "j_max exceeds the hard cap 25"),
+        (["spectrum", "--config", path, "--j-max", "7/3"], "j_max must be a nonnegative half-integer"),
+        (["spectrum", "--config", path, "--j-max", "-1"], "j_max must be a nonnegative half-integer"),
+        (["eigensections", "--config", path, "--j", "1", "--l", "abc"], "Invalid literal for Fraction: 'abc'"),
+        (["eigensections", "--config", path, "--j", "30"], "j_max exceeds the hard cap 25"),
+        (["spectrum", "--config", _write(tmp_path, DIPOLE, "dipole.json"), "--j-max", "30"], "l_max exceeds the hard cap 25"),
+        (["verify", "--j-max", "30"], "j_max exceeds the hard cap 25"),
+    ]
+    # the same cutoffs as the job's j_max
+    for argv, message in cases[:3]:
+        doc = {**TRIANGLE, "j_max": argv[-1]}
+        cases.append((["spectrum", "--config", _write(tmp_path, doc, f"j_max{len(cases)}.json")], message))
+    mono = {**OCTAHEDRON_I1, "field": {"type": "monopole", "nu": 1, "q_norm": -1}}
+    cases.append(
+        (
+            ["spectrum", "--config", _write(tmp_path, mono, "monopole.json"), "--fixed-point"],
+            "the center-of-charge norm must be nonnegative",
+        )
+    )
+    for argv, message in cases:
+        assert main(argv) == EXIT_SCHEMA, argv
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "asymmetric_spectrum", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["spectrum", "--config", _write(tmp_path, TRIANGLE)])
+    capsys.readouterr()
 
 
 def test_all_coincident_exit_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact polynomial algebra, harmonic bases, su(2) matrices, Hamiltonians."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,11 @@ from rotorspec.polyalg import (
     QC,
     Polynomial,
     antipodal_sign,
+    apply_j1,
+    apply_j2,
+    apply_j3,
+    apply_jminus,
+    apply_jplus,
     casimir_matrix,
     charpoly,
     eigenvalues,
@@ -26,8 +32,10 @@ from rotorspec.polyalg import (
     sphere_laplacian_r3,
     vector_field_matrix,
 )
-from rotorspec.polyalg.operators import _raw_matrix
+from rotorspec.polyalg import operators
+from rotorspec.polyalg.operators import _generator_square, _raw_matrix
 from rotorspec.polyalg.rational_linalg import mat_scale
+from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
 
 Z1 = Polynomial.variable(4, 0)
@@ -162,6 +170,37 @@ def test_representation_closure_guard():
     space = harmonic_basis(1, 1)
     with pytest.raises(RepresentationClosureError):
         _raw_matrix(space, lambda f: f.mul_var(0))  # z1 * f leaves the space
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_closed_form_route_equals_polynomial_route(d):
+    # bases against null-space extraction; J_a, weights and squares against
+    # the differential operators applied to the basis polynomials
+    for p in range(d + 1):
+        q = d - p
+        space = harmonic_basis(p, q)
+        assert space.basis == harmonic_basis_by_elimination(p, q)
+        for axis, apply_j in ((1, apply_j1), (2, apply_j2), (3, apply_j3)):
+            poly_route = _raw_matrix(space, apply_j)
+            assert generator_matrix(axis, p, q).rows() == poly_route
+            assert [list(r) for r in _generator_square(axis, p, q)] == mat_mul(poly_route, poly_route)
+        jp = _raw_matrix(space, apply_jplus)
+        jm = _raw_matrix(space, apply_jminus)
+        weights = [Fraction(1)]
+        for k in range(d):
+            weights.append(weights[-1] * jm[k][k + 1].re / jp[k + 1][k].re)
+        assert pairing_weights(p, q) == tuple(weights)
+
+
+def test_ladder_closure_check_rejects_a_corrupted_sector(monkeypatch):
+    space = harmonic_basis(2, 1)
+    sector = space.basis[1]  # two monomials: scaling one breaks proportionality
+    first = next(iter(sector.terms))
+    corrupted = Polynomial(4, {**sector.terms, first: sector.terms[first] * 2})
+    basis = space.basis[:1] + (corrupted,) + space.basis[2:]
+    monkeypatch.setattr(operators, "harmonic_basis", lambda p, q: replace(space, basis=basis))
+    with pytest.raises(RepresentationClosureError):
+        operators._ladder.__wrapped__(2, 1)
 
 
 def test_antipodal_parity_matches_bundles():

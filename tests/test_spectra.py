@@ -141,6 +141,18 @@ def test_asymmetric_routes_near_ties():
     assert spec.kind == "symmetric"
 
 
+def test_integer_momenta_stay_exact_on_near_tie_routing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ints = asymmetric_spectrum(2, 1, 2, BundleKind.PLUS, j_max=2)
+        fracs = asymmetric_spectrum(Fraction(2), Fraction(1), Fraction(2), BundleKind.PLUS, j_max=2)
+    assert ints.kind == "symmetric"
+    assert all(isinstance(ln.energy, Fraction) for ln in ints.lines)
+    assert ints.lines == fracs.lines
+    assert ints.params == fracs.params
+    assert isinstance(ints.params["I_pair"], Fraction)
+
+
 def test_spherical_through_diagonalized_path():
     brute = diagonalized_spectrum(2, 2, 2, BundleKind.PLUS, j_max=3)
     closed = spherical_spectrum(2, BundleKind.PLUS, j_max=3)
