@@ -25,6 +25,7 @@ from .classical_em import PatternField, decoupling_check, split_field, unsplit_f
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import (
     AllCoincidentError,
+    HamiltonianOverflowError,
     NonPositiveMassError,
     RotorSpecError,
     SchemaError,
@@ -32,7 +33,7 @@ from .errors import (
 from .geometry import DegeneracyClass, ParticleSystem, canonicalize
 from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
 from .polyalg import harmonic_basis, harmonic_basis_r3
-from .polyalg.operators import OperatorMatrix, hamiltonian_matrix, weighted_symmetrization
+from .polyalg.operators import HamiltonianBand, hamiltonian_matrix, weighted_symmetrization
 from .quantum_structures import (
     BundleKind,
     admissible_structures,
@@ -439,7 +440,7 @@ def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
     return EXIT_OK
 
 
-def _eigensection_vectors(op: OperatorMatrix) -> np.ndarray:
+def _eigensection_vectors(op: HamiltonianBand) -> np.ndarray:
     """Float eigenvector coordinates (columns) in the block basis, sorted by
     eigenvalue; computed through the weighted symmetrization."""
     sym, s = weighted_symmetrization(op)
@@ -450,7 +451,7 @@ def _eigensection_vectors(op: OperatorMatrix) -> np.ndarray:
 def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     try:
         j = Fraction(j_str)
-        degree = degree_of_j(j)
+        degree_of_j(j)  # rejects j that is not a nonnegative half-integer
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"--j must be a nonnegative half-integer: {exc}") from exc
     try:
@@ -462,14 +463,15 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     if config.degeneracy.is_degenerate:
         if bundle is BundleKind.MINUS:
             raise BundleRequestError("half-odd j does not exist over a degenerate body")
-        _check_input(check_l_max, degree)
-        space = harmonic_basis_r3(degree)
-        spec = degenerate_spectrum(momenta.transverse_momentum, job.k, job.hbar0, degree)
+        ell = int(j)  # on S^2 the level j is the degree-j harmonics
+        _check_input(check_l_max, ell)
+        space = harmonic_basis_r3(ell)
+        spec = degenerate_spectrum(momenta.transverse_momentum, job.k, job.hbar0, ell)
         line = spec.lines[-1]
         print(f"degenerate body: l = {j}, energy {_fmt(line.energy)}, multiplicity {line.multiplicity}")
-        print(f"eigensections: degree-{degree} harmonic polynomials on R^3 restricted to S^2")
+        print(f"eigensections: degree-{ell} harmonic polynomials on R^3 restricted to S^2")
         for idx, poly in enumerate(space.basis):
-            print(f"  [{degree},{idx}] {poly}")
+            print(f"  [{ell},{idx}] {poly}")
         return EXIT_OK
     job_one = JobConfig(**{**job.__dict__, "bundle": bundle.value, "j_max": j})
     spectra = _spectra_for_job(job_one, config, momenta, fixed_point=False)
@@ -628,10 +630,7 @@ def main(argv=None) -> int:
         if args.command == "em-split":
             return cmd_em_split(job)
         raise AssertionError(f"unhandled command {args.command}")
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except NonPositiveMassError as exc:
+    except (SchemaError, NonPositiveMassError, HamiltonianOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except AllCoincidentError as exc:

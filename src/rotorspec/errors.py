@@ -23,3 +23,7 @@ class RepresentationClosureError(RotorSpecError):
 
 class SchemaError(RotorSpecError):
     """A job configuration document violates the input schema."""
+
+
+class HamiltonianOverflowError(RotorSpecError):
+    """A float Hamiltonian entry left the float range (hbar or k too large)."""

@@ -71,10 +71,6 @@ class ParticleSystem:
         return float(self.masses.sum())
 
     @property
-    def total_charge(self) -> float:
-        return float(self.charges.sum())
-
-    @property
     def weights(self) -> np.ndarray:
         """Mass fractions mu_i = m_i / m; they sum to 1."""
         return self.masses / self.total_mass
@@ -107,15 +103,6 @@ class RigidConfiguration:
     @property
     def weights(self) -> np.ndarray:
         return self.masses / self.total_mass
-
-    @property
-    def body_axis(self) -> np.ndarray | None:
-        """Unit vector along the body line (degenerate case only)."""
-        if not self.degeneracy.is_degenerate:
-            return None
-        i = int(np.argmax(np.linalg.norm(self.relatives, axis=1)))
-        axis = self.relatives[i]
-        return axis / np.linalg.norm(axis)
 
 
 @dataclass(frozen=True)

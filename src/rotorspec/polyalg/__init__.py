@@ -23,7 +23,7 @@ from .polynomial import (
     laplacian_r4,
     sphere_laplacian_r3,
 )
-from .rational_linalg import charpoly, mat_commutator, mat_equal, mat_mul, rational_roots
+from .rational_linalg import charpoly, mat_commutator, mat_equal, mat_mul
 from .spaces import BidegreeSpace, R3HarmonicSpace, harmonic_basis, harmonic_basis_r3
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "mat_equal",
     "mat_mul",
     "pairing_weights",
-    "rational_roots",
     "sphere_laplacian_r3",
     "vector_field_matrix",
 ]

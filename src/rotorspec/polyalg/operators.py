@@ -35,11 +35,18 @@ The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
 normalized so that the spherical case gives E_j = hbar0 j(j+1) / (2 I).
 The curvature shift k * rho follows the closed-form spectra (see
-spectra.curvature_shift).
+spectra.curvature_shift).  In the weight basis H couples l only to l and
+l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
+Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
+three diagonals: Fractions for rational input, floats otherwise.  The
+dense Gaussian-rational OperatorMatrix (J_a, L_a, the Casimir) belongs to
+the oracle: `rotorspec verify` and the tests compare it with the
+polynomial route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,11 +54,13 @@ from numbers import Rational
 
 import numpy as np
 
-from ..errors import RepresentationClosureError
+from ..errors import HamiltonianOverflowError, RepresentationClosureError
 from .gaussian import QC
 from .polynomial import Polynomial
 from .rational_linalg import charpoly, mat_mul, mat_scale, rational_roots_from_candidates
 from .spaces import BidegreeSpace, harmonic_basis
+
+_OVERFLOW = "hbar or k too large: the float Hamiltonian leaves the float range"
 
 
 def apply_j3(f: Polynomial) -> Polynomial:
@@ -82,37 +91,56 @@ def apply_j2(f: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A square matrix on a harmonic space, exact (QC entries) or float.
-
-    adjointness records the verified behavior under the natural sesquilinear
-    pairing of the space: "self", "skew" or "none".
+    """An exact matrix (QC entries) on a harmonic space: J_a, L_a or the
+    Casimir.  adjointness is the verdict of the exact check under the
+    pairing weights: "self", "skew", "zero" or "none".
     """
 
     space: BidegreeSpace
-    entries: tuple[tuple[QC, ...], ...] | None
-    array: np.ndarray
+    entries: tuple[tuple[QC, ...], ...]
+    adjointness: str
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    def rows(self) -> list[list[QC]]:
+        return [list(r) for r in self.entries]
+
+    def is_diagonal(self) -> bool:
+        return all(not c for i, row in enumerate(self.entries) for j, c in enumerate(row) if i != j)
+
+
+@dataclass(frozen=True)
+class HamiltonianBand:
+    """The Hamiltonian on one harmonic block as its three nonzero diagonals:
+    diag[a] at (a, a), lower[a] at (a+2, a) and upper[a] at (a, a+2);
+    Fractions for rational input, floats otherwise.  adjointness is the
+    verdict of the weighted-pairing check: "self", "zero" or "none".
+    """
+
+    space: BidegreeSpace
+    diag: tuple
+    lower: tuple
+    upper: tuple
     adjointness: str
 
     @property
     def exact(self) -> bool:
-        return self.entries is not None
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-    def rows(self) -> list[list[QC]]:
-        if self.entries is None:
-            raise ValueError("matrix is not exact")
-        return [list(r) for r in self.entries]
+        return isinstance(self.diag[0], Fraction)
 
     def is_diagonal(self) -> bool:
-        if self.exact:
-            return all(
-                not c for i, row in enumerate(self.entries) for j, c in enumerate(row) if i != j
-            )
-        off = self.array - np.diag(np.diag(self.array))
-        return bool(np.all(off == 0))
+        return not any(self.lower) and not any(self.upper)
+
+    def rows(self) -> list[list]:
+        """The dense matrix, zero off the band."""
+        n = len(self.diag)
+        rows = [[type(self.diag[0])(0)] * n for _ in range(n)]
+        for a, x in enumerate(self.diag):
+            rows[a][a] = x
+        for a, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            rows[a + 2][a], rows[a][a + 2] = lo, up
+        return rows
 
 
 def _ladder_image(terms: dict, raising: bool) -> dict:
@@ -241,24 +269,8 @@ def _verify_adjointness(rows, weights) -> str:
 
 
 def _wrap(space: BidegreeSpace, rows) -> OperatorMatrix:
-    weights = pairing_weights(space.p, space.q)
-    adj = _verify_adjointness(rows, weights)
-    return OperatorMatrix(
-        space=space,
-        entries=tuple(tuple(r) for r in rows),
-        array=_to_array(rows),
-        adjointness=adj,
-    )
-
-
-def _to_array(rows) -> np.ndarray:
-    """Complex array of an exact matrix, converting the nonzero entries."""
-    arr = np.zeros((len(rows), len(rows)), dtype=complex)
-    for m, row in enumerate(rows):
-        for n, c in enumerate(row):
-            if c:
-                arr[m, n] = c.to_complex()
-    return arr
+    adjointness = _verify_adjointness(rows, pairing_weights(space.p, space.q))
+    return OperatorMatrix(space, tuple(tuple(r) for r in rows), adjointness)
 
 
 @lru_cache(maxsize=None)
@@ -315,92 +327,94 @@ def casimir_matrix(p: int, q: int) -> OperatorMatrix:
 
 @lru_cache(maxsize=None)
 def _generator_square(axis: int, p: int, q: int):
-    """J_axis^2 on H^{p,q}, exact, from the ladder coordinates.
+    """J_axis^2 on H^{p,q}, exact, from the ladder coordinates, as its three
+    nonzero diagonals (diag, lower, upper) in the layout of HamiltonianBand.
 
     J3^2 = diag(l^2).  J1^2 and J2^2 share the diagonal
     (alpha_(k-1) beta_(k-1) + alpha_k beta_k) / 4 and have entries only two
     off it: alpha_k alpha_(k+1) / 4 at (k+2, k) and beta_k beta_(k+1) / 4 at
-    (k, k+2), negated for J2.
+    (k, k+2), negated for J2.  J1 and J2 are self-adjoint exactly when
+    w_(k+1) alpha_k = w_k beta_k for the pairing weights w; this is asserted.
     """
-    space = generator_matrix(axis, p, q).space  # J_axis passes its checks first
-    dim = space.dim
-    rows = [[QC(0)] * dim for _ in range(dim)]
+    space = harmonic_basis(p, q)
+    off = (Fraction(0),) * max(space.dim - 2, 0)
     if axis == 3:
-        for k, l in enumerate(space.l_values):
-            rows[k][k] = QC(l * l)
-    else:
-        alpha, beta = _ladder(p, q)
-        products = [0, *(a * b for a, b in zip(alpha, beta)), 0]
-        sign = 1 if axis == 1 else -1
-        for k in range(dim):
-            rows[k][k] = QC(Fraction(products[k] + products[k + 1]) / 4)
-        for k in range(dim - 2):
-            rows[k + 2][k] = QC(sign * alpha[k] * alpha[k + 1] / 4)
-            rows[k][k + 2] = QC(sign * beta[k] * beta[k + 1] / 4)
-    return tuple(tuple(r) for r in rows)
+        return tuple(l * l for l in space.l_values), off, off
+    alpha, beta = _ladder(p, q)
+    weights = pairing_weights(p, q)
+    for k, (a, b) in enumerate(zip(alpha, beta)):
+        if weights[k + 1] * a != weights[k] * b:
+            raise AssertionError(f"J{axis} failed the self-adjointness check")
+    products = [0, *(a * b for a, b in zip(alpha, beta)), 0]
+    sign = 1 if axis == 1 else -1
+    diag = tuple(Fraction(products[k] + products[k + 1]) / 4 for k in range(space.dim))
+    lower = tuple(sign * alpha[k] * alpha[k + 1] / 4 for k in range(len(off)))
+    upper = tuple(sign * beta[k] * beta[k + 1] / 4 for k in range(len(off)))
+    return diag, lower, upper
 
 
 def hamiltonian_matrix(
     space: BidegreeSpace, i1, i2, i3, hbar0=1, k=0, rho=0
-) -> OperatorMatrix:
-    """Rotational Hamiltonian on one harmonic block.
-
-    Exact (rational) entries whenever all scalar inputs are rational;
-    otherwise the matrix is assembled in floating point from the exact
-    generator squares.  The curvature shift k * rho is added to the
-    diagonal.
+) -> HamiltonianBand:
+    """Rotational Hamiltonian on one harmonic block, as a band: the exact
+    generator squares times hbar0 / (2 I_a), plus k * rho on the diagonal.
+    Fractions when all scalar inputs are rational; otherwise floats summed
+    axis by axis from float(square entry).
     """
     if min(float(i1), float(i2), float(i3)) <= 0:
         raise ValueError("principal momenta must be positive")
-    squares = [_generator_square(axis, space.p, space.q) for axis in (1, 2, 3)]
     exact = all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho))
-    if exact:
-        shift = Fraction(k) * Fraction(rho)
-        coefs = [Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3)]
-        rows = [[QC(0)] * space.dim for _ in range(space.dim)]
-        # the squares vanish outside the diagonal and the entries two off it
-        for a in range(space.dim):
-            for b in (a - 2, a, a + 2):
-                if 0 <= b < space.dim:
-                    entry = shift if a == b else Fraction(0)
-                    for sq, coef in zip(squares, coefs):
-                        entry += coef * sq[a][b].re
-                    rows[a][b] = QC(entry)
-        return _wrap(space, rows)
-    arr = (float(k) * float(rho)) * np.eye(space.dim)
-    for sq, mom in zip(squares, (i1, i2, i3)):
-        block = _to_array(sq)
-        if np.max(np.abs(block.imag)) != 0:
-            raise AssertionError("generator squares must be real")
-        arr = arr + (float(hbar0) / (2.0 * float(mom))) * block.real
+    num = Fraction if exact else float
+    shift = num(k) * num(rho)
+    diag = [shift] * space.dim
+    lower = upper = (num(0),) * max(space.dim - 2, 0)
+    for axis, mom in zip((1, 2, 3), (i1, i2, i3)):
+        coef = num(hbar0) / (2 * num(mom))
+        sq_diag, sq_lower, sq_upper = _generator_square(axis, space.p, space.q)
+        diag = [x + coef * num(y) for x, y in zip(diag, sq_diag)]
+        lower = [x + coef * num(y) for x, y in zip(lower, sq_lower)]
+        upper = [x + coef * num(y) for x, y in zip(upper, sq_upper)]
     weights = pairing_weights(space.p, space.q)
-    adj = _verify_adjointness_float(arr, weights)
-    return OperatorMatrix(space=space, entries=None, array=arr.astype(complex), adjointness=adj)
+    return HamiltonianBand(
+        space=space,
+        diag=tuple(diag),
+        lower=tuple(lower),
+        upper=tuple(upper),
+        adjointness=_band_adjointness(diag, lower, upper, [num(w) for w in weights]),
+    )
 
 
-def _verify_adjointness_float(arr: np.ndarray, weights) -> str:
-    w = np.array([float(x) for x in weights])
-    lhs = w[:, None] * arr
-    rhs = (w[:, None] * arr).T
-    if not np.any(lhs):
+def _band_adjointness(diag, lower, upper, weights) -> str:
+    """Verdict "self", "zero" or "none" under the weighted pairing: w_(a+2)
+    lower_a against w_a upper_a, exactly for Fractions, within 1e-12 of the
+    largest weighted entry for floats (HamiltonianOverflowError if any
+    weighted entry is not finite)."""
+    pairs = [(weights[a + 2] * lo, weights[a] * up) for a, (lo, up) in enumerate(zip(lower, upper))]
+    scaled = [w * x for w, x in zip(weights, diag)] + [x for pair in pairs for x in pair]
+    if isinstance(diag[0], Fraction):
+        same = all(x == y for x, y in pairs)
+    elif not all(map(math.isfinite, scaled)):
+        raise HamiltonianOverflowError(_OVERFLOW)
+    else:
+        tol = 1e-12 * max(map(abs, scaled))
+        same = max((abs(x - y) for x, y in pairs), default=0.0) <= tol
+    if not any(scaled):
         return "zero"
-    scale = np.max(np.abs(lhs))
-    return "self" if np.max(np.abs(lhs - rhs)) <= 1e-12 * scale else "none"
+    return "self" if same else "none"
 
 
-def eigenvalues(op: OperatorMatrix, prefer_exact: bool = True):
-    """Eigenvalues of a self-adjoint operator matrix, ascending.
+def eigenvalues(op: HamiltonianBand, prefer_exact: bool = True):
+    """Eigenvalues of a self-adjoint Hamiltonian band, ascending.
 
     Returns a list of (value, exact_flag); values are Fractions when the
     characteristic polynomial factors over the rationals, floats otherwise.
-    Exact extraction is attempted for exact matrices when prefer_exact is
+    Exact extraction is attempted for exact bands when prefer_exact is
     set (block degrees above 4 use the float path by policy).
     """
     if op.adjointness not in ("self", "zero"):
         raise ValueError("eigenvalue extraction expects a self-adjoint matrix")
     if op.exact and op.is_diagonal():
-        vals = sorted((row[i].re for i, row in enumerate(op.entries)))
-        return [(v, True) for v in vals]
+        return [(v, True) for v in sorted(op.diag)]
     floats = np.linalg.eigvalsh(weighted_symmetrization(op)[0])
     if op.exact and prefer_exact:
         # candidates from the stable float diagonalization (np.roots would
@@ -421,15 +435,19 @@ def eigenvalues(op: OperatorMatrix, prefer_exact: bool = True):
     return [(float(v), False) for v in floats]
 
 
-def weighted_symmetrization(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def weighted_symmetrization(op: HamiltonianBand) -> tuple[np.ndarray, np.ndarray]:
     """(S, s) with s = sqrt(w) for the pairing weights w and S = D A D^-1,
-    D = diag(s).
+    D = diag(s), A the band as a dense float array.
 
-    A matrix A that is self-adjoint for the weighted pairing becomes the
-    genuinely symmetric (Hermitian) S with the same spectrum; an
-    eigenvector v of S maps back to the eigenvector v / s of A.
+    A band that is self-adjoint for the weighted pairing becomes the
+    genuinely symmetric S with the same spectrum; an eigenvector v of S
+    maps back to the eigenvector v / s of A.  Raises
+    HamiltonianOverflowError when S leaves the float range.
     """
     w = np.array([float(x) for x in pairing_weights(op.space.p, op.space.q)])
     s = np.sqrt(w)
-    arr = op.array.real if np.max(np.abs(op.array.imag)) == 0 else op.array
-    return (s[:, None] * arr) / s[None, :], s
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (s[:, None] * np.array(op.rows(), dtype=float)) / s[None, :]
+    if not np.isfinite(sym).all():
+        raise HamiltonianOverflowError(_OVERFLOW)
+    return sym, s

@@ -157,11 +157,10 @@ class Polynomial:
 
     __repr__ = __str__
 
-    def pretty(self, names: tuple[str, ...] | None = None) -> str:
+    def pretty(self) -> str:
         if not self.terms:
             return "0"
-        if names is None:
-            names = R4_NAMES if self.nvars == 4 else R3_NAMES
+        names = R4_NAMES if self.nvars == 4 else R3_NAMES
         parts = []
         for exp in sorted(self.terms, reverse=True):
             c = self.terms[exp]

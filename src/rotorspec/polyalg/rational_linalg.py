@@ -199,14 +199,3 @@ def rational_roots_from_candidates(coeffs: list[Fraction], candidates):
             work = _deflate(work, accepted)
     return roots, work, leftover
 
-
-def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Split a monic rational polynomial into its rational roots (with
-    multiplicity) and the residual factor, locating candidates numerically.
-    """
-    import numpy as np
-
-    approx = np.roots([float(c) for c in reversed(coeffs)])
-    candidates = sorted(r.real for r in approx if abs(r.imag) <= 1e-7)
-    roots, work, _ = rational_roots_from_candidates(coeffs, candidates)
-    return roots, work

@@ -14,6 +14,7 @@ from rotorspec.cli import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
+from rotorspec.polyalg import harmonic_basis_r3
 
 DIPOLE = {
     "version": 1,
@@ -242,6 +243,56 @@ def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal failure"):
         main(["spectrum", "--config", _write(tmp_path, TRIANGLE)])
     capsys.readouterr()
+
+
+def test_huge_hbar_or_k_exit_2(tmp_path, capsys):
+    # finite values whose float Hamiltonian overflows are rejected by name;
+    # 1e300 still works (its output is pinned in tests/golden)
+    path = _write(tmp_path, TRIANGLE)
+    for field in ("hbar", "k"):
+        for value in (1e306, 1e308):
+            doc = {**TRIANGLE, field: value}
+            for argv in (
+                ["spectrum", "--config", path, f"--{field}", repr(value)],
+                ["spectrum", "--config", _write(tmp_path, doc, f"{field}.json")],
+            ):
+                assert main(argv) == EXIT_SCHEMA, argv
+                captured = capsys.readouterr()
+                assert "error: hbar or k too large" in captured.err, argv
+                assert captured.out == "", argv
+        assert main(["spectrum", "--config", path, f"--{field}", "1e300"]) == EXIT_OK
+        capsys.readouterr()
+
+
+COLLINEAR = {
+    "version": 1,
+    "particles": [
+        {"mass": 1, "charge": 0, "position": [0, 0, -1]},
+        {"mass": 2, "charge": 0, "position": [0, 0, 0.5]},
+        {"mass": 1.5, "charge": 0, "position": [0, 0, 2]},
+    ],
+}
+
+
+@pytest.mark.parametrize("doc", [DIPOLE, COLLINEAR], ids=["dipole", "collinear"])
+def test_collinear_eigensections_match_the_spectrum(tmp_path, capsys, doc):
+    path = _write(tmp_path, doc)
+    assert main(["spectrum", "--config", path, "--output", "csv", "--j-max", "3"]) == EXIT_OK
+    levels = {
+        row.split(",")[1]: (row.split(",")[3], row.split(",")[4])
+        for row in capsys.readouterr().out.splitlines()[1:]
+    }
+    for ell in range(4):
+        assert main(["eigensections", "--config", path, "--j", str(ell)]) == EXIT_OK
+        header, title, *polys = capsys.readouterr().out.splitlines()
+        energy, mult = levels[str(ell)]
+        assert header == f"degenerate body: l = {ell}, energy {energy}, multiplicity {mult}"
+        assert int(mult) == 2 * ell + 1
+        assert title.startswith(f"eigensections: degree-{ell} harmonic")
+        basis = harmonic_basis_r3(ell).basis
+        assert all(b.is_homogeneous() and b.total_degree() == ell for b in basis)
+        assert polys == [f"  [{ell},{idx}] {b}" for idx, b in enumerate(basis)]
+        assert len(polys) == 2 * ell + 1
 
 
 def test_all_coincident_exit_3(tmp_path, capsys):

@@ -1,0 +1,112 @@
+"""Printed output pinned against golden files in tests/golden/.
+
+The CLI cases compare stdout byte for byte.  The library cases print each
+asymmetric_spectrum line with exact energies as fractions and float
+energies at 12 significant digits, the precision the CLI prints.
+
+Regenerate the files (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from rotorspec import BundleKind, asymmetric_spectrum
+from rotorspec.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TRIANGLE = {
+    "version": 1,
+    "particles": [
+        {"mass": 1, "charge": 0, "position": [0, 0, 0]},
+        {"mass": 2, "charge": 0, "position": [1.1, 0, 0]},
+        {"mass": 3, "charge": 0, "position": [0.3, 1.7, 0]},
+    ],
+}
+
+OCTAHEDRON = {
+    "version": 1,
+    "particles": [
+        {"mass": 1, "charge": 0, "position": p}
+        for p in ([0.5, 0, 0], [-0.5, 0, 0], [0, 0.5, 0], [0, -0.5, 0], [0, 0, 0.5], [0, 0, -0.5])
+    ],
+}
+
+# a planar square: a symmetric (oblate) top
+SQUARE = {
+    "version": 1,
+    "particles": [
+        {"mass": 1, "charge": 0, "position": p}
+        for p in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])
+    ],
+}
+
+CLI_CASES = {
+    f"cli_{body}_{fmt}": (doc, ["spectrum", "--output", fmt, *extra])
+    for body, doc, extra in (
+        ("triangle", TRIANGLE, []),
+        ("octahedron", OCTAHEDRON, []),
+        ("square", SQUARE, []),
+        ("triangle_overrides", TRIANGLE, ["--k", "1/3", "--hbar", "2/3", "--j-max", "5/2"]),
+    )
+    for fmt in ("table", "csv")
+}
+CLI_CASES["cli_triangle_eigensections_j1"] = (TRIANGLE, ["eigensections", "--j", "1"])
+# huge scales that the float Hamiltonian still represents
+CLI_CASES["cli_triangle_hbar_1e300"] = (TRIANGLE, ["spectrum", "--hbar", "1e300"])
+CLI_CASES["cli_triangle_k_1e300"] = (TRIANGLE, ["spectrum", "--k", "1e300"])
+
+LIBRARY_CASES = {
+    "lib_rational_k_half": ((1, Fraction(5, 2), Fraction(7, 3)), {"k": Fraction(1, 2)}),
+    "lib_float": ((1.0, 2.0, 3.5), {}),
+}
+
+
+def _cli_output(doc, argv, workdir) -> str:
+    path = Path(workdir) / "job.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main([argv[0], "--config", str(path), *argv[1:]])
+    assert rc == EXIT_OK, argv
+    return out.getvalue()
+
+
+def _library_output(momenta, kwargs) -> str:
+    out = []
+    for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+        spec = asymmetric_spectrum(*momenta, bundle, j_max=3, **kwargs)
+        for ln in spec.lines:
+            e = ln.energy
+            energy = str(e) if isinstance(e, Fraction) else format(e, ".12g")
+            refs = " ".join(f"{p},{q},{i}" for p, q, i in ln.eigensections)
+            out.append(f"{bundle.value} j={ln.j} E={energy} mult={ln.multiplicity} [{refs}]")
+    return "\n".join(out) + "\n"
+
+
+def _render(name: str, workdir) -> str:
+    if name in CLI_CASES:
+        return _cli_output(*CLI_CASES[name], workdir)
+    return _library_output(*LIBRARY_CASES[name])
+
+
+@pytest.mark.parametrize("name", [*CLI_CASES, *LIBRARY_CASES])
+def test_output_matches_golden(name, tmp_path):
+    assert _render(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in [*CLI_CASES, *LIBRARY_CASES]:
+            (GOLDEN / f"{case}.txt").write_text(_render(case, tmp))
+            print(f"wrote {case}", file=sys.stderr)

@@ -28,13 +28,12 @@ from rotorspec.polyalg import (
     mat_equal,
     mat_mul,
     pairing_weights,
-    rational_roots,
     sphere_laplacian_r3,
     vector_field_matrix,
 )
 from rotorspec.polyalg import operators
 from rotorspec.polyalg.operators import _generator_square, _raw_matrix
-from rotorspec.polyalg.rational_linalg import mat_scale
+from rotorspec.polyalg.rational_linalg import mat_scale, rational_roots_from_candidates
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
 
@@ -135,10 +134,10 @@ def test_hamiltonian_spherical_block():
     space = harmonic_basis(1, 0)
     ham = hamiltonian_matrix(space, 1, 1, 1)
     assert ham.is_diagonal()
-    assert all(ham.entries[i][i] == QC(Fraction(3, 8)) for i in range(2))
+    assert all(ham.diag[i] == Fraction(3, 8) for i in range(2))
     space = harmonic_basis(0, 0)
     ham = hamiltonian_matrix(space, 2, 3, 4)
-    assert ham.entries[0][0] == QC(0)
+    assert ham.diag[0] == 0
 
 
 def test_hamiltonian_asymmetric_triad():
@@ -163,13 +162,23 @@ def test_hamiltonian_curvature_shift():
     space = harmonic_basis(1, 0)
     base = hamiltonian_matrix(space, 2, 2, 2)
     shifted = hamiltonian_matrix(space, 2, 2, 2, k=Fraction(1, 2), rho=Fraction(3, 4))
-    assert shifted.entries[0][0] - base.entries[0][0] == QC(Fraction(3, 8))
+    assert shifted.diag[0] - base.diag[0] == Fraction(3, 8)
 
 
 def test_representation_closure_guard():
     space = harmonic_basis(1, 1)
     with pytest.raises(RepresentationClosureError):
         _raw_matrix(space, lambda f: f.mul_var(0))  # z1 * f leaves the space
+
+
+def _dense(diag, lower, upper):
+    """A band (lower at (a+2, a), upper at (a, a+2)) as dense QC rows."""
+    rows = [[QC(0)] * len(diag) for _ in diag]
+    for a, x in enumerate(diag):
+        rows[a][a] = QC(x)
+    for a, (lo, up) in enumerate(zip(lower, upper)):
+        rows[a + 2][a], rows[a][a + 2] = QC(lo), QC(up)
+    return rows
 
 
 @pytest.mark.parametrize("d", range(13))
@@ -183,13 +192,32 @@ def test_closed_form_route_equals_polynomial_route(d):
         for axis, apply_j in ((1, apply_j1), (2, apply_j2), (3, apply_j3)):
             poly_route = _raw_matrix(space, apply_j)
             assert generator_matrix(axis, p, q).rows() == poly_route
-            assert [list(r) for r in _generator_square(axis, p, q)] == mat_mul(poly_route, poly_route)
+            assert _dense(*_generator_square(axis, p, q)) == mat_mul(poly_route, poly_route)
         jp = _raw_matrix(space, apply_jplus)
         jm = _raw_matrix(space, apply_jminus)
         weights = [Fraction(1)]
         for k in range(d):
             weights.append(weights[-1] * jm[k][k + 1].re / jp[k + 1][k].re)
         assert pairing_weights(p, q) == tuple(weights)
+
+
+@pytest.mark.parametrize("momenta", [(1, 2, 3), (1.0, 2.0, 3.0)])
+def test_band_adjointness_rejects_a_perturbed_entry(monkeypatch, momenta):
+    space = harmonic_basis(2, 2)
+    assert hamiltonian_matrix(space, *momenta).adjointness == "self"
+    real = operators._generator_square
+
+    def perturbed(axis, p, q):
+        diag, lower, upper = real(axis, p, q)
+        if axis == 1:
+            upper = (upper[0] + Fraction(1, 7), *upper[1:])
+        return diag, lower, upper
+
+    monkeypatch.setattr(operators, "_generator_square", perturbed)
+    ham = hamiltonian_matrix(space, *momenta)
+    assert ham.adjointness == "none"
+    with pytest.raises(ValueError, match="self-adjoint"):
+        eigenvalues(ham)
 
 
 def test_ladder_closure_check_rejects_a_corrupted_sector(monkeypatch):
@@ -216,8 +244,8 @@ def test_charpoly_and_rational_roots():
     m = [[QC(2), QC(1)], [QC(0), QC(3)]]
     coeffs = charpoly(m)  # (t-2)(t-3) = t^2 - 5t + 6
     assert coeffs == [Fraction(6), Fraction(-5), Fraction(1)]
-    roots, residual = rational_roots(coeffs)
-    assert sorted(roots) == [2, 3] and residual == [Fraction(1)]
+    roots, residual, leftover = rational_roots_from_candidates(coeffs, [3.0, 2.0])
+    assert sorted(roots) == [2, 3] and residual == [Fraction(1)] and leftover == []
 
 
 def test_harmonic_basis_r3():
