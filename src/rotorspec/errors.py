@@ -26,4 +26,8 @@ class SchemaError(RotorSpecError):
 
 
 class HamiltonianOverflowError(RotorSpecError):
-    """A float Hamiltonian entry left the float range (hbar or k too large)."""
+    """A float Hamiltonian entry or a float energy left the float range
+    (hbar or k too large); every route reports it with the same message."""
+
+    def __init__(self, message: str = "hbar or k too large: the float Hamiltonian leaves the float range"):
+        super().__init__(message)

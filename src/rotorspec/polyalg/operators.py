@@ -38,10 +38,11 @@ The curvature shift k * rho follows the closed-form spectra (see
 spectra.curvature_shift).  In the weight basis H couples l only to l and
 l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
 Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
-three diagonals: Fractions for rational input, floats otherwise.  The
-dense Gaussian-rational OperatorMatrix (J_a, L_a, the Casimir) belongs to
-the oracle: `rotorspec verify` and the tests compare it with the
-polynomial route.
+three diagonals: Fractions for rational input, floats otherwise.  Its
+characteristic polynomial is the product of the continuants of the even
+and odd parity classes (band_charpoly).  The dense Gaussian-rational
+OperatorMatrix (J_a, L_a, the Casimir) belongs to the oracle: `rotorspec
+verify` and the tests compare it with the polynomial route.
 """
 
 from __future__ import annotations
@@ -57,10 +58,8 @@ import numpy as np
 from ..errors import HamiltonianOverflowError, RepresentationClosureError
 from .gaussian import QC
 from .polynomial import Polynomial
-from .rational_linalg import charpoly, mat_mul, mat_scale, rational_roots_from_candidates
+from .rational_linalg import mat_mul, mat_scale, rational_roots_from_candidates
 from .spaces import BidegreeSpace, harmonic_basis
-
-_OVERFLOW = "hbar or k too large: the float Hamiltonian leaves the float range"
 
 
 def apply_j3(f: Polynomial) -> Polynomial:
@@ -131,16 +130,6 @@ class HamiltonianBand:
 
     def is_diagonal(self) -> bool:
         return not any(self.lower) and not any(self.upper)
-
-    def rows(self) -> list[list]:
-        """The dense matrix, zero off the band."""
-        n = len(self.diag)
-        rows = [[type(self.diag[0])(0)] * n for _ in range(n)]
-        for a, x in enumerate(self.diag):
-            rows[a][a] = x
-        for a, (lo, up) in enumerate(zip(self.lower, self.upper)):
-            rows[a + 2][a], rows[a][a + 2] = lo, up
-        return rows
 
 
 def _ladder_image(terms: dict, raising: bool) -> dict:
@@ -357,50 +346,104 @@ def hamiltonian_matrix(
     space: BidegreeSpace, i1, i2, i3, hbar0=1, k=0, rho=0
 ) -> HamiltonianBand:
     """Rotational Hamiltonian on one harmonic block, as a band: the exact
-    generator squares times hbar0 / (2 I_a), plus k * rho on the diagonal.
-    Fractions when all scalar inputs are rational; otherwise floats summed
-    axis by axis from float(square entry).
+    generator squares times c_a = hbar0 / (2 I_a), plus k * rho on the
+    diagonal.
+
+    For rational input the band is exact.  J1^2 and J2^2 share their
+    diagonal D and have opposite off-diagonals (L, U), so it is assembled
+    from two squares: diag = k rho + (c1 + c2) D + c3 l^2, lower =
+    (c1 - c2) L and upper = (c1 - c2) U.  Otherwise the entries are floats
+    summed axis by axis from float(square entry).
     """
     if min(float(i1), float(i2), float(i3)) <= 0:
         raise ValueError("principal momenta must be positive")
-    exact = all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho))
-    num = Fraction if exact else float
-    shift = num(k) * num(rho)
-    diag = [shift] * space.dim
-    lower = upper = (num(0),) * max(space.dim - 2, 0)
-    for axis, mom in zip((1, 2, 3), (i1, i2, i3)):
-        coef = num(hbar0) / (2 * num(mom))
-        sq_diag, sq_lower, sq_upper = _generator_square(axis, space.p, space.q)
-        diag = [x + coef * num(y) for x, y in zip(diag, sq_diag)]
-        lower = [x + coef * num(y) for x, y in zip(lower, sq_lower)]
-        upper = [x + coef * num(y) for x, y in zip(upper, sq_upper)]
-    weights = pairing_weights(space.p, space.q)
+    p, q = space.p, space.q
+    weights = pairing_weights(p, q)
+    if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho)):
+        c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
+        shift, c_sum, c_diff = Fraction(k) * Fraction(rho), c1 + c2, c1 - c2
+        sq_diag, sq_lower, sq_upper = _generator_square(1, p, q)
+        l_squared = _generator_square(3, p, q)[0]
+        diag = [shift + c_sum * x + c3 * y for x, y in zip(sq_diag, l_squared)]
+        lower = [c_diff * x for x in sq_lower]
+        upper = [c_diff * x for x in sq_upper]
+    else:
+        diag = [float(k) * float(rho)] * space.dim
+        lower = upper = (0.0,) * max(space.dim - 2, 0)
+        for axis, mom in zip((1, 2, 3), (i1, i2, i3)):
+            coef = float(hbar0) / (2 * float(mom))
+            sq_diag, sq_lower, sq_upper = _generator_square(axis, p, q)
+            diag = [x + coef * float(y) for x, y in zip(diag, sq_diag)]
+            lower = [x + coef * float(y) for x, y in zip(lower, sq_lower)]
+            upper = [x + coef * float(y) for x, y in zip(upper, sq_upper)]
     return HamiltonianBand(
         space=space,
         diag=tuple(diag),
         lower=tuple(lower),
         upper=tuple(upper),
-        adjointness=_band_adjointness(diag, lower, upper, [num(w) for w in weights]),
+        adjointness=_band_adjointness(diag, lower, upper, weights),
     )
 
 
 def _band_adjointness(diag, lower, upper, weights) -> str:
     """Verdict "self", "zero" or "none" under the weighted pairing: w_(a+2)
-    lower_a against w_a upper_a, exactly for Fractions, within 1e-12 of the
-    largest weighted entry for floats (HamiltonianOverflowError if any
-    weighted entry is not finite)."""
+    lower_a against w_a upper_a.  Exact for Fractions, where "zero" means
+    every entry vanishes (the weights are positive).  For floats within
+    1e-12 of the largest weighted entry, with HamiltonianOverflowError if
+    any weighted entry is not finite.
+    """
+    if isinstance(diag[0], Fraction):
+        if not any(diag) and not any(lower) and not any(upper):
+            return "zero"
+        same = all(weights[a + 2] * lo == weights[a] * up for a, (lo, up) in enumerate(zip(lower, upper)))
+        return "self" if same else "none"
+    weights = [float(w) for w in weights]
     pairs = [(weights[a + 2] * lo, weights[a] * up) for a, (lo, up) in enumerate(zip(lower, upper))]
     scaled = [w * x for w, x in zip(weights, diag)] + [x for pair in pairs for x in pair]
-    if isinstance(diag[0], Fraction):
-        same = all(x == y for x, y in pairs)
-    elif not all(map(math.isfinite, scaled)):
-        raise HamiltonianOverflowError(_OVERFLOW)
-    else:
-        tol = 1e-12 * max(map(abs, scaled))
-        same = max((abs(x - y) for x, y in pairs), default=0.0) <= tol
+    if not all(map(math.isfinite, scaled)):
+        raise HamiltonianOverflowError()
     if not any(scaled):
         return "zero"
-    return "self" if same else "none"
+    tol = 1e-12 * max(map(abs, scaled))
+    return "self" if max((abs(x - y) for x, y in pairs), default=0.0) <= tol else "none"
+
+
+def band_charpoly(op: HamiltonianBand) -> list[Fraction]:
+    """Characteristic polynomial det(t - H) of an exact band, as
+    coefficients [c_0, ..., c_n] with c_n = 1 (the layout of charpoly).
+
+    The band couples index a only to a and a +- 2, so H splits into two
+    tridiagonal parity classes (even and odd a), and det(t - H) is the
+    product of their continuants
+
+        p_i = (t - a_i) p_(i-1) - (lower_(i-1) upper_(i-1)) p_(i-2)
+
+    with a_i, lower_i and upper_i read along the class.
+    """
+    out = [Fraction(1)]
+    for start in (0, 1):
+        diag = op.diag[start::2]
+        products = [lo * up for lo, up in zip(op.lower[start::2], op.upper[start::2])]
+        prev, cur = [], [Fraction(1)]
+        for i, a in enumerate(diag):
+            # (t - a) cur - b prev, coefficients lowest first
+            nxt = [Fraction(0), *cur]
+            for m, c in enumerate(cur):
+                nxt[m] -= a * c
+            if i:
+                for m, c in enumerate(prev):
+                    nxt[m] -= products[i - 1] * c
+            prev, cur = cur, nxt
+        out = _poly_mul(out, cur)
+    return out
+
+
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for m, y in enumerate(b):
+            out[i + m] += x * y
+    return out
 
 
 def eigenvalues(op: HamiltonianBand, prefer_exact: bool = True):
@@ -409,7 +452,10 @@ def eigenvalues(op: HamiltonianBand, prefer_exact: bool = True):
     Returns a list of (value, exact_flag); values are Fractions when the
     characteristic polynomial factors over the rationals, floats otherwise.
     Exact extraction is attempted for exact bands when prefer_exact is
-    set (block degrees above 4 use the float path by policy).
+    set (block degrees above 4 use the float path by policy); the
+    characteristic polynomial is then the product of the two parity-class
+    continuants (band_charpoly), and rational_linalg.charpoly is its
+    oracle in the tests.
     """
     if op.adjointness not in ("self", "zero"):
         raise ValueError("eigenvalue extraction expects a self-adjoint matrix")
@@ -419,8 +465,7 @@ def eigenvalues(op: HamiltonianBand, prefer_exact: bool = True):
     if op.exact and prefer_exact:
         # candidates from the stable float diagonalization (np.roots would
         # split degenerate roots); acceptance is by exact substitution
-        coeffs = charpoly(op.rows())
-        roots, residual, leftover = rational_roots_from_candidates(coeffs, floats)
+        roots, residual, leftover = rational_roots_from_candidates(band_charpoly(op), floats)
         out = [(r, True) for r in roots]
         if len(residual) == 3 and len(leftover) == 2:
             # quadratic factor: exact coefficients, closed-form roots
@@ -435,19 +480,33 @@ def eigenvalues(op: HamiltonianBand, prefer_exact: bool = True):
     return [(float(v), False) for v in floats]
 
 
+@lru_cache(maxsize=None)
+def _sqrt_weights(p: int, q: int) -> np.ndarray:
+    """sqrt(float(w)) for the pairing weights w of H^{p,q}, read-only."""
+    s = np.sqrt(np.array([float(x) for x in pairing_weights(p, q)]))
+    s.flags.writeable = False
+    return s
+
+
 def weighted_symmetrization(op: HamiltonianBand) -> tuple[np.ndarray, np.ndarray]:
     """(S, s) with s = sqrt(w) for the pairing weights w and S = D A D^-1,
-    D = diag(s), A the band as a dense float array.
+    D = diag(s), A the band as a dense float array (float(entry) at offsets
+    0 and +-2, zero elsewhere).
 
     A band that is self-adjoint for the weighted pairing becomes the
     genuinely symmetric S with the same spectrum; an eigenvector v of S
     maps back to the eigenvector v / s of A.  Raises
     HamiltonianOverflowError when S leaves the float range.
     """
-    w = np.array([float(x) for x in pairing_weights(op.space.p, op.space.q)])
-    s = np.sqrt(w)
+    s = _sqrt_weights(op.space.p, op.space.q)
+    n = len(op.diag)
+    band = np.zeros((n, n))
+    a = np.arange(n)
+    band[a, a] = [float(x) for x in op.diag]
+    band[a[2:], a[:-2]] = [float(x) for x in op.lower]
+    band[a[:-2], a[2:]] = [float(x) for x in op.upper]
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (s[:, None] * np.array(op.rows(), dtype=float)) / s[None, :]
+        sym = (s[:, None] * band) / s[None, :]
     if not np.isfinite(sym).all():
-        raise HamiltonianOverflowError(_OVERFLOW)
+        raise HamiltonianOverflowError()
     return sym, s

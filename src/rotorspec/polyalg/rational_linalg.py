@@ -104,7 +104,8 @@ def charpoly(a) -> list[Fraction]:
     by the Faddeev-LeVerrier recursion.
 
     Returns coefficients [c_0, ..., c_n] with
-    p(t) = c_n t^n + ... + c_0 and c_n = 1.
+    p(t) = c_n t^n + ... + c_0 and c_n = 1.  The Hamiltonian bands use the
+    continuant operators.band_charpoly; this dense route is its oracle.
     """
     n = len(a)
     for row in a:

@@ -22,6 +22,7 @@ and l stepping through -j..j with the parity of j.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -30,6 +31,7 @@ from numbers import Rational
 import numpy as np
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
+from .errors import HamiltonianOverflowError
 from .geometry import RigidConfiguration
 from .inertia import TopClass, _exact_or_float, classify_momenta, scalar_curvature
 from .polyalg import eigenvalues, hamiltonian_matrix, harmonic_basis
@@ -158,6 +160,14 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     return k * scalar_curvature(top_class, momenta, hbar0)
 
 
+def _finite(energy):
+    """A closed-form energy, or HamiltonianOverflowError when a float energy
+    left the float range (hbar or k too large)."""
+    if isinstance(energy, float) and not math.isfinite(energy):
+        raise HamiltonianOverflowError()
+    return energy
+
+
 def _exactify(*values):
     """Map rational inputs to Fractions so downstream arithmetic is exact;
     leave floats alone."""
@@ -216,7 +226,7 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
         )
         lines.append(
             SpectralLine(
-                energy=e,
+                energy=_finite(e),
                 j=j,
                 multiplicity=int((2 * j + 1) ** 2),
                 bundle=bundle,
@@ -274,7 +284,7 @@ def symmetric_spectrum(
             )
             lines.append(
                 SpectralLine(
-                    energy=e,
+                    energy=_finite(e),
                     j=j,
                     l=abs_l,
                     multiplicity=mult,
@@ -311,7 +321,7 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
         refs = tuple((ell, None, idx) for idx in range(2 * ell + 1))
         lines.append(
             SpectralLine(
-                energy=e,
+                energy=_finite(e),
                 j=Fraction(ell),
                 multiplicity=2 * ell + 1,
                 bundle=BundleKind.PLUS,
@@ -362,7 +372,7 @@ def monopole_spectrum(
             refs = tuple((p, q, int(j + l)) for (p, q) in _degree_blocks(d))
             lines.append(
                 SpectralLine(
-                    energy=e,
+                    energy=_finite(e),
                     j=j,
                     l=l,
                     multiplicity=int(2 * j + 1),

@@ -264,6 +264,45 @@ def test_huge_hbar_or_k_exit_2(tmp_path, capsys):
         capsys.readouterr()
 
 
+SQUARE = {
+    "version": 1,
+    "particles": [
+        {"mass": 1, "charge": 0, "position": p}
+        for p in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        (OCTAHEDRON_I1, []),
+        (SQUARE, []),
+        (DIPOLE, []),
+        ({**OCTAHEDRON_I1, "field": {"type": "monopole", "nu": 1, "q_norm": "1/2"}}, ["--fixed-point"]),
+    ],
+    ids=["spherical", "symmetric", "degenerate", "monopole"],
+)
+def test_closed_form_overflow_exit_2(tmp_path, capsys, doc, extra):
+    # an energy that leaves the float range is rejected like the asymmetric
+    # route's overflow, in every output format; k rho grows with hbar, so
+    # --k 1e308 --hbar 4 overflows the shift on every body
+    path = _write(tmp_path, doc)
+    for overflow in (["--hbar", "1e308"], ["--k", "1e308", "--hbar", "4"]):
+        for fmt in ("table", "csv", "json"):
+            argv = ["spectrum", "--config", path, "--bundle", "trivial", "--output", fmt, *extra, *overflow]
+            assert main(argv) == EXIT_SCHEMA, argv
+            captured = capsys.readouterr()
+            assert "error: hbar or k too large" in captured.err, argv
+            assert captured.out == "", argv
+    # k rho = 1e308 * rho is still a float for these bodies: printed as is
+    argv = ["spectrum", "--config", path, "--bundle", "trivial", "--output", "json", *extra, "--k", "1e308"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and "NaN" not in out
+    json.loads(out)
+
+
 COLLINEAR = {
     "version": 1,
     "particles": [

@@ -68,6 +68,9 @@ CLI_CASES["cli_triangle_k_1e300"] = (TRIANGLE, ["spectrum", "--k", "1e300"])
 LIBRARY_CASES = {
     "lib_rational_k_half": ((1, Fraction(5, 2), Fraction(7, 3)), {"k": Fraction(1, 2)}),
     "lib_float": ((1.0, 2.0, 3.5), {}),
+    # two rational triples of the kind the asym_exact_warm benchmark draws
+    "lib_rational_warm_a": ((Fraction(21, 8), Fraction(17, 8), Fraction(7, 2)), {"j_max": 6}),
+    "lib_rational_warm_b": ((Fraction(49, 8), Fraction(76, 11), Fraction(16, 3)), {"j_max": 6}),
 }
 
 
@@ -84,7 +87,7 @@ def _cli_output(doc, argv, workdir) -> str:
 def _library_output(momenta, kwargs) -> str:
     out = []
     for bundle in (BundleKind.PLUS, BundleKind.MINUS):
-        spec = asymmetric_spectrum(*momenta, bundle, j_max=3, **kwargs)
+        spec = asymmetric_spectrum(*momenta, bundle, **{"j_max": 3, **kwargs})
         for ln in spec.lines:
             e = ln.energy
             energy = str(e) if isinstance(e, Fraction) else format(e, ".12g")

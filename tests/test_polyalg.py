@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rotorspec.errors import RepresentationClosureError
@@ -32,7 +33,13 @@ from rotorspec.polyalg import (
     vector_field_matrix,
 )
 from rotorspec.polyalg import operators
-from rotorspec.polyalg.operators import _generator_square, _raw_matrix
+from rotorspec.polyalg.operators import (
+    _band_adjointness,
+    _generator_square,
+    _raw_matrix,
+    band_charpoly,
+    weighted_symmetrization,
+)
 from rotorspec.polyalg.rational_linalg import mat_scale, rational_roots_from_candidates
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
@@ -218,6 +225,88 @@ def test_band_adjointness_rejects_a_perturbed_entry(monkeypatch, momenta):
     assert ham.adjointness == "none"
     with pytest.raises(ValueError, match="self-adjoint"):
         eigenvalues(ham)
+
+
+# (momenta, hbar0, k, rho): rational with k * rho != 0; (3, 3, 5) has
+# I1 = I2, so every one of its blocks is diagonal
+RATIONAL_JOBS = [
+    ((1, Fraction(5, 2), Fraction(7, 3)), Fraction(2, 3), Fraction(1, 2), Fraction(3, 4)),
+    ((Fraction(21, 8), Fraction(17, 8), Fraction(7, 2)), 1, Fraction(-1, 3), Fraction(5, 7)),
+    ((3, 3, 5), Fraction(3, 2), 2, Fraction(1, 9)),
+]
+FLOAT_JOBS = [
+    ((1.0, 2.0, 3.5), 1, 0, 0),
+    ((0.7, 1.3, 2.9), 1.5, -0.25, 0.75),
+    ((1, Fraction(5, 2), Fraction(7, 3)), 2.0, Fraction(1, 2), Fraction(3, 4)),
+]
+
+
+def _blocks(max_degree):
+    return [(p, d - p) for d in range(max_degree + 1) for p in range(d + 1)]
+
+
+@pytest.mark.parametrize("job", RATIONAL_JOBS, ids=["k_half", "negative_k", "diagonal"])
+def test_continuant_equals_faddeev_leverrier(job):
+    momenta, hbar0, k, rho = job
+    for p, q in _blocks(10):
+        ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
+        assert ham.exact
+        coeffs = band_charpoly(ham)
+        assert coeffs == charpoly(_dense(ham.diag, ham.lower, ham.upper))
+        assert len(coeffs) == p + q + 2 and coeffs[-1] == 1
+        assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("job", RATIONAL_JOBS, ids=["k_half", "negative_k", "diagonal"])
+def test_exact_band_equals_the_axis_by_axis_sum(job):
+    # the two-square assembly gives the same Fractions as summing
+    # (hbar0 / (2 I_a)) J_a^2 over the three axes
+    momenta, hbar0, k, rho = job
+    for p, q in _blocks(12):
+        ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
+        n = p + q + 1
+        diag, lower, upper = [Fraction(k) * rho] * n, [Fraction(0)] * (n - 2), [Fraction(0)] * (n - 2)
+        for axis, mom in zip((1, 2, 3), momenta):
+            coef = Fraction(hbar0) / (2 * Fraction(mom))
+            sq_diag, sq_lower, sq_upper = _generator_square(axis, p, q)
+            diag = [x + coef * y for x, y in zip(diag, sq_diag)]
+            lower = [x + coef * y for x, y in zip(lower, sq_lower)]
+            upper = [x + coef * y for x, y in zip(upper, sq_upper)]
+        assert (ham.diag, ham.lower, ham.upper) == (tuple(diag), tuple(lower), tuple(upper))
+        assert all(type(x) is Fraction for x in ham.diag + ham.lower + ham.upper)
+        assert ham.adjointness == "self"
+
+
+@pytest.mark.parametrize("job", RATIONAL_JOBS + FLOAT_JOBS)
+def test_symmetrized_array_has_the_dense_formula_bits(job):
+    momenta, hbar0, k, rho = job
+    for p, q in _blocks(9):
+        ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
+        n = p + q + 1
+        zero = type(ham.diag[0])(0)
+        dense = [[zero] * n for _ in range(n)]
+        for a, x in enumerate(ham.diag):
+            dense[a][a] = x
+        for a, (lo, up) in enumerate(zip(ham.lower, ham.upper)):
+            dense[a + 2][a], dense[a][a + 2] = lo, up
+        s = np.sqrt(np.array([float(w) for w in pairing_weights(p, q)]))
+        want = (s[:, None] * np.array(dense, dtype=float)) / s[None, :]
+        sym, s_got = weighted_symmetrization(ham)
+        assert sym.tobytes() == want.tobytes()
+        assert s_got.tobytes() == s.tobytes()
+
+
+def test_exact_band_adjointness_verdicts():
+    weights = pairing_weights(3, 3)
+    ham = hamiltonian_matrix(harmonic_basis(3, 3), 1, Fraction(5, 2), Fraction(7, 3))
+    assert _band_adjointness(ham.diag, ham.lower, ham.upper, weights) == "self"
+    for a in range(len(ham.upper)):
+        upper = list(ham.upper)
+        upper[a] += Fraction(1, 10**9)
+        assert _band_adjointness(ham.diag, ham.lower, upper, weights) == "none"
+    zeros = [Fraction(0)] * len(ham.upper)
+    assert _band_adjointness([Fraction(0)] * 7, zeros, zeros, weights) == "zero"
+    assert hamiltonian_matrix(harmonic_basis(0, 0), 1, 2, 3).adjointness == "zero"
 
 
 def test_ladder_closure_check_rejects_a_corrupted_sector(monkeypatch):
