@@ -22,12 +22,13 @@ On a monomial the ladder operators act as
     Jp z1^a z2^b zb1^c zb2^d = b (a+1, b-1, c, d) - c (a, b, c-1, d+1)
     Jm z1^a z2^b zb1^c zb2^d = a (a-1, b+1, c, d) - d (a, b, c+1, d-1)
 
-(exponent tuples standing for monomials), so on the integer harmonic basis
-b_0..b_2j they give exact coordinates Jp b_k = alpha_k b_(k+1) and
-Jm b_(k+1) = beta_k b_k.  The generator matrices, the pairing weights and
-the generator squares are built from alpha and beta; the polynomial route
-(apply_j* followed by coordinate extraction, `_raw_matrix`) is the oracle
-`rotorspec verify` compares them against.
+(exponent tuples standing for monomials), so on the integer sector vectors
+b_0..b_2j of the harmonic basis they give integer coordinates
+Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k.  The generator
+matrices, the pairing weights and the generator squares are built from
+alpha and beta; the polynomial route (apply_j* followed by coordinate
+extraction, `_raw_matrix`) is the oracle `rotorspec verify` compares them
+against.
 
 The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
@@ -38,11 +39,14 @@ The curvature shift k * rho follows the closed-form spectra (see
 spectra.curvature_shift).  In the weight basis H couples l only to l and
 l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
 Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
-three diagonals: Fractions for rational input, floats otherwise.  Its
+three diagonals: Fractions for rational input, floats otherwise, built per
+block from the sector vectors, the ladder and one cached square record
+(_generator_square); no Polynomial or QC is built on that path.  Its
 characteristic polynomial is the product of the continuants of the even
-and odd parity classes (band_charpoly).  The dense Gaussian-rational
-OperatorMatrix (J_a, L_a, the Casimir) belongs to the oracle: `rotorspec
-verify` and the tests compare it with the polynomial route.
+and odd parity classes (band_charpoly); eigenvalues() decides where exact
+extraction is tried.  The dense Gaussian-rational OperatorMatrix (J_a, L_a,
+the Casimir) belongs to the oracle: `rotorspec verify` and the tests
+compare it with the polynomial route.
 """
 
 from __future__ import annotations
@@ -147,35 +151,32 @@ def _ladder_image(terms: dict, raising: bool) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
-def _multiple(image: dict, target: dict, what: str) -> Fraction:
-    """The exact factor r with image = r * target; an empty target means
-    the image must vanish (r = 0).  Raises RepresentationClosureError
-    otherwise."""
-    ratio = Fraction(0)
+def _multiple(image: dict, target: dict, what: str) -> int:
+    """The integer r with image = r * target (r = 0 for an empty target,
+    whose image must vanish); RepresentationClosureError otherwise.  The
+    target has content 1, so any multiple is an integer one, and a floor
+    quotient with a remainder fails the entrywise check at e0."""
+    ratio = 0
     if target:
         e0, t0 = next(iter(target.items()))
-        ratio = Fraction(image.get(e0, 0), t0)
+        ratio = image.get(e0, 0) // t0
     if image.keys() - target.keys() or any(image.get(e, 0) != ratio * t for e, t in target.items()):
         raise RepresentationClosureError(f"{what} is not a multiple of the adjacent basis element")
     return ratio
 
 
 @lru_cache(maxsize=None)
-def _ladder(p: int, q: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Ladder coordinates (alpha, beta) on the basis b of H^{p,q}:
+def _ladder(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integer ladder coordinates (alpha, beta) on the basis b of H^{p,q}:
     Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k exactly.
 
-    The basis has integer coefficients (see harmonic_basis), so the images
-    are computed in integers.  Closure is checked on every basis element:
-    each image must be exactly proportional to its neighbour, and Jp of the
-    top element and Jm of the bottom one must vanish;
-    RepresentationClosureError otherwise.
+    The images are computed in integers from the sector vectors of
+    harmonic_basis.  Closure is checked on every basis element: each image
+    must be exactly proportional to its neighbour, and Jp of the top element
+    and Jm of the bottom one must vanish; RepresentationClosureError
+    otherwise.
     """
-    vecs = []
-    for b in harmonic_basis(p, q).basis:
-        if any(c.im or c.re.denominator != 1 for c in b.terms.values()):
-            raise AssertionError("harmonic basis coefficients must be integers")
-        vecs.append({e: c.re.numerator for e, c in b.terms.items()})
+    vecs = [dict(sector) for sector in harmonic_basis(p, q).sectors]
     alpha, beta = [], []
     for k, vec in enumerate(vecs):
         up = vecs[k + 1] if k + 1 < len(vecs) else {}
@@ -281,9 +282,9 @@ def generator_matrix(axis: int, p: int, q: int) -> OperatorMatrix:
         alpha, beta = _ladder(p, q)
         for k, (a, b) in enumerate(zip(alpha, beta)):
             if axis == 1:
-                rows[k + 1][k], rows[k][k + 1] = QC(a / 2), QC(b / 2)
+                rows[k + 1][k], rows[k][k + 1] = QC(Fraction(a, 2)), QC(Fraction(b, 2))
             else:
-                rows[k + 1][k], rows[k][k + 1] = QC(0, -a / 2), QC(0, b / 2)
+                rows[k + 1][k], rows[k][k + 1] = QC(0, Fraction(-a, 2)), QC(0, Fraction(b, 2))
     m = _wrap(space, rows)
     if m.adjointness not in ("self", "zero"):
         raise AssertionError(f"J{axis} failed the self-adjointness check")
@@ -315,31 +316,28 @@ def casimir_matrix(p: int, q: int) -> OperatorMatrix:
 
 
 @lru_cache(maxsize=None)
-def _generator_square(axis: int, p: int, q: int):
-    """J_axis^2 on H^{p,q}, exact, from the ladder coordinates, as its three
-    nonzero diagonals (diag, lower, upper) in the layout of HamiltonianBand.
+def _generator_square(p: int, q: int):
+    """The squares on H^{p,q}, exact, from the ladder coordinates: J1^2 as
+    its three nonzero diagonals (diag, lower, upper) in the layout of
+    HamiltonianBand, and the diagonal l_squared of J3^2 = diag(l^2).
 
-    J3^2 = diag(l^2).  J1^2 and J2^2 share the diagonal
-    (alpha_(k-1) beta_(k-1) + alpha_k beta_k) / 4 and have entries only two
-    off it: alpha_k alpha_(k+1) / 4 at (k+2, k) and beta_k beta_(k+1) / 4 at
-    (k, k+2), negated for J2.  J1 and J2 are self-adjoint exactly when
-    w_(k+1) alpha_k = w_k beta_k for the pairing weights w; this is asserted.
+    J1^2 has the diagonal (alpha_(k-1) beta_(k-1) + alpha_k beta_k) / 4 and
+    entries only two off it: alpha_k alpha_(k+1) / 4 at (k+2, k) and
+    beta_k beta_(k+1) / 4 at (k, k+2).  J2^2 is J1^2 with the off-diagonals
+    negated.  J1 and J2 are self-adjoint exactly when w_(k+1) alpha_k =
+    w_k beta_k for the pairing weights w; this is asserted.
     """
     space = harmonic_basis(p, q)
-    off = (Fraction(0),) * max(space.dim - 2, 0)
-    if axis == 3:
-        return tuple(l * l for l in space.l_values), off, off
     alpha, beta = _ladder(p, q)
     weights = pairing_weights(p, q)
     for k, (a, b) in enumerate(zip(alpha, beta)):
         if weights[k + 1] * a != weights[k] * b:
-            raise AssertionError(f"J{axis} failed the self-adjointness check")
+            raise AssertionError("J1 and J2 failed the self-adjointness check")
     products = [0, *(a * b for a, b in zip(alpha, beta)), 0]
-    sign = 1 if axis == 1 else -1
-    diag = tuple(Fraction(products[k] + products[k + 1]) / 4 for k in range(space.dim))
-    lower = tuple(sign * alpha[k] * alpha[k + 1] / 4 for k in range(len(off)))
-    upper = tuple(sign * beta[k] * beta[k + 1] / 4 for k in range(len(off)))
-    return diag, lower, upper
+    diag = tuple(Fraction(products[k] + products[k + 1], 4) for k in range(space.dim))
+    lower = tuple(Fraction(alpha[k] * alpha[k + 1], 4) for k in range(space.dim - 2))
+    upper = tuple(Fraction(beta[k] * beta[k + 1], 4) for k in range(space.dim - 2))
+    return diag, lower, upper, tuple(l * l for l in space.l_values)
 
 
 def hamiltonian_matrix(
@@ -349,39 +347,37 @@ def hamiltonian_matrix(
     generator squares times c_a = hbar0 / (2 I_a), plus k * rho on the
     diagonal.
 
-    For rational input the band is exact.  J1^2 and J2^2 share their
-    diagonal D and have opposite off-diagonals (L, U), so it is assembled
-    from two squares: diag = k rho + (c1 + c2) D + c3 l^2, lower =
-    (c1 - c2) L and upper = (c1 - c2) U.  Otherwise the entries are floats
-    summed axis by axis from float(square entry).
+    The band reads the one cached square record (D, L, U, l^2) of
+    _generator_square: J2^2 shares D with J1^2 and negates L and U.  For
+    rational input it is exact: diag = k rho + (c1 + c2) D + c3 l^2, lower
+    = (c1 - c2) L, upper = (c1 - c2) U.  Otherwise it is float, in axis
+    order: diag = ((k rho + c1 D) + c2 D) + c3 l^2, lower = c1 L - c2 L,
+    upper alike; HamiltonianOverflowError if an input leaves the float range.
     """
     if min(float(i1), float(i2), float(i3)) <= 0:
         raise ValueError("principal momenta must be positive")
-    p, q = space.p, space.q
-    weights = pairing_weights(p, q)
+    sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho)):
         c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
         shift, c_sum, c_diff = Fraction(k) * Fraction(rho), c1 + c2, c1 - c2
-        sq_diag, sq_lower, sq_upper = _generator_square(1, p, q)
-        l_squared = _generator_square(3, p, q)[0]
         diag = [shift + c_sum * x + c3 * y for x, y in zip(sq_diag, l_squared)]
         lower = [c_diff * x for x in sq_lower]
         upper = [c_diff * x for x in sq_upper]
     else:
-        diag = [float(k) * float(rho)] * space.dim
-        lower = upper = (0.0,) * max(space.dim - 2, 0)
-        for axis, mom in zip((1, 2, 3), (i1, i2, i3)):
-            coef = float(hbar0) / (2 * float(mom))
-            sq_diag, sq_lower, sq_upper = _generator_square(axis, p, q)
-            diag = [x + coef * float(y) for x, y in zip(diag, sq_diag)]
-            lower = [x + coef * float(y) for x, y in zip(lower, sq_lower)]
-            upper = [x + coef * float(y) for x, y in zip(upper, sq_upper)]
+        try:
+            c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
+            shift = float(k) * float(rho)
+        except OverflowError as exc:
+            raise HamiltonianOverflowError() from exc
+        diag = [((shift + c1 * x) + c2 * x) + c3 * y for x, y in zip(map(float, sq_diag), map(float, l_squared))]
+        lower = [c1 * x - c2 * x for x in map(float, sq_lower)]
+        upper = [c1 * x - c2 * x for x in map(float, sq_upper)]
     return HamiltonianBand(
         space=space,
         diag=tuple(diag),
         lower=tuple(lower),
         upper=tuple(upper),
-        adjointness=_band_adjointness(diag, lower, upper, weights),
+        adjointness=_band_adjointness(diag, lower, upper, pairing_weights(space.p, space.q)),
     )
 
 
@@ -446,23 +442,27 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def eigenvalues(op: HamiltonianBand, prefer_exact: bool = True):
-    """Eigenvalues of a self-adjoint Hamiltonian band, ascending.
+# exact eigenvalue extraction is tried on blocks of degree p + q <= this
+EXACT_DEGREE_MAX = 4
 
-    Returns a list of (value, exact_flag); values are Fractions when the
-    characteristic polynomial factors over the rationals, floats otherwise.
-    Exact extraction is attempted for exact bands when prefer_exact is
-    set (block degrees above 4 use the float path by policy); the
-    characteristic polynomial is then the product of the two parity-class
-    continuants (band_charpoly), and rational_linalg.charpoly is its
-    oracle in the tests.
+
+def eigenvalues(op: HamiltonianBand):
+    """Eigenvalues of a self-adjoint Hamiltonian band as (value, exact_flag)
+    pairs, ascending.
+
+    An exact diagonal band gives its diagonal.  Other exact bands of degree
+    p + q <= EXACT_DEGREE_MAX give Fractions for the rational roots of the
+    characteristic polynomial (band_charpoly, the product of the two
+    parity-class continuants; rational_linalg.charpoly is its oracle in the
+    tests) and floats for the rest.  Any other band gives floats from
+    eigvalsh of the symmetrized band.
     """
     if op.adjointness not in ("self", "zero"):
         raise ValueError("eigenvalue extraction expects a self-adjoint matrix")
     if op.exact and op.is_diagonal():
         return [(v, True) for v in sorted(op.diag)]
     floats = np.linalg.eigvalsh(weighted_symmetrization(op)[0])
-    if op.exact and prefer_exact:
+    if op.exact and op.space.p + op.space.q <= EXACT_DEGREE_MAX:
         # candidates from the stable float diagonalization (np.roots would
         # split degenerate roots); acceptance is by exact substitution
         roots, residual, leftover = rational_roots_from_candidates(band_charpoly(op), floats)
@@ -496,15 +496,18 @@ def weighted_symmetrization(op: HamiltonianBand) -> tuple[np.ndarray, np.ndarray
     A band that is self-adjoint for the weighted pairing becomes the
     genuinely symmetric S with the same spectrum; an eigenvector v of S
     maps back to the eigenvector v / s of A.  Raises
-    HamiltonianOverflowError when S leaves the float range.
+    HamiltonianOverflowError when an entry or S leaves the float range.
     """
     s = _sqrt_weights(op.space.p, op.space.q)
     n = len(op.diag)
     band = np.zeros((n, n))
     a = np.arange(n)
-    band[a, a] = [float(x) for x in op.diag]
-    band[a[2:], a[:-2]] = [float(x) for x in op.lower]
-    band[a[:-2], a[2:]] = [float(x) for x in op.upper]
+    try:
+        band[a, a] = [float(x) for x in op.diag]
+        band[a[2:], a[:-2]] = [float(x) for x in op.lower]
+        band[a[:-2], a[2:]] = [float(x) for x in op.upper]
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
     with np.errstate(over="ignore", invalid="ignore"):
         sym = (s[:, None] * band) / s[None, :]
     if not np.isfinite(sym).all():

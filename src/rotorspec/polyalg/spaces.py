@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gaussian import QC
 from .polynomial import Polynomial, laplacian_r3, laplacian_r4
@@ -54,18 +54,24 @@ def _sector_monomials(p: int, q: int, weight2: int) -> list[tuple[int, int, int,
 class BidegreeSpace:
     """Ordered harmonic basis of bidegree (p, q); dimension p + q + 1.
 
-    basis[k] spans the weight sector with l = l_values[k]; l runs from -j to
-    j in integer steps, j = (p + q) / 2.
+    sectors[k] is the integer vector of basis element k as ((exponent,
+    coefficient), ...) pairs, and basis[k] the same element as a
+    Polynomial (built on first use).  It spans the weight sector with
+    l = l_values[k]; l runs from -j to j in integer steps, j = (p + q) / 2.
     """
 
     p: int
     q: int
-    basis: tuple[Polynomial, ...]
+    sectors: tuple[tuple[tuple[tuple[int, int, int, int], int], ...], ...]
     l_values: tuple[Fraction, ...]
+
+    @cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial(4, dict(sector)) for sector in self.sectors)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.sectors)
 
     @property
     def j(self) -> Fraction:
@@ -136,12 +142,13 @@ def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     lexicographic order).  The sector kernel is one-dimensional, so this
     is the vector the null-space construction returns
     (`harmonic_basis_by_elimination`).  Every element is checked to be
-    harmonic before the space is returned.
+    harmonic before the space is returned.  The vectors stay integers; no
+    Polynomial is built until `basis` is read.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegree must be nonnegative")
     j2 = p + q  # 2j
-    basis = []
+    sectors = []
     l_vals = []
     for two_l in range(-j2, j2 + 1, 2):
         monos, laplacian = _sector_laplacian(p, q, two_l)
@@ -150,9 +157,9 @@ def harmonic_basis(p: int, q: int) -> BidegreeSpace:
         )
         if any(sum(x * v for x, v in zip(row, vec)) for row in laplacian):
             raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) element is not harmonic")
-        basis.append(Polynomial(4, dict(zip(monos, vec))))
+        sectors.append(tuple(zip(monos, vec)))
         l_vals.append(Fraction(two_l, 2))
-    space = BidegreeSpace(p=p, q=q, basis=tuple(basis), l_values=tuple(l_vals))
+    space = BidegreeSpace(p=p, q=q, sectors=tuple(sectors), l_values=tuple(l_vals))
     assert space.dim == p + q + 1
     return space
 

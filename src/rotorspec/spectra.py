@@ -84,7 +84,7 @@ class SpectralLine:
     @property
     def sort_key(self):
         lv = float(self.l) if self.l is not None else float("-inf")
-        return (float(self.energy), float(self.j), lv)
+        return (_as_float(self.energy), float(self.j), lv)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,15 @@ class Spectrum:
         return [(e, sum(ln.multiplicity for ln in g), g) for e, g in groups]
 
 
+def _as_float(energy) -> float:
+    """float(energy), or HamiltonianOverflowError for a rational energy
+    beyond the float range."""
+    try:
+        return float(energy)
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
+
+
 def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
     """Group (energy, item) pairs into levels: [(energy, items), ...].
 
@@ -129,7 +138,7 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
     level when it lies within eps_spec * max(1, |ref|) of the level's first
     energy ref.  The level's energy is that first energy.
     """
-    pairs = sorted(pairs, key=lambda t: float(t[0]))
+    pairs = sorted(pairs, key=lambda t: _as_float(t[0]))
     exact = all(isinstance(e, Rational) for e, _ in pairs)
     groups: list[tuple[object, list]] = []
     for energy, item in pairs:
@@ -177,32 +186,24 @@ def _exactify(*values):
 # --- closed-form spectra ------------------------------------------------------
 
 
+def _closed_form(kind, top, bundle, params, k, hbar0, j_max, levels) -> Spectrum:
+    """The Spectrum of a closed form from its levels, (energy, j, l,
+    multiplicity, eigensection refs) tuples taken in order; a float energy
+    outside the float range raises HamiltonianOverflowError."""
+    lines = tuple(
+        SpectralLine(_finite(e), j, mult, bundle, l, source="closed-form", eigensections=refs)
+        for e, j, l, mult, refs in levels
+    )
+    return Spectrum(lines, kind, bundle, top_class=top, params=params, k=k, hbar0=hbar0, j_max=Fraction(j_max))
+
+
 def j_squared_spectrum(bundle: BundleKind, j_max, hbar0=1) -> Spectrum:
     """Spectrum of the squared angular momentum: hbar0^2 j(j+1) with
     multiplicity (2j+1)^2."""
     check_j_max(j_max)
     (h,) = _exactify(hbar0)
-    lines = []
-    for j in j_values(bundle, j_max):
-        e = h * h * j * (j + 1)
-        lines.append(
-            SpectralLine(
-                energy=e,
-                j=j,
-                multiplicity=int((2 * j + 1) ** 2),
-                bundle=bundle,
-                source="closed-form",
-            )
-        )
-    return Spectrum(
-        lines=tuple(lines),
-        kind="j_squared",
-        bundle=bundle,
-        top_class=None,
-        params={},
-        hbar0=h,
-        j_max=Fraction(j_max),
-    )
+    levels = ((h * h * j * (j + 1), j, None, int((2 * j + 1) ** 2), None) for j in j_values(bundle, j_max))
+    return _closed_form("j_squared", None, bundle, {}, 0, h, j_max, levels)
 
 
 def _degree_blocks(d: int):
@@ -217,38 +218,18 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
         raise ValueError("momentum must be positive")
     i_mom, k, h = _exactify(i_mom, k, hbar0)
     shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
-    lines = []
-    for j in j_values(bundle, j_max):
-        d = int(2 * j)
-        e = h / (2 * i_mom) * j * (j + 1) + shift
-        refs = tuple(
-            (p, q, idx) for (p, q) in _degree_blocks(d) for idx in range(d + 1)
-        )
-        lines.append(
-            SpectralLine(
-                energy=_finite(e),
-                j=j,
-                multiplicity=int((2 * j + 1) ** 2),
-                bundle=bundle,
-                source="closed-form",
-                eigensections=refs,
-            )
-        )
-    return Spectrum(
-        lines=tuple(lines),
-        kind="spherical",
-        bundle=bundle,
-        top_class=TopClass.SPHERICAL,
-        params={"I": i_mom},
-        k=k,
-        hbar0=h,
-        j_max=Fraction(j_max),
-    )
+
+    def levels():
+        for j in j_values(bundle, j_max):
+            d = int(2 * j)
+            e = h / (2 * i_mom) * j * (j + 1) + shift
+            refs = tuple((p, q, idx) for (p, q) in _degree_blocks(d) for idx in range(d + 1))
+            yield e, j, None, int((2 * j + 1) ** 2), refs
+
+    return _closed_form("spherical", TopClass.SPHERICAL, bundle, {"I": i_mom}, k, h, j_max, levels())
 
 
-def symmetric_spectrum(
-    i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
-) -> Spectrum:
+def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spectrum:
     """Symmetric-top levels indexed by (j, |l|).
 
     The symmetry axis carries i_axis, the repeated pair i_pair; l steps from
@@ -263,47 +244,29 @@ def symmetric_spectrum(
         return spherical_spectrum(i_pair, bundle, k, hbar0, j_max)
     i_pair, i_axis, k, h = _exactify(i_pair, i_axis, k, hbar0)
     shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
-    lines = []
-    for j in j_values(bundle, j_max):
-        d = int(2 * j)
-        abs_l = Fraction(0) if j.denominator == 1 else Fraction(1, 2)
-        while abs_l <= j:
-            e = (
-                h / (2 * i_pair) * j * (j + 1)
-                + h / 2 * (1 / i_axis - 1 / i_pair) * abs_l * abs_l
-                + shift
-            )
-            if abs_l == 0:
-                mult = int(2 * j + 1)
-                indices = (int(j),)
-            else:
-                mult = 2 * int(2 * j + 1)
-                indices = (int(j - abs_l), int(j + abs_l))
-            refs = tuple(
-                (p, q, idx) for (p, q) in _degree_blocks(d) for idx in indices
-            )
-            lines.append(
-                SpectralLine(
-                    energy=_finite(e),
-                    j=j,
-                    l=abs_l,
-                    multiplicity=mult,
-                    bundle=bundle,
-                    source="closed-form",
-                    eigensections=refs,
+
+    def levels():
+        for j in j_values(bundle, j_max):
+            d = int(2 * j)
+            abs_l = Fraction(0) if j.denominator == 1 else Fraction(1, 2)
+            while abs_l <= j:
+                e = (
+                    h / (2 * i_pair) * j * (j + 1)
+                    + h / 2 * (1 / i_axis - 1 / i_pair) * abs_l * abs_l
+                    + shift
                 )
-            )
-            abs_l += 1
-    return Spectrum(
-        lines=tuple(lines),
-        kind="symmetric",
-        bundle=bundle,
-        top_class=TopClass.SYMMETRIC,
-        params={"I_pair": i_pair, "I_axis": i_axis},
-        k=k,
-        hbar0=h,
-        j_max=Fraction(j_max),
-    )
+                if abs_l == 0:
+                    mult = int(2 * j + 1)
+                    indices = (int(j),)
+                else:
+                    mult = 2 * int(2 * j + 1)
+                    indices = (int(j - abs_l), int(j + abs_l))
+                refs = tuple((p, q, idx) for (p, q) in _degree_blocks(d) for idx in indices)
+                yield e, j, abs_l, mult, refs
+                abs_l += 1
+
+    params = {"I_pair": i_pair, "I_axis": i_axis}
+    return _closed_form("symmetric", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
 
 
 def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
@@ -315,30 +278,13 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
         raise ValueError("momentum must be positive")
     i_mom, k, h = _exactify(i_mom, k, hbar0)
     shift = curvature_shift(k, TopClass.DEGENERATE, (i_mom,), h)
-    lines = []
-    for ell in range(int(l_max) + 1):
-        e = h / (2 * i_mom) * ell * (ell + 1) + shift
-        refs = tuple((ell, None, idx) for idx in range(2 * ell + 1))
-        lines.append(
-            SpectralLine(
-                energy=_finite(e),
-                j=Fraction(ell),
-                multiplicity=2 * ell + 1,
-                bundle=BundleKind.PLUS,
-                source="closed-form",
-                eigensections=refs,
-            )
-        )
-    return Spectrum(
-        lines=tuple(lines),
-        kind="degenerate",
-        bundle=BundleKind.PLUS,
-        top_class=TopClass.DEGENERATE,
-        params={"I": i_mom},
-        k=k,
-        hbar0=h,
-        j_max=Fraction(int(l_max)),
+    levels = (
+        (h / (2 * i_mom) * ell * (ell + 1) + shift, Fraction(ell), None, 2 * ell + 1,
+         tuple((ell, None, idx) for idx in range(2 * ell + 1)))
+        for ell in range(int(l_max) + 1)
     )
+    params = {"I": i_mom}
+    return _closed_form("degenerate", TopClass.DEGENERATE, BundleKind.PLUS, params, k, h, int(l_max), levels)
 
 
 def monopole_spectrum(
@@ -357,41 +303,24 @@ def monopole_spectrum(
         raise ValueError("the center-of-charge norm must be nonnegative")
     i_pair, i_axis, nu, qn, k, h = _exactify(i_pair, i_axis, nu, q_center_norm, k, hbar0)
     shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
-    lines = []
-    for j in j_values(bundle, j_max):
-        d = int(2 * j)
-        l = -j
-        while l <= j:
-            e = (
-                h / (2 * i_pair) * j * (j + 1)
-                + h / 2 * (1 / i_axis - 1 / i_pair) * l * l
-                - nu * qn / i_axis * l
-                + nu * nu * qn * qn / (2 * i_axis * h)
-                + shift
-            )
-            refs = tuple((p, q, int(j + l)) for (p, q) in _degree_blocks(d))
-            lines.append(
-                SpectralLine(
-                    energy=_finite(e),
-                    j=j,
-                    l=l,
-                    multiplicity=int(2 * j + 1),
-                    bundle=bundle,
-                    source="closed-form",
-                    eigensections=refs,
+
+    def levels():
+        for j in j_values(bundle, j_max):
+            d = int(2 * j)
+            l = -j
+            while l <= j:
+                e = (
+                    h / (2 * i_pair) * j * (j + 1)
+                    + h / 2 * (1 / i_axis - 1 / i_pair) * l * l
+                    - nu * qn / i_axis * l
+                    + nu * nu * qn * qn / (2 * i_axis * h)
+                    + shift
                 )
-            )
-            l += 1
-    return Spectrum(
-        lines=tuple(lines),
-        kind="monopole",
-        bundle=bundle,
-        top_class=TopClass.SYMMETRIC,
-        params={"I_pair": i_pair, "I_axis": i_axis, "nu": nu, "q_norm": qn},
-        k=k,
-        hbar0=h,
-        j_max=Fraction(j_max),
-    )
+                yield e, j, l, int(2 * j + 1), tuple((p, q, int(j + l)) for (p, q) in _degree_blocks(d))
+                l += 1
+
+    params = {"I_pair": i_pair, "I_axis": i_axis, "nu": nu, "q_norm": qn}
+    return _closed_form("monopole", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
 
 
 # --- brute-force engine -------------------------------------------------------
@@ -411,8 +340,11 @@ def diagonalized_spectrum(
 
     For each total degree d = 2j of the bundle's parity the Hamiltonian is
     diagonalized on the d+1 bidegree blocks and the eigenvalues are merged;
-    multiplicities come from grouping (exact under rational inputs and
-    degrees <= 4, within tol.spec otherwise).  This is the oracle route the
+    multiplicities come from grouping.  eigenvalues() owns the exactness
+    policy: under rational inputs a level is exact on diagonal blocks and,
+    up to degree EXACT_DEGREE_MAX = 4, wherever the characteristic
+    polynomial has a rational root; grouping is exact when every energy of
+    a degree is, within tol.spec otherwise.  This is the oracle route the
     closed forms are verified against, and the production route for the
     asymmetric top.
     """
@@ -429,7 +361,7 @@ def diagonalized_spectrum(
         for p, q in _degree_blocks(d):
             space = harmonic_basis(p, q)
             ham = hamiltonian_matrix(space, i1, i2, i3, h, k, rho)
-            evs = eigenvalues(ham, prefer_exact=(d <= 4))
+            evs = eigenvalues(ham)
             for idx, (value, _) in enumerate(evs):
                 found.append((value, (p, q, idx)))
         for energy, refs in group_energies(found, tol.spec):

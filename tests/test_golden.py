@@ -2,7 +2,9 @@
 
 The CLI cases compare stdout byte for byte.  The library cases print each
 asymmetric_spectrum line with exact energies as fractions and float
-energies at 12 significant digits, the precision the CLI prints.
+energies at 12 significant digits, the precision the CLI prints.  The
+closed-form cases print every line of one closed-form spectrum per bundle
+with float energies as repr, so they pin every bit.
 
 Regenerate the files (only when an output change is intended) with
 
@@ -19,7 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from rotorspec import BundleKind, asymmetric_spectrum
+from rotorspec import (
+    BundleKind,
+    asymmetric_spectrum,
+    degenerate_spectrum,
+    j_squared_spectrum,
+    monopole_spectrum,
+    spherical_spectrum,
+    symmetric_spectrum,
+)
 from rotorspec.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,6 +83,40 @@ LIBRARY_CASES = {
     "lib_rational_warm_b": ((Fraction(49, 8), Fraction(76, 11), Fraction(16, 3)), {"j_max": 6}),
 }
 
+BOTH = (BundleKind.PLUS, BundleKind.MINUS)
+PLUS_ONLY = (BundleKind.PLUS,)
+EXACT = {"k": Fraction(1, 3), "hbar0": Fraction(2, 3)}
+FLOAT = {"k": 0.31, "hbar0": 0.73}
+# (spectrum as a function of the bundle, bundles); exact and float inputs,
+# k != 0 wherever the closed form takes k
+CLOSED_FORM_CASES = {
+    "lib_spherical_exact": (lambda b: spherical_spectrum(Fraction(5, 3), b, j_max=3, **EXACT), BOTH),
+    "lib_spherical_float": (lambda b: spherical_spectrum(1.37, b, j_max=3, **FLOAT), BOTH),
+    "lib_symmetric_exact": (
+        lambda b: symmetric_spectrum(Fraction(3, 2), Fraction(7, 3), b, j_max=3, **EXACT),
+        BOTH,
+    ),
+    "lib_symmetric_float": (lambda b: symmetric_spectrum(1.13, 2.29, b, j_max=3, **FLOAT), BOTH),
+    "lib_degenerate_exact": (
+        lambda b: degenerate_spectrum(Fraction(5, 2), k=Fraction(-1, 3), hbar0=Fraction(2, 3), l_max=4),
+        PLUS_ONLY,
+    ),
+    "lib_degenerate_float": (lambda b: degenerate_spectrum(2.47, k=-0.29, hbar0=0.73, l_max=4), PLUS_ONLY),
+    "lib_monopole_exact": (
+        lambda b: monopole_spectrum(
+            Fraction(3, 2), Fraction(7, 3), b, Fraction(3, 4), Fraction(5, 4), j_max=Fraction(5, 2), **EXACT
+        ),
+        BOTH,
+    ),
+    "lib_monopole_float": (
+        lambda b: monopole_spectrum(1.13, 2.29, b, -0.61, 1.27, j_max=2.5, **FLOAT),
+        BOTH,
+    ),
+    # j_squared_spectrum takes no k
+    "lib_j_squared_exact": (lambda b: j_squared_spectrum(b, 3, hbar0=Fraction(2, 3)), BOTH),
+    "lib_j_squared_float": (lambda b: j_squared_spectrum(b, 3, hbar0=0.73), BOTH),
+}
+
 
 def _cli_output(doc, argv, workdir) -> str:
     path = Path(workdir) / "job.json"
@@ -96,13 +140,29 @@ def _library_output(momenta, kwargs) -> str:
     return "\n".join(out) + "\n"
 
 
+def _closed_form_output(spectrum_of, bundles) -> str:
+    out = []
+    for bundle in bundles:
+        for ln in spectrum_of(bundle).lines:
+            e = ln.energy
+            energy = str(e) if isinstance(e, Fraction) else repr(e)
+            refs = " ".join(f"{p},{q},{i}" for p, q, i in ln.eigensections or ())
+            out.append(f"{ln.bundle.value} j={ln.j} l={ln.l} E={energy} mult={ln.multiplicity} [{refs}]")
+    return "\n".join(out) + "\n"
+
+
 def _render(name: str, workdir) -> str:
     if name in CLI_CASES:
         return _cli_output(*CLI_CASES[name], workdir)
+    if name in CLOSED_FORM_CASES:
+        return _closed_form_output(*CLOSED_FORM_CASES[name])
     return _library_output(*LIBRARY_CASES[name])
 
 
-@pytest.mark.parametrize("name", [*CLI_CASES, *LIBRARY_CASES])
+ALL_CASES = [*CLI_CASES, *LIBRARY_CASES, *CLOSED_FORM_CASES]
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_output_matches_golden(name, tmp_path):
     assert _render(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
 
@@ -110,6 +170,6 @@ def test_output_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in [*CLI_CASES, *LIBRARY_CASES]:
+        for case in ALL_CASES:
             (GOLDEN / f"{case}.txt").write_text(_render(case, tmp))
             print(f"wrote {case}", file=sys.stderr)

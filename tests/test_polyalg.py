@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotorspec import asymmetric_spectrum
 from rotorspec.errors import RepresentationClosureError
 from rotorspec.polyalg import (
     QC,
@@ -32,7 +33,7 @@ from rotorspec.polyalg import (
     sphere_laplacian_r3,
     vector_field_matrix,
 )
-from rotorspec.polyalg import operators
+from rotorspec.polyalg import operators, spaces
 from rotorspec.polyalg.operators import (
     _band_adjointness,
     _generator_square,
@@ -188,6 +189,19 @@ def _dense(diag, lower, upper):
     return rows
 
 
+def _squares(p, q):
+    """J1^2, J2^2 and J3^2 on H^{p,q} as (diag, lower, upper) bands, read
+    from the one square record: J2^2 is J1^2 with negated off-diagonals,
+    J3^2 is diag(l^2)."""
+    diag, lower, upper, l_squared = _generator_square(p, q)
+    zeros = (Fraction(0),) * len(lower)
+    return (
+        (diag, lower, upper),
+        (diag, tuple(-x for x in lower), tuple(-x for x in upper)),
+        (l_squared, zeros, zeros),
+    )
+
+
 @pytest.mark.parametrize("d", range(13))
 def test_closed_form_route_equals_polynomial_route(d):
     # bases against null-space extraction; J_a, weights and squares against
@@ -196,10 +210,10 @@ def test_closed_form_route_equals_polynomial_route(d):
         q = d - p
         space = harmonic_basis(p, q)
         assert space.basis == harmonic_basis_by_elimination(p, q)
-        for axis, apply_j in ((1, apply_j1), (2, apply_j2), (3, apply_j3)):
+        for axis, apply_j, square in zip((1, 2, 3), (apply_j1, apply_j2, apply_j3), _squares(p, q)):
             poly_route = _raw_matrix(space, apply_j)
             assert generator_matrix(axis, p, q).rows() == poly_route
-            assert _dense(*_generator_square(axis, p, q)) == mat_mul(poly_route, poly_route)
+            assert _dense(*square) == mat_mul(poly_route, poly_route)
         jp = _raw_matrix(space, apply_jplus)
         jm = _raw_matrix(space, apply_jminus)
         weights = [Fraction(1)]
@@ -214,11 +228,9 @@ def test_band_adjointness_rejects_a_perturbed_entry(monkeypatch, momenta):
     assert hamiltonian_matrix(space, *momenta).adjointness == "self"
     real = operators._generator_square
 
-    def perturbed(axis, p, q):
-        diag, lower, upper = real(axis, p, q)
-        if axis == 1:
-            upper = (upper[0] + Fraction(1, 7), *upper[1:])
-        return diag, lower, upper
+    def perturbed(p, q):
+        diag, lower, upper, l_squared = real(p, q)
+        return diag, lower, (upper[0] + Fraction(1, 7), *upper[1:]), l_squared
 
     monkeypatch.setattr(operators, "_generator_square", perturbed)
     ham = hamiltonian_matrix(space, *momenta)
@@ -266,15 +278,38 @@ def test_exact_band_equals_the_axis_by_axis_sum(job):
         ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
         n = p + q + 1
         diag, lower, upper = [Fraction(k) * rho] * n, [Fraction(0)] * (n - 2), [Fraction(0)] * (n - 2)
-        for axis, mom in zip((1, 2, 3), momenta):
+        for mom, (sq_diag, sq_lower, sq_upper) in zip(momenta, _squares(p, q)):
             coef = Fraction(hbar0) / (2 * Fraction(mom))
-            sq_diag, sq_lower, sq_upper = _generator_square(axis, p, q)
             diag = [x + coef * y for x, y in zip(diag, sq_diag)]
             lower = [x + coef * y for x, y in zip(lower, sq_lower)]
             upper = [x + coef * y for x, y in zip(upper, sq_upper)]
         assert (ham.diag, ham.lower, ham.upper) == (tuple(diag), tuple(lower), tuple(upper))
         assert all(type(x) is Fraction for x in ham.diag + ham.lower + ham.upper)
         assert ham.adjointness == "self"
+
+
+@pytest.mark.parametrize(
+    "job",
+    FLOAT_JOBS + [((1.0, 2.0, 3.5), 1e-300, 0.5, 0.25), ((0.7, 1.3, 2.9), 1e300, 0, 0)],
+    ids=["plain", "shifted", "mixed", "tiny_hbar", "huge_hbar"],
+)
+def test_float_band_has_the_three_axis_bits(job):
+    # the one-record float assembly gives the bits of summing
+    # float(hbar0) / (2 float(I_a)) * float(J_a^2 entry) axis by axis
+    momenta, hbar0, k, rho = job
+    for p, q in _blocks(12):
+        ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
+        n = p + q + 1
+        diag, lower, upper = [float(k) * float(rho)] * n, [0.0] * (n - 2), [0.0] * (n - 2)
+        for mom, (sq_diag, sq_lower, sq_upper) in zip(momenta, _squares(p, q)):
+            coef = float(hbar0) / (2 * float(mom))
+            diag = [x + coef * float(y) for x, y in zip(diag, sq_diag)]
+            lower = [x + coef * float(y) for x, y in zip(lower, sq_lower)]
+            upper = [x + coef * float(y) for x, y in zip(upper, sq_upper)]
+        got = ham.diag + ham.lower + ham.upper
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [x.hex() for x in diag + lower + upper]
+        assert ham.adjointness in ("self", "zero")
 
 
 @pytest.mark.parametrize("job", RATIONAL_JOBS + FLOAT_JOBS)
@@ -311,13 +346,40 @@ def test_exact_band_adjointness_verdicts():
 
 def test_ladder_closure_check_rejects_a_corrupted_sector(monkeypatch):
     space = harmonic_basis(2, 1)
-    sector = space.basis[1]  # two monomials: scaling one breaks proportionality
-    first = next(iter(sector.terms))
-    corrupted = Polynomial(4, {**sector.terms, first: sector.terms[first] * 2})
-    basis = space.basis[:1] + (corrupted,) + space.basis[2:]
-    monkeypatch.setattr(operators, "harmonic_basis", lambda p, q: replace(space, basis=basis))
+    # sector 1 has two monomials: scaling one breaks proportionality
+    (first, c), *rest = space.sectors[1]
+    sectors = space.sectors[:1] + (((first, 2 * c), *rest),) + space.sectors[2:]
+    monkeypatch.setattr(operators, "harmonic_basis", lambda p, q: replace(space, sectors=sectors))
     with pytest.raises(RepresentationClosureError):
         operators._ladder.__wrapped__(2, 1)
+
+
+def test_ladder_coordinates_are_integers():
+    for p, q in _blocks(12):
+        alpha, beta = operators._ladder(p, q)
+        assert len(alpha) == len(beta) == p + q
+        assert all(type(x) is int for x in alpha + beta)
+        assert all(type(c) is int for sector in harmonic_basis(p, q).sectors for _, c in sector)
+
+
+def test_hot_path_builds_no_polynomial_or_qc(monkeypatch):
+    # cold caches, so every harmonic space, ladder, weight and square record
+    # of the spectra below is built under the patch
+    for module in (spaces, operators):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the asymmetric hot path")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    monkeypatch.setattr(QC, "__init__", refuse)
+    for momenta, k in (((1.0, 2.0, 3.5), 0.25), ((1, Fraction(5, 2), Fraction(7, 3)), Fraction(1, 2))):
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            spec = asymmetric_spectrum(*momenta, bundle, k=k, j_max=3)
+            degrees = range(bundle is BundleKind.MINUS, 7, 2)
+            assert spec.total_multiplicity() == sum((d + 1) ** 2 for d in degrees)
 
 
 def test_antipodal_parity_matches_bundles():

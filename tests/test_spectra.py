@@ -20,6 +20,7 @@ from rotorspec import (
     symmetric_spectrum,
     velocities_from_angular,
 )
+from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.polyalg import casimir_matrix
 
 
@@ -236,6 +237,30 @@ def test_spectrum_sorted_and_total():
 def test_j_max_cap_enforced():
     with pytest.raises(ValueError):
         spherical_spectrum(1, BundleKind.PLUS, j_max=26)
+
+
+def test_j_squared_overflow_raises_like_its_siblings():
+    # hbar0^2 overflows, so the energies would read [nan, inf, inf]
+    with pytest.raises(HamiltonianOverflowError):
+        j_squared_spectrum(BundleKind.PLUS, 2, hbar0=1e308)
+    with pytest.raises(HamiltonianOverflowError):
+        spherical_spectrum(1, BundleKind.PLUS, hbar0=1e308, j_max=2)
+
+
+@pytest.mark.parametrize(
+    "momenta, kwargs",
+    [
+        ((1, 2, 3), {"hbar0": 10**400}),
+        ((1, 2, 3), {"k": 10**400}),
+        ((1.0, 2.0, 3.0), {"hbar0": 10**400}),
+    ],
+    ids=["rational_hbar", "rational_k", "float_momenta"],
+)
+def test_rational_scale_beyond_the_float_range_raises_overflow(momenta, kwargs):
+    # the float conversions of the band, of the symmetrized array and of
+    # the energy ordering report the overflow by name, not as OverflowError
+    with pytest.raises(HamiltonianOverflowError):
+        asymmetric_spectrum(*momenta, BundleKind.PLUS, j_max=3, **kwargs)
 
 
 # --- classical momentum map ---------------------------------------------------
