@@ -166,6 +166,16 @@ def _exact_or_float(x):
     return Fraction(x) if isinstance(x, Rational) else float(x)
 
 
+def check_positive(**values):
+    """Raise ValueError naming the first value that is not a finite number
+    > 0: the guard on the momenta and hbar0 of every spectrum entry point.
+    Rationals are compared exactly, so one beyond the float range passes;
+    NaN fails every comparison and is rejected."""
+    for name, x in values.items():
+        if not 0 < (x if isinstance(x, Rational) else float(x)) < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
+
 def curvature_spherical(i_mom, hbar0=1):
     i_mom, hbar0 = _exact_or_float(i_mom), _exact_or_float(hbar0)
     return 3 * hbar0 / (2 * i_mom)

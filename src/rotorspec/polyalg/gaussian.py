@@ -1,18 +1,25 @@
-"""Exact complex-rational scalars (Gaussian rationals)."""
+"""Exact complex-rational scalars (Gaussian rationals).
+
+A QC holds three Python ints (a, b, d) and means (a + b i) / d, with d > 0
+and gcd(a, b, d) = 1.  Each value has exactly one such triple, so equality
+is equality of triples; zero is (0, 0, 1).  Arithmetic works on the ints
+with one gcd per result.  The parts `re` and `im` are Fractions, built when
+they are read.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, the denominator > 0."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
+        return int(x.numerator), int(x.denominator)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -23,14 +30,34 @@ class QC:
     with ints and Fractions promotes them to QC.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            a, da = _ratio(re)
+            b, db = _ratio(im)
+            d = da
+            if da != db:
+                # the lcm of two reduced denominators leaves gcd(a, b, d) = 1
+                d = lcm(da, db)
+                a *= d // da
+                b *= d // db
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("QC is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "QC":
@@ -39,66 +66,106 @@ class QC:
         return QC(x)
 
     def __add__(self, other):
-        o = QC.coerce(other)
-        return QC(self.re + o.re, self.im + o.im)
+        o = other if type(other) is QC else QC.coerce(other)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _reduced(self._a + o._a, self._b + o._b, d1)
+        return _reduced(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-QC.coerce(other))
+        o = other if type(other) is QC else QC.coerce(other)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _reduced(self._a - o._a, self._b - o._b, d1)
+        return _reduced(self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return QC.coerce(other) + (-self)
+        return QC.coerce(other) - self
 
     def __mul__(self, other):
-        o = QC.coerce(other)
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        o = other if type(other) is QC else QC.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QC.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero QC")
-        return QC(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
+        o = other if type(other) is QC else QC.coerce(other)
+        a1, b1, a2, b2, d2 = self._a, self._b, o._a, o._b, o._d
+        if not b2:
+            if not a2:
+                raise ZeroDivisionError("division by zero QC")
+            # real divisor a2 / d2: the sign of a2 moves into _reduced
+            return _reduced(a1 * d2, b1 * d2, self._d * a2)
+        # (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * (a2 * a2 + b2 * b2)
         )
 
     def __rtruediv__(self, other):
         return QC.coerce(other) / self
 
     def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        try:
-            o = QC.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not QC:
+            try:
+                other = QC.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re} {sign} {abs(im)}*i)"
+
+
+_set_a, _set_b, _set_d = QC._a.__set__, QC._b.__set__, QC._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> QC:
+    """The QC with the canonical triple (a, b, d), bypassing __init__."""
+    z = object.__new__(QC)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + b i) / d for any d != 0: divides out gcd(a, b, d),
+    carrying the sign of d so that the stored denominator is positive."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
+ZERO = QC(0)
+ONE = QC(1)

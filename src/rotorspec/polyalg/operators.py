@@ -60,6 +60,7 @@ from numbers import Rational
 import numpy as np
 
 from ..errors import HamiltonianOverflowError, RepresentationClosureError
+from ..inertia import check_positive
 from .gaussian import QC
 from .polynomial import Polynomial
 from .rational_linalg import mat_mul, mat_scale, rational_roots_from_candidates
@@ -234,6 +235,7 @@ def _verify_adjointness(rows, weights) -> str:
     """Classify a matrix as self-/skew-adjoint (or neither) under the
     weighted pairing <e_m, e_n> = w_m delta_mn, exactly."""
     dim = len(rows)
+    weights = [QC(w) for w in weights]
     selfadj = True
     skewadj = True
     for m in range(dim):
@@ -242,12 +244,12 @@ def _verify_adjointness(rows, weights) -> str:
             x, y = rows[m][n], rows[n][m]
             if not x and not y:
                 continue  # both sides of the condition vanish
-            # w_m x against w_n conj(y), by real and imaginary part
-            lhs = (weights[m] * x.re, weights[m] * x.im)
-            rhs = (weights[n] * y.re, -weights[n] * y.im)
+            # w_m x against w_n conj(y)
+            lhs = weights[m] * x
+            rhs = weights[n] * y.conjugate()
             if lhs != rhs:
                 selfadj = False
-            if lhs != (-rhs[0], -rhs[1]):
+            if lhs != -rhs:
                 skewadj = False
     if selfadj and skewadj:
         return "zero"
@@ -354,8 +356,7 @@ def hamiltonian_matrix(
     order: diag = ((k rho + c1 D) + c2 D) + c3 l^2, lower = c1 L - c2 L,
     upper alike; HamiltonianOverflowError if an input leaves the float range.
     """
-    if min(float(i1), float(i2), float(i3)) <= 0:
-        raise ValueError("principal momenta must be positive")
+    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho)):
         c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .gaussian import QC
+from .gaussian import ONE, QC
 
 R4_NAMES = ("z1", "z2", "zb1", "zb2")
 R3_NAMES = ("x", "y", "z")
@@ -28,10 +28,10 @@ class Polynomial:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                c = QC.coerce(coeff)
+                c = coeff if type(coeff) is QC else QC.coerce(coeff)
                 if not c:
                     continue
-                if len(exp) != nvars or any(e < 0 for e in exp):
+                if len(exp) != nvars or min(exp, default=0) < 0:
                     raise ValueError(f"bad exponent tuple {exp}")
                 clean[tuple(exp)] = c
         self.terms = clean
@@ -60,7 +60,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, QC(0)) + c
+            terms[exp] = terms[exp] + c if exp in terms else c
         return Polynomial(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -77,7 +77,8 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, QC(0)) + c1 * c2
+                c = c1 * c2
+                terms[exp] = terms[exp] + c if exp in terms else c
         return Polynomial(self.nvars, terms)
 
     def __rmul__(self, other):
@@ -113,7 +114,7 @@ class Polynomial:
                 continue
             new = list(exp)
             new[var] = k - 1
-            terms[tuple(new)] = terms.get(tuple(new), QC(0)) + c * k
+            terms[tuple(new)] = c * k  # lowering exponent var is one-to-one
         return Polynomial(self.nvars, terms)
 
     def mul_var(self, var: int) -> "Polynomial":
@@ -172,9 +173,9 @@ class Polynomial:
             body = "*".join(factors)
             if not body:
                 parts.append(f"{c!r}")
-            elif c == QC(1):
+            elif c == ONE:
                 parts.append(body)
-            elif c == QC(-1):
+            elif c == -ONE:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{c!r}*{body}")

@@ -11,19 +11,20 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from .gaussian import QC
+from .gaussian import ONE, QC, ZERO
 
 Matrix = "list[list[QC]]"
 
 
 def mat_zero(n: int, m: int):
-    return [[QC(0) for _ in range(m)] for _ in range(n)]
+    # QC is immutable, so every entry may share one zero
+    return [[ZERO] * m for _ in range(n)]
 
 
 def mat_identity(n: int):
     out = mat_zero(n, n)
     for i in range(n):
-        out[i][i] = QC(1)
+        out[i][i] = ONE
     return out
 
 
@@ -78,12 +79,13 @@ def nullspace(rows) -> list[list[QC]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = QC(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        inv = ONE / m[r][c]
+        # zero entries pass through unchanged (they are shared, read-only)
+        m[r] = [x * inv if x else x for x in m[r]]
         for i in range(n_rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivot_of_col[c] = r
         r += 1
         if r == n_rows:
@@ -91,8 +93,8 @@ def nullspace(rows) -> list[list[QC]]:
     free_cols = [c for c in range(n_cols) if c not in pivot_of_col]
     basis = []
     for fc in free_cols:
-        v = [QC(0)] * n_cols
-        v[fc] = QC(1)
+        v = [ZERO] * n_cols
+        v[fc] = ONE
         for c, pr in pivot_of_col.items():
             v[c] = -m[pr][fc]
         basis.append(v)

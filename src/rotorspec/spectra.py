@@ -33,7 +33,7 @@ import numpy as np
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
 from .geometry import RigidConfiguration
-from .inertia import TopClass, _exact_or_float, classify_momenta, scalar_curvature
+from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
 from .polyalg import eigenvalues, hamiltonian_matrix, harmonic_basis
 from .quantum_structures import BundleKind, j_values
 
@@ -201,6 +201,7 @@ def j_squared_spectrum(bundle: BundleKind, j_max, hbar0=1) -> Spectrum:
     """Spectrum of the squared angular momentum: hbar0^2 j(j+1) with
     multiplicity (2j+1)^2."""
     check_j_max(j_max)
+    check_positive(hbar0=hbar0)
     (h,) = _exactify(hbar0)
     levels = ((h * h * j * (j + 1), j, None, int((2 * j + 1) ** 2), None) for j in j_values(bundle, j_max))
     return _closed_form("j_squared", None, bundle, {}, 0, h, j_max, levels)
@@ -214,8 +215,7 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
     """E_j = hbar0/(2I) j(j+1) + k rho, multiplicity (2j+1)^2; eigensections
     are all degree-2j harmonic polynomials."""
     check_j_max(j_max)
-    if float(i_mom) <= 0:
-        raise ValueError("momentum must be positive")
+    check_positive(i_mom=i_mom, hbar0=hbar0)
     i_mom, k, h = _exactify(i_mom, k, hbar0)
     shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
 
@@ -238,8 +238,7 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
     separate lines; use Spectrum.group_by_energy for the merged view.
     """
     check_j_max(j_max)
-    if float(i_pair) <= 0 or float(i_axis) <= 0:
-        raise ValueError("momenta must be positive")
+    check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
     if i_pair == i_axis:
         return spherical_spectrum(i_pair, bundle, k, hbar0, j_max)
     i_pair, i_axis, k, h = _exactify(i_pair, i_axis, k, hbar0)
@@ -274,8 +273,7 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
     eigensections the degree-l harmonic polynomials on R^3 (only the trivial
     bundle exists here)."""
     check_l_max(l_max)
-    if float(i_mom) <= 0:
-        raise ValueError("momentum must be positive")
+    check_positive(i_mom=i_mom, hbar0=hbar0)
     i_mom, k, h = _exactify(i_mom, k, hbar0)
     shift = curvature_shift(k, TopClass.DEGENERATE, (i_mom,), h)
     levels = (
@@ -297,8 +295,7 @@ def monopole_spectrum(
     symmetric spectrum.
     """
     check_j_max(j_max)
-    if float(i_pair) <= 0 or float(i_axis) <= 0:
-        raise ValueError("momenta must be positive")
+    check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
     if float(q_center_norm) < 0:
         raise ValueError("the center-of-charge norm must be nonnegative")
     i_pair, i_axis, nu, qn, k, h = _exactify(i_pair, i_axis, nu, q_center_norm, k, hbar0)
@@ -349,8 +346,7 @@ def diagonalized_spectrum(
     asymmetric top.
     """
     check_j_max(j_max)
-    if min(float(i1), float(i2), float(i3)) <= 0:
-        raise ValueError("momenta must be positive")
+    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed_momenta = classify_momenta((i1, i2, i3), tol)
     rho = scalar_curvature(top, closed_momenta or (i1, i2, i3), h) if k != 0 else 0
@@ -403,6 +399,7 @@ def asymmetric_spectrum(
     warning, since the asymmetric labeling would be numerically meaningless
     there.
     """
+    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     top, closed_momenta = classify_momenta((i1, i2, i3), tol)
     if top is TopClass.SPHERICAL:
         warnings.warn("momenta nearly spherical; using the spherical closed form")

@@ -1,5 +1,6 @@
 """Exact polynomial algebra, harmonic bases, su(2) matrices, Hamiltonians."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from rotorspec.polyalg import (
     sphere_laplacian_r3,
     vector_field_matrix,
 )
-from rotorspec.polyalg import operators, spaces
+from rotorspec.polyalg import gaussian, operators, polynomial, spaces
 from rotorspec.polyalg.operators import (
     _band_adjointness,
     _generator_square,
@@ -370,16 +371,32 @@ def test_hot_path_builds_no_polynomial_or_qc(monkeypatch):
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on the asymmetric hot path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("QC or Polynomial built on the asymmetric hot path")
 
+    # both constructors of QC (__init__ and _make, behind all arithmetic)
+    # and the one of Polynomial refuse
     monkeypatch.setattr(Polynomial, "__init__", refuse)
     monkeypatch.setattr(QC, "__init__", refuse)
-    for momenta, k in (((1.0, 2.0, 3.5), 0.25), ((1, Fraction(5, 2), Fraction(7, 3)), Fraction(1, 2))):
-        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
-            spec = asymmetric_spectrum(*momenta, bundle, k=k, j_max=3)
-            degrees = range(bundle is BundleKind.MINUS, 7, 2)
-            assert spec.total_multiplicity() == sum((d + 1) ** 2 for d in degrees)
+    monkeypatch.setattr(gaussian, "_make", refuse)
+    # and no code of either module runs, so no other route can build one
+    watched = {gaussian.__file__, polynomial.__file__}
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in watched:
+            ran.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for momenta, k in (((1.0, 2.0, 3.5), 0.25), ((1, Fraction(5, 2), Fraction(7, 3)), Fraction(1, 2))):
+            for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+                spec = asymmetric_spectrum(*momenta, bundle, k=k, j_max=3)
+                degrees = range(bundle is BundleKind.MINUS, 7, 2)
+                assert spec.total_multiplicity() == sum((d + 1) ** 2 for d in degrees)
+    finally:
+        sys.setprofile(None)
+    assert not ran, f"hot path ran {sorted(ran)}"
 
 
 def test_antipodal_parity_matches_bundles():

@@ -21,7 +21,7 @@ from rotorspec import (
     velocities_from_angular,
 )
 from rotorspec.errors import HamiltonianOverflowError
-from rotorspec.polyalg import casimir_matrix
+from rotorspec.polyalg import casimir_matrix, hamiltonian_matrix, harmonic_basis
 
 
 def test_j_squared_examples():
@@ -261,6 +261,46 @@ def test_rational_scale_beyond_the_float_range_raises_overflow(momenta, kwargs):
     # the energy ordering report the overflow by name, not as OverflowError
     with pytest.raises(HamiltonianOverflowError):
         asymmetric_spectrum(*momenta, BundleKind.PLUS, j_max=3, **kwargs)
+
+
+# every public spectrum and hamiltonian_matrix, with the inputs the guard covers
+PLUS = BundleKind.PLUS
+VALID = {"i_mom": 1.0, "i_pair": 2.0, "i_axis": 1.0, "i1": 1.0, "i2": 2.0, "i3": 3.0, "hbar0": 1.0}
+ENTRY_POINTS = {
+    "j_squared": (("hbar0",), lambda v: j_squared_spectrum(PLUS, 1, v["hbar0"])),
+    "spherical": (("i_mom", "hbar0"), lambda v: spherical_spectrum(v["i_mom"], PLUS, 0, v["hbar0"], 1)),
+    "symmetric": (
+        ("i_pair", "i_axis", "hbar0"),
+        lambda v: symmetric_spectrum(v["i_pair"], v["i_axis"], PLUS, 0, v["hbar0"], 1),
+    ),
+    "degenerate": (("i_mom", "hbar0"), lambda v: degenerate_spectrum(v["i_mom"], 0, v["hbar0"], 1)),
+    "monopole": (
+        ("i_pair", "i_axis", "hbar0"),
+        lambda v: monopole_spectrum(v["i_pair"], v["i_axis"], PLUS, 1, 1, 0, v["hbar0"], 1),
+    ),
+    "diagonalized": (
+        ("i1", "i2", "i3", "hbar0"),
+        lambda v: diagonalized_spectrum(v["i1"], v["i2"], v["i3"], PLUS, 0, v["hbar0"], 1),
+    ),
+    "asymmetric": (
+        ("i1", "i2", "i3", "hbar0"),
+        lambda v: asymmetric_spectrum(v["i1"], v["i2"], v["i3"], PLUS, 0, v["hbar0"], 1),
+    ),
+    "hamiltonian_matrix": (
+        ("i1", "i2", "i3", "hbar0"),
+        lambda v: hamiltonian_matrix(harmonic_basis(1, 1), v["i1"], v["i2"], v["i3"], v["hbar0"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [-1.0, 0, Fraction(-1, 2), float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_nonpositive_or_nonfinite_inputs_are_named(entry, bad):
+    names, call = ENTRY_POINTS[entry]
+    call(VALID)
+    for name in names:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            call({**VALID, name: bad})
 
 
 # --- classical momentum map ---------------------------------------------------
