@@ -329,7 +329,10 @@ def _build_body(job: JobConfig):
         positions=[p[2] for p in job.particles],
     )
     config = canonicalize(system, job.tolerances)
-    momenta = principal_momenta(inertia_tensor(config), config.degeneracy, job.tolerances)
+    tensor = inertia_tensor(config)
+    if not np.isfinite(tensor.matrix).all():
+        raise SchemaError("particles: the inertia tensor leaves the float range (positions or masses too large)")
+    momenta = principal_momenta(tensor, config.degeneracy, job.tolerances)
     return system, config, momenta
 
 

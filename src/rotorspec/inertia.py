@@ -93,12 +93,14 @@ def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
     and the pair momentum the mean of the two coinciding values, both taken
     from the values as passed, so rational input (ints included) stays
     exact and the result does not depend on the order of the triple.  This
-    is the one coincidence rule every classifier uses.
+    is the one coincidence rule every classifier uses.  It compares floats;
+    only when a momentum is a rational beyond the float range does it
+    compare the exact values instead.
     """
-    i1, i2, i3 = sorted(momenta, key=float)
-    gap = tol.rel * max(abs(float(i3)), 1e-300)
-    eq12 = abs(float(i2) - float(i1)) <= gap
-    eq23 = abs(float(i3) - float(i2)) <= gap
+    try:
+        (i1, i2, i3), eq12, eq23 = _coincidences(momenta, tol.rel, float)
+    except OverflowError:
+        (i1, i2, i3), eq12, eq23 = _coincidences(momenta, tol.rel, Fraction)
     if eq12 and eq23:
         return TopClass.SPHERICAL, (i2,)
     if eq12:
@@ -106,6 +108,14 @@ def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
     if eq23:
         return TopClass.SYMMETRIC, (_pair_mean(i2, i3), i1)
     return TopClass.ASYMMETRIC, None
+
+
+def _coincidences(momenta, rel, num):
+    """The triple sorted by num(value), and whether the lower and the upper
+    pair of neighbours coincide, with every comparison made on num(value)."""
+    i1, i2, i3 = sorted(momenta, key=num)
+    gap = num(rel) * max(abs(num(i3)), 1e-300)
+    return (i1, i2, i3), abs(num(i2) - num(i1)) <= gap, abs(num(i3) - num(i2)) <= gap
 
 
 def _pair_mean(x, y):

@@ -2,7 +2,6 @@
 
 from .gaussian import QC
 from .operators import (
-    OperatorMatrix,
     apply_j1,
     apply_j2,
     apply_j3,
@@ -28,7 +27,6 @@ from .spaces import BidegreeSpace, R3HarmonicSpace, harmonic_basis, harmonic_bas
 
 __all__ = [
     "QC",
-    "OperatorMatrix",
     "Polynomial",
     "BidegreeSpace",
     "R3HarmonicSpace",

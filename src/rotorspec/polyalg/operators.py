@@ -24,11 +24,12 @@ On a monomial the ladder operators act as
 
 (exponent tuples standing for monomials), so on the integer sector vectors
 b_0..b_2j of the harmonic basis they give integer coordinates
-Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k.  The generator
-matrices, the pairing weights and the generator squares are built from
-alpha and beta; the polynomial route (apply_j* followed by coordinate
-extraction, `_raw_matrix`) is the oracle `rotorspec verify` compares them
-against.
+Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k.  The pairing
+weights and the generator squares the Hamiltonian reads are built from
+alpha and beta.  The dense J_a, L_a and Casimir matrices are the
+polynomial route (apply_j* followed by coordinate extraction,
+`_raw_matrix`), the oracle against which `rotorspec verify` checks the
+ladder, the weights and the squares.
 
 The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
@@ -44,9 +45,7 @@ block from the sector vectors, the ladder and one cached square record
 (_generator_square); no Polynomial or QC is built on that path.  Its
 characteristic polynomial is the product of the continuants of the even
 and odd parity classes (band_charpoly); eigenvalues() decides where exact
-extraction is tried.  The dense Gaussian-rational OperatorMatrix (J_a, L_a,
-the Casimir) belongs to the oracle: `rotorspec verify` and the tests
-compare it with the polynomial route.
+extraction is tried.
 """
 
 from __future__ import annotations
@@ -91,28 +90,6 @@ def apply_j1(f: Polynomial) -> Polynomial:
 
 def apply_j2(f: Polynomial) -> Polynomial:
     return (apply_jplus(f) - apply_jminus(f)).scale(QC(0, Fraction(-1, 2)))
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """An exact matrix (QC entries) on a harmonic space: J_a, L_a or the
-    Casimir.  adjointness is the verdict of the exact check under the
-    pairing weights: "self", "skew", "zero" or "none".
-    """
-
-    space: BidegreeSpace
-    entries: tuple[tuple[QC, ...], ...]
-    adjointness: str
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def rows(self) -> list[list[QC]]:
-        return [list(r) for r in self.entries]
-
-    def is_diagonal(self) -> bool:
-        return all(not c for i, row in enumerate(self.entries) for j, c in enumerate(row) if i != j)
 
 
 @dataclass(frozen=True)
@@ -215,8 +192,7 @@ def _raw_matrix(space: BidegreeSpace, op) -> list[list[QC]]:
 
     Column k holds the coordinates of op(basis[k]); raises
     RepresentationClosureError if an image leaves the space.  Applied to
-    apply_j1..apply_j3 this is the polynomial route, the oracle for
-    generator_matrix.
+    apply_j1..apply_j3 this is the polynomial route of generator_matrix.
     """
     dim = space.dim
     cols = []
@@ -231,90 +207,33 @@ def _raw_matrix(space: BidegreeSpace, op) -> list[list[QC]]:
     return [[cols[k][i] for k in range(dim)] for i in range(dim)]
 
 
-def _verify_adjointness(rows, weights) -> str:
-    """Classify a matrix as self-/skew-adjoint (or neither) under the
-    weighted pairing <e_m, e_n> = w_m delta_mn, exactly."""
-    dim = len(rows)
-    weights = [QC(w) for w in weights]
-    selfadj = True
-    skewadj = True
-    for m in range(dim):
-        # the condition at (n, m) is the complex conjugate of the one at (m, n)
-        for n in range(m, dim):
-            x, y = rows[m][n], rows[n][m]
-            if not x and not y:
-                continue  # both sides of the condition vanish
-            # w_m x against w_n conj(y)
-            lhs = weights[m] * x
-            rhs = weights[n] * y.conjugate()
-            if lhs != rhs:
-                selfadj = False
-            if lhs != -rhs:
-                skewadj = False
-    if selfadj and skewadj:
-        return "zero"
-    if selfadj:
-        return "self"
-    if skewadj:
-        return "skew"
-    return "none"
-
-
-def _wrap(space: BidegreeSpace, rows) -> OperatorMatrix:
-    adjointness = _verify_adjointness(rows, pairing_weights(space.p, space.q))
-    return OperatorMatrix(space, tuple(tuple(r) for r in rows), adjointness)
-
-
 @lru_cache(maxsize=None)
-def generator_matrix(axis: int, p: int, q: int) -> OperatorMatrix:
-    """Self-adjoint angular momentum matrix J_axis on H^{p,q}.
-
-    J3 = diag(l), J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) (-i/2), with Jp and
-    Jm from the ladder coordinates; the triple satisfies [J1, J2] = i J3
-    cyclically.
-    """
+def generator_matrix(axis: int, p: int, q: int) -> tuple[tuple[QC, ...], ...]:
+    """Angular momentum matrix J_axis on H^{p,q} as row tuples of QC, by the
+    polynomial route: apply_j<axis> on each basis polynomial, read back in
+    coordinates.  J3 = diag(l), and the triple satisfies [J1, J2] = i J3
+    cyclically; `rotorspec verify` checks both and compares J_a with the
+    ladder and the pairing weights."""
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
-    space = harmonic_basis(p, q)
-    rows = [[QC(0)] * space.dim for _ in range(space.dim)]
-    if axis == 3:
-        for k, l in enumerate(space.l_values):
-            rows[k][k] = QC(l)
-    else:
-        alpha, beta = _ladder(p, q)
-        for k, (a, b) in enumerate(zip(alpha, beta)):
-            if axis == 1:
-                rows[k + 1][k], rows[k][k + 1] = QC(Fraction(a, 2)), QC(Fraction(b, 2))
-            else:
-                rows[k + 1][k], rows[k][k + 1] = QC(0, Fraction(-a, 2)), QC(0, Fraction(b, 2))
-    m = _wrap(space, rows)
-    if m.adjointness not in ("self", "zero"):
-        raise AssertionError(f"J{axis} failed the self-adjointness check")
-    return m
+    op = (apply_j1, apply_j2, apply_j3)[axis - 1]
+    return tuple(map(tuple, _raw_matrix(harmonic_basis(p, q), op)))
 
 
 @lru_cache(maxsize=None)
-def vector_field_matrix(axis: int, p: int, q: int) -> OperatorMatrix:
-    """Skew matrix L_axis = -i J_axis of the left-invariant vector field;
-    the triple satisfies [L1, L2] = L3 cyclically (exact)."""
-    jm = generator_matrix(axis, p, q)
-    rows = mat_scale(jm.rows(), QC(0, -1))
-    m = _wrap(jm.space, rows)
-    if m.adjointness not in ("skew", "zero"):
-        raise AssertionError(f"L{axis} failed the skew-adjointness check")
-    return m
+def vector_field_matrix(axis: int, p: int, q: int) -> tuple[tuple[QC, ...], ...]:
+    """Skew matrix L_axis = -i J_axis of the left-invariant vector field, as
+    row tuples; the triple satisfies [L1, L2] = L3 cyclically."""
+    return tuple(map(tuple, mat_scale(generator_matrix(axis, p, q), QC(0, -1))))
 
 
 @lru_cache(maxsize=None)
-def casimir_matrix(p: int, q: int) -> OperatorMatrix:
-    """C = J1^2 + J2^2 + J3^2 = -(L1^2 + L2^2 + L3^2); equals j(j+1) Id on
-    H^{p,q}, i.e. one quarter of the degree-d sphere eigenvalue d(d+2)."""
-    space = harmonic_basis(p, q)
-    total = None
-    for axis in (1, 2, 3):
-        sq = mat_mul(generator_matrix(axis, p, q).rows(), generator_matrix(axis, p, q).rows())
-        total = sq if total is None else [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, sq)]
-    return _wrap(space, total)
+def casimir_matrix(p: int, q: int) -> tuple[tuple[QC, ...], ...]:
+    """C = J1^2 + J2^2 + J3^2 = -(L1^2 + L2^2 + L3^2) as row tuples; equals
+    j(j+1) Id on H^{p,q}, i.e. one quarter of the degree-d sphere eigenvalue
+    d(d+2)."""
+    squares = [mat_mul(g, g) for g in (generator_matrix(axis, p, q) for axis in (1, 2, 3))]
+    return tuple(tuple(x + y + z for x, y, z in zip(*rows)) for rows in zip(*squares))
 
 
 @lru_cache(maxsize=None)

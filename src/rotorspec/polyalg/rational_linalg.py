@@ -13,8 +13,6 @@ from itertools import chain
 
 from .gaussian import ONE, QC, ZERO
 
-Matrix = "list[list[QC]]"
-
 
 def mat_zero(n: int, m: int):
     # QC is immutable, so every entry may share one zero

@@ -2,8 +2,9 @@
 
 Each check returns (ok, detail) and is independent of the code paths it
 validates wherever an independent route exists: the closed-form harmonic
-bases against null-space extraction, the closed-form ladder matrices
-against the polynomial route (differential operators applied to the basis
+bases against null-space extraction, the integer ladder, pairing weights
+and generator squares the Hamiltonian reads against the J_a of the
+polynomial route (differential operators applied to the basis
 polynomials), closed-form spectra against block diagonalization, the
 curvature closed forms against the structure-constant oracle, the
 asymmetric levels against a standard ladder-matrix construction that shares
@@ -40,9 +41,6 @@ from .inertia import (
 )
 from .polyalg import (
     antipodal_sign,
-    apply_j1,
-    apply_j2,
-    apply_j3,
     casimir_matrix,
     generator_matrix,
     harmonic_basis,
@@ -51,12 +49,13 @@ from .polyalg import (
     mat_commutator,
     mat_equal,
     mat_mul,
+    pairing_weights,
     sphere_laplacian_r3,
     vector_field_matrix,
 )
 from .polyalg.gaussian import QC
-from .polyalg.operators import _raw_matrix
-from .polyalg.rational_linalg import mat_scale
+from .polyalg.operators import _generator_square, _ladder
+from .polyalg.rational_linalg import mat_scale, mat_zero
 from .polyalg.spaces import harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
 from .spectra import (
@@ -98,23 +97,61 @@ def _rel_err(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _adjoint(rows, weights, sign: int) -> bool:
+    """w_m x_mn = sign w_n conj(x_nm) for all m, n: the matrix is
+    self-adjoint (sign 1) or skew-adjoint (sign -1) under the pairing
+    <e_m, e_n> = w_m delta_mn, exactly."""
+    dim = len(rows)
+    return all(
+        weights[m] * rows[m][n] == sign * weights[n] * rows[n][m].conjugate()
+        for m in range(dim)
+        for n in range(m, dim)
+        if rows[m][n] or rows[n][m]
+    )
+
+
+def _band_rows(dim: int, diag=(), lower=(), upper=(), offset=2):
+    """Dense dim x dim QC rows of a band: diag at (a, a), lower at
+    (a + offset, a), upper at (a, a + offset) and zero elsewhere; offset 2
+    is the layout of HamiltonianBand."""
+    rows = mat_zero(dim, dim)
+    for a, x in enumerate(diag):
+        rows[a][a] = QC.coerce(x)
+    for a, (lo, up) in enumerate(zip(lower, upper)):
+        rows[a + offset][a], rows[a][a + offset] = QC.coerce(lo), QC.coerce(up)
+    return rows
+
+
 # --- individual checks -------------------------------------------------------
 
 
 def check_su2_commutators(d_max: int = 8):
-    """[L_a, L_b] = L_c cyclically and [J_a, J_b] = i J_c, exact, on all
-    blocks with p + q <= d_max; each closed-form J_a equals, entry by entry,
-    the matrix of the differential operator applied to the basis
-    polynomials."""
+    """On all blocks with p + q <= d_max, exactly: each J_a of the
+    polynomial route (the differential operator applied to the basis
+    polynomials) equals, entry by entry, the one built from the integer
+    ladder; J_a is self-adjoint and L_a skew-adjoint under the pairing
+    weights; [L_a, L_b] = L_c cyclically and [J_a, J_b] = i J_c."""
     for d in range(d_max + 1):
         for p in range(d + 1):
             q = d - p
-            jmats = {a: generator_matrix(a, p, q).rows() for a in (1, 2, 3)}
-            space = harmonic_basis(p, q)
-            for a, apply_j in ((1, apply_j1), (2, apply_j2), (3, apply_j3)):
-                if not mat_equal(jmats[a], _raw_matrix(space, apply_j)):
-                    return False, f"J{a} differs from the polynomial route on H^({p},{q})"
-            lmats = {a: vector_field_matrix(a, p, q).rows() for a in (1, 2, 3)}
+            jmats = {a: generator_matrix(a, p, q) for a in (1, 2, 3)}
+            # J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) (-i/2) off the diagonal
+            half_a, half_b = ([Fraction(x, 2) for x in xs] for xs in _ladder(p, q))
+            ladder = {
+                1: _band_rows(d + 1, (), half_a, half_b, 1),
+                2: _band_rows(d + 1, (), [QC(0, -x) for x in half_a], [QC(0, x) for x in half_b], 1),
+                3: _band_rows(d + 1, harmonic_basis(p, q).l_values),
+            }
+            for a in (1, 2, 3):
+                if not mat_equal(jmats[a], ladder[a]):
+                    return False, f"J{a} differs from the integer ladder on H^({p},{q})"
+            weights = pairing_weights(p, q)
+            lmats = {a: vector_field_matrix(a, p, q) for a in (1, 2, 3)}
+            for a in (1, 2, 3):
+                if not _adjoint(jmats[a], weights, 1):
+                    return False, f"J{a} is not self-adjoint under the pairing weights on H^({p},{q})"
+                if not _adjoint(lmats[a], weights, -1):
+                    return False, f"L{a} is not skew-adjoint under the pairing weights on H^({p},{q})"
             for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
                 if not mat_equal(mat_commutator(lmats[a], lmats[b]), lmats[c]):
                     return False, f"[L{a}, L{b}] != L{c} on H^({p},{q})"
@@ -126,26 +163,30 @@ def check_su2_commutators(d_max: int = 8):
 
 def check_casimir(d_max: int = 8):
     """Casimir = j(j+1) Id = d(d+2)/4 Id exactly; commutes exactly with
-    every generator and with J3^2."""
+    every generator and with J3^2; the square record the Hamiltonian reads
+    is J1^2 (D, L, U), J2^2 (D, -L, -U) and J3^2 (diag l^2), exactly."""
     for d in range(d_max + 1):
         expect = QC(Fraction(d * (d + 2), 4))
         for p in range(d + 1):
             q = d - p
-            cm = casimir_matrix(p, q).rows()
-            dim = d + 1
-            for i in range(dim):
-                for jj in range(dim):
-                    want = expect if i == jj else QC(0)
-                    if cm[i][jj] != want:
-                        return False, f"Casimir not {expect!r} Id on H^({p},{q})"
-            for a in (1, 2, 3):
-                g = generator_matrix(a, p, q).rows()
+            cm = casimir_matrix(p, q)
+            if not mat_equal(cm, _band_rows(d + 1, [expect] * (d + 1))):
+                return False, f"Casimir not {expect!r} Id on H^({p},{q})"
+            jmats = [generator_matrix(a, p, q) for a in (1, 2, 3)]
+            for a, g in enumerate(jmats, 1):
                 if any(x for row in mat_commutator(cm, g) for x in row):
                     return False, f"[C, J{a}] != 0 on H^({p},{q})"
-            j3 = generator_matrix(3, p, q).rows()
-            j3sq = mat_mul(j3, j3)
-            if any(x for row in mat_commutator(cm, j3sq) for x in row):
+            squares = [mat_mul(g, g) for g in jmats]
+            if any(x for row in mat_commutator(cm, squares[2]) for x in row):
                 return False, f"[C, J3^2] != 0 on H^({p},{q})"
+            diag, lower, upper, l_squared = _generator_square(p, q)
+            record = [
+                _band_rows(d + 1, diag, lower, upper),
+                _band_rows(d + 1, diag, [-x for x in lower], [-x for x in upper]),
+                _band_rows(d + 1, l_squared),
+            ]
+            if squares != record:
+                return False, f"square record differs from J1^2, J2^2 or J3^2 on H^({p},{q})"
     return True, f"Casimir scalars j(j+1) = d(d+2)/4 exact for d <= {d_max}"
 
 
@@ -156,12 +197,8 @@ def check_x3_spectrum(d_max: int = 8):
         expect = [(-j + t) for t in range(d + 1)]
         for p in range(d + 1):
             q = d - p
-            m = generator_matrix(3, p, q)
-            if not m.is_diagonal():
-                return False, f"J3 not diagonal on H^({p},{q})"
-            diag = [m.entries[i][i].re for i in range(m.dim)]
-            if diag != expect:
-                return False, f"J3 spectrum wrong on H^({p},{q}): {diag}"
+            if not mat_equal(generator_matrix(3, p, q), _band_rows(d + 1, expect)):
+                return False, f"J3 is not diag({', '.join(map(str, expect))}) on H^({p},{q})"
     return True, f"J3 spectrum is -j..j in integer steps for all d <= {d_max}"
 
 

@@ -264,6 +264,32 @@ def test_huge_hbar_or_k_exit_2(tmp_path, capsys):
         capsys.readouterr()
 
 
+def _scaled_triangle(scale):
+    """TRIANGLE with every coordinate times scale, and an em_probe block."""
+    particles = [{**pt, "position": [scale * x for x in pt["position"]]} for pt in TRIANGLE["particles"]]
+    probe = {"v_cen": [1, 0, 0], "omega": [0, 1, 0], "w_cen": [0, 1, 0], "psi": [0.5, 0, 0.2]}
+    return {**TRIANGLE, "particles": particles, "em_probe": probe}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings at 1e200
+@pytest.mark.parametrize(
+    "command", [["classify"], ["spectrum"], ["eigensections", "--j", "1"], ["em-split"]],
+    ids=["classify", "spectrum", "eigensections", "em-split"],
+)
+def test_huge_positions_exit_2(tmp_path, capsys, command):
+    # finite coordinates whose inertia tensor overflows are a schema error
+    # naming the particles; at 1e150 the tensor is still finite
+    name, *rest = command
+    huge = _write(tmp_path, _scaled_triangle(1e200), "huge.json")
+    assert main([name, "--config", huge, *rest]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert "error: particles: the inertia tensor leaves the float range" in captured.err
+    assert captured.out == ""
+    large = _write(tmp_path, _scaled_triangle(1e150), "large.json")
+    assert main([name, "--config", large, *rest]) == EXIT_OK
+    assert capsys.readouterr().out
+
+
 SQUARE = {
     "version": 1,
     "particles": [

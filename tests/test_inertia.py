@@ -16,6 +16,8 @@ from rotorspec import (
     scalar_curvature_oracle,
 )
 from rotorspec.inertia import (
+    _coincidences,
+    classify_momenta,
     curvature_asymmetric,
     curvature_degenerate,
     curvature_spherical,
@@ -189,3 +191,12 @@ def test_oracle_matches_closed_forms_randomized():
 def test_oracle_rejects_nonpositive():
     with pytest.raises(ValueError):
         scalar_curvature_oracle(0.0, 1.0, 1.0)
+
+
+def test_coincidence_rule_compares_floats_where_they_exist():
+    # at this threshold the exact values coincide but their floats do not;
+    # the floats decide, as they always have
+    triple = (1, Fraction(1000000001, 10**9), 1)
+    assert _coincidences(triple, 1e-9, Fraction)[1:] == (True, True)
+    assert _coincidences(triple, 1e-9, float)[1:] == (True, False)
+    assert classify_momenta(triple) == (TopClass.SYMMETRIC, (1, Fraction(1000000001, 10**9)))

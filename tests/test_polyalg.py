@@ -38,6 +38,7 @@ from rotorspec.polyalg import gaussian, operators, polynomial, spaces
 from rotorspec.polyalg.operators import (
     _band_adjointness,
     _generator_square,
+    _ladder,
     _raw_matrix,
     band_charpoly,
     weighted_symmetrization,
@@ -45,6 +46,7 @@ from rotorspec.polyalg.operators import (
 from rotorspec.polyalg.rational_linalg import mat_scale, rational_roots_from_candidates
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
+from rotorspec.verify import _adjoint, _band_rows
 
 Z1 = Polynomial.variable(4, 0)
 Z2 = Polynomial.variable(4, 1)
@@ -89,28 +91,32 @@ def test_dimension_identities():
 
 def test_generator_j3_eigenvalues():
     m = generator_matrix(3, 1, 0)
-    assert m.is_diagonal()
-    assert sorted(m.entries[i][i].re for i in range(2)) == [Fraction(-1, 2), Fraction(1, 2)]
+    assert all(not x for i, row in enumerate(m) for k, x in enumerate(row) if i != k)
+    assert sorted(m[i][i].re for i in range(2)) == [Fraction(-1, 2), Fraction(1, 2)]
     m = generator_matrix(3, 1, 1)
-    assert sorted(m.entries[i][i].re for i in range(3)) == [-1, 0, 1]
+    assert sorted(m[i][i].re for i in range(3)) == [-1, 0, 1]
 
 
 def test_su2_commutators_exact():
     for d in range(7):
         for p in range(d + 1):
             q = d - p
-            jm = {a: generator_matrix(a, p, q).rows() for a in (1, 2, 3)}
-            lm = {a: vector_field_matrix(a, p, q).rows() for a in (1, 2, 3)}
+            jm = {a: generator_matrix(a, p, q) for a in (1, 2, 3)}
+            lm = {a: vector_field_matrix(a, p, q) for a in (1, 2, 3)}
             for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
                 assert mat_equal(mat_commutator(lm[a], lm[b]), lm[c])
                 assert mat_equal(mat_commutator(jm[a], jm[b]), mat_scale(jm[c], QC(0, 1)))
 
 
 def test_adjointness_flags():
-    assert generator_matrix(1, 2, 1).adjointness == "self"
-    assert generator_matrix(2, 2, 1).adjointness == "self"
-    assert vector_field_matrix(1, 2, 1).adjointness == "skew"
-    assert generator_matrix(3, 0, 0).adjointness == "zero"
+    # "self" is self- and not skew-adjoint, "skew" the reverse, "zero" both
+    w = pairing_weights(2, 1)
+    for m in (generator_matrix(1, 2, 1), generator_matrix(2, 2, 1)):
+        assert _adjoint(m, w, 1) and not _adjoint(m, w, -1)
+    m = vector_field_matrix(1, 2, 1)
+    assert _adjoint(m, w, -1) and not _adjoint(m, w, 1)
+    m = generator_matrix(3, 0, 0)
+    assert _adjoint(m, pairing_weights(0, 0), 1) and _adjoint(m, pairing_weights(0, 0), -1)
 
 
 def test_pairing_weights_positive():
@@ -120,22 +126,22 @@ def test_pairing_weights_positive():
 
 def test_casimir_values():
     c = casimir_matrix(0, 0)
-    assert c.entries[0][0] == QC(0)
+    assert c[0][0] == QC(0)
     c = casimir_matrix(1, 0)
-    assert c.is_diagonal() and c.entries[0][0] == QC(Fraction(3, 4))
+    assert not c[0][1] and not c[1][0] and c[0][0] == QC(Fraction(3, 4))
     c = casimir_matrix(2, 1)
     d = 3
-    assert all(c.entries[i][i] == QC(Fraction(d * (d + 2), 4)) for i in range(c.dim))
+    assert all(c[i][i] == QC(Fraction(d * (d + 2), 4)) for i in range(len(c)))
     assert Fraction(d * (d + 2), 4) == Fraction(15, 4)
 
 
 def test_casimir_commutes_with_generators_and_j3sq():
     for p, q in ((2, 0), (2, 2), (3, 1)):
-        c = casimir_matrix(p, q).rows()
+        c = casimir_matrix(p, q)
         for a in (1, 2, 3):
-            g = generator_matrix(a, p, q).rows()
+            g = generator_matrix(a, p, q)
             assert all(not x for row in mat_commutator(c, g) for x in row)
-        j3 = generator_matrix(3, p, q).rows()
+        j3 = generator_matrix(3, p, q)
         assert all(not x for row in mat_commutator(c, mat_mul(j3, j3)) for x in row)
 
 
@@ -180,16 +186,6 @@ def test_representation_closure_guard():
         _raw_matrix(space, lambda f: f.mul_var(0))  # z1 * f leaves the space
 
 
-def _dense(diag, lower, upper):
-    """A band (lower at (a+2, a), upper at (a, a+2)) as dense QC rows."""
-    rows = [[QC(0)] * len(diag) for _ in diag]
-    for a, x in enumerate(diag):
-        rows[a][a] = QC(x)
-    for a, (lo, up) in enumerate(zip(lower, upper)):
-        rows[a + 2][a], rows[a][a + 2] = QC(lo), QC(up)
-    return rows
-
-
 def _squares(p, q):
     """J1^2, J2^2 and J3^2 on H^{p,q} as (diag, lower, upper) bands, read
     from the one square record: J2^2 is J1^2 with negated off-diagonals,
@@ -205,18 +201,21 @@ def _squares(p, q):
 
 @pytest.mark.parametrize("d", range(13))
 def test_closed_form_route_equals_polynomial_route(d):
-    # bases against null-space extraction; J_a, weights and squares against
-    # the differential operators applied to the basis polynomials
+    # bases against null-space extraction; the ladder, weights and squares
+    # against the differential operators applied to the basis polynomials
     for p in range(d + 1):
         q = d - p
         space = harmonic_basis(p, q)
         assert space.basis == harmonic_basis_by_elimination(p, q)
         for axis, apply_j, square in zip((1, 2, 3), (apply_j1, apply_j2, apply_j3), _squares(p, q)):
             poly_route = _raw_matrix(space, apply_j)
-            assert generator_matrix(axis, p, q).rows() == poly_route
-            assert _dense(*square) == mat_mul(poly_route, poly_route)
+            assert generator_matrix(axis, p, q) == tuple(map(tuple, poly_route))
+            assert _band_rows(d + 1, *square) == mat_mul(poly_route, poly_route)
         jp = _raw_matrix(space, apply_jplus)
         jm = _raw_matrix(space, apply_jminus)
+        alpha, beta = _ladder(p, q)
+        assert jp == [[alpha[n] if m == n + 1 else 0 for n in range(d + 1)] for m in range(d + 1)]
+        assert jm == [[beta[m] if n == m + 1 else 0 for n in range(d + 1)] for m in range(d + 1)]
         weights = [Fraction(1)]
         for k in range(d):
             weights.append(weights[-1] * jm[k][k + 1].re / jp[k + 1][k].re)
@@ -265,7 +264,7 @@ def test_continuant_equals_faddeev_leverrier(job):
         ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
         assert ham.exact
         coeffs = band_charpoly(ham)
-        assert coeffs == charpoly(_dense(ham.diag, ham.lower, ham.upper))
+        assert coeffs == charpoly(_band_rows(len(ham.diag), ham.diag, ham.lower, ham.upper))
         assert len(coeffs) == p + q + 2 and coeffs[-1] == 1
         assert all(type(c) is Fraction for c in coeffs)
 

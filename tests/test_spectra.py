@@ -21,6 +21,7 @@ from rotorspec import (
     velocities_from_angular,
 )
 from rotorspec.errors import HamiltonianOverflowError
+from rotorspec.inertia import TopClass
 from rotorspec.polyalg import casimir_matrix, hamiltonian_matrix, harmonic_basis
 
 
@@ -221,7 +222,7 @@ def test_eigensections_lie_in_casimir_eigenspace():
         expect = ln.j * (ln.j + 1)
         for p, q, idx in ln.eigensections:
             c = casimir_matrix(p, q)
-            assert c.entries[idx][idx].re == expect
+            assert c[idx][idx].re == expect
             # and the reference points at the right ladder weight
             space_l = Fraction(idx) - Fraction(p + q, 2)
             assert abs(space_l) == ln.l or space_l == ln.l
@@ -339,3 +340,17 @@ def test_momentum_map_linearity():
         w2, config, v
     )
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_rational_momentum_beyond_the_float_range():
+    # its float() overflows, so the momenta are classified exactly: 2 and 3
+    # coincide relative to 10**400
+    huge = 10**400
+    spec = diagonalized_spectrum(huge, 2, 3, BundleKind.PLUS, j_max=1)
+    assert spec.top_class is TopClass.SYMMETRIC
+    assert spec.total_multiplicity() == 1 + 9
+    with pytest.warns(UserWarning, match="symmetric closed form"):
+        routed = asymmetric_spectrum(huge, 2, 3, BundleKind.PLUS, j_max=1)
+    assert routed.kind == "symmetric"
+    assert routed.params == {"I_pair": Fraction(5, 2), "I_axis": huge}
+    assert routed.total_multiplicity() == 1 + 9
