@@ -22,14 +22,24 @@ On a monomial the ladder operators act as
     Jp z1^a z2^b zb1^c zb2^d = b (a+1, b-1, c, d) - c (a, b, c-1, d+1)
     Jm z1^a z2^b zb1^c zb2^d = a (a-1, b+1, c, d) - d (a, b, c+1, d-1)
 
-(exponent tuples standing for monomials), so on the integer sector vectors
-b_0..b_2j of the harmonic basis they give integer coordinates
-Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k.  The pairing
-weights and the generator squares the Hamiltonian reads are built from
-alpha and beta.  The dense J_a, L_a and Casimir matrices are the
-polynomial route (apply_j* followed by coordinate extraction,
-`_raw_matrix`), the oracle against which `rotorspec verify` checks the
-ladder, the weights and the squares.
+(exponent tuples standing for monomials).  On the unnormalized sector
+kernels u_k of spaces.py the coefficient of Jp u_k on (a, c) is
+(a - c + q) u(a, c), so with d = p + q
+
+    Jp u_k = (k+1) u_(k+1),    Jm u_(k+1) = (d-k) u_k,
+
+the polynomial form of the Condon-Shortley ladder.  On the basis
+b_k = u_k / n_k (n_k the signed content, spaces.sector_contents) this gives
+the integer coordinates Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) =
+beta_k b_k with
+
+    alpha_k = (k+1) n_(k+1) / n_k,    beta_k = (d-k) n_k / n_(k+1),
+
+so alpha_k beta_k = (k+1)(d-k) = j(j+1) - l(l+1).  The pairing weights and
+the generator squares the Hamiltonian reads are built from alpha and beta.
+The dense J_a, L_a and Casimir matrices are the polynomial route (apply_j*
+followed by coordinate extraction, `_raw_matrix`), the oracle against
+which `rotorspec verify` checks the ladder, the weights and the squares.
 
 The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
@@ -41,11 +51,10 @@ spectra.curvature_shift).  In the weight basis H couples l only to l and
 l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
 Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
 three diagonals: Fractions for rational input, floats otherwise, built per
-block from the sector vectors, the ladder and one cached square record
-(_generator_square); no Polynomial or QC is built on that path.  Its
-characteristic polynomial is the product of the continuants of the even
-and odd parity classes (band_charpoly); eigenvalues() decides where exact
-extraction is tried.
+block from one cached square record (_generator_square); no Polynomial or
+QC is built on that path.  Its characteristic polynomial is the product of
+the continuants of the even and odd parity classes (band_charpoly);
+eigenvalues() decides where exact extraction is tried.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from ..inertia import check_positive
 from .gaussian import QC
 from .polynomial import Polynomial
 from .rational_linalg import mat_mul, mat_scale, rational_roots_from_candidates
-from .spaces import BidegreeSpace, harmonic_basis
+from .spaces import BidegreeSpace, harmonic_basis, sector_contents
 
 
 def apply_j3(f: Polynomial) -> Polynomial:
@@ -96,15 +105,13 @@ def apply_j2(f: Polynomial) -> Polynomial:
 class HamiltonianBand:
     """The Hamiltonian on one harmonic block as its three nonzero diagonals:
     diag[a] at (a, a), lower[a] at (a+2, a) and upper[a] at (a, a+2);
-    Fractions for rational input, floats otherwise.  adjointness is the
-    verdict of the weighted-pairing check: "self", "zero" or "none".
+    Fractions for rational input, floats otherwise.
     """
 
     space: BidegreeSpace
     diag: tuple
     lower: tuple
     upper: tuple
-    adjointness: str
 
     @property
     def exact(self) -> bool:
@@ -114,76 +121,29 @@ class HamiltonianBand:
         return not any(self.lower) and not any(self.upper)
 
 
-def _ladder_image(terms: dict, raising: bool) -> dict:
-    """Jp (raising) or Jm of a polynomial given as {exponent: coefficient},
-    by the monomial formulas of the module docstring; zero terms dropped."""
-    out: dict = {}
-    for (a, b, c, d), v in terms.items():
-        if raising:
-            moves = ((b, (a + 1, b - 1, c, d)), (-c, (a, b, c - 1, d + 1)))
-        else:
-            moves = ((a, (a - 1, b + 1, c, d)), (-d, (a, b, c + 1, d - 1)))
-        for factor, e in moves:
-            if factor:
-                out[e] = out.get(e, 0) + factor * v
-    return {e: v for e, v in out.items() if v}
-
-
-def _multiple(image: dict, target: dict, what: str) -> int:
-    """The integer r with image = r * target (r = 0 for an empty target,
-    whose image must vanish); RepresentationClosureError otherwise.  The
-    target has content 1, so any multiple is an integer one, and a floor
-    quotient with a remainder fails the entrywise check at e0."""
-    ratio = 0
-    if target:
-        e0, t0 = next(iter(target.items()))
-        ratio = image.get(e0, 0) // t0
-    if image.keys() - target.keys() or any(image.get(e, 0) != ratio * t for e, t in target.items()):
-        raise RepresentationClosureError(f"{what} is not a multiple of the adjacent basis element")
-    return ratio
-
-
 @lru_cache(maxsize=None)
 def _ladder(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Integer ladder coordinates (alpha, beta) on the basis b of H^{p,q}:
-    Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k exactly.
-
-    The images are computed in integers from the sector vectors of
-    harmonic_basis.  Closure is checked on every basis element: each image
-    must be exactly proportional to its neighbour, and Jp of the top element
-    and Jm of the bottom one must vanish; RepresentationClosureError
-    otherwise.
-    """
-    vecs = [dict(sector) for sector in harmonic_basis(p, q).sectors]
-    alpha, beta = [], []
-    for k, vec in enumerate(vecs):
-        up = vecs[k + 1] if k + 1 < len(vecs) else {}
-        down = vecs[k - 1] if k else {}
-        where = f"on basis element {k} of H^{{{p},{q}}}"
-        alpha.append(_multiple(_ladder_image(vec, raising=True), up, "Jp " + where))
-        beta.append(_multiple(_ladder_image(vec, raising=False), down, "Jm " + where))
-    # the last alpha and the first beta are the vanishing top and bottom images
-    return tuple(alpha[:-1]), tuple(beta[1:])
+    Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k, by the closed
+    form of the module docstring.  `rotorspec verify` checks them against
+    Jp and Jm applied to the basis polynomials."""
+    n = sector_contents(p, q)
+    d = p + q
+    alpha = tuple((k + 1) * n[k + 1] // n[k] for k in range(d))
+    beta = tuple((d - k) * n[k] // n[k + 1] for k in range(d))
+    return alpha, beta
 
 
 @lru_cache(maxsize=None)
 def pairing_weights(p: int, q: int) -> tuple[Fraction, ...]:
     """Positive diagonal weights of the natural pairing on H^{p,q} in the
     weight-sector basis, fixed by requiring the ladder pair (Jp, Jm) to be
-    mutually adjoint; normalized so the lowest-weight element has weight 1.
+    mutually adjoint, w_(k+1) alpha_k = w_k beta_k; normalized so the
+    lowest-weight element has weight 1.
     """
-    space = harmonic_basis(p, q)
-    alpha, beta = _ladder(p, q)
-    j = space.j
     w = [Fraction(1)]
-    for l, a, b in zip(space.l_values, alpha, beta):
-        if a == 0:
-            raise AssertionError("ladder matrices are not in the expected form")
-        if a * b != j * (j + 1) - l * (l + 1):
-            raise AssertionError("ladder product violates the Casimir identity")
+    for a, b in zip(*_ladder(p, q)):
         w.append(w[-1] * b / a)
-        if w[-1] <= 0:
-            raise AssertionError("pairing weights must be positive")
     return tuple(w)
 
 
@@ -245,15 +205,10 @@ def _generator_square(p: int, q: int):
     J1^2 has the diagonal (alpha_(k-1) beta_(k-1) + alpha_k beta_k) / 4 and
     entries only two off it: alpha_k alpha_(k+1) / 4 at (k+2, k) and
     beta_k beta_(k+1) / 4 at (k, k+2).  J2^2 is J1^2 with the off-diagonals
-    negated.  J1 and J2 are self-adjoint exactly when w_(k+1) alpha_k =
-    w_k beta_k for the pairing weights w; this is asserted.
+    negated.
     """
     space = harmonic_basis(p, q)
     alpha, beta = _ladder(p, q)
-    weights = pairing_weights(p, q)
-    for k, (a, b) in enumerate(zip(alpha, beta)):
-        if weights[k + 1] * a != weights[k] * b:
-            raise AssertionError("J1 and J2 failed the self-adjointness check")
     products = [0, *(a * b for a, b in zip(alpha, beta)), 0]
     diag = tuple(Fraction(products[k] + products[k + 1], 4) for k in range(space.dim))
     lower = tuple(Fraction(alpha[k] * alpha[k + 1], 4) for k in range(space.dim - 2))
@@ -273,7 +228,9 @@ def hamiltonian_matrix(
     rational input it is exact: diag = k rho + (c1 + c2) D + c3 l^2, lower
     = (c1 - c2) L, upper = (c1 - c2) U.  Otherwise it is float, in axis
     order: diag = ((k rho + c1 D) + c2 D) + c3 l^2, lower = c1 L - c2 L,
-    upper alike; HamiltonianOverflowError if an input leaves the float range.
+    upper alike; HamiltonianOverflowError if an input leaves the float range
+    or an entry weighted by the pairing weights w does: w_a diag_a,
+    w_(a+2) lower_a or w_a upper_a.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
@@ -292,36 +249,11 @@ def hamiltonian_matrix(
         diag = [((shift + c1 * x) + c2 * x) + c3 * y for x, y in zip(map(float, sq_diag), map(float, l_squared))]
         lower = [c1 * x - c2 * x for x in map(float, sq_lower)]
         upper = [c1 * x - c2 * x for x in map(float, sq_upper)]
-    return HamiltonianBand(
-        space=space,
-        diag=tuple(diag),
-        lower=tuple(lower),
-        upper=tuple(upper),
-        adjointness=_band_adjointness(diag, lower, upper, pairing_weights(space.p, space.q)),
-    )
-
-
-def _band_adjointness(diag, lower, upper, weights) -> str:
-    """Verdict "self", "zero" or "none" under the weighted pairing: w_(a+2)
-    lower_a against w_a upper_a.  Exact for Fractions, where "zero" means
-    every entry vanishes (the weights are positive).  For floats within
-    1e-12 of the largest weighted entry, with HamiltonianOverflowError if
-    any weighted entry is not finite.
-    """
-    if isinstance(diag[0], Fraction):
-        if not any(diag) and not any(lower) and not any(upper):
-            return "zero"
-        same = all(weights[a + 2] * lo == weights[a] * up for a, (lo, up) in enumerate(zip(lower, upper)))
-        return "self" if same else "none"
-    weights = [float(w) for w in weights]
-    pairs = [(weights[a + 2] * lo, weights[a] * up) for a, (lo, up) in enumerate(zip(lower, upper))]
-    scaled = [w * x for w, x in zip(weights, diag)] + [x for pair in pairs for x in pair]
-    if not all(map(math.isfinite, scaled)):
-        raise HamiltonianOverflowError()
-    if not any(scaled):
-        return "zero"
-    tol = 1e-12 * max(map(abs, scaled))
-    return "self" if max((abs(x - y) for x, y in pairs), default=0.0) <= tol else "none"
+        w = [float(x) for x in pairing_weights(space.p, space.q)]
+        weighted = [x * y for ws, band in ((w, diag), (w[2:], lower), (w, upper)) for x, y in zip(ws, band)]
+        if not all(map(math.isfinite, weighted)):
+            raise HamiltonianOverflowError()
+    return HamiltonianBand(space=space, diag=tuple(diag), lower=tuple(lower), upper=tuple(upper))
 
 
 def band_charpoly(op: HamiltonianBand) -> list[Fraction]:
@@ -377,8 +309,6 @@ def eigenvalues(op: HamiltonianBand):
     tests) and floats for the rest.  Any other band gives floats from
     eigvalsh of the symmetrized band.
     """
-    if op.adjointness not in ("self", "zero"):
-        raise ValueError("eigenvalue extraction expects a self-adjoint matrix")
     if op.exact and op.is_diagonal():
         return [(v, True) for v in sorted(op.diag)]
     floats = np.linalg.eigvalsh(weighted_symmetrization(op)[0])

@@ -8,7 +8,10 @@ z1^a z2^b zb1^c zb2^d, and within a weight sector it links each monomial
 (a, c) only to its neighbour (a - 1, c - 1).  Each sector therefore holds
 exactly one harmonic element, with the closed-form coefficients
 (-1)^c C(p, a) C(q, c); the basis takes one element per sector, ordered by
-ascending l.  All coefficients are exact integers.
+ascending l, divided by its signed content (`sector_contents`).  All
+coefficients are exact integers.  The ladder coordinates follow from the
+contents alone (operators._ladder), so a space is just its bidegree and
+its vectors are built on first read.
 
 The null-space construction (Gauss-Jordan on the Laplacian restricted to
 each sector), `harmonic_basis_by_elimination`, is kept as the independent
@@ -54,16 +57,28 @@ def _sector_monomials(p: int, q: int, weight2: int) -> list[tuple[int, int, int,
 class BidegreeSpace:
     """Ordered harmonic basis of bidegree (p, q); dimension p + q + 1.
 
-    sectors[k] is the integer vector of basis element k as ((exponent,
-    coefficient), ...) pairs, and basis[k] the same element as a
-    Polynomial (built on first use).  It spans the weight sector with
-    l = l_values[k]; l runs from -j to j in integer steps, j = (p + q) / 2.
+    Basis element k spans the weight sector with l = l_values[k]; l runs
+    from -j to j in integer steps, j = (p + q) / 2.  sectors[k] is its
+    integer vector as ((exponent, coefficient), ...) pairs and basis[k] the
+    same element as a Polynomial; both are built on first read.
     """
 
     p: int
     q: int
-    sectors: tuple[tuple[tuple[tuple[int, int, int, int], int], ...], ...]
-    l_values: tuple[Fraction, ...]
+
+    @cached_property
+    def sectors(self) -> tuple[tuple[tuple[tuple[int, int, int, int], int], ...], ...]:
+        """The sector vectors u_k / n_k, each checked to be harmonic."""
+        p, q = self.p, self.q
+        out = []
+        for k, content in enumerate(sector_contents(p, q)):
+            two_l = 2 * k - p - q
+            monos, laplacian = _sector_laplacian(p, q, two_l)
+            vec = [(-1) ** c * math.comb(p, a) * math.comb(q, c) // content for a, _, c, _ in monos]
+            if any(sum(x * v for x, v in zip(row, vec)) for row in laplacian):
+                raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) element is not harmonic")
+            out.append(tuple(zip(monos, vec)))
+        return tuple(out)
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
@@ -71,11 +86,15 @@ class BidegreeSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.sectors)
+        return self.p + self.q + 1
 
     @property
     def j(self) -> Fraction:
         return Fraction(self.p + self.q, 2)
+
+    @property
+    def l_values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(2 * k - self.p - self.q, 2) for k in range(self.dim))
 
     def coordinates(self, poly: Polynomial) -> list[QC] | None:
         """Exact coordinates of a polynomial in the basis, or None if it
@@ -133,6 +152,20 @@ def _sector_laplacian(p: int, q: int, weight2: int):
 
 
 @lru_cache(maxsize=None)
+def sector_contents(p: int, q: int) -> tuple[int, ...]:
+    """The signed contents n_0..n_(p+q) of the sector kernels u_k of H^{p,q}:
+    the gcd of the coefficients (-1)^c C(p, a) C(q, c), a - c = k - q, with
+    the sign of the first one in descending lexicographic order (largest
+    a).  From binomials alone; no monomial list is built."""
+    out = []
+    for k in range(p + q + 1):
+        low, high = max(0, k - q), min(p, k)
+        g = math.gcd(*(math.comb(p, a) * math.comb(q, a - k + q) for a in range(low, high + 1)))
+        out.append(-g if (high - k + q) % 2 else g)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     """Exact basis of H^{p,q}, one element per weight sector.
 
@@ -141,27 +174,13 @@ def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     and a positive first coefficient (monomials in descending
     lexicographic order).  The sector kernel is one-dimensional, so this
     is the vector the null-space construction returns
-    (`harmonic_basis_by_elimination`).  Every element is checked to be
-    harmonic before the space is returned.  The vectors stay integers; no
-    Polynomial is built until `basis` is read.
+    (`harmonic_basis_by_elimination`).  The sector vectors are built and
+    checked harmonic when `sectors` is first read, and the polynomials
+    when `basis` is.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegree must be nonnegative")
-    j2 = p + q  # 2j
-    sectors = []
-    l_vals = []
-    for two_l in range(-j2, j2 + 1, 2):
-        monos, laplacian = _sector_laplacian(p, q, two_l)
-        vec = _normalize_integer(
-            [(-1) ** c * math.comb(p, a) * math.comb(q, c) for a, _, c, _ in monos]
-        )
-        if any(sum(x * v for x, v in zip(row, vec)) for row in laplacian):
-            raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) element is not harmonic")
-        sectors.append(tuple(zip(monos, vec)))
-        l_vals.append(Fraction(two_l, 2))
-    space = BidegreeSpace(p=p, q=q, sectors=tuple(sectors), l_values=tuple(l_vals))
-    assert space.dim == p + q + 1
-    return space
+    return BidegreeSpace(p, q)
 
 
 def harmonic_basis_by_elimination(p: int, q: int) -> tuple[Polynomial, ...]:

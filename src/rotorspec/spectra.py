@@ -163,10 +163,15 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
 def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     """Additive constant k * rho added to every level, with rho the scalar
     curvature closed form of the top class; k = 0 (the default everywhere)
-    turns it off."""
+    turns it off.  A float k times a rational rho beyond the float range
+    raises HamiltonianOverflowError."""
     if k == 0:
         return Fraction(0) if isinstance(k, Rational) else 0.0
-    return k * scalar_curvature(top_class, momenta, hbar0)
+    rho = scalar_curvature(top_class, momenta, hbar0)
+    try:
+        return k * rho
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
 
 
 def _finite(energy):

@@ -354,3 +354,13 @@ def test_rational_momentum_beyond_the_float_range():
     assert routed.kind == "symmetric"
     assert routed.params == {"I_pair": Fraction(5, 2), "I_axis": huge}
     assert routed.total_multiplicity() == 1 + 9
+
+
+def test_float_k_with_a_rational_momentum_beyond_the_float_range_raises_overflow():
+    # k * rho multiplies a float by a rational curvature that has no float
+    huge = 10**400
+    with pytest.warns(UserWarning, match="symmetric closed form"):
+        with pytest.raises(HamiltonianOverflowError):
+            asymmetric_spectrum(huge, 2, 3, BundleKind.PLUS, k=0.25, j_max=4)
+    with pytest.raises(HamiltonianOverflowError):
+        symmetric_spectrum(Fraction(5, 2), huge, BundleKind.PLUS, k=0.25, j_max=1)

@@ -73,8 +73,8 @@ def _patch_both(monkeypatch, name, fake):
 
 def test_suite_detects_a_wrong_ladder_coordinate(cold_caches, monkeypatch):
     # flipping the sign of alpha_0 and beta_0 keeps every product alpha_k
-    # beta_k and every weight, so the hot path's own checks pass; only the
-    # comparison with the polynomial route can see it
+    # beta_k and every weight, so J1 and J2 stay self-adjoint under the
+    # weights; only a comparison with the polynomial route can see it
     real = operators._ladder
 
     def flipped(p, q):
@@ -87,7 +87,8 @@ def test_suite_detects_a_wrong_ladder_coordinate(cold_caches, monkeypatch):
     operators.pairing_weights.cache_clear()
     _patch_both(monkeypatch, "_ladder", flipped)
     assert operators.pairing_weights(2, 0) == want
-    operators._generator_square(2, 0)  # its self-adjointness assertion holds
+    alpha, beta = operators._ladder(2, 0)
+    assert all(want[k + 1] * a == want[k] * b for k, (a, b) in enumerate(zip(alpha, beta)))
     ok, detail = verify.check_su2_commutators(2)
     assert not ok
     assert "integer ladder" in detail
@@ -104,6 +105,9 @@ def test_suite_detects_a_wrong_pairing_weight(cold_caches, monkeypatch):
     ok, detail = verify.check_su2_commutators(2)
     assert not ok
     assert "self-adjoint" in detail
+    ok, detail = verify.check_dimensions(2)
+    assert not ok
+    assert detail == "pairing weight 1 of H^(0,1) is not positive or not adjoint"
 
 
 def test_suite_detects_a_wrong_square_record_entry(cold_caches, monkeypatch):
@@ -119,3 +123,35 @@ def test_suite_detects_a_wrong_square_record_entry(cold_caches, monkeypatch):
     ok, detail = verify.check_casimir(2)
     assert not ok
     assert "square record" in detail
+
+
+def test_harmonic_dimensions_hold_up_to_degree_24():
+    # harmonic sectors, ladder closure on the basis polynomials, the
+    # products alpha_k beta_k and the weight recurrence on every block
+    # p + q <= 24; the null-space comparison up to 12
+    assert verify.check_dimensions(24) == (True, "dimensions p+q+1 and (d+1)^2 verified for d <= 24")
+
+
+def test_a_raising_check_fails_and_the_rest_still_run(monkeypatch):
+    real = verify.suite_plan(1)
+    ran = []
+
+    def raising():
+        raise ValueError("corrupted record")
+
+    def recorded(name, fn):
+        def run():
+            ran.append(name)
+            return fn()
+
+        return run
+
+    plan = tuple((name, raising if i == 3 else recorded(name, fn)) for i, (name, fn) in enumerate(real))
+    monkeypatch.setattr(verify, "suite_plan", lambda j_max: plan)
+    lines = []
+    assert verify.run_suite(j_max=1, out=lines.append) == 1
+    assert lines[3] == "FAIL  harmonic dimensions: raised ValueError: corrupted record"
+    assert ran == [name for i, (name, _) in enumerate(real) if i != 3]
+    assert sum(line.startswith("PASS") for line in lines) == 16
+    assert lines[-2].startswith("FAILED  16/17 checks in ")
+    assert lines[-1] == "first failing property: harmonic dimensions"
