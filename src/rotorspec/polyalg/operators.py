@@ -50,11 +50,16 @@ The curvature shift k * rho follows the closed-form spectra (see
 spectra.curvature_shift).  In the weight basis H couples l only to l and
 l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
 Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
-three diagonals: Fractions for rational input, floats otherwise, built per
-block from one cached square record (_generator_square); no Polynomial or
-QC is built on that path.  Its characteristic polynomial is the product of
-the continuants of the even and odd parity classes (band_charpoly);
-eigenvalues() decides where exact extraction is tried.
+three diagonals: Fractions for rational input, floats otherwise, built
+from the block's cached square record (_generator_square); no Polynomial
+or QC is built on that path.  Its characteristic polynomial is the product
+of the continuants of the even and odd parity classes (band_charpoly);
+eigenvalues() decides where exact extraction is tried.  The diagonal and
+the products lower_k upper_k = (c1 - c2)^2 alpha_k beta_k alpha_(k+1)
+beta_(k+1) / 16 depend on the block only through alpha_k beta_k =
+(k+1)(d-k), so all blocks of a degree share one characteristic polynomial,
+and the spectrum path builds the band of one block per degree
+(spectra.diagonalized_spectrum).
 """
 
 from __future__ import annotations

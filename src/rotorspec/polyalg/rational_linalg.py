@@ -174,9 +174,12 @@ def rational_roots_from_candidates(coeffs: list[Fraction], candidates):
     limit_denominator(10**12) then returns a nearby fraction with a larger
     denominator instead of p/q.  p/q is still a convergent of the candidate
     whenever the error is below 1/(2 q^2), so the convergents lying within
-    1e-9 (relative) of the candidate are tried after the first two guesses;
-    by the rational root theorem only those whose denominator divides the
+    1e-9 (relative) of the candidate are tried after the first guess; by
+    the rational root theorem only those whose denominator divides the
     leading coefficient of the primitive integer polynomial can be roots.
+    No guess rounds the candidate to an integer: an integer within 1e-9 of
+    it is among those convergents, and a farther integer root is another
+    eigenvalue, which accepting here would put in this one's place.
     """
     work = list(coeffs)
     roots: list[Fraction] = []
@@ -187,9 +190,8 @@ def rational_roots_from_candidates(coeffs: list[Fraction], candidates):
         f = float(f)
         accepted = None
         if len(work) > 1:
-            guesses = (Fraction(f).limit_denominator(10**12), Fraction(round(f)))
             near = (c for c in _near_convergents(f, 10**12) if lead % c.denominator == 0)
-            for attempt in chain(guesses, near):
+            for attempt in chain((Fraction(f).limit_denominator(10**12),), near):
                 if _poly_eval(work, attempt) == 0:
                     accepted = attempt
                     break

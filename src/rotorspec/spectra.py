@@ -338,42 +338,60 @@ def diagonalized_spectrum(
     j_max=6,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Spectrum:
-    """Spectrum by exact block diagonalization on every H^{p,q}.
+    """Spectrum by exact block diagonalization, one block per degree.
 
     For each total degree d = 2j of the bundle's parity the Hamiltonian is
-    diagonalized on the d+1 bidegree blocks and the eigenvalues are merged;
-    multiplicities come from grouping.  eigenvalues() owns the exactness
-    policy: under rational inputs a level is exact on diagonal blocks and,
-    up to degree EXACT_DEGREE_MAX = 4, wherever the characteristic
-    polynomial has a rational root; grouping is exact when every energy of
-    a degree is, within tol.spec otherwise.  This is the oracle route the
-    closed forms are verified against, and the production route for the
-    asymmetric top.
+    diagonalized on one bidegree block, H^{p,q} with p = d // 2.  On every
+    block of degree d the band has the diagonal (c1+c2)(P_(k-1)+P_k)/4 +
+    c3 l_k^2 + k rho and the products lower_k upper_k = (c1-c2)^2 P_k
+    P_(k+1) / 16, with P_k = alpha_k beta_k = (k+1)(d-k) (`rotorspec
+    verify` checks this for p+q <= 2J), so all d+1 blocks share one
+    characteristic polynomial: a level of multiplicity m in that block is a
+    line of multiplicity (d+1) m with references into every block.
+    eigenvalues() owns the exactness policy: under rational inputs a level
+    is exact on diagonal blocks and, up to degree EXACT_DEGREE_MAX = 4,
+    wherever its float eigenvalue leads to a rational root of the
+    characteristic polynomial; grouping is exact when every energy of a
+    degree is, within tol.spec otherwise.
+    HamiltonianOverflowError is raised when the band of any block of a
+    degree would raise it.  This is the oracle route the closed forms are
+    verified against, and the production route for the asymmetric top.
     """
     check_j_max(j_max)
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed_momenta = classify_momenta((i1, i2, i3), tol)
     rho = scalar_curvature(top, closed_momenta or (i1, i2, i3), h) if k != 0 else 0
+    # Every content n_k is a gcd of products C(p, a) C(q, c) <= 2^d, so
+    # 1 <= |n_k| <= 2^d; then w_k = C(d, k) (n_0 / n_k)^2 lies in
+    # [4^-d, 8^d] and alpha_k, beta_k <= d 2^d.  With (d+1)^2 <= 2^(d+3),
+    # every entry, weighted entry and product s_a A_ab / s_b that the
+    # overflow guards of hamiltonian_matrix and weighted_symmetrization
+    # form on any block of degree d is at most scale * 2^(6d+3), with
+    # scale = |k rho| + c1 + c2 + c3.  So when scale * 2^(6d+8) < 1e300 no
+    # block of the degree can overflow; otherwise every block runs the
+    # per-block calls, only so that they raise.
+    try:
+        scale = abs(k * rho) + sum(h / (2 * mom) for mom in (i1, i2, i3))
+    except OverflowError:
+        scale = math.inf
     lines = []
     for j in j_values(bundle, j_max):
         d = int(2 * j)
-        found: list[tuple[object, tuple]] = []
-        for p, q in _degree_blocks(d):
-            space = harmonic_basis(p, q)
-            ham = hamiltonian_matrix(space, i1, i2, i3, h, k, rho)
-            evs = eigenvalues(ham)
-            for idx, (value, _) in enumerate(evs):
-                found.append((value, (p, q, idx)))
-        for energy, refs in group_energies(found, tol.spec):
+        ham = hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), i1, i2, i3, h, k, rho)
+        levels = [(value, idx) for idx, (value, _) in enumerate(eigenvalues(ham))]
+        if not scale * 2 ** (6 * d + 8) < 1e300:
+            for p, q in _degree_blocks(d):
+                eigenvalues(hamiltonian_matrix(harmonic_basis(p, q), i1, i2, i3, h, k, rho))
+        for energy, idxs in group_energies(levels, tol.spec):
             lines.append(
                 SpectralLine(
                     energy=energy,
                     j=j,
-                    multiplicity=len(refs),
+                    multiplicity=(d + 1) * len(idxs),
                     bundle=bundle,
                     source="diagonalized",
-                    eigensections=refs,
+                    eigensections=tuple((p, q, idx) for idx in idxs for p, q in _degree_blocks(d)),
                 )
             )
     return Spectrum(

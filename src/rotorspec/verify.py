@@ -47,6 +47,7 @@ from .polyalg import (
     apply_jplus,
     casimir_matrix,
     generator_matrix,
+    hamiltonian_matrix,
     harmonic_basis,
     harmonic_basis_r3,
     laplacian_r3,
@@ -206,18 +207,30 @@ def check_x3_spectrum(d_max: int = 8):
     return True, f"J3 spectrum is -j..j in integer steps for all d <= {d_max}"
 
 
+# (I1, I2, I3, hbar0, k, rho) of the band comparison in check_dimensions:
+# asymmetric, rational, with k rho != 0
+_BAND_CHECK = (1, 2, Fraction(7, 2), 1, Fraction(5, 21), 1)
+
+
 def check_dimensions(d_max: int = 12):
     """dim H^{p,q} = p+q+1 and the degree-d total is (d+1)^2.  On every
     block, what the spectrum path takes on trust: each sector is harmonic
     (checked when the basis reads `sectors`); the ladder closes on the basis
     polynomials, Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k, with
-    Jp and Jm vanishing at the ends; alpha_k beta_k = (k+1)(d-k); the
-    pairing weights are positive with w_(k+1) alpha_k = w_k beta_k, which
-    makes every Hamiltonian band self-adjoint.  For d <= 12 the closed-form
-    basis equals the null-space one."""
+    Jp and Jm vanishing at the ends; the pairing weights are positive with
+    w_(k+1) alpha_k = w_k beta_k, which makes every Hamiltonian band
+    self-adjoint; the exact band on the rational asymmetric triple
+    _BAND_CHECK has the diagonal and the products lower * upper of the
+    degree's representative block H^(d//2, d-d//2), so every block shares
+    its characteristic polynomial and the spectrum path may diagonalize
+    that block alone.  For d <= 12 the closed-form basis equals the
+    null-space one."""
     zero = Polynomial.zero(4)
     for d in range(d_max + 1):
         total = 0
+        r = d // 2
+        rep_band = hamiltonian_matrix(harmonic_basis(r, d - r), *_BAND_CHECK)
+        rep_products = [lo * up for lo, up in zip(rep_band.lower, rep_band.upper)]
         for p in range(d + 1):
             q = d - p
             space = harmonic_basis(p, q)
@@ -232,10 +245,11 @@ def check_dimensions(d_max: int = 12):
                     return False, f"ladder closure fails on basis element {k} of H^({p},{q})"
             w = pairing_weights(p, q)
             for k, (a, b) in enumerate(zip(alpha, beta)):
-                if a * b != (k + 1) * (d - k):
-                    return False, f"alpha_{k} beta_{k} != (k+1)(d-k) on H^({p},{q})"
                 if w[k + 1] <= 0 or w[k + 1] * a != w[k] * b:
                     return False, f"pairing weight {k + 1} of H^({p},{q}) is not positive or not adjoint"
+            band = hamiltonian_matrix(space, *_BAND_CHECK)
+            if band.diag != rep_band.diag or [lo * up for lo, up in zip(band.lower, band.upper)] != rep_products:
+                return False, f"band of H^({p},{q}) differs from that of H^({r},{d - r}) in its diagonal or products"
             if d <= 12 and basis != harmonic_basis_by_elimination(p, q):
                 return False, f"closed-form basis of H^({p},{q}) differs from the null-space basis"
             total += space.dim

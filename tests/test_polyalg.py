@@ -417,6 +417,14 @@ def test_charpoly_and_rational_roots():
     assert sorted(roots) == [2, 3] and residual == [Fraction(1)] and leftover == []
 
 
+def test_a_candidate_is_not_rounded_to_another_integer_root():
+    # (t - 2/3)(t - 1): the candidate 0.66666666667 rounds to the root 1,
+    # which belongs to the next candidate; the convergent 2/3 is its root
+    coeffs = [Fraction(2, 3), Fraction(-5, 3), Fraction(1)]
+    roots, residual, leftover = rational_roots_from_candidates(coeffs, [0.66666666667, 1.0])
+    assert roots == [Fraction(2, 3), 1] and residual == [Fraction(1)] and leftover == []
+
+
 def test_harmonic_basis_r3():
     assert [str(b) for b in harmonic_basis_r3(0).basis] == ["1"]
     assert set(map(str, harmonic_basis_r3(1).basis)) == {"x", "y", "z"}

@@ -1,5 +1,6 @@
 """Closed-form spectra, the diagonalization engine, and the momentum map."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -21,8 +22,11 @@ from rotorspec import (
     velocities_from_angular,
 )
 from rotorspec.errors import HamiltonianOverflowError
-from rotorspec.inertia import TopClass
-from rotorspec.polyalg import casimir_matrix, hamiltonian_matrix, harmonic_basis
+from rotorspec.inertia import TopClass, scalar_curvature
+from rotorspec.polyalg import casimir_matrix, eigenvalues, hamiltonian_matrix, harmonic_basis
+from rotorspec.polyalg.operators import weighted_symmetrization
+from rotorspec.quantum_structures import j_values
+from rotorspec.spectra import group_energies
 
 
 def test_j_squared_examples():
@@ -262,6 +266,126 @@ def test_rational_scale_beyond_the_float_range_raises_overflow(momenta, kwargs):
     # the energy ordering report the overflow by name, not as OverflowError
     with pytest.raises(HamiltonianOverflowError):
         asymmetric_spectrum(*momenta, BundleKind.PLUS, j_max=3, **kwargs)
+
+
+def test_exact_j2_levels_of_a_triple_with_an_integer_level():
+    # c = hbar0 / (2 I) = (1/16, 7/34, 11/106): the j = 2 levels are
+    # 4c1+c2+c3, c1+4c2+c3, c1+c2+4c3 and 2s -+ 2 sqrt(s^2 - 3e2) with
+    # s = c1+c2+c3 and e2 the second elementary symmetric function; the
+    # upper root is exactly 1, and the float candidate of c1+c2+4c3 once
+    # rounded to it, so 1 was reported twice and c1+c2+4c3 never
+    c1, c2, c3 = Fraction(1, 16), Fraction(7, 34), Fraction(11, 106)
+    spec = asymmetric_spectrum(8, Fraction(17, 7), Fraction(53, 11), BundleKind.PLUS, j_max=2)
+    got = [(ln.energy, ln.multiplicity) for ln in spec.lines_for_degree(4)]
+    want = sorted([4 * c1 + c2 + c3, c1 + 4 * c2 + c3, c1 + c2 + 4 * c3, Fraction(1761, 3604), Fraction(1)])
+    assert got == [(e, 5) for e in want]
+
+
+def _per_block_lines(momenta, bundle, k, j_max):
+    """The lines of the per-block route: every block H^{p,q} of a degree
+    diagonalized and all their levels grouped, as {(j, refs): (energy,
+    multiplicity)}."""
+    rho = scalar_curvature(TopClass.ASYMMETRIC, momenta, 1) if k != 0 else 0
+    out = {}
+    for j in j_values(bundle, j_max):
+        d = int(2 * j)
+        found = [
+            (value, (p, d - p, idx))
+            for p in range(d + 1)
+            for idx, (value, _) in enumerate(eigenvalues(hamiltonian_matrix(harmonic_basis(p, d - p), *momenta, 1, k, rho)))
+        ]
+        for energy, refs in group_energies(found):
+            out[j, frozenset(refs)] = energy, len(refs)
+    return out
+
+
+@pytest.mark.parametrize(
+    "momenta",
+    [
+        (1.0, 2.0, 3.5),
+        (0.37, 1.91, 2.63),
+        (1.0, 1.5, 0.05),
+        (1, 2, Fraction(7, 2)),
+        (Fraction(21, 8), Fraction(17, 8), Fraction(7, 2)),
+        (Fraction(49, 8), Fraction(76, 11), Fraction(16, 3)),
+    ],
+    ids=repr,
+)
+def test_one_block_per_degree_equals_the_per_block_route(momenta):
+    # same lines, multiplicities and reference sets; exact energies equal;
+    # float energies within 32 ulps of the largest level of their degree
+    # (eigvalsh is accurate to a few ulps of the band's norm, on each block)
+    for k in (0, Fraction(1, 2), 0.25):
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            want = _per_block_lines(momenta, bundle, k, 8)
+            spec = asymmetric_spectrum(*momenta, bundle, k=k, j_max=8)
+            got = {(ln.j, frozenset(ln.eigensections)): (ln.energy, ln.multiplicity) for ln in spec.lines}
+            assert len(got) == len(spec.lines) and got.keys() == want.keys()
+            top = {}
+            for (j, _), (energy, _) in want.items():
+                top[j] = max(top.get(j, 0.0), abs(float(energy)))
+            for key, (energy, mult) in got.items():
+                ref_energy, ref_mult = want[key]
+                assert mult == ref_mult
+                assert type(energy) is type(ref_energy)
+                if isinstance(energy, Fraction):
+                    assert energy == ref_energy
+                else:
+                    assert abs(energy - ref_energy) <= 32 * math.ulp(top[key[0]]), (key[0], energy, ref_energy)
+            # references inside a line run over the blocks, index by index
+            for ln in spec.lines:
+                assert list(ln.eigensections) == sorted(ln.eigensections, key=lambda r: (r[2], r[0]))
+
+
+def _block_guard_verdicts(momenta, bundle, hbar0, k):
+    """(some block raises, the block H^(d//2, d - d//2) of some degree
+    raises) when every block's band is built and symmetrized, j_max 6."""
+    rho = scalar_curvature(TopClass.ASYMMETRIC, momenta, hbar0) if k != 0 else 0
+    some = representative = False
+    for j in j_values(bundle, 6):
+        d = int(2 * j)
+        for p in range(d + 1):
+            try:
+                weighted_symmetrization(hamiltonian_matrix(harmonic_basis(p, d - p), *momenta, hbar0, k, rho))
+            except HamiltonianOverflowError:
+                some = True
+                representative |= p == d // 2
+    return some, representative
+
+
+def test_overflow_verdict_is_the_per_block_verdict():
+    # hbar and k log-spaced over [1e298, 1.6e308]: asymmetric_spectrum
+    # raises exactly where some block's guard does.  With a small I3 the
+    # weights differ enough between blocks that the representative block
+    # alone would accept points the per-block guard rejects; the sweep
+    # hits such points
+    sweep = [float(x) for x in np.geomspace(1e298, 1.6e308, 41)]
+    disagreements = 0
+    for momenta in ((1.0, 1.5, 0.001), (1.0, 1.5, 0.05), (1.0, 2.0, 3.5)):
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            for hbar0, k in [*((v, 0.0) for v in sweep), *((1.0, v) for v in sweep)]:
+                some, representative = _block_guard_verdicts(momenta, bundle, hbar0, k)
+                try:
+                    asymmetric_spectrum(*momenta, bundle, k=k, hbar0=hbar0, j_max=6)
+                    raised = False
+                except HamiltonianOverflowError:
+                    raised = True
+                assert raised == some, (momenta, bundle, hbar0, k)
+                disagreements += representative != some
+    assert disagreements >= 5
+
+
+def test_overflow_verdict_at_the_cap_reads_every_block_of_degree_50():
+    # at hbar0 = 1e291 the weighted band of H^(20,30) overflows while the
+    # band of H^(d//2, d - d//2) of every degree up to 50 stays finite
+    momenta, hbar0 = (1.0, 1.5, 0.001), 1e291
+    for j in j_values(BundleKind.PLUS, 25):
+        d = int(2 * j)
+        weighted_symmetrization(hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), *momenta, hbar0))
+    with pytest.raises(HamiltonianOverflowError):
+        hamiltonian_matrix(harmonic_basis(20, 30), *momenta, hbar0)
+    with pytest.raises(HamiltonianOverflowError):
+        asymmetric_spectrum(*momenta, BundleKind.PLUS, hbar0=hbar0, j_max=25)
 
 
 # every public spectrum and hamiltonian_matrix, with the inputs the guard covers

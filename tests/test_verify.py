@@ -125,10 +125,31 @@ def test_suite_detects_a_wrong_square_record_entry(cold_caches, monkeypatch):
     assert "square record" in detail
 
 
+@pytest.mark.parametrize("entry", [0, 2])
+def test_harmonic_dimensions_detects_a_wrong_square_record_beyond_degree_8(cold_caches, monkeypatch, entry):
+    # su2 commutators and casimir scalars compare the square records only up
+    # to degree 8; on H^(7,2) a wrong diagonal (entry 0) or upper entry
+    # (entry 2) is seen by the band comparison with the representative
+    # block H^(4,5) alone
+    real = operators._generator_square
+
+    def perturbed(p, q):
+        record = list(real(p, q))
+        if (p, q) == (7, 2):
+            record[entry] = (record[entry][0] + Fraction(1, 7), *record[entry][1:])
+        return tuple(record)
+
+    _patch_both(monkeypatch, "_generator_square", perturbed)
+    assert verify.check_dimensions(8)[0]
+    ok, detail = verify.check_dimensions(9)
+    assert not ok
+    assert detail == "band of H^(7,2) differs from that of H^(4,5) in its diagonal or products"
+
+
 def test_harmonic_dimensions_hold_up_to_degree_24():
-    # harmonic sectors, ladder closure on the basis polynomials, the
-    # products alpha_k beta_k and the weight recurrence on every block
-    # p + q <= 24; the null-space comparison up to 12
+    # harmonic sectors, ladder closure on the basis polynomials, the weight
+    # recurrence and the band comparison with the representative block on
+    # every block p + q <= 24; the null-space comparison up to 12
     assert verify.check_dimensions(24) == (True, "dimensions p+q+1 and (d+1)^2 verified for d <= 24")
 
 
