@@ -52,14 +52,13 @@ l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
 Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
 three diagonals: Fractions for rational input, floats otherwise, built
 from the block's cached square record (_generator_square); no Polynomial
-or QC is built on that path.  Its characteristic polynomial is the product
-of the continuants of the even and odd parity classes (band_charpoly);
-eigenvalues() decides where exact extraction is tried.  The diagonal and
-the products lower_k upper_k = (c1 - c2)^2 alpha_k beta_k alpha_(k+1)
-beta_(k+1) / 16 depend on the block only through alpha_k beta_k =
-(k+1)(d-k), so all blocks of a degree share one characteristic polynomial,
-and the spectrum path builds the band of one block per degree
-(spectra.diagonalized_spectrum).
+or QC is built on that path.  The diagonal and the products lower_k
+upper_k = (c1 - c2)^2 alpha_k beta_k alpha_(k+1) beta_(k+1) / 16 depend on
+the block only through P_k = alpha_k beta_k = (k+1)(d-k), so all blocks of
+a degree share one characteristic polynomial, and the spectrum path builds
+the band of one block per degree (spectra.diagonalized_spectrum).  Since
+P_(d-1-k) = P_k, an exact band splits into species (band_species), which
+eigenvalues() solves in closed form on blocks of degree p + q <= 4.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from ..errors import HamiltonianOverflowError, RepresentationClosureError
 from ..inertia import check_positive
 from .gaussian import QC
 from .polynomial import Polynomial
-from .rational_linalg import mat_mul, mat_scale, rational_roots_from_candidates
+from .rational_linalg import mat_mul, mat_scale
 from .spaces import BidegreeSpace, harmonic_basis, sector_contents
 
 
@@ -261,45 +260,62 @@ def hamiltonian_matrix(
     return HamiltonianBand(space=space, diag=tuple(diag), lower=tuple(lower), upper=tuple(upper))
 
 
-def band_charpoly(op: HamiltonianBand) -> list[Fraction]:
-    """Characteristic polynomial det(t - H) of an exact band, as
-    coefficients [c_0, ..., c_n] with c_n = 1 (the layout of charpoly).
-
-    The band couples index a only to a and a +- 2, so H splits into two
-    tridiagonal parity classes (even and odd a), and det(t - H) is the
-    product of their continuants
-
-        p_i = (t - a_i) p_(i-1) - (lower_(i-1) upper_(i-1)) p_(i-2)
-
-    with a_i, lower_i and upper_i read along the class.
-    """
-    out = [Fraction(1)]
-    for start in (0, 1):
-        diag = op.diag[start::2]
-        products = [lo * up for lo, up in zip(op.lower[start::2], op.upper[start::2])]
-        prev, cur = [], [Fraction(1)]
-        for i, a in enumerate(diag):
-            # (t - a) cur - b prev, coefficients lowest first
-            nxt = [Fraction(0), *cur]
-            for m, c in enumerate(cur):
-                nxt[m] -= a * c
-            if i:
-                for m, c in enumerate(prev):
-                    nxt[m] -= products[i - 1] * c
-            prev, cur = cur, nxt
-        out = _poly_mul(out, cur)
-    return out
+def _rational_sqrt(x: Fraction):
+    """sqrt(x) for a rational square x >= 0, else None."""
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for m, y in enumerate(b):
-            out[i + m] += x * y
-    return out
+def _wang_fold(diag, products) -> list:
+    """The antisymmetric and the symmetric species, (diag, products) pairs,
+    of a tridiagonal class that reads the same backwards.  Of length 2h+1:
+    its first h entries, and its first h+1 with the last product doubled.
+    Of length 2h: its first h entries with sqrt(b) of the middle product b
+    subtracted from or added to the last diagonal entry; in a band, b
+    couples l = -1 and 1 and is (c1 - c2)^2 P_(d/2)^2 / 16, a square."""
+    h, odd = divmod(len(diag), 2)
+    if odd:
+        return [(diag[:h], products[: h - 1]), (diag[: h + 1], [*products[: h - 1], 2 * products[h - 1]] if h else [])]
+    shift = _rational_sqrt(products[h - 1])
+    return [((*diag[: h - 1], diag[h - 1] + sign * shift), products[: h - 1]) for sign in (-1, 1)]
 
 
-# exact eigenvalue extraction is tried on blocks of degree p + q <= this
+def band_species(op: HamiltonianBand) -> list:
+    """The species of an exact band, (diag, products, count) triples whose
+    levels, each taken count times, are the band's: tridiagonal matrices
+    with the diagonal diag and the products lower_i upper_i = products[i].
+    The band's diagonal and products read the same under l -> -l.  For odd
+    d that map exchanges the two parity classes of the index, so each level
+    of class 0 counts twice (Kramers pairs); for even d _wang_fold splits
+    each class into two of the four D2 species (Wang, Phys. Rev. 34, 243
+    (1929))."""
+    classes = [(op.diag[s::2], [lo * up for lo, up in zip(op.lower[s::2], op.upper[s::2])]) for s in (0, 1)]
+    if (op.space.p + op.space.q) % 2:
+        return [(*classes[0], 2)]
+    return [(diag, products, 1) for cls in classes if cls[0] for diag, products in _wang_fold(*cls) if diag]
+
+
+def _species_levels(diag, products):
+    """(value, exact_flag) pairs of a species of one or two entries: its
+    diagonal, or m -+ r with m the mean of the diagonal and r^2 = ((a_0 -
+    a_1) / 2)^2 + products[0], exact when r^2 is a rational square."""
+    if len(diag) == 1:
+        return [(diag[0], True)]
+    mid, r2 = (diag[0] + diag[1]) / 2, ((diag[0] - diag[1]) / 2) ** 2 + products[0]
+    r = _rational_sqrt(r2)
+    if r is not None:
+        return [(mid - r, True), (mid + r, True)]
+    # sqrt(r2) to 2^-80 relative, without float(r2), which can overflow
+    # where the levels do not
+    r = Fraction(math.isqrt(r2.numerator * r2.denominator << 160), r2.denominator << 80)
+    try:
+        return [(float(mid - r), False), (float(mid + r), False)]
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
+
+
+# exact levels are solved on blocks of degree p + q <= this, where every
+# species has at most two entries
 EXACT_DEGREE_MAX = 4
 
 
@@ -308,31 +324,19 @@ def eigenvalues(op: HamiltonianBand):
     pairs, ascending.
 
     An exact diagonal band gives its diagonal.  Other exact bands of degree
-    p + q <= EXACT_DEGREE_MAX give Fractions for the rational roots of the
-    characteristic polynomial (band_charpoly, the product of the two
-    parity-class continuants; rational_linalg.charpoly is its oracle in the
-    tests) and floats for the rest.  Any other band gives floats from
-    eigvalsh of the symmetrized band.
+    p + q <= EXACT_DEGREE_MAX give the levels of their species in closed
+    form: every rational level as a Fraction, the others as floats.  Any
+    other band gives floats from eigvalsh of the symmetrized band.  Every
+    band that is not diagonal passes the overflow guard of
+    weighted_symmetrization.
     """
     if op.exact and op.is_diagonal():
         return [(v, True) for v in sorted(op.diag)]
-    floats = np.linalg.eigvalsh(weighted_symmetrization(op)[0])
+    sym = weighted_symmetrization(op)[0]
     if op.exact and op.space.p + op.space.q <= EXACT_DEGREE_MAX:
-        # candidates from the stable float diagonalization (np.roots would
-        # split degenerate roots); acceptance is by exact substitution
-        roots, residual, leftover = rational_roots_from_candidates(band_charpoly(op), floats)
-        out = [(r, True) for r in roots]
-        if len(residual) == 3 and len(leftover) == 2:
-            # quadratic factor: exact coefficients, closed-form roots
-            c0, c1, c2 = residual
-            disc = c1 * c1 - 4 * c2 * c0
-            s = float(disc) ** 0.5
-            out.append(((-float(c1) - s) / (2 * float(c2)), False))
-            out.append(((-float(c1) + s) / (2 * float(c2)), False))
-        else:
-            out.extend((f, False) for f in leftover)
-        return sorted(out, key=lambda t: float(t[0]))
-    return [(float(v), False) for v in floats]
+        levels = [lv for diag, products, count in band_species(op) for lv in _species_levels(diag, products) * count]
+        return sorted(levels, key=lambda t: t[0])
+    return [(float(v), False) for v in np.linalg.eigvalsh(sym)]
 
 
 @lru_cache(maxsize=None)

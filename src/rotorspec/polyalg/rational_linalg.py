@@ -1,4 +1,5 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact dense linear algebra over the Gaussian rationals, for the
+polynomial route and the oracles of `rotorspec verify`.
 
 Plain Gauss-Jordan elimination; matrices here are small (block sizes are
 2j + 1 <= 26), so clarity beats asymptotics.  Matrices are lists of lists
@@ -7,9 +8,7 @@ of QC.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import chain
 
 from .gaussian import ONE, QC, ZERO
 
@@ -104,8 +103,8 @@ def charpoly(a) -> list[Fraction]:
     by the Faddeev-LeVerrier recursion.
 
     Returns coefficients [c_0, ..., c_n] with
-    p(t) = c_n t^n + ... + c_0 and c_n = 1.  The Hamiltonian bands use the
-    continuant operators.band_charpoly; this dense route is its oracle.
+    p(t) = c_n t^n + ... + c_0 and c_n = 1.  `rotorspec verify` checks
+    that the species of a band (operators.band_species) factor it.
     """
     n = len(a)
     for row in a:
@@ -124,81 +123,3 @@ def charpoly(a) -> list[Fraction]:
         for i in range(n):
             mk[i][i] = mk[i][i] + QC(ck)
     return coeffs
-
-
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (t - root); exact, remainder must vanish
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + root * carry
-    if carry != 0:
-        raise ValueError("not a root")
-    return out
-
-
-def _near_convergents(f: float, max_den: int):
-    """Continued-fraction convergents h/k of f with k <= max_den that lie
-    within 1e-9 (relative) of f, smallest denominator first."""
-    n, d = f.as_integer_ratio()
-    h_prev, h, k_prev, k = 0, 1, 1, 0
-    while d:
-        a = n // d
-        n, d = d, n - a * d
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        if k > max_den:
-            return
-        if abs(h / k - f) <= 1e-9 * max(1.0, abs(f)):
-            yield Fraction(h, k)
-
-
-def rational_roots_from_candidates(coeffs: list[Fraction], candidates):
-    """Extract exact rational roots of a monic rational polynomial, guided
-    by float approximations of its roots (with multiplicity).
-
-    Each candidate is rationalized by continued fractions and accepted only
-    on exact substitution, then removed by exact deflation.  Returns
-    (rational roots, residual factor, unmatched candidates).
-
-    A float eigenvalue can be several ulps off its exact value p/q, and
-    limit_denominator(10**12) then returns a nearby fraction with a larger
-    denominator instead of p/q.  p/q is still a convergent of the candidate
-    whenever the error is below 1/(2 q^2), so the convergents lying within
-    1e-9 (relative) of the candidate are tried after the first guess; by
-    the rational root theorem only those whose denominator divides the
-    leading coefficient of the primitive integer polynomial can be roots.
-    No guess rounds the candidate to an integer: an integer within 1e-9 of
-    it is among those convergents, and a farther integer root is another
-    eigenvalue, which accepting here would put in this one's place.
-    """
-    work = list(coeffs)
-    roots: list[Fraction] = []
-    leftover: list[float] = []
-    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    lead = scale // math.gcd(*(int(c * scale) for c in coeffs))
-    for f in candidates:
-        f = float(f)
-        accepted = None
-        if len(work) > 1:
-            near = (c for c in _near_convergents(f, 10**12) if lead % c.denominator == 0)
-            for attempt in chain((Fraction(f).limit_denominator(10**12),), near):
-                if _poly_eval(work, attempt) == 0:
-                    accepted = attempt
-                    break
-        if accepted is None:
-            leftover.append(f)
-        else:
-            roots.append(accepted)
-            work = _deflate(work, accepted)
-    return roots, work, leftover
-

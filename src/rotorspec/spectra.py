@@ -350,9 +350,9 @@ def diagonalized_spectrum(
     line of multiplicity (d+1) m with references into every block.
     eigenvalues() owns the exactness policy: under rational inputs a level
     is exact on diagonal blocks and, up to degree EXACT_DEGREE_MAX = 4,
-    wherever its float eigenvalue leads to a rational root of the
-    characteristic polynomial; grouping is exact when every energy of a
-    degree is, within tol.spec otherwise.
+    exactly when it is rational (the species of the band, solved in
+    closed form); grouping is exact when every energy of a degree is,
+    within tol.spec otherwise.
     HamiltonianOverflowError is raised when the band of any block of a
     degree would raise it.  This is the oracle route the closed forms are
     verified against, and the production route for the asymmetric top.

@@ -46,6 +46,8 @@ from .polyalg import (
     apply_jminus,
     apply_jplus,
     casimir_matrix,
+    charpoly,
+    eigenvalues,
     generator_matrix,
     hamiltonian_matrix,
     harmonic_basis,
@@ -59,7 +61,7 @@ from .polyalg import (
     vector_field_matrix,
 )
 from .polyalg.gaussian import QC
-from .polyalg.operators import _generator_square, _ladder
+from .polyalg.operators import EXACT_DEGREE_MAX, _generator_square, _ladder, band_species
 from .polyalg.rational_linalg import mat_scale, mat_zero
 from .polyalg.spaces import harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
@@ -125,6 +127,19 @@ def _band_rows(dim: int, diag=(), lower=(), upper=(), offset=2):
     for a, (lo, up) in enumerate(zip(lower, upper)):
         rows[a + offset][a], rows[a][a + offset] = QC.coerce(lo), QC.coerce(up)
     return rows
+
+
+def _species_rows(species):
+    """Dense rows of the block-diagonal matrix of (diag, products, count)
+    species, count blocks each: tridiagonals with the products above the
+    diagonal and ones below, so their determinants are the continuants."""
+    diag, lower, upper = [], [], []
+    for entries, products, count in species:
+        for _ in range(count):
+            diag += entries
+            lower += [*(1 for _ in products), 0]
+            upper += [*products, 0]
+    return _band_rows(len(diag), diag, lower[:-1], upper[:-1], offset=1)
 
 
 # --- individual checks -------------------------------------------------------
@@ -223,14 +238,22 @@ def check_dimensions(d_max: int = 12):
     _BAND_CHECK has the diagonal and the products lower * upper of the
     degree's representative block H^(d//2, d-d//2), so every block shares
     its characteristic polynomial and the spectrum path may diagonalize
-    that block alone.  For d <= 12 the closed-form basis equals the
-    null-space one."""
+    that block alone.  For d <= EXACT_DEGREE_MAX the species of that band,
+    which the spectrum path solves in closed form, factor its dense
+    characteristic polynomial, and every exact level is a root of it.  For
+    d <= 12 the closed-form basis equals the null-space one."""
     zero = Polynomial.zero(4)
     for d in range(d_max + 1):
         total = 0
         r = d // 2
         rep_band = hamiltonian_matrix(harmonic_basis(r, d - r), *_BAND_CHECK)
         rep_products = [lo * up for lo, up in zip(rep_band.lower, rep_band.upper)]
+        if d <= EXACT_DEGREE_MAX:
+            coeffs = charpoly(_band_rows(d + 1, rep_band.diag, rep_band.lower, rep_band.upper))
+            if charpoly(_species_rows(band_species(rep_band))) != coeffs:
+                return False, f"species of the band of H^({r},{d - r}) do not multiply to its characteristic polynomial"
+            if any(sum(c * v**i for i, c in enumerate(coeffs)) for v, exact in eigenvalues(rep_band) if exact):
+                return False, f"an exact level of the band of H^({r},{d - r}) is not a root of its characteristic polynomial"
         for p in range(d + 1):
             q = d - p
             space = harmonic_basis(p, q)
@@ -360,8 +383,8 @@ def check_symmetric_spectrum(j_max=6, i_pair=2, i_axis=1):
 
 def check_asymmetric_j1():
     """Momenta (1, 2, 3): the j = 1 triad is exactly {5/12, 2/3, 3/4}, each
-    with multiplicity 3, merged from the three degree-2 blocks; the ladder
-    oracle agrees to 1e-10."""
+    a simple level of the degree-2 band, so a line of multiplicity 3 over
+    the three degree-2 blocks; the ladder oracle agrees to 1e-10."""
     start = time.monotonic()
     spec = diagonalized_spectrum(1, 2, 3, BundleKind.PLUS, k=0, hbar0=1, j_max=1)
     lines = spec.lines_for_degree(2)

@@ -39,13 +39,14 @@ from rotorspec.polyalg.operators import (
     _generator_square,
     _ladder,
     _raw_matrix,
-    band_charpoly,
+    _species_levels,
+    band_species,
     weighted_symmetrization,
 )
-from rotorspec.polyalg.rational_linalg import mat_scale, rational_roots_from_candidates
+from rotorspec.polyalg.rational_linalg import mat_scale
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
-from rotorspec.verify import _adjoint, _band_rows
+from rotorspec.verify import _adjoint, _band_rows, _species_rows
 
 Z1 = Polynomial.variable(4, 0)
 Z2 = Polynomial.variable(4, 1)
@@ -256,11 +257,18 @@ def _blocks(max_degree):
 
 @pytest.mark.parametrize("job", RATIONAL_JOBS, ids=["k_half", "negative_k", "diagonal"])
 def test_continuant_equals_faddeev_leverrier(job):
+    # the continuants of the species multiply to det(t - H) of the dense
+    # band on every block: two Kramers copies of one class for odd d, four
+    # Wang species for even d, with every species entry a Fraction
     momenta, hbar0, k, rho = job
     for p, q in _blocks(10):
         ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
         assert ham.exact
-        coeffs = band_charpoly(ham)
+        species = band_species(ham)
+        assert [count for *_, count in species] == ([2] if (p + q) % 2 else [1] * len(species))
+        assert sum(len(diag) * count for diag, _, count in species) == p + q + 1
+        assert all(type(x) is Fraction for diag, products, _ in species for x in (*diag, *products))
+        coeffs = charpoly(_species_rows(species))
         assert coeffs == charpoly(_band_rows(len(ham.diag), ham.diag, ham.lower, ham.upper))
         assert len(coeffs) == p + q + 2 and coeffs[-1] == 1
         assert all(type(c) is Fraction for c in coeffs)
@@ -413,16 +421,11 @@ def test_charpoly_and_rational_roots():
     m = [[QC(2), QC(1)], [QC(0), QC(3)]]
     coeffs = charpoly(m)  # (t-2)(t-3) = t^2 - 5t + 6
     assert coeffs == [Fraction(6), Fraction(-5), Fraction(1)]
-    roots, residual, leftover = rational_roots_from_candidates(coeffs, [3.0, 2.0])
-    assert sorted(roots) == [2, 3] and residual == [Fraction(1)] and leftover == []
-
-
-def test_a_candidate_is_not_rounded_to_another_integer_root():
-    # (t - 2/3)(t - 1): the candidate 0.66666666667 rounds to the root 1,
-    # which belongs to the next candidate; the convergent 2/3 is its root
-    coeffs = [Fraction(2, 3), Fraction(-5, 3), Fraction(1)]
-    roots, residual, leftover = rational_roots_from_candidates(coeffs, [0.66666666667, 1.0])
-    assert roots == [Fraction(2, 3), 1] and residual == [Fraction(1)] and leftover == []
+    # as a species (diag (2, 3), product 1 * 0) its roots are exact; with
+    # the product 1 * 1 they are (5 -+ sqrt(5)) / 2, irrational, so floats
+    assert _species_levels((Fraction(2), Fraction(3)), (Fraction(0),)) == [(2, True), (3, True)]
+    low, high = _species_levels((Fraction(2), Fraction(3)), (Fraction(1),))
+    assert low == ((5 - math.sqrt(5)) / 2, False) and high == ((5 + math.sqrt(5)) / 2, False)
 
 
 def test_harmonic_basis_r3():

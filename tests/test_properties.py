@@ -69,8 +69,7 @@ def test_multiplicities_per_degree_sum_to_square(triple, bundle):
 
 @SETTINGS
 @given(st.tuples(rationals, rationals, rationals), rationals, bundles)
-# the float eigenvalue near 355/2496 is 8 ulps off, beyond what
-# limit_denominator(10**12) can round back to the exact level
+# the j = 1 level 355/2496 is exact although eigvalsh puts it 8 ulps off
 @example((Fraction(1), Fraction(32), Fraction(39)), Fraction(1, 5), BundleKind.PLUS)
 # routed to the symmetric closed form, which must stay exact
 @example((Fraction(2), Fraction(1), Fraction(2)), Fraction(1, 3), BundleKind.MINUS)

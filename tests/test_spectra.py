@@ -1,7 +1,9 @@
 """Closed-form spectra, the diagonalization engine, and the momentum map."""
 
 import math
+import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +281,84 @@ def test_exact_j2_levels_of_a_triple_with_an_integer_level():
     got = [(ln.energy, ln.multiplicity) for ln in spec.lines_for_degree(4)]
     want = sorted([4 * c1 + c2 + c3, c1 + 4 * c2 + c3, c1 + c2 + 4 * c3, Fraction(1761, 3604), Fraction(1)])
     assert got == [(e, 5) for e in want]
+
+
+def _rational_roots(band, sympy):
+    """The rational roots of det(t - H) of a band, with multiplicity, from
+    sympy's factorization over Q of the dense band's characteristic
+    polynomial."""
+    n = len(band.diag)
+    entries = {(a, a): x for a, x in enumerate(band.diag)}
+    entries.update({(a + 2, a): x for a, x in enumerate(band.lower)})
+    entries.update({(a, a + 2): x for a, x in enumerate(band.upper)})
+    dense = sympy.Matrix(n, n, lambda a, b: sympy.Rational(str(entries.get((a, b), 0))))
+    t = sympy.Symbol("t")
+    roots = sympy.Poly(dense.charpoly(t).as_expr(), t, domain="QQ").ground_roots()
+    return Counter({Fraction(int(r.p), int(r.q)): mult for r, mult in roots.items()})
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 12), (10**3, 10**4), (10**8, 10**9)], ids=["small", "1e3", "1e8"])
+def test_exact_levels_are_the_rational_roots_of_the_band(lo, hi):
+    # for rational input at d <= 4, a level is exact exactly when it is a
+    # rational root of det(t - H); the float-candidate search left most
+    # such levels with large denominators, or at a large scale, as floats
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(lo)
+    for _ in range(10):
+        values = set()
+        while len(values) < 3:
+            den = rng.randint(lo, hi)
+            values.add(Fraction(rng.randint(den, 8 * den), den))
+        momenta = tuple(rng.sample(sorted(values), 3))
+        for hbar0 in (1, 10**100):
+            for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+                spec = diagonalized_spectrum(*momenta, bundle, hbar0=hbar0, j_max=2)
+                for j in j_values(bundle, 2):
+                    d = int(2 * j)
+                    got = Counter()
+                    for ln in spec.lines_for_degree(d):
+                        if isinstance(ln.energy, Fraction):
+                            got[ln.energy] += ln.multiplicity // (d + 1)
+                    # block (d, 0), not the block the spectrum path reads
+                    want = _rational_roots(hamiltonian_matrix(harmonic_basis(d, 0), *momenta, hbar0), sympy)
+                    assert got == want, (momenta, hbar0, d)
+
+
+@pytest.mark.parametrize("hbar0", [10**100, 10**200, 10**300], ids=["1e100", "1e200", "1e300"])
+def test_huge_rational_scale_scales_the_levels(hbar0):
+    # r^2 of a two-entry species leaves the float range from hbar0 =
+    # 10**154 on (10**155 at d = 3), while the levels do not; the spectrum
+    # is hbar0 times the one at hbar0 = 1, exactly where exact, and no
+    # OverflowError is raised
+    momenta = (Fraction(1, 3), 2, Fraction(7, 2))
+    for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+        base = asymmetric_spectrum(*momenta, bundle, j_max=2)
+        spec = asymmetric_spectrum(*momenta, bundle, hbar0=hbar0, j_max=2)
+        assert [(ln.j, ln.multiplicity, ln.eigensections) for ln in spec.lines] == [
+            (ln.j, ln.multiplicity, ln.eigensections) for ln in base.lines
+        ]
+        for ln, ref in zip(spec.lines, base.lines):
+            assert type(ln.energy) is type(ref.energy)
+            if isinstance(ln.energy, Fraction):
+                assert ln.energy == hbar0 * ref.energy
+            else:
+                assert ln.energy == pytest.approx(hbar0 * ref.energy, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "momenta, hbar0, bundle",
+    [
+        ((Fraction(31, 76), Fraction(70, 17), Fraction(8, 13)), Fraction(91, 10) * 10**307, BundleKind.PLUS),
+        ((Fraction(55, 6), Fraction(22, 19), Fraction(34, 59)), Fraction(3, 4) * 10**308, BundleKind.MINUS),
+    ],
+    ids=["exact_level", "irrational_level"],
+)
+def test_a_level_beyond_the_float_range_raises_overflow(momenta, hbar0, bundle):
+    # every weighted band entry is finite, but a level is not: an exact one
+    # (j = 1) or an irrational one (j = 3/2); eigvalsh returned inf there,
+    # which the candidate search turned into a bare OverflowError
+    with pytest.raises(HamiltonianOverflowError):
+        diagonalized_spectrum(*momenta, bundle, hbar0=hbar0, j_max=2)
 
 
 def _per_block_lines(momenta, bundle, k, j_max):

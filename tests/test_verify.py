@@ -146,6 +146,40 @@ def test_harmonic_dimensions_detects_a_wrong_square_record_beyond_degree_8(cold_
     assert detail == "band of H^(7,2) differs from that of H^(4,5) in its diagonal or products"
 
 
+def test_harmonic_dimensions_detects_a_fold_without_the_doubled_product(monkeypatch):
+    # the symmetric species of a class of odd length 2h+1 carries the
+    # product beside the middle entry twice; with it taken once the species
+    # no longer factor the band, first at d = 4, where class 0 has length 3
+    real = operators._wang_fold
+
+    def undoubled(diag, products):
+        species = real(diag, products)
+        if len(diag) % 2 and len(diag) > 1:
+            sym_diag, sym_products = species[1]
+            species[1] = (sym_diag, [*sym_products[:-1], sym_products[-1] / 2])
+        return species
+
+    monkeypatch.setattr(operators, "_wang_fold", undoubled)
+    assert verify.check_dimensions(3)[0]
+    ok, detail = verify.check_dimensions(4)
+    assert not ok
+    assert detail == "species of the band of H^(2,2) do not multiply to its characteristic polynomial"
+
+
+def test_harmonic_dimensions_detects_an_exact_level_that_is_not_a_root(monkeypatch):
+    # a closed-form solver that shifts its exact levels leaves the species
+    # intact; only the substitution into det(t - H) sees it
+    real = operators._species_levels
+
+    def shifted(diag, products):
+        return [(v + Fraction(1, 7) if exact else v, exact) for v, exact in real(diag, products)]
+
+    monkeypatch.setattr(operators, "_species_levels", shifted)
+    ok, detail = verify.check_dimensions(2)
+    assert not ok
+    assert detail == "an exact level of the band of H^(1,1) is not a root of its characteristic polynomial"
+
+
 def test_harmonic_dimensions_hold_up_to_degree_24():
     # harmonic sectors, ladder closure on the basis polynomials, the weight
     # recurrence and the band comparison with the representative block on
