@@ -26,6 +26,15 @@ from .geometry import ParticleSystem, RigidConfiguration
 Vec3Field = Callable[[np.ndarray], np.ndarray]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) of two 3-vectors, bit for bit: the same products and
+    differences a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0 in float64,
+    without the axis handling that dominates np.cross on one pair."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 @dataclass(frozen=True)
 class PatternField:
     """Observed electric and magnetic fields as maps from position to
@@ -63,7 +72,7 @@ class PatternField:
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
         return float(
-            -2.0 * (v0 * e_val.dot(w) - w0 * e_val.dot(v)) + 2.0 * b_val.dot(np.cross(v, w))
+            -2.0 * (v0 * e_val.dot(w) - w0 * e_val.dot(v)) + 2.0 * b_val.dot(_cross(v, w))
         )
 
 
@@ -98,6 +107,9 @@ def split_field(
         rot   = sum_i (q_i/m) F(e_i; omega x r_i, psi x r_i)
               = sum_i (q_i/m) 2 (B(e_i).r_i) ((omega x psi).r_i)
         mixed = sum_i (q_i/m) [F(e_i; v_cen, psi x r_i) + F(e_i; omega x r_i, w_cen)]
+
+    Every cross product of two 3-vectors here and in PatternField.evaluate
+    is _cross, which gives np.cross's bits at a fraction of its cost.
     """
     v_cen, omega = (np.asarray(x, dtype=float) for x in v)
     w_cen, psi = (np.asarray(x, dtype=float) for x in w)
@@ -106,8 +118,8 @@ def split_field(
     for qi, ri in zip(system.charges, config.relatives):
         pos = config.center + ri
         weight = qi / m
-        v_rot = np.cross(omega, ri)
-        w_rot = np.cross(psi, ri)
+        v_rot = _cross(omega, ri)
+        w_rot = _cross(psi, ri)
         cen += weight * fld.evaluate(pos, (v0, v_cen), (w0, w_cen))
         rot += weight * fld.evaluate(pos, (0.0, v_rot), (0.0, w_rot))
         mixed += weight * (
@@ -134,8 +146,8 @@ def unsplit_field(
     out = 0.0
     for qi, ri in zip(system.charges, config.relatives):
         pos = config.center + ri
-        vi = v_cen + np.cross(omega, ri)
-        wi = w_cen + np.cross(psi, ri)
+        vi = v_cen + _cross(omega, ri)
+        wi = w_cen + _cross(psi, ri)
         out += (qi / m) * fld.evaluate(pos, (v0, vi), (w0, wi))
     return out
 

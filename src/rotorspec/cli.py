@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from numbers import Rational
 
 import numpy as np
@@ -585,7 +586,10 @@ def _apply_overrides(job: JobConfig, args) -> JobConfig:
     return job
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rotorspec argument parser, built once per process: parse_args
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="rotorspec",
         description="Quantum rotational spectra of rigid bodies from particle data",

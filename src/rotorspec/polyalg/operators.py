@@ -220,6 +220,13 @@ def _generator_square(p: int, q: int):
     return diag, lower, upper, tuple(l * l for l in space.l_values)
 
 
+@lru_cache(maxsize=None)
+def _generator_square_float(p: int, q: int):
+    """The record of _generator_square with the pairing weights appended,
+    (D, L, U, l^2, w), each entry converted by float() once per block."""
+    return tuple(tuple(map(float, part)) for part in (*_generator_square(p, q), pairing_weights(p, q)))
+
+
 def hamiltonian_matrix(
     space: BidegreeSpace, i1, i2, i3, hbar0=1, k=0, rho=0
 ) -> HamiltonianBand:
@@ -228,7 +235,8 @@ def hamiltonian_matrix(
     diagonal.
 
     The band reads the one cached square record (D, L, U, l^2) of
-    _generator_square: J2^2 shares D with J1^2 and negates L and U.  For
+    _generator_square, or its cached float copy for float input: J2^2
+    shares D with J1^2 and negates L and U.  For
     rational input it is exact: diag = k rho + (c1 + c2) D + c3 l^2, lower
     = (c1 - c2) L, upper = (c1 - c2) U.  Otherwise it is float, in axis
     order: diag = ((k rho + c1 D) + c2 D) + c3 l^2, lower = c1 L - c2 L,
@@ -237,8 +245,8 @@ def hamiltonian_matrix(
     w_(a+2) lower_a or w_a upper_a.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
-    sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho)):
+        sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
         c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
         shift, c_sum, c_diff = Fraction(k) * Fraction(rho), c1 + c2, c1 - c2
         diag = [shift + c_sum * x + c3 * y for x, y in zip(sq_diag, l_squared)]
@@ -250,10 +258,10 @@ def hamiltonian_matrix(
             shift = float(k) * float(rho)
         except OverflowError as exc:
             raise HamiltonianOverflowError() from exc
-        diag = [((shift + c1 * x) + c2 * x) + c3 * y for x, y in zip(map(float, sq_diag), map(float, l_squared))]
-        lower = [c1 * x - c2 * x for x in map(float, sq_lower)]
-        upper = [c1 * x - c2 * x for x in map(float, sq_upper)]
-        w = [float(x) for x in pairing_weights(space.p, space.q)]
+        sq_diag, sq_lower, sq_upper, l_squared, w = _generator_square_float(space.p, space.q)
+        diag = [((shift + c1 * x) + c2 * x) + c3 * y for x, y in zip(sq_diag, l_squared)]
+        lower = [c1 * x - c2 * x for x in sq_lower]
+        upper = [c1 * x - c2 * x for x in sq_upper]
         weighted = [x * y for ws, band in ((w, diag), (w[2:], lower), (w, upper)) for x, y in zip(ws, band)]
         if not all(map(math.isfinite, weighted)):
             raise HamiltonianOverflowError()

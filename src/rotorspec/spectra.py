@@ -234,6 +234,18 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
     return _closed_form("spherical", TopClass.SPHERICAL, bundle, {"I": i_mom}, k, h, j_max, levels())
 
 
+def _symmetric_degrees(i_pair, i_axis, h, bundle: BundleKind, j_max):
+    """Yield (d, j, pair, axis) for each degree d = 2j of the bundle up to
+    j_max: the j term pair = hbar0/(2 I_pair) j(j+1), and the l^2 term axis
+    = hbar0/2 (1/I_axis - 1/I_pair) j^2 of |l| = j, the one new |l| of the
+    degree.  Each term has the operands of the per-line formula in its
+    left-to-right order, and (c (-x)) (-x) = (c x) x exactly, so a level
+    summed from these terms is the same float or Fraction as the formula's
+    for that line."""
+    for j in j_values(bundle, j_max):
+        yield int(2 * j), j, h / (2 * i_pair) * j * (j + 1), h / 2 * (1 / i_axis - 1 / i_pair) * j * j
+
+
 def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spectrum:
     """Symmetric-top levels indexed by (j, |l|).
 
@@ -241,6 +253,8 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
     -j to j with the parity of j.  Multiplicity is (2j+1) at l = 0 and
     2(2j+1) otherwise.  Coinciding energies across different (j, l) stay as
     separate lines; use Spectrum.group_by_energy for the merged view.
+    The j term is formed once per degree and the |l|^2 term once per 2|l|
+    (_symmetric_degrees); a line adds them and k rho, in that order.
     """
     check_j_max(j_max)
     check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
@@ -250,24 +264,18 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
     shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
 
     def levels():
-        for j in j_values(bundle, j_max):
-            d = int(2 * j)
-            abs_l = Fraction(0) if j.denominator == 1 else Fraction(1, 2)
-            while abs_l <= j:
-                e = (
-                    h / (2 * i_pair) * j * (j + 1)
-                    + h / 2 * (1 / i_axis - 1 / i_pair) * abs_l * abs_l
-                    + shift
-                )
-                if abs_l == 0:
-                    mult = int(2 * j + 1)
-                    indices = (int(j),)
+        axis = {}  # 2|l| -> (|l|, its l^2 term), for every |l| <= j so far
+        for d, j, pair_term, new_axis in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
+            axis[d] = (j, new_axis)
+            blocks = _degree_blocks(d)
+            for two_l in range(d % 2, d + 1, 2):
+                abs_l, axis_term = axis[two_l]
+                if two_l == 0:
+                    mult, indices = d + 1, (d // 2,)
                 else:
-                    mult = 2 * int(2 * j + 1)
-                    indices = (int(j - abs_l), int(j + abs_l))
-                refs = tuple((p, q, idx) for (p, q) in _degree_blocks(d) for idx in indices)
-                yield e, j, abs_l, mult, refs
-                abs_l += 1
+                    mult, indices = 2 * (d + 1), ((d - two_l) // 2, (d + two_l) // 2)
+                refs = tuple((p, q, idx) for (p, q) in blocks for idx in indices)
+                yield pair_term + axis_term + shift, j, abs_l, mult, refs
 
     params = {"I_pair": i_pair, "I_axis": i_axis}
     return _closed_form("symmetric", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
@@ -297,7 +305,10 @@ def monopole_spectrum(
 
     The term linear in l breaks the +-l degeneracy, so lines carry signed l
     and multiplicity 2j+1.  With nu = 0 this reduces termwise to the free
-    symmetric spectrum.
+    symmetric spectrum.  The j and l^2 terms come from _symmetric_degrees,
+    the linear term is formed once per 2|l| and negated for l < 0, and a
+    line sums j + l^2 - linear + constant + k rho left to right; its
+    references are (p, q, j + l) over the blocks of its degree.
     """
     check_j_max(j_max)
     check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
@@ -307,19 +318,18 @@ def monopole_spectrum(
     shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
 
     def levels():
-        for j in j_values(bundle, j_max):
-            d = int(2 * j)
-            l = -j
-            while l <= j:
-                e = (
-                    h / (2 * i_pair) * j * (j + 1)
-                    + h / 2 * (1 / i_axis - 1 / i_pair) * l * l
-                    - nu * qn / i_axis * l
-                    + nu * nu * qn * qn / (2 * i_axis * h)
-                    + shift
-                )
-                yield e, j, l, int(2 * j + 1), tuple((p, q, int(j + l)) for (p, q) in _degree_blocks(d))
-                l += 1
+        terms = {}  # 2l -> (l, its l^2 term, its linear term), for every |l| <= j so far
+        for d, j, pair_term, new_quad in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
+            new_lin = nu * qn / i_axis * j
+            # inside the loop, so a spectrum without lines forms no term
+            # and an error of a term surfaces at the first line
+            constant = nu * nu * qn * qn / (2 * i_axis * h)
+            terms[-d] = (-j, new_quad, -new_lin)
+            terms[d] = (j, new_quad, new_lin)
+            blocks = _degree_blocks(d)
+            for idx in range(d + 1):
+                l, quad, lin = terms[2 * idx - d]
+                yield pair_term + quad - lin + constant + shift, j, l, d + 1, tuple((p, q, idx) for (p, q) in blocks)
 
     params = {"I_pair": i_pair, "I_axis": i_axis, "nu": nu, "q_norm": qn}
     return _closed_form("monopole", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())

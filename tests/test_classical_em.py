@@ -12,6 +12,7 @@ from rotorspec import (
     split_potential,
     unsplit_field,
 )
+from rotorspec.classical_em import _cross
 
 
 def _dipole(m1=1.0, m2=3.0, q1=2.0, a=1.25):
@@ -149,3 +150,16 @@ def test_split_potential_additivity():
             for i, qi in enumerate(system.charges)
         )
         assert a_cen.dot(v_cen) + a_rot.dot(omega) == pytest.approx(full, abs=1e-12)
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(18)
+    special = np.array([0.0, -0.0, 1e300, -1e300, 1.0, -2.5])
+    pairs = [rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-300, 300, (2, 3)) for _ in range(2000)]
+    pairs += [rng.choice(special, (2, 3)) for _ in range(2000)]
+    for a, b in pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.cross(a, b)
+        got = _cross(a, b)
+        assert got.dtype == want.dtype and got.shape == (3,)
+        assert got.tobytes() == want.tobytes(), (a, b)

@@ -46,6 +46,16 @@ TRIANGLE = {
     ],
 }
 
+# a square of unit masses (a symmetric top), with a constant field and a probe
+SQUARE_PROBED = {
+    "version": 1,
+    "particles": [
+        {"mass": 1, "charge": 1, "position": p} for p in ([1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0])
+    ],
+    "field": {"type": "constant", "E": [0.1, 0, 0.2], "B": [0.4, -0.2, 0.9]},
+    "em_probe": {"v_cen": [1, -2, 0.5], "omega": [0.3, 0.8, -0.5], "w_cen": [0.2, 0.3, -0.7], "psi": [-0.6, 0.1, 0.7]},
+}
+
 
 def _write(tmp_path, doc, name="job.json"):
     path = tmp_path / name
@@ -136,6 +146,22 @@ def test_spectrum_deterministic_bytes(tmp_path, capsys):
     assert main(args) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cached_parser_survives_an_argparse_error(tmp_path, capsys):
+    symmetric = _write(tmp_path, SQUARE_PROBED, "square.json")
+    spectrum = ["spectrum", "--config", symmetric, "--j-max", "4", "--bundle", "both"]
+    assert main(spectrum) == EXIT_OK
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command", "--config", symmetric])
+    assert exc.value.code == 2
+    assert main(["classify", "--config", symmetric]) == EXIT_OK
+    assert main(["em-split", "--config", symmetric]) == EXIT_OK
+    capsys.readouterr()
+    assert main(spectrum) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_hbar_flag_scales_energies(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Closed-form spectra, the diagonalization engine, and the momentum map."""
 
+import fractions
 import math
 import random
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +30,7 @@ from rotorspec.inertia import TopClass, scalar_curvature
 from rotorspec.polyalg import casimir_matrix, eigenvalues, hamiltonian_matrix, harmonic_basis
 from rotorspec.polyalg.operators import weighted_symmetrization
 from rotorspec.quantum_structures import j_values
-from rotorspec.spectra import group_energies
+from rotorspec.spectra import curvature_shift, group_energies
 
 
 def test_j_squared_examples():
@@ -220,6 +222,123 @@ def test_monopole_multiplicity_is_2j_plus_1():
     mono = monopole_spectrum(2, 1, BundleKind.PLUS, nu=1, q_center_norm=1, j_max=2)
     for ln in mono.lines:
         assert ln.multiplicity == int(2 * ln.j + 1)
+
+
+def _per_line_symmetric(spec):
+    """(j, |l|) -> (energy, multiplicity, refs) with every term formed for
+    its line, by Fraction j and |l|: the closed form written out."""
+    i_pair, i_axis, h = spec.params["I_pair"], spec.params["I_axis"], spec.hbar0
+    shift = curvature_shift(spec.k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
+    out = {}
+    for j in j_values(spec.bundle, spec.j_max):
+        d = int(2 * j)
+        abs_l = Fraction(0) if j.denominator == 1 else Fraction(1, 2)
+        while abs_l <= j:
+            e = h / (2 * i_pair) * j * (j + 1) + h / 2 * (1 / i_axis - 1 / i_pair) * abs_l * abs_l + shift
+            if abs_l == 0:
+                mult, indices = int(2 * j + 1), (int(j),)
+            else:
+                mult, indices = 2 * int(2 * j + 1), (int(j - abs_l), int(j + abs_l))
+            out[(j, abs_l)] = (e, mult, tuple((p, d - p, idx) for p in range(d + 1) for idx in indices))
+            abs_l += 1
+    return out
+
+
+def _per_line_monopole(spec):
+    """(j, l) -> (energy, multiplicity, refs) of the monopole closed form
+    written out, every term formed for its line."""
+    i_pair, i_axis, h = spec.params["I_pair"], spec.params["I_axis"], spec.hbar0
+    nu, qn = spec.params["nu"], spec.params["q_norm"]
+    shift = curvature_shift(spec.k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
+    out = {}
+    for j in j_values(spec.bundle, spec.j_max):
+        d = int(2 * j)
+        l = -j
+        while l <= j:
+            e = (
+                h / (2 * i_pair) * j * (j + 1)
+                + h / 2 * (1 / i_axis - 1 / i_pair) * l * l
+                - nu * qn / i_axis * l
+                + nu * nu * qn * qn / (2 * i_axis * h)
+                + shift
+            )
+            idx = int(j + l)
+            out[(j, l)] = (e, int(2 * j + 1), tuple((p, d - p, idx) for p in range(d + 1)))
+            l += 1
+    return out
+
+
+def _assert_lines_are(spec, want):
+    assert len(spec.lines) == len(want)
+    for ln in spec.lines:
+        energy, mult, refs = want[(ln.j, ln.l)]
+        assert (repr(ln.energy), type(ln.energy)) == (repr(energy), type(energy)), (ln.j, ln.l)
+        assert type(ln.j) is type(ln.l) is Fraction
+        assert (ln.multiplicity, ln.eigensections) == (mult, refs)
+
+
+@pytest.mark.parametrize(
+    "i_pair, i_axis",
+    [(2.3, 1.1), (Fraction(7, 3), Fraction(5, 4)), (Fraction(7, 3), 1.1), (0.4, 3)],
+    ids=repr,
+)
+def test_closed_forms_equal_their_per_line_formulas(i_pair, i_axis):
+    # each term is formed once per degree or per |l| and summed in the
+    # formula's order, so every float is the same bits and every Fraction
+    # the same value as when each line forms all of its terms
+    free, charged, float_charged = (0, 1), (Fraction(3, 2), Fraction(2, 5)), (-0.7, 1.3)
+    every = (free, charged, float_charged)
+    half = Fraction(7, 2)
+    cases = [
+        (1, 0, 25, (free,)),
+        (1.7, 0.25, 25, (charged,)),
+        (1e300, Fraction(1, 2), 25, (float_charged,)),
+        (Fraction(2, 3), Fraction(1, 2), half, every),
+        (1e300, 0, half, every),
+        (1, 0.25, half, every),
+    ]
+    for hbar0, k, j_max, monopoles in cases:
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            spec = symmetric_spectrum(i_pair, i_axis, bundle, k=k, hbar0=hbar0, j_max=j_max)
+            _assert_lines_are(spec, _per_line_symmetric(spec))
+            for nu, qn in monopoles:
+                spec = monopole_spectrum(i_pair, i_axis, bundle, nu, qn, k=k, hbar0=hbar0, j_max=j_max)
+                _assert_lines_are(spec, _per_line_monopole(spec))
+
+
+def test_closed_forms_at_hbar_1e308_raise_overflow():
+    for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+        with pytest.raises(HamiltonianOverflowError):
+            symmetric_spectrum(2.3, 1.1, bundle, hbar0=1e308, j_max=25)
+        with pytest.raises(HamiltonianOverflowError):
+            monopole_spectrum(2.3, 1.1, bundle, 1.5, 0.7, hbar0=1e308, j_max=25)
+
+
+def test_closed_forms_do_bounded_fraction_work_per_line():
+    # on float momenta the j and |l| terms are floats formed once per
+    # degree or per |l|; what stays per line (the Fraction labels of a
+    # line and its sort key) is a handful of calls into fractions.  Forming
+    # every term per line, with Fraction j and l, made about 77 calls per
+    # symmetric line and 340 per monopole line
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    for build in (
+        lambda bundle: symmetric_spectrum(2.3, 1.1, bundle, j_max=25),
+        lambda bundle: monopole_spectrum(2.3, 1.1, bundle, 1.5, 0.7, j_max=25),
+    ):
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            calls = 0
+            sys.setprofile(profile)
+            try:
+                lines = len(build(bundle).lines)
+            finally:
+                sys.setprofile(None)
+            assert calls <= 20 * lines, (bundle, calls, lines)
 
 
 def test_eigensections_lie_in_casimir_eigenspace():
