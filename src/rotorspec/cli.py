@@ -21,7 +21,6 @@ from numbers import Rational
 
 import numpy as np
 
-from . import verify as verify_mod
 from .classical_em import PatternField, decoupling_check, split_field, unsplit_field
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import (
@@ -626,7 +625,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if args.j_max > J_MAX_CAP:
                 raise SchemaError(f"j_max exceeds the hard cap {J_MAX_CAP}")
-            return verify_mod.run_suite(j_max=args.j_max)
+            from . import verify  # only this command needs the oracle suite
+
+            return verify.run_suite(j_max=args.j_max)
         job = _apply_overrides(load_job(args.config), args)
         if args.command == "classify":
             return cmd_classify(job)

@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from numbers import Rational
 
 import numpy as np
@@ -61,6 +63,11 @@ class SpectralLine:
     l is None when the level is labeled by j alone (spherical and
     diagonalized spectra).  eigensections holds (p, q, index) references
     into the harmonic bases; the degenerate case uses (degree, None, index).
+    The (p, q, index) references are shared and immutable: each triple is
+    built once per degree, and a line's tuple of them comes from one memo
+    per (degree, indices) (_refs; a diagonalized line of several indices
+    joins their columns).  Degrees stop at 2 J_MAX_CAP, which bounds the
+    memo.
     """
 
     energy: object
@@ -133,27 +140,31 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
     """Group (energy, item) pairs into levels: [(energy, items), ...].
 
     The pairs are stably sorted by energy, so items keep their given order
-    within a level.  When every energy is rational, two energies form one
-    level only if they are equal; otherwise an energy joins the current
-    level when it lies within eps_spec * max(1, |ref|) of the level's first
-    energy ref.  The level's energy is that first energy.
+    within a level, and the levels are listed by their first energies.  A
+    rational energy joins the level of an equal rational energy, so exact
+    levels stay apart even in a degree that also holds floats.  A float
+    energy joins the latest float level when it lies within
+    eps_spec * max(1, |ref|) of that level's first energy ref.  A rational
+    and a float energy never share a level.  The level's energy is its
+    first energy.
     """
     pairs = sorted(pairs, key=lambda t: _as_float(t[0]))
-    exact = all(isinstance(e, Rational) for e, _ in pairs)
     groups: list[tuple[object, list]] = []
+    exact: dict = {}  # rational energy -> its level
+    inexact = None  # the level a float energy may join
     for energy, item in pairs:
-        if groups:
-            ref = groups[-1][0]
-            if exact:
-                same = energy == ref
-            else:
-                same = abs(float(energy) - float(ref)) <= eps_spec * max(
-                    1.0, abs(float(ref))
-                )
-            if same:
-                groups[-1][1].append(item)
-                continue
-        groups.append((energy, [item]))
+        if isinstance(energy, Rational):
+            level = exact.get(energy)
+            if level is None:
+                level = exact[energy] = (energy, [])
+                groups.append(level)
+        else:
+            ref = None if inexact is None else float(inexact[0])
+            if ref is None or abs(float(energy) - ref) > eps_spec * max(1.0, abs(ref)):
+                inexact = (energy, [])
+                groups.append(inexact)
+            level = inexact
+        level[1].append(item)
     return [(e, tuple(items)) for e, items in groups]
 
 
@@ -163,10 +174,14 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
 def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     """Additive constant k * rho added to every level, with rho the scalar
     curvature closed form of the top class; k = 0 (the default everywhere)
-    turns it off.  A float k times a rational rho beyond the float range
-    raises HamiltonianOverflowError."""
+    turns it off.  The zero shift is Fraction(0) when k, hbar0 and the
+    momenta are all rational, and 0.0 otherwise: a float level x then
+    adds a float, and x + 0.0 is the float that x + Fraction(0) gives.  A
+    float k times a rational rho beyond the float range raises
+    HamiltonianOverflowError."""
     if k == 0:
-        return Fraction(0) if isinstance(k, Rational) else 0.0
+        exact = all(isinstance(v, Rational) for v in (k, hbar0, *momenta))
+        return Fraction(0) if exact else 0.0
     rho = scalar_curvature(top_class, momenta, hbar0)
     try:
         return k * rho
@@ -212,8 +227,20 @@ def j_squared_spectrum(bundle: BundleKind, j_max, hbar0=1) -> Spectrum:
     return _closed_form("j_squared", None, bundle, {}, 0, h, j_max, levels)
 
 
-def _degree_blocks(d: int):
-    return [(p, d - p) for p in range(d + 1)]
+@cache
+def _degree_refs(d: int):
+    """The references (p, d - p, idx) of degree d, one object per triple,
+    in rows by block p."""
+    return tuple(tuple((p, d - p, idx) for idx in range(d + 1)) for p in range(d + 1))
+
+
+@cache
+def _refs(d: int, indices: tuple):
+    """The eigensection references of a degree-d line whose levels sit at
+    the given indices of every block, block-major: (p, d - p, idx) for p
+    in 0..d, idx in indices.  Memoized, and built from the shared triples
+    of _degree_refs."""
+    return tuple(row[idx] for row in _degree_refs(d) for idx in indices)
 
 
 def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spectrum:
@@ -228,8 +255,7 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
         for j in j_values(bundle, j_max):
             d = int(2 * j)
             e = h / (2 * i_mom) * j * (j + 1) + shift
-            refs = tuple((p, q, idx) for (p, q) in _degree_blocks(d) for idx in range(d + 1))
-            yield e, j, None, int((2 * j + 1) ** 2), refs
+            yield e, j, None, int((2 * j + 1) ** 2), _refs(d, tuple(range(d + 1)))
 
     return _closed_form("spherical", TopClass.SPHERICAL, bundle, {"I": i_mom}, k, h, j_max, levels())
 
@@ -267,15 +293,13 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
         axis = {}  # 2|l| -> (|l|, its l^2 term), for every |l| <= j so far
         for d, j, pair_term, new_axis in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
             axis[d] = (j, new_axis)
-            blocks = _degree_blocks(d)
             for two_l in range(d % 2, d + 1, 2):
                 abs_l, axis_term = axis[two_l]
                 if two_l == 0:
                     mult, indices = d + 1, (d // 2,)
                 else:
                     mult, indices = 2 * (d + 1), ((d - two_l) // 2, (d + two_l) // 2)
-                refs = tuple((p, q, idx) for (p, q) in blocks for idx in indices)
-                yield pair_term + axis_term + shift, j, abs_l, mult, refs
+                yield pair_term + axis_term + shift, j, abs_l, mult, _refs(d, indices)
 
     params = {"I_pair": i_pair, "I_axis": i_axis}
     return _closed_form("symmetric", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
@@ -326,10 +350,9 @@ def monopole_spectrum(
             constant = nu * nu * qn * qn / (2 * i_axis * h)
             terms[-d] = (-j, new_quad, -new_lin)
             terms[d] = (j, new_quad, new_lin)
-            blocks = _degree_blocks(d)
             for idx in range(d + 1):
                 l, quad, lin = terms[2 * idx - d]
-                yield pair_term + quad - lin + constant + shift, j, l, d + 1, tuple((p, q, idx) for (p, q) in blocks)
+                yield pair_term + quad - lin + constant + shift, j, l, d + 1, _refs(d, (idx,))
 
     params = {"I_pair": i_pair, "I_axis": i_axis, "nu": nu, "q_norm": qn}
     return _closed_form("monopole", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
@@ -361,8 +384,9 @@ def diagonalized_spectrum(
     eigenvalues() owns the exactness policy: under rational inputs a level
     is exact on diagonal blocks and, up to degree EXACT_DEGREE_MAX = 4,
     exactly when it is rational (the species of the band, solved in
-    closed form); grouping is exact when every energy of a degree is,
-    within tol.spec otherwise.
+    closed form).  Equal exact levels form one line; float levels are
+    grouped within tol.spec, and an exact level never joins a float one
+    (group_energies).
     HamiltonianOverflowError is raised when the band of any block of a
     degree would raise it.  This is the oracle route the closed forms are
     verified against, and the production route for the asymmetric top.
@@ -391,8 +415,8 @@ def diagonalized_spectrum(
         ham = hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), i1, i2, i3, h, k, rho)
         levels = [(value, idx) for idx, (value, _) in enumerate(eigenvalues(ham))]
         if not scale * 2 ** (6 * d + 8) < 1e300:
-            for p, q in _degree_blocks(d):
-                eigenvalues(hamiltonian_matrix(harmonic_basis(p, q), i1, i2, i3, h, k, rho))
+            for p in range(d + 1):
+                eigenvalues(hamiltonian_matrix(harmonic_basis(p, d - p), i1, i2, i3, h, k, rho))
         for energy, idxs in group_energies(levels, tol.spec):
             lines.append(
                 SpectralLine(
@@ -401,7 +425,7 @@ def diagonalized_spectrum(
                     multiplicity=(d + 1) * len(idxs),
                     bundle=bundle,
                     source="diagonalized",
-                    eigensections=tuple((p, q, idx) for idx in idxs for p, q in _degree_blocks(d)),
+                    eigensections=tuple(chain.from_iterable(_refs(d, (idx,)) for idx in idxs)),
                 )
             )
     return Spectrum(

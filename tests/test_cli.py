@@ -1,6 +1,9 @@
 """CLI surface: schema, exit codes, output formats, JSON round-trip."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -146,6 +149,22 @@ def test_spectrum_deterministic_bytes(tmp_path, capsys):
     assert main(args) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_only_the_verify_command_imports_the_oracle_suite(tmp_path):
+    # a fresh interpreter, since the test session has imported verify already
+    path = _write(tmp_path, TRIANGLE)
+    code = (
+        "import sys, rotorspec.cli as c; "
+        f"assert c.main(['spectrum', '--config', {path!r}]) == 0; "
+        "assert 'rotorspec.verify' not in sys.modules; "
+        "assert c.main(['verify', '--j-max', '1']) == 0; "
+        "assert 'rotorspec.verify' in sys.modules"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cached_parser_survives_an_argparse_error(tmp_path, capsys):

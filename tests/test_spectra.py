@@ -7,6 +7,7 @@ import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -26,11 +27,11 @@ from rotorspec import (
     velocities_from_angular,
 )
 from rotorspec.errors import HamiltonianOverflowError
-from rotorspec.inertia import TopClass, scalar_curvature
+from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import casimir_matrix, eigenvalues, hamiltonian_matrix, harmonic_basis
 from rotorspec.polyalg.operators import weighted_symmetrization
 from rotorspec.quantum_structures import j_values
-from rotorspec.spectra import curvature_shift, group_energies
+from rotorspec.spectra import _refs, curvature_shift, group_energies
 
 
 def test_j_squared_examples():
@@ -224,11 +225,32 @@ def test_monopole_multiplicity_is_2j_plus_1():
         assert ln.multiplicity == int(2 * ln.j + 1)
 
 
+def _literal_shift(spec, top, momenta):
+    """k rho as a literal: a rational k = 0 adds Fraction(0) to every
+    level, whatever the momenta, so a float level x is x + Fraction(0)."""
+    if spec.k == 0:
+        return Fraction(0) if isinstance(spec.k, Rational) else 0.0
+    return spec.k * scalar_curvature(top, momenta, spec.hbar0)
+
+
+def _per_line_spherical(spec):
+    """(j, None) -> (energy, multiplicity, refs) of the spherical closed
+    form written out."""
+    i_mom, h = spec.params["I"], spec.hbar0
+    shift = _literal_shift(spec, TopClass.SPHERICAL, (i_mom,))
+    out = {}
+    for j in j_values(spec.bundle, spec.j_max):
+        d = int(2 * j)
+        refs = tuple((p, d - p, idx) for p in range(d + 1) for idx in range(d + 1))
+        out[(j, None)] = (h / (2 * i_mom) * j * (j + 1) + shift, (d + 1) ** 2, refs)
+    return out
+
+
 def _per_line_symmetric(spec):
     """(j, |l|) -> (energy, multiplicity, refs) with every term formed for
     its line, by Fraction j and |l|: the closed form written out."""
     i_pair, i_axis, h = spec.params["I_pair"], spec.params["I_axis"], spec.hbar0
-    shift = curvature_shift(spec.k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
+    shift = _literal_shift(spec, TopClass.SYMMETRIC, (i_pair, i_axis))
     out = {}
     for j in j_values(spec.bundle, spec.j_max):
         d = int(2 * j)
@@ -249,7 +271,7 @@ def _per_line_monopole(spec):
     written out, every term formed for its line."""
     i_pair, i_axis, h = spec.params["I_pair"], spec.params["I_axis"], spec.hbar0
     nu, qn = spec.params["nu"], spec.params["q_norm"]
-    shift = curvature_shift(spec.k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
+    shift = _literal_shift(spec, TopClass.SYMMETRIC, (i_pair, i_axis))
     out = {}
     for j in j_values(spec.bundle, spec.j_max):
         d = int(2 * j)
@@ -268,12 +290,33 @@ def _per_line_monopole(spec):
     return out
 
 
+def _assert_diagonalized_lines(spec):
+    """Each line holds the levels of block H^(d//2, d - d//2) at its
+    indices, with references index by index over every block of its
+    degree; returns the number of lines with more than one index."""
+    momenta = (spec.params["I1"], spec.params["I2"], spec.params["I3"])
+    closed_momenta = classify_momenta(momenta)[1]
+    rho = scalar_curvature(spec.top_class, closed_momenta or momenta, spec.hbar0) if spec.k != 0 else 0
+    several = 0
+    for ln in spec.lines:
+        d = int(2 * ln.j)
+        idxs = [idx for p, _, idx in ln.eigensections if p == 0]
+        refs = tuple((p, d - p, idx) for idx in idxs for p in range(d + 1))
+        assert (ln.multiplicity, ln.eigensections) == ((d + 1) * len(idxs), refs)
+        ham = hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), *momenta, spec.hbar0, spec.k, rho)
+        value = eigenvalues(ham)[idxs[0]][0]
+        assert (repr(ln.energy), type(ln.energy)) == (repr(value), type(value))
+        several += len(idxs) > 1
+    return several
+
+
 def _assert_lines_are(spec, want):
     assert len(spec.lines) == len(want)
     for ln in spec.lines:
         energy, mult, refs = want[(ln.j, ln.l)]
         assert (repr(ln.energy), type(ln.energy)) == (repr(energy), type(energy)), (ln.j, ln.l)
-        assert type(ln.j) is type(ln.l) is Fraction
+        assert type(ln.j) is Fraction
+        assert type(ln.l) is (type(None) if spec.kind == "spherical" else Fraction)
         assert (ln.multiplicity, ln.eigensections) == (mult, refs)
 
 
@@ -285,7 +328,8 @@ def _assert_lines_are(spec, want):
 def test_closed_forms_equal_their_per_line_formulas(i_pair, i_axis):
     # each term is formed once per degree or per |l| and summed in the
     # formula's order, so every float is the same bits and every Fraction
-    # the same value as when each line forms all of its terms
+    # the same value as when each line forms all of its terms; on float
+    # momenta with k = 0 the shift 0.0 gives the bits of + Fraction(0)
     free, charged, float_charged = (0, 1), (Fraction(3, 2), Fraction(2, 5)), (-0.7, 1.3)
     every = (free, charged, float_charged)
     half = Fraction(7, 2)
@@ -299,11 +343,18 @@ def test_closed_forms_equal_their_per_line_formulas(i_pair, i_axis):
     ]
     for hbar0, k, j_max, monopoles in cases:
         for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            spec = spherical_spectrum(i_pair, bundle, k=k, hbar0=hbar0, j_max=j_max)
+            _assert_lines_are(spec, _per_line_spherical(spec))
             spec = symmetric_spectrum(i_pair, i_axis, bundle, k=k, hbar0=hbar0, j_max=j_max)
             _assert_lines_are(spec, _per_line_symmetric(spec))
             for nu, qn in monopoles:
                 spec = monopole_spectrum(i_pair, i_axis, bundle, nu, qn, k=k, hbar0=hbar0, j_max=j_max)
                 _assert_lines_are(spec, _per_line_monopole(spec))
+            if j_max == half and hbar0 != 1e300:
+                # a symmetric body on the diagonalization route: the
+                # levels +l and -l of a block form one line of two indices
+                spec = diagonalized_spectrum(i_pair, i_pair, i_axis, bundle, k=k, hbar0=hbar0, j_max=j_max)
+                assert _assert_diagonalized_lines(spec) > 0
 
 
 def test_closed_forms_at_hbar_1e308_raise_overflow():
@@ -339,6 +390,54 @@ def test_closed_forms_do_bounded_fraction_work_per_line():
             finally:
                 sys.setprofile(None)
             assert calls <= 20 * lines, (bundle, calls, lines)
+
+
+def _every_route_at_the_cap():
+    for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+        yield spherical_spectrum(2.3, bundle, j_max=25)
+        yield symmetric_spectrum(2.3, 1.1, bundle, j_max=25)
+        yield monopole_spectrum(2.3, 1.1, bundle, 1.5, 0.7, j_max=25)
+        yield diagonalized_spectrum(1.0, 2.0, 3.5, bundle, j_max=25)
+
+
+def test_reference_memo_is_bounded_and_reused():
+    # one entry per (degree, indices): a spherical degree, the index pairs
+    # of a symmetric degree and the single indices of the others
+    first = list(_every_route_at_the_cap())
+    assert _refs.cache_info().currsize <= 3000
+    before = _refs.cache_info()
+    second = list(_every_route_at_the_cap())
+    after = _refs.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    for a, b in zip(first, second):
+        assert all(x.eigensections is y.eigensections for x, y in zip(a.lines, b.lines) if x.source == "closed-form")
+
+
+def test_spectra_of_one_degree_share_their_references():
+    d = 6
+    symmetric = symmetric_spectrum(2.3, 1.1, BundleKind.PLUS, j_max=3).lines_for_degree(d)
+    monopole = monopole_spectrum(Fraction(7, 3), Fraction(5, 4), BundleKind.PLUS, 1, 1, j_max=3).lines_for_degree(d)
+    at_l0 = [ln for ln in symmetric if ln.l == 0] + [ln for ln in monopole if ln.l == 0]
+    assert len(at_l0) == 2 and at_l0[0].eigensections is at_l0[1].eigensections
+    (spherical,) = spherical_spectrum(2.3, BundleKind.PLUS, j_max=3).lines_for_degree(d)
+    triples = {ref: ref for ref in spherical.eigensections}
+    diagonalized = diagonalized_spectrum(1.0, 2.0, 3.5, BundleKind.PLUS, j_max=3).lines_for_degree(d)
+    for ln in symmetric + monopole + diagonalized:
+        assert all(ref is triples[ref] for ref in ln.eigensections)
+
+
+def test_exact_levels_stay_apart_beside_float_levels():
+    # at k = 10^100 the three rational levels of degree 4 all round to the
+    # float of the two irrational ones; a rational level joins only an
+    # equal rational level, never a float one
+    spec = diagonalized_spectrum(1, 2, Fraction(7, 2), BundleKind.PLUS, k=10**100, j_max=2)
+    lines = spec.lines_for_degree(4)
+    exact = [ln for ln in lines if isinstance(ln.energy, Fraction)]
+    inexact = [ln for ln in lines if isinstance(ln.energy, float)]
+    assert len(lines) == 4 and len(exact) == 3 and len(inexact) == 1
+    assert [ln.multiplicity for ln in exact] == [5, 5, 5] and inexact[0].multiplicity == 10
+    rho = scalar_curvature(TopClass.ASYMMETRIC, (1, 2, Fraction(7, 2)), 1)
+    assert sorted(ln.energy - 10**100 * rho for ln in exact) == [Fraction(37, 28), Fraction(23, 14), Fraction(67, 28)]
 
 
 def test_eigensections_lie_in_casimir_eigenspace():
