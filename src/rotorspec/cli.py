@@ -48,7 +48,6 @@ from .spectra import (
     check_l_max,
     degenerate_spectrum,
     monopole_spectrum,
-    spherical_spectrum,
     symmetric_spectrum,
 )
 
@@ -354,20 +353,30 @@ def _requested_bundles(job: JobConfig, degeneracy: DegeneracyClass) -> list[Bund
     return wanted
 
 
+def _pair_axis(momenta):
+    """(pair, axis) momenta of a spherical or symmetric top, (mean, mean)
+    for a spherical one; None for any other body."""
+    if momenta.top_class is TopClass.SPHERICAL:
+        mean = sum(momenta.momenta) / 3
+        return mean, mean
+    if momenta.top_class is TopClass.SYMMETRIC:
+        return momenta.pair_momentum, momenta.axis_momentum
+    return None
+
+
 def _free_spectrum(momenta, bundle: BundleKind, job: JobConfig) -> Spectrum:
+    """The free spectrum of one bundle: symmetric_spectrum, which hands
+    equal momenta to spherical_spectrum, for a spherical or symmetric top."""
     k, h, j_max, tol = job.k, job.hbar0, job.j_max, job.tolerances
-    top = momenta.top_class
-    if top is TopClass.DEGENERATE:
+    if momenta.top_class is TopClass.DEGENERATE:
         l_max = int(Fraction(j_max))
         _check_input(check_l_max, l_max)
         return degenerate_spectrum(momenta.transverse_momentum, k, h, l_max)
     _check_input(check_j_max, j_max)
-    if top is TopClass.SPHERICAL:
-        return spherical_spectrum(sum(momenta.momenta) / 3, bundle, k, h, j_max)
-    if top is TopClass.SYMMETRIC:
-        return symmetric_spectrum(momenta.pair_momentum, momenta.axis_momentum, bundle, k, h, j_max)
-    i1, i2, i3 = momenta.momenta
-    return asymmetric_spectrum(i1, i2, i3, bundle, k, h, j_max, tol)
+    pair_axis = _pair_axis(momenta)
+    if pair_axis is not None:
+        return symmetric_spectrum(*pair_axis, bundle, k, h, j_max)
+    return asymmetric_spectrum(*momenta.momenta, bundle, k, h, j_max, tol)
 
 
 def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list[Spectrum]:
@@ -380,12 +389,8 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
                 "only rotational degrees of freedom remain. Re-run with --fixed-point "
                 "to acknowledge the reduced mode."
             )
-        if momenta.top_class is TopClass.SPHERICAL:
-            i_val = sum(momenta.momenta) / 3
-            pair, axis = i_val, i_val
-        elif momenta.top_class is TopClass.SYMMETRIC:
-            pair, axis = momenta.pair_momentum, momenta.axis_momentum
-        else:
+        pair_axis = _pair_axis(momenta)
+        if pair_axis is None:
             raise BundleRequestError(
                 "the monopole closed form needs a spherical or symmetric top; "
                 f"this body is {momenta.top_class.value}"
@@ -395,7 +400,7 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
             raise SchemaError("the center-of-charge norm must be nonnegative")
         return [
             monopole_spectrum(
-                pair, axis, b, job.field["nu"], job.field["q_norm"], job.k, job.hbar0, job.j_max
+                *pair_axis, b, job.field["nu"], job.field["q_norm"], job.k, job.hbar0, job.j_max
             )
             for b in bundles
         ]

@@ -156,10 +156,11 @@ def principal_momenta(
         vecs = vecs.copy()
         vecs[:, 2] = -vecs[:, 2]
     momenta = (float(vals[0]), float(vals[1]), float(vals[2]))
-    top = classify_top(momenta, degeneracy, tol)
-    pair = axis = None
-    if top is TopClass.SYMMETRIC:
-        pair, axis = classify_momenta(momenta, tol)[1]
+    if degeneracy is not None and degeneracy.is_degenerate:
+        top, closed = TopClass.DEGENERATE, None
+    else:
+        top, closed = classify_momenta(momenta, tol)
+    pair, axis = closed if top is TopClass.SYMMETRIC else (None, None)
     return PrincipalMomenta(
         momenta=momenta, axes=vecs, top_class=top, pair_momentum=pair, axis_momentum=axis
     )

@@ -333,18 +333,19 @@ def eigenvalues(op: HamiltonianBand):
 
     An exact diagonal band gives its diagonal.  Other exact bands of degree
     p + q <= EXACT_DEGREE_MAX give the levels of their species in closed
-    form: every rational level as a Fraction, the others as floats.  Any
-    other band gives floats from eigvalsh of the symmetrized band.  Every
-    band that is not diagonal passes the overflow guard of
-    weighted_symmetrization.
+    form: every rational level as a Fraction, the others as floats, which
+    raise HamiltonianOverflowError when they leave the float range.  Any
+    other band gives floats from eigvalsh of the symmetrized band, behind
+    the overflow guard of weighted_symmetrization.  An exact level beyond
+    the float range is caught where a spectrum sorts it
+    (spectra._as_float).
     """
     if op.exact and op.is_diagonal():
         return [(v, True) for v in sorted(op.diag)]
-    sym = weighted_symmetrization(op)[0]
     if op.exact and op.space.p + op.space.q <= EXACT_DEGREE_MAX:
         levels = [lv for diag, products, count in band_species(op) for lv in _species_levels(diag, products) * count]
         return sorted(levels, key=lambda t: t[0])
-    return [(float(v), False) for v in np.linalg.eigvalsh(sym)]
+    return [(float(v), False) for v in np.linalg.eigvalsh(weighted_symmetrization(op)[0])]
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ Over SO(3) there are exactly two inequivalent Hermitian line bundles
 (classified by H^2(SO(3), Z) = Z_2): the trivial one and a non-trivial one
 whose sections are the classical "two-valued wavefunctions".  Over S^2
 (collinear body) only the trivial bundle admits a flat quantum structure.
-These classification facts are encoded as fixed data, not computed.
+These facts are fixed data here; the tests compute them from homology.
 
 A function on S^3 descends to a section of the trivial (non-trivial) bundle
 iff it is even (odd) under the antipodal map; for homogeneous polynomials

@@ -37,7 +37,7 @@ from .errors import HamiltonianOverflowError
 from .geometry import RigidConfiguration
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
 from .polyalg import eigenvalues, hamiltonian_matrix, harmonic_basis
-from .quantum_structures import BundleKind, j_values
+from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 
 def check_j_max(j_max):
@@ -81,17 +81,14 @@ class SpectralLine:
     def __post_init__(self):
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if Fraction(self.j).denominator == 1:
-            ok = self.bundle is BundleKind.PLUS
-        else:
-            ok = self.bundle is BundleKind.MINUS
-        if not ok:
+        if bundle_of_j(self.j) is not self.bundle:
             raise ValueError(f"bundle {self.bundle} inconsistent with j = {self.j}")
 
     @property
     def sort_key(self):
-        lv = float(self.l) if self.l is not None else float("-inf")
-        return (_as_float(self.energy), float(self.j), lv)
+        """(float energy, j, l), with j and l the exact half-integers and
+        -inf for a missing l."""
+        return (_as_float(self.energy), self.j, -math.inf if self.l is None else self.l)
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,17 @@ class Spectrum:
 
 
 def _as_float(energy) -> float:
-    """float(energy), or HamiltonianOverflowError for a rational energy
-    beyond the float range."""
+    """float(energy), or HamiltonianOverflowError when that is not a finite
+    float: a rational energy beyond the float range, or a float energy
+    that left it (hbar or k too large).  Every line passes through here
+    when a Spectrum sorts it, so no Spectrum holds such an energy."""
     try:
-        return float(energy)
+        value = float(energy)
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
+    if not math.isfinite(value):
+        raise HamiltonianOverflowError()
+    return value
 
 
 def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
@@ -189,14 +191,6 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
         raise HamiltonianOverflowError() from exc
 
 
-def _finite(energy):
-    """A closed-form energy, or HamiltonianOverflowError when a float energy
-    left the float range (hbar or k too large)."""
-    if isinstance(energy, float) and not math.isfinite(energy):
-        raise HamiltonianOverflowError()
-    return energy
-
-
 def _exactify(*values):
     """Map rational inputs to Fractions so downstream arithmetic is exact;
     leave floats alone."""
@@ -208,10 +202,11 @@ def _exactify(*values):
 
 def _closed_form(kind, top, bundle, params, k, hbar0, j_max, levels) -> Spectrum:
     """The Spectrum of a closed form from its levels, (energy, j, l,
-    multiplicity, eigensection refs) tuples taken in order; a float energy
-    outside the float range raises HamiltonianOverflowError."""
+    multiplicity, eigensection refs) tuples taken in order; an energy
+    outside the float range raises HamiltonianOverflowError when the
+    Spectrum sorts its lines (_as_float)."""
     lines = tuple(
-        SpectralLine(_finite(e), j, mult, bundle, l, source="closed-form", eigensections=refs)
+        SpectralLine(e, j, mult, bundle, l, source="closed-form", eigensections=refs)
         for e, j, l, mult, refs in levels
     )
     return Spectrum(lines, kind, bundle, top_class=top, params=params, k=k, hbar0=hbar0, j_max=Fraction(j_max))
@@ -387,36 +382,22 @@ def diagonalized_spectrum(
     closed form).  Equal exact levels form one line; float levels are
     grouped within tol.spec, and an exact level never joins a float one
     (group_energies).
-    HamiltonianOverflowError is raised when the band of any block of a
-    degree would raise it.  This is the oracle route the closed forms are
-    verified against, and the production route for the asymmetric top.
+    Only the diagonalized band is guarded: HamiltonianOverflowError comes
+    from the guards of hamiltonian_matrix and eigenvalues on that band, or
+    from a level outside the float range (_as_float); the other blocks of
+    the degree are never built.  This is the oracle route the closed forms
+    are verified against, and the production route for the asymmetric top.
     """
     check_j_max(j_max)
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed_momenta = classify_momenta((i1, i2, i3), tol)
     rho = scalar_curvature(top, closed_momenta or (i1, i2, i3), h) if k != 0 else 0
-    # Every content n_k is a gcd of products C(p, a) C(q, c) <= 2^d, so
-    # 1 <= |n_k| <= 2^d; then w_k = C(d, k) (n_0 / n_k)^2 lies in
-    # [4^-d, 8^d] and alpha_k, beta_k <= d 2^d.  With (d+1)^2 <= 2^(d+3),
-    # every entry, weighted entry and product s_a A_ab / s_b that the
-    # overflow guards of hamiltonian_matrix and weighted_symmetrization
-    # form on any block of degree d is at most scale * 2^(6d+3), with
-    # scale = |k rho| + c1 + c2 + c3.  So when scale * 2^(6d+8) < 1e300 no
-    # block of the degree can overflow; otherwise every block runs the
-    # per-block calls, only so that they raise.
-    try:
-        scale = abs(k * rho) + sum(h / (2 * mom) for mom in (i1, i2, i3))
-    except OverflowError:
-        scale = math.inf
     lines = []
     for j in j_values(bundle, j_max):
         d = int(2 * j)
         ham = hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), i1, i2, i3, h, k, rho)
         levels = [(value, idx) for idx, (value, _) in enumerate(eigenvalues(ham))]
-        if not scale * 2 ** (6 * d + 8) < 1e300:
-            for p in range(d + 1):
-                eigenvalues(hamiltonian_matrix(harmonic_basis(p, d - p), i1, i2, i3, h, k, rho))
         for energy, idxs in group_energies(levels, tol.spec):
             lines.append(
                 SpectralLine(

@@ -347,6 +347,20 @@ def test_float_band_with_an_overflowing_weighted_entry_raises():
         hamiltonian_matrix(space, 1.0, 2.0, 3.0, 5e307)
 
 
+def test_exact_bands_up_to_degree_4_are_never_symmetrized(monkeypatch):
+    # the species route reads the exact band alone; the float
+    # symmetrization belongs to the eigvalsh route
+    def refuse(op):
+        raise AssertionError(f"symmetrized H^({op.space.p},{op.space.q})")
+
+    monkeypatch.setattr(operators, "weighted_symmetrization", refuse)
+    for momenta, hbar0, k, rho in RATIONAL_JOBS:
+        for p, q in _blocks(operators.EXACT_DEGREE_MAX):
+            eigenvalues(hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho))
+    with pytest.raises(AssertionError, match="symmetrized"):
+        eigenvalues(hamiltonian_matrix(harmonic_basis(2, 3), *RATIONAL_JOBS[0][0]))
+
+
 def test_ladder_closure_check_rejects_a_corrupted_sector():
     # sector 1 of H^{2,1} has two monomials: doubling one breaks the closure
     # Jp b_0 = alpha_0 b_1, which the verify sweep checks before comparing

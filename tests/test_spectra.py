@@ -635,55 +635,85 @@ def test_one_block_per_degree_equals_the_per_block_route(momenta):
                 assert list(ln.eigensections) == sorted(ln.eigensections, key=lambda r: (r[2], r[0]))
 
 
-def _block_guard_verdicts(momenta, bundle, hbar0, k):
-    """(some block raises, the block H^(d//2, d - d//2) of some degree
-    raises) when every block's band is built and symmetrized, j_max 6."""
+def _diagonalized_guard_raises(momenta, bundle, hbar0, k):
+    """Whether, for some degree up to j_max 6, the guards raise on the band
+    of the block H^(d//2, d - d//2) that diagonalized_spectrum reads."""
     rho = scalar_curvature(TopClass.ASYMMETRIC, momenta, hbar0) if k != 0 else 0
-    some = representative = False
     for j in j_values(bundle, 6):
         d = int(2 * j)
-        for p in range(d + 1):
-            try:
-                weighted_symmetrization(hamiltonian_matrix(harmonic_basis(p, d - p), *momenta, hbar0, k, rho))
-            except HamiltonianOverflowError:
-                some = True
-                representative |= p == d // 2
-    return some, representative
+        try:
+            weighted_symmetrization(hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), *momenta, hbar0, k, rho))
+        except HamiltonianOverflowError:
+            return True
+    return False
 
 
-def test_overflow_verdict_is_the_per_block_verdict():
+def _scaled_like(spec, ref, hbar0, rel):
+    """spec has the lines, multiplicities and references of ref, and each
+    energy is hbar0 times ref's: exactly for Fractions, within rel times the
+    largest level of the degree for floats."""
+    assert len(spec.lines) == len(ref.lines)
+    top = {}
+    for ln in ref.lines:
+        top[ln.j] = max(top.get(ln.j, 0), abs(ln.energy))
+    for got, want in zip(spec.lines, ref.lines):
+        assert (got.j, got.multiplicity, got.eigensections) == (want.j, want.multiplicity, want.eigensections)
+        assert type(got.energy) is type(want.energy)
+        if isinstance(got.energy, Fraction):
+            assert got.energy == hbar0 * want.energy
+        else:
+            assert abs(got.energy - hbar0 * want.energy) <= rel * hbar0 * top[want.j], (got.j, got.energy)
+
+
+def test_overflow_verdict_is_the_diagonalized_band_verdict():
     # hbar and k log-spaced over [1e298, 1.6e308]: asymmetric_spectrum
-    # raises exactly where some block's guard does.  With a small I3 the
-    # weights differ enough between blocks that the representative block
-    # alone would accept points the per-block guard rejects; the sweep
-    # hits such points
+    # raises exactly where the guard on the diagonalized band of some
+    # degree does, and what it returns is finite; at k = 0 it is hbar times
+    # the hbar = 1 spectrum, to 1e-12 of each degree's largest level (the
+    # accuracy of eigvalsh is relative to the band's norm)
     sweep = [float(x) for x in np.geomspace(1e298, 1.6e308, 41)]
-    disagreements = 0
+    returned = 0
     for momenta in ((1.0, 1.5, 0.001), (1.0, 1.5, 0.05), (1.0, 2.0, 3.5)):
         for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            ref = asymmetric_spectrum(*momenta, bundle, j_max=6)
             for hbar0, k in [*((v, 0.0) for v in sweep), *((1.0, v) for v in sweep)]:
-                some, representative = _block_guard_verdicts(momenta, bundle, hbar0, k)
+                raises = _diagonalized_guard_raises(momenta, bundle, hbar0, k)
                 try:
-                    asymmetric_spectrum(*momenta, bundle, k=k, hbar0=hbar0, j_max=6)
-                    raised = False
+                    spec = asymmetric_spectrum(*momenta, bundle, k=k, hbar0=hbar0, j_max=6)
                 except HamiltonianOverflowError:
-                    raised = True
-                assert raised == some, (momenta, bundle, hbar0, k)
-                disagreements += representative != some
-    assert disagreements >= 5
+                    assert raises, (momenta, bundle, hbar0, k)
+                    continue
+                assert not raises, (momenta, bundle, hbar0, k)
+                assert all(math.isfinite(ln.energy) for ln in spec.lines)
+                if k == 0:
+                    _scaled_like(spec, ref, hbar0, 1e-12)
+                returned += 1
+    assert 0 < returned < 6 * 82
 
 
-def test_overflow_verdict_at_the_cap_reads_every_block_of_degree_50():
-    # at hbar0 = 1e291 the weighted band of H^(20,30) overflows while the
-    # band of H^(d//2, d - d//2) of every degree up to 50 stays finite
+def test_huge_hbar_at_the_cap_is_the_scaled_spectrum():
+    # at hbar0 = 1e291 the weighted band of H^(20,30) overflows, but the
+    # band of H^(d//2, d - d//2) of every degree up to 50 stays finite, and
+    # the spectrum is 1e291 times the hbar = 1 spectrum
     momenta, hbar0 = (1.0, 1.5, 0.001), 1e291
-    for j in j_values(BundleKind.PLUS, 25):
-        d = int(2 * j)
-        weighted_symmetrization(hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), *momenta, hbar0))
     with pytest.raises(HamiltonianOverflowError):
         hamiltonian_matrix(harmonic_basis(20, 30), *momenta, hbar0)
+    for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+        spec = asymmetric_spectrum(*momenta, bundle, hbar0=hbar0, j_max=25)
+        _scaled_like(spec, asymmetric_spectrum(*momenta, bundle, j_max=25), hbar0, 1e-12)
+
+
+def test_exact_levels_past_the_symmetrization_guard_are_returned():
+    # at hbar0 = 7e307 the weighted symmetrization of the j = 2 band
+    # overflows, but every exact level lies in the float range
+    hbar0 = 7 * 10**307
     with pytest.raises(HamiltonianOverflowError):
-        asymmetric_spectrum(*momenta, BundleKind.PLUS, hbar0=hbar0, j_max=25)
+        weighted_symmetrization(hamiltonian_matrix(harmonic_basis(2, 2), 1, 2, Fraction(7, 2), hbar0))
+    spec = asymmetric_spectrum(1, 2, Fraction(7, 2), BundleKind.PLUS, hbar0=hbar0, j_max=2)
+    ref = asymmetric_spectrum(1, 2, Fraction(7, 2), BundleKind.PLUS, j_max=2)
+    assert len(spec.lines) == 9
+    assert any(isinstance(ln.energy, Fraction) for ln in spec.lines)
+    _scaled_like(spec, ref, hbar0, 1e-12)
 
 
 # every public spectrum and hamiltonian_matrix, with the inputs the guard covers
