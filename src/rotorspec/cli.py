@@ -33,7 +33,7 @@ from .errors import (
 from .geometry import DegeneracyClass, ParticleSystem, canonicalize
 from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
 from .polyalg import harmonic_basis, harmonic_basis_r3
-from .polyalg.operators import HamiltonianBand, hamiltonian_matrix, weighted_symmetrization
+from .polyalg.operators import block_vector, degree_band, degree_matrix
 from .quantum_structures import (
     BundleKind,
     admissible_structures,
@@ -448,14 +448,6 @@ def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
     return EXIT_OK
 
 
-def _eigensection_vectors(op: HamiltonianBand) -> np.ndarray:
-    """Float eigenvector coordinates (columns) in the block basis, sorted by
-    eigenvalue; computed through the weighted symmetrization."""
-    sym, s = weighted_symmetrization(op)
-    _, u = np.linalg.eigh(sym)
-    return u / s[:, None]
-
-
 def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     try:
         j = Fraction(j_str)
@@ -492,7 +484,8 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     if not lines:
         print(f"no spectral line with j = {j}" + (f", l = {want_l}" if want_l is not None else ""))
         return EXIT_OK
-    diag_cache: dict[tuple[int, int], np.ndarray] = {}
+    d = int(2 * j)
+    vectors = None  # the eigenvectors of S_d by ascending level, built on first use
     for ln in lines:
         l_part = "" if ln.l is None else f", |l| = {abs(ln.l)}"
         print(f"j = {ln.j}{l_part}: energy {_fmt(ln.energy)}, multiplicity {ln.multiplicity}, {ln.source}")
@@ -503,15 +496,14 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
                 poly = harmonic_basis(p, q).basis[idx]
                 print(f"  H^({p},{q})[{idx}] {poly}")
         else:
-            i1, i2, i3 = momenta.momenta
+            if vectors is None:
+                vectors = np.linalg.eigh(degree_matrix(d, *degree_band(d, *momenta.momenta, job.hbar0)))[1]
             for p, q, idx in ln.eigensections:
-                if (p, q) not in diag_cache:
-                    space = harmonic_basis(p, q)
-                    ham = hamiltonian_matrix(space, i1, i2, i3, job.hbar0, job.k, 0)
-                    diag_cache[(p, q)] = _eigensection_vectors(ham)
-                coeffs = diag_cache[(p, q)][:, idx]
+                coeffs = block_vector(p, q, vectors[:, idx])
+                # the canonical sign: the first printed coefficient is positive
+                sign = next((1 if c > 0 else -1 for c in coeffs if abs(c) > 1e-12), 1)
                 terms = " + ".join(
-                    f"({_fmt(c)})*B{k}" for k, c in enumerate(coeffs) if abs(c) > 1e-12
+                    f"({_fmt(sign * c)})*B{k}" for k, c in enumerate(coeffs) if abs(c) > 1e-12
                 )
                 print(f"  H^({p},{q}) combination: {terms}")
             blocks = sorted({(p, q) for p, q, _ in ln.eigensections})

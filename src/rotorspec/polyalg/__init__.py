@@ -8,6 +8,7 @@ from .operators import (
     apply_jminus,
     apply_jplus,
     casimir_matrix,
+    degree_band,
     eigenvalues,
     generator_matrix,
     hamiltonian_matrix,
@@ -38,6 +39,7 @@ __all__ = [
     "apply_jplus",
     "casimir_matrix",
     "charpoly",
+    "degree_band",
     "eigenvalues",
     "euler_r3",
     "generator_matrix",

@@ -49,16 +49,19 @@ normalized so that the spherical case gives E_j = hbar0 j(j+1) / (2 I).
 The curvature shift k * rho follows the closed-form spectra (see
 spectra.curvature_shift).  In the weight basis H couples l only to l and
 l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
-Phys. 11, 27 (1943)), so a Hamiltonian block is a real HamiltonianBand of
-three diagonals: Fractions for rational input, floats otherwise, built
-from the block's cached square record (_generator_square); no Polynomial
-or QC is built on that path.  The diagonal and the products lower_k
-upper_k = (c1 - c2)^2 alpha_k beta_k alpha_(k+1) beta_(k+1) / 16 depend on
-the block only through P_k = alpha_k beta_k = (k+1)(d-k), so all blocks of
-a degree share one characteristic polynomial, and the spectrum path builds
-the band of one block per degree (spectra.diagonalized_spectrum).  Since
-P_(d-1-k) = P_k, an exact band splits into species (band_species), which
-eigenvalues() solves in closed form on blocks of degree p + q <= 4.
+Phys. 11, 27 (1943)).  hamiltonian_matrix builds it exactly on one block
+as a HamiltonianBand, from the block's cached square record
+(_generator_square): the oracle of the spectrum path.  Its diagonal and
+its products lower_k upper_k = (c1 - c2)^2 alpha_k beta_k alpha_(k+1)
+beta_(k+1) / 16 depend on the block only through P_k = alpha_k beta_k =
+(k+1)(d-k), so every block of degree d is similar to one symmetric band
+S_d (degree_band): the diagonal (c1 + c2)(P_(k-1) + P_k)/4 + c3 l_k^2 and
+g sqrt(P_k P_(k+1)) at (k, k+2), g = (c1 - c2)/4.  A block's weighted
+symmetrization is Sigma S_d Sigma with Sigma = diag(sign of alpha_0 ...
+alpha_(k-1)), which maps an eigenvector of S_d to one of the block
+(block_vector).  The spectrum path reads S_d alone: eigenvalues() gives
+its levels, exactly on degrees p + q <= 4 through its species
+(band_species, closed form since P_(d-1-k) = P_k), by eigvalsh otherwise.
 """
 
 from __future__ import annotations
@@ -107,22 +110,15 @@ def apply_j2(f: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class HamiltonianBand:
-    """The Hamiltonian on one harmonic block as its three nonzero diagonals:
-    diag[a] at (a, a), lower[a] at (a+2, a) and upper[a] at (a, a+2);
-    Fractions for rational input, floats otherwise.
+    """The exact Hamiltonian on one harmonic block as its three nonzero
+    diagonals of Fractions: diag[a] at (a, a), lower[a] at (a+2, a) and
+    upper[a] at (a, a+2).
     """
 
     space: BidegreeSpace
     diag: tuple
     lower: tuple
     upper: tuple
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.diag[0], Fraction)
-
-    def is_diagonal(self) -> bool:
-        return not any(self.lower) and not any(self.upper)
 
 
 @lru_cache(maxsize=None)
@@ -220,52 +216,88 @@ def _generator_square(p: int, q: int):
     return diag, lower, upper, tuple(l * l for l in space.l_values)
 
 
-@lru_cache(maxsize=None)
-def _generator_square_float(p: int, q: int):
-    """The record of _generator_square with the pairing weights appended,
-    (D, L, U, l^2, w), each entry converted by float() once per block."""
-    return tuple(tuple(map(float, part)) for part in (*_generator_square(p, q), pairing_weights(p, q)))
-
-
 def hamiltonian_matrix(
     space: BidegreeSpace, i1, i2, i3, hbar0=1, k=0, rho=0
 ) -> HamiltonianBand:
-    """Rotational Hamiltonian on one harmonic block, as a band: the exact
+    """Rotational Hamiltonian on one harmonic block, exactly, as a band: the
     generator squares times c_a = hbar0 / (2 I_a), plus k * rho on the
-    diagonal.
+    diagonal.  A float input is read as the rational it is.
 
     The band reads the one cached square record (D, L, U, l^2) of
-    _generator_square, or its cached float copy for float input: J2^2
-    shares D with J1^2 and negates L and U.  For
-    rational input it is exact: diag = k rho + (c1 + c2) D + c3 l^2, lower
-    = (c1 - c2) L, upper = (c1 - c2) U.  Otherwise it is float, in axis
-    order: diag = ((k rho + c1 D) + c2 D) + c3 l^2, lower = c1 L - c2 L,
-    upper alike; HamiltonianOverflowError if an input leaves the float range
-    or an entry weighted by the pairing weights w does: w_a diag_a,
-    w_(a+2) lower_a or w_a upper_a.
+    _generator_square: J2^2 shares D with J1^2 and negates L and U, so diag
+    = k rho + (c1 + c2) D + c3 l^2, lower = (c1 - c2) L and upper = (c1 -
+    c2) U.  This is the oracle of the spectrum path, which reads S_d
+    (degree_band) instead.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
-    if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0, k, rho)):
-        sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
+    sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
+    c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
+    shift, c_sum, c_diff = Fraction(k) * Fraction(rho), c1 + c2, c1 - c2
+    diag = tuple(shift + c_sum * x + c3 * y for x, y in zip(sq_diag, l_squared))
+    return HamiltonianBand(space, diag, tuple(c_diff * x for x in sq_lower), tuple(c_diff * x for x in sq_upper))
+
+
+@lru_cache(maxsize=None)
+def _degree_constants(d: int):
+    """The integers S_d is built from, with P_k = (k+1)(d-k): the sums
+    P_(m-1) + P_m and the squares (2 l_m)^2 = (2m - d)^2 of its diagonal,
+    and the products P_m P_(m+1) under its entry at (m, m+2), with their
+    float square roots."""
+    p = [0, *((k + 1) * (d - k) for k in range(d)), 0]  # p[m + 1] = P_m
+    sums = tuple(p[m] + p[m + 1] for m in range(d + 1))
+    squares = tuple((2 * m - d) ** 2 for m in range(d + 1))
+    products = tuple(p[m + 1] * p[m + 2] for m in range(d - 1))
+    return sums, squares, products, tuple(map(math.sqrt, products))
+
+
+def degree_band(d: int, i1, i2, i3, hbar0=1):
+    """S_d, the symmetric band every block of degree d is similar to, as
+    (diag, g): diag_m = (c1 + c2)(P_(m-1) + P_m)/4 + c3 l_m^2 and the entry
+    g sqrt(P_m P_(m+1)) at (m, m+2) and (m+2, m), with c_a = hbar0 / (2 I_a),
+    g = (c1 - c2)/4, P_k = (k+1)(d-k) and l_m = m - d/2.  Fractions for
+    rational input, floats otherwise; HamiltonianOverflowError when an input
+    leaves the float range.  k rho is not included: it shifts every level
+    alike (spectra.curvature_shift)."""
+    sums, squares, _, _ = _degree_constants(d)
+    if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
         c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
-        shift, c_sum, c_diff = Fraction(k) * Fraction(rho), c1 + c2, c1 - c2
-        diag = [shift + c_sum * x + c3 * y for x, y in zip(sq_diag, l_squared)]
-        lower = [c_diff * x for x in sq_lower]
-        upper = [c_diff * x for x in sq_upper]
     else:
         try:
             c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
-            shift = float(k) * float(rho)
         except OverflowError as exc:
             raise HamiltonianOverflowError() from exc
-        sq_diag, sq_lower, sq_upper, l_squared, w = _generator_square_float(space.p, space.q)
-        diag = [((shift + c1 * x) + c2 * x) + c3 * y for x, y in zip(sq_diag, l_squared)]
-        lower = [c1 * x - c2 * x for x in sq_lower]
-        upper = [c1 * x - c2 * x for x in sq_upper]
-        weighted = [x * y for ws, band in ((w, diag), (w[2:], lower), (w, upper)) for x, y in zip(ws, band)]
-        if not all(map(math.isfinite, weighted)):
-            raise HamiltonianOverflowError()
-    return HamiltonianBand(space=space, diag=tuple(diag), lower=tuple(lower), upper=tuple(upper))
+    a, b = (c1 + c2) / 4, c3 / 4
+    return tuple(a * s + b * t for s, t in zip(sums, squares)), (c1 - c2) / 4
+
+
+def degree_matrix(d: int, diag, g) -> np.ndarray:
+    """S_d as a dense float array; HamiltonianOverflowError when an entry
+    is not a finite float."""
+    try:
+        dense = np.diag([float(x) for x in diag])
+        off = [float(g) * r for r in _degree_constants(d)[3]]
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
+    a = np.arange(d - 1)
+    dense[a + 2, a] = dense[a, a + 2] = off
+    if not np.isfinite(dense).all():
+        raise HamiltonianOverflowError()
+    return dense
+
+
+def block_vector(p: int, q: int, u) -> list[float]:
+    """The coordinates in the basis of H^{p,q} of the eigenvector of its
+    band that an eigenvector u of S_(p+q) stands for: sigma_k u_k /
+    sqrt(w_k), with w the pairing weights and sigma_k the sign of alpha_0
+    ... alpha_(k-1).  The block's weighted symmetrization is Sigma S_d
+    Sigma, since sign(beta_k) = sign(alpha_k)."""
+    alpha, _ = _ladder(p, q)
+    sign, out = 1, []
+    for k, (x, w) in enumerate(zip(u, pairing_weights(p, q))):
+        out.append(sign * float(x) / math.sqrt(w))
+        if k < len(alpha) and alpha[k] < 0:
+            sign = -sign
+    return out
 
 
 def _rational_sqrt(x: Fraction):
@@ -288,19 +320,20 @@ def _wang_fold(diag, products) -> list:
     return [((*diag[: h - 1], diag[h - 1] + sign * shift), products[: h - 1]) for sign in (-1, 1)]
 
 
-def band_species(op: HamiltonianBand) -> list:
-    """The species of an exact band, (diag, products, count) triples whose
-    levels, each taken count times, are the band's: tridiagonal matrices
-    with the diagonal diag and the products lower_i upper_i = products[i].
-    The band's diagonal and products read the same under l -> -l.  For odd
-    d that map exchanges the two parity classes of the index, so each level
-    of class 0 counts twice (Kramers pairs); for even d _wang_fold splits
-    each class into two of the four D2 species (Wang, Phys. Rev. 34, 243
-    (1929))."""
-    classes = [(op.diag[s::2], [lo * up for lo, up in zip(op.lower[s::2], op.upper[s::2])]) for s in (0, 1)]
-    if (op.space.p + op.space.q) % 2:
+def band_species(diag, products, d: int) -> list:
+    """The species of an exact band of degree d, (diag, products, count)
+    triples whose levels, each taken count times, are the band's:
+    tridiagonal matrices with the diagonal diag and the products
+    products[i].  The band has the diagonal diag and the products
+    products[m] of its entries at (m, m+2) and (m+2, m), which read the
+    same under l -> -l.  For odd d that map exchanges the two parity
+    classes of the index, so each level of class 0 counts twice (Kramers
+    pairs); for even d _wang_fold splits each class into two of the four D2
+    species (Wang, Phys. Rev. 34, 243 (1929))."""
+    classes = [(diag[s::2], products[s::2]) for s in (0, 1)]
+    if d % 2:
         return [(*classes[0], 2)]
-    return [(diag, products, 1) for cls in classes if cls[0] for diag, products in _wang_fold(*cls) if diag]
+    return [(sd, sp, 1) for cls in classes if cls[0] for sd, sp in _wang_fold(*cls) if sd]
 
 
 def _species_levels(diag, products):
@@ -322,62 +355,32 @@ def _species_levels(diag, products):
         raise HamiltonianOverflowError() from exc
 
 
-# exact levels are solved on blocks of degree p + q <= this, where every
-# species has at most two entries
+# exact levels are solved on degrees p + q <= this, where every species
+# has at most two entries
 EXACT_DEGREE_MAX = 4
 
 
-def eigenvalues(op: HamiltonianBand):
-    """Eigenvalues of a self-adjoint Hamiltonian band as (value, exact_flag)
+def eigenvalues(d: int, diag, g):
+    """Eigenvalues of S_d = (diag, g) (degree_band) as (value, exact_flag)
     pairs, ascending.
 
-    An exact diagonal band gives its diagonal.  Other exact bands of degree
-    p + q <= EXACT_DEGREE_MAX give the levels of their species in closed
-    form: every rational level as a Fraction, the others as floats, which
-    raise HamiltonianOverflowError when they leave the float range.  Any
-    other band gives floats from eigvalsh of the symmetrized band, behind
-    the overflow guard of weighted_symmetrization.  An exact level beyond
-    the float range is caught where a spectrum sorts it
-    (spectra._as_float).
+    When S_d is diagonal (g = 0 or d < 2) they are its diagonal.  An
+    exact S_d of degree d <= EXACT_DEGREE_MAX gives the levels of its
+    species, the products g^2 P_m P_(m+1), in closed form: every rational
+    level as a Fraction, the others as floats, which raise
+    HamiltonianOverflowError when they leave the float range.  Otherwise
+    they are floats from eigvalsh of the dense S_d (degree_matrix), and
+    HamiltonianOverflowError is raised when an entry or a level is not a
+    finite float.  An exact level beyond the float range
+    is caught where a spectrum sorts it (spectra._as_float).
     """
-    if op.exact and op.is_diagonal():
-        return [(v, True) for v in sorted(op.diag)]
-    if op.exact and op.space.p + op.space.q <= EXACT_DEGREE_MAX:
-        levels = [lv for diag, products, count in band_species(op) for lv in _species_levels(diag, products) * count]
+    if not g or d < 2:
+        return [(v, isinstance(v, Fraction)) for v in sorted(diag)]
+    if isinstance(g, Fraction) and d <= EXACT_DEGREE_MAX:
+        products = [g * g * x for x in _degree_constants(d)[2]]
+        levels = [lv for sd, sp, count in band_species(diag, products, d) for lv in _species_levels(sd, sp) * count]
         return sorted(levels, key=lambda t: t[0])
-    return [(float(v), False) for v in np.linalg.eigvalsh(weighted_symmetrization(op)[0])]
-
-
-@lru_cache(maxsize=None)
-def _sqrt_weights(p: int, q: int) -> np.ndarray:
-    """sqrt(float(w)) for the pairing weights w of H^{p,q}, read-only."""
-    s = np.sqrt(np.array([float(x) for x in pairing_weights(p, q)]))
-    s.flags.writeable = False
-    return s
-
-
-def weighted_symmetrization(op: HamiltonianBand) -> tuple[np.ndarray, np.ndarray]:
-    """(S, s) with s = sqrt(w) for the pairing weights w and S = D A D^-1,
-    D = diag(s), A the band as a dense float array (float(entry) at offsets
-    0 and +-2, zero elsewhere).
-
-    A band that is self-adjoint for the weighted pairing becomes the
-    genuinely symmetric S with the same spectrum; an eigenvector v of S
-    maps back to the eigenvector v / s of A.  Raises
-    HamiltonianOverflowError when an entry or S leaves the float range.
-    """
-    s = _sqrt_weights(op.space.p, op.space.q)
-    n = len(op.diag)
-    band = np.zeros((n, n))
-    a = np.arange(n)
-    try:
-        band[a, a] = [float(x) for x in op.diag]
-        band[a[2:], a[:-2]] = [float(x) for x in op.lower]
-        band[a[:-2], a[2:]] = [float(x) for x in op.upper]
-    except OverflowError as exc:
-        raise HamiltonianOverflowError() from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = (s[:, None] * band) / s[None, :]
-    if not np.isfinite(sym).all():
+    levels = np.linalg.eigvalsh(degree_matrix(d, diag, g))
+    if not np.isfinite(levels).all():
         raise HamiltonianOverflowError()
-    return sym, s
+    return [(float(v), False) for v in levels]

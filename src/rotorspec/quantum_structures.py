@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 
 from .geometry import DegeneracyClass
 
@@ -70,8 +71,10 @@ def degree_of_j(j) -> int:
 
 
 def bundle_of_j(j) -> BundleKind:
-    """PLUS for integer j, MINUS for half-odd j."""
-    return BundleKind.PLUS if Fraction(j).denominator == 1 else BundleKind.MINUS
+    """PLUS for integer j, MINUS for half-odd j; a rational j is read as it
+    is, anything else through Fraction."""
+    den = j.denominator if isinstance(j, Rational) else Fraction(j).denominator
+    return BundleKind.PLUS if den == 1 else BundleKind.MINUS
 
 
 def j_values(kind: BundleKind, j_max) -> list[Fraction]:

@@ -36,7 +36,7 @@ from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
 from .geometry import RigidConfiguration
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
-from .polyalg import eigenvalues, hamiltonian_matrix, harmonic_basis
+from .polyalg import degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 
@@ -180,15 +180,12 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     momenta are all rational, and 0.0 otherwise: a float level x then
     adds a float, and x + 0.0 is the float that x + Fraction(0) gives.  A
     float k times a rational rho beyond the float range raises
-    HamiltonianOverflowError."""
+    OverflowError, which a spectrum reports as HamiltonianOverflowError
+    (_spectrum)."""
     if k == 0:
         exact = all(isinstance(v, Rational) for v in (k, hbar0, *momenta))
         return Fraction(0) if exact else 0.0
-    rho = scalar_curvature(top_class, momenta, hbar0)
-    try:
-        return k * rho
-    except OverflowError as exc:
-        raise HamiltonianOverflowError() from exc
+    return k * scalar_curvature(top_class, momenta, hbar0)
 
 
 def _exactify(*values):
@@ -200,15 +197,19 @@ def _exactify(*values):
 # --- closed-form spectra ------------------------------------------------------
 
 
-def _closed_form(kind, top, bundle, params, k, hbar0, j_max, levels) -> Spectrum:
-    """The Spectrum of a closed form from its levels, (energy, j, l,
-    multiplicity, eigensection refs) tuples taken in order; an energy
-    outside the float range raises HamiltonianOverflowError when the
-    Spectrum sorts its lines (_as_float)."""
-    lines = tuple(
-        SpectralLine(e, j, mult, bundle, l, source="closed-form", eigensections=refs)
-        for e, j, l, mult, refs in levels
-    )
+def _spectrum(kind, top, bundle, params, k, hbar0, j_max, levels, source="closed-form") -> Spectrum:
+    """The Spectrum of levels, (energy, j, l, multiplicity, eigensection
+    refs) tuples taken in order.  Every spectrum forms its levels here, its
+    k rho included: an OverflowError raised while forming one (a rational
+    beyond the float range meeting a float) becomes HamiltonianOverflowError,
+    and so does an energy outside the float range when the Spectrum sorts
+    its lines (_as_float)."""
+    try:
+        lines = tuple(
+            SpectralLine(e, j, mult, bundle, l, source=source, eigensections=refs) for e, j, l, mult, refs in levels
+        )
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
     return Spectrum(lines, kind, bundle, top_class=top, params=params, k=k, hbar0=hbar0, j_max=Fraction(j_max))
 
 
@@ -219,7 +220,7 @@ def j_squared_spectrum(bundle: BundleKind, j_max, hbar0=1) -> Spectrum:
     check_positive(hbar0=hbar0)
     (h,) = _exactify(hbar0)
     levels = ((h * h * j * (j + 1), j, None, int((2 * j + 1) ** 2), None) for j in j_values(bundle, j_max))
-    return _closed_form("j_squared", None, bundle, {}, 0, h, j_max, levels)
+    return _spectrum("j_squared", None, bundle, {}, 0, h, j_max, levels)
 
 
 @cache
@@ -244,15 +245,15 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
     check_j_max(j_max)
     check_positive(i_mom=i_mom, hbar0=hbar0)
     i_mom, k, h = _exactify(i_mom, k, hbar0)
-    shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
 
     def levels():
+        shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
         for j in j_values(bundle, j_max):
             d = int(2 * j)
             e = h / (2 * i_mom) * j * (j + 1) + shift
             yield e, j, None, int((2 * j + 1) ** 2), _refs(d, tuple(range(d + 1)))
 
-    return _closed_form("spherical", TopClass.SPHERICAL, bundle, {"I": i_mom}, k, h, j_max, levels())
+    return _spectrum("spherical", TopClass.SPHERICAL, bundle, {"I": i_mom}, k, h, j_max, levels())
 
 
 def _symmetric_degrees(i_pair, i_axis, h, bundle: BundleKind, j_max):
@@ -282,9 +283,9 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
     if i_pair == i_axis:
         return spherical_spectrum(i_pair, bundle, k, hbar0, j_max)
     i_pair, i_axis, k, h = _exactify(i_pair, i_axis, k, hbar0)
-    shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
 
     def levels():
+        shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
         axis = {}  # 2|l| -> (|l|, its l^2 term), for every |l| <= j so far
         for d, j, pair_term, new_axis in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
             axis[d] = (j, new_axis)
@@ -297,7 +298,7 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
                 yield pair_term + axis_term + shift, j, abs_l, mult, _refs(d, indices)
 
     params = {"I_pair": i_pair, "I_axis": i_axis}
-    return _closed_form("symmetric", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
+    return _spectrum("symmetric", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
 
 
 def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
@@ -307,14 +308,15 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
     check_l_max(l_max)
     check_positive(i_mom=i_mom, hbar0=hbar0)
     i_mom, k, h = _exactify(i_mom, k, hbar0)
-    shift = curvature_shift(k, TopClass.DEGENERATE, (i_mom,), h)
-    levels = (
-        (h / (2 * i_mom) * ell * (ell + 1) + shift, Fraction(ell), None, 2 * ell + 1,
-         tuple((ell, None, idx) for idx in range(2 * ell + 1)))
-        for ell in range(int(l_max) + 1)
-    )
+
+    def levels():
+        shift = curvature_shift(k, TopClass.DEGENERATE, (i_mom,), h)
+        for ell in range(int(l_max) + 1):
+            refs = tuple((ell, None, idx) for idx in range(2 * ell + 1))
+            yield h / (2 * i_mom) * ell * (ell + 1) + shift, Fraction(ell), None, 2 * ell + 1, refs
+
     params = {"I": i_mom}
-    return _closed_form("degenerate", TopClass.DEGENERATE, BundleKind.PLUS, params, k, h, int(l_max), levels)
+    return _spectrum("degenerate", TopClass.DEGENERATE, BundleKind.PLUS, params, k, h, int(l_max), levels())
 
 
 def monopole_spectrum(
@@ -334,9 +336,9 @@ def monopole_spectrum(
     if float(q_center_norm) < 0:
         raise ValueError("the center-of-charge norm must be nonnegative")
     i_pair, i_axis, nu, qn, k, h = _exactify(i_pair, i_axis, nu, q_center_norm, k, hbar0)
-    shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
 
     def levels():
+        shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
         terms = {}  # 2l -> (l, its l^2 term, its linear term), for every |l| <= j so far
         for d, j, pair_term, new_quad in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
             new_lin = nu * qn / i_axis * j
@@ -350,7 +352,7 @@ def monopole_spectrum(
                 yield pair_term + quad - lin + constant + shift, j, l, d + 1, _refs(d, (idx,))
 
     params = {"I_pair": i_pair, "I_axis": i_axis, "nu": nu, "q_norm": qn}
-    return _closed_form("monopole", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
+    return _spectrum("monopole", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
 
 
 # --- brute-force engine -------------------------------------------------------
@@ -366,59 +368,43 @@ def diagonalized_spectrum(
     j_max=6,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Spectrum:
-    """Spectrum by exact block diagonalization, one block per degree.
+    """Spectrum by diagonalization, one symmetric band per degree.
 
-    For each total degree d = 2j of the bundle's parity the Hamiltonian is
-    diagonalized on one bidegree block, H^{p,q} with p = d // 2.  On every
-    block of degree d the band has the diagonal (c1+c2)(P_(k-1)+P_k)/4 +
-    c3 l_k^2 + k rho and the products lower_k upper_k = (c1-c2)^2 P_k
-    P_(k+1) / 16, with P_k = alpha_k beta_k = (k+1)(d-k) (`rotorspec
-    verify` checks this for p+q <= 2J), so all d+1 blocks share one
-    characteristic polynomial: a level of multiplicity m in that block is a
-    line of multiplicity (d+1) m with references into every block.
-    eigenvalues() owns the exactness policy: under rational inputs a level
-    is exact on diagonal blocks and, up to degree EXACT_DEGREE_MAX = 4,
-    exactly when it is rational (the species of the band, solved in
-    closed form).  Equal exact levels form one line; float levels are
-    grouped within tol.spec, and an exact level never joins a float one
-    (group_energies).
-    Only the diagonalized band is guarded: HamiltonianOverflowError comes
-    from the guards of hamiltonian_matrix and eigenvalues on that band, or
-    from a level outside the float range (_as_float); the other blocks of
-    the degree are never built.  This is the oracle route the closed forms
-    are verified against, and the production route for the asymmetric top.
+    Every block H^{p,q} of degree d = 2j carries the same spin-j action, so
+    its band is similar to S_d (polyalg.degree_band): the diagonal
+    (c1+c2)(P_(m-1)+P_m)/4 + c3 l_m^2 and the entries g sqrt(P_m P_(m+1))
+    at (m, m+-2), with g = (c1-c2)/4 and P_m = (m+1)(d-m) (King, Hainer &
+    Cross 1943; `rotorspec verify` checks that S_d plus k rho has the
+    diagonal and the products lower * upper of the band of H^(d//2,
+    d-d//2) for p+q <= 2J).  A level of multiplicity m of S_d is a line of
+    multiplicity (d+1) m with references into every block; k rho is added
+    to each level last (curvature_shift).  eigenvalues() owns the
+    exactness policy: under rational inputs a level is exact when S_d is
+    diagonal and, up to degree EXACT_DEGREE_MAX = 4, exactly when it is
+    rational (the species of S_d, solved in closed form).  Equal exact
+    levels form one line; float levels are grouped within tol.spec, and an
+    exact level never joins a float one (group_energies).
+    HamiltonianOverflowError is raised exactly when an entry of S_d or a
+    level is not a finite float, or when an exact level lies beyond the
+    float range.  This is the oracle route the closed forms are verified
+    against, and the production route for the asymmetric top.
     """
     check_j_max(j_max)
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed_momenta = classify_momenta((i1, i2, i3), tol)
-    rho = scalar_curvature(top, closed_momenta or (i1, i2, i3), h) if k != 0 else 0
-    lines = []
-    for j in j_values(bundle, j_max):
-        d = int(2 * j)
-        ham = hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), i1, i2, i3, h, k, rho)
-        levels = [(value, idx) for idx, (value, _) in enumerate(eigenvalues(ham))]
-        for energy, idxs in group_energies(levels, tol.spec):
-            lines.append(
-                SpectralLine(
-                    energy=energy,
-                    j=j,
-                    multiplicity=(d + 1) * len(idxs),
-                    bundle=bundle,
-                    source="diagonalized",
-                    eigensections=tuple(chain.from_iterable(_refs(d, (idx,)) for idx in idxs)),
-                )
-            )
-    return Spectrum(
-        lines=tuple(lines),
-        kind="diagonalized",
-        bundle=bundle,
-        top_class=top,
-        params={"I1": i1, "I2": i2, "I3": i3},
-        k=k,
-        hbar0=h,
-        j_max=Fraction(j_max),
-    )
+
+    def levels():
+        shift = curvature_shift(k, top, closed_momenta or (i1, i2, i3), h)
+        for j in j_values(bundle, j_max):
+            d = int(2 * j)
+            found = eigenvalues(d, *degree_band(d, i1, i2, i3, h))
+            for energy, idxs in group_energies([(value + shift, idx) for idx, (value, _) in enumerate(found)], tol.spec):
+                refs = tuple(chain.from_iterable(_refs(d, (idx,)) for idx in idxs))
+                yield energy, j, None, (d + 1) * len(idxs), refs
+
+    params = {"I1": i1, "I2": i2, "I3": i3}
+    return _spectrum("diagonalized", top, bundle, params, k, h, j_max, levels(), source="diagonalized")
 
 
 def asymmetric_spectrum(

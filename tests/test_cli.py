@@ -1,13 +1,26 @@
 """CLI surface: schema, exit codes, output formats, JSON round-trip."""
 
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rotorspec import BundleKind, cli, spherical_spectrum, symmetric_spectrum
+from rotorspec import (
+    BundleKind,
+    ParticleSystem,
+    canonicalize,
+    cli,
+    inertia_tensor,
+    principal_momenta,
+    spherical_spectrum,
+    symmetric_spectrum,
+)
 from rotorspec.cli import (
     EXIT_BUNDLE,
     EXIT_GEOMETRY,
@@ -17,7 +30,7 @@ from rotorspec.cli import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
-from rotorspec.polyalg import harmonic_basis_r3
+from rotorspec.polyalg import hamiltonian_matrix, harmonic_basis, harmonic_basis_r3
 
 DIPOLE = {
     "version": 1,
@@ -291,22 +304,34 @@ def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
 
 
 def test_huge_hbar_or_k_exit_2(tmp_path, capsys):
-    # finite values whose float Hamiltonian overflows are rejected by name;
-    # 1e300 still works (its output is pinned in tests/golden)
+    # an hbar that takes an entry of S_d or a level past the float range is
+    # rejected by name; k rho is added to finite levels, so k up to 1e308
+    # still works on this body, as does hbar = 1e306 (the 1e300 outputs are
+    # pinned in tests/golden)
     path = _write(tmp_path, TRIANGLE)
-    for field in ("hbar", "k"):
-        for value in (1e306, 1e308):
-            doc = {**TRIANGLE, field: value}
-            for argv in (
-                ["spectrum", "--config", path, f"--{field}", repr(value)],
-                ["spectrum", "--config", _write(tmp_path, doc, f"{field}.json")],
-            ):
-                assert main(argv) == EXIT_SCHEMA, argv
-                captured = capsys.readouterr()
+    for field, value, code in (
+        ("hbar", 1e300, EXIT_OK),
+        ("hbar", 1e306, EXIT_OK),
+        ("hbar", 1e307, EXIT_SCHEMA),
+        ("hbar", 1e308, EXIT_SCHEMA),
+        ("k", 1e300, EXIT_OK),
+        ("k", 1e306, EXIT_OK),
+        ("k", 1e307, EXIT_OK),
+        ("k", 1e308, EXIT_OK),
+    ):
+        doc = {**TRIANGLE, field: value}
+        for argv in (
+            ["spectrum", "--config", path, f"--{field}", repr(value), "--output", "csv"],
+            ["spectrum", "--config", _write(tmp_path, doc, f"{field}.json"), "--output", "csv"],
+        ):
+            assert main(argv) == code, argv
+            captured = capsys.readouterr()
+            if code == EXIT_OK:
+                energies = [float(row.split(",")[3]) for row in captured.out.splitlines()[1:]]
+                assert energies and all(math.isfinite(e) for e in energies), argv
+            else:
                 assert "error: hbar or k too large" in captured.err, argv
                 assert captured.out == "", argv
-        assert main(["spectrum", "--config", path, f"--{field}", "1e300"]) == EXIT_OK
-        capsys.readouterr()
 
 
 def _scaled_triangle(scale):
@@ -521,3 +546,54 @@ def test_eigensections_command(tmp_path, capsys):
     rc = main(["eigensections", "--config", _write(tmp_path, DIPOLE), "--j", "3/2"])
     assert rc == EXIT_BUNDLE
     capsys.readouterr()
+
+
+def _random_body(seed, n=4):
+    rng = random.Random(seed)
+    particles = [
+        {"mass": rng.uniform(0.5, 4.0), "charge": 0, "position": [rng.uniform(-2.0, 2.0) for _ in range(3)]}
+        for _ in range(n)
+    ]
+    return {"version": 1, "particles": particles}
+
+
+COMBINATION = re.compile(r"^  H\^\((\d+),(\d+)\) combination: (.*)$")
+TERM = re.compile(r"\((\S+)\)\*B(\d+)")
+
+
+@pytest.mark.parametrize("doc", [TRIANGLE, _random_body(5), _random_body(11)], ids=["triangle", "random5", "random11"])
+def test_eigensections_are_canonical_eigenvectors_of_their_block(tmp_path, capsys, monkeypatch, doc):
+    # every printed diagonalized vector x solves A x = E x on the exact band
+    # A of its block (the body's float momenta read exactly, shift 0) to
+    # 1e-12 of A's largest entry, and its first coefficient is positive;
+    # printed here at full precision
+    monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))
+    config = canonicalize(ParticleSystem(*zip(*((p["mass"], p["charge"], p["position"]) for p in doc["particles"]))))
+    momenta = principal_momenta(inertia_tensor(config), config.degeneracy).momenta
+    path = _write(tmp_path, doc)
+    vectors = 0
+    for j in ("0", "1", "2", "3", "1/2", "3/2", "5/2"):
+        assert main(["eigensections", "--config", path, "--j", j]) == EXIT_OK
+        energy = None
+        for row in capsys.readouterr().out.splitlines():
+            if row.startswith("j = "):
+                assert row.endswith(", diagonalized"), row
+                energy = float(row.split("energy ")[1].split(",")[0])
+            match = COMBINATION.match(row)
+            if not match:
+                continue
+            p, q = int(match[1]), int(match[2])
+            band = hamiltonian_matrix(harmonic_basis(p, q), *momenta)
+            n = p + q + 1
+            a = np.arange(n - 2)
+            dense = np.diag([float(v) for v in band.diag])
+            dense[a + 2, a], dense[a, a + 2] = [float(v) for v in band.lower], [float(v) for v in band.upper]
+            x = np.zeros(n)
+            terms = TERM.findall(match[3])
+            for coeff, k in terms:
+                x[int(k)] = float(coeff)
+            assert float(terms[0][0]) > 0, row
+            residual = np.abs(dense @ x - energy * x).max()
+            assert residual <= 1e-12 * np.abs(dense).max(), (row, residual)
+            vectors += 1
+    assert vectors == sum((d + 1) ** 2 for d in range(7))

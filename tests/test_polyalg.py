@@ -4,11 +4,12 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotorspec import asymmetric_spectrum, verify
-from rotorspec.errors import HamiltonianOverflowError, RepresentationClosureError
+from rotorspec import asymmetric_spectrum, diagonalized_spectrum, verify
+from rotorspec.errors import RepresentationClosureError
 from rotorspec.polyalg import (
     QC,
     Polynomial,
@@ -41,7 +42,7 @@ from rotorspec.polyalg.operators import (
     _raw_matrix,
     _species_levels,
     band_species,
-    weighted_symmetrization,
+    degree_band,
 )
 from rotorspec.polyalg.rational_linalg import mat_scale
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
@@ -148,8 +149,9 @@ def test_casimir_commutes_with_generators_and_j3sq():
 def test_hamiltonian_spherical_block():
     space = harmonic_basis(1, 0)
     ham = hamiltonian_matrix(space, 1, 1, 1)
-    assert ham.is_diagonal()
+    assert not any(ham.lower) and not any(ham.upper)
     assert all(ham.diag[i] == Fraction(3, 8) for i in range(2))
+    assert eigenvalues(1, *degree_band(1, 1, 1, 1)) == [(Fraction(3, 8), True)] * 2
     space = harmonic_basis(0, 0)
     ham = hamiltonian_matrix(space, 2, 3, 4)
     assert ham.diag[0] == 0
@@ -158,17 +160,15 @@ def test_hamiltonian_spherical_block():
 def test_hamiltonian_asymmetric_triad():
     want = sorted([Fraction(3, 4), Fraction(2, 3), Fraction(5, 12)])
     for p, q in ((2, 0), (1, 1), (0, 2)):
-        ham = hamiltonian_matrix(harmonic_basis(p, q), 1, 2, 3)
-        assert _self_adjoint(ham)
-        vals = eigenvalues(ham)
-        assert [v for v, exact in vals] == want
-        assert all(exact for _, exact in vals)
+        assert _self_adjoint(hamiltonian_matrix(harmonic_basis(p, q), 1, 2, 3))
+    vals = eigenvalues(2, *degree_band(2, 1, 2, 3))
+    assert [v for v, exact in vals] == want
+    assert all(exact for _, exact in vals)
 
 
 def test_hamiltonian_float_path_matches_exact():
-    space = harmonic_basis(2, 1)
-    exact = eigenvalues(hamiltonian_matrix(space, 1, 2, 3))
-    approx = eigenvalues(hamiltonian_matrix(space, 1.0, 2.0, 3.0))
+    exact = eigenvalues(3, *degree_band(3, 1, 2, 3))
+    approx = eigenvalues(3, *degree_band(3, 1.0, 2.0, 3.0))
     for (ve, _), (vf, _) in zip(exact, approx):
         assert float(ve) == pytest.approx(float(vf), rel=1e-12)
 
@@ -187,18 +187,9 @@ def test_representation_closure_guard():
 
 
 def _self_adjoint(ham):
-    """w_(a+2) lower_a = w_a upper_a for the pairing weights w: exactly for
-    an exact band, to 1e-12 of the largest weighted entry for a float one."""
+    """w_(a+2) lower_a = w_a upper_a for the pairing weights w, exactly."""
     w = pairing_weights(ham.space.p, ham.space.q)
-    if not ham.exact:
-        w = [float(x) for x in w]
-    pairs = [(w[a + 2] * lo, w[a] * up) for a, (lo, up) in enumerate(zip(ham.lower, ham.upper))]
-    if ham.exact:
-        return all(x == y for x, y in pairs)
-    scaled = [x * y for x, y in zip(w, ham.diag)] + [x for pair in pairs for x in pair]
-    assert all(map(math.isfinite, scaled))
-    tol = 1e-12 * max(map(abs, scaled))
-    return max((abs(x - y) for x, y in pairs), default=0.0) <= tol
+    return all(w[a + 2] * lo == w[a] * up for a, (lo, up) in enumerate(zip(ham.lower, ham.upper)))
 
 
 def _squares(p, q):
@@ -263,8 +254,8 @@ def test_continuant_equals_faddeev_leverrier(job):
     momenta, hbar0, k, rho = job
     for p, q in _blocks(10):
         ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
-        assert ham.exact
-        species = band_species(ham)
+        products = [lo * up for lo, up in zip(ham.lower, ham.upper)]
+        species = band_species(ham.diag, products, p + q)
         assert [count for *_, count in species] == ([2] if (p + q) % 2 else [1] * len(species))
         assert sum(len(diag) * count for diag, _, count in species) == p + q + 1
         assert all(type(x) is Fraction for diag, products, _ in species for x in (*diag, *products))
@@ -293,72 +284,62 @@ def test_exact_band_equals_the_axis_by_axis_sum(job):
         assert _self_adjoint(ham)
 
 
-@pytest.mark.parametrize(
-    "job",
-    FLOAT_JOBS + [((1.0, 2.0, 3.5), 1e-300, 0.5, 0.25), ((0.7, 1.3, 2.9), 1e300, 0, 0)],
-    ids=["plain", "shifted", "mixed", "tiny_hbar", "huge_hbar"],
-)
-def test_float_band_has_the_three_axis_bits(job):
-    # the one-record float assembly gives the bits of summing
-    # float(hbar0) / (2 float(I_a)) * float(J_a^2 entry) axis by axis
+@pytest.mark.parametrize("job", FLOAT_JOBS, ids=["plain", "shifted", "mixed"])
+def test_float_input_is_read_as_the_rational_it_is(job):
     momenta, hbar0, k, rho = job
-    for p, q in _blocks(12):
+    for p, q in _blocks(6):
         ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
-        n = p + q + 1
-        diag, lower, upper = [float(k) * float(rho)] * n, [0.0] * (n - 2), [0.0] * (n - 2)
-        for mom, (sq_diag, sq_lower, sq_upper) in zip(momenta, _squares(p, q)):
-            coef = float(hbar0) / (2 * float(mom))
-            diag = [x + coef * float(y) for x, y in zip(diag, sq_diag)]
-            lower = [x + coef * float(y) for x, y in zip(lower, sq_lower)]
-            upper = [x + coef * float(y) for x, y in zip(upper, sq_upper)]
-        got = ham.diag + ham.lower + ham.upper
-        assert all(type(x) is float for x in got)
-        assert [x.hex() for x in got] == [x.hex() for x in diag + lower + upper]
-        assert _self_adjoint(ham)
+        exact = [Fraction(x) for x in (*momenta, hbar0, k, rho)]
+        assert ham == hamiltonian_matrix(harmonic_basis(p, q), *exact)
+        assert all(type(x) is Fraction for x in ham.diag + ham.lower + ham.upper)
 
 
-@pytest.mark.parametrize("job", RATIONAL_JOBS + FLOAT_JOBS)
-def test_symmetrized_array_has_the_dense_formula_bits(job):
-    momenta, hbar0, k, rho = job
-    for p, q in _blocks(9):
-        ham = hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho)
-        n = p + q + 1
-        zero = type(ham.diag[0])(0)
-        dense = [[zero] * n for _ in range(n)]
-        for a, x in enumerate(ham.diag):
-            dense[a][a] = x
-        for a, (lo, up) in enumerate(zip(ham.lower, ham.upper)):
-            dense[a + 2][a], dense[a][a + 2] = lo, up
-        s = np.sqrt(np.array([float(w) for w in pairing_weights(p, q)]))
-        want = (s[:, None] * np.array(dense, dtype=float)) / s[None, :]
-        sym, s_got = weighted_symmetrization(ham)
-        assert sym.tobytes() == want.tobytes()
-        assert s_got.tobytes() == s.tobytes()
+positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 13))
+nonzero_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 9))
 
 
-def test_float_band_with_an_overflowing_weighted_entry_raises():
-    # the middle element of H^{2,2} has weight 6 and diag = 2.25 hbar0 for
-    # momenta (1, 2, 3): at hbar0 = 5e307 every entry is finite, 6 diag[2]
-    # is not
-    space = harmonic_basis(2, 2)
-    assert pairing_weights(2, 2)[2] == 6
-    assert hamiltonian_matrix(space, 1.0, 2.0, 3.0, 1e307).diag[2] == pytest.approx(2.25e307)
-    with pytest.raises(HamiltonianOverflowError):
-        hamiltonian_matrix(space, 1.0, 2.0, 3.0, 5e307)
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(positive_rationals, positive_rationals, positive_rationals), positive_rationals, nonzero_rationals, nonzero_rationals)
+def test_degree_band_matches_every_block(momenta, hbar0, k, rho):
+    # S_d plus k rho has the diagonal of every block's band, and its
+    # products g^2 P_m P_(m+1) are the band's lower * upper, exactly
+    for d in range(13):
+        diag, g = degree_band(d, *momenta, hbar0)
+        assert all(type(x) is Fraction for x in (*diag, g))
+        products = [g * g * (m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
+        for p in range(d + 1):
+            band = hamiltonian_matrix(harmonic_basis(p, d - p), *momenta, hbar0, k, rho)
+            assert tuple(x + k * rho for x in diag) == band.diag
+            assert products == [lo * up for lo, up in zip(band.lower, band.upper)]
 
 
-def test_exact_bands_up_to_degree_4_are_never_symmetrized(monkeypatch):
-    # the species route reads the exact band alone; the float
-    # symmetrization belongs to the eigvalsh route
-    def refuse(op):
-        raise AssertionError(f"symmetrized H^({op.space.p},{op.space.q})")
+def _refuse_everywhere(monkeypatch, owner, name):
+    """Make owner.name raise, under every name a rotorspec module binds it to."""
+    real = getattr(owner, name)
 
-    monkeypatch.setattr(operators, "weighted_symmetrization", refuse)
-    for momenta, hbar0, k, rho in RATIONAL_JOBS:
-        for p, q in _blocks(operators.EXACT_DEGREE_MAX):
-            eigenvalues(hamiltonian_matrix(harmonic_basis(p, q), *momenta, hbar0, k, rho))
-    with pytest.raises(AssertionError, match="symmetrized"):
-        eigenvalues(hamiltonian_matrix(harmonic_basis(2, 3), *RATIONAL_JOBS[0][0]))
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "rotorspec" or module_name.startswith("rotorspec."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, refuse)
+
+
+def test_diagonalized_spectrum_reads_only_the_degree_band(monkeypatch):
+    # S_d depends on the degree alone: no harmonic space, ladder, pairing
+    # weight or block band is built for a spectrum, on either bundle, for
+    # float and rational input, up to the cap
+    for owner, name in ((spaces, "harmonic_basis"), (operators, "_ladder"), (operators, "pairing_weights"), (operators, "hamiltonian_matrix")):
+        _refuse_everywhere(monkeypatch, owner, name)
+    for momenta, k in (((1.0, 2.0, 3.5), 0.25), ((1, 2, Fraction(7, 2)), Fraction(5, 21))):
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            spec = diagonalized_spectrum(*momenta, bundle, k=k, j_max=25)
+            degrees = range(bundle is BundleKind.MINUS, 51, 2)
+            assert spec.total_multiplicity() == sum((d + 1) ** 2 for d in degrees)
+    with pytest.raises(AssertionError, match="hamiltonian_matrix called"):
+        operators.hamiltonian_matrix(None, 1, 2, 3)
 
 
 def test_ladder_closure_check_rejects_a_corrupted_sector():

@@ -28,10 +28,10 @@ from rotorspec import (
 )
 from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
-from rotorspec.polyalg import casimir_matrix, eigenvalues, hamiltonian_matrix, harmonic_basis
-from rotorspec.polyalg.operators import weighted_symmetrization
+from rotorspec.polyalg import casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
+from rotorspec.polyalg.operators import EXACT_DEGREE_MAX, _species_levels, band_species
 from rotorspec.quantum_structures import j_values
-from rotorspec.spectra import _refs, curvature_shift, group_energies
+from rotorspec.spectra import SpectralLine, _refs, curvature_shift, group_energies
 
 
 def test_j_squared_examples():
@@ -296,15 +296,14 @@ def _assert_diagonalized_lines(spec):
     degree; returns the number of lines with more than one index."""
     momenta = (spec.params["I1"], spec.params["I2"], spec.params["I3"])
     closed_momenta = classify_momenta(momenta)[1]
-    rho = scalar_curvature(spec.top_class, closed_momenta or momenta, spec.hbar0) if spec.k != 0 else 0
+    shift = curvature_shift(spec.k, spec.top_class, closed_momenta or momenta, spec.hbar0)
     several = 0
     for ln in spec.lines:
         d = int(2 * ln.j)
         idxs = [idx for p, _, idx in ln.eigensections if p == 0]
         refs = tuple((p, d - p, idx) for idx in idxs for p in range(d + 1))
         assert (ln.multiplicity, ln.eigensections) == ((d + 1) * len(idxs), refs)
-        ham = hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), *momenta, spec.hbar0, spec.k, rho)
-        value = eigenvalues(ham)[idxs[0]][0]
+        value = eigenvalues(d, *degree_band(d, *momenta, spec.hbar0))[idxs[0]][0] + shift
         assert (repr(ln.energy), type(ln.energy)) == (repr(value), type(value))
         several += len(idxs) > 1
     return several
@@ -390,6 +389,18 @@ def test_closed_forms_do_bounded_fraction_work_per_line():
             finally:
                 sys.setprofile(None)
             assert calls <= 20 * lines, (bundle, calls, lines)
+
+
+def test_a_line_checks_its_bundle_without_building_a_fraction(monkeypatch):
+    # the bundle check reads the denominator of the rational j
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    j = Fraction(7, 2)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert SpectralLine(1.0, j, 8, BundleKind.MINUS).j is j
+    with pytest.raises(ValueError, match="inconsistent"):
+        SpectralLine(1.0, j, 8, BundleKind.PLUS)
 
 
 def _every_route_at_the_cap():
@@ -579,18 +590,56 @@ def test_a_level_beyond_the_float_range_raises_overflow(momenta, hbar0, bundle):
         diagonalized_spectrum(*momenta, bundle, hbar0=hbar0, j_max=2)
 
 
+HUGE = Fraction(10**400)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spherical_spectrum(1.5, BundleKind.PLUS, 0.25, HUGE, 6),
+        lambda: symmetric_spectrum(1.5, 2.5, BundleKind.PLUS, 0.25, HUGE, 6),
+        lambda: degenerate_spectrum(1.5, 0.25, HUGE, 6),
+        lambda: monopole_spectrum(1.5, 2.5, BundleKind.PLUS, HUGE, 1, 0.25, 1, 6),
+    ],
+    ids=["spherical", "symmetric", "degenerate", "monopole_nu"],
+)
+def test_a_rational_beyond_the_float_range_meeting_a_float_raises_overflow(call):
+    # float(10**400) raises a bare OverflowError where the float momentum
+    # or k meets it, in k rho or in a level; every spectrum reports it as
+    # HamiltonianOverflowError
+    with pytest.raises(HamiltonianOverflowError):
+        call()
+
+
+def _block_levels(band):
+    """The levels of one exact block band, ascending, from that block
+    alone: its species in closed form up to degree EXACT_DEGREE_MAX, and
+    otherwise eigvalsh of its weighted symmetrization D A D^-1, D =
+    diag(sqrt(w)) for the pairing weights w."""
+    p, q = band.space.p, band.space.q
+    if p + q <= EXACT_DEGREE_MAX:
+        products = [lo * up for lo, up in zip(band.lower, band.upper)]
+        species = band_species(band.diag, products, p + q)
+        return sorted(v for diag, prods, count in species for v, _ in _species_levels(diag, prods) * count)
+    a = np.arange(p + q - 1)
+    dense = np.diag([float(x) for x in band.diag])
+    dense[a + 2, a], dense[a, a + 2] = [float(x) for x in band.lower], [float(x) for x in band.upper]
+    s = np.sqrt([float(w) for w in pairing_weights(p, q)])
+    return [float(v) for v in np.linalg.eigvalsh(s[:, None] * dense / s[None, :])]
+
+
 def _per_block_lines(momenta, bundle, k, j_max):
     """The lines of the per-block route: every block H^{p,q} of a degree
-    diagonalized and all their levels grouped, as {(j, refs): (energy,
-    multiplicity)}."""
-    rho = scalar_curvature(TopClass.ASYMMETRIC, momenta, 1) if k != 0 else 0
+    diagonalized on its own band, k rho added to each level, and all their
+    levels grouped, as {(j, refs): (energy, multiplicity)}."""
+    shift = curvature_shift(k, TopClass.ASYMMETRIC, momenta, 1)
     out = {}
     for j in j_values(bundle, j_max):
         d = int(2 * j)
         found = [
-            (value, (p, d - p, idx))
+            (value + shift, (p, d - p, idx))
             for p in range(d + 1)
-            for idx, (value, _) in enumerate(eigenvalues(hamiltonian_matrix(harmonic_basis(p, d - p), *momenta, 1, k, rho)))
+            for idx, value in enumerate(_block_levels(hamiltonian_matrix(harmonic_basis(p, d - p), *momenta)))
         ]
         for energy, refs in group_energies(found):
             out[j, frozenset(refs)] = energy, len(refs)
@@ -635,16 +684,19 @@ def test_one_block_per_degree_equals_the_per_block_route(momenta):
                 assert list(ln.eigensections) == sorted(ln.eigensections, key=lambda r: (r[2], r[0]))
 
 
-def _diagonalized_guard_raises(momenta, bundle, hbar0, k):
-    """Whether, for some degree up to j_max 6, the guards raise on the band
-    of the block H^(d//2, d - d//2) that diagonalized_spectrum reads."""
-    rho = scalar_curvature(TopClass.ASYMMETRIC, momenta, hbar0) if k != 0 else 0
-    for j in j_values(bundle, 6):
-        d = int(2 * j)
-        try:
-            weighted_symmetrization(hamiltonian_matrix(harmonic_basis(d // 2, d - d // 2), *momenta, hbar0, k, rho))
-        except HamiltonianOverflowError:
-            return True
+def _overflows(momenta, bundle, hbar0, k):
+    """Whether, for some degree up to j_max 6, an entry of the dense S_d or
+    a level (an eigenvalue of S_d plus k rho) is not a finite float."""
+    shift = curvature_shift(k, TopClass.ASYMMETRIC, momenta, hbar0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in j_values(bundle, 6):
+            d = int(2 * j)
+            diag, g = degree_band(d, *momenta, hbar0)
+            a = np.arange(d - 1)
+            dense = np.diag(diag)
+            dense[a + 2, a] = dense[a, a + 2] = [g * math.sqrt((m + 1) * (d - m) * (m + 2) * (d - m - 1)) for m in a]
+            if not np.isfinite(dense).all() or not np.isfinite(np.linalg.eigvalsh(dense) + shift).all():
+                return True
     return False
 
 
@@ -667,8 +719,8 @@ def _scaled_like(spec, ref, hbar0, rel):
 
 def test_overflow_verdict_is_the_diagonalized_band_verdict():
     # hbar and k log-spaced over [1e298, 1.6e308]: asymmetric_spectrum
-    # raises exactly where the guard on the diagonalized band of some
-    # degree does, and what it returns is finite; at k = 0 it is hbar times
+    # raises exactly where an entry of S_d or a level of some degree is not
+    # a finite float, and what it returns is finite; at k = 0 it is hbar times
     # the hbar = 1 spectrum, to 1e-12 of each degree's largest level (the
     # accuracy of eigvalsh is relative to the band's norm)
     sweep = [float(x) for x in np.geomspace(1e298, 1.6e308, 41)]
@@ -677,7 +729,7 @@ def test_overflow_verdict_is_the_diagonalized_band_verdict():
         for bundle in (BundleKind.PLUS, BundleKind.MINUS):
             ref = asymmetric_spectrum(*momenta, bundle, j_max=6)
             for hbar0, k in [*((v, 0.0) for v in sweep), *((1.0, v) for v in sweep)]:
-                raises = _diagonalized_guard_raises(momenta, bundle, hbar0, k)
+                raises = _overflows(momenta, bundle, hbar0, k)
                 try:
                     spec = asymmetric_spectrum(*momenta, bundle, k=k, hbar0=hbar0, j_max=6)
                 except HamiltonianOverflowError:
@@ -692,23 +744,20 @@ def test_overflow_verdict_is_the_diagonalized_band_verdict():
 
 
 def test_huge_hbar_at_the_cap_is_the_scaled_spectrum():
-    # at hbar0 = 1e291 the weighted band of H^(20,30) overflows, but the
-    # band of H^(d//2, d - d//2) of every degree up to 50 stays finite, and
-    # the spectrum is 1e291 times the hbar = 1 spectrum
+    # at hbar0 = 1e291 every entry of S_d and every level up to degree 50
+    # stays finite, and the spectrum is 1e291 times the hbar = 1 spectrum
     momenta, hbar0 = (1.0, 1.5, 0.001), 1e291
-    with pytest.raises(HamiltonianOverflowError):
-        hamiltonian_matrix(harmonic_basis(20, 30), *momenta, hbar0)
     for bundle in (BundleKind.PLUS, BundleKind.MINUS):
         spec = asymmetric_spectrum(*momenta, bundle, hbar0=hbar0, j_max=25)
         _scaled_like(spec, asymmetric_spectrum(*momenta, bundle, j_max=25), hbar0, 1e-12)
 
 
 def test_exact_levels_past_the_symmetrization_guard_are_returned():
-    # at hbar0 = 7e307 the weighted symmetrization of the j = 2 band
-    # overflows, but every exact level lies in the float range
+    # at hbar0 = 7e307 an entry of the j = 2 band weighted by its pairing
+    # weight leaves the float range, but S_d and every level lie in it
     hbar0 = 7 * 10**307
-    with pytest.raises(HamiltonianOverflowError):
-        weighted_symmetrization(hamiltonian_matrix(harmonic_basis(2, 2), 1, 2, Fraction(7, 2), hbar0))
+    band = hamiltonian_matrix(harmonic_basis(2, 2), 1, 2, Fraction(7, 2), hbar0)
+    assert pairing_weights(2, 2)[2] * band.diag[2] > 2**1024
     spec = asymmetric_spectrum(1, 2, Fraction(7, 2), BundleKind.PLUS, hbar0=hbar0, j_max=2)
     ref = asymmetric_spectrum(1, 2, Fraction(7, 2), BundleKind.PLUS, j_max=2)
     assert len(spec.lines) == 9
