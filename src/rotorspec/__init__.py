@@ -3,17 +3,11 @@
 The pipeline runs canonicalize -> classify -> inertia -> admissible quantum
 structures -> spectrum.  Closed forms cover the spherical, symmetric,
 degenerate and monopole cases; the asymmetric top is solved by exact
-operator matrices on harmonic polynomial spaces.
+operator matrices on harmonic polynomial spaces.  That pipeline runs in
+pure Python; the classical_em names below are imported on first use, since
+that module needs numpy.
 """
 
-from .classical_em import (
-    PatternField,
-    SplitFieldValue,
-    decoupling_check,
-    split_field,
-    split_potential,
-    unsplit_field,
-)
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     AllCoincidentError,
@@ -61,7 +55,6 @@ from .spectra import (
     SpectralLine,
     Spectrum,
     asymmetric_spectrum,
-    classical_momentum_map,
     curvature_shift,
     degenerate_spectrum,
     diagonalized_spectrum,
@@ -72,6 +65,25 @@ from .spectra import (
 )
 
 __version__ = "0.1.0"
+
+_CLASSICAL_EM = (
+    "PatternField",
+    "SplitFieldValue",
+    "classical_momentum_map",
+    "decoupling_check",
+    "split_field",
+    "split_potential",
+    "unsplit_field",
+)
+
+
+def __getattr__(name):
+    if name in _CLASSICAL_EM:
+        from . import classical_em
+
+        return getattr(classical_em, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AllCoincidentError",

@@ -11,6 +11,10 @@ A single 2-form evaluation convention is used throughout, matching the
 observed splitting F = -2 dt ^ E + 2 * (i_B eta):
 
     F(e; v, w) = -2 (v0 E(e).w - w0 E(e).v) + 2 B(e).(v x w).
+
+The classical momentum map of the rotational action lives here too.  This
+is the one module of the em-split path that needs numpy; the package
+imports it on first use.
 """
 
 from __future__ import annotations
@@ -114,9 +118,10 @@ def split_field(
     v_cen, omega = (np.asarray(x, dtype=float) for x in v)
     w_cen, psi = (np.asarray(x, dtype=float) for x in w)
     m = system.total_mass
+    center = np.asarray(config.center)
     cen = rot = mixed = 0.0
-    for qi, ri in zip(system.charges, config.relatives):
-        pos = config.center + ri
+    for qi, ri in zip(system.charges, np.asarray(config.relatives)):
+        pos = center + ri
         weight = qi / m
         v_rot = _cross(omega, ri)
         w_rot = _cross(psi, ri)
@@ -143,9 +148,10 @@ def unsplit_field(
     v_cen, omega = (np.asarray(x, dtype=float) for x in v)
     w_cen, psi = (np.asarray(x, dtype=float) for x in w)
     m = system.total_mass
+    center = np.asarray(config.center)
     out = 0.0
-    for qi, ri in zip(system.charges, config.relatives):
-        pos = config.center + ri
+    for qi, ri in zip(system.charges, np.asarray(config.relatives)):
+        pos = center + ri
         vi = v_cen + _cross(omega, ri)
         wi = w_cen + _cross(psi, ri)
         out += (qi / m) * fld.evaluate(pos, (v0, vi), (w0, wi))
@@ -165,9 +171,9 @@ def decoupling_check(
     """
     if fld.is_zero:
         return True, "field vanishes; splitting is trivially decoupled"
-    ratios = system.charges / system.masses
-    spread = float(np.max(ratios) - np.min(ratios))
-    scale = float(np.max(np.abs(ratios)))
+    ratios = [q / m for q, m in zip(system.charges, system.masses)]
+    spread = max(ratios) - min(ratios)
+    scale = max(map(abs, ratios))
     proportional = spread <= tol.rel * max(scale, 1.0)
     if not proportional:
         return False, (
@@ -194,7 +200,23 @@ def split_potential(
     if a.shape != (system.n, 3):
         raise ValueError("one covector per particle required")
     m = system.total_mass
-    weights = system.charges / m
+    weights = np.asarray(system.charges) / m
     a_cen = np.einsum("i,ij->j", weights, a)
     a_rot = np.einsum("i,ij->j", weights, np.cross(config.relatives, a))
     return a_cen, a_rot
+
+
+def classical_momentum_map(omega, config: RigidConfiguration, velocities, hbar0=1):
+    """Momentum map J(omega) of the rotational SO(3) action on a rigid
+    velocity list: the rescaled metric pairing of the generator field with
+    the velocity,
+
+        J(omega) = (1 / hbar0) sum_i m_i (omega x r_i) . v_i,
+
+    i.e. the classical angular momentum about the center of mass contracted
+    with omega.
+    """
+    omega = np.asarray(omega, dtype=float)
+    v = np.asarray(velocities, dtype=float)
+    gen = np.cross(omega, config.relatives)
+    return float(np.einsum("i,ij,ij->", config.masses, gen, v)) / float(hbar0)

@@ -19,9 +19,6 @@ from fractions import Fraction
 from functools import cache
 from numbers import Rational
 
-import numpy as np
-
-from .classical_em import PatternField, decoupling_check, split_field, unsplit_field
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import (
     AllCoincidentError,
@@ -329,7 +326,7 @@ def _build_body(job: JobConfig):
     )
     config = canonicalize(system, job.tolerances)
     tensor = inertia_tensor(config)
-    if not np.isfinite(tensor.matrix).all():
+    if not all(math.isfinite(x) for row in tensor.matrix for x in row):
         raise SchemaError("particles: the inertia tensor leaves the float range (positions or masses too large)")
     momenta = principal_momenta(tensor, config.degeneracy, job.tolerances)
     return system, config, momenta
@@ -497,6 +494,8 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
                 print(f"  H^({p},{q})[{idx}] {poly}")
         else:
             if vectors is None:
+                import numpy as np  # only this command needs eigenvectors
+
                 vectors = np.linalg.eigh(degree_matrix(d, *degree_band(d, *momenta.momenta, job.hbar0)))[1]
             for p, q, idx in ln.eigensections:
                 coeffs = block_vector(p, q, vectors[:, idx])
@@ -515,6 +514,8 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
 
 
 def cmd_em_split(job: JobConfig) -> int:
+    from .classical_em import PatternField, decoupling_check, split_field, unsplit_field  # needs numpy
+
     field_doc = job.field or {"type": "none"}
     if field_doc["type"] == "monopole":
         raise SchemaError(

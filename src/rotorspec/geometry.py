@@ -5,18 +5,25 @@ mass-weighted metric) into a center-of-mass part and a relative part; on the
 rigid constraint surface the relative part is parameterized by an angular
 velocity through v_i = omega x r_i.  This module provides the canonical
 center-of-mass configuration, the degeneracy classification of the body,
-and the splitting / angular-velocity maps.
+and the splitting / angular-velocity maps.  The configuration is floats and
+tuples in pure Python; only the splitting and angular-velocity maps, which
+take and return arrays, import numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from functools import cached_property
+from operator import mul
+from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .errors import AllCoincidentError, NonPositiveMassError, NotRigidVelocityError
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 
 class DegeneracyClass(Enum):
@@ -32,10 +39,21 @@ class DegeneracyClass(Enum):
 
 
 def _as_matrix(rows, dim=3) -> np.ndarray:
+    """rows as an (n, dim) float array; numpy is imported here, by the
+    velocity and covector helpers only."""
+    import numpy as np
+
     a = np.asarray(rows, dtype=float)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(f"expected an (n, {dim}) array, got shape {a.shape}")
     return a
+
+
+def _floats(values) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except TypeError as exc:
+        raise ValueError("expected a list of numbers") from exc
 
 
 @dataclass(frozen=True)
@@ -43,66 +61,77 @@ class ParticleSystem:
     """Raw input: n >= 2 particles with masses, charges and absolute positions.
 
     masses are in mass units (strictly positive), charges in charge units,
-    positions in length units.
+    positions in length units.  Any sequences are accepted and stored as
+    tuples of floats, positions as n rows (x, y, z).
     """
 
-    masses: np.ndarray
-    charges: np.ndarray
-    positions: np.ndarray
+    masses: tuple[float, ...]
+    charges: tuple[float, ...]
+    positions: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
-        object.__setattr__(self, "charges", np.asarray(self.charges, dtype=float))
-        object.__setattr__(self, "positions", _as_matrix(self.positions))
-        n = self.masses.shape[0]
+        object.__setattr__(self, "masses", _floats(self.masses))
+        object.__setattr__(self, "charges", _floats(self.charges))
+        try:
+            positions = tuple([(float(x), float(y), float(z)) for x, y, z in self.positions])
+        except (TypeError, ValueError) as exc:
+            raise ValueError("expected an (n, 3) array of positions") from exc
+        object.__setattr__(self, "positions", positions)
+        n = len(self.masses)
         if n < 2:
             raise ValueError("a rigid body needs at least 2 particles")
-        if self.charges.shape != (n,) or self.positions.shape != (n, 3):
+        if len(self.charges) != n or len(positions) != n:
             raise ValueError("masses, charges and positions must agree in length")
-        if np.any(self.masses <= 0.0):
+        if any(m <= 0.0 for m in self.masses):
             raise NonPositiveMassError("all masses must be strictly positive")
 
     @property
     def n(self) -> int:
-        return self.masses.shape[0]
+        return len(self.masses)
 
     @property
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return math.fsum(self.masses)
 
     @property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> tuple[float, ...]:
         """Mass fractions mu_i = m_i / m; they sum to 1."""
-        return self.masses / self.total_mass
+        total = self.total_mass
+        return tuple(m / total for m in self.masses)
 
 
 @dataclass(frozen=True)
 class RigidConfiguration:
     """Center-of-mass frame configuration of a rigid body.
 
-    relatives r_i satisfy sum_i mu_i r_i = 0; distances is the symmetric
-    matrix of mutual lengths; characteristic is the rank of the span of
-    pairwise differences and fixes the degeneracy class.
+    relatives r_i (rows (x, y, z)) satisfy sum_i mu_i r_i = 0;
+    characteristic is the rank of the span of pairwise differences and
+    fixes the degeneracy class; distances, the symmetric matrix of mutual
+    lengths, is computed on first read.
     """
 
-    center: np.ndarray
-    relatives: np.ndarray
-    masses: np.ndarray
-    distances: np.ndarray
+    center: tuple[float, float, float]
+    relatives: tuple[tuple[float, float, float], ...]
+    masses: tuple[float, ...]
     characteristic: int
     degeneracy: DegeneracyClass
 
     @property
     def n(self) -> int:
-        return self.relatives.shape[0]
+        return len(self.relatives)
 
     @property
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return math.fsum(self.masses)
 
     @property
-    def weights(self) -> np.ndarray:
-        return self.masses / self.total_mass
+    def weights(self) -> tuple[float, ...]:
+        total = self.total_mass
+        return tuple(m / total for m in self.masses)
+
+    @cached_property
+    def distances(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(math.dist(a, b) for b in self.relatives) for a in self.relatives)
 
 
 @dataclass(frozen=True)
@@ -121,16 +150,76 @@ class SplitCovector:
     relative: np.ndarray
 
 
-def characteristic_rank(relatives: np.ndarray, eps_rel: float) -> int:
-    """Rank of span{r_i - r_j}, computed from singular values of the
+def _dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def _triangular_factor(cols):
+    """The three columns of R, 3 x 3 (zero-padded below n rows), of a
+    Householder QR of the n x 3 matrix with the given columns: R has the
+    singular values of the matrix."""
+    cols = [list(c) for c in cols]
+    for k in range(min(len(cols[0]), 3)):
+        v = cols[k][k:]
+        alpha = -math.copysign(math.hypot(*v), v[0])
+        cols[k][k:] = [alpha, *(0.0 for _ in v[1:])]
+        if not alpha:
+            continue
+        v[0] -= alpha
+        vv = alpha * v[0]  # -(v.v) / 2
+        for c in cols[k + 1 :]:
+            tail = c[k:]
+            s = _dot(v, tail) / vv
+            c[k:] = [x + s * y for x, y in zip(tail, v)]
+    pad = [0.0] * (3 - len(cols[0][:3]))
+    return [(*c[:3], *pad) for c in cols]
+
+
+def _singular_values(cols) -> list[float]:
+    """Singular values, descending, of the 3 x 3 matrix with the given
+    columns and a largest entry in [1/2, 1), by cyclic one-sided Jacobi
+    (Hestenes): plane rotations of column pairs until every pair is
+    orthogonal to working precision; the singular values are then the
+    column norms.  A column shorter than 2^-55, below the rounding of the
+    largest entry, is left alone.  Accurate to a few ulps of the largest,
+    unlike the square roots of the eigenvalues of the Gram matrix, which
+    lose half the digits of the small ones."""
+    cols = list(cols)
+    for _ in range(30):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            (x0, x1, x2), (y0, y1, y2) = cols[i], cols[j]
+            alpha, beta = x0 * x0 + x1 * x1 + x2 * x2, y0 * y0 + y1 * y1 + y2 * y2
+            gamma = x0 * y0 + x1 * y1 + x2 * y2
+            if min(alpha, beta) < 2.0**-110 or abs(gamma) <= 2.0**-53 * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2 * gamma)
+            t = math.copysign(1.0 / (abs(zeta) + math.hypot(1.0, zeta)), zeta)
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            cols[i] = (c * x0 - s * y0, c * x1 - s * y1, c * x2 - s * y2)
+            cols[j] = (s * x0 + c * y0, s * x1 + c * y1, s * x2 + c * y2)
+        if not rotated:
+            break
+    return sorted((math.hypot(*c) for c in cols), reverse=True)
+
+
+def characteristic_rank(relatives, eps_rel: float) -> int:
+    """Rank of span{r_i - r_j}, computed from the singular values of the
     relatives matrix (equivalent because the weighted centroid vanishes).
 
-    Singular values below eps_rel * sigma_max count as zero.
+    Singular values below eps_rel * sigma_max count as zero.  The matrix
+    is scaled by a power of two, exactly, to a largest entry in [1/2, 1),
+    reduced to its triangular factor (_triangular_factor), and that
+    factor's singular values taken by one-sided Jacobi (_singular_values).
     """
-    sv = np.linalg.svd(np.asarray(relatives, dtype=float), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    top = max(abs(x) for row in relatives for x in row)
+    if not top:
         return 0
-    return int(np.sum(sv > eps_rel * sv[0]))
+    e = -math.frexp(top)[1]
+    sv = _singular_values(_triangular_factor([math.ldexp(x, e) for x in col] for col in zip(*relatives)))
+    return sum(1 for s in sv if s > eps_rel * sv[0])
 
 
 def canonicalize(
@@ -143,20 +232,18 @@ def canonicalize(
     at the center (no rotational degrees of freedom).
     """
     mu = system.weights
-    center = mu @ system.positions
-    rel = system.positions - center
-    if np.all(np.linalg.norm(rel, axis=1) <= tol.abs):
+    center = tuple(_dot(mu, col) for col in zip(*system.positions))
+    cx, cy, cz = center
+    rel = tuple((x - cx, y - cy, z - cz) for x, y, z in system.positions)
+    if all(math.hypot(*r) <= tol.abs for r in rel):
         raise AllCoincidentError("all particles coincide with the center of mass")
     c_rot = characteristic_rank(rel, tol.rel)
     if c_rot == 0:
         raise AllCoincidentError("all particles coincide with the center of mass")
-    diffs = rel[:, None, :] - rel[None, :, :]
-    distances = np.linalg.norm(diffs, axis=2)
     return RigidConfiguration(
         center=center,
         relatives=rel,
-        masses=system.masses.copy(),
-        distances=distances,
+        masses=system.masses,
         characteristic=c_rot,
         degeneracy=DegeneracyClass(c_rot),
     )
@@ -174,10 +261,12 @@ def split_velocity(config: RigidConfiguration, velocities) -> SplitVector:
     have vanishing weighted sum and the two parts are orthogonal under the
     mass-weighted metric.
     """
+    import numpy as np
+
     v = _as_matrix(velocities)
     if v.shape[0] != config.n:
         raise ValueError("one velocity per particle required")
-    v_cen = config.weights @ v
+    v_cen = np.asarray(config.weights) @ v
     return SplitVector(center=v_cen, relative=v - v_cen)
 
 
@@ -194,12 +283,16 @@ def split_covector(config: RigidConfiguration, covectors) -> SplitCovector:
     a = _as_matrix(covectors)
     if a.shape[0] != config.n:
         raise ValueError("one covector per particle required")
+    import numpy as np
+
     total = a.sum(axis=0)
     return SplitCovector(center=total, relative=a - np.outer(config.weights, total))
 
 
 def weighted_inner(config: RigidConfiguration, u, v) -> float:
     """Mass-weighted inner product sum_i mu_i u_i . v_i of two velocity lists."""
+    import numpy as np
+
     u = _as_matrix(u)
     v = _as_matrix(v)
     return float(np.einsum("i,ij,ij->", config.weights, u, v))
@@ -208,6 +301,8 @@ def weighted_inner(config: RigidConfiguration, u, v) -> float:
 def velocities_from_angular(config: RigidConfiguration, omega) -> np.ndarray:
     """Relative velocities omega x r_i of a rigid rotation with angular
     velocity omega."""
+    import numpy as np
+
     omega = np.asarray(omega, dtype=float)
     return np.cross(omega, config.relatives)
 
@@ -226,8 +321,10 @@ def angular_velocity(
     v = _as_matrix(relative_velocities)
     if v.shape[0] != config.n:
         raise ValueError("one velocity per particle required")
+    import numpy as np
+
     # omega x r = -skew(r) omega, stacked over particles
-    r = config.relatives
+    r = _as_matrix(config.relatives)
     blocks = np.zeros((config.n, 3, 3))
     blocks[:, 0, 1] = r[:, 2]
     blocks[:, 0, 2] = -r[:, 1]

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
-
-import numpy as np
+from numbers import Number, Rational
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .geometry import DegeneracyClass, RigidConfiguration
@@ -30,30 +28,31 @@ class TopClass(Enum):
 
 @dataclass(frozen=True)
 class InertiaTensor:
-    """Symmetric positive-semidefinite 3x3 matrix in mass * length^2 units.
+    """Symmetric positive-semidefinite 3x3 matrix in mass * length^2 units,
+    as three rows of floats.
 
     M_ab = sum_i m_i (|r_i|^2 delta_ab - r_ia r_ib); trace = 2 sum_i m_i |r_i|^2.
     """
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
+        m = tuple(tuple(map(float, row)) for row in self.matrix)
+        if len(m) != 3 or any(len(row) != 3 for row in m):
             raise ValueError("inertia tensor must be 3x3")
         object.__setattr__(self, "matrix", m)
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return self.matrix[0][0] + self.matrix[1][1] + self.matrix[2][2]
 
 
 @dataclass(frozen=True)
 class PrincipalMomenta:
     """Eigen-data of the inertia tensor.
 
-    momenta are sorted ascending I1 <= I2 <= I3; axes has the matching
-    orthonormal eigenvectors as columns, oriented right-handedly.  For a
+    momenta are sorted ascending I1 <= I2 <= I3; axes (three rows) has the
+    matching orthonormal eigenvectors as columns, oriented right-handedly.  For a
     symmetric top, axis_momentum is the distinct eigenvalue and
     pair_momentum the repeated one.  For a degenerate (collinear) body the
     sorted momenta are (0, I, I); transverse_momentum returns the repeated
@@ -61,7 +60,7 @@ class PrincipalMomenta:
     """
 
     momenta: tuple[float, float, float]
-    axes: np.ndarray
+    axes: tuple[tuple[float, float, float], ...]
     top_class: TopClass
     pair_momentum: float | None = None
     axis_momentum: float | None = None
@@ -75,12 +74,18 @@ class PrincipalMomenta:
 
 def inertia_tensor(config: RigidConfiguration) -> InertiaTensor:
     """Inertia tensor about the center of mass (equals m * sigma, with sigma
-    the mass-fraction-weighted rotational metric)."""
-    r = config.relatives
-    m = config.masses
-    sq = np.einsum("ij,ij->i", r, r)
-    mat = np.einsum("i,ab->ab", m * sq, np.eye(3)) - np.einsum("i,ia,ib->ab", m, r, r)
-    return InertiaTensor(matrix=mat)
+    the mass-fraction-weighted rotational metric).  Its diagonal entries
+    are the sums of m_i (r_ib^2 + r_ic^2) over the other two axes b, c."""
+    sxx = syy = szz = sxy = sxz = syz = 0.0
+    for m, (x, y, z) in zip(config.masses, config.relatives):
+        mx, my = m * x, m * y
+        sxx += mx * x
+        syy += my * y
+        szz += m * z * z
+        sxy += mx * y
+        sxz += mx * z
+        syz += my * z
+    return InertiaTensor(((syy + szz, -sxy, -sxz), (-sxy, sxx + szz, -syz), (-sxz, -syz, sxx + syy)))
 
 
 def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -139,30 +144,71 @@ def classify_top(
     return classify_momenta(momenta, tol)[0]
 
 
+def _jacobi_eigh(matrix):
+    """Eigenvalues and eigenvectors (the columns of three rows) of a
+    symmetric 3x3 float matrix, by the cyclic Jacobi method: plane
+    rotations that annihilate each off-diagonal entry in turn, until every
+    off-diagonal entry is zero or negligible beside both diagonal entries
+    it couples (Rutishauser's test).  The eigenvalues are accurate to a
+    few ulps of the largest."""
+    a = [list(row) for row in matrix]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(50):
+        if not (a[0][1] or a[0][2] or a[1][2]):
+            break
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            g = 100.0 * abs(apq)
+            if abs(a[p][p]) + g == abs(a[p][p]) and abs(a[q][q]) + g == abs(a[q][q]):
+                a[p][q] = a[q][p] = 0.0
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            arp, arq = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            for row in v:
+                vp, vq = row[p], row[q]
+                row[p], row[q] = c * vp - s * vq, s * vp + c * vq
+    else:
+        raise ArithmeticError("the Jacobi sweeps did not converge")
+    return [a[k][k] for k in range(3)], v
+
+
 def principal_momenta(
     tensor: InertiaTensor,
     degeneracy: DegeneracyClass | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PrincipalMomenta:
-    """Diagonalize the inertia tensor and classify the top.
+    """Diagonalize the inertia tensor (_jacobi_eigh) and classify the top.
 
     Eigenvalues are sorted ascending and the axes are re-oriented to a
     right-handed frame.  Tiny negative eigenvalues from roundoff are
-    clamped to zero.
+    clamped to zero.  ValueError when an entry is not a finite float.
     """
-    vals, vecs = np.linalg.eigh(tensor.matrix)
-    vals = np.where(np.abs(vals) <= tol.rel * max(vals.max(), 1e-300), np.maximum(vals, 0.0), vals)
-    if np.linalg.det(vecs) < 0:
-        vecs = vecs.copy()
-        vecs[:, 2] = -vecs[:, 2]
-    momenta = (float(vals[0]), float(vals[1]), float(vals[2]))
+    if not all(math.isfinite(x) for row in tensor.matrix for x in row):
+        raise ValueError("the inertia tensor has an entry that is not a finite float")
+    vals, vecs = _jacobi_eigh(tensor.matrix)
+    order = sorted(range(3), key=vals.__getitem__)
+    small = tol.rel * max(max(vals), 1e-300)
+    momenta = tuple(max(vals[k], 0.0) if abs(vals[k]) <= small else vals[k] for k in order)
+    axes = [[row[k] for k in order] for row in vecs]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = axes
+    if a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0) < 0:
+        for row in axes:
+            row[2] = -row[2]
     if degeneracy is not None and degeneracy.is_degenerate:
         top, closed = TopClass.DEGENERATE, None
     else:
         top, closed = classify_momenta(momenta, tol)
     pair, axis = closed if top is TopClass.SYMMETRIC else (None, None)
     return PrincipalMomenta(
-        momenta=momenta, axes=vecs, top_class=top, pair_momentum=pair, axis_momentum=axis
+        momenta=momenta, axes=tuple(map(tuple, axes)), top_class=top, pair_momentum=pair, axis_momentum=axis
     )
 
 
@@ -221,7 +267,7 @@ def scalar_curvature(top_class: TopClass, momenta, hbar0=1):
     """
     if top_class is TopClass.SPHERICAL:
         vals = momenta.momenta if isinstance(momenta, PrincipalMomenta) else momenta
-        i_mom = vals if np.isscalar(vals) else vals[0]
+        i_mom = vals if isinstance(vals, Number) else vals[0]
         return curvature_spherical(i_mom, hbar0)
     if top_class is TopClass.SYMMETRIC:
         if isinstance(momenta, PrincipalMomenta):
@@ -236,7 +282,7 @@ def scalar_curvature(top_class: TopClass, momenta, hbar0=1):
         if isinstance(momenta, PrincipalMomenta):
             i_mom = momenta.transverse_momentum
         else:
-            i_mom = momenta if np.isscalar(momenta) else momenta[-1]
+            i_mom = momenta if isinstance(momenta, Number) else momenta[-1]
         return curvature_degenerate(i_mom, hbar0)
     raise ValueError(f"unknown top class {top_class}")
 

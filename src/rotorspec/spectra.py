@@ -30,11 +30,8 @@ from functools import cache
 from itertools import chain
 from numbers import Rational
 
-import numpy as np
-
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
-from .geometry import RigidConfiguration
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
 from .polyalg import degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
@@ -434,21 +431,3 @@ def asymmetric_spectrum(
     spec = diagonalized_spectrum(i1, i2, i3, bundle, k, hbar0, j_max, tol)
     return replace(spec, kind="asymmetric")
 
-
-# --- classical momentum map ---------------------------------------------------
-
-
-def classical_momentum_map(omega, config: RigidConfiguration, velocities, hbar0=1):
-    """Momentum map J(omega) of the rotational SO(3) action on a rigid
-    velocity list: the rescaled metric pairing of the generator field with
-    the velocity,
-
-        J(omega) = (1 / hbar0) sum_i m_i (omega x r_i) . v_i,
-
-    i.e. the classical angular momentum about the center of mass contracted
-    with omega.
-    """
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(velocities, dtype=float)
-    gen = np.cross(omega, config.relatives)
-    return float(np.einsum("i,ij,ij->", config.masses, gen, v)) / float(hbar0)

@@ -603,7 +603,7 @@ def check_em_layer(seed=4242, trials=40):
                 return False, "antisymmetry of the field splitting failed"
         # proportional charges + constant field kill the mixed component
         prop = ParticleSystem(
-            masses=system.masses, charges=2.5 * system.masses, positions=system.positions
+            masses=system.masses, charges=[2.5 * m for m in system.masses], positions=system.positions
         )
         ok, _ = decoupling_check(prop, fld)
         if not ok:
@@ -671,7 +671,7 @@ def check_classification_pipeline():
         [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
     )
     rot = np.eye(3) + np.sin(theta) * k_mat + (1 - np.cos(theta)) * k_mat @ k_mat
-    rotated = ParticleSystem(tri.masses, tri.charges, tri.positions @ rot.T)
+    rotated = ParticleSystem(tri.masses, tri.charges, np.asarray(tri.positions) @ rot.T)
     conf_rot = canonicalize(rotated)
     if conf_rot.degeneracy is not conf.degeneracy:
         return False, "classification not rotation-invariant"

@@ -140,7 +140,7 @@ def test_split_potential_additivity():
     config = canonicalize(system)
     # linear-in-position potential evaluated per particle
     grad = rng.uniform(-1, 1, (3, 3))
-    pots = (config.center + config.relatives) @ grad.T
+    pots = (np.asarray(config.center) + np.asarray(config.relatives)) @ grad.T
     a_cen, a_rot = split_potential(system, config, pots)
     for _ in range(10):
         v_cen = rng.uniform(-1, 1, 3)

@@ -164,6 +164,13 @@ def test_spectrum_deterministic_bytes(tmp_path, capsys):
     assert first == second
 
 
+def _fresh_python(code):
+    """Run code in a fresh interpreter with this checkout's src first on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_only_the_verify_command_imports_the_oracle_suite(tmp_path):
     # a fresh interpreter, since the test session has imported verify already
     path = _write(tmp_path, TRIANGLE)
@@ -174,9 +181,62 @@ def test_only_the_verify_command_imports_the_oracle_suite(tmp_path):
         "assert c.main(['verify', '--j-max', '1']) == 0; "
         "assert 'rotorspec.verify' in sys.modules"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+# classify and spectrum jobs that must run with numpy blocked
+NUMPY_FREE_RUNS = [
+    *(
+        [command, *fmt]
+        for command in ("classify", "spectrum")
+        for fmt in ([], ["--output", "csv"], ["--output", "json"])
+    ),
+    ["spectrum", "--bundle", "both"],
+    ["spectrum", "--k", "1/3", "--hbar", "2/3", "--j-max", "5/2"],
+    ["spectrum", "--k", "1/3", "--hbar", "2/3", "--j-max", "5/2", "--bundle", "both", "--output", "json"],
+]
+
+
+def test_classify_and_spectrum_run_without_numpy(tmp_path, capsys):
+    # a fresh interpreter with numpy blocked (sys.modules["numpy"] = None
+    # makes every import of it fail) prints what this process prints; the
+    # commands that need arrays still run here
+    monopole = {**SQUARE_PROBED, "field": {"type": "monopole", "nu": "1/2", "q_norm": 1}}
+    bodies = {name: _write(tmp_path, doc, f"{name}.json") for name, doc in (
+        ("triangle", TRIANGLE), ("square", SQUARE_PROBED), ("collinear", COLLINEAR), ("monopole", monopole))}
+    runs = [["spectrum", "--config", bodies["monopole"], "--fixed-point", *fmt] for fmt in ([], ["--output", "json"])]
+    for name in ("triangle", "square", "collinear"):
+        # a collinear body has no non-trivial bundle
+        runs += [[run[0], "--config", bodies[name], *run[1:]] for run in NUMPY_FREE_RUNS if name != "collinear" or "both" not in run]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import rotorspec.cli as c\n"
+        "out = []\n"
+        f"for argv in {runs!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = c.main(argv)\n"
+        "    out.append((code, buf.getvalue()))\n"
+        "print(json.dumps(out))\n"
+    )
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    blocked = json.loads(done.stdout)
+    assert len(blocked) == len(runs) == 27
+    for argv, (code, out) in zip(runs, blocked):
+        assert main(argv) == code == EXIT_OK, argv
+        assert capsys.readouterr().out == out, argv
+    for argv in (["em-split", "--config", bodies["square"]], ["eigensections", "--config", bodies["triangle"], "--j", "1"]):
+        assert main(argv) == EXIT_OK
+    assert main(["verify", "--j-max", "1"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    code = "import sys, rotorspec, rotorspec.cli; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    done = _fresh_python(code)
     assert done.returncode == 0, done.stderr
 
 

@@ -48,7 +48,7 @@ def test_canonicalize_weighted_mean():
     assert np.allclose(config.center, [3, 0, 0])
     assert np.allclose(config.relatives, [[-3, 0, 0], [1, 0, 0]])
     # the defining constraint
-    assert np.allclose(config.weights @ config.relatives, 0.0, atol=1e-12)
+    assert np.allclose(np.asarray(config.weights) @ np.asarray(config.relatives), 0.0, atol=1e-12)
 
 
 def test_canonicalize_tetrahedron_full_rank():
@@ -59,11 +59,12 @@ def test_canonicalize_tetrahedron_full_rank():
 
 def test_distances_match_pairwise_norms():
     config = canonicalize(_system([1, 2, 4], [[0, 0, 0], [1, 0, 0], [0, 2, 0]]))
+    relatives, distances = np.asarray(config.relatives), np.asarray(config.distances)
     for i in range(3):
         for j in range(3):
-            expect = np.linalg.norm(config.relatives[i] - config.relatives[j])
-            assert config.distances[i, j] == pytest.approx(expect)
-            assert config.distances[i, j] == config.distances[j, i]
+            expect = np.linalg.norm(relatives[i] - relatives[j])
+            assert distances[i, j] == pytest.approx(expect)
+            assert distances[i, j] == distances[j, i]
 
 
 def test_all_coincident_raises():

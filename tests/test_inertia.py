@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rotorspec import (
+    DEFAULT_TOLERANCES,
     ParticleSystem,
     TopClass,
     canonicalize,
@@ -93,7 +94,8 @@ def test_eigendecomposition_reproduces_tensor():
         config = _config(rng.uniform(0.5, 3, 5), rng.uniform(-2, 2, (5, 3)))
         tensor = inertia_tensor(config)
         pm = principal_momenta(tensor, config.degeneracy)
-        rebuilt = pm.axes @ np.diag(pm.momenta) @ pm.axes.T
+        axes = np.asarray(pm.axes)
+        rebuilt = axes @ np.diag(pm.momenta) @ axes.T
         scale = max(np.linalg.norm(tensor.matrix, 2), 1e-300)
         assert np.linalg.norm(rebuilt - tensor.matrix, 2) <= 1e-9 * scale
         assert np.linalg.det(pm.axes) == pytest.approx(1.0)
@@ -200,3 +202,60 @@ def test_coincidence_rule_compares_floats_where_they_exist():
     assert _coincidences(triple, 1e-9, Fraction)[1:] == (True, True)
     assert _coincidences(triple, 1e-9, float)[1:] == (True, False)
     assert classify_momenta(triple) == (TopClass.SYMMETRIC, (1, Fraction(1000000001, 10**9)))
+
+
+def _rotation(seed):
+    q = np.random.default_rng(seed).normal(size=4)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+@pytest.mark.parametrize("ratio", [5e-10, 2e-9])
+@pytest.mark.parametrize("small", [1, 2], ids=["sigma2", "sigma3"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_at_the_threshold_is_the_svd_rank(ratio, small, seed):
+    # relatives with singular values (1, 0.7, 0.4) and the smallest one or
+    # two scaled to ratio * sigma_1, in a generic frame: the rank is the
+    # one np.linalg.svd gives, and the one intended (tol.rel = 1e-9 lies
+    # between the two ratios); sqrt of the eigenvalues of the Gram matrix
+    # is accurate only to about sqrt(eps) sigma_1 and misses it
+    rng = np.random.default_rng(100 + seed)
+    n = 7
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, 3))]))
+    sigma = np.array([1.0, 0.7, 0.4])
+    sigma[small:] = ratio * np.array([1.0, 0.6])[: 3 - small]
+    positions = basis[:, 1:] @ np.diag(sigma) @ _rotation(seed).T + [2.0, -1.0, 0.5]
+    config = _config(np.ones(n), positions)
+    sv = np.linalg.svd(np.asarray(config.relatives), compute_uv=False)
+    svd_rank = int(np.sum(sv > DEFAULT_TOLERANCES.rel * sv[0]))
+    assert config.characteristic == svd_rank == (3 if ratio > 1e-9 else small)
+
+
+@pytest.mark.parametrize("gap", [5e-10, 2e-9])
+@pytest.mark.parametrize("pair", ["lower", "upper", "both"])
+@pytest.mark.parametrize("seed", range(4))
+def test_top_class_at_the_threshold_is_the_eigh_class(gap, pair, seed):
+    # six particles at +-a_k on rotated axes with momenta (I1, I2, I3),
+    # two or three of them gap * I3 apart: the top class is the one of
+    # np.linalg.eigh's eigenvalues, and the one intended (tol.rel = 1e-9
+    # lies between the two gaps)
+    i3 = 3.0
+    i1, i2 = {"lower": (2.0 * (1 - gap), 2.0), "upper": (1.0, i3 * (1 - gap)), "both": (i3 * (1 - 2 * gap), i3 * (1 - gap))}[pair]
+    momenta = np.array([i1, i2, i3])
+    half_squares = (momenta.sum() / 2 - momenta) / 2  # a_k^2 for unit masses
+    axes = _rotation(seed) * np.sqrt(half_squares)
+    positions = np.concatenate([axes.T, -axes.T])
+    config = _config(np.ones(6), positions)
+    tensor = inertia_tensor(config)
+    top = principal_momenta(tensor, config.degeneracy).top_class
+    assert top is classify_momenta(tuple(np.linalg.eigh(np.asarray(tensor.matrix))[0]))[0]
+    if gap > 1e-9:
+        assert top is TopClass.ASYMMETRIC
+    else:
+        assert top is (TopClass.SPHERICAL if pair == "both" else TopClass.SYMMETRIC)

@@ -29,7 +29,7 @@ from rotorspec import (
 from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
-from rotorspec.polyalg.operators import EXACT_DEGREE_MAX, _species_levels, band_species
+from rotorspec.polyalg.operators import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
 from rotorspec.quantum_structures import j_values
 from rotorspec.spectra import SpectralLine, _refs, curvature_shift, group_energies
 
@@ -686,7 +686,10 @@ def test_one_block_per_degree_equals_the_per_block_route(momenta):
 
 def _overflows(momenta, bundle, hbar0, k):
     """Whether, for some degree up to j_max 6, an entry of the dense S_d or
-    a level (an eigenvalue of S_d plus k rho) is not a finite float."""
+    a level (an eigenvalue of S_d plus k rho) is not a finite float.  The
+    levels are eigvalsh of S_d scaled by 2^-e, 2^e bounding its largest
+    entry, and scaled back by 2^e, both exactly (np.ldexp): unscaled,
+    eigvalsh may overflow inside the solver where the levels are finite."""
     shift = curvature_shift(k, TopClass.ASYMMETRIC, momenta, hbar0)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in j_values(bundle, 6):
@@ -695,9 +698,50 @@ def _overflows(momenta, bundle, hbar0, k):
             a = np.arange(d - 1)
             dense = np.diag(diag)
             dense[a + 2, a] = dense[a, a + 2] = [g * math.sqrt((m + 1) * (d - m) * (m + 2) * (d - m - 1)) for m in a]
-            if not np.isfinite(dense).all() or not np.isfinite(np.linalg.eigvalsh(dense) + shift).all():
+            if not np.isfinite(dense).all():
+                return True
+            e = math.frexp(np.abs(dense).max())[1]
+            levels = np.ldexp(np.linalg.eigvalsh(np.ldexp(dense, -e)), e)
+            if not np.isfinite(levels + shift).all():
                 return True
     return False
+
+
+def _scaled_eigvalsh(d, diag, g):
+    """The levels of the dense S_d by eigvalsh of S_d scaled by 2^-e, 2^e
+    bounding its largest entry, scaled back by 2^e, both exactly."""
+    dense = degree_matrix(d, diag, g)
+    e = math.frexp(np.abs(dense).max())[1]
+    return np.ldexp(np.linalg.eigvalsh(np.ldexp(dense, -e)), e)
+
+
+@pytest.mark.parametrize("momenta", [(1.0, 2.0, 3.5), (1.0, 1.5, 0.05), (2.3, 1.1, 0.7), (1, 2, Fraction(7, 2))])
+@pytest.mark.parametrize("hbar0", [1e-300, 1, 1e300])
+def test_species_levels_are_the_scaled_dense_levels(momenta, hbar0):
+    # the QL levels of the species of S_d agree with eigvalsh of the dense
+    # S_d to 32 ulps of the degree's largest level for d <= 50, and a
+    # Kramers pair of odd d is one level twice, bit for bit
+    for d in range(2, 51):
+        diag, g = degree_band(d, *momenta, hbar0)
+        got = [float(v) for v, _ in eigenvalues(d, diag, g)]
+        want = _scaled_eigvalsh(d, diag, g)
+        ulp = math.ulp(np.abs(want).max())
+        assert np.abs(np.array(got) - want).max() <= 32 * ulp, (d, np.abs(np.array(got) - want).max() / ulp)
+        if d % 2:
+            assert got[::2] == got[1::2], d
+
+
+def test_a_band_whose_products_overflow_has_finite_levels():
+    # g ~ 1e200: the products g^2 P_m P_(m+1) leave the float range, the
+    # entries g sqrt(P_m P_(m+1)) and the levels do not
+    hbar0 = 1.6e201
+    for d in range(2, 51):
+        diag, g = degree_band(d, 1.0, 2.0, 3.5, hbar0)
+        assert 1e199 < abs(g) < 1e201 and math.isinf(g * g)
+        got = [v for v, _ in eigenvalues(d, diag, g)]
+        assert all(math.isfinite(v) for v in got)
+        want = _scaled_eigvalsh(d, diag, g)
+        assert np.abs(np.array(got) - want).max() <= 32 * math.ulp(np.abs(want).max())
 
 
 def _scaled_like(spec, ref, hbar0, rel):
