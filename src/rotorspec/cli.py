@@ -29,8 +29,6 @@ from .errors import (
 )
 from .geometry import DegeneracyClass, ParticleSystem, canonicalize
 from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
-from .polyalg import harmonic_basis, harmonic_basis_r3
-from .polyalg.operators import block_vector, degree_band, degree_matrix
 from .quantum_structures import (
     BundleKind,
     admissible_structures,
@@ -446,6 +444,11 @@ def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
 
 
 def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
+    # only this command reads harmonic bases and eigenvectors
+    from .polyalg.levels import degree_band, degree_matrix
+    from .polyalg.operators import block_vector
+    from .polyalg.spaces import harmonic_basis, harmonic_basis_r3
+
     try:
         j = Fraction(j_str)
         degree_of_j(j)  # rejects j that is not a nonnegative half-integer

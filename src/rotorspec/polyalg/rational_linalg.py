@@ -104,7 +104,7 @@ def charpoly(a) -> list[Fraction]:
 
     Returns coefficients [c_0, ..., c_n] with
     p(t) = c_n t^n + ... + c_0 and c_n = 1.  `rotorspec verify` checks
-    that the species of a band (operators.band_species) factor it.
+    that the species of a band (levels.band_species) factor it.
     """
     n = len(a)
     for row in a:

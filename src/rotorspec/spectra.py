@@ -33,7 +33,7 @@ from numbers import Rational
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
-from .polyalg import degree_band, eigenvalues
+from .polyalg.levels import degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 

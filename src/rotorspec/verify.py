@@ -62,7 +62,8 @@ from .polyalg import (
     vector_field_matrix,
 )
 from .polyalg.gaussian import QC
-from .polyalg.operators import EXACT_DEGREE_MAX, _generator_square, _ladder, band_species
+from .polyalg.levels import EXACT_DEGREE_MAX, band_species
+from .polyalg.operators import _generator_square, _ladder
 from .polyalg.rational_linalg import mat_scale, mat_zero
 from .polyalg.spaces import harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
@@ -471,15 +472,15 @@ def check_curvature(n_samples=1000, seed=20240521):
     relative: random asymmetric triples, constructed spherical and symmetric
     triples, and the degenerate case as the collapsing-axis limit; the
     spherical limit of the asymmetric formula is checked exactly."""
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        i1, i2, i3 = sorted(rng.uniform(0.1, 50.0, size=3))
+    # every uniform in one draw; each row, in the order of the stream, is the
+    # asymmetric triple, the spherical value and (pair, axis)
+    draws = np.random.default_rng(seed).uniform(0.1, 50.0, size=(n_samples, 6)).tolist()
+    for *triple, i_sph, pair, axis in draws:
+        i1, i2, i3 = sorted(triple)
         if _rel_err(curvature_asymmetric(i1, i2, i3), scalar_curvature_oracle(i1, i2, i3)) > 1e-10:
             return False, f"asymmetric curvature mismatch at {(i1, i2, i3)}"
-        i_sph = rng.uniform(0.1, 50.0)
         if _rel_err(curvature_spherical(i_sph), scalar_curvature_oracle(i_sph, i_sph, i_sph)) > 1e-10:
             return False, f"spherical curvature mismatch at I = {i_sph}"
-        pair, axis = rng.uniform(0.1, 50.0, size=2)
         if _rel_err(
             curvature_symmetric(pair, axis), scalar_curvature_oracle(axis, pair, pair)
         ) > 1e-10:

@@ -197,11 +197,21 @@ NUMPY_FREE_RUNS = [
     ["spectrum", "--k", "1/3", "--hbar", "2/3", "--j-max", "5/2", "--bundle", "both", "--output", "json"],
 ]
 
+# the exact oracle, which classify and spectrum must not load
+ORACLE_MODULES = (
+    "rotorspec.polyalg.gaussian",
+    "rotorspec.polyalg.polynomial",
+    "rotorspec.polyalg.rational_linalg",
+    "rotorspec.polyalg.spaces",
+    "rotorspec.polyalg.operators",
+    "rotorspec.verify",
+)
+
 
 def test_classify_and_spectrum_run_without_numpy(tmp_path, capsys):
     # a fresh interpreter with numpy blocked (sys.modules["numpy"] = None
-    # makes every import of it fail) prints what this process prints; the
-    # commands that need arrays still run here
+    # makes every import of it fail) prints what this process prints, and
+    # loads no oracle module; the commands that need arrays still run here
     monopole = {**SQUARE_PROBED, "field": {"type": "monopole", "nu": "1/2", "q_norm": 1}}
     bodies = {name: _write(tmp_path, doc, f"{name}.json") for name, doc in (
         ("triangle", TRIANGLE), ("square", SQUARE_PROBED), ("collinear", COLLINEAR), ("monopole", monopole))}
@@ -219,11 +229,12 @@ def test_classify_and_spectrum_run_without_numpy(tmp_path, capsys):
         "    with contextlib.redirect_stdout(buf):\n"
         "        code = c.main(argv)\n"
         "    out.append((code, buf.getvalue()))\n"
-        "print(json.dumps(out))\n"
+        f"print(json.dumps([out, sorted(set(sys.modules) & set({ORACLE_MODULES!r}))]))\n"
     )
     done = _fresh_python(code)
     assert done.returncode == 0, done.stderr
-    blocked = json.loads(done.stdout)
+    blocked, oracle = json.loads(done.stdout)
+    assert oracle == []
     assert len(blocked) == len(runs) == 27
     for argv, (code, out) in zip(runs, blocked):
         assert main(argv) == code == EXIT_OK, argv

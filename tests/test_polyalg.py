@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspec import asymmetric_spectrum, diagonalized_spectrum, verify
+from rotorspec import asymmetric_spectrum, diagonalized_spectrum, polyalg, verify
 from rotorspec.errors import RepresentationClosureError
 from rotorspec.polyalg import (
     QC,
@@ -35,15 +35,9 @@ from rotorspec.polyalg import (
     sphere_laplacian_r3,
     vector_field_matrix,
 )
-from rotorspec.polyalg import gaussian, operators, polynomial, spaces
-from rotorspec.polyalg.operators import (
-    _generator_square,
-    _ladder,
-    _raw_matrix,
-    _species_levels,
-    band_species,
-    degree_band,
-)
+from rotorspec.polyalg import gaussian, levels, operators, polynomial, spaces
+from rotorspec.polyalg.levels import _species_levels, band_species, degree_band
+from rotorspec.polyalg.operators import _generator_square, _ladder, _raw_matrix
 from rotorspec.polyalg.rational_linalg import mat_scale
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
@@ -401,6 +395,18 @@ def test_hot_path_builds_no_polynomial_or_qc(monkeypatch):
     finally:
         sys.setprofile(None)
     assert not ran, f"hot path ran {sorted(ran)}"
+
+
+def test_every_public_name_resolves_on_first_use():
+    # the package imports each public name from its submodule when it is
+    # first read; a name it does not export is an AttributeError
+    names = {}
+    exec("from rotorspec.polyalg import *", names)
+    assert set(polyalg.__all__) <= set(names)
+    assert names["eigenvalues"] is levels.eigenvalues is operators.eigenvalues
+    assert names["QC"] is gaussian.QC and names["harmonic_basis"] is spaces.harmonic_basis
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polyalg.no_such_name
 
 
 def test_antipodal_parity_matches_bundles():

@@ -29,7 +29,7 @@ from rotorspec import (
 from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
-from rotorspec.polyalg.operators import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
+from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
 from rotorspec.quantum_structures import j_values
 from rotorspec.spectra import SpectralLine, _refs, curvature_shift, group_energies
 

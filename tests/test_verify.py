@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rotorspec import verify
-from rotorspec.polyalg import operators, spaces
+from rotorspec.polyalg import levels, operators, spaces
 
 
 def test_run_suite_passes_quietly():
@@ -150,7 +150,7 @@ def test_harmonic_dimensions_detects_a_fold_without_the_doubled_product(monkeypa
     # the symmetric species of a class of odd length 2h+1 carries the
     # product beside the middle entry twice; with it taken once the species
     # no longer factor the band, first at d = 4, where class 0 has length 3
-    real = operators._wang_fold
+    real = levels._wang_fold
 
     def undoubled(diag, products):
         species = real(diag, products)
@@ -159,7 +159,7 @@ def test_harmonic_dimensions_detects_a_fold_without_the_doubled_product(monkeypa
             species[1] = (sym_diag, [*sym_products[:-1], sym_products[-1] / 2])
         return species
 
-    monkeypatch.setattr(operators, "_wang_fold", undoubled)
+    monkeypatch.setattr(levels, "_wang_fold", undoubled)
     assert verify.check_dimensions(3)[0]
     ok, detail = verify.check_dimensions(4)
     assert not ok
@@ -169,12 +169,12 @@ def test_harmonic_dimensions_detects_a_fold_without_the_doubled_product(monkeypa
 def test_harmonic_dimensions_detects_an_exact_level_that_is_not_a_root(monkeypatch):
     # a closed-form solver that shifts its exact levels leaves the species
     # intact; only the substitution into det(t - H) sees it
-    real = operators._species_levels
+    real = levels._species_levels
 
     def shifted(diag, products):
         return [(v + Fraction(1, 7) if exact else v, exact) for v, exact in real(diag, products)]
 
-    monkeypatch.setattr(operators, "_species_levels", shifted)
+    monkeypatch.setattr(levels, "_species_levels", shifted)
     ok, detail = verify.check_dimensions(2)
     assert not ok
     assert detail == "an exact level of the band of H^(1,1) is not a root of its characteristic polynomial"
