@@ -25,7 +25,6 @@ from .geometry import (
     SplitVector,
     angular_velocity,
     canonicalize,
-    classify,
     recombine,
     split_covector,
     split_velocity,
@@ -35,7 +34,7 @@ from .inertia import (
     InertiaTensor,
     PrincipalMomenta,
     TopClass,
-    classify_top,
+    classify_momenta,
     inertia_tensor,
     principal_momenta,
     scalar_curvature,
@@ -60,6 +59,7 @@ from .spectra import (
     diagonalized_spectrum,
     j_squared_spectrum,
     monopole_spectrum,
+    spectrum_for,
     spherical_spectrum,
     symmetric_spectrum,
 )
@@ -114,8 +114,7 @@ __all__ = [
     "bundle_of_j",
     "canonicalize",
     "classical_momentum_map",
-    "classify",
-    "classify_top",
+    "classify_momenta",
     "curvature_shift",
     "decoupling_check",
     "degenerate_spectrum",
@@ -131,6 +130,7 @@ __all__ = [
     "recombine",
     "scalar_curvature",
     "scalar_curvature_oracle",
+    "spectrum_for",
     "spherical_spectrum",
     "split_covector",
     "split_field",

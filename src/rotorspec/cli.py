@@ -35,16 +35,7 @@ from .quantum_structures import (
     bundle_of_j,
     degree_of_j,
 )
-from .spectra import (
-    SpectralLine,
-    Spectrum,
-    asymmetric_spectrum,
-    check_j_max,
-    check_l_max,
-    degenerate_spectrum,
-    monopole_spectrum,
-    symmetric_spectrum,
-)
+from .spectra import SpectralLine, Spectrum, check_j_max, check_l_max, l_max_of, spectrum_for
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -348,64 +339,39 @@ def _requested_bundles(job: JobConfig, degeneracy: DegeneracyClass) -> list[Bund
     return wanted
 
 
-def _pair_axis(momenta):
-    """(pair, axis) momenta of a spherical or symmetric top, (mean, mean)
-    for a spherical one; None for any other body."""
-    if momenta.top_class is TopClass.SPHERICAL:
-        mean = sum(momenta.momenta) / 3
-        return mean, mean
-    if momenta.top_class is TopClass.SYMMETRIC:
-        return momenta.pair_momentum, momenta.axis_momentum
-    return None
-
-
-def _free_spectrum(momenta, bundle: BundleKind, job: JobConfig) -> Spectrum:
-    """The free spectrum of one bundle: symmetric_spectrum, which hands
-    equal momenta to spherical_spectrum, for a spherical or symmetric top."""
-    k, h, j_max, tol = job.k, job.hbar0, job.j_max, job.tolerances
-    if momenta.top_class is TopClass.DEGENERATE:
-        l_max = int(Fraction(j_max))
-        _check_input(check_l_max, l_max)
-        return degenerate_spectrum(momenta.transverse_momentum, k, h, l_max)
-    _check_input(check_j_max, j_max)
-    pair_axis = _pair_axis(momenta)
-    if pair_axis is not None:
-        return symmetric_spectrum(*pair_axis, bundle, k, h, j_max)
-    return asymmetric_spectrum(*momenta.momenta, bundle, k, h, j_max, tol)
-
-
 def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list[Spectrum]:
+    """spectrum_for per requested bundle, after the checks that make a bad
+    request a schema or bundle error, not a ValueError of the library."""
     bundles = _requested_bundles(job, config.degeneracy)
-    field_type = (job.field or {"type": "none"})["type"]
-    if field_type == "monopole":
+    top, field = momenta.top_class, job.field or {"type": "none"}
+    monopole = None
+    if field["type"] == "monopole":
         if not fixed_point:
             raise BundleRequestError(
                 "the monopole spectrum describes a body pinned at the monopole; "
                 "only rotational degrees of freedom remain. Re-run with --fixed-point "
                 "to acknowledge the reduced mode."
             )
-        pair_axis = _pair_axis(momenta)
-        if pair_axis is None:
+        if top not in (TopClass.SPHERICAL, TopClass.SYMMETRIC):
             raise BundleRequestError(
-                "the monopole closed form needs a spherical or symmetric top; "
-                f"this body is {momenta.top_class.value}"
+                f"the monopole closed form needs a spherical or symmetric top; this body is {top.value}"
             )
-        _check_input(check_j_max, job.j_max)
-        if float(job.field["q_norm"]) < 0:
-            raise SchemaError("the center-of-charge norm must be nonnegative")
-        return [
-            monopole_spectrum(
-                *pair_axis, b, job.field["nu"], job.field["q_norm"], job.k, job.hbar0, job.j_max
-            )
-            for b in bundles
-        ]
-    if field_type == "constant":
+        monopole = (field["nu"], field["q_norm"])
+    elif field["type"] == "constant":
         print(
             "note: constant fields enter only the em-split evaluation; "
             "emitting the free spectrum",
             file=sys.stderr,
         )
-    return [_free_spectrum(momenta, b, job) for b in bundles]
+    if top is TopClass.DEGENERATE:
+        _check_input(check_l_max, l_max_of(job.j_max))
+    else:
+        _check_input(check_j_max, job.j_max)
+    if monopole and float(monopole[1]) < 0:
+        raise SchemaError("the center-of-charge norm must be nonnegative")
+    return [
+        spectrum_for(top, momenta.closed, b, job.k, job.hbar0, job.j_max, job.tolerances, monopole) for b in bundles
+    ]
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -414,7 +380,7 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
 def cmd_classify(job: JobConfig) -> int:
     system, config, momenta = _build_body(job)
     structures = admissible_structures(config.degeneracy)
-    rho = scalar_curvature(momenta.top_class, momenta, job.hbar0)
+    rho = scalar_curvature(momenta.top_class, momenta.closed, job.hbar0)
     rows = [
         ("particles", str(config.n)),
         ("total mass", _fmt(config.total_mass)),
@@ -429,7 +395,7 @@ def cmd_classify(job: JobConfig) -> int:
         ("H^2(S_rot, R)", structures.h2_real),
     ]
     if momenta.top_class is TopClass.SYMMETRIC:
-        rows.insert(7, ("pair / axis momenta", f"{_fmt(momenta.pair_momentum)} / {_fmt(momenta.axis_momentum)}"))
+        rows.insert(7, ("pair / axis momenta", " / ".join(map(_fmt, momenta.closed))))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name.ljust(width)}  {value}")
@@ -466,7 +432,7 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
         ell = int(j)  # on S^2 the level j is the degree-j harmonics
         _check_input(check_l_max, ell)
         space = harmonic_basis_r3(ell)
-        spec = degenerate_spectrum(momenta.transverse_momentum, job.k, job.hbar0, ell)
+        spec = spectrum_for(momenta.top_class, momenta.closed, bundle, job.k, job.hbar0, ell)
         line = spec.lines[-1]
         print(f"degenerate body: l = {j}, energy {_fmt(line.energy)}, multiplicity {line.multiplicity}")
         print(f"eigensections: degree-{ell} harmonic polynomials on R^3 restricted to S^2")

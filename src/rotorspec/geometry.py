@@ -249,11 +249,6 @@ def canonicalize(
     )
 
 
-def classify(config: RigidConfiguration) -> DegeneracyClass:
-    """Degeneracy class of a configuration (Degenerate iff c_rot = 1)."""
-    return config.degeneracy
-
-
 def split_velocity(config: RigidConfiguration, velocities) -> SplitVector:
     """Split one velocity 3-vector per particle into center + relative parts.
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Number, Rational
+from numbers import Rational
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .geometry import DegeneracyClass, RigidConfiguration
@@ -52,24 +52,19 @@ class PrincipalMomenta:
     """Eigen-data of the inertia tensor.
 
     momenta are sorted ascending I1 <= I2 <= I3; axes (three rows) has the
-    matching orthonormal eigenvectors as columns, oriented right-handedly.  For a
-    symmetric top, axis_momentum is the distinct eigenvalue and
-    pair_momentum the repeated one.  For a degenerate (collinear) body the
-    sorted momenta are (0, I, I); transverse_momentum returns the repeated
-    value I = sum_i m_i |r_i|^2.
+    matching orthonormal eigenvectors as columns, oriented right-handedly.
+    closed holds the momenta the closed form of the top class takes, the
+    one decision every layer reads: (I,) for a spherical top, I the middle
+    value, and (pair, axis) for a symmetric one, both from
+    classify_momenta; the sorted triple for an asymmetric top; and (I,) for
+    a degenerate (collinear) body, whose sorted momenta are (0, I, I) with
+    I = sum_i m_i |r_i|^2.
     """
 
     momenta: tuple[float, float, float]
     axes: tuple[tuple[float, float, float], ...]
     top_class: TopClass
-    pair_momentum: float | None = None
-    axis_momentum: float | None = None
-
-    @property
-    def transverse_momentum(self) -> float:
-        if self.top_class is not TopClass.DEGENERATE:
-            raise ValueError("transverse momentum is defined for degenerate bodies")
-        return self.momenta[2]
+    closed: tuple
 
 
 def inertia_tensor(config: RigidConfiguration) -> InertiaTensor:
@@ -131,19 +126,6 @@ def _pair_mean(x, y):
     return (x + y) / 2
 
 
-def classify_top(
-    momenta: tuple[float, float, float],
-    degeneracy: DegeneracyClass | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> TopClass:
-    """Spherical / symmetric / asymmetric from coincidences among the
-    momenta (see classify_momenta); a degenerate body overrides the
-    eigenvalue pattern."""
-    if degeneracy is not None and degeneracy.is_degenerate:
-        return TopClass.DEGENERATE
-    return classify_momenta(momenta, tol)[0]
-
-
 def _jacobi_eigh(matrix):
     """Eigenvalues and eigenvectors (the columns of three rows) of a
     symmetric 3x3 float matrix, by the cyclic Jacobi method: plane
@@ -203,13 +185,10 @@ def principal_momenta(
         for row in axes:
             row[2] = -row[2]
     if degeneracy is not None and degeneracy.is_degenerate:
-        top, closed = TopClass.DEGENERATE, None
+        top, closed = TopClass.DEGENERATE, momenta[2:]
     else:
         top, closed = classify_momenta(momenta, tol)
-    pair, axis = closed if top is TopClass.SYMMETRIC else (None, None)
-    return PrincipalMomenta(
-        momenta=momenta, axes=tuple(map(tuple, axes)), top_class=top, pair_momentum=pair, axis_momentum=axis
-    )
+    return PrincipalMomenta(momenta, tuple(map(tuple, axes)), top, closed or momenta)
 
 
 # --- scalar curvature: closed forms ---------------------------------------
@@ -258,33 +237,20 @@ def curvature_degenerate(i_mom, hbar0=1):
     return 2 * hbar0 / i_mom
 
 
-def scalar_curvature(top_class: TopClass, momenta, hbar0=1):
-    """Scalar curvature of the rotational space for the given top class.
+_CURVATURE = {
+    TopClass.SPHERICAL: curvature_spherical,
+    TopClass.SYMMETRIC: curvature_symmetric,
+    TopClass.ASYMMETRIC: curvature_asymmetric,
+    TopClass.DEGENERATE: curvature_degenerate,
+}
 
-    momenta: a PrincipalMomenta, or a plain (I1, I2, I3) triple for the
-    spherical/asymmetric branches, (I_pair, I_axis) for symmetric, or a
-    single transverse momentum for the degenerate branch.
-    """
-    if top_class is TopClass.SPHERICAL:
-        vals = momenta.momenta if isinstance(momenta, PrincipalMomenta) else momenta
-        i_mom = vals if isinstance(vals, Number) else vals[0]
-        return curvature_spherical(i_mom, hbar0)
-    if top_class is TopClass.SYMMETRIC:
-        if isinstance(momenta, PrincipalMomenta):
-            pair, axis = momenta.pair_momentum, momenta.axis_momentum
-        else:
-            pair, axis = momenta
-        return curvature_symmetric(pair, axis, hbar0)
-    if top_class is TopClass.ASYMMETRIC:
-        vals = momenta.momenta if isinstance(momenta, PrincipalMomenta) else momenta
-        return curvature_asymmetric(*vals, hbar0)
-    if top_class is TopClass.DEGENERATE:
-        if isinstance(momenta, PrincipalMomenta):
-            i_mom = momenta.transverse_momentum
-        else:
-            i_mom = momenta if isinstance(momenta, Number) else momenta[-1]
-        return curvature_degenerate(i_mom, hbar0)
-    raise ValueError(f"unknown top class {top_class}")
+
+def scalar_curvature(top_class: TopClass, closed, hbar0=1):
+    """Scalar curvature of the rotational space of a body of the given top
+    class, from the momenta its closed form takes (PrincipalMomenta.closed):
+    (I,) spherical, (I_pair, I_axis) symmetric, (I1, I2, I3) asymmetric
+    and (I,) degenerate, with I the transverse momentum."""
+    return _CURVATURE[top_class](*closed, hbar0)
 
 
 def scalar_curvature_oracle(i1: float, i2: float, i3: float, hbar0: float = 1.0) -> float:

@@ -45,6 +45,12 @@ def check_j_max(j_max):
         raise ValueError(f"j_max exceeds the hard cap {J_MAX_CAP}")
 
 
+def l_max_of(j_max):
+    """The S^2 cutoff of a collinear body, floor(j_max): a negative j_max
+    stays negative, and check_l_max rejects it."""
+    return math.floor(j_max)
+
+
 def check_l_max(l_max):
     """Raise ValueError unless l_max is an integer in [0, J_MAX_CAP]."""
     if int(l_max) != l_max or l_max < 0:
@@ -143,7 +149,7 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
     rational energy joins the level of an equal rational energy, so exact
     levels stay apart even in a degree that also holds floats.  A float
     energy joins the latest float level when it lies within
-    eps_spec * max(1, |ref|) of that level's first energy ref.  A rational
+    eps_spec * |ref| of that level's first energy ref.  A rational
     and a float energy never share a level.  The level's energy is its
     first energy.
     """
@@ -159,7 +165,7 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
                 groups.append(level)
         else:
             ref = None if inexact is None else float(inexact[0])
-            if ref is None or abs(float(energy) - ref) > eps_spec * max(1.0, abs(ref)):
+            if ref is None or abs(float(energy) - ref) > eps_spec * abs(ref):
                 inexact = (energy, [])
                 groups.append(inexact)
             level = inexact
@@ -389,10 +395,10 @@ def diagonalized_spectrum(
     check_j_max(j_max)
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
-    top, closed_momenta = classify_momenta((i1, i2, i3), tol)
+    top, closed = classify_momenta((i1, i2, i3), tol)
 
     def levels():
-        shift = curvature_shift(k, top, closed_momenta or (i1, i2, i3), h)
+        shift = curvature_shift(k, top, closed or (i1, i2, i3), h)
         for j in j_values(bundle, j_max):
             d = int(2 * j)
             found = eigenvalues(d, *degree_band(d, i1, i2, i3, h))
@@ -421,13 +427,33 @@ def asymmetric_spectrum(
     there.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
-    top, closed_momenta = classify_momenta((i1, i2, i3), tol)
+    top, closed = classify_momenta((i1, i2, i3), tol)
     if top is TopClass.SPHERICAL:
         warnings.warn("momenta nearly spherical; using the spherical closed form")
-        return spherical_spectrum(*closed_momenta, bundle, k, hbar0, j_max)
-    if top is TopClass.SYMMETRIC:
+    elif top is TopClass.SYMMETRIC:
         warnings.warn("two momenta nearly coincide; using the symmetric closed form")
-        return symmetric_spectrum(*closed_momenta, bundle, k, hbar0, j_max)
-    spec = diagonalized_spectrum(i1, i2, i3, bundle, k, hbar0, j_max, tol)
-    return replace(spec, kind="asymmetric")
+    return spectrum_for(top, closed or (i1, i2, i3), bundle, k, hbar0, j_max, tol)
 
+
+def spectrum_for(
+    top: TopClass, closed, bundle: BundleKind, k=0, hbar0=1, j_max=6, tol=DEFAULT_TOLERANCES, monopole=None
+) -> Spectrum:
+    """The spectrum of a body of class top whose closed form takes the
+    momenta closed (PrincipalMomenta.closed): the spherical, symmetric or
+    degenerate closed form (on S^2, to l_max_of(j_max)), or for an
+    asymmetric top diagonalized_spectrum, as kind "asymmetric".
+    monopole = (nu, q_center_norm) asks for the monopole spectrum of a
+    spherical or symmetric top, a spherical one taking I as its pair and
+    its axis momentum."""
+    if monopole is not None:
+        if top not in (TopClass.SPHERICAL, TopClass.SYMMETRIC):
+            raise ValueError(f"the monopole closed form needs a spherical or symmetric top, not {top.value}")
+        pair_axis = closed if top is TopClass.SYMMETRIC else closed * 2
+        return monopole_spectrum(*pair_axis, bundle, *monopole, k, hbar0, j_max)
+    if top is TopClass.SPHERICAL:
+        return spherical_spectrum(*closed, bundle, k, hbar0, j_max)
+    if top is TopClass.SYMMETRIC:
+        return symmetric_spectrum(*closed, bundle, k, hbar0, j_max)
+    if top is TopClass.DEGENERATE:
+        return degenerate_spectrum(*closed, k, hbar0, l_max_of(j_max))
+    return replace(diagonalized_spectrum(*closed, bundle, k, hbar0, j_max, tol), kind="asymmetric")

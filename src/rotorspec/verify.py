@@ -644,8 +644,8 @@ def check_classification_pipeline():
     if conf.degeneracy is not DegeneracyClass.DEGENERATE:
         return False, "dipole not classified degenerate"
     pm = principal_momenta(inertia_tensor(conf), conf.degeneracy)
-    if abs(pm.transverse_momentum - 8.0) > 1e-12:
-        return False, f"dipole transverse momentum {pm.transverse_momentum} != 8"
+    if abs(pm.closed[0] - 8.0) > 1e-12:
+        return False, f"dipole transverse momentum {pm.closed[0]} != 8"
     cube = ParticleSystem(
         np.ones(8),
         np.zeros(8),

@@ -14,10 +14,13 @@ import pytest
 from rotorspec import (
     BundleKind,
     ParticleSystem,
+    admissible_structures,
     canonicalize,
     cli,
     inertia_tensor,
     principal_momenta,
+    scalar_curvature,
+    spectrum_for,
     spherical_spectrum,
     symmetric_spectrum,
 )
@@ -344,6 +347,9 @@ def test_out_of_range_requests_exit_2(tmp_path, capsys):
         (["eigensections", "--config", path, "--j", "1", "--l", "abc"], "Invalid literal for Fraction: 'abc'"),
         (["eigensections", "--config", path, "--j", "30"], "j_max exceeds the hard cap 25"),
         (["spectrum", "--config", _write(tmp_path, DIPOLE, "dipole.json"), "--j-max", "30"], "l_max exceeds the hard cap 25"),
+        # a collinear body's cutoff is floor(j_max), so -1/2 is -1, not 0
+        (["spectrum", "--config", _write(tmp_path, DIPOLE, "dipole.json"), "--j-max=-1/2"], "l_max must be a nonnegative integer"),
+        (["spectrum", "--config", _write(tmp_path, DIPOLE, "dipole.json"), "--j-max", "-0.5"], "l_max must be a nonnegative integer"),
         (["verify", "--j-max", "30"], "j_max exceeds the hard cap 25"),
     ]
     # the same cutoffs as the job's j_max
@@ -368,7 +374,7 @@ def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
     def broken(*_args, **_kwargs):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(cli, "asymmetric_spectrum", broken)
+    monkeypatch.setattr(cli, "spectrum_for", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["spectrum", "--config", _write(tmp_path, TRIANGLE)])
     capsys.readouterr()
@@ -668,3 +674,55 @@ def test_eigensections_are_canonical_eigenvectors_of_their_block(tmp_path, capsy
             assert residual <= 1e-12 * np.abs(dense).max(), (row, residual)
             vectors += 1
     assert vectors == sum((d + 1) ** 2 for d in range(7))
+
+
+def _rotated(points, w, x, y, z):
+    """points turned by the rotation of the quaternion (w, x, y, z) of
+    ints, in float arithmetic, so the three momenta of a cube or an
+    octahedron come out unequal in their last bits."""
+    n = w * w + x * x + y * y + z * z
+    rotation = [
+        [v / n for v in row]
+        for row in (
+            (w * w + x * x - y * y - z * z, 2 * (x * y - z * w), 2 * (x * z + y * w)),
+            (2 * (x * y + z * w), w * w - x * x + y * y - z * z, 2 * (y * z - x * w)),
+            (2 * (x * z - y * w), 2 * (y * z + x * w), w * w - x * x - y * y + z * z),
+        )
+    ]
+    return [[sum(a * b for a, b in zip(row, p)) for row in rotation] for p in points]
+
+
+def _unit_masses(points):
+    return {"version": 1, "particles": [{"mass": 1, "position": p} for p in points]}
+
+
+CUBE_POINTS = [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+AXES_POINTS = [[s * (a == b) for b in range(3)] for a in range(3) for s in (0.5, -0.5)]
+CLOSED_MOMENTA_BODIES = {
+    # the Jacobi momenta (16 - 2 ulp, 16 - 2 ulp, 16 - 1 ulp): their mean
+    # 16 - 1 ulp is not their middle value
+    "rotated cube": _unit_masses(_rotated(CUBE_POINTS, 1, 1, 1, 5)),
+    # (1 - 1 ulp, 1 - 1 ulp, 1): mean 1.0, middle value 0.9999999999999999
+    "rotated octahedron": _unit_masses(_rotated(AXES_POINTS, 1, 1, 2, 3)),
+    "bipyramid": _unit_masses([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1.5], [0, 0, -1.5]]),
+    "collinear": COLLINEAR,
+    "triangle": TRIANGLE,
+}
+
+
+@pytest.mark.parametrize("doc", CLOSED_MOMENTA_BODIES.values(), ids=CLOSED_MOMENTA_BODIES.keys())
+def test_cli_and_library_agree_on_closed_momenta(tmp_path, capsys, doc):
+    # the CLI's spectrum and curvature are the library's on the closed-form
+    # momenta of principal_momenta; a spherical body takes the middle value
+    path = _write(tmp_path, doc)
+    masses = [p["mass"] for p in doc["particles"]]
+    system = ParticleSystem(masses, [0] * len(masses), [p["position"] for p in doc["particles"]])
+    config = canonicalize(system)
+    pm = principal_momenta(inertia_tensor(config), config.degeneracy)
+    bundles = admissible_structures(config.degeneracy).admissible
+    want = [spectrum_to_dict(spectrum_for(pm.top_class, pm.closed, b, j_max=3)) for b in bundles]
+    assert main(["spectrum", "--config", path, "--j-max", "3", "--output", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["spectra"] == want
+    assert main(["classify", "--config", path]) == EXIT_OK
+    rows = dict(re.split(r"\s{2,}", line, maxsplit=1) for line in capsys.readouterr().out.splitlines())
+    assert rows["scalar curvature"] == cli._fmt(scalar_curvature(pm.top_class, pm.closed))

@@ -11,7 +11,6 @@ from rotorspec import (
     ParticleSystem,
     angular_velocity,
     canonicalize,
-    classify,
     recombine,
     split_covector,
     split_velocity,
@@ -40,7 +39,7 @@ def test_canonicalize_symmetric_pair():
     assert np.allclose(config.center, 0.0)
     assert np.allclose(config.relatives, [[a, 0, 0], [-a, 0, 0]])
     assert config.characteristic == 1
-    assert classify(config) is DegeneracyClass.DEGENERATE
+    assert config.degeneracy is DegeneracyClass.DEGENERATE
 
 
 def test_canonicalize_weighted_mean():
@@ -54,7 +53,7 @@ def test_canonicalize_weighted_mean():
 def test_canonicalize_tetrahedron_full_rank():
     config = canonicalize(_system(np.ones(4), TETRAHEDRON))
     assert config.characteristic == 3
-    assert classify(config) is DegeneracyClass.STRONGLY_NONDEGENERATE
+    assert config.degeneracy is DegeneracyClass.STRONGLY_NONDEGENERATE
 
 
 def test_distances_match_pairwise_norms():
@@ -79,9 +78,9 @@ def test_nonpositive_mass_raises():
 
 def test_classify_three_particles():
     collinear = canonicalize(_system([1, 1, 1], [[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
-    assert classify(collinear) is DegeneracyClass.DEGENERATE
+    assert collinear.degeneracy is DegeneracyClass.DEGENERATE
     planar = canonicalize(_system([1, 1, 1], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-    assert classify(planar) is DegeneracyClass.WEAKLY_NONDEGENERATE
+    assert planar.degeneracy is DegeneracyClass.WEAKLY_NONDEGENERATE
 
 
 def test_split_velocity_uniform_and_antisymmetric():
@@ -186,5 +185,5 @@ def test_classification_rotation_invariant():
     for _ in range(5):
         shift = rng.uniform(-4, 4, 3)
         moved = canonicalize(_system([1, 2, 3], np.asarray(positions) @ rot.T + shift))
-        assert classify(moved) is classify(base)
+        assert moved.degeneracy is base.degeneracy
         assert moved.characteristic == base.characteristic

@@ -7,10 +7,10 @@ import pytest
 
 from rotorspec import (
     DEFAULT_TOLERANCES,
+    InertiaTensor,
     ParticleSystem,
     TopClass,
     canonicalize,
-    classify_top,
     inertia_tensor,
     principal_momenta,
     scalar_curvature,
@@ -41,7 +41,7 @@ def test_dipole_inertia_tensor():
     assert np.allclose(mat, np.diag([0.0, 2 * a**2, 2 * a**2]))
     pm = principal_momenta(inertia_tensor(config), config.degeneracy)
     assert pm.top_class is TopClass.DEGENERATE
-    assert pm.transverse_momentum == pytest.approx(2 * a**2)
+    assert pm.closed[0] == pytest.approx(2 * a**2)
 
 
 def test_cube_is_spherical():
@@ -71,12 +71,13 @@ def test_water_like_triangle_is_asymmetric():
 
 
 def test_classify_top_rules():
-    assert classify_top((16, 16, 16)) is TopClass.SPHERICAL
-    assert classify_top((2, 2, 5)) is TopClass.SYMMETRIC
-    assert classify_top((1, 2, 3)) is TopClass.ASYMMETRIC
+    assert classify_momenta((16, 16, 16))[0] is TopClass.SPHERICAL
+    assert classify_momenta((2, 2, 5))[0] is TopClass.SYMMETRIC
+    assert classify_momenta((1, 2, 3))[0] is TopClass.ASYMMETRIC
     from rotorspec import DegeneracyClass
 
-    assert classify_top((0, 2, 2), DegeneracyClass.DEGENERATE) is TopClass.DEGENERATE
+    tensor = InertiaTensor(((0, 0, 0), (0, 2, 0), (0, 0, 2)))
+    assert principal_momenta(tensor, DegeneracyClass.DEGENERATE).top_class is TopClass.DEGENERATE
 
 
 def test_symmetric_pair_and_axis_assignment():
@@ -84,8 +85,8 @@ def test_symmetric_pair_and_axis_assignment():
     config = _config(np.ones(4), [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
     pm = principal_momenta(inertia_tensor(config), config.degeneracy)
     assert pm.top_class is TopClass.SYMMETRIC
-    assert pm.pair_momentum == pytest.approx(2.0)
-    assert pm.axis_momentum == pytest.approx(4.0)
+    assert pm.closed[0] == pytest.approx(2.0)
+    assert pm.closed[1] == pytest.approx(4.0)
 
 
 def test_eigendecomposition_reproduces_tensor():
@@ -135,7 +136,7 @@ def test_degenerate_transverse_plane_is_isotropic():
     config = _config(masses, np.outer(offsets, axis))
     mat = inertia_tensor(config).matrix
     pm = principal_momenta(inertia_tensor(config), config.degeneracy)
-    i_trans = pm.transverse_momentum
+    (i_trans,) = pm.closed
     proj = np.eye(3) - np.outer(axis, axis)
     assert np.allclose(proj @ mat @ proj, i_trans * proj, atol=1e-10)
     expect = np.sum(config.masses * np.einsum("ij,ij->i", config.relatives, config.relatives))
@@ -158,10 +159,10 @@ def test_asymmetric_reduces_to_spherical():
 
 
 def test_scalar_curvature_dispatch():
-    assert scalar_curvature(TopClass.SPHERICAL, (2.0, 2.0, 2.0)) == pytest.approx(0.75)
+    assert scalar_curvature(TopClass.SPHERICAL, (2.0,)) == pytest.approx(0.75)
     assert scalar_curvature(TopClass.SYMMETRIC, (2.0, 1.0)) == pytest.approx(0.875)
     assert scalar_curvature(TopClass.ASYMMETRIC, (1.0, 2.0, 3.0)) == pytest.approx(2 / 3)
-    assert scalar_curvature(TopClass.DEGENERATE, 2.0) == pytest.approx(1.0)
+    assert scalar_curvature(TopClass.DEGENERATE, (2.0,)) == pytest.approx(1.0)
 
 
 def test_oracle_spherical_and_asymmetric_values():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotorspec import BundleKind, TopClass, asymmetric_spectrum, classify_top
+from rotorspec import BundleKind, TopClass, asymmetric_spectrum
 from rotorspec.inertia import classify_momenta
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -17,6 +17,7 @@ rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
 # a small pool makes exact and near ties (within tol.rel) frequent
 tie_prone = st.sampled_from([1, 2, 2.0 + 1e-12, Fraction(5, 2), 3.0, 3.0 - 4e-10, 7.25])
 momenta = st.tuples(tie_prone, tie_prone, tie_prone) | st.tuples(rationals, rationals, rationals)
+floats = st.floats(0.25, 8.0)
 bundles = st.sampled_from([BundleKind.PLUS, BundleKind.MINUS])
 
 
@@ -37,7 +38,6 @@ def test_classification_is_permutation_invariant(triple):
     top, closed_momenta = classify_momenta(triple)
     assert (closed_momenta is None) == (top is TopClass.ASYMMETRIC)
     for perm in itertools.permutations(triple):
-        assert classify_top(perm) is top
         other_top, other_momenta = classify_momenta(perm)
         assert other_top is top
         if closed_momenta is not None:
@@ -80,3 +80,20 @@ def test_energies_scale_inversely_with_momenta(triple, lam, bundle):
     assert [(ln.j, ln.energy * lam, ln.multiplicity) for ln in scaled.lines] == [
         (ln.j, ln.energy, ln.multiplicity) for ln in base.lines
     ]
+
+
+def _lines_by_key(spec):
+    return {(ln.j, ln.l, ln.multiplicity, ln.eigensections): ln.energy for ln in spec.lines}
+
+
+@SETTINGS
+@given(st.tuples(floats, floats, floats), st.sampled_from([1e-10, 1e5, 1e10]), bundles)
+# at 1e10 every level of this triple is below 1e-9, where a grouping
+# tolerance that is absolute below 1 merges them all
+@example((1.0, 2.0, 3.5), 1e10, BundleKind.PLUS)
+def test_float_energies_scale_inversely_with_momenta(triple, lam, bundle):
+    base = _lines_by_key(_spectrum(triple, bundle, 3))
+    scaled = _lines_by_key(_spectrum(tuple(lam * i for i in triple), bundle, 3))
+    assert scaled.keys() == base.keys()
+    for key, energy in scaled.items():
+        assert abs(energy * lam - base[key]) <= 1e-12 * abs(base[key])
