@@ -199,6 +199,8 @@ def principal_momenta(
 
 
 def _exact_or_float(x):
+    if type(x) is float:
+        return x
     return Fraction(x) if isinstance(x, Rational) else float(x)
 
 
@@ -222,14 +224,33 @@ def curvature_symmetric(i_pair, i_axis, hbar0=1):
     return 2 * hbar0 / i_pair - hbar0 * i_axis / (2 * i_pair * i_pair)
 
 
+def _times_two_to(x, e: int):
+    """x * 2^e: exact for a Fraction, rounded once for a float, and an
+    infinity where the float leaves the float range."""
+    if not isinstance(x, float):
+        return x * Fraction(2) ** e
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def curvature_asymmetric(i1, i2, i3, hbar0=1):
+    """For float momenta the formula is evaluated at the momenta times 2^-e,
+    e the binary exponent of the largest, so that their squares and product
+    stay in the float range, and the result is scaled back by 2^-e (the
+    curvature has degree -1 in I).  A power of two leaves every rounding
+    as it was; exact momenta are not scaled."""
     i1, i2, i3, hbar0 = map(_exact_or_float, (i1, i2, i3, hbar0))
-    return (
-        hbar0 / i1
-        + hbar0 / i2
-        + hbar0 / i3
-        - hbar0 * (i1 * i1 + i2 * i2 + i3 * i3) / (2 * i1 * i2 * i3)
-    )
+    if type(i1) is type(i2) is type(i3) is Fraction:
+        return _asymmetric(i1, i2, i3, hbar0)
+    e = math.frexp(max(i1, i2, i3))[1]
+    rho = _asymmetric(_times_two_to(i1, -e), _times_two_to(i2, -e), _times_two_to(i3, -e), hbar0)
+    return _times_two_to(rho, -e)
+
+
+def _asymmetric(i1, i2, i3, hbar0):
+    return hbar0 / i1 + hbar0 / i2 + hbar0 / i3 - hbar0 * (i1 * i1 + i2 * i2 + i3 * i3) / (2 * i1 * i2 * i3)
 
 
 def curvature_degenerate(i_mom, hbar0=1):
@@ -267,14 +288,17 @@ def scalar_curvature_oracle(i1: float, i2: float, i3: float, hbar0: float = 1.0)
     (and where the closed-form labels are ambiguous, fixes) the formulas
     above.
     """
-    lam = [i1 / hbar0, i2 / hbar0, i3 / hbar0]
-    if min(lam) <= 0:
+    lam1, lam2, lam3 = i1 / hbar0, i2 / hbar0, i3 / hbar0
+    if min(lam1, lam2, lam3) <= 0:
         raise ValueError("principal momenta must be positive")
-    c = [
-        math.sqrt(lam[0] / (lam[1] * lam[2])),
-        math.sqrt(lam[1] / (lam[2] * lam[0])),
-        math.sqrt(lam[2] / (lam[0] * lam[1])),
-    ]
-    half = 0.5 * sum(c)
-    mu = [half - ci for ci in c]
-    return 2.0 * (mu[0] * mu[1] + mu[1] * mu[2] + mu[2] * mu[0])
+    # lambda times 2^-e, e even, keeps the products below in the float
+    # range; the square root halves the power of two exactly, and rho has
+    # degree -1 in lambda
+    e = 2 * (math.frexp(max(lam1, lam2, lam3))[1] // 2)
+    lam1, lam2, lam3 = _times_two_to(lam1, -e), _times_two_to(lam2, -e), _times_two_to(lam3, -e)
+    c1 = math.sqrt(lam1 / (lam2 * lam3))
+    c2 = math.sqrt(lam2 / (lam3 * lam1))
+    c3 = math.sqrt(lam3 / (lam1 * lam2))
+    half = 0.5 * (c1 + c2 + c3)
+    mu1, mu2, mu3 = half - c1, half - c2, half - c3
+    return _times_two_to(2.0 * (mu1 * mu2 + mu2 * mu3 + mu3 * mu1), -e)

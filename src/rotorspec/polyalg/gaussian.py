@@ -88,6 +88,8 @@ class QC:
         return QC.coerce(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _reduced(self._a * other, self._b * other, self._d)
         o = other if type(other) is QC else QC.coerce(other)
         a1, b1, a2, b2 = self._a, self._b, o._a, o._b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
@@ -122,6 +124,10 @@ class QC:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        # equal values hash equal: a real QC hashes as the Fraction (so as
+        # the int) it equals
+        if not self._b:
+            return hash(self._a if self._d == 1 else self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -159,6 +165,8 @@ def _make(a: int, b: int, d: int) -> QC:
 def _reduced(a: int, b: int, d: int) -> QC:
     """The QC (a + b i) / d for any d != 0: divides out gcd(a, b, d),
     carrying the sign of d so that the stored denominator is positive."""
+    if d == 1:
+        return _make(a, b, 1)
     g = gcd(a, b, d)
     if d < 0:
         g = -g

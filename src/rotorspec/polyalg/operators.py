@@ -37,9 +37,10 @@ beta_k b_k with
 
 so alpha_k beta_k = (k+1)(d-k) = j(j+1) - l(l+1).  The pairing weights and
 the generator squares the Hamiltonian reads are built from alpha and beta.
-The dense J_a, L_a and Casimir matrices are the polynomial route (apply_j*
-followed by coordinate extraction, `_raw_matrix`), the oracle against
-which `rotorspec verify` checks the ladder, the weights and the squares.
+The dense J_a, L_a and Casimir matrices are the polynomial route (Jp, Jm
+and J3 applied to the basis polynomials, followed by coordinate
+extraction), the oracle against which `rotorspec verify` checks the
+ladder, the weights and the squares.
 
 The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
@@ -70,7 +71,7 @@ from ..inertia import check_positive
 from .gaussian import QC
 from .levels import eigenvalues  # noqa: F401  (the span target rotorbench/spans.py wraps)
 from .polynomial import Polynomial
-from .rational_linalg import mat_mul, mat_scale
+from .rational_linalg import mat_add, mat_mul, mat_scale, mat_sub
 from .spaces import BidegreeSpace, harmonic_basis, sector_contents
 
 
@@ -139,37 +140,60 @@ def pairing_weights(p: int, q: int) -> tuple[Fraction, ...]:
     return tuple(w)
 
 
-def _raw_matrix(space: BidegreeSpace, op) -> list[list[QC]]:
-    """Matrix of a bidegree-preserving operator in the space's basis.
-
-    Column k holds the coordinates of op(basis[k]); raises
-    RepresentationClosureError if an image leaves the space.  Applied to
-    apply_j1..apply_j3 this is the polynomial route of generator_matrix.
-    """
-    dim = space.dim
+def _coordinate_matrix(space: BidegreeSpace, images) -> list[list[QC]]:
+    """The matrix whose column k holds the coordinates of images[k] in the
+    space's basis; raises RepresentationClosureError if an image leaves the
+    space."""
     cols = []
-    for b in space.basis:
-        image = op(b)
+    for image in images:
         coords = space.coordinates(image)
         if coords is None:
             raise RepresentationClosureError(
                 f"operator image leaves H^{{{space.p},{space.q}}}"
             )
         cols.append(coords)
-    return [[cols[k][i] for k in range(dim)] for i in range(dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def _raw_matrix(space: BidegreeSpace, op) -> list[list[QC]]:
+    """Matrix of a bidegree-preserving operator in the space's basis: column
+    k holds the coordinates of op(basis[k]).  Applied to apply_j1..apply_j3
+    this is the polynomial route of generator_matrix."""
+    return _coordinate_matrix(space, [op(b) for b in space.basis])
+
+
+@lru_cache(maxsize=None)
+def _ladder_images(p: int, q: int) -> tuple[tuple[Polynomial, Polynomial], ...]:
+    """(Jp b_k, Jm b_k) for each basis polynomial b_k of H^{p,q}, by the
+    differential operators: the one polynomial-route image of the ladder,
+    which generator_matrix reads for J1 and J2 and `rotorspec verify`
+    compares with the integer ladder."""
+    return tuple((apply_jplus(b), apply_jminus(b)) for b in harmonic_basis(p, q).basis)
 
 
 @lru_cache(maxsize=None)
 def generator_matrix(axis: int, p: int, q: int) -> tuple[tuple[QC, ...], ...]:
     """Angular momentum matrix J_axis on H^{p,q} as row tuples of QC, by the
-    polynomial route: apply_j<axis> on each basis polynomial, read back in
-    coordinates.  J3 = diag(l), and the triple satisfies [J1, J2] = i J3
-    cyclically; `rotorspec verify` checks both and compares J_a with the
-    ladder and the pairing weights."""
+    polynomial route: J3 from apply_j3 on each basis polynomial, and J1 =
+    (P + M) / 2, J2 = (P - M) (-i/2) from the coordinate matrices P and M
+    of the cached images Jp b_k and Jm b_k (coordinates are linear, so
+    this is apply_j1 and apply_j2 read back in coordinates).  J3 = diag(l),
+    and the triple satisfies [J1, J2] = i J3 cyclically; `rotorspec
+    verify` checks both and compares J_a with the ladder and the pairing
+    weights."""
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
-    op = (apply_j1, apply_j2, apply_j3)[axis - 1]
-    return tuple(map(tuple, _raw_matrix(harmonic_basis(p, q), op)))
+    space = harmonic_basis(p, q)
+    if axis == 3:
+        return tuple(map(tuple, _raw_matrix(space, apply_j3)))
+    images = _ladder_images(p, q)
+    plus = _coordinate_matrix(space, [up for up, _ in images])
+    minus = _coordinate_matrix(space, [down for _, down in images])
+    if axis == 1:
+        rows = mat_scale(mat_add(plus, minus), Fraction(1, 2))
+    else:
+        rows = mat_scale(mat_sub(plus, minus), QC(0, Fraction(-1, 2)))
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)

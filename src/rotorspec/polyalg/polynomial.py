@@ -60,11 +60,15 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms[exp] + c if exp in terms else c
-        return Polynomial(self.nvars, terms)
+            total = terms[exp] + c if exp in terms else c
+            if total:
+                terms[exp] = total
+            else:
+                del terms[exp]
+        return _valid(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _valid(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -85,8 +89,10 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, factor) -> "Polynomial":
-        f = QC.coerce(factor)
-        return Polynomial(self.nvars, {e: c * f for e, c in self.terms.items()})
+        f = factor if type(factor) is int else QC.coerce(factor)
+        if not f:
+            return _valid(self.nvars, {})
+        return _valid(self.nvars, {e: c * f for e, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -115,7 +121,7 @@ class Polynomial:
             new = list(exp)
             new[var] = k - 1
             terms[tuple(new)] = c * k  # lowering exponent var is one-to-one
-        return Polynomial(self.nvars, terms)
+        return _valid(self.nvars, terms)
 
     def mul_var(self, var: int) -> "Polynomial":
         terms = {}
@@ -123,7 +129,7 @@ class Polynomial:
             new = list(exp)
             new[var] = exp[var] + 1
             terms[tuple(new)] = c
-        return Polynomial(self.nvars, terms)
+        return _valid(self.nvars, terms)
 
     # --- structure queries ---
     def total_degree(self) -> int:
@@ -181,6 +187,16 @@ class Polynomial:
                 parts.append(f"{c!r}*{body}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _valid(nvars: int, terms: dict) -> Polynomial:
+    """The Polynomial with these terms, which the ring operations built from
+    valid ones: exponent tuples of length nvars, nonzero QC coefficients.
+    The public constructor validates; this one trusts."""
+    poly = object.__new__(Polynomial)
+    poly.nvars = nvars
+    poly.terms = terms
+    return poly
 
 
 # --- differential operators used throughout ---------------------------------

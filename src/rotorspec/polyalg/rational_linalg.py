@@ -25,29 +25,33 @@ def mat_identity(n: int):
     return out
 
 
+def mat_add(a, b):
+    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, s):
     s = QC.coerce(s)
-    return [[x * s for x in row] for row in a]
+    return [[x * s if x else x for x in row] for row in a]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = mat_zero(n, m)
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if not c:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] = oi[j] + c * bt[j]
+    """The product a b, summed over the nonzero entries of a's rows and b's
+    rows only: the matrices here are mostly zeros (J3 is diagonal, J1 and
+    J2 have one nonzero diagonal off the main one)."""
+    m = len(b[0])
+    sparse_b = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ai in a:
+        oi = [ZERO] * m
+        for c, bt in zip(ai, sparse_b):
+            if c:
+                for j, x in bt:
+                    oi[j] = oi[j] + c * x
+        out.append(oi)
     return out
 
 

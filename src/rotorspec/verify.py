@@ -43,8 +43,6 @@ from .inertia import (
 from .polyalg import (
     Polynomial,
     antipodal_sign,
-    apply_jminus,
-    apply_jplus,
     casimir_matrix,
     charpoly,
     degree_band,
@@ -63,7 +61,7 @@ from .polyalg import (
 )
 from .polyalg.gaussian import QC
 from .polyalg.levels import EXACT_DEGREE_MAX, band_species
-from .polyalg.operators import _generator_square, _ladder
+from .polyalg.operators import _generator_square, _ladder, _ladder_images
 from .polyalg.rational_linalg import mat_scale, mat_zero
 from .polyalg.spaces import harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
@@ -111,6 +109,7 @@ def _adjoint(rows, weights, sign: int) -> bool:
     self-adjoint (sign 1) or skew-adjoint (sign -1) under the pairing
     <e_m, e_n> = w_m delta_mn, exactly."""
     dim = len(rows)
+    weights = [QC(w) for w in weights]
     return all(
         weights[m] * rows[m][n] == sign * weights[n] * rows[n][m].conjugate()
         for m in range(dim)
@@ -273,8 +272,8 @@ def check_dimensions(d_max: int = 12):
             basis = space.basis
             ups = [*(b.scale(a) for a, b in zip(alpha, basis[1:])), zero]
             downs = [zero, *(b.scale(x) for x, b in zip(beta, basis))]
-            for k, elem in enumerate(basis):
-                if apply_jplus(elem) != ups[k] or apply_jminus(elem) != downs[k]:
+            for k, (up, down) in enumerate(_ladder_images(p, q)):
+                if up != ups[k] or down != downs[k]:
                     return False, f"ladder closure fails on basis element {k} of H^({p},{q})"
             w = pairing_weights(p, q)
             for k, (a, b) in enumerate(zip(alpha, beta)):

@@ -15,6 +15,7 @@ from rotorspec import (
     BundleKind,
     ParticleSystem,
     admissible_structures,
+    asymmetric_spectrum,
     canonicalize,
     cli,
     inertia_tensor,
@@ -435,6 +436,24 @@ def test_huge_positions_exit_2(tmp_path, capsys, command):
     large = _write(tmp_path, _scaled_triangle(1e150), "large.json")
     assert main([name, "--config", large, *rest]) == EXIT_OK
     assert capsys.readouterr().out
+
+
+def test_curvature_shift_of_a_large_body(tmp_path, capsys):
+    # TRIANGLE at 1e150 has momenta near 1e300, whose squares overflow: its
+    # curvature (about 3.7e-301) and every k rho level are still finite
+    large = _write(tmp_path, _scaled_triangle(1e150), "large.json")
+    assert main(["classify", "--config", large]) == EXIT_OK
+    row = next(r for r in capsys.readouterr().out.splitlines() if r.startswith("scalar curvature"))
+    rho = float(row.split()[-1])
+    assert 3e-301 < rho < 4e-301
+    for bundle in ("both", "trivial"):
+        argv = ["spectrum", "--config", large, "--k", "0.25", "--bundle", bundle, "--output", "csv"]
+        assert main(argv) == EXIT_OK, argv
+        energies = [float(r.split(",")[3]) for r in capsys.readouterr().out.splitlines()[1:]]
+        assert energies and all(0 < e < 1e-290 for e in energies), argv
+    large = asymmetric_spectrum(1e300, 2e300, 3.5e300, BundleKind.PLUS, k=0.25, j_max=1)
+    unit = asymmetric_spectrum(1.0, 2.0, 3.5, BundleKind.PLUS, k=0.25, j_max=1)
+    assert [ln.energy * 1e300 for ln in large.lines] == pytest.approx([ln.energy for ln in unit.lines], rel=1e-13)
 
 
 SQUARE = {

@@ -65,7 +65,8 @@ def assert_matches(q, x):
     assert (q.re, q.im) == (re, im)
     assert type(q.re) is Fraction and type(q.im) is Fraction
     assert q == QC(re, im) and QC(re, im) == q
-    assert hash(q) == hash((re, im))
+    # equal values hash equal, so a real q hashes as the Fraction it equals
+    assert hash(q) == hash(re if im == 0 else (re, im))
     assert bool(q) == (re != 0 or im != 0)
     assert q.is_real == (im == 0)
     assert repr(q) == ref_repr((re, im))
@@ -121,6 +122,31 @@ def test_mixed_operations_with_ints_and_fractions(x, s):
     else:
         with pytest.raises(ZeroDivisionError):
             s / q
+
+
+@SETTINGS
+@given(pairs)
+def test_equal_values_hash_equal(x):
+    # a QC equal to an int or a Fraction finds it in a set and as a dict
+    # key, and the other way round; a non-real QC equals only QCs
+    re, im = ref_qc(x)
+    q = QC(*x)
+    assert hash(q) == hash(QC(re, im)) and q in {QC(re, im)}
+    if im == 0:
+        assert hash(q) == hash(re) and q in {re} and re in {q}
+        assert len({q: 0, re: 1}) == 1
+        if re.denominator == 1:
+            assert hash(q) == hash(int(re)) and int(re) in {q} and q in {int(re)}
+    else:
+        assert re not in {q} and complex(re, im) not in {q}
+
+
+def test_equal_values_hash_equal_examples():
+    assert 2 in {QC(2)} and QC(2) in {2}
+    assert QC(Fraction(1, 2)) in {Fraction(1, 2)} and Fraction(1, 2) in {QC(Fraction(1, 2))}
+    assert QC(0) in {0} and QC(-3, 0) in {-3}
+    assert QC(Fraction(2, 4), 1) in {QC(Fraction(1, 2), Fraction(3, 3))}
+    assert QC(1, 2) not in {1, 2, complex(1, 2)}
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), 1j, complex(1, 0), "1", None])

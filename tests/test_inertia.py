@@ -1,5 +1,6 @@
 """Inertia tensor, top classification and curvature closed forms."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,45 @@ def test_oracle_matches_closed_forms_randomized():
         pair, ax = rng.uniform(0.1, 40, 2)
         lhs = curvature_symmetric(pair, ax)
         assert abs(lhs - scalar_curvature_oracle(ax, pair, pair)) <= 1e-10 * max(1, abs(lhs))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e154, 1e-154])
+@pytest.mark.parametrize("hbar0", [1.0, 0.5])
+def test_float_curvature_at_extreme_momenta(scale, hbar0):
+    # the squares and the product of momenta near 1e300 overflow and those
+    # near 1e-300 underflow; the curvature itself is about 5.5e-301 and
+    # 5.5e299, and both forms must give it
+    want = curvature_asymmetric(1.0, 2.0, 3.5, hbar0) / scale
+    momenta = (scale, 2 * scale, 3.5 * scale)
+    assert curvature_asymmetric(*momenta, hbar0) == pytest.approx(want, rel=1e-14)
+    assert scalar_curvature(TopClass.ASYMMETRIC, momenta, hbar0) == pytest.approx(want, rel=1e-14)
+    assert scalar_curvature_oracle(*momenta, hbar0) == pytest.approx(want, rel=1e-12)
+
+
+def _unscaled_forms(i1, i2, i3):
+    """The closed form and the oracle as written, with no scaling."""
+    closed = 1 / i1 + 1 / i2 + 1 / i3 - (i1 * i1 + i2 * i2 + i3 * i3) / (2 * i1 * i2 * i3)
+    c = [math.sqrt(i1 / (i2 * i3)), math.sqrt(i2 / (i3 * i1)), math.sqrt(i3 / (i1 * i2))]
+    half = 0.5 * sum(c)
+    mu = [half - x for x in c]
+    return closed, 2.0 * (mu[0] * mu[1] + mu[1] * mu[2] + mu[2] * mu[0])
+
+
+def test_float_curvature_scaling_is_bit_exact():
+    # in the float range both forms round as the unscaled formulas do;
+    # scaling every momentum by a power of two (of four for the oracle,
+    # whose square roots halve it) scales the curvature by its inverse bit
+    # for bit, at any scale; exact momenta stay exact
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        i1, i2, i3 = rng.uniform(0.1, 40, 3)
+        assert (curvature_asymmetric(i1, i2, i3), scalar_curvature_oracle(i1, i2, i3)) == _unscaled_forms(i1, i2, i3)
+        for e in (-1000, -4, 5, 6, 1000):
+            s = 2.0**e
+            assert curvature_asymmetric(s * i1, s * i2, s * i3) == curvature_asymmetric(i1, i2, i3) / s
+            if e % 2 == 0:
+                assert scalar_curvature_oracle(s * i1, s * i2, s * i3) * s == scalar_curvature_oracle(i1, i2, i3)
+    assert curvature_asymmetric(Fraction(10**400), 2 * Fraction(10**400), 3) == curvature_asymmetric(1, 2, Fraction(3, 10**400)) / 10**400
 
 
 def test_oracle_rejects_nonpositive():

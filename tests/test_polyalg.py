@@ -1,6 +1,7 @@
 """Exact polynomial algebra, harmonic bases, su(2) matrices, Hamiltonians."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from rotorspec.polyalg import (
 from rotorspec.polyalg import gaussian, levels, operators, polynomial, spaces
 from rotorspec.polyalg.levels import _species_levels, band_species, degree_band
 from rotorspec.polyalg.operators import _generator_square, _ladder, _raw_matrix
-from rotorspec.polyalg.rational_linalg import mat_scale
+from rotorspec.polyalg.rational_linalg import mat_add, mat_scale, mat_sub
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
 from rotorspec.verify import _adjoint, _band_rows, _species_rows
@@ -202,7 +203,9 @@ def _squares(p, q):
 @pytest.mark.parametrize("d", range(13))
 def test_closed_form_route_equals_polynomial_route(d):
     # bases against null-space extraction; the ladder, weights and squares
-    # against the differential operators applied to the basis polynomials
+    # against the differential operators applied to the basis polynomials;
+    # generator_matrix (J1 and J2 from the cached Jp and Jm images) against
+    # apply_j1..apply_j3 read back in coordinates
     for p in range(d + 1):
         q = d - p
         space = harmonic_basis(p, q)
@@ -451,3 +454,79 @@ def test_polynomial_evaluation_consistency():
     z1, z2 = 0.3 + 0.4j, -0.1 + 0.9j
     val = poly.evaluate((z1, z2, z1.conjugate(), z2.conjugate()))
     assert val == pytest.approx(abs(z1) ** 2 - abs(z2) ** 2)
+
+
+def _random_sparse(rng, n, m):
+    """An n x m QC matrix, about two thirds zeros, with complex rational
+    entries, one zero row and one zero column."""
+    def entry():
+        if rng.random() < 2 / 3:
+            return QC(0)
+        return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 5)), Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+
+    rows = [[entry() for _ in range(m)] for _ in range(n)]
+    rows[rng.randrange(n)] = [QC(0)] * m
+    column = rng.randrange(m)
+    for row in rows:
+        row[column] = QC(0)
+    return rows
+
+
+def test_sparse_matrix_kernels_equal_their_definitions():
+    # mat_mul skips the zeros of both factors; it must equal the textbook
+    # triple sum, and mat_add, mat_sub and mat_scale the entrywise forms
+    rng = random.Random(20250125)
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        a, b, c = _random_sparse(rng, n, k), _random_sparse(rng, k, m), _random_sparse(rng, n, k)
+        want = [[sum((a[i][t] * b[t][j] for t in range(k)), QC(0)) for j in range(m)] for i in range(n)]
+        assert mat_mul(a, b) == want
+        assert mat_add(a, c) == [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+        assert mat_sub(a, c) == [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
+        s = rng.choice([0, 3, Fraction(-2, 7), QC(1, Fraction(1, 2))])
+        assert mat_scale(a, s) == [[x * s for x in row] for row in a]
+
+
+small_qcs = st.builds(
+    QC, st.fractions(min_value=-3, max_value=3, max_denominator=3), st.integers(-1, 1)
+)
+exponents = st.tuples(*(st.integers(0, 2) for _ in range(4)))
+polys = st.dictionaries(exponents, small_qcs, max_size=6).map(lambda terms: Polynomial(4, terms))
+factors = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4), small_qcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, factors, st.integers(0, 3))
+def test_polynomial_ring_operations_store_valid_terms(f, g, factor, var):
+    # the ring operations build their results without the constructor's
+    # validation: each must store no zero coefficient and equal the
+    # polynomial the public constructor makes of its terms and of the
+    # textbook definition (small coefficients make cancellations frequent)
+    def naive_sum(x, y, sign):
+        exps = set(x.terms) | set(y.terms)
+        return {e: x.terms.get(e, QC(0)) + sign * y.terms.get(e, QC(0)) for e in exps}
+
+    def lowered(e):
+        return tuple(x - (i == var) for i, x in enumerate(e))
+
+    def raised(e):
+        return tuple(x + (i == var) for i, x in enumerate(e))
+
+    product = {}
+    for d, x in f.terms.items():
+        for e, c in g.terms.items():
+            key = tuple(map(sum, zip(d, e)))
+            product[key] = product.get(key, QC(0)) + x * c
+    results = {
+        "add": (f + g, naive_sum(f, g, 1)),
+        "sub": (f - g, naive_sum(f, g, -1)),
+        "neg": (-f, {e: -c for e, c in f.terms.items()}),
+        "scale": (f.scale(factor), {e: c * factor for e, c in f.terms.items()}),
+        "diff": (f.diff(var), {lowered(e): c * e[var] for e, c in f.terms.items() if e[var]}),
+        "mul_var": (f.mul_var(var), {raised(e): c for e, c in f.terms.items()}),
+        "cancel": (f - f, {}),
+        "mul": (f * g, product),
+    }
+    for name, (result, definition) in results.items():
+        assert all(type(c) is QC and c for c in result.terms.values()), name
+        assert result == Polynomial(4, result.terms) == Polynomial(4, definition), name

@@ -94,6 +94,24 @@ def test_suite_detects_a_wrong_ladder_coordinate(cold_caches, monkeypatch):
     assert "integer ladder" in detail
 
 
+def test_suite_detects_a_wrong_polynomial_ladder_image(cold_caches, monkeypatch):
+    # Jp applied by the differential operator, doubled on H^(2,1): every
+    # image stays in its block, so no closure error hides the fault, and
+    # only the comparisons with the integer ladder can see it.  The J_a of
+    # su2 commutators and the ladder closure of harmonic dimensions must
+    # both fail, whether they read cached images or apply Jp themselves
+    real = operators.apply_jplus
+
+    def doubled(f):
+        image = real(f)
+        return image.scale(2) if f.bidegree() == (2, 1) else image
+
+    monkeypatch.setattr(operators, "apply_jplus", doubled)
+    monkeypatch.setattr(verify, "apply_jplus", doubled, raising=False)
+    assert verify.check_su2_commutators(4) == (False, "J1 differs from the integer ladder on H^(2,1)")
+    assert verify.check_dimensions(4) == (False, "ladder closure fails on basis element 0 of H^(2,1)")
+
+
 def test_suite_detects_a_wrong_pairing_weight(cold_caches, monkeypatch):
     real = operators.pairing_weights
 
