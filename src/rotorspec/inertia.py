@@ -220,7 +220,17 @@ def curvature_spherical(i_mom, hbar0=1):
 
 
 def curvature_symmetric(i_pair, i_axis, hbar0=1):
+    """For float momenta the formula is evaluated at the momenta times 2^-e,
+    as in curvature_asymmetric, so that I_pair^2 stays in the float range;
+    exact momenta are not scaled."""
     i_pair, i_axis, hbar0 = map(_exact_or_float, (i_pair, i_axis, hbar0))
+    if type(i_pair) is type(i_axis) is Fraction:
+        return _symmetric(i_pair, i_axis, hbar0)
+    e = math.frexp(max(i_pair, i_axis))[1]
+    return _times_two_to(_symmetric(_times_two_to(i_pair, -e), _times_two_to(i_axis, -e), hbar0), -e)
+
+
+def _symmetric(i_pair, i_axis, hbar0):
     return 2 * hbar0 / i_pair - hbar0 * i_axis / (2 * i_pair * i_pair)
 
 

@@ -9,11 +9,8 @@ on first use, so a spectrum loads no oracle code.
 import importlib
 
 _SOURCES = {
-    "gaussian": ("QC",),
     "levels": ("degree_band", "eigenvalues"),
     "operators": (
-        "apply_j1",
-        "apply_j2",
         "apply_j3",
         "apply_jminus",
         "apply_jplus",

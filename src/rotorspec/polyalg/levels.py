@@ -11,8 +11,9 @@ spectrum path reads S_d alone: eigenvalues() gives its levels through its
 species (band_species, since P_(d-1-k) = P_k): exactly on degrees p + q <=
 4, in closed form, and otherwise as floats from an implicit QL sweep of
 each species (_ql_levels), in pure Python.  This module imports nothing of
-the exact polynomial oracle (gaussian, polynomial, rational_linalg, spaces
-and operators), which `rotorspec verify` checks it against.
+the exact polynomial oracle (polynomial, rational_linalg, spaces and
+operators, over the integers and Fractions), which `rotorspec verify`
+checks it against.
 """
 
 from __future__ import annotations

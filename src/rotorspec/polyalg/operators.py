@@ -6,16 +6,19 @@ differential operators in (z1, z2, zb1, zb2):
     Jp = z1 d_z2 - zb2 d_zb1          (raising)
     Jm = z2 d_z1 - zb1 d_zb2          (lowering)
     J3 = (z1 d_z1 - z2 d_z2 - zb1 d_zb1 + zb2 d_zb2) / 2
-    J1 = (Jp + Jm) / 2,   J2 = (Jp - Jm) / (2i)
 
 They preserve bidegree, commute with the flat Laplacian, and restrict to an
-irreducible spin-j action on each H^{p,q} with j = (p + q) / 2.  These J_a
-are the self-adjoint lifts (real eigenvalues; J3 acts on the k-th basis
-element with eigenvalue l = k - j) and satisfy [J1, J2] = i J3 cyclically.
-The underlying left-invariant vector fields are the skew matrices
-L_a = -i J_a with [L1, L2] = L3 cyclically; the Casimir is
+irreducible spin-j action on each H^{p,q} with j = (p + q) / 2; J3 acts on
+the k-th basis element with eigenvalue l = k - j.  This Chevalley basis has
+rational coefficients and satisfies [J3, Jp] = Jp, [J3, Jm] = -Jm and
+[Jp, Jm] = 2 J3, so the whole oracle computes over the integers and
+Fractions.  The paper's self-adjoint generators are J1 = (Jp + Jm) / 2 and
+J2 = (Jp - Jm) / (2i), with [J1, J2] = i J3 cyclically, and its
+left-invariant vector fields the skew L_a = -i J_a, with [L1, L2] = L3;
+that change of basis is invertible over Q(i), so each relation holds
+exactly when its Chevalley form does.  The Casimir is
 
-    C = J1^2 + J2^2 + J3^2 = -(L1^2 + L2^2 + L3^2) = j(j+1) Id.
+    C = J1^2 + J2^2 + J3^2 = Jm Jp + J3^2 + J3 = j(j+1) Id.
 
 On a monomial the ladder operators act as
 
@@ -35,12 +38,13 @@ beta_k b_k with
 
     alpha_k = (k+1) n_(k+1) / n_k,    beta_k = (d-k) n_k / n_(k+1),
 
-so alpha_k beta_k = (k+1)(d-k) = j(j+1) - l(l+1).  The pairing weights and
-the generator squares the Hamiltonian reads are built from alpha and beta.
-The dense J_a, L_a and Casimir matrices are the polynomial route (Jp, Jm
-and J3 applied to the basis polynomials, followed by coordinate
-extraction), the oracle against which `rotorspec verify` checks the
-ladder, the weights and the squares.
+so alpha_k beta_k = (k+1)(d-k) = j(j+1) - l(l+1).  The pairing weights, the
+generator squares the Hamiltonian reads and the ladder matrices
+(generator_matrix) are built from alpha and beta.  The matrices of the
+differential operators Jp, Jm and J3 and the Casimir (vector_field_matrix,
+casimir_matrix) are the polynomial route (the operator applied to the
+basis polynomials, followed by coordinate extraction), the oracle against
+which `rotorspec verify` checks the ladder, the weights and the squares.
 
 The rotational Hamiltonian with principal momenta (I1, I2, I3) is
 
@@ -68,21 +72,15 @@ from functools import lru_cache
 
 from ..errors import RepresentationClosureError
 from ..inertia import check_positive
-from .gaussian import QC
 from .levels import eigenvalues  # noqa: F401  (the span target rotorbench/spans.py wraps)
 from .polynomial import Polynomial
-from .rational_linalg import mat_add, mat_mul, mat_scale, mat_sub
+from .rational_linalg import mat_add, mat_mul
 from .spaces import BidegreeSpace, harmonic_basis, sector_contents
 
 
 def apply_j3(f: Polynomial) -> Polynomial:
-    half = Fraction(1, 2)
-    return (
-        f.diff(0).mul_var(0).scale(half)
-        - f.diff(1).mul_var(1).scale(half)
-        - f.diff(2).mul_var(2).scale(half)
-        + f.diff(3).mul_var(3).scale(half)
-    )
+    twice = f.diff(0).mul_var(0) - f.diff(1).mul_var(1) - f.diff(2).mul_var(2) + f.diff(3).mul_var(3)
+    return twice.scale(Fraction(1, 2))
 
 
 def apply_jplus(f: Polynomial) -> Polynomial:
@@ -91,14 +89,6 @@ def apply_jplus(f: Polynomial) -> Polynomial:
 
 def apply_jminus(f: Polynomial) -> Polynomial:
     return f.diff(0).mul_var(1) - f.diff(3).mul_var(2)
-
-
-def apply_j1(f: Polynomial) -> Polynomial:
-    return (apply_jplus(f) + apply_jminus(f)).scale(Fraction(1, 2))
-
-
-def apply_j2(f: Polynomial) -> Polynomial:
-    return (apply_jplus(f) - apply_jminus(f)).scale(QC(0, Fraction(-1, 2)))
 
 
 @dataclass(frozen=True)
@@ -140,13 +130,17 @@ def pairing_weights(p: int, q: int) -> tuple[Fraction, ...]:
     return tuple(w)
 
 
-def _coordinate_matrix(space: BidegreeSpace, images) -> list[list[QC]]:
-    """The matrix whose column k holds the coordinates of images[k] in the
-    space's basis; raises RepresentationClosureError if an image leaves the
-    space."""
+# the axes of generator_matrix and vector_field_matrix: Jp, Jm and J3
+AXES = ("+", "-", 3)
+
+
+def _raw_matrix(space: BidegreeSpace, op) -> list[list]:
+    """Matrix of a bidegree-preserving operator in the space's basis: column
+    k holds the coordinates of op(basis[k]); raises
+    RepresentationClosureError if an image leaves the space."""
     cols = []
-    for image in images:
-        coords = space.coordinates(image)
+    for b in space.basis:
+        coords = space.coordinates(op(b))
         if coords is None:
             raise RepresentationClosureError(
                 f"operator image leaves H^{{{space.p},{space.q}}}"
@@ -155,61 +149,48 @@ def _coordinate_matrix(space: BidegreeSpace, images) -> list[list[QC]]:
     return [list(row) for row in zip(*cols)]
 
 
-def _raw_matrix(space: BidegreeSpace, op) -> list[list[QC]]:
-    """Matrix of a bidegree-preserving operator in the space's basis: column
-    k holds the coordinates of op(basis[k]).  Applied to apply_j1..apply_j3
-    this is the polynomial route of generator_matrix."""
-    return _coordinate_matrix(space, [op(b) for b in space.basis])
-
-
-@lru_cache(maxsize=None)
-def _ladder_images(p: int, q: int) -> tuple[tuple[Polynomial, Polynomial], ...]:
-    """(Jp b_k, Jm b_k) for each basis polynomial b_k of H^{p,q}, by the
-    differential operators: the one polynomial-route image of the ladder,
-    which generator_matrix reads for J1 and J2 and `rotorspec verify`
-    compares with the integer ladder."""
-    return tuple((apply_jplus(b), apply_jminus(b)) for b in harmonic_basis(p, q).basis)
-
-
-@lru_cache(maxsize=None)
-def generator_matrix(axis: int, p: int, q: int) -> tuple[tuple[QC, ...], ...]:
-    """Angular momentum matrix J_axis on H^{p,q} as row tuples of QC, by the
-    polynomial route: J3 from apply_j3 on each basis polynomial, and J1 =
-    (P + M) / 2, J2 = (P - M) (-i/2) from the coordinate matrices P and M
-    of the cached images Jp b_k and Jm b_k (coordinates are linear, so
-    this is apply_j1 and apply_j2 read back in coordinates).  J3 = diag(l),
-    and the triple satisfies [J1, J2] = i J3 cyclically; `rotorspec
-    verify` checks both and compares J_a with the ladder and the pairing
-    weights."""
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
-    space = harmonic_basis(p, q)
+def generator_matrix(axis, p: int, q: int) -> tuple[tuple, ...]:
+    """Jp (axis "+"), Jm ("-") or J3 (3) on H^{p,q} as row tuples, from the
+    integer ladder and the l-values: (Jp)_(k+1,k) = alpha_k, (Jm)_(k,k+1)
+    = beta_k and J3 = diag(l), zero elsewhere.  `rotorspec verify` compares
+    it with vector_field_matrix entry by entry."""
+    if axis not in AXES:
+        raise ValueError('axis must be "+", "-" or 3')
+    dim = p + q + 1
+    rows = [[0] * dim for _ in range(dim)]
     if axis == 3:
-        return tuple(map(tuple, _raw_matrix(space, apply_j3)))
-    images = _ladder_images(p, q)
-    plus = _coordinate_matrix(space, [up for up, _ in images])
-    minus = _coordinate_matrix(space, [down for _, down in images])
-    if axis == 1:
-        rows = mat_scale(mat_add(plus, minus), Fraction(1, 2))
+        for k, l in enumerate(harmonic_basis(p, q).l_values):
+            rows[k][k] = l
     else:
-        rows = mat_scale(mat_sub(plus, minus), QC(0, Fraction(-1, 2)))
+        for k, (a, b) in enumerate(zip(*_ladder(p, q))):
+            if axis == "+":
+                rows[k + 1][k] = a
+            else:
+                rows[k][k + 1] = b
     return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
-def vector_field_matrix(axis: int, p: int, q: int) -> tuple[tuple[QC, ...], ...]:
-    """Skew matrix L_axis = -i J_axis of the left-invariant vector field, as
-    row tuples; the triple satisfies [L1, L2] = L3 cyclically."""
-    return tuple(map(tuple, mat_scale(generator_matrix(axis, p, q), QC(0, -1))))
+def vector_field_matrix(axis, p: int, q: int) -> tuple[tuple, ...]:
+    """Jp (axis "+"), Jm ("-") or J3 (3) on H^{p,q} as row tuples, by the
+    polynomial route: the differential operator applied to each basis
+    polynomial and read back in coordinates.  Every entry is an int or a
+    Fraction."""
+    if axis not in AXES:
+        raise ValueError('axis must be "+", "-" or 3')
+    op = {"+": apply_jplus, "-": apply_jminus, 3: apply_j3}[axis]
+    return tuple(map(tuple, _raw_matrix(harmonic_basis(p, q), op)))
 
 
 @lru_cache(maxsize=None)
-def casimir_matrix(p: int, q: int) -> tuple[tuple[QC, ...], ...]:
-    """C = J1^2 + J2^2 + J3^2 = -(L1^2 + L2^2 + L3^2) as row tuples; equals
-    j(j+1) Id on H^{p,q}, i.e. one quarter of the degree-d sphere eigenvalue
-    d(d+2)."""
-    squares = [mat_mul(g, g) for g in (generator_matrix(axis, p, q) for axis in (1, 2, 3))]
-    return tuple(tuple(x + y + z for x, y, z in zip(*rows)) for rows in zip(*squares))
+def casimir_matrix(p: int, q: int) -> tuple[tuple, ...]:
+    """C = Jm Jp + J3^2 + J3 from the matrices of vector_field_matrix, as
+    row tuples; it is J1^2 + J2^2 + J3^2 (since [Jp, Jm] = 2 J3) and equals
+    j(j+1) Id on H^{p,q}, i.e. one quarter of the degree-d sphere
+    eigenvalue d(d+2)."""
+    jp, jm, j3 = (vector_field_matrix(axis, p, q) for axis in AXES)
+    rows = mat_add(mat_add(mat_mul(jm, jp), mat_mul(j3, j3)), j3)
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)

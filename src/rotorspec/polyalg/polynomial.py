@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials with exact complex-rational coefficients.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
 The same class covers the two variable sets used in the package:
 
@@ -6,29 +6,41 @@ The same class covers the two variable sets used in the package:
   zb_i denotes the conjugate variable;
 * (x, y, z) on R^3 for the collinear (degenerate) body.
 
-Terms map exponent tuples to QC coefficients; zero coefficients are never
-stored.
+Terms map exponent tuples to int or Fraction coefficients; zero
+coefficients are never stored.  Every operator of the oracle has rational
+coefficients in the Chevalley basis (Jp, Jm, J3; operators.py), so the
+harmonic bases are integer polynomials and their images stay rational.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping
-
-from .gaussian import ONE, QC
 
 R4_NAMES = ("z1", "z2", "zb1", "zb2")
 R3_NAMES = ("x", "y", "z")
 
 
+def _exact(x):
+    """x as an int or a Fraction; TypeError for anything but an exact
+    rational (a float or a complex number included)."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, Rational):
+        return int(x) if x.denominator == 1 else Fraction(x.numerator, x.denominator)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
 class Polynomial:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, QC] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.nvars = nvars
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                c = coeff if type(coeff) is QC else QC.coerce(coeff)
+                c = _exact(coeff)
                 if not c:
                     continue
                 if len(exp) != nvars or min(exp, default=0) < 0:
@@ -43,11 +55,11 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: QC.coerce(value)})
+        return Polynomial(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def monomial(nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
-        return Polynomial(nvars, {tuple(exponents): QC.coerce(coeff)})
+        return Polynomial(nvars, {tuple(exponents): coeff})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Polynomial":
@@ -77,7 +89,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        terms: dict[tuple, QC] = {}
+        terms: dict[tuple, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
@@ -89,7 +101,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, factor) -> "Polynomial":
-        f = factor if type(factor) is int else QC.coerce(factor)
+        f = _exact(factor)
         if not f:
             return _valid(self.nvars, {})
         return _valid(self.nvars, {e: c * f for e, c in self.terms.items()})
@@ -153,7 +165,7 @@ class Polynomial:
         values = [complex(p) for p in point]
         out = 0j
         for exp, c in self.terms.items():
-            term = c.to_complex()
+            term = complex(c)
             for v, e in zip(values, exp):
                 term *= v**e
             out += term
@@ -178,20 +190,21 @@ class Polynomial:
             ]
             body = "*".join(factors)
             if not body:
-                parts.append(f"{c!r}")
-            elif c == ONE:
+                parts.append(str(c))
+            elif c == 1:
                 parts.append(body)
-            elif c == -ONE:
+            elif c == -1:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{c!r}*{body}")
+                parts.append(f"{c}*{body}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
 
 def _valid(nvars: int, terms: dict) -> Polynomial:
     """The Polynomial with these terms, which the ring operations built from
-    valid ones: exponent tuples of length nvars, nonzero QC coefficients.
+    valid ones: exponent tuples of length nvars, nonzero int or Fraction
+    coefficients.
     The public constructor validates; this one trusts."""
     poly = object.__new__(Polynomial)
     poly.nvars = nvars

@@ -1,27 +1,24 @@
-"""Exact dense linear algebra over the Gaussian rationals, for the
-polynomial route and the oracles of `rotorspec verify`.
+"""Exact dense linear algebra over the rationals, for the polynomial route
+and the oracles of `rotorspec verify`.
 
 Plain Gauss-Jordan elimination; matrices here are small (block sizes are
 2j + 1 <= 26), so clarity beats asymptotics.  Matrices are lists of lists
-of QC.
+(or tuples of tuples) of ints and Fractions; every result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .gaussian import ONE, QC, ZERO
-
 
 def mat_zero(n: int, m: int):
-    # QC is immutable, so every entry may share one zero
-    return [[ZERO] * m for _ in range(n)]
+    return [[0] * m for _ in range(n)]
 
 
 def mat_identity(n: int):
     out = mat_zero(n, n)
     for i in range(n):
-        out[i][i] = ONE
+        out[i][i] = 1
     return out
 
 
@@ -34,19 +31,18 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, s):
-    s = QC.coerce(s)
     return [[x * s if x else x for x in row] for row in a]
 
 
 def mat_mul(a, b):
     """The product a b, summed over the nonzero entries of a's rows and b's
-    rows only: the matrices here are mostly zeros (J3 is diagonal, J1 and
-    J2 have one nonzero diagonal off the main one)."""
+    rows only: the matrices here are mostly zeros (J3 is diagonal, Jp and
+    Jm have one nonzero diagonal off the main one)."""
     m = len(b[0])
     sparse_b = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for ai in a:
-        oi = [ZERO] * m
+        oi = [0] * m
         for c, bt in zip(ai, sparse_b):
             if c:
                 for j, x in bt:
@@ -63,7 +59,7 @@ def mat_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def nullspace(rows) -> list[list[QC]]:
+def nullspace(rows) -> list[list[int | Fraction]]:
     """Basis of the right null space of a matrix, by Gauss-Jordan.
 
     Returns vectors with a deterministic normalization: free variable set
@@ -72,7 +68,7 @@ def nullspace(rows) -> list[list[QC]]:
     if not rows:
         return []
     n_rows, n_cols = len(rows), len(rows[0])
-    m = [[QC.coerce(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(n_cols):
@@ -80,8 +76,8 @@ def nullspace(rows) -> list[list[QC]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        # zero entries pass through unchanged (they are shared, read-only)
+        inv = 1 / Fraction(m[r][c])
+        # zero entries pass through unchanged
         m[r] = [x * inv if x else x for x in m[r]]
         for i in range(n_rows):
             if i != r and m[i][c]:
@@ -94,8 +90,8 @@ def nullspace(rows) -> list[list[QC]]:
     free_cols = [c for c in range(n_cols) if c not in pivot_of_col]
     basis = []
     for fc in free_cols:
-        v = [ZERO] * n_cols
-        v[fc] = ONE
+        v = [0] * n_cols
+        v[fc] = 1
         for c, pr in pivot_of_col.items():
             v[c] = -m[pr][fc]
         basis.append(v)
@@ -103,27 +99,21 @@ def nullspace(rows) -> list[list[QC]]:
 
 
 def charpoly(a) -> list[Fraction]:
-    """Characteristic polynomial of a matrix with real-rational entries,
-    by the Faddeev-LeVerrier recursion.
+    """Characteristic polynomial of a matrix of ints and Fractions, by the
+    Faddeev-LeVerrier recursion.
 
     Returns coefficients [c_0, ..., c_n] with
     p(t) = c_n t^n + ... + c_0 and c_n = 1.  `rotorspec verify` checks
     that the species of a band (levels.band_species) factor it.
     """
     n = len(a)
-    for row in a:
-        for x in row:
-            if not QC.coerce(x).is_real:
-                raise ValueError("charpoly expects a real-rational matrix")
-    m = [[QC.coerce(x) for x in row] for row in a]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     mk = mat_identity(n)
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
-        trace = sum((mk[i][i].re for i in range(n)), Fraction(0))
-        ck = -trace / k
+        mk = mat_mul(a, mk)
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
         coeffs[n - k] = ck
         for i in range(n):
-            mk[i][i] = mk[i][i] + QC(ck)
+            mk[i][i] = mk[i][i] + ck
     return coeffs

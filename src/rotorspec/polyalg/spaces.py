@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .gaussian import QC
 from .polynomial import Polynomial, laplacian_r3, laplacian_r4
 from .rational_linalg import nullspace
 
@@ -96,23 +95,24 @@ class BidegreeSpace:
     def l_values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(2 * k - self.p - self.q, 2) for k in range(self.dim))
 
-    def coordinates(self, poly: Polynomial) -> list[QC] | None:
+    def coordinates(self, poly: Polynomial) -> list[int | Fraction] | None:
         """Exact coordinates of a polynomial in the basis, or None if it
         lies outside the span.
 
         Exploits the weight grading: every monomial has a definite weight
         2l = (a - b) - (c - d) and each weight sector of the space is
         one-dimensional, so the coordinate on basis[k] is a proportionality
-        ratio within that sector.
+        ratio within that sector, divided exactly: an int where the basis
+        coefficient divides it, else a Fraction.
         """
         if poly.nvars != 4:
             return None
-        sectors: dict[int, dict[tuple, QC]] = {}
+        sectors: dict[int, dict[tuple, int | Fraction]] = {}
         for exp, c in poly.terms.items():
             if (exp[0] + exp[1], exp[2] + exp[3]) != (self.p, self.q):
                 return None
             sectors.setdefault((exp[0] - exp[1]) - (exp[2] - exp[3]), {})[exp] = c
-        coords = [QC(0)] * self.dim
+        coords = [0] * self.dim
         offset = self.p + self.q  # index of l in the basis is l + j
         for weight2, terms in sectors.items():
             k2 = weight2 + offset
@@ -123,9 +123,13 @@ class BidegreeSpace:
             exp0, c0 = next(iter(ref.items()))
             if exp0 not in terms:
                 return None
-            ratio = terms[exp0] / c0
+            top = terms[exp0]
+            if type(top) is int and not top % c0:
+                ratio = top // c0
+            else:
+                ratio = Fraction(top, c0)
             if len(terms) != len(ref) or any(
-                terms.get(e, QC(0)) != c * ratio for e, c in ref.items()
+                terms.get(e, 0) != c * ratio for e, c in ref.items()
             ):
                 return None
             coords[k] = ratio
@@ -198,12 +202,12 @@ def harmonic_basis_by_elimination(p: int, q: int) -> tuple[Polynomial, ...]:
         if laplacian:
             kernel = nullspace(laplacian)
         else:
-            kernel = [[QC(1) if i == k else QC(0) for i in range(len(monos))] for k in range(len(monos))]
+            kernel = [[int(i == k) for i in range(len(monos))] for k in range(len(monos))]
         if len(kernel) != 1:
             raise AssertionError(
                 f"sector (p={p}, q={q}, 2l={two_l}) kernel has dimension {len(kernel)}"
             )
-        vec = _normalize_integer([x.re for x in kernel[0]])
+        vec = _normalize_integer(kernel[0])
         basis.append(Polynomial(4, {m: c for m, c in zip(monos, vec) if c}))
     for b in basis:
         assert not laplacian_r4(b), "basis element is not harmonic"
@@ -238,21 +242,21 @@ def harmonic_basis_r3(degree: int) -> R3HarmonicSpace:
         for j in range(degree - 2 - i, -1, -1)
     ]
     t_index = {m: i for i, m in enumerate(target)}
-    rows = [[QC(0)] * len(monos) for _ in target]
+    rows = [[0] * len(monos) for _ in target]
     for col, (i, j, k) in enumerate(monos):
         if i >= 2:
-            rows[t_index[(i - 2, j, k)]][col] += QC(i * (i - 1))
+            rows[t_index[(i - 2, j, k)]][col] += i * (i - 1)
         if j >= 2:
-            rows[t_index[(i, j - 2, k)]][col] += QC(j * (j - 1))
+            rows[t_index[(i, j - 2, k)]][col] += j * (j - 1)
         if k >= 2:
-            rows[t_index[(i, j, k - 2)]][col] += QC(k * (k - 1))
+            rows[t_index[(i, j, k - 2)]][col] += k * (k - 1)
     if target:
         kernel = nullspace(rows)
     else:
-        kernel = [[QC(1) if i == k else QC(0) for i in range(len(monos))] for k in range(len(monos))]
+        kernel = [[int(i == k) for i in range(len(monos))] for k in range(len(monos))]
     basis = []
     for vec in kernel:
-        vec = _normalize_integer([x.re for x in vec])
+        vec = _normalize_integer(vec)
         basis.append(Polynomial(3, {m: c for m, c in zip(monos, vec) if c}))
     space = R3HarmonicSpace(degree=degree, basis=tuple(basis))
     assert space.dim == 2 * degree + 1, f"dim H_{degree} = {space.dim}"

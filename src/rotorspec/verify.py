@@ -3,13 +3,14 @@
 Each check returns (ok, detail) and is independent of the code paths it
 validates wherever an independent route exists: the closed-form harmonic
 bases against null-space extraction, the integer ladder, pairing weights
-and generator squares the Hamiltonian reads against the J_a of the
+and generator squares the Hamiltonian reads against Jp, Jm and J3 of the
 polynomial route (differential operators applied to the basis
-polynomials), closed-form spectra against block diagonalization, the
-curvature closed forms against the structure-constant oracle, the
-asymmetric levels against a standard ladder-matrix construction that shares
-nothing with the polynomial engine.  `harmonic dimensions` checks on every
-block the identities the spectrum path takes on trust.
+polynomials, over the integers and Fractions), closed-form spectra
+against block diagonalization, the curvature closed forms against the
+structure-constant oracle, the asymmetric levels against a standard
+ladder-matrix construction that shares nothing with the polynomial engine.
+`harmonic dimensions` checks on every block the identities the spectrum
+path takes on trust.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .inertia import (
 from .polyalg import (
     Polynomial,
     antipodal_sign,
+    apply_jminus,
+    apply_jplus,
     casimir_matrix,
-    charpoly,
     degree_band,
     eigenvalues,
     generator_matrix,
@@ -59,10 +61,10 @@ from .polyalg import (
     sphere_laplacian_r3,
     vector_field_matrix,
 )
-from .polyalg.gaussian import QC
+from .polyalg import rational_linalg
 from .polyalg.levels import EXACT_DEGREE_MAX, band_species
-from .polyalg.operators import _generator_square, _ladder, _ladder_images
-from .polyalg.rational_linalg import mat_scale, mat_zero
+from .polyalg.operators import AXES, _generator_square, _ladder
+from .polyalg.rational_linalg import mat_add, mat_scale, mat_sub, mat_zero
 from .polyalg.spaces import harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
 from .spectra import (
@@ -104,29 +106,27 @@ def _rel_err(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _adjoint(rows, weights, sign: int) -> bool:
-    """w_m x_mn = sign w_n conj(x_nm) for all m, n: the matrix is
-    self-adjoint (sign 1) or skew-adjoint (sign -1) under the pairing
-    <e_m, e_n> = w_m delta_mn, exactly."""
-    dim = len(rows)
-    weights = [QC(w) for w in weights]
+def _adjoint(a, b, weights) -> bool:
+    """w_m a_mn = w_n b_nm for all m, n: the real matrix b is the adjoint of
+    a under the pairing <e_m, e_n> = w_m delta_mn, exactly."""
+    dim = len(a)
     return all(
-        weights[m] * rows[m][n] == sign * weights[n] * rows[n][m].conjugate()
+        weights[m] * a[m][n] == weights[n] * b[n][m]
         for m in range(dim)
-        for n in range(m, dim)
-        if rows[m][n] or rows[n][m]
+        for n in range(dim)
+        if a[m][n] or b[n][m]
     )
 
 
 def _band_rows(dim: int, diag=(), lower=(), upper=(), offset=2):
-    """Dense dim x dim QC rows of a band: diag at (a, a), lower at
+    """Dense dim x dim rows of a band: diag at (a, a), lower at
     (a + offset, a), upper at (a, a + offset) and zero elsewhere; offset 2
     is the layout of HamiltonianBand."""
     rows = mat_zero(dim, dim)
     for a, x in enumerate(diag):
-        rows[a][a] = QC.coerce(x)
+        rows[a][a] = x
     for a, (lo, up) in enumerate(zip(lower, upper)):
-        rows[a + offset][a], rows[a][a + offset] = QC.coerce(lo), QC.coerce(up)
+        rows[a + offset][a], rows[a][a + offset] = lo, up
     return rows
 
 
@@ -147,78 +147,75 @@ def _species_rows(species):
 
 
 def check_su2_commutators(d_max: int = 8):
-    """On all blocks with p + q <= d_max, exactly: each J_a of the
-    polynomial route (the differential operator applied to the basis
-    polynomials) equals, entry by entry, the one built from the integer
-    ladder; J_a is self-adjoint and L_a skew-adjoint under the pairing
-    weights; [L_a, L_b] = L_c cyclically and [J_a, J_b] = i J_c."""
+    """On all blocks with p + q <= d_max, exactly, in the Chevalley basis:
+    each of Jp, Jm and J3 of the polynomial route (the differential operator
+    applied to the basis polynomials) equals, entry by entry, the one built
+    from the integer ladder; Jp is adjoint to Jm under the pairing weights
+    and J3 is diagonal; [J3, Jp] = Jp, [J3, Jm] = -Jm and [Jp, Jm] = 2 J3.
+    J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) / (2i) is a change of basis
+    invertible over Q(i), so these hold exactly when J_a is self-adjoint,
+    L_a = -i J_a skew-adjoint, [J_a, J_b] = i J_c and [L_a, L_b] = L_c."""
     for d in range(d_max + 1):
         for p in range(d + 1):
             q = d - p
-            jmats = {a: generator_matrix(a, p, q) for a in (1, 2, 3)}
-            # J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) (-i/2) off the diagonal
-            half_a, half_b = ([Fraction(x, 2) for x in xs] for xs in _ladder(p, q))
-            ladder = {
-                1: _band_rows(d + 1, (), half_a, half_b, 1),
-                2: _band_rows(d + 1, (), [QC(0, -x) for x in half_a], [QC(0, x) for x in half_b], 1),
-                3: _band_rows(d + 1, harmonic_basis(p, q).l_values),
-            }
-            for a in (1, 2, 3):
-                if not mat_equal(jmats[a], ladder[a]):
-                    return False, f"J{a} differs from the integer ladder on H^({p},{q})"
-            weights = pairing_weights(p, q)
-            lmats = {a: vector_field_matrix(a, p, q) for a in (1, 2, 3)}
-            for a in (1, 2, 3):
-                if not _adjoint(jmats[a], weights, 1):
-                    return False, f"J{a} is not self-adjoint under the pairing weights on H^({p},{q})"
-                if not _adjoint(lmats[a], weights, -1):
-                    return False, f"L{a} is not skew-adjoint under the pairing weights on H^({p},{q})"
-            for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-                if not mat_equal(mat_commutator(lmats[a], lmats[b]), lmats[c]):
-                    return False, f"[L{a}, L{b}] != L{c} on H^({p},{q})"
-                expect = mat_scale(jmats[c], QC(0, 1))
-                if not mat_equal(mat_commutator(jmats[a], jmats[b]), expect):
-                    return False, f"[J{a}, J{b}] != i J{c} on H^({p},{q})"
+            jp, jm, j3 = mats = [vector_field_matrix(axis, p, q) for axis in AXES]
+            for name, axis, m in zip(("Jp", "Jm", "J3"), AXES, mats):
+                if not mat_equal(m, generator_matrix(axis, p, q)):
+                    return False, f"{name} differs from the integer ladder on H^({p},{q})"
+            if not _adjoint(jp, jm, pairing_weights(p, q)):
+                return False, f"Jm is not the adjoint of Jp (J1, J2 not self-adjoint) under the pairing weights on H^({p},{q})"
+            if any(x for m, row in enumerate(j3) for n, x in enumerate(row) if m != n):
+                return False, f"J3 is not diagonal on H^({p},{q})"
+            relations = (
+                ("[J3, Jp] != Jp", mat_commutator(j3, jp), jp),
+                ("[J3, Jm] != -Jm", mat_commutator(j3, jm), mat_scale(jm, -1)),
+                ("[Jp, Jm] != 2 J3", mat_commutator(jp, jm), mat_scale(j3, 2)),
+            )
+            for name, got, want in relations:
+                if not mat_equal(got, want):
+                    return False, f"{name} on H^({p},{q})"
     return True, f"exact commutators on all blocks with p+q <= {d_max}"
 
 
 def check_casimir(d_max: int = 8):
-    """Casimir = j(j+1) Id = d(d+2)/4 Id exactly; commutes exactly with
-    every generator and with J3^2; the square record the Hamiltonian reads
-    is J1^2 (D, L, U), J2^2 (D, -L, -U) and J3^2 (diag l^2), exactly."""
+    """Casimir Jm Jp + J3^2 + J3 = j(j+1) Id = d(d+2)/4 Id exactly; commutes
+    exactly with Jp, Jm, J3 and J3^2; the square record the Hamiltonian
+    reads is J1^2 = (Jp + Jm)^2 / 4 as (D, L, U), J2^2 = -(Jp - Jm)^2 / 4
+    as (D, -L, -U) and J3^2 as diag(l^2), exactly."""
     for d in range(d_max + 1):
-        expect = QC(Fraction(d * (d + 2), 4))
+        expect = Fraction(d * (d + 2), 4)
         for p in range(d + 1):
             q = d - p
             cm = casimir_matrix(p, q)
             if not mat_equal(cm, _band_rows(d + 1, [expect] * (d + 1))):
-                return False, f"Casimir not {expect!r} Id on H^({p},{q})"
-            jmats = [generator_matrix(a, p, q) for a in (1, 2, 3)]
-            for a, g in enumerate(jmats, 1):
+                return False, f"Casimir not {expect} Id on H^({p},{q})"
+            jp, jm, j3 = mats = [vector_field_matrix(axis, p, q) for axis in AXES]
+            j3_squared = mat_mul(j3, j3)
+            for name, g in zip(("Jp", "Jm", "J3", "J3^2"), (*mats, j3_squared)):
                 if any(x for row in mat_commutator(cm, g) for x in row):
-                    return False, f"[C, J{a}] != 0 on H^({p},{q})"
-            squares = [mat_mul(g, g) for g in jmats]
-            if any(x for row in mat_commutator(cm, squares[2]) for x in row):
-                return False, f"[C, J3^2] != 0 on H^({p},{q})"
+                    return False, f"[C, {name}] != 0 on H^({p},{q})"
             diag, lower, upper, l_squared = _generator_square(p, q)
             record = [
                 _band_rows(d + 1, diag, lower, upper),
                 _band_rows(d + 1, diag, [-x for x in lower], [-x for x in upper]),
                 _band_rows(d + 1, l_squared),
             ]
+            plus, minus, quarter = mat_add(jp, jm), mat_sub(jp, jm), Fraction(1, 4)
+            squares = [mat_scale(mat_mul(plus, plus), quarter), mat_scale(mat_mul(minus, minus), -quarter), j3_squared]
             if squares != record:
                 return False, f"square record differs from J1^2, J2^2 or J3^2 on H^({p},{q})"
     return True, f"Casimir scalars j(j+1) = d(d+2)/4 exact for d <= {d_max}"
 
 
 def check_x3_spectrum(d_max: int = 8):
-    """J3 is diagonal with eigenvalues -j..j in integer steps, exactly."""
+    """J3 of the polynomial route is diagonal with eigenvalues -j..j in
+    integer steps, exactly."""
     for d in range(d_max + 1):
         j = Fraction(d, 2)
         expect = [(-j + t) for t in range(d + 1)]
         for p in range(d + 1):
             q = d - p
-            if not mat_equal(generator_matrix(3, p, q), _band_rows(d + 1, expect)):
+            if not mat_equal(vector_field_matrix(3, p, q), _band_rows(d + 1, expect)):
                 return False, f"J3 is not diag({', '.join(map(str, expect))}) on H^({p},{q})"
     return True, f"J3 spectrum is -j..j in integer steps for all d <= {d_max}"
 
@@ -257,6 +254,10 @@ def check_dimensions(d_max: int = 12):
         if tuple(x + shift for x in diag) != rep_band.diag or degree_products != rep_products:
             return False, f"S_{d} plus k rho differs from the band of H^({r},{d - r}) in its diagonal or products"
         if d <= EXACT_DEGREE_MAX:
+            # charpoly is read from its module when called, so this module
+            # still imports where that name is missing (rotorbench/selftest.py
+            # deletes it to test an absent span target)
+            charpoly = rational_linalg.charpoly
             coeffs = charpoly(_band_rows(d + 1, rep_band.diag, rep_band.lower, rep_band.upper))
             if charpoly(_species_rows(band_species(rep_band.diag, rep_products, d))) != coeffs:
                 return False, f"species of the band of H^({r},{d - r}) do not multiply to its characteristic polynomial"
@@ -272,8 +273,8 @@ def check_dimensions(d_max: int = 12):
             basis = space.basis
             ups = [*(b.scale(a) for a, b in zip(alpha, basis[1:])), zero]
             downs = [zero, *(b.scale(x) for x, b in zip(beta, basis))]
-            for k, (up, down) in enumerate(_ladder_images(p, q)):
-                if up != ups[k] or down != downs[k]:
+            for k, b in enumerate(basis):
+                if apply_jplus(b) != ups[k] or apply_jminus(b) != downs[k]:
                     return False, f"ladder closure fails on basis element {k} of H^({p},{q})"
             w = pairing_weights(p, q)
             for k, (a, b) in enumerate(zip(alpha, beta)):

@@ -203,7 +203,6 @@ NUMPY_FREE_RUNS = [
 
 # the exact oracle, which classify and spectrum must not load
 ORACLE_MODULES = (
-    "rotorspec.polyalg.gaussian",
     "rotorspec.polyalg.polynomial",
     "rotorspec.polyalg.rational_linalg",
     "rotorspec.polyalg.spaces",

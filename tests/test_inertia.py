@@ -231,6 +231,21 @@ def test_float_curvature_scaling_is_bit_exact():
     assert curvature_asymmetric(Fraction(10**400), 2 * Fraction(10**400), 3) == curvature_asymmetric(1, 2, Fraction(3, 10**400)) / 10**400
 
 
+@pytest.mark.parametrize("e", [665, -665])
+def test_float_symmetric_curvature_at_extreme_momenta(e):
+    # momenta near 1e200 (2^665) square beyond the float range and near
+    # 1e-200 below it; the curvature scales as 1/I, so at momenta times 2^e
+    # it is the unit-scale value times 2^-e, bit for bit, for the same
+    # random pairs as at unit scale, and zero axis momentum included
+    rng = np.random.default_rng(26)
+    for pair, axis in [*rng.uniform(0.1, 40, (100, 2)).tolist(), (2.0, 4.0), (1.5, 0.0)]:
+        want = math.ldexp(curvature_symmetric(pair, axis), -e)
+        assert curvature_symmetric(math.ldexp(pair, e), math.ldexp(axis, e)) == want
+    assert curvature_symmetric(2e200, 4e200) == pytest.approx(5e-201, rel=1e-15)
+    assert curvature_symmetric(1e-200, 5e-201) == pytest.approx(1.75e200, rel=1e-15)
+    assert curvature_symmetric(Fraction(10**400), 3) == curvature_symmetric(1, Fraction(3, 10**400)) / 10**400
+
+
 def test_oracle_rejects_nonpositive():
     with pytest.raises(ValueError):
         scalar_curvature_oracle(0.0, 1.0, 1.0)

@@ -6,17 +6,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorspec import asymmetric_spectrum, diagonalized_spectrum, polyalg, verify
 from rotorspec.errors import RepresentationClosureError
 from rotorspec.polyalg import (
-    QC,
     Polynomial,
     antipodal_sign,
-    apply_j1,
-    apply_j2,
     apply_j3,
     apply_jminus,
     apply_jplus,
@@ -36,28 +34,18 @@ from rotorspec.polyalg import (
     sphere_laplacian_r3,
     vector_field_matrix,
 )
-from rotorspec.polyalg import gaussian, levels, operators, polynomial, spaces
+from rotorspec.polyalg import levels, operators, polynomial, rational_linalg, spaces
 from rotorspec.polyalg.levels import _species_levels, band_species, degree_band
-from rotorspec.polyalg.operators import _generator_square, _ladder, _raw_matrix
-from rotorspec.polyalg.rational_linalg import mat_add, mat_scale, mat_sub
+from rotorspec.polyalg.operators import AXES, _generator_square, _ladder, _raw_matrix
+from rotorspec.polyalg.rational_linalg import mat_add, mat_scale, mat_sub, nullspace
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
-from rotorspec.verify import _adjoint, _band_rows, _species_rows
+from rotorspec.verify import _band_rows, _species_rows
 
 Z1 = Polynomial.variable(4, 0)
 Z2 = Polynomial.variable(4, 1)
 ZB1 = Polynomial.variable(4, 2)
 ZB2 = Polynomial.variable(4, 3)
-
-
-def test_qc_field_arithmetic():
-    a = QC(Fraction(1, 2), Fraction(-3, 4))
-    b = QC(2, 1)
-    assert a + b == QC(Fraction(5, 2), Fraction(1, 4))
-    assert a * b == QC(Fraction(7, 4), Fraction(-1))
-    assert (a / b) * b == a
-    assert a.conjugate().conjugate() == a
-    assert QC(0, 1) * QC(0, 1) == QC(-1)
 
 
 def test_laplacian_r4_examples():
@@ -86,33 +74,45 @@ def test_dimension_identities():
 
 
 def test_generator_j3_eigenvalues():
-    m = generator_matrix(3, 1, 0)
+    m = vector_field_matrix(3, 1, 0)
     assert all(not x for i, row in enumerate(m) for k, x in enumerate(row) if i != k)
-    assert sorted(m[i][i].re for i in range(2)) == [Fraction(-1, 2), Fraction(1, 2)]
-    m = generator_matrix(3, 1, 1)
-    assert sorted(m[i][i].re for i in range(3)) == [-1, 0, 1]
+    assert sorted(m[i][i] for i in range(2)) == [Fraction(-1, 2), Fraction(1, 2)]
+    m = vector_field_matrix(3, 1, 1)
+    assert sorted(m[i][i] for i in range(3)) == [-1, 0, 1]
+
+
+def _paper_generators(p, q):
+    """The paper's J1, J2, J3 and L_a = -i J_a on H^{p,q} as sympy
+    matrices, from the Chevalley matrices of the polynomial route:
+    J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) / (2i)."""
+    jp, jm, j3 = (sympy.Matrix(vector_field_matrix(axis, p, q)) for axis in AXES)
+    j = {1: (jp + jm) / 2, 2: ((jp - jm) / (2 * sympy.I)).expand(), 3: j3}
+    return j, {a: (-sympy.I * m).expand() for a, m in j.items()}
 
 
 def test_su2_commutators_exact():
-    for d in range(7):
-        for p in range(d + 1):
-            q = d - p
-            jm = {a: generator_matrix(a, p, q) for a in (1, 2, 3)}
-            lm = {a: vector_field_matrix(a, p, q) for a in (1, 2, 3)}
-            for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-                assert mat_equal(mat_commutator(lm[a], lm[b]), lm[c])
-                assert mat_equal(mat_commutator(jm[a], jm[b]), mat_scale(jm[c], QC(0, 1)))
+    # the paper's form over Q(i): [J1, J2] = i J3 and [L1, L2] = L3
+    # cyclically, and J1^2 + J2^2 + J3^2 = j(j+1) Id
+    for p, q in _blocks(4):
+        j, l = _paper_generators(p, q)
+        n = p + q + 1
+        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            assert (j[a] * j[b] - j[b] * j[a] - sympy.I * j[c]).expand() == sympy.zeros(n, n)
+            assert (l[a] * l[b] - l[b] * l[a] - l[c]).expand() == sympy.zeros(n, n)
+        casimir = (j[1] ** 2 + j[2] ** 2 + j[3] ** 2).expand()
+        assert casimir == sympy.Rational((p + q) * (p + q + 2), 4) * sympy.eye(n)
 
 
 def test_adjointness_flags():
-    # "self" is self- and not skew-adjoint, "skew" the reverse, "zero" both
-    w = pairing_weights(2, 1)
-    for m in (generator_matrix(1, 2, 1), generator_matrix(2, 2, 1)):
-        assert _adjoint(m, w, 1) and not _adjoint(m, w, -1)
-    m = vector_field_matrix(1, 2, 1)
-    assert _adjoint(m, w, -1) and not _adjoint(m, w, 1)
-    m = generator_matrix(3, 0, 0)
-    assert _adjoint(m, pairing_weights(0, 0), 1) and _adjoint(m, pairing_weights(0, 0), -1)
+    # under the pairing weights W = diag(w): J_a is self-adjoint (W J_a =
+    # J_a^H W) and L_a skew-adjoint, and for p + q >= 1 neither is both
+    for p, q in _blocks(4):
+        weights = sympy.diag(*pairing_weights(p, q))
+        j, l = _paper_generators(p, q)
+        for a in (1, 2, 3):
+            for m, sign in ((j[a], 1), (l[a], -1)):
+                assert (weights * m - sign * m.H * weights).expand().is_zero_matrix
+                assert (weights * m + sign * m.H * weights).expand().is_zero_matrix == (p + q == 0)
 
 
 def test_pairing_weights_positive():
@@ -122,22 +122,22 @@ def test_pairing_weights_positive():
 
 def test_casimir_values():
     c = casimir_matrix(0, 0)
-    assert c[0][0] == QC(0)
+    assert c[0][0] == 0
     c = casimir_matrix(1, 0)
-    assert not c[0][1] and not c[1][0] and c[0][0] == QC(Fraction(3, 4))
+    assert not c[0][1] and not c[1][0] and c[0][0] == Fraction(3, 4)
     c = casimir_matrix(2, 1)
     d = 3
-    assert all(c[i][i] == QC(Fraction(d * (d + 2), 4)) for i in range(len(c)))
+    assert all(c[i][i] == Fraction(d * (d + 2), 4) for i in range(len(c)))
     assert Fraction(d * (d + 2), 4) == Fraction(15, 4)
 
 
 def test_casimir_commutes_with_generators_and_j3sq():
     for p, q in ((2, 0), (2, 2), (3, 1)):
         c = casimir_matrix(p, q)
-        for a in (1, 2, 3):
-            g = generator_matrix(a, p, q)
+        for axis in AXES:
+            g = vector_field_matrix(axis, p, q)
             assert all(not x for row in mat_commutator(c, g) for x in row)
-        j3 = generator_matrix(3, p, q)
+        j3 = vector_field_matrix(3, p, q)
         assert all(not x for row in mat_commutator(c, mat_mul(j3, j3)) for x in row)
 
 
@@ -202,26 +202,32 @@ def _squares(p, q):
 
 @pytest.mark.parametrize("d", range(13))
 def test_closed_form_route_equals_polynomial_route(d):
-    # bases against null-space extraction; the ladder, weights and squares
-    # against the differential operators applied to the basis polynomials;
-    # generator_matrix (J1 and J2 from the cached Jp and Jm images) against
-    # apply_j1..apply_j3 read back in coordinates
+    # bases against null-space extraction; the ladder, l-values, weights
+    # and squares against the differential operators applied to the basis
+    # polynomials, read back in coordinates; vector_field_matrix and
+    # generator_matrix against both
     for p in range(d + 1):
         q = d - p
         space = harmonic_basis(p, q)
         assert space.basis == harmonic_basis_by_elimination(p, q)
-        for axis, apply_j, square in zip((1, 2, 3), (apply_j1, apply_j2, apply_j3), _squares(p, q)):
-            poly_route = _raw_matrix(space, apply_j)
-            assert generator_matrix(axis, p, q) == tuple(map(tuple, poly_route))
-            assert _band_rows(d + 1, *square) == mat_mul(poly_route, poly_route)
-        jp = _raw_matrix(space, apply_jplus)
-        jm = _raw_matrix(space, apply_jminus)
+        jp, jm, j3 = poly_route = [_raw_matrix(space, op) for op in (apply_jplus, apply_jminus, apply_j3)]
+        for axis, rows in zip(AXES, poly_route):
+            assert vector_field_matrix(axis, p, q) == generator_matrix(axis, p, q) == tuple(map(tuple, rows))
         alpha, beta = _ladder(p, q)
         assert jp == [[alpha[n] if m == n + 1 else 0 for n in range(d + 1)] for m in range(d + 1)]
         assert jm == [[beta[m] if n == m + 1 else 0 for n in range(d + 1)] for m in range(d + 1)]
+        assert j3 == _band_rows(d + 1, space.l_values)
+        plus, minus = mat_add(jp, jm), mat_sub(jp, jm)
+        squares = (
+            mat_scale(mat_mul(plus, plus), Fraction(1, 4)),
+            mat_scale(mat_mul(minus, minus), Fraction(-1, 4)),
+            mat_mul(j3, j3),
+        )
+        for square, want in zip(_squares(p, q), squares):
+            assert _band_rows(d + 1, *square) == want
         weights = [Fraction(1)]
         for k in range(d):
-            weights.append(weights[-1] * jm[k][k + 1].re / jp[k + 1][k].re)
+            weights.append(weights[-1] * Fraction(jm[k][k + 1], jp[k + 1][k]))
         assert pairing_weights(p, q) == tuple(weights)
 
 
@@ -364,7 +370,7 @@ def test_ladder_coordinates_are_integers():
         assert all(type(c) is int for sector in harmonic_basis(p, q).sectors for _, c in sector)
 
 
-def test_hot_path_builds_no_polynomial_or_qc(monkeypatch):
+def test_hot_path_builds_no_polynomial(monkeypatch):
     # cold caches, so every harmonic space, ladder, weight and square record
     # of the spectra below is built under the patch
     for module in (spaces, operators):
@@ -373,15 +379,12 @@ def test_hot_path_builds_no_polynomial_or_qc(monkeypatch):
                 value.cache_clear()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("QC or Polynomial built on the asymmetric hot path")
+        raise AssertionError("Polynomial built on the asymmetric hot path")
 
-    # both constructors of QC (__init__ and _make, behind all arithmetic)
-    # and the one of Polynomial refuse
+    # the constructor of Polynomial refuses, and no code of the polynomial
+    # or the dense-matrix module runs, so no other route can build one
     monkeypatch.setattr(Polynomial, "__init__", refuse)
-    monkeypatch.setattr(QC, "__init__", refuse)
-    monkeypatch.setattr(gaussian, "_make", refuse)
-    # and no code of either module runs, so no other route can build one
-    watched = {gaussian.__file__, polynomial.__file__}
+    watched = {polynomial.__file__, rational_linalg.__file__}
     ran = set()
 
     def profile(frame, event, arg):
@@ -407,7 +410,7 @@ def test_every_public_name_resolves_on_first_use():
     exec("from rotorspec.polyalg import *", names)
     assert set(polyalg.__all__) <= set(names)
     assert names["eigenvalues"] is levels.eigenvalues is operators.eigenvalues
-    assert names["QC"] is gaussian.QC and names["harmonic_basis"] is spaces.harmonic_basis
+    assert names["Polynomial"] is polynomial.Polynomial and names["harmonic_basis"] is spaces.harmonic_basis
     with pytest.raises(AttributeError, match="no_such_name"):
         polyalg.no_such_name
 
@@ -422,7 +425,7 @@ def test_antipodal_parity_matches_bundles():
 
 
 def test_charpoly_and_rational_roots():
-    m = [[QC(2), QC(1)], [QC(0), QC(3)]]
+    m = [[2, 1], [0, 3]]
     coeffs = charpoly(m)  # (t-2)(t-3) = t^2 - 5t + 6
     assert coeffs == [Fraction(6), Fraction(-5), Fraction(1)]
     # as a species (diag (2, 3), product 1 * 0) its roots are exact; with
@@ -457,18 +460,20 @@ def test_polynomial_evaluation_consistency():
 
 
 def _random_sparse(rng, n, m):
-    """An n x m QC matrix, about two thirds zeros, with complex rational
+    """An n x m matrix, about two thirds zeros, with int and Fraction
     entries, one zero row and one zero column."""
     def entry():
         if rng.random() < 2 / 3:
-            return QC(0)
-        return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 5)), Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+            return 0
+        if rng.random() < 1 / 2:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
 
     rows = [[entry() for _ in range(m)] for _ in range(n)]
-    rows[rng.randrange(n)] = [QC(0)] * m
+    rows[rng.randrange(n)] = [0] * m
     column = rng.randrange(m)
     for row in rows:
-        row[column] = QC(0)
+        row[column] = 0
     return rows
 
 
@@ -479,20 +484,18 @@ def test_sparse_matrix_kernels_equal_their_definitions():
     for _ in range(200):
         n, k, m = (rng.randint(1, 6) for _ in range(3))
         a, b, c = _random_sparse(rng, n, k), _random_sparse(rng, k, m), _random_sparse(rng, n, k)
-        want = [[sum((a[i][t] * b[t][j] for t in range(k)), QC(0)) for j in range(m)] for i in range(n)]
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
         assert mat_mul(a, b) == want
         assert mat_add(a, c) == [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
         assert mat_sub(a, c) == [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]
-        s = rng.choice([0, 3, Fraction(-2, 7), QC(1, Fraction(1, 2))])
+        s = rng.choice([0, 3, Fraction(-2, 7), Fraction(5, 2)])
         assert mat_scale(a, s) == [[x * s for x in row] for row in a]
 
 
-small_qcs = st.builds(
-    QC, st.fractions(min_value=-3, max_value=3, max_denominator=3), st.integers(-1, 1)
-)
+small_rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
 exponents = st.tuples(*(st.integers(0, 2) for _ in range(4)))
-polys = st.dictionaries(exponents, small_qcs, max_size=6).map(lambda terms: Polynomial(4, terms))
-factors = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4), small_qcs)
+polys = st.dictionaries(exponents, small_rationals, max_size=6).map(lambda terms: Polynomial(4, terms))
+factors = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
 
 
 @settings(max_examples=200, deadline=None)
@@ -504,7 +507,7 @@ def test_polynomial_ring_operations_store_valid_terms(f, g, factor, var):
     # textbook definition (small coefficients make cancellations frequent)
     def naive_sum(x, y, sign):
         exps = set(x.terms) | set(y.terms)
-        return {e: x.terms.get(e, QC(0)) + sign * y.terms.get(e, QC(0)) for e in exps}
+        return {e: x.terms.get(e, 0) + sign * y.terms.get(e, 0) for e in exps}
 
     def lowered(e):
         return tuple(x - (i == var) for i, x in enumerate(e))
@@ -516,7 +519,7 @@ def test_polynomial_ring_operations_store_valid_terms(f, g, factor, var):
     for d, x in f.terms.items():
         for e, c in g.terms.items():
             key = tuple(map(sum, zip(d, e)))
-            product[key] = product.get(key, QC(0)) + x * c
+            product[key] = product.get(key, 0) + x * c
     results = {
         "add": (f + g, naive_sum(f, g, 1)),
         "sub": (f - g, naive_sum(f, g, -1)),
@@ -528,5 +531,37 @@ def test_polynomial_ring_operations_store_valid_terms(f, g, factor, var):
         "mul": (f * g, product),
     }
     for name, (result, definition) in results.items():
-        assert all(type(c) is QC and c for c in result.terms.values()), name
+        assert all(type(c) in (int, Fraction) and c for c in result.terms.values()), name
         assert result == Polynomial(4, result.terms) == Polynomial(4, definition), name
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), 1j, complex(1, 0), "1", None])
+def test_inexact_arguments_raise_type_error(bad):
+    # a coefficient or a factor that is not an int or a Fraction is refused
+    with pytest.raises(TypeError):
+        Polynomial(4, {(1, 0, 0, 0): bad})
+    with pytest.raises(TypeError):
+        Polynomial.constant(4, bad)
+    with pytest.raises(TypeError):
+        Z1.scale(bad)
+    with pytest.raises(TypeError):
+        Z1 * bad
+
+
+def test_the_oracle_computes_over_ints_and_fractions():
+    # every coordinate of Jp, Jm and J3 applied to a basis polynomial, and
+    # every entry of the oracle's matrices and null spaces, for p + q <= 8
+    def exact(values):
+        return all(type(x) in (int, Fraction) for x in values)
+
+    with pytest.raises(TypeError):
+        Polynomial(4, {(1, 0, 0, 0): 0.5})
+    for p, q in _blocks(8):
+        space = harmonic_basis(p, q)
+        for b in space.basis:
+            assert exact(b.terms.values())
+            for op in (apply_jplus, apply_jminus, apply_j3):
+                assert exact(space.coordinates(op(b)))
+        matrices = [casimir_matrix(p, q), *(f(axis, p, q) for f in (vector_field_matrix, generator_matrix) for axis in AXES)]
+        assert all(exact(row) for m in matrices for row in m)
+    assert exact(x for vec in nullspace([[4, 2, 0], [1, 0, 3]]) for x in vec)

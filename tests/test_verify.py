@@ -97,9 +97,9 @@ def test_suite_detects_a_wrong_ladder_coordinate(cold_caches, monkeypatch):
 def test_suite_detects_a_wrong_polynomial_ladder_image(cold_caches, monkeypatch):
     # Jp applied by the differential operator, doubled on H^(2,1): every
     # image stays in its block, so no closure error hides the fault, and
-    # only the comparisons with the integer ladder can see it.  The J_a of
+    # only the comparisons with the integer ladder can see it.  The Jp of
     # su2 commutators and the ladder closure of harmonic dimensions must
-    # both fail, whether they read cached images or apply Jp themselves
+    # both fail
     real = operators.apply_jplus
 
     def doubled(f):
@@ -108,8 +108,55 @@ def test_suite_detects_a_wrong_polynomial_ladder_image(cold_caches, monkeypatch)
 
     monkeypatch.setattr(operators, "apply_jplus", doubled)
     monkeypatch.setattr(verify, "apply_jplus", doubled, raising=False)
-    assert verify.check_su2_commutators(4) == (False, "J1 differs from the integer ladder on H^(2,1)")
+    assert verify.check_su2_commutators(4) == (False, "Jp differs from the integer ladder on H^(2,1)")
     assert verify.check_dimensions(4) == (False, "ladder closure fails on basis element 0 of H^(2,1)")
+
+
+def test_a_j3_entry_off_by_one_fails_x3_spectrum_and_su2_commutators(cold_caches, monkeypatch):
+    # J3 applied by the differential operator adds the polynomial itself on
+    # the first basis element of H^(2,1), so its diagonal entry is l + 1
+    real = operators.apply_j3
+    first = spaces.harmonic_basis(2, 1).basis[0]
+
+    def shifted(f):
+        image = real(f)
+        return image + f if f == first else image
+
+    monkeypatch.setattr(operators, "apply_j3", shifted)
+    assert verify.check_x3_spectrum(4) == (False, "J3 is not diag(-3/2, -1/2, 1/2, 3/2) on H^(2,1)")
+    assert verify.check_su2_commutators(4) == (False, "J3 differs from the integer ladder on H^(2,1)")
+
+
+def test_a_doubled_jp_image_on_one_block_fails_su2_commutators(cold_caches, monkeypatch):
+    # Jp of one basis polynomial of H^(4,4), in the last degree su2
+    # commutators reads, doubled: the degrees below still pass
+    real = operators.apply_jplus
+    target = spaces.harmonic_basis(4, 4).basis[3]
+
+    def doubled(f):
+        image = real(f)
+        return image.scale(2) if f == target else image
+
+    monkeypatch.setattr(operators, "apply_jplus", doubled)
+    assert verify.check_su2_commutators(7)[0]
+    ok, detail = verify.check_su2_commutators(8)
+    assert not ok
+    assert detail.endswith(" differs from the integer ladder on H^(4,4)")
+
+
+def test_a_square_record_with_one_sign_flipped_fails_casimir_scalars(cold_caches, monkeypatch):
+    # the first lower entry of J1^2 on H^(1,2) negated, as J2^2 has it
+    real = operators._generator_square
+
+    def flipped(p, q):
+        diag, lower, upper, l_squared = real(p, q)
+        if (p, q) == (1, 2):
+            lower = (-lower[0], *lower[1:])
+        return diag, lower, upper, l_squared
+
+    _patch_both(monkeypatch, "_generator_square", flipped)
+    assert verify.check_casimir(2)[0]
+    assert verify.check_casimir(3) == (False, "square record differs from J1^2, J2^2 or J3^2 on H^(1,2)")
 
 
 def test_suite_detects_a_wrong_pairing_weight(cold_caches, monkeypatch):
