@@ -3,9 +3,10 @@
 The pipeline runs canonicalize -> classify -> inertia -> admissible quantum
 structures -> spectrum.  Closed forms cover the spherical, symmetric,
 degenerate and monopole cases; the asymmetric top is solved by exact
-operator matrices on harmonic polynomial spaces.  That pipeline runs in
-pure Python; the classical_em names below are imported on first use, since
-that module needs numpy.
+operator matrices on harmonic polynomial spaces.  The package runs in pure
+Python with no dependencies; the classical_em names below are imported on
+first use, which keeps em-split code off the classify/spectrum compile
+path.
 """
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances

@@ -12,9 +12,8 @@ observed splitting F = -2 dt ^ E + 2 * (i_B eta):
 
     F(e; v, w) = -2 (v0 E(e).w - w0 E(e).v) + 2 B(e).(v x w).
 
-The classical momentum map of the rotational action lives here too.  This
-is the one module of the em-split path that needs numpy; the package
-imports it on first use.
+The classical momentum map of the rotational action lives here too.
+Vectors are tuples of floats.
 """
 
 from __future__ import annotations
@@ -22,21 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .defaults import DEFAULT_TOLERANCES, Tolerances
-from .geometry import ParticleSystem, RigidConfiguration
+from .geometry import ParticleSystem, RigidConfiguration, _cross, _dot, _floats, _rows
 
-Vec3Field = Callable[[np.ndarray], np.ndarray]
+Vec3 = tuple[float, float, float]
+Vec3Field = Callable[[Vec3], Vec3]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross(a, b) of two 3-vectors, bit for bit: the same products and
-    differences a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0 in float64,
-    without the axis handling that dominates np.cross on one pair."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _add(a, b) -> Vec3:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -52,9 +45,8 @@ class PatternField:
 
     @staticmethod
     def uniform(e_vec, b_vec) -> "PatternField":
-        e = np.asarray(e_vec, dtype=float)
-        b = np.asarray(b_vec, dtype=float)
-        zero = not (np.any(e) or np.any(b))
+        e, b = _floats(e_vec), _floats(b_vec)
+        zero = not (any(e) or any(b))
         return PatternField(
             electric=lambda _pos: e,
             magnetic=lambda _pos: b,
@@ -71,13 +63,8 @@ class PatternField:
         """F(e; v, w) on two 4-vectors (v0, v_vec), (w0, w_vec)."""
         v0, v = v4
         w0, w = w4
-        e_val = np.asarray(self.electric(np.asarray(position, dtype=float)), dtype=float)
-        b_val = np.asarray(self.magnetic(np.asarray(position, dtype=float)), dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return float(
-            -2.0 * (v0 * e_val.dot(w) - w0 * e_val.dot(v)) + 2.0 * b_val.dot(_cross(v, w))
-        )
+        e_val, b_val = self.electric(position), self.magnetic(position)
+        return float(-2.0 * (v0 * _dot(e_val, w) - w0 * _dot(e_val, v)) + 2.0 * _dot(b_val, _cross(v, w)))
 
 
 @dataclass(frozen=True)
@@ -111,17 +98,13 @@ def split_field(
         rot   = sum_i (q_i/m) F(e_i; omega x r_i, psi x r_i)
               = sum_i (q_i/m) 2 (B(e_i).r_i) ((omega x psi).r_i)
         mixed = sum_i (q_i/m) [F(e_i; v_cen, psi x r_i) + F(e_i; omega x r_i, w_cen)]
-
-    Every cross product of two 3-vectors here and in PatternField.evaluate
-    is _cross, which gives np.cross's bits at a fraction of its cost.
     """
-    v_cen, omega = (np.asarray(x, dtype=float) for x in v)
-    w_cen, psi = (np.asarray(x, dtype=float) for x in w)
+    v_cen, omega = map(_floats, v)
+    w_cen, psi = map(_floats, w)
     m = system.total_mass
-    center = np.asarray(config.center)
     cen = rot = mixed = 0.0
-    for qi, ri in zip(system.charges, np.asarray(config.relatives)):
-        pos = center + ri
+    for qi, ri in zip(system.charges, config.relatives):
+        pos = _add(config.center, ri)
         weight = qi / m
         v_rot = _cross(omega, ri)
         w_rot = _cross(psi, ri)
@@ -145,16 +128,14 @@ def unsplit_field(
 ) -> float:
     """The unsplit pullback sum_i (q_i/m) F(e_i; v_i, w_i) with the full
     tangent vectors v_i = v_cen + omega x r_i; equals SplitFieldValue.total."""
-    v_cen, omega = (np.asarray(x, dtype=float) for x in v)
-    w_cen, psi = (np.asarray(x, dtype=float) for x in w)
+    v_cen, omega = map(_floats, v)
+    w_cen, psi = map(_floats, w)
     m = system.total_mass
-    center = np.asarray(config.center)
     out = 0.0
-    for qi, ri in zip(system.charges, np.asarray(config.relatives)):
-        pos = center + ri
-        vi = v_cen + _cross(omega, ri)
-        wi = w_cen + _cross(psi, ri)
-        out += (qi / m) * fld.evaluate(pos, (v0, vi), (w0, wi))
+    for qi, ri in zip(system.charges, config.relatives):
+        vi = _add(v_cen, _cross(omega, ri))
+        wi = _add(w_cen, _cross(psi, ri))
+        out += (qi / m) * fld.evaluate(_add(config.center, ri), (v0, vi), (w0, wi))
     return out
 
 
@@ -187,7 +168,7 @@ def decoupling_check(
 
 def split_potential(
     system: ParticleSystem, config: RigidConfiguration, potentials
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Vec3, Vec3]:
     """Split per-particle spacelike potential covectors A_i.
 
     Returns (a_cen, a_rot): a_cen pairs with the center velocity,
@@ -196,13 +177,10 @@ def split_potential(
     A_i . (omega x r_i)).  Their sum reproduces the full pullback on any
     rigid tangent vector.
     """
-    a = np.asarray(potentials, dtype=float)
-    if a.shape != (system.n, 3):
-        raise ValueError("one covector per particle required")
-    m = system.total_mass
-    weights = np.asarray(system.charges) / m
-    a_cen = np.einsum("i,ij->j", weights, a)
-    a_rot = np.einsum("i,ij->j", weights, np.cross(config.relatives, a))
+    a = _rows(potentials, system.n, "covector")
+    weights = [q / system.total_mass for q in system.charges]
+    a_cen = tuple(_dot(weights, col) for col in zip(*a))
+    a_rot = tuple(_dot(weights, col) for col in zip(*map(_cross, config.relatives, a)))
     return a_cen, a_rot
 
 
@@ -216,7 +194,6 @@ def classical_momentum_map(omega, config: RigidConfiguration, velocities, hbar0=
     i.e. the classical angular momentum about the center of mass contracted
     with omega.
     """
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(velocities, dtype=float)
-    gen = np.cross(omega, config.relatives)
-    return float(np.einsum("i,ij,ij->", config.masses, gen, v)) / float(hbar0)
+    omega = _floats(omega)
+    v = _rows(velocities, config.n, "velocity")
+    return sum(m * _dot(_cross(omega, r), vi) for m, r, vi in zip(config.masses, config.relatives, v)) / float(hbar0)

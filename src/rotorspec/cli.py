@@ -27,7 +27,7 @@ from .errors import (
     RotorSpecError,
     SchemaError,
 )
-from .geometry import DegeneracyClass, ParticleSystem, canonicalize
+from .geometry import DegeneracyClass, ParticleSystem, _jacobi_eigh, canonicalize
 from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
 from .quantum_structures import (
     BundleKind,
@@ -463,11 +463,10 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
                 print(f"  H^({p},{q})[{idx}] {poly}")
         else:
             if vectors is None:
-                import numpy as np  # only this command needs eigenvectors
-
-                vectors = np.linalg.eigh(degree_matrix(d, *degree_band(d, *momenta.momenta, job.hbar0)))[1]
+                vals, vecs = _jacobi_eigh(degree_matrix(d, *degree_band(d, *momenta.momenta, job.hbar0)))
+                vectors = [[row[k] for row in vecs] for k in sorted(range(d + 1), key=vals.__getitem__)]
             for p, q, idx in ln.eigensections:
-                coeffs = block_vector(p, q, vectors[:, idx])
+                coeffs = block_vector(p, q, vectors[idx])
                 # the canonical sign: the first printed coefficient is positive
                 sign = next((1 if c > 0 else -1 for c in coeffs if abs(c) > 1e-12), 1)
                 terms = " + ".join(
@@ -483,7 +482,7 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
 
 
 def cmd_em_split(job: JobConfig) -> int:
-    from .classical_em import PatternField, decoupling_check, split_field, unsplit_field  # needs numpy
+    from .classical_em import PatternField, decoupling_check, split_field, unsplit_field
 
     field_doc = job.field or {"type": "none"}
     if field_doc["type"] == "monopole":

@@ -18,7 +18,7 @@ class Tolerances:
     """Numeric tolerances used across the geometry and spectra layers.
 
     rel:  relative threshold (rank decisions, momentum-coincidence tests)
-    abs:  absolute threshold in length units (centering residuals)
+    abs:  absolute threshold in velocity units (angular-velocity residuals)
     spec: relative threshold for grouping nearly equal eigenvalues
     """
 

@@ -5,9 +5,9 @@ mass-weighted metric) into a center-of-mass part and a relative part; on the
 rigid constraint surface the relative part is parameterized by an angular
 velocity through v_i = omega x r_i.  This module provides the canonical
 center-of-mass configuration, the degeneracy classification of the body,
-and the splitting / angular-velocity maps.  The configuration is floats and
-tuples in pure Python; only the splitting and angular-velocity maps, which
-take and return arrays, import numpy.
+and the splitting / angular-velocity maps, all on floats and tuples in pure
+Python, and the cross product and cyclic Jacobi eigensolver the package
+shares.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .errors import AllCoincidentError, NonPositiveMassError, NotRigidVelocityError
-
-if TYPE_CHECKING:  # numpy is imported where arrays are built
-    import numpy as np
 
 
 class DegeneracyClass(Enum):
@@ -38,22 +34,22 @@ class DegeneracyClass(Enum):
         return self is DegeneracyClass.DEGENERATE
 
 
-def _as_matrix(rows, dim=3) -> np.ndarray:
-    """rows as an (n, dim) float array; numpy is imported here, by the
-    velocity and covector helpers only."""
-    import numpy as np
-
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2 or a.shape[1] != dim:
-        raise ValueError(f"expected an (n, {dim}) array, got shape {a.shape}")
-    return a
-
-
 def _floats(values) -> tuple[float, ...]:
     try:
         return tuple(map(float, values))
     except TypeError as exc:
         raise ValueError("expected a list of numbers") from exc
+
+
+def _rows(rows, n: int, what: str) -> tuple[tuple[float, float, float], ...]:
+    """rows as n 3-tuples of floats, one per particle, or ValueError."""
+    try:
+        out = tuple((float(x), float(y), float(z)) for x, y, z in rows)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or len(out) != n:
+        raise ValueError(f"one {what} 3-vector per particle required")
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,16 +68,12 @@ class ParticleSystem:
     def __post_init__(self):
         object.__setattr__(self, "masses", _floats(self.masses))
         object.__setattr__(self, "charges", _floats(self.charges))
-        try:
-            positions = tuple([(float(x), float(y), float(z)) for x, y, z in self.positions])
-        except (TypeError, ValueError) as exc:
-            raise ValueError("expected an (n, 3) array of positions") from exc
-        object.__setattr__(self, "positions", positions)
         n = len(self.masses)
+        object.__setattr__(self, "positions", _rows(self.positions, n, "position"))
         if n < 2:
             raise ValueError("a rigid body needs at least 2 particles")
-        if len(self.charges) != n or len(positions) != n:
-            raise ValueError("masses, charges and positions must agree in length")
+        if len(self.charges) != n:
+            raise ValueError("masses and charges must agree in length")
         if any(m <= 0.0 for m in self.masses):
             raise NonPositiveMassError("all masses must be strictly positive")
 
@@ -138,20 +130,26 @@ class RigidConfiguration:
 class SplitVector:
     """Result of the velocity splitting: v_i = v_cen + v_rel,i exactly."""
 
-    center: np.ndarray
-    relative: np.ndarray
+    center: tuple[float, float, float]
+    relative: tuple[tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
 class SplitCovector:
     """Result of the covector splitting: alpha_cen = sum_i alpha_i."""
 
-    center: np.ndarray
-    relative: np.ndarray
+    center: tuple[float, float, float]
+    relative: tuple[tuple[float, float, float], ...]
 
 
 def _dot(a, b) -> float:
     return sum(map(mul, a, b))
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def _triangular_factor(cols):
@@ -205,6 +203,48 @@ def _singular_values(cols) -> list[float]:
     return sorted((math.hypot(*c) for c in cols), reverse=True)
 
 
+def _jacobi_eigh(matrix):
+    """Eigenvalues and eigenvectors (the columns of n rows) of a symmetric
+    n x n float matrix by cyclic Jacobi (Rutishauser, Numer. Math. 9, 1
+    (1966)): rotations annihilate each off-diagonal entry in row order until
+    each is zero or negligible beside both diagonal entries it couples.  A
+    zero entry is never rotated, so the eigenvectors of a matrix that splits
+    into blocks stay inside their blocks.  Eigenvalues are accurate to a few
+    ulps of the largest."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    v = [[float(i == k) for k in range(n)] for i in range(n)]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(50):
+        if not any(a[p][q] for p, q in pairs):
+            break
+        for p, q in pairs:
+            ap, aq = a[p], a[q]
+            apq = ap[q]
+            g = 100.0 * abs(apq)
+            if abs(ap[p]) + g == abs(ap[p]) and abs(aq[q]) + g == abs(aq[q]):
+                ap[q] = aq[p] = 0.0
+                continue
+            theta = (aq[q] - ap[p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            ap[p] -= t * apq
+            aq[q] += t * apq
+            ap[q] = aq[p] = 0.0
+            for r, ar in enumerate(a):
+                if r != p and r != q:
+                    arp, arq = ar[p], ar[q]
+                    ar[p] = ap[r] = c * arp - s * arq
+                    ar[q] = aq[r] = s * arp + c * arq
+            for row in v:
+                vp, vq = row[p], row[q]
+                row[p], row[q] = c * vp - s * vq, s * vp + c * vq
+    else:
+        raise ArithmeticError("the Jacobi sweeps did not converge")
+    return [a[k][k] for k in range(n)], v
+
+
 def characteristic_rank(relatives, eps_rel: float) -> int:
     """Rank of span{r_i - r_j}, computed from the singular values of the
     relatives matrix (equivalent because the weighted centroid vanishes).
@@ -229,14 +269,17 @@ def canonicalize(
 
     Returns a RigidConfiguration with center = sum_i mu_i e_i and
     r_i = e_i - center.  Raises AllCoincidentError when every particle sits
-    at the center (no rotational degrees of freedom).
+    at one point (no rotational degrees of freedom): every position equals
+    the first, or the relatives have rank 0.  Both tests are free of any
+    length scale.
     """
+    first, *others = system.positions
+    if all(e == first for e in others):
+        raise AllCoincidentError("all particles coincide with the center of mass")
     mu = system.weights
     center = tuple(_dot(mu, col) for col in zip(*system.positions))
     cx, cy, cz = center
     rel = tuple((x - cx, y - cy, z - cz) for x, y, z in system.positions)
-    if all(math.hypot(*r) <= tol.abs for r in rel):
-        raise AllCoincidentError("all particles coincide with the center of mass")
     c_rot = characteristic_rank(rel, tol.rel)
     if c_rot == 0:
         raise AllCoincidentError("all particles coincide with the center of mass")
@@ -256,82 +299,68 @@ def split_velocity(config: RigidConfiguration, velocities) -> SplitVector:
     have vanishing weighted sum and the two parts are orthogonal under the
     mass-weighted metric.
     """
-    import numpy as np
-
-    v = _as_matrix(velocities)
-    if v.shape[0] != config.n:
-        raise ValueError("one velocity per particle required")
-    v_cen = np.asarray(config.weights) @ v
-    return SplitVector(center=v_cen, relative=v - v_cen)
+    v = _rows(velocities, config.n, "velocity")
+    v_cen = tuple(_dot(config.weights, col) for col in zip(*v))
+    return SplitVector(center=v_cen, relative=tuple(tuple(x - c for x, c in zip(row, v_cen)) for row in v))
 
 
-def recombine(split: SplitVector) -> np.ndarray:
+def recombine(split: SplitVector) -> tuple[tuple[float, float, float], ...]:
     """Inverse of split_velocity: v_i = v_cen + v_rel,i."""
-    return split.relative + split.center
+    return tuple(tuple(x + c for x, c in zip(row, split.center)) for row in split.relative)
 
 
 def split_covector(config: RigidConfiguration, covectors) -> SplitCovector:
-    """Split one covector per particle: (sum_i a_i, a_i - mu_i sum_j a_j).
-
-    The relative parts sum to zero (unweighted).
-    """
-    a = _as_matrix(covectors)
-    if a.shape[0] != config.n:
-        raise ValueError("one covector per particle required")
-    import numpy as np
-
-    total = a.sum(axis=0)
-    return SplitCovector(center=total, relative=a - np.outer(config.weights, total))
+    """Split one covector per particle into (sum_i a_i, a_i - mu_i sum_j
+    a_j); the relative parts sum to zero (unweighted)."""
+    a = _rows(covectors, config.n, "covector")
+    total = tuple(map(sum, zip(*a)))
+    relative = tuple(tuple(x - m * t for x, t in zip(row, total)) for m, row in zip(config.weights, a))
+    return SplitCovector(center=total, relative=relative)
 
 
 def weighted_inner(config: RigidConfiguration, u, v) -> float:
     """Mass-weighted inner product sum_i mu_i u_i . v_i of two velocity lists."""
-    import numpy as np
-
-    u = _as_matrix(u)
-    v = _as_matrix(v)
-    return float(np.einsum("i,ij,ij->", config.weights, u, v))
+    u, v = _rows(u, config.n, "velocity"), _rows(v, config.n, "velocity")
+    return sum(m * _dot(a, b) for m, a, b in zip(config.weights, u, v))
 
 
-def velocities_from_angular(config: RigidConfiguration, omega) -> np.ndarray:
+def velocities_from_angular(config: RigidConfiguration, omega) -> tuple[tuple[float, float, float], ...]:
     """Relative velocities omega x r_i of a rigid rotation with angular
     velocity omega."""
-    import numpy as np
+    omega = _floats(omega)
+    return tuple(_cross(omega, r) for r in config.relatives)
 
-    omega = np.asarray(omega, dtype=float)
-    return np.cross(omega, config.relatives)
+
+def _rotation_metric(rs):
+    """sum_i (|r_i|^2 Id - r_i r_i^T); each diagonal entry sums the squares
+    of the other two coordinates (r[a - 1], r[a - 2]), free of cancellation."""
+    return [[sum(r[a - 1] ** 2 + r[a - 2] ** 2 if a == b else -r[a] * r[b] for r in rs) for b in range(3)] for a in range(3)]
 
 
 def angular_velocity(
     config: RigidConfiguration, relative_velocities, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Invert v_i = omega x r_i for omega.
 
-    Solves the stacked cross-product system in the least-squares sense and
-    accepts the solution only if the residual is below tol.rel * |v|.  For a
-    degenerate (collinear) body the angular velocity is only defined up to
-    the body axis; the minimum-norm solution returned here is the unique
-    representative orthogonal to that axis.
+    Solves the normal equations M omega = sum_i r_i x v_i of the stacked
+    cross-product system, M = sum_i (|r_i|^2 Id - r_i r_i^T), by the
+    eigenpairs of M (_jacobi_eigh) in the frame of M's eigenvectors, where
+    the small eigenvalue of a thin body is a sum of squares, not a
+    cancellation; the residual must be below tol.rel * |v| + tol.abs.  For
+    a degenerate (collinear) body omega is defined up to the body axis,
+    the eigenvector of M's smallest eigenvalue; dropping that eigenpair
+    gives the minimum-norm representative, orthogonal to the axis.
     """
-    v = _as_matrix(relative_velocities)
-    if v.shape[0] != config.n:
-        raise ValueError("one velocity per particle required")
-    import numpy as np
-
-    # omega x r = -skew(r) omega, stacked over particles
-    r = _as_matrix(config.relatives)
-    blocks = np.zeros((config.n, 3, 3))
-    blocks[:, 0, 1] = r[:, 2]
-    blocks[:, 0, 2] = -r[:, 1]
-    blocks[:, 1, 0] = -r[:, 2]
-    blocks[:, 1, 2] = r[:, 0]
-    blocks[:, 2, 0] = r[:, 1]
-    blocks[:, 2, 1] = -r[:, 0]
-    a = blocks.reshape(3 * config.n, 3)
-    b = v.reshape(3 * config.n)
-    omega, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = np.linalg.norm(a @ omega - b)
-    vnorm = np.linalg.norm(b)
+    v = _rows(relative_velocities, config.n, "velocity")
+    frame = list(zip(*_jacobi_eigh(_rotation_metric(config.relatives))[1]))
+    rs, vs = ([tuple(_dot(f, x) for f in frame) for x in xs] for xs in (config.relatives, v))
+    vals, vecs = _jacobi_eigh(_rotation_metric(rs))
+    rhs = tuple(map(sum, zip(*map(_cross, rs, vs))))
+    pairs = sorted(zip(vals, zip(*vecs)))[1 if config.degeneracy.is_degenerate else 0 :]
+    local = [sum(_dot(e, rhs) / val * e[a] for val, e in pairs) for a in range(3)]
+    omega = tuple(_dot(local, col) for col in zip(*frame))
+    residual = math.hypot(*(x - y for r, row in zip(config.relatives, v) for x, y in zip(_cross(omega, r), row)))
+    vnorm = math.hypot(*(x for row in v for x in row))
     if residual > tol.rel * vnorm + tol.abs:
         raise NotRigidVelocityError(
             f"velocities are not a rigid rotation (residual {residual:.3e}, |v| {vnorm:.3e})"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
-from .geometry import DegeneracyClass, RigidConfiguration
+from .geometry import DegeneracyClass, RigidConfiguration, _jacobi_eigh
 
 
 class TopClass(Enum):
@@ -124,42 +124,6 @@ def _pair_mean(x, y):
     if isinstance(x, Rational) and isinstance(y, Rational):
         return (Fraction(x) + Fraction(y)) / 2
     return (x + y) / 2
-
-
-def _jacobi_eigh(matrix):
-    """Eigenvalues and eigenvectors (the columns of three rows) of a
-    symmetric 3x3 float matrix, by the cyclic Jacobi method: plane
-    rotations that annihilate each off-diagonal entry in turn, until every
-    off-diagonal entry is zero or negligible beside both diagonal entries
-    it couples (Rutishauser's test).  The eigenvalues are accurate to a
-    few ulps of the largest."""
-    a = [list(row) for row in matrix]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for _ in range(50):
-        if not (a[0][1] or a[0][2] or a[1][2]):
-            break
-        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            apq = a[p][q]
-            g = 100.0 * abs(apq)
-            if abs(a[p][p]) + g == abs(a[p][p]) and abs(a[q][q]) + g == abs(a[q][q]):
-                a[p][q] = a[q][p] = 0.0
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            arp, arq = a[r][p], a[r][q]
-            a[r][p] = a[p][r] = c * arp - s * arq
-            a[r][q] = a[q][r] = s * arp + c * arq
-            for row in v:
-                vp, vq = row[p], row[q]
-                row[p], row[q] = c * vp - s * vq, s * vp + c * vq
-    else:
-        raise ArithmeticError("the Jacobi sweeps did not converge")
-    return [a[k][k] for k in range(3)], v
 
 
 def principal_momenta(

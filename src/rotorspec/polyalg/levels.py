@@ -75,15 +75,14 @@ def _float_band(d: int, diag, g):
 
 
 def degree_matrix(d: int, diag, g):
-    """S_d as a dense numpy float array; HamiltonianOverflowError when an
-    entry is not a finite float."""
-    import numpy as np  # only eigensections and the tests read a dense S_d
-
+    """S_d as d+1 dense rows of floats, for the Jacobi eigenvectors of
+    `eigensections`; HamiltonianOverflowError when an entry is not a finite
+    float."""
     fdiag, off = _float_band(d, diag, g)
-    dense = np.diag(fdiag)
-    a = np.arange(d - 1)
-    dense[a + 2, a] = dense[a, a + 2] = off
-    return dense
+    rows = [[0.0] * m + [x] + [0.0] * (d - m) for m, x in enumerate(fdiag)]
+    for m, x in enumerate(off):
+        rows[m][m + 2] = rows[m + 2][m] = x
+    return rows
 
 
 def _rational_sqrt(x: Fraction):

@@ -8,9 +8,11 @@ polynomial route (differential operators applied to the basis
 polynomials, over the integers and Fractions), closed-form spectra
 against block diagonalization, the curvature closed forms against the
 structure-constant oracle, the asymmetric levels against a standard
-ladder-matrix construction that shares nothing with the polynomial engine.
-`harmonic dimensions` checks on every block the identities the spectrum
-path takes on trust.
+ladder-matrix construction, diagonalized by cyclic Jacobi, that shares
+nothing with the polynomial engine or the QL sweep.  `harmonic dimensions`
+checks on every block the identities the spectrum path takes on trust.
+The random samples come from random.Random with fixed seeds; everything
+here is pure Python.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-
-import numpy as np
+from random import Random
 
 from .classical_em import PatternField, decoupling_check, split_field, unsplit_field
 from .geometry import (
+    DegeneracyClass,
     ParticleSystem,
+    _cross,
+    _dot,
+    _jacobi_eigh,
     angular_velocity,
     canonicalize,
     recombine,
@@ -78,27 +83,24 @@ from .spectra import (
 )
 
 
-def wigner_asymmetric_levels(j2: int, i1, i2, i3, hbar0=1.0) -> np.ndarray:
-    """Independent asymmetric-top levels for total degree d = 2j.
+def wigner_asymmetric_levels(j2: int, i1, i2, i3, hbar0=1.0) -> list[float]:
+    """Independent asymmetric-top levels for total degree d = 2j, ascending.
 
-    Builds the spin-j angular momentum matrices directly from the textbook
-    ladder formulas in the |j, m> basis (no polynomial machinery) and
-    diagonalizes H = (hbar0/2) (Jx^2/I1 + Jy^2/I2 + Jz^2/I3).
+    Builds J+ + J- and J+ - J- from the textbook ladder formula for J+ in
+    the |j, m> basis (no polynomial machinery), J- the transpose of J+, and
+    the real H = (hbar0/2) (Jx^2/I1 + Jy^2/I2 + Jz^2/I3) from Jx^2 = (J+ +
+    J-)^2 / 4 and Jy^2 = -(J+ - J-)^2 / 4, and diagonalizes it by cyclic
+    Jacobi.
     """
     j = j2 / 2.0
-    dim = j2 + 1
-    m = np.array([-j + t for t in range(dim)])
-    jz = np.diag(m)
-    jp = np.zeros((dim, dim))
-    for t in range(dim - 1):
-        jp[t + 1, t] = math.sqrt(j * (j + 1) - m[t] * (m[t] + 1))
-    jm = jp.T
-    jx = 0.5 * (jp + jm)
-    jy = (jp - jm) / 2j
-    h = (float(hbar0) / 2.0) * (
-        jx @ jx / float(i1) + (jy @ jy).real / float(i2) + jz @ jz / float(i3)
-    )
-    return np.linalg.eigvalsh(h)
+    m = [-j + t for t in range(j2 + 1)]
+    up = [math.sqrt(j * (j + 1) - x * (x + 1)) for x in m[:-1]]  # J+ at (t + 1, t)
+    plus = _band_rows(j2 + 1, lower=up, upper=up, offset=1)
+    minus = _band_rows(j2 + 1, lower=up, upper=[-x for x in up], offset=1)
+    squares = zip(mat_mul(plus, plus), mat_mul(minus, minus), _band_rows(j2 + 1, [x * x for x in m]))
+    c1, c2, c3 = (float(hbar0) / (2.0 * float(mom)) for mom in (i1, i2, i3))
+    h = [[c1 * x / 4 - c2 * y / 4 + c3 * z for x, y, z in zip(*rows)] for rows in squares]
+    return sorted(_jacobi_eigh(h)[0])
 
 
 def _rel_err(a, b) -> float:
@@ -150,8 +152,8 @@ def check_su2_commutators(d_max: int = 8):
     """On all blocks with p + q <= d_max, exactly, in the Chevalley basis:
     each of Jp, Jm and J3 of the polynomial route (the differential operator
     applied to the basis polynomials) equals, entry by entry, the one built
-    from the integer ladder; Jp is adjoint to Jm under the pairing weights
-    and J3 is diagonal; [J3, Jp] = Jp, [J3, Jm] = -Jm and [Jp, Jm] = 2 J3.
+    from the integer ladder (so J3 is diag(l)); Jp is adjoint to Jm under
+    the pairing weights; [J3, Jp] = Jp, [J3, Jm] = -Jm and [Jp, Jm] = 2 J3.
     J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) / (2i) is a change of basis
     invertible over Q(i), so these hold exactly when J_a is self-adjoint,
     L_a = -i J_a skew-adjoint, [J_a, J_b] = i J_c and [L_a, L_b] = L_c."""
@@ -164,8 +166,6 @@ def check_su2_commutators(d_max: int = 8):
                     return False, f"{name} differs from the integer ladder on H^({p},{q})"
             if not _adjoint(jp, jm, pairing_weights(p, q)):
                 return False, f"Jm is not the adjoint of Jp (J1, J2 not self-adjoint) under the pairing weights on H^({p},{q})"
-            if any(x for m, row in enumerate(j3) for n, x in enumerate(row) if m != n):
-                return False, f"J3 is not diagonal on H^({p},{q})"
             relations = (
                 ("[J3, Jp] != Jp", mat_commutator(j3, jp), jp),
                 ("[J3, Jm] != -Jm", mat_commutator(j3, jm), mat_scale(jm, -1)),
@@ -178,10 +178,10 @@ def check_su2_commutators(d_max: int = 8):
 
 
 def check_casimir(d_max: int = 8):
-    """Casimir Jm Jp + J3^2 + J3 = j(j+1) Id = d(d+2)/4 Id exactly; commutes
-    exactly with Jp, Jm, J3 and J3^2; the square record the Hamiltonian
-    reads is J1^2 = (Jp + Jm)^2 / 4 as (D, L, U), J2^2 = -(Jp - Jm)^2 / 4
-    as (D, -L, -U) and J3^2 as diag(l^2), exactly."""
+    """Casimir Jm Jp + J3^2 + J3 = j(j+1) Id = d(d+2)/4 Id exactly (so it
+    commutes with every matrix); the square record the Hamiltonian reads is
+    J1^2 = (Jp + Jm)^2 / 4 as (D, L, U), J2^2 = -(Jp - Jm)^2 / 4 as (D, -L,
+    -U) and J3^2 as diag(l^2), exactly."""
     for d in range(d_max + 1):
         expect = Fraction(d * (d + 2), 4)
         for p in range(d + 1):
@@ -189,11 +189,8 @@ def check_casimir(d_max: int = 8):
             cm = casimir_matrix(p, q)
             if not mat_equal(cm, _band_rows(d + 1, [expect] * (d + 1))):
                 return False, f"Casimir not {expect} Id on H^({p},{q})"
-            jp, jm, j3 = mats = [vector_field_matrix(axis, p, q) for axis in AXES]
+            jp, jm, j3 = [vector_field_matrix(axis, p, q) for axis in AXES]
             j3_squared = mat_mul(j3, j3)
-            for name, g in zip(("Jp", "Jm", "J3", "J3^2"), (*mats, j3_squared)):
-                if any(x for row in mat_commutator(cm, g) for x in row):
-                    return False, f"[C, {name}] != 0 on H^({p},{q})"
             diag, lower, upper, l_squared = _generator_square(p, q)
             record = [
                 _band_rows(d + 1, diag, lower, upper),
@@ -410,7 +407,7 @@ def check_asymmetric_j1():
         blocks = {(p, q) for (p, q, _) in ln.eigensections}
         if blocks != {(2, 0), (1, 1), (0, 2)}:
             return False, f"eigensections reference wrong blocks: {blocks}"
-    oracle = np.unique(np.round(wigner_asymmetric_levels(2, 1, 2, 3), 12))
+    oracle = sorted({round(x, 12) for x in wigner_asymmetric_levels(2, 1, 2, 3)})
     if len(oracle) != 3 or any(_rel_err(a, b) > 1e-10 for a, b in zip(oracle, got)):
         return False, f"ladder oracle disagrees: {oracle}"
     alt = [0.5 * (1 / 1 + 1 / 2), 0.5 * (1 / 1 + 1 / 3), 0.5 * (1 / 2 + 1 / 3)]
@@ -472,10 +469,11 @@ def check_curvature(n_samples=1000, seed=20240521):
     relative: random asymmetric triples, constructed spherical and symmetric
     triples, and the degenerate case as the collapsing-axis limit; the
     spherical limit of the asymmetric formula is checked exactly."""
-    # every uniform in one draw; each row, in the order of the stream, is the
-    # asymmetric triple, the spherical value and (pair, axis)
-    draws = np.random.default_rng(seed).uniform(0.1, 50.0, size=(n_samples, 6)).tolist()
-    for *triple, i_sph, pair, axis in draws:
+    # each row of six draws is the asymmetric triple, the spherical value
+    # and (pair, axis)
+    rng = Random(seed)
+    for _ in range(n_samples):
+        *triple, i_sph, pair, axis = _uniforms(rng, 0.1, 50.0, 6)
         i1, i2, i3 = sorted(triple)
         if _rel_err(curvature_asymmetric(i1, i2, i3), scalar_curvature_oracle(i1, i2, i3)) > 1e-10:
             return False, f"asymmetric curvature mismatch at {(i1, i2, i3)}"
@@ -538,46 +536,56 @@ def check_j_squared():
     return True, "squared angular momentum values and multiplicities verified"
 
 
+def _uniforms(rng, low, high, n):
+    return [rng.uniform(low, high) for _ in range(n)]
+
+
+def _vectors(rng, low, high, n):
+    return [_uniforms(rng, low, high, 3) for _ in range(n)]
+
+
 def _random_body(rng, n=5):
     return ParticleSystem(
-        masses=rng.uniform(0.5, 4.0, size=n),
-        charges=rng.uniform(-2.0, 2.0, size=n),
-        positions=rng.uniform(-3.0, 3.0, size=(n, 3)),
+        masses=_uniforms(rng, 0.5, 4.0, n),
+        charges=_uniforms(rng, -2.0, 2.0, n),
+        positions=_vectors(rng, -3.0, 3.0, n),
     )
+
+
+def _max_gap(a, b) -> float:
+    """The largest entrywise difference of two lists of 3-vectors."""
+    return max(abs(x - y) for u, v in zip(a, b) for x, y in zip(u, v))
 
 
 def check_geometry_layer(seed=777, trials=50):
     """Splitting orthogonality and reconstruction, covector splitting,
     angular-velocity round-trip (including the degenerate axis-orthogonal
     representative), all to 1e-12 absolute."""
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     for _ in range(trials):
         system = _random_body(rng)
         config = canonicalize(system)
-        vel = rng.uniform(-2.0, 2.0, size=(config.n, 3))
+        vel = _vectors(rng, -2.0, 2.0, config.n)
         split = split_velocity(config, vel)
-        if np.max(np.abs(recombine(split) - vel)) > 1e-12:
+        if _max_gap(recombine(split), vel) > 1e-12:
             return False, "velocity recombination failed"
-        other = split_velocity(config, rng.uniform(-2.0, 2.0, size=(config.n, 3)))
-        cen_list = np.tile(split.center, (config.n, 1))
-        if abs(weighted_inner(config, cen_list, other.relative)) > 1e-12:
+        other = split_velocity(config, _vectors(rng, -2.0, 2.0, config.n))
+        if abs(weighted_inner(config, [split.center] * config.n, other.relative)) > 1e-12:
             return False, "weighted orthogonality failed"
-        cov = split_covector(config, rng.uniform(-2.0, 2.0, size=(config.n, 3)))
-        if np.max(np.abs(cov.relative.sum(axis=0))) > 1e-12:
+        cov = split_covector(config, _vectors(rng, -2.0, 2.0, config.n))
+        if max(abs(sum(col)) for col in zip(*cov.relative)) > 1e-12:
             return False, "covector relative parts do not sum to zero"
-        omega = rng.uniform(-1.5, 1.5, size=3)
+        omega = _uniforms(rng, -1.5, 1.5, 3)
         back = angular_velocity(config, velocities_from_angular(config, omega))
-        if np.max(np.abs(back - omega)) > 1e-9:
+        if _max_gap([back], [omega]) > 1e-9:
             return False, "angular velocity round-trip failed"
     # degenerate body: the axis component of omega is quotiented away
     system = ParticleSystem(
         masses=[1.0, 1.0], charges=[0.0, 0.0], positions=[[1.5, 0, 0], [-1.5, 0, 0]]
     )
     config = canonicalize(system)
-    omega = np.array([0.7, -0.3, 1.1])
-    back = angular_velocity(config, velocities_from_angular(config, omega))
-    perp = omega - np.array([omega[0], 0.0, 0.0])
-    if np.max(np.abs(back - perp)) > 1e-12:
+    back = angular_velocity(config, velocities_from_angular(config, (0.7, -0.3, 1.1)))
+    if _max_gap([back], [(0.0, -0.3, 1.1)]) > 1e-12:
         return False, "degenerate representative is not axis-orthogonal"
     return True, f"splitting and round-trip invariants hold over {trials} random bodies"
 
@@ -586,14 +594,14 @@ def check_em_layer(seed=4242, trials=40):
     """Field-splitting additivity and antisymmetry, the dipole component
     values, and mixed-component vanishing under proportional charges, all to
     1e-12 absolute."""
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     for _ in range(trials):
         system = _random_body(rng, n=4)
         config = canonicalize(system)
-        fld = PatternField.uniform(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        v = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        w = (rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        v0, w0 = rng.uniform(-1, 1, 2)
+        fld = PatternField.uniform(*_vectors(rng, -1, 1, 2))
+        v = _vectors(rng, -1, 1, 2)
+        w = _vectors(rng, -1, 1, 2)
+        v0, w0 = _uniforms(rng, -1, 1, 2)
         parts = split_field(system, config, fld, v, w, v0, w0)
         total = unsplit_field(system, config, fld, v, w, v0, w0)
         if abs(parts.total - total) > 1e-12:
@@ -618,16 +626,16 @@ def check_em_layer(seed=4242, trials=40):
         masses=[m1, m2], charges=[q1, -q1], positions=[[a, 0, 0], [-m1 * a / m2, 0, 0]]
     )
     dip_config = canonicalize(dip)
-    b_vec = np.array([0.4, -0.2, 0.9])
+    b_vec = (0.4, -0.2, 0.9)
     fld = PatternField.uniform((0, 0, 0), b_vec)
-    omega = np.array([0.3, 0.8, -0.5])
-    psi = np.array([-0.6, 0.1, 0.7])
+    omega = (0.3, 0.8, -0.5)
+    psi = (-0.6, 0.1, 0.7)
     parts = split_field(dip, dip_config, fld, ((1.0, -2.0, 0.5), omega), ((0.2, 0.3, -0.7), psi), 0.3, -0.8)
     if abs(parts.cen) > 1e-12:
         return False, "dipole center component is not zero"
-    v_rot1 = np.cross(omega, dip_config.relatives[0])
-    w_rot1 = np.cross(psi, dip_config.relatives[0])
-    expect_rot = 2 * q1 * (m2 - m1) / m2**2 * b_vec.dot(np.cross(v_rot1, w_rot1))
+    v_rot1 = _cross(omega, dip_config.relatives[0])
+    w_rot1 = _cross(psi, dip_config.relatives[0])
+    expect_rot = 2 * q1 * (m2 - m1) / m2**2 * _dot(b_vec, _cross(v_rot1, w_rot1))
     if abs(parts.rot - expect_rot) > 1e-12:
         return False, f"dipole rotational component {parts.rot} != {expect_rot}"
     return True, f"field splitting invariants and dipole values hold ({trials} trials)"
@@ -636,9 +644,7 @@ def check_em_layer(seed=4242, trials=40):
 def check_classification_pipeline():
     """Canonical worked bodies: dipole is degenerate, a cube is spherical, a
     generic triangle is weakly non-degenerate and asymmetric; classification
-    is rotation-invariant."""
-    from .geometry import DegeneracyClass
-
+    is invariant under a rational rotation."""
     dip = ParticleSystem([1.0, 1.0], [0.0, 0.0], [[2, 0, 0], [-2, 0, 0]])
     conf = canonicalize(dip)
     if conf.degeneracy is not DegeneracyClass.DEGENERATE:
@@ -647,13 +653,13 @@ def check_classification_pipeline():
     if abs(pm.closed[0] - 8.0) > 1e-12:
         return False, f"dipole transverse momentum {pm.closed[0]} != 8"
     cube = ParticleSystem(
-        np.ones(8),
-        np.zeros(8),
+        [1.0] * 8,
+        [0.0] * 8,
         [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
     )
     conf = canonicalize(cube)
     pm = principal_momenta(inertia_tensor(conf), conf.degeneracy)
-    if pm.top_class.value != "spherical" or np.max(np.abs(np.array(pm.momenta) - 16.0)) > 1e-9:
+    if pm.top_class.value != "spherical" or max(abs(x - 16.0) for x in pm.momenta) > 1e-9:
         return False, f"cube momenta {pm.momenta} not diag(16,16,16)"
     tri = ParticleSystem(
         [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [[0, 0, 0], [1.1, 0, 0], [0.3, 1.7, 0]]
@@ -664,20 +670,13 @@ def check_classification_pipeline():
     pm = principal_momenta(inertia_tensor(conf), conf.degeneracy)
     if pm.top_class.value != "asymmetric":
         return False, f"triangle top class {pm.top_class}"
-    rng = np.random.default_rng(11)
-    theta = rng.uniform(0, 2 * np.pi)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    k_mat = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    rot = np.eye(3) + np.sin(theta) * k_mat + (1 - np.cos(theta)) * k_mat @ k_mat
-    rotated = ParticleSystem(tri.masses, tri.charges, np.asarray(tri.positions) @ rot.T)
+    rotation_30 = ((-20, 4, 22), (20, -10, 20), (10, 28, 4))  # of the quaternion (1, 2, 3, 4), times 30
+    rotated = ParticleSystem(tri.masses, tri.charges, [[_dot(row, e) / 30 for row in rotation_30] for e in tri.positions])
     conf_rot = canonicalize(rotated)
     if conf_rot.degeneracy is not conf.degeneracy:
         return False, "classification not rotation-invariant"
     pm_rot = principal_momenta(inertia_tensor(conf_rot), conf_rot.degeneracy)
-    if np.max(np.abs(np.array(pm_rot.momenta) - np.array(pm.momenta))) > 1e-9:
+    if _max_gap([pm_rot.momenta], [pm.momenta]) > 1e-9:
         return False, "principal momenta not rotation-invariant"
     return True, "dipole / cube / triangle pipeline and rotation invariance verified"
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,10 +212,16 @@ ORACLE_MODULES = (
 )
 
 
+def _masked(out):
+    """verify's output with its timings masked."""
+    return re.sub(r" in [0-9.]+ m?s", " in _", out)
+
+
 def test_classify_and_spectrum_run_without_numpy(tmp_path, capsys):
     # a fresh interpreter with numpy blocked (sys.modules["numpy"] = None
     # makes every import of it fail) prints what this process prints, and
-    # loads no oracle module; the commands that need arrays still run here
+    # loads no oracle module for classify and spectrum; em-split,
+    # eigensections and verify then run there too
     monopole = {**SQUARE_PROBED, "field": {"type": "monopole", "nu": "1/2", "q_norm": 1}}
     bodies = {name: _write(tmp_path, doc, f"{name}.json") for name, doc in (
         ("triangle", TRIANGLE), ("square", SQUARE_PROBED), ("collinear", COLLINEAR), ("monopole", monopole))}
@@ -222,34 +229,40 @@ def test_classify_and_spectrum_run_without_numpy(tmp_path, capsys):
     for name in ("triangle", "square", "collinear"):
         # a collinear body has no non-trivial bundle
         runs += [[run[0], "--config", bodies[name], *run[1:]] for run in NUMPY_FREE_RUNS if name != "collinear" or "both" not in run]
+    oracle_runs = [
+        ["em-split", "--config", bodies["square"]],
+        ["eigensections", "--config", bodies["triangle"], "--j", "1"],
+        ["verify", "--j-max", "1"],
+    ]
     code = (
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"
         "import rotorspec.cli as c\n"
-        "out = []\n"
-        f"for argv in {runs!r}:\n"
+        "def run(argv):\n"
         "    buf = io.StringIO()\n"
         "    with contextlib.redirect_stdout(buf):\n"
         "        code = c.main(argv)\n"
-        "    out.append((code, buf.getvalue()))\n"
-        f"print(json.dumps([out, sorted(set(sys.modules) & set({ORACLE_MODULES!r}))]))\n"
+        "    return code, buf.getvalue()\n"
+        f"out = [run(argv) for argv in {runs!r}]\n"
+        f"oracle = sorted(set(sys.modules) & set({ORACLE_MODULES!r}))\n"
+        f"print(json.dumps([out, oracle, [run(argv) for argv in {oracle_runs!r}]]))\n"
     )
     done = _fresh_python(code)
     assert done.returncode == 0, done.stderr
-    blocked, oracle = json.loads(done.stdout)
+    blocked, oracle, blocked_oracle_runs = json.loads(done.stdout)
     assert oracle == []
     assert len(blocked) == len(runs) == 27
-    for argv, (code, out) in zip(runs, blocked):
+    for argv, (code, out) in zip(runs + oracle_runs, blocked + blocked_oracle_runs):
+        mask = _masked if argv[0] == "verify" else str
         assert main(argv) == code == EXIT_OK, argv
-        assert capsys.readouterr().out == out, argv
-    for argv in (["em-split", "--config", bodies["square"]], ["eigensections", "--config", bodies["triangle"], "--j", "1"]):
-        assert main(argv) == EXIT_OK
-    assert main(["verify", "--j-max", "1"]) == EXIT_OK
-    capsys.readouterr()
+        assert mask(capsys.readouterr().out) == mask(out), argv
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    code = "import sys, rotorspec, rotorspec.cli; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    code = (
+        "import sys, rotorspec, rotorspec.cli, rotorspec.verify, rotorspec.classical_em; "
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    )
     done = _fresh_python(code)
     assert done.returncode == 0, done.stderr
 
@@ -418,7 +431,6 @@ def _scaled_triangle(scale):
     return {**TRIANGLE, "particles": particles, "em_probe": probe}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings at 1e200
 @pytest.mark.parametrize(
     "command", [["classify"], ["spectrum"], ["eigensections", "--j", "1"], ["em-split"]],
     ids=["classify", "spectrum", "eigensections", "em-split"],
@@ -534,6 +546,23 @@ def test_all_coincident_exit_3(tmp_path, capsys):
         ],
     }
     assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_GEOMETRY
+    capsys.readouterr()
+
+
+def test_all_coincident_is_decided_without_a_length_scale(tmp_path, capsys):
+    # particles entered at one point far from the origin exit 3, though
+    # centering leaves them relatives of rounding size; TRIANGLE shrunk far
+    # below any absolute length classifies planar, and moved far from the
+    # origin still classifies
+    far = [1e6 / 3, 1e6 / 7, 1e6 / 11]
+    for masses in ([1, 3], [1, 2, 3]):
+        doc = {"version": 1, "particles": [{"mass": m, "charge": 0, "position": far} for m in masses]}
+        assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_GEOMETRY
+    for scale in (1e-13, 1e-150):
+        assert main(["classify", "--config", _write(tmp_path, _scaled_triangle(scale))]) == EXIT_OK
+        assert "weakly non-degenerate" in capsys.readouterr().out
+    moved = [{**pt, "position": [x + 1e10 for x in pt["position"]]} for pt in TRIANGLE["particles"]]
+    assert main(["classify", "--config", _write(tmp_path, {**TRIANGLE, "particles": moved})]) == EXIT_OK
     capsys.readouterr()
 
 
@@ -692,6 +721,19 @@ def test_eigensections_are_canonical_eigenvectors_of_their_block(tmp_path, capsy
             assert residual <= 1e-12 * np.abs(dense).max(), (row, residual)
             vectors += 1
     assert vectors == sum((d + 1) ** 2 for d in range(7))
+
+
+@pytest.mark.parametrize("options", [[], ["--hbar", "1/3", "--k", "1/2"]], ids=["unit", "hbar_k"])
+@pytest.mark.parametrize("j", ["5/2", "3", "7/2", "4"])
+def test_eigensections_vectors_lie_in_one_parity_class(tmp_path, capsys, j, options):
+    # S_d couples index k only to k +- 2, and Jacobi never rotates an entry
+    # that is exactly zero: every printed combination uses basis elements
+    # B_k of one parity of k
+    assert main(["eigensections", "--config", _write(tmp_path, TRIANGLE), "--j", j, *options]) == EXIT_OK
+    matches = [COMBINATION.match(row) for row in capsys.readouterr().out.splitlines()]
+    parities = [{int(k) % 2 for _, k in TERM.findall(match[3])} for match in matches if match]
+    assert len(parities) == (int(2 * Fraction(j)) + 1) ** 2
+    assert all(len(p) == 1 for p in parities), parities
 
 
 def _rotated(points, w, x, y, z):

@@ -71,6 +71,19 @@ def test_all_coincident_raises():
         canonicalize(_system([1, 2], [[5, 5, 5], [5, 5, 5]]))
 
 
+def test_all_coincident_is_decided_without_a_length_scale():
+    # one point far from the origin is no body, however the centering
+    # rounds; a triangle of any small size is planar
+    far = [1e6 / 3, 1e6 / 7, 1e6 / 11]
+    for masses in ([1, 3], [1, 2, 3]):
+        with pytest.raises(AllCoincidentError):
+            canonicalize(_system(masses, [far] * len(masses)))
+    triangle = [[0, 0, 0], [1.1, 0, 0], [0.3, 1.7, 0]]
+    for scale in (1e-13, 1e-150, 2.0**-500):
+        config = canonicalize(_system([1, 2, 3], [[scale * x for x in p] for p in triangle]))
+        assert config.degeneracy is DegeneracyClass.WEAKLY_NONDEGENERATE
+
+
 def test_nonpositive_mass_raises():
     with pytest.raises(NonPositiveMassError):
         _system([1, 0], [[0, 0, 0], [1, 0, 0]])
@@ -119,7 +132,7 @@ def test_split_covector_examples():
     out = split_covector(config2, alphas)
     assert np.allclose(out.center, beta)
     assert np.allclose(out.relative, 0.0, atol=1e-15)
-    assert np.allclose(out.relative.sum(axis=0), 0.0, atol=1e-15)
+    assert np.allclose(np.sum(out.relative, axis=0), 0.0, atol=1e-15)
 
 
 def test_recombination_is_identity():
@@ -154,6 +167,21 @@ def test_angular_velocity_tetrahedron_round_trip():
         assert np.allclose(angular_velocity(config, v), omega, atol=1e-10)
 
 
+def test_angular_velocity_of_a_thin_body():
+    # a needle of length 10 whose third particle sits 1e-6 off its axis,
+    # turned off the coordinate axes: omega is as accurate as a
+    # least-squares solve of the stacked system (normal equations formed in
+    # the coordinate frame lose the axial component to cancellation)
+    rot = np.array([[-20, 4, 22], [20, -10, 20], [10, 28, 4]]) / 30  # the quaternion (1, 2, 3, 4)
+    for points in ([[0, 0, 0], [10, 0, 0], [5, 1e-6, 0]], np.array([[0, 0, 0], [10, 0, 0], [5, 1e-6, 0], [3, 0, 0]]) @ rot.T):
+        config = canonicalize(_system(np.ones(len(points)), points))
+        assert config.degeneracy is DegeneracyClass.WEAKLY_NONDEGENERATE
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            omega = rng.uniform(-1, 1, 3)
+            assert np.allclose(angular_velocity(config, velocities_from_angular(config, omega)), omega, rtol=0, atol=1e-8)
+
+
 def test_angular_velocity_degenerate_axis_orthogonal():
     config = canonicalize(_system([1, 1], [[1, 0, 0], [-1, 0, 0]]))
     omega = np.array([0.9, -0.4, 0.6])
@@ -164,7 +192,7 @@ def test_angular_velocity_degenerate_axis_orthogonal():
 
 def test_angular_velocity_rejects_non_rigid():
     config = canonicalize(_system(np.ones(4), TETRAHEDRON))
-    v = velocities_from_angular(config, [1.0, 0, 0])
+    v = np.array(velocities_from_angular(config, [1.0, 0, 0]))
     v[0] += [0.5, 0.5, 0.5]  # break rigidity
     with pytest.raises(NotRigidVelocityError):
         angular_velocity(config, v)

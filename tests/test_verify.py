@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rotorspec import verify
@@ -21,6 +22,31 @@ def test_small_j_max_is_fast():
     rc = verify.run_suite(j_max=2, out=lambda _line: None)
     assert rc == 0
     assert time.monotonic() - start < 5.0
+
+
+class _NumpyStream:
+    """random.Random's uniform over numpy's default_rng(seed)."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high):
+        return float(self._rng.uniform(low, high))
+
+
+def test_the_sampled_checks_pass_on_numpys_stream(monkeypatch):
+    # scalar draws replay numpy's size= fills, row by row, bit for bit, so
+    # the adapter feeds the sampled checks the samples that numpy's
+    # default_rng(seed).uniform(..., size=...) drew for them: no sample set
+    # is dropped by drawing from random.Random instead
+    fills = np.random.default_rng(777)
+    want = [*fills.uniform(0.5, 4.0, size=5), *fills.uniform(-3.0, 3.0, size=(5, 3)).ravel()]
+    stream = _NumpyStream(777)
+    assert [stream.uniform(0.5, 4.0) for _ in range(5)] + [stream.uniform(-3.0, 3.0) for _ in range(15)] == want
+    monkeypatch.setattr(verify, "Random", _NumpyStream)
+    assert verify.check_curvature() == (True, "all four closed forms agree with the oracle over 1000 triples")
+    assert verify.check_geometry_layer() == (True, "splitting and round-trip invariants hold over 50 random bodies")
+    assert verify.check_em_layer() == (True, "field splitting invariants and dipole values hold (40 trials)")
 
 
 def test_suite_detects_casimir_corruption(monkeypatch):
