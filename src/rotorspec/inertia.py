@@ -168,6 +168,12 @@ def _exact_or_float(x):
     return Fraction(x) if isinstance(x, Rational) else float(x)
 
 
+def _hbar(hbar0):
+    """An int hbar0 as it is (it gives the values Fraction(hbar0) gives, and
+    meets a float momentum without the Fraction operator fallback)."""
+    return hbar0 if type(hbar0) is int else _exact_or_float(hbar0)
+
+
 def check_positive(**values):
     """Raise ValueError naming the first value that is not a finite number
     > 0: the guard on the momenta and hbar0 of every spectrum entry point.
@@ -179,7 +185,7 @@ def check_positive(**values):
 
 
 def curvature_spherical(i_mom, hbar0=1):
-    i_mom, hbar0 = _exact_or_float(i_mom), _exact_or_float(hbar0)
+    i_mom, hbar0 = _exact_or_float(i_mom), _hbar(hbar0)
     return 3 * hbar0 / (2 * i_mom)
 
 
@@ -187,7 +193,7 @@ def curvature_symmetric(i_pair, i_axis, hbar0=1):
     """For float momenta the formula is evaluated at the momenta times 2^-e,
     as in curvature_asymmetric, so that I_pair^2 stays in the float range;
     exact momenta are not scaled."""
-    i_pair, i_axis, hbar0 = map(_exact_or_float, (i_pair, i_axis, hbar0))
+    i_pair, i_axis, hbar0 = _exact_or_float(i_pair), _exact_or_float(i_axis), _hbar(hbar0)
     if type(i_pair) is type(i_axis) is Fraction:
         return _symmetric(i_pair, i_axis, hbar0)
     e = math.frexp(max(i_pair, i_axis))[1]
@@ -215,7 +221,7 @@ def curvature_asymmetric(i1, i2, i3, hbar0=1):
     stay in the float range, and the result is scaled back by 2^-e (the
     curvature has degree -1 in I).  A power of two leaves every rounding
     as it was; exact momenta are not scaled."""
-    i1, i2, i3, hbar0 = map(_exact_or_float, (i1, i2, i3, hbar0))
+    i1, i2, i3, hbar0 = *map(_exact_or_float, (i1, i2, i3)), _hbar(hbar0)
     if type(i1) is type(i2) is type(i3) is Fraction:
         return _asymmetric(i1, i2, i3, hbar0)
     e = math.frexp(max(i1, i2, i3))[1]
@@ -228,7 +234,7 @@ def _asymmetric(i1, i2, i3, hbar0):
 
 
 def curvature_degenerate(i_mom, hbar0=1):
-    i_mom, hbar0 = _exact_or_float(i_mom), _exact_or_float(hbar0)
+    i_mom, hbar0 = _exact_or_float(i_mom), _hbar(hbar0)
     return 2 * hbar0 / i_mom
 
 

@@ -46,15 +46,21 @@ def degree_band(d: int, i1, i2, i3, hbar0=1):
     g = (c1 - c2)/4, P_k = (k+1)(d-k) and l_m = m - d/2.  Fractions for
     rational input, floats otherwise; HamiltonianOverflowError when an input
     leaves the float range.  k rho is not included: it shifts every level
-    alike (spectra.curvature_shift)."""
+    alike (spectra.curvature_shift).  Rational input is computed over one
+    common denominator D, c_a = n_a / D: diag_m is the integer (n1 + n2)
+    (P_(m-1) + P_m) + n3 (2 l_m)^2 over 4D, g = (n1 - n2) / 4D."""
     sums, squares, _, _ = _degree_constants(d)
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
-        c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
-    else:
-        try:
-            c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
-        except OverflowError as exc:
-            raise HamiltonianOverflowError() from exc
+        # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
+        lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
+        hn, den = hbar0.numerator, 8 * hbar0.denominator * lcm
+        n1, n2, n3 = (hn * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
+        diag = tuple(Fraction((n1 + n2) * s + n3 * t, den) for s, t in zip(sums, squares))
+        return diag, Fraction(n1 - n2, den)
+    try:
+        c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
     a, b = (c1 + c2) / 4, c3 / 4
     return tuple(a * s + b * t for s, t in zip(sums, squares)), (c1 - c2) / 4
 

@@ -8,6 +8,7 @@ Plain Gauss-Jordan elimination; matrices here are small (block sizes are
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -60,10 +61,12 @@ def mat_equal(a, b) -> bool:
 
 
 def nullspace(rows) -> list[list[int | Fraction]]:
-    """Basis of the right null space of a matrix, by Gauss-Jordan.
+    """Basis of the right null space of an integer matrix, by fraction-free
+    Gauss-Jordan: integer row combinations clear each pivot column, and
+    every row formed is divided by its content, so its entries stay small.
 
     Returns vectors with a deterministic normalization: free variable set
-    to 1, pivots solved exactly.
+    to 1, pivots solved exactly as Fractions.
     """
     if not rows:
         return []
@@ -76,24 +79,23 @@ def nullspace(rows) -> list[list[int | Fraction]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / Fraction(m[r][c])
-        # zero entries pass through unchanged
-        m[r] = [x * inv if x else x for x in m[r]]
+        p = m[r][c]
         for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(m[i], m[r])]
+                g = math.gcd(*row) or 1
+                m[i] = [x // g for x in row]
         pivot_of_col[c] = r
         r += 1
         if r == n_rows:
             break
-    free_cols = [c for c in range(n_cols) if c not in pivot_of_col]
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(n_cols) if c not in pivot_of_col):
         v = [0] * n_cols
         v[fc] = 1
         for c, pr in pivot_of_col.items():
-            v[c] = -m[pr][fc]
+            v[c] = Fraction(-m[pr][fc], m[pr][c]) if m[pr][fc] else 0
         basis.append(v)
     return basis
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -151,14 +151,14 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
     energy joins the latest float level when it lies within
     eps_spec * |ref| of that level's first energy ref.  A rational
     and a float energy never share a level.  The level's energy is its
-    first energy.
+    first energy.  A float is told by its type before the (ABC) Rational test.
     """
     pairs = sorted(pairs, key=lambda t: _as_float(t[0]))
     groups: list[tuple[object, list]] = []
     exact: dict = {}  # rational energy -> its level
     inexact = None  # the level a float energy may join
     for energy, item in pairs:
-        if isinstance(energy, Rational):
+        if type(energy) is not float and isinstance(energy, Rational):
             level = exact.get(energy)
             if level is None:
                 level = exact[energy] = (energy, [])
@@ -180,9 +180,9 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     """Additive constant k * rho added to every level, with rho the scalar
     curvature closed form of the top class; k = 0 (the default everywhere)
     turns it off.  The zero shift is Fraction(0) when k, hbar0 and the
-    momenta are all rational, and 0.0 otherwise: a float level x then
-    adds a float, and x + 0.0 is the float that x + Fraction(0) gives.  A
-    float k times a rational rho beyond the float range raises
+    momenta are all rational, and 0.0 otherwise; a float level adds it as
+    0.0 (_diagonalized), since x + 0.0 is the float x + Fraction(0) gives.
+    A float k times a rational rho beyond the float range raises
     OverflowError, which a spectrum reports as HamiltonianOverflowError
     (_spectrum)."""
     if k == 0:
@@ -374,40 +374,45 @@ def diagonalized_spectrum(
     """Spectrum by diagonalization, one symmetric band per degree.
 
     Every block H^{p,q} of degree d = 2j carries the same spin-j action, so
-    its band is similar to S_d (polyalg.degree_band): the diagonal
-    (c1+c2)(P_(m-1)+P_m)/4 + c3 l_m^2 and the entries g sqrt(P_m P_(m+1))
-    at (m, m+-2), with g = (c1-c2)/4 and P_m = (m+1)(d-m) (King, Hainer &
-    Cross 1943; `rotorspec verify` checks that S_d plus k rho has the
-    diagonal and the products lower * upper of the band of H^(d//2,
-    d-d//2) for p+q <= 2J).  A level of multiplicity m of S_d is a line of
+    its band is similar to S_d (polyalg.degree_band; King, Hainer & Cross
+    1943; `rotorspec verify` checks that S_d plus k rho has the diagonal
+    and the products lower * upper of the band of H^(d//2, d-d//2) for
+    p+q <= 2J).  A level of multiplicity m of S_d is a line of
     multiplicity (d+1) m with references into every block; k rho is added
-    to each level last (curvature_shift).  eigenvalues() owns the
+    to each level last (curvature_shift), a zero one to a float level as
+    0.0, the float that Fraction(0) gives.  eigenvalues() owns the
     exactness policy: under rational inputs a level is exact when S_d is
     diagonal and, up to degree EXACT_DEGREE_MAX = 4, exactly when it is
-    rational (the species of S_d, solved in closed form).  Equal exact
-    levels form one line; float levels are grouped within tol.spec, and an
-    exact level never joins a float one (group_energies).
+    rational.  Equal exact levels form one line; float levels are grouped
+    within tol.spec, and an exact level never joins one (group_energies).
     HamiltonianOverflowError is raised exactly when an entry of S_d or a
     level is not a finite float, or when an exact level lies beyond the
     float range.  This is the oracle route the closed forms are verified
     against, and the production route for the asymmetric top.
     """
+    return _diagonalized("diagonalized", None, i1, i2, i3, bundle, k, hbar0, j_max, tol)
+
+
+def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectrum:
+    """diagonalized_spectrum as kind, for the class top (None: classify)."""
     check_j_max(j_max)
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
-    top, closed = classify_momenta((i1, i2, i3), tol)
+    top, closed = classify_momenta((i1, i2, i3), tol) if top is None else (top, None)
 
     def levels():
         shift = curvature_shift(k, top, closed or (i1, i2, i3), h)
+        float_shift = 0.0 if type(shift) is Fraction and not shift else shift
         for j in j_values(bundle, j_max):
             d = int(2 * j)
             found = eigenvalues(d, *degree_band(d, i1, i2, i3, h))
-            for energy, idxs in group_energies([(value + shift, idx) for idx, (value, _) in enumerate(found)], tol.spec):
+            shifted = [(v + (float_shift if type(v) is float else shift), idx) for idx, (v, _) in enumerate(found)]
+            for energy, idxs in group_energies(shifted, tol.spec):
                 refs = tuple(chain.from_iterable(_refs(d, (idx,)) for idx in idxs))
                 yield energy, j, None, (d + 1) * len(idxs), refs
 
     params = {"I1": i1, "I2": i2, "I3": i3}
-    return _spectrum("diagonalized", top, bundle, params, k, h, j_max, levels(), source="diagonalized")
+    return _spectrum(kind, top, bundle, params, k, h, j_max, levels(), source="diagonalized")
 
 
 def asymmetric_spectrum(
@@ -456,4 +461,4 @@ def spectrum_for(
         return symmetric_spectrum(*closed, bundle, k, hbar0, j_max)
     if top is TopClass.DEGENERATE:
         return degenerate_spectrum(*closed, k, hbar0, l_max_of(j_max))
-    return replace(diagonalized_spectrum(*closed, bundle, k, hbar0, j_max, tol), kind="asymmetric")
+    return _diagonalized("asymmetric", top, *closed, bundle, k, hbar0, j_max, tol)

@@ -4,7 +4,10 @@ The CLI cases compare stdout byte for byte.  The library cases print each
 asymmetric_spectrum line with exact energies as fractions and float
 energies at 12 significant digits, the precision the CLI prints.  The
 closed-form cases print every line of one closed-form spectrum per bundle
-with float energies as repr, so they pin every bit.
+with float energies as repr, so they pin every bit.  lib_rational_repr
+pins the asymmetric route on rational momenta the same way: repr and type
+of every energy, for k in {0, 1/2, 0.25} and hbar0 in {1, 2/3}, up to
+j_max 25.
 
 Regenerate the files (only when an output change is intended) with
 
@@ -140,6 +143,34 @@ def _library_output(momenta, kwargs) -> str:
     return "\n".join(out) + "\n"
 
 
+# rational triples for lib_rational_repr: README's example, the two warm
+# triples above and one with denominators near 10^8
+REPR_TRIPLES = (
+    (1, 2, Fraction(7, 2)),
+    (Fraction(21, 8), Fraction(17, 8), Fraction(7, 2)),
+    (Fraction(49, 8), Fraction(76, 11), Fraction(16, 3)),
+    (Fraction(99999989, 3), Fraction(12345678, 99999971), Fraction(5, 7)),
+)
+REPR_PARAMS = [(k, h) for k in (0, Fraction(1, 2), 0.25) for h in (1, Fraction(2, 3))]
+# each triple meets every j_max, and j_max 25 once, under a different (k, hbar0)
+REPR_J_MAX = (25, 6, Fraction(25, 2), 3, 6, 3)
+
+
+def _repr_output() -> str:
+    out = []
+    for t, momenta in enumerate(REPR_TRIPLES):
+        for i, (k, hbar0) in enumerate(REPR_PARAMS):
+            j_max = REPR_J_MAX[(i - t) % len(REPR_J_MAX)]
+            out.append(f"# momenta={momenta!r} k={k!r} hbar0={hbar0!r} j_max={j_max}")
+            for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+                spec = asymmetric_spectrum(*momenta, bundle, k=k, hbar0=hbar0, j_max=j_max)
+                for ln in spec.lines:
+                    e = ln.energy
+                    idxs = ",".join(str(idx) for p, _, idx in ln.eigensections if p == 0)
+                    out.append(f"{bundle.value} j={ln.j} {type(e).__name__} {e!r} mult={ln.multiplicity} idx={idxs}")
+    return "\n".join(out) + "\n"
+
+
 def _closed_form_output(spectrum_of, bundles) -> str:
     out = []
     for bundle in bundles:
@@ -156,10 +187,12 @@ def _render(name: str, workdir) -> str:
         return _cli_output(*CLI_CASES[name], workdir)
     if name in CLOSED_FORM_CASES:
         return _closed_form_output(*CLOSED_FORM_CASES[name])
+    if name == "lib_rational_repr":
+        return _repr_output()
     return _library_output(*LIBRARY_CASES[name])
 
 
-ALL_CASES = [*CLI_CASES, *LIBRARY_CASES, *CLOSED_FORM_CASES]
+ALL_CASES = [*CLI_CASES, *LIBRARY_CASES, *CLOSED_FORM_CASES, "lib_rational_repr"]
 
 
 @pytest.mark.parametrize("name", ALL_CASES)

@@ -192,6 +192,21 @@ def test_oracle_matches_closed_forms_randomized():
         assert abs(lhs - scalar_curvature_oracle(ax, pair, pair)) <= 1e-10 * max(1, abs(lhs))
 
 
+@pytest.mark.parametrize("hbar0", [1, 2, 3, 7, 10**20, 3**40, 2**60 + 1])
+def test_int_hbar_gives_the_fraction_hbar_curvature(hbar0):
+    # an int hbar0 stays an int; on float momenta from 2^-300 to 2^300 each
+    # closed form gives the float that Fraction(hbar0) gives, bit for bit,
+    # and on rational momenta the same Fraction
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        e = int(rng.integers(-300, 301))
+        floats = [math.ldexp(float(x), e + int(s)) for x, s in zip(rng.uniform(0.5, 2, 3), rng.integers(-3, 4, 3))]
+        rationals = [Fraction(int(n), int(d)) for n, d in rng.integers(1, 10**6, (3, 2))]
+        for momenta in (floats, rationals):
+            for form, n in ((curvature_asymmetric, 3), (curvature_symmetric, 2), (curvature_spherical, 1), (curvature_degenerate, 1)):
+                assert repr(form(*momenta[:n], hbar0)) == repr(form(*momenta[:n], Fraction(hbar0)))
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e154, 1e-154])
 @pytest.mark.parametrize("hbar0", [1.0, 0.5])
 def test_float_curvature_at_extreme_momenta(scale, hbar0):

@@ -316,6 +316,36 @@ def test_degree_band_matches_every_block(momenta, hbar0, k, rho):
             assert products == [lo * up for lo, up in zip(band.lower, band.upper)]
 
 
+wide_rationals = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(wide_rationals, wide_rationals, wide_rationals), wide_rationals | st.integers(1, 3**40), st.integers(0, 50))
+def test_degree_band_is_the_fraction_formula(momenta, hbar0, d):
+    # the integer band over one common denominator equals, entry for entry,
+    # S_d formed in Fraction arithmetic from c_a = hbar0 / (2 I_a)
+    c1, c2, c3 = (Fraction(hbar0) / (2 * mom) for mom in momenta)
+    sums = [(m * (d - m + 1) if m else 0) + ((m + 1) * (d - m) if m < d else 0) for m in range(d + 1)]
+    expected = tuple((c1 + c2) / 4 * s + c3 / 4 * (2 * m - d) ** 2 for m, s in enumerate(sums))
+    diag, g = degree_band(d, *momenta, hbar0)
+    assert diag == expected and g == (c1 - c2) / 4
+    assert all(type(x) is Fraction for x in (*diag, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=5))
+def test_nullspace_of_an_integer_matrix(rows):
+    # a basis of the kernel, one vector per free column with that entry 1,
+    # of the dimension sympy's rank gives
+    basis = nullspace(rows)
+    assert len(basis) == 5 - sympy.Matrix(rows).rank()
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert all(type(x) in (int, Fraction) for x in v)
+        # its free column: 1 here, 0 in every other vector
+        assert any(x == 1 and all(w[i] == 0 for w in basis if w is not v) for i, x in enumerate(v))
+
+
 def _refuse_everywhere(monkeypatch, owner, name):
     """Make owner.name raise, under every name a rotorspec module binds it to."""
     real = getattr(owner, name)

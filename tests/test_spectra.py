@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rotorspec import (
+    DEFAULT_TOLERANCES,
     BundleKind,
     ParticleSystem,
     asymmetric_spectrum,
@@ -26,6 +27,7 @@ from rotorspec import (
     symmetric_spectrum,
     velocities_from_angular,
 )
+from rotorspec import spectra
 from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
@@ -162,6 +164,22 @@ def test_integer_momenta_stay_exact_on_near_tie_routing():
     assert ints.lines == fracs.lines
     assert ints.params == fracs.params
     assert isinstance(ints.params["I_pair"], Fraction)
+
+
+def test_an_asymmetric_spectrum_classifies_its_triple_once(monkeypatch):
+    # asymmetric_spectrum classifies and its Spectrum is built once, of kind
+    # "asymmetric"; a direct diagonalized_spectrum call classifies for itself
+    calls = []
+
+    def counting(momenta, tol=DEFAULT_TOLERANCES):
+        calls.append(momenta)
+        return classify_momenta(momenta, tol)
+
+    monkeypatch.setattr(spectra, "classify_momenta", counting)
+    spec = asymmetric_spectrum(1, 2, Fraction(7, 2), BundleKind.PLUS, j_max=3)
+    assert len(calls) == 1 and spec.kind == "asymmetric" and spec.top_class is TopClass.ASYMMETRIC
+    brute = diagonalized_spectrum(2, 2, 1, BundleKind.PLUS, j_max=1)
+    assert len(calls) == 2 and brute.kind == "diagonalized" and brute.top_class is TopClass.SYMMETRIC
 
 
 def test_spherical_through_diagonalized_path():
