@@ -18,8 +18,7 @@ Vectors are tuples of floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .geometry import ParticleSystem, RigidConfiguration, _cross, _dot, _floats, _rows
@@ -32,8 +31,7 @@ def _add(a, b) -> Vec3:
     return tuple(x + y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class PatternField:
+class PatternField(NamedTuple):
     """Observed electric and magnetic fields as maps from position to
     3-vectors, with flags used by the decoupling criterion."""
 
@@ -67,8 +65,7 @@ class PatternField:
         return float(-2.0 * (v0 * _dot(e_val, w) - w0 * _dot(e_val, v)) + 2.0 * _dot(b_val, _cross(v, w)))
 
 
-@dataclass(frozen=True)
-class SplitFieldValue:
+class SplitFieldValue(NamedTuple):
     """The three component evaluations; they sum to the unsplit pullback."""
 
     cen: float

@@ -14,10 +14,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from numbers import Rational
+from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import (
@@ -98,8 +98,7 @@ def _vec3(value, where: str):
     return [float(parse_number(x, where)) for x in value]
 
 
-@dataclass
-class JobConfig:
+class JobConfig(NamedTuple):
     particles: list[tuple[float, float, list[float]]]
     hbar0: object = 1
     k: object = 0
@@ -181,17 +180,7 @@ def load_job(path: str) -> JobConfig:
     em_probe = doc.get("em_probe")
     if em_probe is not None and not isinstance(em_probe, dict):
         raise SchemaError("'em_probe' must be an object")
-    return JobConfig(
-        particles=particles,
-        hbar0=hbar0,
-        k=k,
-        bundle=bundle,
-        j_max=j_max,
-        field=field,
-        output=output,
-        tolerances=tolerances,
-        em_probe=em_probe,
-    )
+    return JobConfig(particles, hbar0, k, bundle, j_max, field, output, tolerances, em_probe)
 
 
 # --- spectrum serialization -----------------------------------------------------
@@ -439,7 +428,7 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
         for idx, poly in enumerate(space.basis):
             print(f"  [{ell},{idx}] {poly}")
         return EXIT_OK
-    job_one = JobConfig(**{**job.__dict__, "bundle": bundle.value, "j_max": j})
+    job_one = job._replace(bundle=bundle.value, j_max=j)
     spectra = _spectra_for_job(job_one, config, momenta, fixed_point=False)
     lines = [
         ln
@@ -532,23 +521,27 @@ def _add_common(sub):
 
 
 def _apply_overrides(job: JobConfig, args) -> JobConfig:
+    """The job with the command-line options that were given in place of
+    its document's values."""
+    new = {}
     if args.output:
-        job.output = args.output
+        new["output"] = args.output
     if args.j_max is not None:
-        job.j_max = parse_number(args.j_max, "--j-max")
+        new["j_max"] = parse_number(args.j_max, "--j-max")
     if args.bundle:
-        job.bundle = args.bundle
+        new["bundle"] = args.bundle
     if args.hbar is not None:
-        job.hbar0 = parse_number(args.hbar, "--hbar")
-        if float(job.hbar0) <= 0:
+        new["hbar0"] = parse_number(args.hbar, "--hbar")
+        if float(new["hbar0"]) <= 0:
             raise SchemaError("--hbar must be positive")
     if args.k is not None:
-        job.k = parse_number(args.k, "--k")
+        new["k"] = parse_number(args.k, "--k")
+    tol = job.tolerances
     if args.tol_rel is not None:
-        job.tolerances = replace(job.tolerances, rel=_tolerance(args.tol_rel, "--tol-rel"))
+        tol = tol._replace(rel=_tolerance(args.tol_rel, "--tol-rel"))
     if args.tol_spec is not None:
-        job.tolerances = replace(job.tolerances, spec=_tolerance(args.tol_spec, "--tol-spec"))
-    return job
+        tol = tol._replace(spec=_tolerance(args.tol_spec, "--tol-spec"))
+    return job._replace(tolerances=tol, **new)
 
 
 @cache

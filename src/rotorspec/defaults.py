@@ -6,15 +6,14 @@ number in that system (default 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 J_MAX_DEFAULT = 6
 # Hard cap keeps exact-arithmetic block sizes bounded (blocks are (2j+1) wide).
 J_MAX_CAP = 25
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Numeric tolerances used across the geometry and spectra layers.
 
     rel:  relative threshold (rank decisions, momentum-coincidence tests)

@@ -13,10 +13,9 @@ shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .errors import AllCoincidentError, NonPositiveMassError, NotRigidVelocityError
@@ -52,30 +51,29 @@ def _rows(rows, n: int, what: str) -> tuple[tuple[float, float, float], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class ParticleSystem:
+class ParticleSystem(NamedTuple("ParticleSystem", [("masses", tuple), ("charges", tuple), ("positions", tuple)])):
     """Raw input: n >= 2 particles with masses, charges and absolute positions.
 
     masses are in mass units (strictly positive), charges in charge units,
     positions in length units.  Any sequences are accepted and stored as
-    tuples of floats, positions as n rows (x, y, z).
+    tuples of floats, positions as n rows (x, y, z), by _replace too.
     """
 
-    masses: tuple[float, ...]
-    charges: tuple[float, ...]
-    positions: tuple[tuple[float, float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", _floats(self.masses))
-        object.__setattr__(self, "charges", _floats(self.charges))
-        n = len(self.masses)
-        object.__setattr__(self, "positions", _rows(self.positions, n, "position"))
+    def __new__(cls, masses, charges, positions):
+        masses, charges = _floats(masses), _floats(charges)
+        n = len(masses)
+        positions = _rows(positions, n, "position")
         if n < 2:
             raise ValueError("a rigid body needs at least 2 particles")
-        if len(self.charges) != n:
+        if len(charges) != n:
             raise ValueError("masses and charges must agree in length")
-        if any(m <= 0.0 for m in self.masses):
+        if any(m <= 0.0 for m in masses):
             raise NonPositiveMassError("all masses must be strictly positive")
+        return super().__new__(cls, masses, charges, positions)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n(self) -> int:
@@ -92,14 +90,13 @@ class ParticleSystem:
         return tuple(m / total for m in self.masses)
 
 
-@dataclass(frozen=True)
-class RigidConfiguration:
+class RigidConfiguration(NamedTuple):
     """Center-of-mass frame configuration of a rigid body.
 
     relatives r_i (rows (x, y, z)) satisfy sum_i mu_i r_i = 0;
     characteristic is the rank of the span of pairwise differences and
     fixes the degeneracy class; distances, the symmetric matrix of mutual
-    lengths, is computed on first read.
+    lengths, is computed on each read.
     """
 
     center: tuple[float, float, float]
@@ -121,21 +118,19 @@ class RigidConfiguration:
         total = self.total_mass
         return tuple(m / total for m in self.masses)
 
-    @cached_property
+    @property
     def distances(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(math.dist(a, b) for b in self.relatives) for a in self.relatives)
 
 
-@dataclass(frozen=True)
-class SplitVector:
+class SplitVector(NamedTuple):
     """Result of the velocity splitting: v_i = v_cen + v_rel,i exactly."""
 
     center: tuple[float, float, float]
     relative: tuple[tuple[float, float, float], ...]
 
 
-@dataclass(frozen=True)
-class SplitCovector:
+class SplitCovector(NamedTuple):
     """Result of the covector splitting: alpha_cen = sum_i alpha_i."""
 
     center: tuple[float, float, float]

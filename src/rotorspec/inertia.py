@@ -10,10 +10,10 @@ used to pin down the labeling of the symmetric-case formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .geometry import DegeneracyClass, RigidConfiguration, _jacobi_eigh
@@ -26,29 +26,29 @@ class TopClass(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class InertiaTensor:
+class InertiaTensor(NamedTuple("InertiaTensor", [("matrix", tuple)])):
     """Symmetric positive-semidefinite 3x3 matrix in mass * length^2 units,
-    as three rows of floats.
+    as three rows of floats; _replace converts and checks the same way.
 
     M_ab = sum_i m_i (|r_i|^2 delta_ab - r_ia r_ib); trace = 2 sum_i m_i |r_i|^2.
     """
 
-    matrix: tuple[tuple[float, float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = tuple(tuple(map(float, row)) for row in self.matrix)
+    def __new__(cls, matrix):
+        m = tuple(tuple(map(float, row)) for row in matrix)
         if len(m) != 3 or any(len(row) != 3 for row in m):
             raise ValueError("inertia tensor must be 3x3")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def trace(self) -> float:
         return self.matrix[0][0] + self.matrix[1][1] + self.matrix[2][2]
 
 
-@dataclass(frozen=True)
-class PrincipalMomenta:
+class PrincipalMomenta(NamedTuple):
     """Eigen-data of the inertia tensor.
 
     momenta are sorted ascending I1 <= I2 <= I3; axes (three rows) has the

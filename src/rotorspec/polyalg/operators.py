@@ -66,9 +66,9 @@ block (block_vector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..errors import RepresentationClosureError
 from ..inertia import check_positive
@@ -91,8 +91,7 @@ def apply_jminus(f: Polynomial) -> Polynomial:
     return f.diff(0).mul_var(1) - f.diff(3).mul_var(2)
 
 
-@dataclass(frozen=True)
-class HamiltonianBand:
+class HamiltonianBand(NamedTuple):
     """The exact Hamiltonian on one harmonic block as its three nonzero
     diagonals of Fractions: diag[a] at (a, a), lower[a] at (a+2, a) and
     upper[a] at (a, a+2).

@@ -21,9 +21,9 @@ oracle that `rotorspec verify` compares the closed form against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .polynomial import Polynomial, laplacian_r3, laplacian_r4
 from .rational_linalg import nullspace
@@ -52,18 +52,31 @@ def _sector_monomials(p: int, q: int, weight2: int) -> list[tuple[int, int, int,
     return out
 
 
-@dataclass(frozen=True)
 class BidegreeSpace:
     """Ordered harmonic basis of bidegree (p, q); dimension p + q + 1.
 
     Basis element k spans the weight sector with l = l_values[k]; l runs
     from -j to j in integer steps, j = (p + q) / 2.  sectors[k] is its
     integer vector as ((exponent, coefficient), ...) pairs and basis[k] the
-    same element as a Polynomial; both are built on first read.
+    same element as a Polynomial; both are built on first read.  A plain
+    class, so those two can be cached on the instance, but p and q cannot
+    be assigned; two spaces are equal when their bidegrees are.
     """
 
-    p: int
-    q: int
+    def __init__(self, p: int, q: int):
+        self.__dict__.update(p=p, q=q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a BidegreeSpace is immutable")
+
+    def __repr__(self) -> str:
+        return f"BidegreeSpace(p={self.p}, q={self.q})"
+
+    def __eq__(self, other):
+        return (self.p, self.q) == (other.p, other.q) if type(other) is BidegreeSpace else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     @cached_property
     def sectors(self) -> tuple[tuple[tuple[tuple[int, int, int, int], int], ...], ...]:
@@ -214,8 +227,7 @@ def harmonic_basis_by_elimination(p: int, q: int) -> tuple[Polynomial, ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class R3HarmonicSpace:
+class R3HarmonicSpace(NamedTuple):
     """Harmonic homogeneous polynomials of one degree on R^3; dim 2*degree+1."""
 
     degree: int

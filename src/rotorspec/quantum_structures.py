@@ -13,10 +13,10 @@ that is a parity rule on the total degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .geometry import DegeneracyClass
 
@@ -26,8 +26,7 @@ class BundleKind(Enum):
     MINUS = "nontrivial"  # non-trivial bundle, half-odd angular momentum
 
 
-@dataclass(frozen=True)
-class StructureSet:
+class StructureSet(NamedTuple):
     """Admissible bundle kinds for a degeneracy class, with the underlying
     second-cohomology data reported as fixed constants."""
 

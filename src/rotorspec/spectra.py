@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from numbers import Rational
+from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
@@ -59,8 +59,11 @@ def check_l_max(l_max):
         raise ValueError(f"l_max exceeds the hard cap {J_MAX_CAP}")
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+_LINE_FIELDS = [("energy", object), ("j", Fraction), ("multiplicity", int), ("bundle", BundleKind),
+                ("l", Fraction | None), ("source", str), ("eigensections", tuple | None)]
+
+
+class SpectralLine(NamedTuple("SpectralLine", _LINE_FIELDS)):
     """One eigenvalue with its quantum numbers.
 
     l is None when the level is labeled by j alone (spherical and
@@ -70,22 +73,19 @@ class SpectralLine:
     built once per degree, and a line's tuple of them comes from one memo
     per (degree, indices) (_refs; a diagonalized line of several indices
     joins their columns).  Degrees stop at 2 J_MAX_CAP, which bounds the
-    memo.
+    memo.  _replace checks the multiplicity and the bundle too.
     """
 
-    energy: object
-    j: Fraction
-    multiplicity: int
-    bundle: BundleKind
-    l: Fraction | None = None
-    source: str = "closed-form"
-    eigensections: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __new__(cls, energy, j, multiplicity, bundle, l=None, source="closed-form", eigensections=None):
+        if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if bundle_of_j(self.j) is not self.bundle:
-            raise ValueError(f"bundle {self.bundle} inconsistent with j = {self.j}")
+        if bundle_of_j(j) is not bundle:
+            raise ValueError(f"bundle {bundle} inconsistent with j = {j}")
+        return super().__new__(cls, energy, j, multiplicity, bundle, l, source, eigensections)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def sort_key(self):
@@ -94,23 +94,22 @@ class SpectralLine:
         return (_as_float(self.energy), self.j, -math.inf if self.l is None else self.l)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted spectral lines up to a cutoff, with the defining parameters."""
+_SPECTRUM_FIELDS = [("lines", tuple), ("kind", str), ("bundle", BundleKind | None), ("top_class", TopClass | None),
+                    ("params", dict), ("k", object), ("hbar0", object), ("j_max", object)]
 
-    lines: tuple[SpectralLine, ...]
-    kind: str
-    bundle: BundleKind | None
-    top_class: TopClass | None
-    params: dict = field(default_factory=dict)
-    k: object = 0
-    hbar0: object = 1
-    j_max: object = 0
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "lines", tuple(sorted(self.lines, key=lambda ln: ln.sort_key))
-        )
+class Spectrum(NamedTuple("Spectrum", _SPECTRUM_FIELDS)):
+    """Spectral lines up to a cutoff, sorted by sort_key, with the defining
+    parameters; params defaults to a new {} per spectrum, and _replace
+    sorts the lines too."""
+
+    __slots__ = ()
+
+    def __new__(cls, lines, kind, bundle, top_class, params=None, k=0, hbar0=1, j_max=0):
+        lines = tuple(sorted(lines, key=lambda ln: ln.sort_key))
+        return super().__new__(cls, lines, kind, bundle, top_class, {} if params is None else params, k, hbar0, j_max)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def total_multiplicity(self) -> int:
         return sum(ln.multiplicity for ln in self.lines)
@@ -390,13 +389,14 @@ def diagonalized_spectrum(
     float range.  This is the oracle route the closed forms are verified
     against, and the production route for the asymmetric top.
     """
+    check_j_max(j_max)
+    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     return _diagonalized("diagonalized", None, i1, i2, i3, bundle, k, hbar0, j_max, tol)
 
 
 def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectrum:
-    """diagonalized_spectrum as kind, for the class top (None: classify)."""
-    check_j_max(j_max)
-    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
+    """diagonalized_spectrum as kind, for the class top (None: classify),
+    on a j_max and momenta its caller has checked."""
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed = classify_momenta((i1, i2, i3), tol) if top is None else (top, None)
 
@@ -433,11 +433,14 @@ def asymmetric_spectrum(
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     top, closed = classify_momenta((i1, i2, i3), tol)
+    if top is TopClass.ASYMMETRIC:
+        check_j_max(j_max)
+        return _diagonalized("asymmetric", top, i1, i2, i3, bundle, k, hbar0, j_max, tol)
     if top is TopClass.SPHERICAL:
         warnings.warn("momenta nearly spherical; using the spherical closed form")
     elif top is TopClass.SYMMETRIC:
         warnings.warn("two momenta nearly coincide; using the symmetric closed form")
-    return spectrum_for(top, closed or (i1, i2, i3), bundle, k, hbar0, j_max, tol)
+    return spectrum_for(top, closed, bundle, k, hbar0, j_max, tol)
 
 
 def spectrum_for(
@@ -461,4 +464,7 @@ def spectrum_for(
         return symmetric_spectrum(*closed, bundle, k, hbar0, j_max)
     if top is TopClass.DEGENERATE:
         return degenerate_spectrum(*closed, k, hbar0, l_max_of(j_max))
-    return _diagonalized("asymmetric", top, *closed, bundle, k, hbar0, j_max, tol)
+    check_j_max(j_max)
+    i1, i2, i3 = closed
+    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
+    return _diagonalized("asymmetric", top, i1, i2, i3, bundle, k, hbar0, j_max, tol)

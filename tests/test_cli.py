@@ -190,6 +190,44 @@ def test_only_the_verify_command_imports_the_oracle_suite(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# what importing the CLI and running one spectrum must not add to sys.modules:
+# dataclasses (with inspect, which it imports), the oracle suite, the field
+# splitting and the polynomial oracle
+SPECTRUM_UNLOADED = (
+    "dataclasses",
+    "inspect",
+    "rotorspec.verify",
+    "rotorspec.classical_em",
+    "rotorspec.polyalg.spaces",
+    "rotorspec.polyalg.operators",
+    "rotorspec.polyalg.polynomial",
+)
+
+
+def test_a_spectrum_process_loads_no_dataclasses_and_no_oracle(tmp_path):
+    # the modules each step adds in a fresh interpreter, so what site's .pth
+    # files import before the first step does not count
+    path = _write(tmp_path, TRIANGLE)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "import rotorspec.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = rotorspec.cli.main(['spectrum', '--config', {path!r}, '--bundle', 'both'])\n"
+        "spectrum = set(sys.modules) - before\n"
+        "before = set(sys.modules)\n"
+        "import rotorspec.verify\n"
+        "print(json.dumps([code, sorted(spectrum), sorted(set(sys.modules) - before)]))\n"
+    )
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    code, spectrum, verify = json.loads(done.stdout)
+    assert code == EXIT_OK
+    assert "rotorspec.spectra" in spectrum and "rotorspec.verify" in verify
+    assert sorted(set(spectrum) & set(SPECTRUM_UNLOADED)) == []
+    assert "dataclasses" not in verify
+
+
 # classify and spectrum jobs that must run with numpy blocked
 NUMPY_FREE_RUNS = [
     *(

@@ -87,6 +87,9 @@ def test_all_coincident_is_decided_without_a_length_scale():
 def test_nonpositive_mass_raises():
     with pytest.raises(NonPositiveMassError):
         _system([1, 0], [[0, 0, 0], [1, 0, 0]])
+    # _replace builds its copy through the same checks
+    with pytest.raises(NonPositiveMassError, match="^all masses must be strictly positive$"):
+        _system([1, 2], [[0, 0, 0], [1, 0, 0]])._replace(masses=(1, 0))
 
 
 def test_classify_three_particles():

@@ -416,9 +416,15 @@ def test_a_line_checks_its_bundle_without_building_a_fraction(monkeypatch):
 
     j = Fraction(7, 2)
     monkeypatch.setattr(Fraction, "__new__", refuse)
-    assert SpectralLine(1.0, j, 8, BundleKind.MINUS).j is j
+    line = SpectralLine(1.0, j, 8, BundleKind.MINUS)
+    assert line.j is j
     with pytest.raises(ValueError, match="inconsistent"):
         SpectralLine(1.0, j, 8, BundleKind.PLUS)
+    # _replace builds its copy through the same checks
+    with pytest.raises(ValueError, match="inconsistent"):
+        line._replace(bundle=BundleKind.PLUS)
+    with pytest.raises(ValueError, match="^multiplicity must be positive$"):
+        line._replace(multiplicity=0)
 
 
 def _every_route_at_the_cap():
@@ -850,6 +856,10 @@ ENTRY_POINTS = {
         ("i1", "i2", "i3", "hbar0"),
         lambda v: asymmetric_spectrum(v["i1"], v["i2"], v["i3"], PLUS, 0, v["hbar0"], 1),
     ),
+    "spectrum_for": (
+        ("i1", "i2", "i3", "hbar0"),
+        lambda v: spectra.spectrum_for(TopClass.ASYMMETRIC, (v["i1"], v["i2"], v["i3"]), PLUS, 0, v["hbar0"], 1),
+    ),
     "hamiltonian_matrix": (
         ("i1", "i2", "i3", "hbar0"),
         lambda v: hamiltonian_matrix(harmonic_basis(1, 1), v["i1"], v["i2"], v["i3"], v["hbar0"]),
@@ -865,6 +875,26 @@ def test_nonpositive_or_nonfinite_inputs_are_named(entry, bad):
     for name in names:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             call({**VALID, name: bad})
+
+
+def test_each_asymmetric_entry_point_checks_its_momenta_once(monkeypatch):
+    # one check_positive per spectrum on the route through _diagonalized,
+    # and a bad j_max still reported before a bad momentum wherever it was
+    calls = []
+    real = spectra.check_positive
+    monkeypatch.setattr(spectra, "check_positive", lambda **values: calls.append(values) or real(**values))
+    runs = {
+        "asymmetric": lambda j_max, i3: asymmetric_spectrum(1, 2, i3, PLUS, j_max=j_max),
+        "diagonalized": lambda j_max, i3: diagonalized_spectrum(1, 2, i3, PLUS, j_max=j_max),
+        "spectrum_for": lambda j_max, i3: spectra.spectrum_for(TopClass.ASYMMETRIC, (1, 2, i3), PLUS, j_max=j_max),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        assert run(2, Fraction(7, 2)).kind == ("diagonalized" if name == "diagonalized" else "asymmetric")
+        assert calls == [{"i1": 1, "i2": 2, "i3": Fraction(7, 2), "hbar0": 1}], name
+        first = "i3 must be finite" if name == "asymmetric" else "j_max must be a nonnegative half-integer"
+        with pytest.raises(ValueError, match=f"^{first}"):
+            run(Fraction(1, 3), -1)
 
 
 # --- classical momentum map ---------------------------------------------------

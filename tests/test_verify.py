@@ -71,7 +71,9 @@ def test_suite_detects_shifted_eigenvalue(monkeypatch):
     def shifted(*args, **kwargs):
         spec = real(*args, **kwargs)
         if len(spec.lines) > 1:
-            object.__setattr__(spec.lines[1], "energy", spec.lines[1].energy + 1)
+            line = spec.lines[1]
+            lines = (spec.lines[0], line._replace(energy=line.energy + 1), *spec.lines[2:])
+            spec = spec._replace(lines=lines)
         return spec
 
     monkeypatch.setattr(verify, "diagonalized_spectrum", shifted)
