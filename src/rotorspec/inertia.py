@@ -120,10 +120,13 @@ def _coincidences(momenta, rel, num):
 
 def _pair_mean(x, y):
     """(x + y) / 2, as a Fraction when both values are rational (the true
-    division of two ints would give a float)."""
+    division of two ints would give a float).  Two floats whose sum leaves
+    the float range give x/2 + y/2, which is finite, so the closed form of
+    a checked triple takes a finite pair momentum."""
     if isinstance(x, Rational) and isinstance(y, Rational):
         return (Fraction(x) + Fraction(y)) / 2
-    return (x + y) / 2
+    mean = (x + y) / 2
+    return x / 2 + y / 2 if mean == math.inf else mean
 
 
 def principal_momenta(

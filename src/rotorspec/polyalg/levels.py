@@ -10,10 +10,14 @@ c3 l_k^2 and g sqrt(P_k P_(k+1)) at (k, k+2), g = (c1 - c2)/4.  The
 spectrum path reads S_d alone: eigenvalues() gives its levels through its
 species (band_species, since P_(d-1-k) = P_k): exactly on degrees p + q <=
 4, in closed form, and otherwise as floats from an implicit QL sweep of
-each species (_ql_levels), in pure Python.  This module imports nothing of
-the exact polynomial oracle (polynomial, rational_linalg, spaces and
-operators, over the integers and Fractions), which `rotorspec verify`
-checks it against.
+each species (_ql_levels), in pure Python.  For rational input a spectrum
+reads S_d as integers over one denominator 4D (integer_record, taken once
+per spectrum, and integer_band): a float entry is one int/int division and
+the closed form is solved on the integers, so a Fraction is built only for
+an exact level; degree_band is the Fraction view of the same integers.
+This module imports nothing of the exact polynomial oracle (polynomial,
+rational_linalg, spaces and operators, over the integers and Fractions),
+which `rotorspec verify` checks it against.
 """
 
 from __future__ import annotations
@@ -39,6 +43,29 @@ def _degree_constants(d: int):
     return sums, squares, products, tuple(map(math.sqrt, products))
 
 
+def integer_record(i1, i2, i3, hbar0=1):
+    """The integers (n1 + n2, n3, n1 - n2, 4D) that S_d of every degree is
+    built from, for rational input, with c_a = hbar0 / (2 I_a) = n_a / D
+    over one common denominator D; None when an input is a float.  A
+    spectrum takes it once (the lcm of the momenta's numerators) and forms
+    each degree's band from it (integer_band)."""
+    if not all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
+        return None
+    # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
+    lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
+    n1, n2, n3 = (hbar0.numerator * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
+    return n1 + n2, n3, n1 - n2, 8 * hbar0.denominator * lcm
+
+
+def integer_band(d: int, record):
+    """S_d of an integer record (integer_record) as (diag, g, 4D): the
+    integers (n1 + n2)(P_(m-1) + P_m) + n3 (2 l_m)^2 and n1 - n2 over
+    4D, the arguments eigenvalues() takes on the spectrum path."""
+    s, n3, t, den = record
+    sums, squares, _, _ = _degree_constants(d)
+    return tuple(s * a + n3 * b for a, b in zip(sums, squares)), t, den
+
+
 def degree_band(d: int, i1, i2, i3, hbar0=1):
     """S_d, the symmetric band every block of degree d is similar to, as
     (diag, g): diag_m = (c1 + c2)(P_(m-1) + P_m)/4 + c3 l_m^2 and the entry
@@ -46,32 +73,43 @@ def degree_band(d: int, i1, i2, i3, hbar0=1):
     g = (c1 - c2)/4, P_k = (k+1)(d-k) and l_m = m - d/2.  Fractions for
     rational input, floats otherwise; HamiltonianOverflowError when an input
     leaves the float range.  k rho is not included: it shifts every level
-    alike (spectra.curvature_shift).  Rational input is computed over one
-    common denominator D, c_a = n_a / D: diag_m is the integer (n1 + n2)
-    (P_(m-1) + P_m) + n3 (2 l_m)^2 over 4D, g = (n1 - n2) / 4D."""
-    sums, squares, _, _ = _degree_constants(d)
-    if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
-        # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
-        lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
-        hn, den = hbar0.numerator, 8 * hbar0.denominator * lcm
-        n1, n2, n3 = (hn * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
-        diag = tuple(Fraction((n1 + n2) * s + n3 * t, den) for s, t in zip(sums, squares))
-        return diag, Fraction(n1 - n2, den)
+    alike (spectra.curvature_shift).  The Fractions are the integers of
+    integer_band over 4D, the view `rotorspec verify`, eigensections and
+    the tests read; the spectrum path reads the integers themselves."""
+    record = integer_record(i1, i2, i3, hbar0)
+    if record is not None:
+        diag, g, den = integer_band(d, record)
+        return tuple(Fraction(x, den) for x in diag), Fraction(g, den)
     try:
         c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
+    sums, squares, _, _ = _degree_constants(d)
     a, b = (c1 + c2) / 4, c3 / 4
     return tuple(a * s + b * t for s, t in zip(sums, squares)), (c1 - c2) / 4
 
 
-def _float_band(d: int, diag, g):
+def _integers(diag, g, den=1):
+    """An exact band (diag, g) over den as integer numerators over one
+    denominator: ints over den > 1 as they are, Fractions (or ints) over
+    den 1 over the lcm of their denominators."""
+    if den != 1:
+        return diag, g, den
+    den = math.lcm(g.denominator, *(x.denominator for x in diag))
+    return [x.numerator * (den // x.denominator) for x in diag], g.numerator * (den // g.denominator), den
+
+
+def _float_band(d: int, diag, g, den=1):
     """S_d as floats, (diag, off) with off[m] = g sqrt(P_m P_(m+1)) at (m,
     m+2): entries, not the products g^2 P_m P_(m+1), which overflow where
-    the entries do not.  HamiltonianOverflowError when an entry is not a
-    finite float."""
+    the entries do not.  An exact band (_integers) gives each entry as one
+    int/int true division, which rounds correctly, as float(Fraction)
+    does; a float band is taken as it is.  HamiltonianOverflowError when an
+    entry is not a finite float."""
+    if type(g) is not float:
+        diag, g, den = _integers(diag, g, den)
     try:
-        fdiag, fg = [float(x) for x in diag], float(g)
+        fdiag, fg = [x / den for x in diag], g / den
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
     off = [fg * r for r in _degree_constants(d)[3]]
@@ -91,10 +129,13 @@ def degree_matrix(d: int, diag, g):
     return rows
 
 
-def _rational_sqrt(x: Fraction):
-    """sqrt(x) for a rational square x >= 0, else None."""
+def _rational_sqrt(x):
+    """sqrt(x) for a rational square x >= 0, of the class of x (an int or a
+    Fraction), else None."""
     num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
+    if num * num != x.numerator or den * den != x.denominator:
+        return None
+    return num if type(x) is int else Fraction(num, den)
 
 
 _SQRT2 = math.sqrt(2)
@@ -111,7 +152,7 @@ def _wang_fold(diag, off) -> list:
     e couples l = -1 and 1 and is (c1 - c2) P_(d/2) / 4, so its product
     e^2 is a square."""
     h, odd = divmod(len(diag), 2)
-    exact = isinstance(diag[0], Fraction)
+    exact = type(diag[0]) is not float
     if odd:
         return [(diag[:h], off[: h - 1]), (diag[: h + 1], [*off[: h - 1], off[h - 1] * (2 if exact else _SQRT2)] if h else [])]
     shift = _rational_sqrt(off[h - 1]) if exact else off[h - 1]
@@ -192,21 +233,28 @@ def _ql_levels(diag, off) -> list[float]:
         raise HamiltonianOverflowError() from exc
 
 
-def _species_levels(diag, products):
-    """(value, exact_flag) pairs of a species of one or two entries: its
-    diagonal, or m -+ r with m the mean of the diagonal and r^2 = ((a_0 -
-    a_1) / 2)^2 + products[0], exact when r^2 is a rational square."""
+def _species_levels(diag, products, den):
+    """(value, exact_flag) pairs of a species of one or two entries, with
+    the integer diagonal diag over den and the integer product products[0]
+    over den^2: its diagonal, or (a_0 + a_1 -+ sqrt(N)) / 2den with N =
+    (a_0 - a_1)^2 + 4 products[0].  A level is a Fraction exactly when it
+    is rational: a diagonal entry, or both levels when N is a square,
+    which one isqrt decides.  Otherwise it is the float nearest to m -+ r,
+    m = (a_0 + a_1) / 2den and r = sqrt(N / 4den^2) to 2^-80 relative:
+    isqrt(u v 2^160) / (v 2^80) for N / 4den^2 = u / v in lowest terms.
+    m -+ r is divided out once, a correctly rounded int/int division, and
+    no float(N) is taken, which can overflow where the levels do not."""
     if len(diag) == 1:
-        return [(diag[0], True)]
-    mid, r2 = (diag[0] + diag[1]) / 2, ((diag[0] - diag[1]) / 2) ** 2 + products[0]
-    r = _rational_sqrt(r2)
-    if r is not None:
-        return [(mid - r, True), (mid + r, True)]
-    # sqrt(r2) to 2^-80 relative, without float(r2), which can overflow
-    # where the levels do not
-    r = Fraction(math.isqrt(r2.numerator * r2.denominator << 160), r2.denominator << 80)
+        return [(Fraction(diag[0], den), True)]
+    s, n = diag[0] + diag[1], (diag[0] - diag[1]) ** 2 + 4 * products[0]
+    r = math.isqrt(n)
+    if r * r == n:
+        return [(Fraction(s - r, 2 * den), True), (Fraction(s + r, 2 * den), True)]
+    common = math.gcd(n, 4 * den * den)
+    u, v = n // common, (4 * den * den // common) << 80
+    r = math.isqrt(u * v << 80)
     try:
-        return [(float(mid - r), False), (float(mid + r), False)]
+        return [((s * v - 2 * den * r) / (2 * den * v), False), ((s * v + 2 * den * r) / (2 * den * v), False)]
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
 
@@ -216,28 +264,35 @@ def _species_levels(diag, products):
 EXACT_DEGREE_MAX = 4
 
 
-def eigenvalues(d: int, diag, g):
-    """Eigenvalues of S_d = (diag, g) (degree_band) as (value, exact_flag)
-    pairs, ascending.
+def eigenvalues(d: int, diag, g, den=1):
+    """Eigenvalues of S_d = (diag, g) over den as (value, exact_flag)
+    pairs, ascending.  An exact S_d is the integers of integer_band over
+    den (the spectrum path) or, over den 1, the Fractions of degree_band,
+    read as the same integers over one denominator (_integers); a float
+    S_d is the floats of degree_band.
 
     When S_d is diagonal (g = 0 or d < 2) they are its diagonal.  An
     exact S_d of degree d <= EXACT_DEGREE_MAX gives the levels of its
-    species, the products g^2 P_m P_(m+1), in closed form: every rational
+    species, solved on the integers (_species_levels): every rational
     level as a Fraction, the others as floats, which raise
     HamiltonianOverflowError when they leave the float range.  Otherwise
     they are floats: the levels of the species of S_d as floats, from its
-    entries (_float_band), each species solved by _ql_levels, so a Kramers
-    pair of odd d is one level twice, bit for bit.  Each is accurate to a
-    few ulps of the degree's largest level.  HamiltonianOverflowError is
-    raised when an entry or a level is not a finite float.  An exact level
-    beyond the float range is caught where a spectrum sorts it
-    (spectra._as_float).
+    entries (_float_band, one int/int division per exact entry), each
+    species solved by _ql_levels, so a Kramers pair of odd d is one level
+    twice, bit for bit.  Each is accurate to a few ulps of the degree's
+    largest level.  HamiltonianOverflowError is raised when an entry or a
+    level is not a finite float.  An exact level beyond the float range is
+    caught where a spectrum sorts it (spectra._as_float).
     """
-    if not g or d < 2:
-        return [(v, isinstance(v, Fraction)) for v in sorted(diag)]
-    if isinstance(g, Fraction) and d <= EXACT_DEGREE_MAX:
-        products = [g * g * x for x in _degree_constants(d)[2]]
-        levels = [lv for sd, sp, count in band_species(diag, products, d) for lv in _species_levels(sd, sp) * count]
-        return sorted(levels, key=lambda t: t[0])
-    species = band_species(*_float_band(d, diag, g), d)
+    if type(g) is not float:
+        diag, g, den = _integers(diag, g, den)
+        if not g or d < 2:
+            return [(Fraction(v, den), True) for v in sorted(diag)]
+        if d <= EXACT_DEGREE_MAX:
+            products = [g * g * x for x in _degree_constants(d)[2]]
+            species = band_species(diag, products, d)
+            return sorted((lv for sd, sp, count in species for lv in _species_levels(sd, sp, den) * count), key=lambda t: t[0])
+    elif not g or d < 2:
+        return [(v, False) for v in sorted(diag)]
+    species = band_species(*_float_band(d, diag, g, den), d)
     return [(v, False) for v in sorted(v for sd, so, count in species for v in _ql_levels(sd, so) * count)]

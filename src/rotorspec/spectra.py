@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
-from .polyalg.levels import degree_band, eigenvalues
+from .polyalg.levels import degree_band, eigenvalues, integer_band, integer_record
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 
@@ -246,6 +246,11 @@ def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spec
     are all degree-2j harmonic polynomials."""
     check_j_max(j_max)
     check_positive(i_mom=i_mom, hbar0=hbar0)
+    return _spherical(i_mom, bundle, k, hbar0, j_max)
+
+
+def _spherical(i_mom, bundle, k, hbar0, j_max) -> Spectrum:
+    """spherical_spectrum on a j_max and momenta its caller has checked."""
     i_mom, k, h = _exactify(i_mom, k, hbar0)
 
     def levels():
@@ -282,8 +287,14 @@ def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6
     """
     check_j_max(j_max)
     check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
+    return _symmetric(i_pair, i_axis, bundle, k, hbar0, j_max)
+
+
+def _symmetric(i_pair, i_axis, bundle, k, hbar0, j_max) -> Spectrum:
+    """symmetric_spectrum on a j_max and momenta its caller has checked;
+    equal momenta take the spherical closed form."""
     if i_pair == i_axis:
-        return spherical_spectrum(i_pair, bundle, k, hbar0, j_max)
+        return _spherical(i_pair, bundle, k, hbar0, j_max)
     i_pair, i_axis, k, h = _exactify(i_pair, i_axis, k, hbar0)
 
     def levels():
@@ -378,8 +389,10 @@ def diagonalized_spectrum(
     and the products lower * upper of the band of H^(d//2, d-d//2) for
     p+q <= 2J).  A level of multiplicity m of S_d is a line of
     multiplicity (d+1) m with references into every block; k rho is added
-    to each level last (curvature_shift), a zero one to a float level as
-    0.0, the float that Fraction(0) gives.  eigenvalues() owns the
+    to each level last (curvature_shift): an exact zero one leaves an exact
+    level as it is and adds 0.0, the float that Fraction(0) gives, to a
+    float one.  Rational input is read as the integers of S_d over one
+    denominator (polyalg.levels.integer_record).  eigenvalues() owns the
     exactness policy: under rational inputs a level is exact when S_d is
     diagonal and, up to degree EXACT_DEGREE_MAX = 4, exactly when it is
     rational.  Equal exact levels form one line; float levels are grouped
@@ -396,19 +409,26 @@ def diagonalized_spectrum(
 
 def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectrum:
     """diagonalized_spectrum as kind, for the class top (None: classify),
-    on a j_max and momenta its caller has checked."""
+    on a j_max and momenta its caller has checked.  Rational input is
+    diagonalized on the integers of its bands (integer_record, taken once),
+    float input on degree_band's floats."""
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed = classify_momenta((i1, i2, i3), tol) if top is None else (top, None)
+    record = integer_record(i1, i2, i3, h)
 
     def levels():
         shift = curvature_shift(k, top, closed or (i1, i2, i3), h)
-        float_shift = 0.0 if type(shift) is Fraction and not shift else shift
+        exact_zero = type(shift) is Fraction and not shift
         for j in j_values(bundle, j_max):
             d = int(2 * j)
-            found = eigenvalues(d, *degree_band(d, i1, i2, i3, h))
-            shifted = [(v + (float_shift if type(v) is float else shift), idx) for idx, (v, _) in enumerate(found)]
+            found = eigenvalues(d, *(degree_band(d, i1, i2, i3, h) if record is None else integer_band(d, record)))
+            if exact_zero:
+                # an exact level as it is, a float one plus 0.0, which makes -0.0 0.0
+                shifted = [(v + 0.0 if type(v) is float else v, idx) for idx, (v, _) in enumerate(found)]
+            else:
+                shifted = [(v + shift, idx) for idx, (v, _) in enumerate(found)]
             for energy, idxs in group_energies(shifted, tol.spec):
-                refs = tuple(chain.from_iterable(_refs(d, (idx,)) for idx in idxs))
+                refs = _refs(d, idxs) if len(idxs) == 1 else tuple(chain.from_iterable(_refs(d, (idx,)) for idx in idxs))
                 yield energy, j, None, (d + 1) * len(idxs), refs
 
     params = {"I1": i1, "I2": i2, "I3": i3}
@@ -429,18 +449,21 @@ def asymmetric_spectrum(
 
     Near-coinciding momenta are routed to the matching closed form with a
     warning, since the asymmetric labeling would be numerically meaningless
-    there.
+    there.  The momenta and hbar0 are checked once, before j_max; the
+    closed form takes the checked values (classify_momenta) unchecked.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     top, closed = classify_momenta((i1, i2, i3), tol)
-    if top is TopClass.ASYMMETRIC:
-        check_j_max(j_max)
-        return _diagonalized("asymmetric", top, i1, i2, i3, bundle, k, hbar0, j_max, tol)
     if top is TopClass.SPHERICAL:
         warnings.warn("momenta nearly spherical; using the spherical closed form")
     elif top is TopClass.SYMMETRIC:
         warnings.warn("two momenta nearly coincide; using the symmetric closed form")
-    return spectrum_for(top, closed, bundle, k, hbar0, j_max, tol)
+    check_j_max(j_max)
+    if top is TopClass.SPHERICAL:
+        return _spherical(*closed, bundle, k, hbar0, j_max)
+    if top is TopClass.SYMMETRIC:
+        return _symmetric(*closed, bundle, k, hbar0, j_max)
+    return _diagonalized("asymmetric", top, i1, i2, i3, bundle, k, hbar0, j_max, tol)
 
 
 def spectrum_for(

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rotorspec import asymmetric_spectrum, diagonalized_spectrum, polyalg, verify
-from rotorspec.errors import RepresentationClosureError
+from rotorspec.errors import HamiltonianOverflowError, RepresentationClosureError
 from rotorspec.polyalg import (
     Polynomial,
     antipodal_sign,
@@ -35,7 +35,7 @@ from rotorspec.polyalg import (
     vector_field_matrix,
 )
 from rotorspec.polyalg import levels, operators, polynomial, rational_linalg, spaces
-from rotorspec.polyalg.levels import _species_levels, band_species, degree_band
+from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _ql_levels, _species_levels, band_species, degree_band, integer_band, integer_record
 from rotorspec.polyalg.operators import AXES, _generator_square, _ladder, _raw_matrix
 from rotorspec.polyalg.rational_linalg import mat_add, mat_scale, mat_sub, nullspace
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
@@ -332,6 +332,111 @@ def test_degree_band_is_the_fraction_formula(momenta, hbar0, d):
     assert all(type(x) is Fraction for x in (*diag, g))
 
 
+def _fraction_species_levels(diag, products):
+    """The levels of a species of one or two Fraction entries as the
+    Fraction solver computed them: exact when ((a_0 - a_1)/2)^2 + products[0]
+    is a rational square, else float(m -+ r) with r its square root to
+    2^-80 relative, taken from its lowest terms."""
+    if len(diag) == 1:
+        return [(diag[0], True)]
+    mid, r2 = (diag[0] + diag[1]) / 2, ((diag[0] - diag[1]) / 2) ** 2 + products[0]
+    num, den = math.isqrt(r2.numerator), math.isqrt(r2.denominator)
+    if num * num == r2.numerator and den * den == r2.denominator:
+        r = Fraction(num, den)
+        return [(mid - r, True), (mid + r, True)]
+    r = Fraction(math.isqrt(r2.numerator * r2.denominator << 160), r2.denominator << 80)
+    return [(float(mid - r), False), (float(mid + r), False)]
+
+
+def _fraction_route(d, diag, g):
+    """The levels of the Fraction band S_d = (diag, g) by the route that
+    takes every entry through Fraction and float(): the diagonal when g = 0
+    or d < 2, the species solved in Fractions up to EXACT_DEGREE_MAX, and
+    above it _ql_levels of the species of float(entry).  A float(Fraction)
+    beyond the float range raises OverflowError."""
+    if not g or d < 2:
+        return [(v, True) for v in sorted(diag)]
+    pairs = [(m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
+    if d <= EXACT_DEGREE_MAX:
+        species = band_species(diag, [g * g * x for x in pairs], d)
+        return sorted((lv for sd, sp, count in species for lv in _fraction_species_levels(sd, sp) * count), key=lambda t: t[0])
+    fdiag, fg = [float(x) for x in diag], float(g)
+    off = [fg * math.sqrt(x) for x in pairs]
+    if not all(map(math.isfinite, (*fdiag, *off))):
+        raise OverflowError
+    species = band_species(fdiag, off, d)
+    return [(v, False) for v in sorted(v for sd, so, count in species for v in _ql_levels(sd, so) * count)]
+
+
+def _band_det(diag, products, t):
+    """det(t - S) of the band with the diagonal diag and the products
+    products[m] of its pair at (m, m+2), (m+2, m): the product of the
+    continuants of its two parity classes."""
+    det = 1
+    for s in (0, 1):
+        prev, cur = 0, 1
+        for k, x in enumerate(diag[s::2]):
+            prev, cur = cur, (t - x) * cur - (products[s::2][k - 1] * prev if k else 0)
+        det *= cur
+    return det
+
+
+def _integer_route_verdict(momenta, hbar0, d):
+    """Compare the levels of S_d on the integer route (integer_band) and on
+    its Fraction view (degree_band) with _fraction_route: the same type and
+    repr level by level, every exact level a root of det(t - S_d), or an
+    overflow on all three.  Returns "overflow" or "levels"."""
+    diag, g = degree_band(d, *momenta, hbar0)
+    routes = (lambda: eigenvalues(d, *integer_band(d, integer_record(*momenta, hbar0))), lambda: eigenvalues(d, diag, g))
+    try:
+        want = _fraction_route(d, diag, g)
+    except (OverflowError, HamiltonianOverflowError):
+        for route in routes:
+            with pytest.raises(HamiltonianOverflowError):
+                route()
+        return "overflow"
+    for route in routes:
+        got = route()
+        assert [(type(v), repr(v), exact) for v, exact in got] == [(type(v), repr(v), exact) for v, exact in want]
+    products = [g * g * (m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
+    assert all(_band_det(diag, products, v) == 0 for v, exact in want if exact)
+    return "levels"
+
+
+# numerators within a few decades of the float range's ends (c_a = hbar0 /
+# 2 I_a then overflows or underflows) or of 1, over denominators up to 10^8
+edge_rationals = st.builds(
+    lambda mantissa, exponent, den: Fraction(mantissa * 10 ** max(exponent, 0), den * 10 ** max(-exponent, 0)),
+    st.integers(1, 10**6),
+    st.integers(-330, -290) | st.integers(-4, 4) | st.integers(290, 330),
+    st.integers(1, 10**8) | st.just(10**8 + 7),
+)
+
+
+@pytest.mark.parametrize(
+    "momenta, hbar0, d",
+    [
+        ((Fraction(1, 10**310), 1, 2), 1, 7),  # c1 ~ 1e310: an entry beyond the float range
+        ((Fraction(1, 10**308), Fraction(3, 10**308), Fraction(2, 10**308)), 1, 4),  # an irrational level beyond it
+        ((1, 2, Fraction(7, 2)), Fraction(10**320, 3), 12),  # hbar0 beyond it
+    ],
+)
+def test_the_integer_route_overflows_where_the_fraction_route_does(momenta, hbar0, d):
+    assert _integer_route_verdict(momenta, hbar0, d) == "overflow"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(edge_rationals, edge_rationals, edge_rationals), edge_rationals | st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)), st.integers(0, 50))
+@example((1, 2, Fraction(7, 2)), 1, 4)
+@example((Fraction(10**8 + 7, 3), Fraction(5, 10**8 + 7), Fraction(10**300, 7)), Fraction(2, 3), 3)
+def test_integer_route_levels_are_bit_identical_to_the_fraction_route(momenta, hbar0, d):
+    # exact levels are Fractions equal to the Fraction solver's and roots
+    # of det(t - S_d); float levels equal its floats repr for repr (each
+    # exact entry one correctly rounded int/int division, as float(Fraction)
+    # is); an overflow on one route is an overflow on the others
+    event(_integer_route_verdict(momenta, hbar0, d))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=5))
 def test_nullspace_of_an_integer_matrix(rows):
@@ -459,10 +564,13 @@ def test_charpoly_and_rational_roots():
     coeffs = charpoly(m)  # (t-2)(t-3) = t^2 - 5t + 6
     assert coeffs == [Fraction(6), Fraction(-5), Fraction(1)]
     # as a species (diag (2, 3), product 1 * 0) its roots are exact; with
-    # the product 1 * 1 they are (5 -+ sqrt(5)) / 2, irrational, so floats
-    assert _species_levels((Fraction(2), Fraction(3)), (Fraction(0),)) == [(2, True), (3, True)]
-    low, high = _species_levels((Fraction(2), Fraction(3)), (Fraction(1),))
-    assert low == ((5 - math.sqrt(5)) / 2, False) and high == ((5 + math.sqrt(5)) / 2, False)
+    # the product 1 * 1 they are (5 -+ sqrt(5)) / 2, irrational, so floats;
+    # the species is given as integers over a denominator (over 2 its
+    # diagonal is (4, 6) and its products are over 4)
+    for den in (1, 2):
+        assert _species_levels((2 * den, 3 * den), (0,), den) == [(2, True), (3, True)]
+        low, high = _species_levels((2 * den, 3 * den), (den * den,), den)
+        assert low == ((5 - math.sqrt(5)) / 2, False) and high == ((5 + math.sqrt(5)) / 2, False)
 
 
 def test_harmonic_basis_r3():

@@ -644,7 +644,13 @@ def _block_levels(band):
     if p + q <= EXACT_DEGREE_MAX:
         products = [lo * up for lo, up in zip(band.lower, band.upper)]
         species = band_species(band.diag, products, p + q)
-        return sorted(v for diag, prods, count in species for v, _ in _species_levels(diag, prods) * count)
+        levels = []
+        for diag, prods, count in species:
+            # the species as integers over den, its products over den^2
+            den = math.lcm(*(x.denominator for x in (*diag, *prods)))
+            ints = [int(x * den) for x in diag], [int(x * den * den) for x in prods]
+            levels += [v for v, _ in _species_levels(*ints, den)] * count
+        return sorted(levels)
     a = np.arange(p + q - 1)
     dense = np.diag([float(x) for x in band.diag])
     dense[a + 2, a], dense[a, a + 2] = [float(x) for x in band.lower], [float(x) for x in band.upper]
@@ -877,24 +883,67 @@ def test_nonpositive_or_nonfinite_inputs_are_named(entry, bad):
             call({**VALID, name: bad})
 
 
+@pytest.mark.filterwarnings("ignore:momenta nearly spherical", "ignore:two momenta nearly coincide")
 def test_each_asymmetric_entry_point_checks_its_momenta_once(monkeypatch):
-    # one check_positive per spectrum on the route through _diagonalized,
-    # and a bad j_max still reported before a bad momentum wherever it was
+    # one check_positive and one check_j_max per spectrum, on the route
+    # through _diagonalized, on the closed-form fallback of a nearly
+    # spherical or symmetric triple and on symmetric_spectrum of equal
+    # momenta; a bad j_max is still reported before a bad momentum
+    # wherever it was
     calls = []
-    real = spectra.check_positive
-    monkeypatch.setattr(spectra, "check_positive", lambda **values: calls.append(values) or real(**values))
+    real_positive, real_j_max = spectra.check_positive, spectra.check_j_max
+    monkeypatch.setattr(spectra, "check_positive", lambda **values: calls.append(values) or real_positive(**values))
+    monkeypatch.setattr(spectra, "check_j_max", lambda j_max: calls.append(j_max) or real_j_max(j_max))
+    triple = {"i1": 1, "i2": 2, "i3": Fraction(7, 2), "hbar0": 1}
+    j_max_first, momentum_first = "j_max must be a nonnegative half-integer", "i3 must be finite"
     runs = {
-        "asymmetric": lambda j_max, i3: asymmetric_spectrum(1, 2, i3, PLUS, j_max=j_max),
-        "diagonalized": lambda j_max, i3: diagonalized_spectrum(1, 2, i3, PLUS, j_max=j_max),
-        "spectrum_for": lambda j_max, i3: spectra.spectrum_for(TopClass.ASYMMETRIC, (1, 2, i3), PLUS, j_max=j_max),
+        # name: (run(j_max, i), its kind, its calls for run(2, 7/2), the first message of run(1/3, -1))
+        "asymmetric": (
+            lambda j_max, i: asymmetric_spectrum(1, 2, i, PLUS, j_max=j_max), "asymmetric", [triple, 2], momentum_first
+        ),
+        "diagonalized": (
+            lambda j_max, i: diagonalized_spectrum(1, 2, i, PLUS, j_max=j_max), "diagonalized", [2, triple], j_max_first
+        ),
+        "spectrum_for": (
+            lambda j_max, i: spectra.spectrum_for(TopClass.ASYMMETRIC, (1, 2, i), PLUS, j_max=j_max),
+            "asymmetric",
+            [2, triple],
+            j_max_first,
+        ),
+        "nearly spherical": (
+            lambda j_max, i: asymmetric_spectrum(i, i + Fraction(1, 10**14), i, PLUS, j_max=j_max),
+            "spherical",
+            [{"i1": Fraction(7, 2), "i2": Fraction(7, 2) + Fraction(1, 10**14), "i3": Fraction(7, 2), "hbar0": 1}, 2],
+            "i1 must be finite",
+        ),
+        "nearly symmetric": (
+            lambda j_max, i: asymmetric_spectrum(1, 1 + Fraction(1, 10**14), i, PLUS, j_max=j_max),
+            "symmetric",
+            [{**triple, "i2": 1 + Fraction(1, 10**14)}, 2],
+            momentum_first,
+        ),
+        "symmetric, equal momenta": (
+            lambda j_max, i: symmetric_spectrum(i, i, PLUS, j_max=j_max),
+            "spherical",
+            [2, {"i_pair": Fraction(7, 2), "i_axis": Fraction(7, 2), "hbar0": 1}],
+            j_max_first,
+        ),
     }
-    for name, run in runs.items():
+    for name, (run, kind, checked, first) in runs.items():
         calls.clear()
-        assert run(2, Fraction(7, 2)).kind == ("diagonalized" if name == "diagonalized" else "asymmetric")
-        assert calls == [{"i1": 1, "i2": 2, "i3": Fraction(7, 2), "hbar0": 1}], name
-        first = "i3 must be finite" if name == "asymmetric" else "j_max must be a nonnegative half-integer"
+        assert run(2, Fraction(7, 2)).kind == kind, name
+        assert calls == checked, name
         with pytest.raises(ValueError, match=f"^{first}"):
             run(Fraction(1, 3), -1)
+
+
+def test_a_pair_mean_beyond_the_float_range_takes_the_symmetric_closed_form():
+    # 1.5e308 + 1.5e308 overflows; the pair momentum of the checked triple
+    # is the finite 1.5e308, so the fallback equals symmetric_spectrum
+    assert classify_momenta((1.5e308, 1.0, 1.5e308)) == (TopClass.SYMMETRIC, (1.5e308, 1.0))
+    with pytest.warns(UserWarning, match="two momenta nearly coincide"):
+        spec = asymmetric_spectrum(1.5e308, 1.5e308, 1.0, PLUS, j_max=2)
+    assert spec == symmetric_spectrum(1.5e308, 1.0, PLUS, j_max=2)
 
 
 # --- classical momentum map ---------------------------------------------------

@@ -264,8 +264,8 @@ def test_harmonic_dimensions_detects_an_exact_level_that_is_not_a_root(monkeypat
     # intact; only the substitution into det(t - H) sees it
     real = levels._species_levels
 
-    def shifted(diag, products):
-        return [(v + Fraction(1, 7) if exact else v, exact) for v, exact in real(diag, products)]
+    def shifted(*species):
+        return [(v + Fraction(1, 7) if exact else v, exact) for v, exact in real(*species)]
 
     monkeypatch.setattr(levels, "_species_levels", shifted)
     ok, detail = verify.check_dimensions(2)
