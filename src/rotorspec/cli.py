@@ -35,7 +35,7 @@ from .quantum_structures import (
     bundle_of_j,
     degree_of_j,
 )
-from .spectra import SpectralLine, Spectrum, check_j_max, check_l_max, l_max_of, spectrum_for
+from .spectra import Spectrum, check_j_max, check_l_max, l_max_of, spectrum_for
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -192,12 +192,6 @@ def _encode_number(x):
     return float(x)
 
 
-def _decode_number(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    return float(v)
-
-
 def spectrum_to_dict(spec: Spectrum) -> dict:
     lines = []
     for ln in spec.lines:
@@ -224,33 +218,6 @@ def spectrum_to_dict(spec: Spectrum) -> dict:
         "j_max": _encode_number(spec.j_max),
         "lines": lines,
     }
-
-
-def spectrum_from_dict(doc: dict) -> Spectrum:
-    lines = []
-    for ln in doc["lines"]:
-        refs = ln.get("eigensections")
-        lines.append(
-            SpectralLine(
-                energy=_decode_number(ln["energy"]),
-                j=Fraction(ln["j"]),
-                l=None if ln["l"] is None else Fraction(ln["l"]),
-                multiplicity=int(ln["multiplicity"]),
-                bundle=BundleKind(ln["bundle"]),
-                source=ln["source"],
-                eigensections=None if refs is None else tuple(tuple(r) for r in refs),
-            )
-        )
-    return Spectrum(
-        lines=tuple(lines),
-        kind=doc["kind"],
-        bundle=None if doc["bundle"] is None else BundleKind(doc["bundle"]),
-        top_class=None if doc["top_class"] is None else TopClass(doc["top_class"]),
-        params={name: _decode_number(v) for name, v in doc["params"].items()},
-        k=_decode_number(doc["k"]),
-        hbar0=_decode_number(doc["hbar0"]),
-        j_max=_decode_number(doc["j_max"]),
-    )
 
 
 def _fmt(x) -> str:
@@ -400,7 +367,7 @@ def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
 
 def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     # only this command reads harmonic bases and eigenvectors
-    from .polyalg.levels import degree_band, degree_matrix
+    from .polyalg.levels import band_record, degree_band, degree_matrix
     from .polyalg.operators import block_vector
     from .polyalg.spaces import harmonic_basis, harmonic_basis_r3
 
@@ -452,7 +419,7 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
                 print(f"  H^({p},{q})[{idx}] {poly}")
         else:
             if vectors is None:
-                vals, vecs = _jacobi_eigh(degree_matrix(d, *degree_band(d, *momenta.momenta, job.hbar0)))
+                vals, vecs = _jacobi_eigh(degree_matrix(d, *degree_band(d, band_record(*momenta.momenta, job.hbar0))))
                 vectors = [[row[k] for row in vecs] for k in sorted(range(d + 1), key=vals.__getitem__)]
             for p, q, idx in ln.eigensections:
                 coeffs = block_vector(p, q, vectors[idx])

@@ -9,7 +9,7 @@ on first use, so a spectrum loads no oracle code.
 import importlib
 
 _SOURCES = {
-    "levels": ("degree_band", "eigenvalues"),
+    "levels": ("band_record", "degree_band", "eigenvalues"),
     "operators": (
         "apply_j3",
         "apply_jminus",

@@ -5,19 +5,20 @@ In the weight basis the rotor Hamiltonian on a block H^{p,q}
 diagonal and its products lower_k upper_k = (c1 - c2)^2 alpha_k beta_k
 alpha_(k+1) beta_(k+1) / 16 depend on the block only through P_k = alpha_k
 beta_k = (k+1)(d-k), so every block of degree d = p + q is similar to one
-symmetric band S_d (degree_band): the diagonal (c1 + c2)(P_(k-1) + P_k)/4 +
-c3 l_k^2 and g sqrt(P_k P_(k+1)) at (k, k+2), g = (c1 - c2)/4.  The
-spectrum path reads S_d alone: eigenvalues() gives its levels through its
-species (band_species, since P_(d-1-k) = P_k): exactly on degrees p + q <=
-4, in closed form, and otherwise as floats from an implicit QL sweep of
-each species (_ql_levels), in pure Python.  For rational input a spectrum
-reads S_d as integers over one denominator 4D (integer_record, taken once
-per spectrum, and integer_band): a float entry is one int/int division and
-the closed form is solved on the integers, so a Fraction is built only for
-an exact level; degree_band is the Fraction view of the same integers.
-This module imports nothing of the exact polynomial oracle (polynomial,
-rational_linalg, spaces and operators, over the integers and Fractions),
-which `rotorspec verify` checks it against.
+symmetric band S_d: the diagonal (c1 + c2)(P_(k-1) + P_k)/4 + c3 l_k^2 and
+g sqrt(P_k P_(k+1)) at (k, k+2), g = (c1 - c2)/4.  A spectrum takes the
+record (a, b, t, den) of its inputs once (band_record): integers over one
+denominator 4D for rational input, floats over 1 otherwise.  degree_band
+forms S_d of each degree from it, (diag, g, den), and eigenvalues() gives
+its levels through its species (band_species, since P_(d-1-k) = P_k):
+exactly on degrees p + q <= 4, in closed form, and otherwise as floats
+from an implicit QL sweep of each species (_ql_levels), in pure Python.
+A float entry is one division by den, which rounds correctly (exact for
+den 1), and the closed form is solved on the integers, so a Fraction is
+built only for an exact level.  This module imports nothing of the exact
+polynomial oracle (polynomial, rational_linalg, spaces and operators,
+over the integers and Fractions), which `rotorspec verify` checks it
+against.
 """
 
 from __future__ import annotations
@@ -43,71 +44,46 @@ def _degree_constants(d: int):
     return sums, squares, products, tuple(map(math.sqrt, products))
 
 
-def integer_record(i1, i2, i3, hbar0=1):
-    """The integers (n1 + n2, n3, n1 - n2, 4D) that S_d of every degree is
-    built from, for rational input, with c_a = hbar0 / (2 I_a) = n_a / D
-    over one common denominator D; None when an input is a float.  A
-    spectrum takes it once (the lcm of the momenta's numerators) and forms
-    each degree's band from it (integer_band)."""
-    if not all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
-        return None
-    # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
-    lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
-    n1, n2, n3 = (hbar0.numerator * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
-    return n1 + n2, n3, n1 - n2, 8 * hbar0.denominator * lcm
-
-
-def integer_band(d: int, record):
-    """S_d of an integer record (integer_record) as (diag, g, 4D): the
-    integers (n1 + n2)(P_(m-1) + P_m) + n3 (2 l_m)^2 and n1 - n2 over
-    4D, the arguments eigenvalues() takes on the spectrum path."""
-    s, n3, t, den = record
-    sums, squares, _, _ = _degree_constants(d)
-    return tuple(s * a + n3 * b for a, b in zip(sums, squares)), t, den
-
-
-def degree_band(d: int, i1, i2, i3, hbar0=1):
-    """S_d, the symmetric band every block of degree d is similar to, as
-    (diag, g): diag_m = (c1 + c2)(P_(m-1) + P_m)/4 + c3 l_m^2 and the entry
-    g sqrt(P_m P_(m+1)) at (m, m+2) and (m+2, m), with c_a = hbar0 / (2 I_a),
-    g = (c1 - c2)/4, P_k = (k+1)(d-k) and l_m = m - d/2.  Fractions for
-    rational input, floats otherwise; HamiltonianOverflowError when an input
-    leaves the float range.  k rho is not included: it shifts every level
-    alike (spectra.curvature_shift).  The Fractions are the integers of
-    integer_band over 4D, the view `rotorspec verify`, eigensections and
-    the tests read; the spectrum path reads the integers themselves."""
-    record = integer_record(i1, i2, i3, hbar0)
-    if record is not None:
-        diag, g, den = integer_band(d, record)
-        return tuple(Fraction(x, den) for x in diag), Fraction(g, den)
+def band_record(i1, i2, i3, hbar0=1):
+    """The record (a, b, t, den) that S_d of every degree is built from
+    (degree_band), with c_a = hbar0 / (2 I_a): a = (c1 + c2)/4, b = c3/4
+    and t = (c1 - c2)/4 as numerators over den.  For rational input these
+    are the integers (n1 + n2, n3, n1 - n2) over 4D, with c_a = n_a / D
+    over one common denominator D; otherwise they are floats over 1, and
+    HamiltonianOverflowError is raised when an input leaves the float
+    range.  A spectrum takes it once and forms each degree's band from it."""
+    if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
+        # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
+        lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
+        n1, n2, n3 = (hbar0.numerator * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
+        return n1 + n2, n3, n1 - n2, 8 * hbar0.denominator * lcm
     try:
         c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
+    return (c1 + c2) / 4, c3 / 4, (c1 - c2) / 4, 1
+
+
+def degree_band(d: int, record):
+    """S_d, the symmetric band every block of degree d is similar to, as
+    (diag, g, den) from a band_record (a, b, t, den): diag_m = a (P_(m-1) +
+    P_m) + b (2 l_m)^2 and g = t over den, so that S_d has the diagonal
+    diag_m / den and the entry g sqrt(P_m P_(m+1)) / den at (m, m+2) and
+    (m+2, m), with P_k = (k+1)(d-k) and l_m = m - d/2.  Integers over 4D
+    for rational input, floats over 1 otherwise.  k rho is not included: it
+    shifts every level alike (spectra.curvature_shift)."""
+    a, b, t, den = record
     sums, squares, _, _ = _degree_constants(d)
-    a, b = (c1 + c2) / 4, c3 / 4
-    return tuple(a * s + b * t for s, t in zip(sums, squares)), (c1 - c2) / 4
+    return tuple(a * s + b * q for s, q in zip(sums, squares)), t, den
 
 
-def _integers(diag, g, den=1):
-    """An exact band (diag, g) over den as integer numerators over one
-    denominator: ints over den > 1 as they are, Fractions (or ints) over
-    den 1 over the lcm of their denominators."""
-    if den != 1:
-        return diag, g, den
-    den = math.lcm(g.denominator, *(x.denominator for x in diag))
-    return [x.numerator * (den // x.denominator) for x in diag], g.numerator * (den // g.denominator), den
-
-
-def _float_band(d: int, diag, g, den=1):
-    """S_d as floats, (diag, off) with off[m] = g sqrt(P_m P_(m+1)) at (m,
-    m+2): entries, not the products g^2 P_m P_(m+1), which overflow where
-    the entries do not.  An exact band (_integers) gives each entry as one
-    int/int true division, which rounds correctly, as float(Fraction)
-    does; a float band is taken as it is.  HamiltonianOverflowError when an
-    entry is not a finite float."""
-    if type(g) is not float:
-        diag, g, den = _integers(diag, g, den)
+def _float_band(d: int, diag, g, den):
+    """S_d = (diag, g, den) as floats, (diag, off) with off[m] = g
+    sqrt(P_m P_(m+1)) / den at (m, m+2): entries, not the products g^2
+    P_m P_(m+1), which overflow where the entries do not.  Each entry is
+    one true division by den, which rounds correctly for integers, as
+    float(Fraction) does, and is exact for floats over 1.
+    HamiltonianOverflowError when an entry is not a finite float."""
     try:
         fdiag, fg = [x / den for x in diag], g / den
     except OverflowError as exc:
@@ -118,11 +94,11 @@ def _float_band(d: int, diag, g, den=1):
     return fdiag, off
 
 
-def degree_matrix(d: int, diag, g):
-    """S_d as d+1 dense rows of floats, for the Jacobi eigenvectors of
-    `eigensections`; HamiltonianOverflowError when an entry is not a finite
-    float."""
-    fdiag, off = _float_band(d, diag, g)
+def degree_matrix(d: int, diag, g, den):
+    """S_d = (diag, g, den) as d+1 dense rows of floats, for the Jacobi
+    eigenvectors of `eigensections`; HamiltonianOverflowError when an entry
+    is not a finite float."""
+    fdiag, off = _float_band(d, diag, g, den)
     rows = [[0.0] * m + [x] + [0.0] * (d - m) for m, x in enumerate(fdiag)]
     for m, x in enumerate(off):
         rows[m][m + 2] = rows[m + 2][m] = x
@@ -147,15 +123,17 @@ def _wang_fold(diag, off) -> list:
     products of its off-diagonal pairs for an exact class, its
     off-diagonal entries for a float one.  Of length 2h+1: its first h
     entries, and its first h+1 with the last product doubled (the last
-    entry times sqrt 2).  Of length 2h: its first h entries with the middle
-    entry e subtracted from or added to the last diagonal entry; in a band,
-    e couples l = -1 and 1 and is (c1 - c2) P_(d/2) / 4, so its product
-    e^2 is a square."""
+    entry times sqrt 2).  Of length 2h: its first h entries with |e|, e
+    the middle entry, subtracted from or added to the last diagonal entry,
+    in that order for an exact and a float class alike (so the first is
+    the antisymmetric species when e > 0, the symmetric one when e < 0);
+    in a band, e couples l = -1 and 1 and is (c1 - c2) P_(d/2) / 4, so its
+    product e^2 is a square."""
     h, odd = divmod(len(diag), 2)
     exact = type(diag[0]) is not float
     if odd:
         return [(diag[:h], off[: h - 1]), (diag[: h + 1], [*off[: h - 1], off[h - 1] * (2 if exact else _SQRT2)] if h else [])]
-    shift = _rational_sqrt(off[h - 1]) if exact else off[h - 1]
+    shift = _rational_sqrt(off[h - 1]) if exact else abs(off[h - 1])
     return [((*diag[: h - 1], diag[h - 1] + sign * shift), off[: h - 1]) for sign in (-1, 1)]
 
 
@@ -264,12 +242,10 @@ def _species_levels(diag, products, den):
 EXACT_DEGREE_MAX = 4
 
 
-def eigenvalues(d: int, diag, g, den=1):
-    """Eigenvalues of S_d = (diag, g) over den as (value, exact_flag)
-    pairs, ascending.  An exact S_d is the integers of integer_band over
-    den (the spectrum path) or, over den 1, the Fractions of degree_band,
-    read as the same integers over one denominator (_integers); a float
-    S_d is the floats of degree_band.
+def eigenvalues(d: int, diag, g, den):
+    """Eigenvalues of S_d = (diag, g, den) of degree_band as (value,
+    exact_flag) pairs, ascending: an exact S_d is integers over 4D, a float
+    one floats over 1.
 
     When S_d is diagonal (g = 0 or d < 2) they are its diagonal.  An
     exact S_d of degree d <= EXACT_DEGREE_MAX gives the levels of its
@@ -277,15 +253,14 @@ def eigenvalues(d: int, diag, g, den=1):
     level as a Fraction, the others as floats, which raise
     HamiltonianOverflowError when they leave the float range.  Otherwise
     they are floats: the levels of the species of S_d as floats, from its
-    entries (_float_band, one int/int division per exact entry), each
-    species solved by _ql_levels, so a Kramers pair of odd d is one level
-    twice, bit for bit.  Each is accurate to a few ulps of the degree's
-    largest level.  HamiltonianOverflowError is raised when an entry or a
-    level is not a finite float.  An exact level beyond the float range is
-    caught where a spectrum sorts it (spectra._as_float).
+    entries (_float_band, one division by den per entry), each species
+    solved by _ql_levels, so a Kramers pair of odd d is one level twice,
+    bit for bit.  Each is accurate to a few ulps of the degree's largest
+    level.  HamiltonianOverflowError is raised when an entry or a level is
+    not a finite float.  An exact level beyond the float range is caught
+    where a spectrum sorts it (spectra._as_float).
     """
     if type(g) is not float:
-        diag, g, den = _integers(diag, g, den)
         if not g or d < 2:
             return [(Fraction(v, den), True) for v in sorted(diag)]
         if d <= EXACT_DEGREE_MAX:

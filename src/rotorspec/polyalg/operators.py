@@ -223,7 +223,7 @@ def hamiltonian_matrix(
     _generator_square: J2^2 shares D with J1^2 and negates L and U, so diag
     = k rho + (c1 + c2) D + c3 l^2, lower = (c1 - c2) L and upper = (c1 -
     c2) U.  This is the oracle of the spectrum path, which reads S_d
-    (levels.degree_band) instead.
+    (levels.degree_band of the inputs' levels.band_record) instead.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)

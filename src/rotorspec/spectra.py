@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
 from .errors import HamiltonianOverflowError
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
-from .polyalg.levels import degree_band, eigenvalues, integer_band, integer_record
+from .polyalg.levels import band_record, degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 
@@ -391,8 +391,9 @@ def diagonalized_spectrum(
     multiplicity (d+1) m with references into every block; k rho is added
     to each level last (curvature_shift): an exact zero one leaves an exact
     level as it is and adds 0.0, the float that Fraction(0) gives, to a
-    float one.  Rational input is read as the integers of S_d over one
-    denominator (polyalg.levels.integer_record).  eigenvalues() owns the
+    float one.  S_d of each degree is formed from one record of the inputs
+    (polyalg.levels.band_record): integers over one denominator for
+    rational input, floats otherwise.  eigenvalues() owns the
     exactness policy: under rational inputs a level is exact when S_d is
     diagonal and, up to degree EXACT_DEGREE_MAX = 4, exactly when it is
     rational.  Equal exact levels form one line; float levels are grouped
@@ -409,19 +410,21 @@ def diagonalized_spectrum(
 
 def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectrum:
     """diagonalized_spectrum as kind, for the class top (None: classify),
-    on a j_max and momenta its caller has checked.  Rational input is
-    diagonalized on the integers of its bands (integer_record, taken once),
-    float input on degree_band's floats."""
+    on a j_max and momenta its caller has checked.  The band record of the
+    inputs (band_record) is taken once per spectrum, after the k rho shift
+    and only when the spectrum has a degree, so an empty spectrum raises no
+    overflow of the record."""
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed = classify_momenta((i1, i2, i3), tol) if top is None else (top, None)
-    record = integer_record(i1, i2, i3, h)
 
     def levels():
         shift = curvature_shift(k, top, closed or (i1, i2, i3), h)
         exact_zero = type(shift) is Fraction and not shift
-        for j in j_values(bundle, j_max):
+        js = j_values(bundle, j_max)
+        record = band_record(i1, i2, i3, h) if js else None
+        for j in js:
             d = int(2 * j)
-            found = eigenvalues(d, *(degree_band(d, i1, i2, i3, h) if record is None else integer_band(d, record)))
+            found = eigenvalues(d, *degree_band(d, record))
             if exact_zero:
                 # an exact level as it is, a float one plus 0.0, which makes -0.0 0.0
                 shifted = [(v + 0.0 if type(v) is float else v, idx) for idx, (v, _) in enumerate(found)]

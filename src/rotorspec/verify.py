@@ -51,6 +51,7 @@ from .polyalg import (
     antipodal_sign,
     apply_jminus,
     apply_jplus,
+    band_record,
     casimir_matrix,
     degree_band,
     eigenvalues,
@@ -233,20 +234,21 @@ def check_dimensions(d_max: int = 12):
     _BAND_CHECK has the diagonal and the products lower * upper of the
     degree's representative block H^(d//2, d-d//2), so every block shares
     its characteristic polynomial.  That representative band is S_d
-    (degree_band) plus k rho: the same diagonal, and the products g^2 P_m
-    P_(m+1) equal lower * upper, so the spectrum path may diagonalize S_d
-    alone.  For d <= EXACT_DEGREE_MAX the species of that band, which the
+    (degree_band, its integers over their denominator) plus k rho: the
+    same diagonal, and the products g^2 P_m P_(m+1) equal lower * upper,
+    so the spectrum path may diagonalize S_d alone.  For d <= EXACT_DEGREE_MAX the species of that band, which the
     spectrum path solves in closed form, factor its dense characteristic
     polynomial, and every exact level of S_d plus k rho is a root of it.
     For d <= 12 the closed-form basis equals the null-space one."""
     zero = Polynomial.zero(4)
-    momenta, hbar0, shift = _BAND_CHECK[:3], _BAND_CHECK[3], _BAND_CHECK[4] * _BAND_CHECK[5]
+    record, shift = band_record(*_BAND_CHECK[:4]), _BAND_CHECK[4] * _BAND_CHECK[5]
     for d in range(d_max + 1):
         total = 0
         r = d // 2
         rep_band = hamiltonian_matrix(harmonic_basis(r, d - r), *_BAND_CHECK)
         rep_products = [lo * up for lo, up in zip(rep_band.lower, rep_band.upper)]
-        diag, g = degree_band(d, *momenta, hbar0)
+        num, t, den = band = degree_band(d, record)
+        diag, g = tuple(Fraction(x, den) for x in num), Fraction(t, den)
         degree_products = [g * g * (m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
         if tuple(x + shift for x in diag) != rep_band.diag or degree_products != rep_products:
             return False, f"S_{d} plus k rho differs from the band of H^({r},{d - r}) in its diagonal or products"
@@ -258,7 +260,7 @@ def check_dimensions(d_max: int = 12):
             coeffs = charpoly(_band_rows(d + 1, rep_band.diag, rep_band.lower, rep_band.upper))
             if charpoly(_species_rows(band_species(rep_band.diag, rep_products, d))) != coeffs:
                 return False, f"species of the band of H^({r},{d - r}) do not multiply to its characteristic polynomial"
-            levels = [v + shift for v, exact in eigenvalues(d, diag, g) if exact]
+            levels = [v + shift for v, exact in eigenvalues(d, *band) if exact]
             if any(sum(c * v**i for i, c in enumerate(coeffs)) for v in levels):
                 return False, f"an exact level of the band of H^({r},{d - r}) is not a root of its characteristic polynomial"
         for p in range(d + 1):

@@ -35,7 +35,7 @@ from rotorspec.polyalg import (
     vector_field_matrix,
 )
 from rotorspec.polyalg import levels, operators, polynomial, rational_linalg, spaces
-from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _ql_levels, _species_levels, band_species, degree_band, integer_band, integer_record
+from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _float_band, _ql_levels, _species_levels, band_record, band_species, degree_band
 from rotorspec.polyalg.operators import AXES, _generator_square, _ladder, _raw_matrix
 from rotorspec.polyalg.rational_linalg import mat_add, mat_scale, mat_sub, nullspace
 from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
@@ -146,7 +146,7 @@ def test_hamiltonian_spherical_block():
     ham = hamiltonian_matrix(space, 1, 1, 1)
     assert not any(ham.lower) and not any(ham.upper)
     assert all(ham.diag[i] == Fraction(3, 8) for i in range(2))
-    assert eigenvalues(1, *degree_band(1, 1, 1, 1)) == [(Fraction(3, 8), True)] * 2
+    assert eigenvalues(1, *degree_band(1, band_record(1, 1, 1))) == [(Fraction(3, 8), True)] * 2
     space = harmonic_basis(0, 0)
     ham = hamiltonian_matrix(space, 2, 3, 4)
     assert ham.diag[0] == 0
@@ -156,14 +156,14 @@ def test_hamiltonian_asymmetric_triad():
     want = sorted([Fraction(3, 4), Fraction(2, 3), Fraction(5, 12)])
     for p, q in ((2, 0), (1, 1), (0, 2)):
         assert _self_adjoint(hamiltonian_matrix(harmonic_basis(p, q), 1, 2, 3))
-    vals = eigenvalues(2, *degree_band(2, 1, 2, 3))
+    vals = eigenvalues(2, *degree_band(2, band_record(1, 2, 3)))
     assert [v for v, exact in vals] == want
     assert all(exact for _, exact in vals)
 
 
 def test_hamiltonian_float_path_matches_exact():
-    exact = eigenvalues(3, *degree_band(3, 1, 2, 3))
-    approx = eigenvalues(3, *degree_band(3, 1.0, 2.0, 3.0))
+    exact = eigenvalues(3, *degree_band(3, band_record(1, 2, 3)))
+    approx = eigenvalues(3, *degree_band(3, band_record(1.0, 2.0, 3.0)))
     for (ve, _), (vf, _) in zip(exact, approx):
         assert float(ve) == pytest.approx(float(vf), rel=1e-12)
 
@@ -297,6 +297,22 @@ def test_float_input_is_read_as_the_rational_it_is(job):
         assert all(type(x) is Fraction for x in ham.diag + ham.lower + ham.upper)
 
 
+def _fraction_view(d, record):
+    """S_d of a rational band_record as (diag, g) in Fractions: its integers
+    over their denominator."""
+    diag, g, den = degree_band(d, record)
+    assert all(type(x) is int for x in (*diag, g, den))
+    return tuple(Fraction(x, den) for x in diag), Fraction(g, den)
+
+
+def _fraction_band(d, momenta, hbar0):
+    """S_d formed in Fraction arithmetic from c_a = hbar0 / (2 I_a), as
+    (diag, g)."""
+    c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in momenta)
+    sums = [(m * (d - m + 1) if m else 0) + ((m + 1) * (d - m) if m < d else 0) for m in range(d + 1)]
+    return tuple((c1 + c2) / 4 * s + c3 / 4 * (2 * m - d) ** 2 for m, s in enumerate(sums)), (c1 - c2) / 4
+
+
 positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 13))
 nonzero_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 9))
 
@@ -306,9 +322,9 @@ nonzero_rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.in
 def test_degree_band_matches_every_block(momenta, hbar0, k, rho):
     # S_d plus k rho has the diagonal of every block's band, and its
     # products g^2 P_m P_(m+1) are the band's lower * upper, exactly
+    record = band_record(*momenta, hbar0)
     for d in range(13):
-        diag, g = degree_band(d, *momenta, hbar0)
-        assert all(type(x) is Fraction for x in (*diag, g))
+        diag, g = _fraction_view(d, record)
         products = [g * g * (m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
         for p in range(d + 1):
             band = hamiltonian_matrix(harmonic_basis(p, d - p), *momenta, hbar0, k, rho)
@@ -324,12 +340,58 @@ wide_rationals = st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**8
 def test_degree_band_is_the_fraction_formula(momenta, hbar0, d):
     # the integer band over one common denominator equals, entry for entry,
     # S_d formed in Fraction arithmetic from c_a = hbar0 / (2 I_a)
-    c1, c2, c3 = (Fraction(hbar0) / (2 * mom) for mom in momenta)
+    assert _fraction_view(d, band_record(*momenta, hbar0)) == _fraction_band(d, momenta, hbar0)
+
+
+def _float_formula(d, momenta, hbar0):
+    """S_d of float input as (diag, g), each degree formed from the inputs
+    themselves: c_a = float(hbar0) / (2 float(I_a)), diag_m = (c1 + c2)/4
+    (P_(m-1) + P_m) + c3/4 (2m - d)^2 and g = (c1 - c2)/4."""
+    c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in momenta)
     sums = [(m * (d - m + 1) if m else 0) + ((m + 1) * (d - m) if m < d else 0) for m in range(d + 1)]
-    expected = tuple((c1 + c2) / 4 * s + c3 / 4 * (2 * m - d) ** 2 for m, s in enumerate(sums))
-    diag, g = degree_band(d, *momenta, hbar0)
-    assert diag == expected and g == (c1 - c2) / 4
-    assert all(type(x) is Fraction for x in (*diag, g))
+    a, b = (c1 + c2) / 4, c3 / 4
+    return tuple(a * s + b * (2 * m - d) ** 2 for m, s in enumerate(sums)), (c1 - c2) / 4
+
+
+wide_floats = st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1e300, 1.5e308, 5e-324, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(wide_floats, wide_floats, wide_floats | st.integers(1, 10**400)), wide_floats | st.integers(1, 10**400), st.integers(0, 50))
+@example((1.0, 2.0, 3.5), 1.6e201, 7)
+@example((1e-300, 2e-300, 1.0), 1e300, 6)
+def test_float_band_is_the_per_degree_float_formula(momenta, hbar0, d):
+    # the float record's band (over 1) is, bit for bit, S_d formed from the
+    # inputs on each degree; an OverflowError of that formula is the
+    # record's HamiltonianOverflowError
+    try:
+        want = _float_formula(d, momenta, hbar0)
+    except OverflowError:
+        with pytest.raises(HamiltonianOverflowError):
+            band_record(*momenta, hbar0)
+        return
+    diag, g, den = degree_band(d, band_record(*momenta, hbar0))
+    assert den == 1 and all(type(x) is float for x in (*diag, g))
+    assert [x.hex() for x in (*diag, g)] == [x.hex() for x in (*want[0], want[1])]
+
+
+@pytest.mark.parametrize("momenta", [(8, Fraction(17, 7), Fraction(53, 11)), (Fraction(17, 7), 8, Fraction(53, 11))], ids=["g<0", "g>0"])
+def test_exact_and_float_species_pair_by_sign(momenta):
+    # the Wang fold of an even-length class subtracts, then adds, |e| on the
+    # exact and the float view alike, so the species of an exact band and
+    # of its float entries agree species by species, whatever the sign of g
+    record = band_record(*momenta)
+    for d in range(2, 13, 2):
+        diag, g, den = degree_band(d, record)
+        products = [g * g * (m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
+        fdiag, off = _float_band(d, diag, g, den)
+        assert (g < 0) == (momenta[0] == 8)
+        scale = 1e-12 * max(map(abs, (*fdiag, *off)))
+        exact, floats = band_species(diag, products, d), band_species(fdiag, off, d)
+        assert [(len(sd), count) for sd, _, count in exact] == [(len(sd), count) for sd, _, count in floats]
+        for (ed, ep, _), (fd, fo, _) in zip(exact, floats):
+            assert all(math.isclose(x / den, y, abs_tol=scale) for x, y in zip(ed, fd)), d
+            assert all(math.isclose(p / den**2, y * y, rel_tol=1e-12) for p, y in zip(ep, fo)), d
 
 
 def _fraction_species_levels(diag, products):
@@ -382,22 +444,20 @@ def _band_det(diag, products, t):
 
 
 def _integer_route_verdict(momenta, hbar0, d):
-    """Compare the levels of S_d on the integer route (integer_band) and on
-    its Fraction view (degree_band) with _fraction_route: the same type and
-    repr level by level, every exact level a root of det(t - S_d), or an
-    overflow on all three.  Returns "overflow" or "levels"."""
-    diag, g = degree_band(d, *momenta, hbar0)
-    routes = (lambda: eigenvalues(d, *integer_band(d, integer_record(*momenta, hbar0))), lambda: eigenvalues(d, diag, g))
+    """Compare the levels of S_d on the integer route (degree_band of
+    band_record) with _fraction_route of the Fraction band: the same type
+    and repr level by level, every exact level a root of det(t - S_d), or
+    an overflow on both.  Returns "overflow" or "levels"."""
+    diag, g = _fraction_band(d, momenta, hbar0)
+    band = degree_band(d, band_record(*momenta, hbar0))
     try:
         want = _fraction_route(d, diag, g)
     except (OverflowError, HamiltonianOverflowError):
-        for route in routes:
-            with pytest.raises(HamiltonianOverflowError):
-                route()
+        with pytest.raises(HamiltonianOverflowError):
+            eigenvalues(d, *band)
         return "overflow"
-    for route in routes:
-        got = route()
-        assert [(type(v), repr(v), exact) for v, exact in got] == [(type(v), repr(v), exact) for v, exact in want]
+    got = eigenvalues(d, *band)
+    assert [(type(v), repr(v), exact) for v, exact in got] == [(type(v), repr(v), exact) for v, exact in want]
     products = [g * g * (m + 1) * (d - m) * (m + 2) * (d - m - 1) for m in range(d - 1)]
     assert all(_band_det(diag, products, v) == 0 for v, exact in want if exact)
     return "levels"

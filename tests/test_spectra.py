@@ -30,7 +30,7 @@ from rotorspec import (
 from rotorspec import spectra
 from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
-from rotorspec.polyalg import casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
+from rotorspec.polyalg import band_record, casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
 from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
 from rotorspec.quantum_structures import j_values
 from rotorspec.spectra import SpectralLine, _refs, curvature_shift, group_energies
@@ -321,7 +321,7 @@ def _assert_diagonalized_lines(spec):
         idxs = [idx for p, _, idx in ln.eigensections if p == 0]
         refs = tuple((p, d - p, idx) for idx in idxs for p in range(d + 1))
         assert (ln.multiplicity, ln.eigensections) == ((d + 1) * len(idxs), refs)
-        value = eigenvalues(d, *degree_band(d, *momenta, spec.hbar0))[idxs[0]][0] + shift
+        value = eigenvalues(d, *degree_band(d, band_record(*momenta, spec.hbar0)))[idxs[0]][0] + shift
         assert (repr(ln.energy), type(ln.energy)) == (repr(value), type(value))
         several += len(idxs) > 1
     return several
@@ -614,6 +614,16 @@ def test_a_level_beyond_the_float_range_raises_overflow(momenta, hbar0, bundle):
         diagonalized_spectrum(*momenta, bundle, hbar0=hbar0, j_max=2)
 
 
+def test_an_empty_spectrum_reads_no_band_record():
+    # a MINUS spectrum at j_max 0 has no degree, so the float record of a
+    # momentum beyond the float range is never taken and it stays empty; at
+    # j_max 1/2 its first degree takes it and overflows
+    args = (10**400, 2, 3, BundleKind.MINUS)
+    assert diagonalized_spectrum(*args, hbar0=1.6e201, j_max=0).lines == ()
+    with pytest.raises(HamiltonianOverflowError):
+        diagonalized_spectrum(*args, hbar0=1.6e201, j_max=Fraction(1, 2))
+
+
 HUGE = Fraction(10**400)
 
 
@@ -724,7 +734,7 @@ def _overflows(momenta, bundle, hbar0, k):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in j_values(bundle, 6):
             d = int(2 * j)
-            diag, g = degree_band(d, *momenta, hbar0)
+            diag, g, _ = degree_band(d, band_record(*momenta, hbar0))
             a = np.arange(d - 1)
             dense = np.diag(diag)
             dense[a + 2, a] = dense[a, a + 2] = [g * math.sqrt((m + 1) * (d - m) * (m + 2) * (d - m - 1)) for m in a]
@@ -737,10 +747,11 @@ def _overflows(momenta, bundle, hbar0, k):
     return False
 
 
-def _scaled_eigvalsh(d, diag, g):
-    """The levels of the dense S_d by eigvalsh of S_d scaled by 2^-e, 2^e
-    bounding its largest entry, scaled back by 2^e, both exactly."""
-    dense = degree_matrix(d, diag, g)
+def _scaled_eigvalsh(d, band):
+    """The levels of the dense S_d = band by eigvalsh of S_d scaled by
+    2^-e, 2^e bounding its largest entry, scaled back by 2^e, both
+    exactly."""
+    dense = degree_matrix(d, *band)
     e = math.frexp(np.abs(dense).max())[1]
     return np.ldexp(np.linalg.eigvalsh(np.ldexp(dense, -e)), e)
 
@@ -752,9 +763,9 @@ def test_species_levels_are_the_scaled_dense_levels(momenta, hbar0):
     # S_d to 32 ulps of the degree's largest level for d <= 50, and a
     # Kramers pair of odd d is one level twice, bit for bit
     for d in range(2, 51):
-        diag, g = degree_band(d, *momenta, hbar0)
-        got = [float(v) for v, _ in eigenvalues(d, diag, g)]
-        want = _scaled_eigvalsh(d, diag, g)
+        band = degree_band(d, band_record(*momenta, hbar0))
+        got = [float(v) for v, _ in eigenvalues(d, *band)]
+        want = _scaled_eigvalsh(d, band)
         ulp = math.ulp(np.abs(want).max())
         assert np.abs(np.array(got) - want).max() <= 32 * ulp, (d, np.abs(np.array(got) - want).max() / ulp)
         if d % 2:
@@ -766,11 +777,11 @@ def test_a_band_whose_products_overflow_has_finite_levels():
     # entries g sqrt(P_m P_(m+1)) and the levels do not
     hbar0 = 1.6e201
     for d in range(2, 51):
-        diag, g = degree_band(d, 1.0, 2.0, 3.5, hbar0)
-        assert 1e199 < abs(g) < 1e201 and math.isinf(g * g)
-        got = [v for v, _ in eigenvalues(d, diag, g)]
+        diag, g, den = band = degree_band(d, band_record(1.0, 2.0, 3.5, hbar0))
+        assert den == 1 and 1e199 < abs(g) < 1e201 and math.isinf(g * g)
+        got = [v for v, _ in eigenvalues(d, *band)]
         assert all(math.isfinite(v) for v in got)
-        want = _scaled_eigvalsh(d, diag, g)
+        want = _scaled_eigvalsh(d, band)
         assert np.abs(np.array(got) - want).max() <= 32 * math.ulp(np.abs(want).max())
 
 
