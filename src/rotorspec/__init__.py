@@ -4,9 +4,9 @@ The pipeline runs canonicalize -> classify -> inertia -> admissible quantum
 structures -> spectrum.  Closed forms cover the spherical, symmetric,
 degenerate and monopole cases; the asymmetric top is solved by exact
 operator matrices on harmonic polynomial spaces.  The package runs in pure
-Python with no dependencies; the classical_em names below are imported on
-first use, which keeps em-split code off the classify/spectrum compile
-path.
+Python with no dependencies; the classical_em names below (field and
+velocity splitting) are imported on first use, which keeps that code off
+the classify/spectrum compile path.
 """
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
@@ -18,19 +18,7 @@ from .errors import (
     RotorSpecError,
     SchemaError,
 )
-from .geometry import (
-    DegeneracyClass,
-    ParticleSystem,
-    RigidConfiguration,
-    SplitCovector,
-    SplitVector,
-    angular_velocity,
-    canonicalize,
-    recombine,
-    split_covector,
-    split_velocity,
-    velocities_from_angular,
-)
+from .geometry import DegeneracyClass, ParticleSystem, RigidConfiguration, canonicalize
 from .inertia import (
     InertiaTensor,
     PrincipalMomenta,
@@ -69,12 +57,19 @@ __version__ = "0.1.0"
 
 _CLASSICAL_EM = (
     "PatternField",
+    "SplitCovector",
     "SplitFieldValue",
+    "SplitVector",
+    "angular_velocity",
     "classical_momentum_map",
     "decoupling_check",
+    "recombine",
+    "split_covector",
     "split_field",
     "split_potential",
+    "split_velocity",
     "unsplit_field",
+    "velocities_from_angular",
 )
 
 

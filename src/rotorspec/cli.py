@@ -110,7 +110,23 @@ class JobConfig(NamedTuple):
     em_probe: dict | None = None
 
 
-def load_job(path: str) -> JobConfig:
+# (flag, document field, argparse options): each flag of the job commands
+# stands for one field of the job document and is parsed with it by load_job
+JOB_FLAGS = (
+    ("--output", "output", {"choices": ["table", "csv", "json"], "help": "output format"}),
+    ("--j-max", "j_max", {"help": "half-integer spectrum cutoff"}),
+    ("--bundle", "bundle", {"choices": ["auto", "trivial", "nontrivial", "both"]}),
+    ("--hbar", "hbar", {"help": "value of hbar0 (number or 'p/q')"}),
+    ("--k", "k", {"help": "curvature coupling (number or 'p/q')"}),
+    ("--tol-rel", "tolerances.rel", {"type": float, "help": "relative tolerance"}),
+    ("--tol-spec", "tolerances.spec", {"type": float, "help": "eigenvalue grouping tolerance"}),
+)
+
+
+def load_job(path: str, overrides: dict = {}) -> JobConfig:
+    """The job document at path, validated in one pass after the value of
+    each flag given in overrides (None: not given) takes its field's place.
+    An error in such a field names the flag."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -120,6 +136,13 @@ def load_job(path: str) -> JobConfig:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("config root must be an object")
+    names = {}  # document field -> the flag that gave its value
+    for flag, field, _ in JOB_FLAGS:
+        section, _, key = field.rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        if overrides.get(flag) is not None and isinstance(target, dict):  # else the section is reported below
+            target[key], names[field] = overrides[flag], flag
+    name = lambda field: names.get(field, field)
     if doc.get("version", 1) != 1:
         raise SchemaError(f"unsupported schema version {doc.get('version')!r}")
     raw_particles = doc.get("particles")
@@ -168,15 +191,14 @@ def load_job(path: str) -> JobConfig:
     if not isinstance(tol_doc, dict):
         raise SchemaError("'tolerances' must be an object")
     tolerances = Tolerances(
-        rel=_tolerance(tol_doc.get("rel", DEFAULT_TOLERANCES.rel), "tolerances.rel"),
-        abs=_tolerance(tol_doc.get("abs", DEFAULT_TOLERANCES.abs), "tolerances.abs"),
-        spec=_tolerance(tol_doc.get("spec", DEFAULT_TOLERANCES.spec), "tolerances.spec"),
+        rel=_tolerance(tol_doc.get("rel", DEFAULT_TOLERANCES.rel), name("tolerances.rel")),
+        spec=_tolerance(tol_doc.get("spec", DEFAULT_TOLERANCES.spec), name("tolerances.spec")),
     )
-    j_max = parse_number(doc.get("j_max", J_MAX_DEFAULT), "j_max")
-    hbar0 = parse_number(doc.get("hbar", 1), "hbar")
+    j_max = parse_number(doc.get("j_max", J_MAX_DEFAULT), name("j_max"))
+    hbar0 = parse_number(doc.get("hbar", 1), name("hbar"))
     if float(hbar0) <= 0:
-        raise SchemaError("hbar must be positive")
-    k = parse_number(doc.get("k", 0), "k")
+        raise SchemaError(f"{name('hbar')} must be positive")
+    k = parse_number(doc.get("k", 0), name("k"))
     em_probe = doc.get("em_probe")
     if em_probe is not None and not isinstance(em_probe, dict):
         raise SchemaError("'em_probe' must be an object")
@@ -478,37 +500,8 @@ def cmd_em_split(job: JobConfig) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to the JSON job document")
-    sub.add_argument("--output", choices=["table", "csv", "json"], help="output format")
-    sub.add_argument("--j-max", dest="j_max", help="half-integer spectrum cutoff")
-    sub.add_argument("--bundle", choices=["auto", "trivial", "nontrivial", "both"])
-    sub.add_argument("--hbar", help="value of hbar0 (number or 'p/q')")
-    sub.add_argument("--k", help="curvature coupling (number or 'p/q')")
-    sub.add_argument("--tol-rel", dest="tol_rel", type=float, help="relative tolerance")
-    sub.add_argument("--tol-spec", dest="tol_spec", type=float, help="eigenvalue grouping tolerance")
-
-
-def _apply_overrides(job: JobConfig, args) -> JobConfig:
-    """The job with the command-line options that were given in place of
-    its document's values."""
-    new = {}
-    if args.output:
-        new["output"] = args.output
-    if args.j_max is not None:
-        new["j_max"] = parse_number(args.j_max, "--j-max")
-    if args.bundle:
-        new["bundle"] = args.bundle
-    if args.hbar is not None:
-        new["hbar0"] = parse_number(args.hbar, "--hbar")
-        if float(new["hbar0"]) <= 0:
-            raise SchemaError("--hbar must be positive")
-    if args.k is not None:
-        new["k"] = parse_number(args.k, "--k")
-    tol = job.tolerances
-    if args.tol_rel is not None:
-        tol = tol._replace(rel=_tolerance(args.tol_rel, "--tol-rel"))
-    if args.tol_spec is not None:
-        tol = tol._replace(spec=_tolerance(args.tol_spec, "--tol-spec"))
-    return job._replace(tolerances=tol, **new)
+    for flag, _, options in JOB_FLAGS:
+        sub.add_argument(flag, **options)
 
 
 @cache
@@ -554,7 +547,7 @@ def main(argv=None) -> int:
             from . import verify  # only this command needs the oracle suite
 
             return verify.run_suite(j_max=args.j_max)
-        job = _apply_overrides(load_job(args.config), args)
+        job = load_job(args.config, {flag: getattr(args, flag[2:].replace("-", "_")) for flag, _, _ in JOB_FLAGS})
         if args.command == "classify":
             return cmd_classify(job)
         if args.command == "spectrum":

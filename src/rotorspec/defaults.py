@@ -16,13 +16,15 @@ J_MAX_CAP = 25
 class Tolerances(NamedTuple):
     """Numeric tolerances used across the geometry and spectra layers.
 
-    rel:  relative threshold (rank decisions, momentum-coincidence tests)
-    abs:  absolute threshold in velocity units (angular-velocity residuals)
+    Both are relative: no decision depends on the units, and a job's
+    `tolerances.abs` is ignored like any unknown key.
+
+    rel:  relative threshold (rank decisions, momentum coincidences,
+          angular-velocity residuals, charge/mass proportionality)
     spec: relative threshold for grouping nearly equal eigenvalues
     """
 
     rel: float = 1e-9
-    abs: float = 1e-12
     spec: float = 1e-9
 
 

@@ -1,13 +1,12 @@
-"""Particle data, center-of-mass frame, and the kinematics of rigid rotation.
+"""Particle data, the center-of-mass frame and the degeneracy class of a body.
 
-The multi-particle velocity space splits orthogonally (with respect to the
-mass-weighted metric) into a center-of-mass part and a relative part; on the
-rigid constraint surface the relative part is parameterized by an angular
-velocity through v_i = omega x r_i.  This module provides the canonical
-center-of-mass configuration, the degeneracy classification of the body,
-and the splitting / angular-velocity maps, all on floats and tuples in pure
-Python, and the cross product and cyclic Jacobi eigensolver the package
-shares.
+This module provides the canonical center-of-mass configuration of the
+rigid body and the rank of its pairwise position differences, which fixes
+the degeneracy class, all on floats and tuples in pure Python, and the
+cyclic Jacobi eigensolver the package shares.  The rank decision is
+relative to the largest singular value, so it does not depend on the unit
+of length.  The velocity splitting and the angular-velocity map live in
+classical_em, beside the fields they are evaluated with.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
-from .errors import AllCoincidentError, NonPositiveMassError, NotRigidVelocityError
+from .errors import AllCoincidentError, NonPositiveMassError
 
 
 class DegeneracyClass(Enum):
@@ -123,28 +122,8 @@ class RigidConfiguration(NamedTuple):
         return tuple(tuple(math.dist(a, b) for b in self.relatives) for a in self.relatives)
 
 
-class SplitVector(NamedTuple):
-    """Result of the velocity splitting: v_i = v_cen + v_rel,i exactly."""
-
-    center: tuple[float, float, float]
-    relative: tuple[tuple[float, float, float], ...]
-
-
-class SplitCovector(NamedTuple):
-    """Result of the covector splitting: alpha_cen = sum_i alpha_i."""
-
-    center: tuple[float, float, float]
-    relative: tuple[tuple[float, float, float], ...]
-
-
 def _dot(a, b) -> float:
     return sum(map(mul, a, b))
-
-
-def _cross(a, b) -> tuple[float, float, float]:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def _triangular_factor(cols):
@@ -285,79 +264,3 @@ def canonicalize(
         characteristic=c_rot,
         degeneracy=DegeneracyClass(c_rot),
     )
-
-
-def split_velocity(config: RigidConfiguration, velocities) -> SplitVector:
-    """Split one velocity 3-vector per particle into center + relative parts.
-
-    v_cen = sum_i mu_i v_i and v_rel,i = v_i - v_cen, so the relative parts
-    have vanishing weighted sum and the two parts are orthogonal under the
-    mass-weighted metric.
-    """
-    v = _rows(velocities, config.n, "velocity")
-    v_cen = tuple(_dot(config.weights, col) for col in zip(*v))
-    return SplitVector(center=v_cen, relative=tuple(tuple(x - c for x, c in zip(row, v_cen)) for row in v))
-
-
-def recombine(split: SplitVector) -> tuple[tuple[float, float, float], ...]:
-    """Inverse of split_velocity: v_i = v_cen + v_rel,i."""
-    return tuple(tuple(x + c for x, c in zip(row, split.center)) for row in split.relative)
-
-
-def split_covector(config: RigidConfiguration, covectors) -> SplitCovector:
-    """Split one covector per particle into (sum_i a_i, a_i - mu_i sum_j
-    a_j); the relative parts sum to zero (unweighted)."""
-    a = _rows(covectors, config.n, "covector")
-    total = tuple(map(sum, zip(*a)))
-    relative = tuple(tuple(x - m * t for x, t in zip(row, total)) for m, row in zip(config.weights, a))
-    return SplitCovector(center=total, relative=relative)
-
-
-def weighted_inner(config: RigidConfiguration, u, v) -> float:
-    """Mass-weighted inner product sum_i mu_i u_i . v_i of two velocity lists."""
-    u, v = _rows(u, config.n, "velocity"), _rows(v, config.n, "velocity")
-    return sum(m * _dot(a, b) for m, a, b in zip(config.weights, u, v))
-
-
-def velocities_from_angular(config: RigidConfiguration, omega) -> tuple[tuple[float, float, float], ...]:
-    """Relative velocities omega x r_i of a rigid rotation with angular
-    velocity omega."""
-    omega = _floats(omega)
-    return tuple(_cross(omega, r) for r in config.relatives)
-
-
-def _rotation_metric(rs):
-    """sum_i (|r_i|^2 Id - r_i r_i^T); each diagonal entry sums the squares
-    of the other two coordinates (r[a - 1], r[a - 2]), free of cancellation."""
-    return [[sum(r[a - 1] ** 2 + r[a - 2] ** 2 if a == b else -r[a] * r[b] for r in rs) for b in range(3)] for a in range(3)]
-
-
-def angular_velocity(
-    config: RigidConfiguration, relative_velocities, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, float, float]:
-    """Invert v_i = omega x r_i for omega.
-
-    Solves the normal equations M omega = sum_i r_i x v_i of the stacked
-    cross-product system, M = sum_i (|r_i|^2 Id - r_i r_i^T), by the
-    eigenpairs of M (_jacobi_eigh) in the frame of M's eigenvectors, where
-    the small eigenvalue of a thin body is a sum of squares, not a
-    cancellation; the residual must be below tol.rel * |v| + tol.abs.  For
-    a degenerate (collinear) body omega is defined up to the body axis,
-    the eigenvector of M's smallest eigenvalue; dropping that eigenpair
-    gives the minimum-norm representative, orthogonal to the axis.
-    """
-    v = _rows(relative_velocities, config.n, "velocity")
-    frame = list(zip(*_jacobi_eigh(_rotation_metric(config.relatives))[1]))
-    rs, vs = ([tuple(_dot(f, x) for f in frame) for x in xs] for xs in (config.relatives, v))
-    vals, vecs = _jacobi_eigh(_rotation_metric(rs))
-    rhs = tuple(map(sum, zip(*map(_cross, rs, vs))))
-    pairs = sorted(zip(vals, zip(*vecs)))[1 if config.degeneracy.is_degenerate else 0 :]
-    local = [sum(_dot(e, rhs) / val * e[a] for val, e in pairs) for a in range(3)]
-    omega = tuple(_dot(local, col) for col in zip(*frame))
-    residual = math.hypot(*(x - y for r, row in zip(config.relatives, v) for x, y in zip(_cross(omega, r), row)))
-    vnorm = math.hypot(*(x for row in v for x in row))
-    if residual > tol.rel * vnorm + tol.abs:
-        raise NotRigidVelocityError(
-            f"velocities are not a rigid rotation (residual {residual:.3e}, |v| {vnorm:.3e})"
-        )
-    return omega

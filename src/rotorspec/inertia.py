@@ -89,8 +89,9 @@ def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
     a symmetric one, None for an asymmetric one.
 
     The triple is sorted by value; two neighbours coincide when they differ
-    by at most tol.rel times the largest momentum.  I is the middle value
-    and the pair momentum the mean of the two coinciding values, both taken
+    by at most tol.rel times the largest momentum, with no absolute floor,
+    so a change of units keeps the class.  I is the middle value and the
+    pair momentum the mean of the two coinciding values, both taken
     from the values as passed, so rational input (ints included) stays
     exact and the result does not depend on the order of the triple.  This
     is the one coincidence rule every classifier uses.  It compares floats;
@@ -114,7 +115,7 @@ def _coincidences(momenta, rel, num):
     """The triple sorted by num(value), and whether the lower and the upper
     pair of neighbours coincide, with every comparison made on num(value)."""
     i1, i2, i3 = sorted(momenta, key=num)
-    gap = num(rel) * max(abs(num(i3)), 1e-300)
+    gap = num(rel) * abs(num(i3))
     return (i1, i2, i3), abs(num(i2) - num(i1)) <= gap, abs(num(i3) - num(i2)) <= gap
 
 
@@ -137,14 +138,15 @@ def principal_momenta(
     """Diagonalize the inertia tensor (_jacobi_eigh) and classify the top.
 
     Eigenvalues are sorted ascending and the axes are re-oriented to a
-    right-handed frame.  Tiny negative eigenvalues from roundoff are
-    clamped to zero.  ValueError when an entry is not a finite float.
+    right-handed frame.  Negative eigenvalues within tol.rel times the
+    largest of zero (roundoff) are clamped to zero.  ValueError when an
+    entry is not a finite float.
     """
     if not all(math.isfinite(x) for row in tensor.matrix for x in row):
         raise ValueError("the inertia tensor has an entry that is not a finite float")
     vals, vecs = _jacobi_eigh(tensor.matrix)
     order = sorted(range(3), key=vals.__getitem__)
-    small = tol.rel * max(max(vals), 1e-300)
+    small = tol.rel * max(vals)
     momenta = tuple(max(vals[k], 0.0) if abs(vals[k]) <= small else vals[k] for k in order)
     axes = [[row[k] for k in order] for row in vecs]
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = axes

@@ -51,7 +51,7 @@ def band_record(i1, i2, i3, hbar0=1):
     are the integers (n1 + n2, n3, n1 - n2) over 4D, with c_a = n_a / D
     over one common denominator D; otherwise they are floats over 1, and
     HamiltonianOverflowError is raised when an input leaves the float
-    range.  A spectrum takes it once and forms each degree's band from it."""
+    range.  A float a is c1/4 + c2/4 where c1 + c2 leaves the float range.  A spectrum takes it once and forms each degree's band from it."""
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
         # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
         lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
@@ -61,7 +61,8 @@ def band_record(i1, i2, i3, hbar0=1):
         c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
-    return (c1 + c2) / 4, c3 / 4, (c1 - c2) / 4, 1
+    a = (c1 + c2) / 4
+    return (c1 / 4 + c2 / 4 if a == math.inf else a), c3 / 4, (c1 - c2) / 4, 1
 
 
 def degree_band(d: int, record):

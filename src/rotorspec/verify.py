@@ -22,21 +22,20 @@ import time
 from fractions import Fraction
 from random import Random
 
-from .classical_em import PatternField, decoupling_check, split_field, unsplit_field
-from .geometry import (
-    DegeneracyClass,
-    ParticleSystem,
+from .classical_em import (
+    PatternField,
     _cross,
-    _dot,
-    _jacobi_eigh,
     angular_velocity,
-    canonicalize,
+    decoupling_check,
     recombine,
     split_covector,
+    split_field,
     split_velocity,
+    unsplit_field,
     velocities_from_angular,
     weighted_inner,
 )
+from .geometry import DegeneracyClass, ParticleSystem, _dot, _jacobi_eigh, canonicalize
 from .inertia import (
     curvature_asymmetric,
     curvature_degenerate,

@@ -99,6 +99,18 @@ def test_decoupling_criterion():
     assert ok
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+def test_decoupling_verdict_is_free_of_the_charge_unit(scale):
+    # the ratios spread is compared with the largest ratio, not with 1, so
+    # charges 1e-12 (1, 4, 3) on masses (1, 2, 3) are not proportional
+    masses, positions = [1.0, 2.0, 3.0], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    fld = PatternField.uniform([0.1, 0, 0], [0, 0, 1.0])
+    ok, report = decoupling_check(ParticleSystem(masses, [scale * q for q in (1, 4, 3)], positions), fld)
+    assert not ok and "not proportional" in report
+    ok, _ = decoupling_check(ParticleSystem(masses, [scale * 0.7 * m for m in masses], positions), fld)
+    assert ok
+
+
 def test_mixed_vanishes_when_decoupled():
     rng = np.random.default_rng(13)
     masses = rng.uniform(0.5, 3, 4)

@@ -385,10 +385,75 @@ def test_tolerances_must_be_positive_and_finite(tmp_path, capsys):
     for flag, value in (("--tol-spec", "-5"), ("--tol-rel", "0"), ("--tol-rel", "nan"), ("--tol-spec", "inf")):
         assert main(["spectrum", "--config", path, flag, value]) == EXIT_SCHEMA
         assert f"error: {flag}: " in capsys.readouterr().err
-    for name in ("rel", "abs", "spec"):
+    for name in ("rel", "spec"):
         doc = {**TRIANGLE, "tolerances": {name: -1e-9}}
         assert main(["classify", "--config", _write(tmp_path, doc)]) == EXIT_SCHEMA
         assert f"tolerances.{name}: a tolerance must be positive" in capsys.readouterr().err
+    # every tolerance is relative: a document's tolerances.abs is ignored,
+    # like any unknown key, whatever its value
+    for command in ("classify", "spectrum"):
+        assert main([command, "--config", _write(tmp_path, TRIANGLE)]) == EXIT_OK
+        plain = capsys.readouterr()
+        for value in (1e-12, -1, "x"):
+            doc = {**TRIANGLE, "tolerances": {"abs": value}}
+            assert main([command, "--config", _write(tmp_path, doc)]) == EXIT_OK
+            assert capsys.readouterr() == plain
+
+
+# (flag, value, the same value as a document field)
+FLAG_FIELDS = [
+    ("--output", "csv", {"output": "csv"}),
+    ("--j-max", "5/2", {"j_max": "5/2"}),
+    ("--bundle", "trivial", {"bundle": "trivial"}),
+    ("--hbar", "2/3", {"hbar": "2/3"}),
+    ("--k", "1/3", {"k": "1/3"}),
+    ("--tol-rel", "0.5", {"tolerances": {"rel": 0.5}}),
+    ("--tol-spec", "0.5", {"tolerances": {"spec": 0.5}}),
+]
+
+
+@pytest.mark.parametrize("flag, value, field", FLAG_FIELDS, ids=[f for f, _, _ in FLAG_FIELDS])
+def test_a_flag_is_its_document_field(tmp_path, capsys, flag, value, field):
+    # a flag takes the place of its document field before the one
+    # validation, so it prints what the field prints, also over a document
+    # whose value for that field is invalid
+    (key, inner), = field.items()
+    invalid = {**TRIANGLE, key: {name: "abc" for name in inner} if isinstance(inner, dict) else "abc"}
+    for command in ("classify", "spectrum"):
+        assert main([command, "--config", _write(tmp_path, TRIANGLE)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main([command, "--config", _write(tmp_path, {**TRIANGLE, **field})]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert command == "classify" or want != plain
+        for doc in (TRIANGLE, invalid):
+            assert main([command, "--config", _write(tmp_path, doc), flag, value]) == EXIT_OK
+            assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--j-max", "abc", "error: --j-max: not a rational literal: 'abc'\n"),
+        ("--hbar", "-1", "error: --hbar must be positive\n"),
+        ("--hbar", "nan", "error: --hbar: not a rational literal: 'nan'\n"),
+        ("--k", "abc", "error: --k: not a rational literal: 'abc'\n"),
+        ("--tol-rel", "-5", "error: --tol-rel: a tolerance must be positive, got -5.0\n"),
+        ("--tol-spec", "inf", "error: --tol-spec: expected a finite number in the float range\n"),
+    ],
+)
+def test_an_invalid_flag_value_is_named_by_its_flag(tmp_path, capsys, flag, value, message):
+    path = _write(tmp_path, TRIANGLE)
+    for command in ("classify", "spectrum"):
+        assert main([command, "--config", path, flag, value]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("flag", ["--output", "--bundle", "--tol-rel"])
+def test_argparse_rejects_a_flag_value_outside_its_type(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", _write(tmp_path, TRIANGLE), flag, "xml"])
+    assert exc.value.code == EXIT_SCHEMA
+    assert f"error: argument {flag}: invalid " in capsys.readouterr().err
 
 
 def test_out_of_range_requests_exit_2(tmp_path, capsys):

@@ -16,7 +16,7 @@ from rotorspec import (
     split_velocity,
     velocities_from_angular,
 )
-from rotorspec.geometry import weighted_inner
+from rotorspec.classical_em import weighted_inner
 
 TETRAHEDRON = [
     [1.0, 1.0, 1.0],
@@ -199,6 +199,17 @@ def test_angular_velocity_rejects_non_rigid():
     v[0] += [0.5, 0.5, 0.5]  # break rigidity
     with pytest.raises(NotRigidVelocityError):
         angular_velocity(config, v)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-300, 1e300])
+def test_angular_velocity_verdict_is_free_of_the_velocity_scale(scale):
+    # the residual is compared with |v| alone: a non-rigid velocity is
+    # rejected however small, and a rigid one still round-trips
+    config = canonicalize(_system([1, 2, 3], [[0, 0, 0], [1.1, 0, 0], [0.3, 1.7, 0]]))
+    with pytest.raises(NotRigidVelocityError):
+        angular_velocity(config, [[0, 0, 0], [0, 0, 0], [0, 0, scale]])
+    omega = [0.3 * scale, -0.2 * scale, scale]
+    assert np.allclose(angular_velocity(config, velocities_from_angular(config, omega)), omega, rtol=1e-12, atol=0)
 
 
 def test_classification_rotation_invariant():

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rotorspec import (
     DEFAULT_TOLERANCES,
     InertiaTensor,
     ParticleSystem,
+    Tolerances,
     TopClass,
     canonicalize,
     inertia_tensor,
@@ -273,6 +276,33 @@ def test_coincidence_rule_compares_floats_where_they_exist():
     assert _coincidences(triple, 1e-9, Fraction)[1:] == (True, True)
     assert _coincidences(triple, 1e-9, float)[1:] == (True, False)
     assert classify_momenta(triple) == (TopClass.SYMMETRIC, (1, Fraction(1000000001, 10**9)))
+
+
+near = st.floats(1.0, 2.0) | st.sampled_from([1.0, 1.0 + 1e-10, 1.0 + 1e-9, 1.0 + 2e-9, 1.001])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(near, near, near), st.sampled_from([1e-9, 1e-6, 1e-3, 0.1, 0.4]), st.integers(-1022, 1024))
+@example((1.0, 2.0, 3.0), 0.1, -1005)
+@example((1.0, 1.005, 1.01), 1e-3, -1010)
+@example((1.0, 1.0 + 1e-10, 1.0 + 2e-9), 1e-9, -960)
+def test_top_class_is_free_of_the_unit(triple, rel, top):
+    # scaling every momentum by 2^e, with the largest scaled to the binary
+    # exponent top, keeps the class and scales the closed-form momenta,
+    # wherever the momenta and the gap rel * I3 stay normal floats: the
+    # coincidence gap is relative with no absolute floor
+    e = top - math.frexp(max(triple))[1]
+    scaled = tuple(math.ldexp(x, e) for x in triple)
+    assume(max(scaled) < math.inf and min(scaled) >= 2.0**-1022 and rel * max(scaled) >= 2.0**-1022)
+    tol = Tolerances(rel=rel)
+    top_class, closed = classify_momenta(triple, tol)
+    assert classify_momenta(scaled, tol) == (top_class, closed and tuple(math.ldexp(x, e) for x in closed))
+
+
+def test_subnormal_momenta_are_classified_as_at_unit_scale():
+    for triple in ((1e-310, 2e-310, 3e-310), (1e-307, 1.005e-307, 1.01e-307)):
+        assert classify_momenta(triple)[0] is TopClass.ASYMMETRIC
+        assert classify_momenta(tuple(x * 1e300 for x in triple))[0] is TopClass.ASYMMETRIC
 
 
 def _rotation(seed):

@@ -354,23 +354,38 @@ def _float_formula(d, momenta, hbar0):
 
 
 wide_floats = st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1e300, 1.5e308, 5e-324, 1.0])
+unit_floats = st.floats(0.25, 4.0)
+top_floats = st.floats(1e307, 1.7e308)  # where c1 + c2 can leave the float range
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.tuples(wide_floats, wide_floats, wide_floats | st.integers(1, 10**400)), wide_floats | st.integers(1, 10**400), st.integers(0, 50))
+@given(
+    st.tuples(wide_floats | unit_floats, wide_floats | unit_floats, wide_floats | st.integers(1, 10**400)),
+    wide_floats | top_floats | st.integers(1, 10**400),
+    st.integers(0, 50),
+)
 @example((1.0, 2.0, 3.5), 1.6e201, 7)
 @example((1e-300, 2e-300, 1.0), 1e300, 6)
+@example((0.5, 0.6, 2.0), 1e308, 0)
+@example((0.5, 0.6, 2.0), 1e308, 3)
+@example((1.0, 1.0, 2.0), 1.7e308, 4)
 def test_float_band_is_the_per_degree_float_formula(momenta, hbar0, d):
     # the float record's band (over 1) is, bit for bit, S_d formed from the
-    # inputs on each degree; an OverflowError of that formula is the
-    # record's HamiltonianOverflowError
+    # inputs on each degree wherever c1 + c2 is finite; where only the sum
+    # leaves the float range, a is the finite sum of the quarters; an
+    # OverflowError of the formula is the record's HamiltonianOverflowError
     try:
         want = _float_formula(d, momenta, hbar0)
     except OverflowError:
         with pytest.raises(HamiltonianOverflowError):
             band_record(*momenta, hbar0)
         return
-    diag, g, den = degree_band(d, band_record(*momenta, hbar0))
+    c1, c2 = (float(hbar0) / (2 * float(mom)) for mom in momenta[:2])
+    record = band_record(*momenta, hbar0)
+    if c1 + c2 == math.inf > max(c1, c2):
+        assert record[0] == c1 / 4 + c2 / 4 < math.inf
+        return
+    diag, g, den = degree_band(d, record)
     assert den == 1 and all(type(x) is float for x in (*diag, g))
     assert [x.hex() for x in (*diag, g)] == [x.hex() for x in (*want[0], want[1])]
 

@@ -624,6 +624,16 @@ def test_an_empty_spectrum_reads_no_band_record():
         diagonalized_spectrum(*args, hbar0=1.6e201, j_max=Fraction(1, 2))
 
 
+def test_a_pair_sum_beyond_the_float_range_keeps_finite_levels():
+    # c1 + c2 exceeds the float range at hbar0 = 1e308 but (c1 + c2)/4 does
+    # not: the j = 0 level is 0.0 and the j = 1/2 level (c1 + c2)/4 + c3/4
+    c1, c2, c3 = (1e308 / (2 * mom) for mom in (0.5, 0.6, 2.0))
+    plus = diagonalized_spectrum(0.5, 0.6, 2.0, BundleKind.PLUS, hbar0=1e308, j_max=0)
+    assert [(ln.j, ln.energy) for ln in plus.lines] == [(0, 0.0)]
+    minus = diagonalized_spectrum(0.5, 0.6, 2.0, BundleKind.MINUS, hbar0=1e308, j_max=Fraction(1, 2))
+    assert [ln.energy for ln in minus.lines] == [pytest.approx(c1 / 4 + c2 / 4 + c3 / 4, rel=1e-15)]
+
+
 HUGE = Fraction(10**400)
 
 
