@@ -9,6 +9,8 @@ velocity splitting) are imported on first use, which keeps that code off
 the classify/spectrum compile path.
 """
 
+from types import ModuleType as _ModuleType
+
 from .defaults import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     AllCoincidentError,
@@ -81,58 +83,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AllCoincidentError",
-    "BundleKind",
-    "DEFAULT_TOLERANCES",
-    "DegeneracyClass",
-    "InertiaTensor",
-    "NonPositiveMassError",
-    "NotRigidVelocityError",
-    "ParticleSystem",
-    "PatternField",
-    "PrincipalMomenta",
-    "RepresentationClosureError",
-    "RigidConfiguration",
-    "RotorSpecError",
-    "SchemaError",
-    "SpectralLine",
-    "Spectrum",
-    "SplitCovector",
-    "SplitFieldValue",
-    "SplitVector",
-    "StructureSet",
-    "Tolerances",
-    "TopClass",
-    "admissible_structures",
-    "angular_velocity",
-    "asymmetric_spectrum",
-    "bundle_of_j",
-    "canonicalize",
-    "classical_momentum_map",
-    "classify_momenta",
-    "curvature_shift",
-    "decoupling_check",
-    "degenerate_spectrum",
-    "degree_of_j",
-    "diagonalized_spectrum",
-    "inertia_tensor",
-    "j_of_degree",
-    "j_squared_spectrum",
-    "j_values",
-    "monopole_spectrum",
-    "parity_projects",
-    "principal_momenta",
-    "recombine",
-    "scalar_curvature",
-    "scalar_curvature_oracle",
-    "spectrum_for",
-    "spherical_spectrum",
-    "split_covector",
-    "split_field",
-    "split_potential",
-    "split_velocity",
-    "symmetric_spectrum",
-    "unsplit_field",
-    "velocities_from_angular",
-]
+__all__ = sorted(
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_CLASSICAL_EM)
+)

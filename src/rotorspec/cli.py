@@ -35,7 +35,7 @@ from .quantum_structures import (
     bundle_of_j,
     degree_of_j,
 )
-from .spectra import Spectrum, check_j_max, check_l_max, l_max_of, spectrum_for
+from .spectra import Spectrum, _as_float, check_j_max, check_l_max, l_max_of, spectrum_for
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -356,9 +356,14 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
 
 
 def cmd_classify(job: JobConfig) -> int:
+    """Print the body's classification; HamiltonianOverflowError (exit 2),
+    before any row, when hbar is so large that rho leaves the float range."""
     system, config, momenta = _build_body(job)
     structures = admissible_structures(config.degeneracy)
-    rho = scalar_curvature(momenta.top_class, momenta.closed, job.hbar0)
+    try:
+        rho = scalar_curvature(momenta.top_class, momenta.closed, job.hbar0)
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
     rows = [
         ("particles", str(config.n)),
         ("total mass", _fmt(config.total_mass)),
@@ -367,7 +372,7 @@ def cmd_classify(job: JobConfig) -> int:
         ("degeneracy class", _CLASS_NAMES[config.characteristic]),
         ("principal momenta", " ".join(_fmt(x) for x in momenta.momenta)),
         ("top class", momenta.top_class.value),
-        ("scalar curvature", _fmt(rho)),
+        ("scalar curvature", _fmt(_as_float(rho))),
         ("admissible bundles", ", ".join(b.value for b in structures.admissible)),
         ("H^2(S_rot, Z)", structures.h2_integer),
         ("H^2(S_rot, R)", structures.h2_real),

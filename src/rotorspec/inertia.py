@@ -195,18 +195,36 @@ def curvature_spherical(i_mom, hbar0=1):
 
 
 def curvature_symmetric(i_pair, i_axis, hbar0=1):
-    """For float momenta the formula is evaluated at the momenta times 2^-e,
-    as in curvature_asymmetric, so that I_pair^2 stays in the float range;
-    exact momenta are not scaled."""
-    i_pair, i_axis, hbar0 = _exact_or_float(i_pair), _exact_or_float(i_axis), _hbar(hbar0)
-    if type(i_pair) is type(i_axis) is Fraction:
-        return _symmetric(i_pair, i_axis, hbar0)
-    e = math.frexp(max(i_pair, i_axis))[1]
-    return _times_two_to(_symmetric(_times_two_to(i_pair, -e), _times_two_to(i_axis, -e), hbar0), -e)
+    """2 hbar0 / I_pair - hbar0 I_axis / (2 I_pair^2), evaluated by _scale_free."""
+    return _scale_free(_symmetric, (i_pair, i_axis), hbar0)
 
 
 def _symmetric(i_pair, i_axis, hbar0):
     return 2 * hbar0 / i_pair - hbar0 * i_axis / (2 * i_pair * i_pair)
+
+
+def curvature_asymmetric(i1, i2, i3, hbar0=1):
+    """hbar0 (1/I1 + 1/I2 + 1/I3 - (I1^2 + I2^2 + I3^2) / (2 I1 I2 I3)), evaluated by _scale_free."""
+    return _scale_free(_asymmetric, (i1, i2, i3), hbar0)
+
+
+def _asymmetric(i1, i2, i3, hbar0):
+    return hbar0 / i1 + hbar0 / i2 + hbar0 / i3 - hbar0 * (i1 * i1 + i2 * i2 + i3 * i3) / (2 * i1 * i2 * i3)
+
+
+def _scale_free(formula, momenta, hbar0):
+    """formula(*momenta, hbar0), a curvature closed form, at the momenta
+    and hbar0 taken exact or float (_exact_or_float, _hbar).  When a
+    momentum is a float it is evaluated at the momenta times 2^-e, e the
+    binary exponent of the largest, so that their squares and products
+    stay in the float range, and the result is scaled back by 2^-e (the
+    curvature has degree -1 in I).  A power of two leaves every rounding
+    as it was; all-exact momenta are not scaled."""
+    momenta, hbar0 = [*map(_exact_or_float, momenta)], _hbar(hbar0)
+    if float not in map(type, momenta):
+        return formula(*momenta, hbar0)
+    e = -math.frexp(max(momenta))[1]
+    return _times_two_to(formula(*[_times_two_to(i, e) for i in momenta], hbar0), e)
 
 
 def _times_two_to(x, e: int):
@@ -218,24 +236,6 @@ def _times_two_to(x, e: int):
         return math.ldexp(x, e)
     except OverflowError:
         return math.copysign(math.inf, x)
-
-
-def curvature_asymmetric(i1, i2, i3, hbar0=1):
-    """For float momenta the formula is evaluated at the momenta times 2^-e,
-    e the binary exponent of the largest, so that their squares and product
-    stay in the float range, and the result is scaled back by 2^-e (the
-    curvature has degree -1 in I).  A power of two leaves every rounding
-    as it was; exact momenta are not scaled."""
-    i1, i2, i3, hbar0 = *map(_exact_or_float, (i1, i2, i3)), _hbar(hbar0)
-    if type(i1) is type(i2) is type(i3) is Fraction:
-        return _asymmetric(i1, i2, i3, hbar0)
-    e = math.frexp(max(i1, i2, i3))[1]
-    rho = _asymmetric(_times_two_to(i1, -e), _times_two_to(i2, -e), _times_two_to(i3, -e), hbar0)
-    return _times_two_to(rho, -e)
-
-
-def _asymmetric(i1, i2, i3, hbar0):
-    return hbar0 / i1 + hbar0 / i2 + hbar0 / i3 - hbar0 * (i1 * i1 + i2 * i2 + i3 * i3) / (2 * i1 * i2 * i3)
 
 
 def curvature_degenerate(i_mom, hbar0=1):

@@ -156,14 +156,15 @@ def band_species(diag, off, d: int) -> list:
 
 
 def _ql_levels(diag, off) -> list[float]:
-    """Eigenvalues, ascending, of the symmetric tridiagonal float matrix
-    with the diagonal diag and the off-diagonal entries off, by the
-    implicit QL sweep of EISPACK's tql1 (Bowdler, Martin, Reinsch &
-    Wilkinson, Numer. Math. 11, 293 (1968)).  The matrix is scaled by
-    2^-e, with 2^e bounding its largest entry, before the sweep and its
-    levels by 2^e after it, both exactly (math.ldexp), so no intermediate
-    leaves the float range.  HamiltonianOverflowError when an entry or a
-    level is not a finite float."""
+    """Eigenvalues, unsorted (eigenvalues() sorts a degree's levels once),
+    of the symmetric tridiagonal float matrix with the diagonal diag and
+    the off-diagonal entries off, by the implicit QL sweep of EISPACK's
+    tql1 (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 293
+    (1968)).  The matrix is scaled by 2^-e, with 2^e bounding its largest
+    entry, before the sweep and its levels by 2^e after it, both exactly
+    (math.ldexp), so no intermediate leaves the float range.
+    HamiltonianOverflowError when an entry or a level is not a finite
+    float."""
     top = max(map(abs, (*diag, *off)))
     if not math.isfinite(top):
         raise HamiltonianOverflowError()
@@ -207,7 +208,7 @@ def _ql_levels(diag, off) -> list[float]:
                 raise ArithmeticError("the QL sweep did not converge in 30 iterations")
         d[l] += f
     try:
-        return sorted(math.ldexp(x, e) for x in d)
+        return [math.ldexp(x, e) for x in d]
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
 
@@ -248,7 +249,8 @@ def eigenvalues(d: int, diag, g, den):
     exact_flag) pairs, ascending: an exact S_d is integers over 4D, a float
     one floats over 1.
 
-    When S_d is diagonal (g = 0 or d < 2) they are its diagonal.  An
+    When S_d is diagonal (g = 0 or d < 2) they are its diagonal, each a
+    Fraction over den for an exact S_d and the float itself otherwise.  An
     exact S_d of degree d <= EXACT_DEGREE_MAX gives the levels of its
     species, solved on the integers (_species_levels): every rational
     level as a Fraction, the others as floats, which raise
@@ -256,19 +258,18 @@ def eigenvalues(d: int, diag, g, den):
     they are floats: the levels of the species of S_d as floats, from its
     entries (_float_band, one division by den per entry), each species
     solved by _ql_levels, so a Kramers pair of odd d is one level twice,
-    bit for bit.  Each is accurate to a few ulps of the degree's largest
-    level.  HamiltonianOverflowError is raised when an entry or a level is
-    not a finite float.  An exact level beyond the float range is caught
-    where a spectrum sorts it (spectra._as_float).
+    bit for bit, and the union of the species' levels is sorted once.
+    Each is accurate to a few ulps of the degree's largest level.
+    HamiltonianOverflowError is raised when an entry or a level is not a
+    finite float.  An exact level beyond the float range is caught where a
+    spectrum sorts it (spectra._as_float).
     """
-    if type(g) is not float:
-        if not g or d < 2:
-            return [(Fraction(v, den), True) for v in sorted(diag)]
-        if d <= EXACT_DEGREE_MAX:
-            products = [g * g * x for x in _degree_constants(d)[2]]
-            species = band_species(diag, products, d)
-            return sorted((lv for sd, sp, count in species for lv in _species_levels(sd, sp, den) * count), key=lambda t: t[0])
-    elif not g or d < 2:
-        return [(v, False) for v in sorted(diag)]
+    exact = type(g) is not float
+    if not g or d < 2:
+        return [(Fraction(v, den), True) if exact else (v, False) for v in sorted(diag)]
+    if exact and d <= EXACT_DEGREE_MAX:
+        products = [g * g * x for x in _degree_constants(d)[2]]
+        species = band_species(diag, products, d)
+        return sorted((lv for sd, sp, count in species for lv in _species_levels(sd, sp, den) * count), key=lambda t: t[0])
     species = band_species(*_float_band(d, diag, g, den), d)
     return [(v, False) for v in sorted(v for sd, so, count in species for v in _ql_levels(sd, so) * count)]

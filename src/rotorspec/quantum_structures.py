@@ -13,6 +13,7 @@ that is a parity rule on the total degree.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -78,12 +79,7 @@ def bundle_of_j(j) -> BundleKind:
 
 def j_values(kind: BundleKind, j_max) -> list[Fraction]:
     """All j of the bundle's parity from the smallest admissible value up to
-    j_max inclusive: integers for PLUS, half-odd integers for MINUS."""
-    start = Fraction(0) if kind is BundleKind.PLUS else Fraction(1, 2)
-    top = Fraction(j_max)
-    out = []
-    j = start
-    while j <= top:
-        out.append(j)
-        j += 1
-    return out
+    j_max inclusive: integers for PLUS, half-odd integers for MINUS, each
+    j = d/2 built from its degree d <= 2 j_max."""
+    parity = 0 if kind is BundleKind.PLUS else 1
+    return [Fraction(d, 2) for d in range(parity, math.floor(2 * Fraction(j_max)) + 1, 2)]

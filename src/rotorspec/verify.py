@@ -420,10 +420,10 @@ def check_asymmetric_j1():
     return True, f"triad 5/12, 2/3, 3/4 exact (mult 3 each) in {elapsed * 1e3:.0f} ms"
 
 
-def check_asymmetric_oracle(j_max=4, momenta=(1.0, 2.0, 3.5)):
-    """Brute-force spectrum vs the independent ladder-matrix oracle for an
-    asymmetric triple, all degrees to 2*j_max, both bundles."""
-    i1, i2, i3 = momenta
+def check_asymmetric_oracle(j_max=4):
+    """Brute-force spectrum vs the independent ladder-matrix oracle for the
+    asymmetric triple (1.0, 2.0, 3.5), all degrees to 2*j_max, both bundles."""
+    i1, i2, i3 = 1.0, 2.0, 3.5
     for bundle in (BundleKind.PLUS, BundleKind.MINUS):
         spec = diagonalized_spectrum(i1, i2, i3, bundle, k=0, hbar0=1, j_max=j_max)
         for d in range(2 * int(j_max) + 1):
@@ -465,14 +465,14 @@ def check_degenerate_case(l_max=8):
     return True, f"S^2 levels l(l+1)/(2I), multiplicity 2l+1, exact for l <= {l_max}"
 
 
-def check_curvature(n_samples=1000, seed=20240521):
+def check_curvature(n_samples=1000):
     """The four closed forms vs the structure-constant oracle to 1e-10
-    relative: random asymmetric triples, constructed spherical and symmetric
-    triples, and the degenerate case as the collapsing-axis limit; the
-    spherical limit of the asymmetric formula is checked exactly."""
+    relative: n_samples random asymmetric, spherical and symmetric triples
+    (one fixed seed), and the degenerate case as the collapsing-axis limit;
+    the spherical limit of the asymmetric formula is checked exactly."""
     # each row of six draws is the asymmetric triple, the spherical value
     # and (pair, axis)
-    rng = Random(seed)
+    rng = Random(20240521)
     for _ in range(n_samples):
         *triple, i_sph, pair, axis = _uniforms(rng, 0.1, 50.0, 6)
         i1, i2, i3 = sorted(triple)
@@ -558,11 +558,11 @@ def _max_gap(a, b) -> float:
     return max(abs(x - y) for u, v in zip(a, b) for x, y in zip(u, v))
 
 
-def check_geometry_layer(seed=777, trials=50):
+def check_geometry_layer():
     """Splitting orthogonality and reconstruction, covector splitting,
     angular-velocity round-trip (including the degenerate axis-orthogonal
-    representative), all to 1e-12 absolute."""
-    rng = Random(seed)
+    representative), all to 1e-12 absolute, on seeded random bodies."""
+    trials, rng = 50, Random(777)
     for _ in range(trials):
         system = _random_body(rng)
         config = canonicalize(system)
@@ -591,11 +591,11 @@ def check_geometry_layer(seed=777, trials=50):
     return True, f"splitting and round-trip invariants hold over {trials} random bodies"
 
 
-def check_em_layer(seed=4242, trials=40):
+def check_em_layer():
     """Field-splitting additivity and antisymmetry, the dipole component
     values, and mixed-component vanishing under proportional charges, all to
-    1e-12 absolute."""
-    rng = Random(seed)
+    1e-12 absolute, on seeded random bodies."""
+    trials, rng = 40, Random(4242)
     for _ in range(trials):
         system = _random_body(rng, n=4)
         config = canonicalize(system)

@@ -611,6 +611,29 @@ def test_closed_form_overflow_exit_2(tmp_path, capsys, doc, extra):
     json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "doc, rho",
+    [(TRIANGLE, 3.68776889982e306), (OCTAHEDRON_I1, 1.5e307), (SQUARE, 5e306), (DIPOLE, 1e307)],
+    ids=["asymmetric", "spherical", "symmetric", "degenerate"],
+)
+def test_classify_curvature_beyond_the_float_range_exit_2(tmp_path, capsys, doc, rho):
+    # at hbar 1e308 rho leaves the float range: with an exact --hbar its
+    # Fraction-over-float division overflows, with a document float it is
+    # inf or nan; classify rejects both with the error spectrum prints for
+    # that hbar, before any row
+    path = _write(tmp_path, doc)
+    assert main(["spectrum", "--config", path, "--hbar", "1e308", "--k", "1"]) == EXIT_SCHEMA
+    error = capsys.readouterr().err
+    assert error == "error: hbar or k too large: the float Hamiltonian leaves the float range\n"
+    for config in (["--config", path, "--hbar", "1e308"], ["--config", _write(tmp_path, {**doc, "hbar": 1e308}, "hbar.json")]):
+        assert main(["classify", *config]) == EXIT_SCHEMA, config
+        assert capsys.readouterr() == ("", error), config
+    # a finite rho prints as it did
+    assert main(["classify", "--config", path, "--hbar", "1e307"]) == EXIT_OK
+    row = next(r for r in capsys.readouterr().out.splitlines() if r.startswith("scalar curvature"))
+    assert row.split()[-1] == format(rho, ".12g")
+
+
 COLLINEAR = {
     "version": 1,
     "particles": [

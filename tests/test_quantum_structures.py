@@ -75,6 +75,26 @@ def test_j_values_series():
     assert j_values(BundleKind.PLUS, Fraction(5, 2))[-1] == 2
 
 
+def _j_values_by_addition(kind, j_max):
+    """j from the bundle's smallest value up to j_max, by adding 1 in turn:
+    the accumulating loop j_values replaced, kept here as its oracle."""
+    j, top, out = Fraction(0) if kind is BundleKind.PLUS else Fraction(1, 2), Fraction(j_max), []
+    while j <= top:
+        out.append(j)
+        j += 1
+    return out
+
+
+@pytest.mark.parametrize("kind", list(BundleKind), ids=lambda kind: kind.name)
+@pytest.mark.parametrize(
+    "j_max",
+    [0, 1, 2, 25, Fraction(5, 2), Fraction(7, 3), Fraction(1, 3), 2.5, 2.4, 0.49, 7.999999, 1e-9, -1, Fraction(-1, 2), -2.5],
+)
+def test_j_values_are_built_from_their_degrees(kind, j_max):
+    # the same Fractions, in the same order, as repeated addition gives
+    assert list(map(repr, j_values(kind, j_max))) == list(map(repr, _j_values_by_addition(kind, j_max)))
+
+
 # --- the classification computed: homology of Delta-complexes -----------------
 
 

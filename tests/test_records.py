@@ -1,9 +1,11 @@
 """The public records: immutable named tuples that compare by value."""
 
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
+import rotorspec
 from rotorspec import (
     DEFAULT_TOLERANCES,
     BundleKind,
@@ -104,3 +106,33 @@ def test_a_spectrum_sorts_its_lines_and_owns_its_params():
     spec.params["I"] = 1
     assert other.params == {} and Spectrum((), "test", PLUS, None).params == {}
     assert (spec.k, spec.hbar0, spec.j_max) == (0, 1, 0)
+
+
+# the package's 53 public names, pinned so that the derived __all__ neither
+# gains nor loses one
+PUBLIC_NAMES = [
+    "AllCoincidentError", "BundleKind", "DEFAULT_TOLERANCES", "DegeneracyClass", "InertiaTensor",
+    "NonPositiveMassError", "NotRigidVelocityError", "ParticleSystem", "PatternField", "PrincipalMomenta",
+    "RepresentationClosureError", "RigidConfiguration", "RotorSpecError", "SchemaError", "SpectralLine",
+    "Spectrum", "SplitCovector", "SplitFieldValue", "SplitVector", "StructureSet", "Tolerances", "TopClass",
+    "admissible_structures", "angular_velocity", "asymmetric_spectrum", "bundle_of_j", "canonicalize",
+    "classical_momentum_map", "classify_momenta", "curvature_shift", "decoupling_check",
+    "degenerate_spectrum", "degree_of_j", "diagonalized_spectrum", "inertia_tensor", "j_of_degree",
+    "j_squared_spectrum", "j_values", "monopole_spectrum", "parity_projects", "principal_momenta",
+    "recombine", "scalar_curvature", "scalar_curvature_oracle", "spectrum_for", "spherical_spectrum",
+    "split_covector", "split_field", "split_potential", "split_velocity", "symmetric_spectrum",
+    "unsplit_field", "velocities_from_angular",
+]
+
+
+def test_the_public_surface_is_all_and_only_its_names():
+    assert rotorspec.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 53
+    namespace = {}
+    exec("from rotorspec import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC_NAMES
+    # every name resolves, the classical_em ones on first use, and none is a module
+    for name in PUBLIC_NAMES:
+        value = getattr(rotorspec, name)
+        assert namespace[name] is value, name
+        assert not isinstance(value, ModuleType), name
