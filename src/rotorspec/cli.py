@@ -28,14 +28,14 @@ from .errors import (
     SchemaError,
 )
 from .geometry import DegeneracyClass, ParticleSystem, _jacobi_eigh, canonicalize
-from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
+from .inertia import TopClass, check_positive, inertia_tensor, principal_momenta, scalar_curvature
 from .quantum_structures import (
     BundleKind,
     admissible_structures,
     bundle_of_j,
     degree_of_j,
 )
-from .spectra import Spectrum, _as_float, check_j_max, check_l_max, l_max_of, spectrum_for
+from .spectra import Spectrum, _as_float, check_j_max, check_l_max, check_q_norm, spectrum_for
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -81,15 +81,6 @@ def _tolerance(value, where: str) -> float:
     if value <= 0:
         raise SchemaError(f"{where}: a tolerance must be positive, got {value!r}")
     return value
-
-
-def _check_input(check, value) -> None:
-    """Apply a library range check to a user-supplied value, reporting a
-    violation as a schema error with the check's message."""
-    try:
-        check(value)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def _vec3(value, where: str):
@@ -317,9 +308,15 @@ def _requested_bundles(job: JobConfig, degeneracy: DegeneracyClass) -> list[Bund
     return wanted
 
 
+# the library's range checks: the cutoff, the momenta and hbar, q_norm
+_RANGE_CHECKS = {check.__code__ for check in (check_j_max, check_l_max, check_positive, check_q_norm)}
+
+
 def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list[Spectrum]:
-    """spectrum_for per requested bundle, after the checks that make a bad
-    request a schema or bundle error, not a ValueError of the library."""
+    """spectrum_for per requested bundle, after the checks that make a
+    request for a bundle or a mode the body lacks a bundle error.  A
+    ValueError raised by one of the library's range checks is a schema
+    error with the check's message; any other error propagates."""
     bundles = _requested_bundles(job, config.degeneracy)
     top, field = momenta.top_class, job.field or {"type": "none"}
     monopole = None
@@ -341,15 +338,14 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
             "emitting the free spectrum",
             file=sys.stderr,
         )
-    if top is TopClass.DEGENERATE:
-        _check_input(check_l_max, l_max_of(job.j_max))
-    else:
-        _check_input(check_j_max, job.j_max)
-    if monopole and float(monopole[1]) < 0:
-        raise SchemaError("the center-of-charge norm must be nonnegative")
-    return [
-        spectrum_for(top, momenta.closed, b, job.k, job.hbar0, job.j_max, job.tolerances, monopole) for b in bundles
-    ]
+    try:
+        return [spectrum_for(top, momenta.closed, b, job.k, job.hbar0, job.j_max, job.tolerances, monopole) for b in bundles]
+    except ValueError as exc:
+        import traceback
+
+        if any(frame.f_code in _RANGE_CHECKS for frame, _ in traceback.walk_tb(exc.__traceback__)):
+            raise SchemaError(str(exc)) from exc
+        raise
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -412,10 +408,9 @@ def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     if config.degeneracy.is_degenerate:
         if bundle is BundleKind.MINUS:
             raise BundleRequestError("half-odd j does not exist over a degenerate body")
-        ell = int(j)  # on S^2 the level j is the degree-j harmonics
-        _check_input(check_l_max, ell)
+        ell = int(j)  # on S^2 the level j is the degree-j harmonics; the job's field plays no part
+        (spec,) = _spectra_for_job(job._replace(bundle="trivial", j_max=ell, field=None), config, momenta, False)
         space = harmonic_basis_r3(ell)
-        spec = spectrum_for(momenta.top_class, momenta.closed, bundle, job.k, job.hbar0, ell)
         line = spec.lines[-1]
         print(f"degenerate body: l = {j}, energy {_fmt(line.energy)}, multiplicity {line.multiplicity}")
         print(f"eigensections: degree-{ell} harmonic polynomials on R^3 restricted to S^2")

@@ -219,11 +219,18 @@ def _scale_free(formula, momenta, hbar0):
     binary exponent of the largest, so that their squares and products
     stay in the float range, and the result is scaled back by 2^-e (the
     curvature has degree -1 in I).  A power of two leaves every rounding
-    as it was; all-exact momenta are not scaled."""
+    as it was; all-exact momenta are not scaled.  When a rational momentum
+    lies beyond the float range, the formula is evaluated on Fractions,
+    each float read as the dyadic rational it is, and rounded once to a
+    float, which raises OverflowError where the curvature leaves the
+    float range."""
     momenta, hbar0 = [*map(_exact_or_float, momenta)], _hbar(hbar0)
     if float not in map(type, momenta):
         return formula(*momenta, hbar0)
-    e = -math.frexp(max(momenta))[1]
+    try:
+        e = -math.frexp(max(momenta))[1]
+    except OverflowError:  # the largest momentum is a rational beyond the float range
+        return float(formula(*map(Fraction, momenta), Fraction(hbar0)))
     return _times_two_to(formula(*[_times_two_to(i, e) for i in momenta], hbar0), e)
 
 

@@ -30,7 +30,7 @@ from itertools import chain
 from numbers import Rational
 from typing import NamedTuple
 
-from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, Tolerances
+from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import HamiltonianOverflowError
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
 from .polyalg.levels import band_record, degree_band, eigenvalues
@@ -45,18 +45,18 @@ def check_j_max(j_max):
         raise ValueError(f"j_max exceeds the hard cap {J_MAX_CAP}")
 
 
-def l_max_of(j_max):
-    """The S^2 cutoff of a collinear body, floor(j_max): a negative j_max
-    stays negative, and check_l_max rejects it."""
-    return math.floor(j_max)
-
-
 def check_l_max(l_max):
     """Raise ValueError unless l_max is an integer in [0, J_MAX_CAP]."""
     if int(l_max) != l_max or l_max < 0:
         raise ValueError("l_max must be a nonnegative integer")
     if l_max > J_MAX_CAP:
         raise ValueError(f"l_max exceeds the hard cap {J_MAX_CAP}")
+
+
+def check_q_norm(q_center_norm):
+    """Raise ValueError unless the center-of-charge norm is nonnegative."""
+    if float(q_center_norm) < 0:
+        raise ValueError("the center-of-charge norm must be nonnegative")
 
 
 _LINE_FIELDS = [("energy", object), ("j", Fraction), ("multiplicity", int), ("bundle", BundleKind),
@@ -141,21 +141,21 @@ def _as_float(energy) -> float:
 
 
 def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
-    """Group (energy, item) pairs into levels: [(energy, items), ...].
+    """Group (energy, item) pairs, given in ascending order of float(energy)
+    as every caller has them, into levels: [(energy, items), ...].
 
-    The pairs are stably sorted by energy, so items keep their given order
-    within a level, and the levels are listed by their first energies.  A
-    rational energy joins the level of an equal rational energy, so exact
-    levels stay apart even in a degree that also holds floats.  A float
-    energy joins the latest float level when it lies within
-    eps_spec * |ref| of that level's first energy ref.  A rational
-    and a float energy never share a level.  The level's energy is its
-    first energy.  A float is told by its type before the (ABC) Rational test.
+    Items keep their given order within a level, and the levels are listed
+    by their first energies.  A rational energy joins the level of an equal
+    rational energy, so exact levels stay apart even in a degree that also
+    holds floats.  A float energy joins the latest float level when it lies
+    within eps_spec * |ref| of that level's first energy ref; any other
+    float, a non-finite one included, starts a level.  A rational and a
+    float energy never share a level.  The level's energy is its first
+    energy.  A float is told by its type before the (ABC) Rational test.
     """
-    pairs = sorted(pairs, key=lambda t: _as_float(t[0]))
     groups: list[tuple[object, list]] = []
     exact: dict = {}  # rational energy -> its level
-    inexact = None  # the level a float energy may join
+    ref = None  # the first energy, as a float, of the level a float energy may join
     for energy, item in pairs:
         if type(energy) is not float and isinstance(energy, Rational):
             level = exact.get(energy)
@@ -163,9 +163,9 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
                 level = exact[energy] = (energy, [])
                 groups.append(level)
         else:
-            ref = None if inexact is None else float(inexact[0])
-            if ref is None or abs(float(energy) - ref) > eps_spec * abs(ref):
-                inexact = (energy, [])
+            value = float(energy)
+            if ref is None or not abs(value - ref) <= eps_spec * abs(ref):
+                inexact, ref = (energy, []), value
                 groups.append(inexact)
             level = inexact
         level[1].append(item)
@@ -241,7 +241,7 @@ def _refs(d: int, indices: tuple):
     return tuple(row[idx] for row in _degree_refs(d) for idx in indices)
 
 
-def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spectrum:
+def spherical_spectrum(i_mom, bundle: BundleKind, k=0, hbar0=1, j_max=J_MAX_DEFAULT) -> Spectrum:
     """E_j = hbar0/(2I) j(j+1) + k rho, multiplicity (2j+1)^2; eigensections
     are all degree-2j harmonic polynomials."""
     check_j_max(j_max)
@@ -275,7 +275,7 @@ def _symmetric_degrees(i_pair, i_axis, h, bundle: BundleKind, j_max):
         yield int(2 * j), j, h / (2 * i_pair) * j * (j + 1), h / 2 * (1 / i_axis - 1 / i_pair) * j * j
 
 
-def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=6) -> Spectrum:
+def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=J_MAX_DEFAULT) -> Spectrum:
     """Symmetric-top levels indexed by (j, |l|).
 
     The symmetry axis carries i_axis, the repeated pair i_pair; l steps from
@@ -314,7 +314,7 @@ def _symmetric(i_pair, i_axis, bundle, k, hbar0, j_max) -> Spectrum:
     return _spectrum("symmetric", TopClass.SYMMETRIC, bundle, params, k, h, j_max, levels())
 
 
-def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
+def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=J_MAX_DEFAULT) -> Spectrum:
     """Collinear body: S^2 levels hbar0/(2I) l(l+1) with multiplicity 2l+1,
     eigensections the degree-l harmonic polynomials on R^3 (only the trivial
     bundle exists here)."""
@@ -333,7 +333,7 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=6) -> Spectrum:
 
 
 def monopole_spectrum(
-    i_pair, i_axis, bundle: BundleKind, nu, q_center_norm, k=0, hbar0=1, j_max=6
+    i_pair, i_axis, bundle: BundleKind, nu, q_center_norm, k=0, hbar0=1, j_max=J_MAX_DEFAULT
 ) -> Spectrum:
     """Symmetric top with a magnetic monopole at a fixed point.
 
@@ -346,8 +346,7 @@ def monopole_spectrum(
     """
     check_j_max(j_max)
     check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
-    if float(q_center_norm) < 0:
-        raise ValueError("the center-of-charge norm must be nonnegative")
+    check_q_norm(q_center_norm)
     i_pair, i_axis, nu, qn, k, h = _exactify(i_pair, i_axis, nu, q_center_norm, k, hbar0)
 
     def levels():
@@ -378,7 +377,7 @@ def diagonalized_spectrum(
     bundle: BundleKind,
     k=0,
     hbar0=1,
-    j_max=6,
+    j_max=J_MAX_DEFAULT,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Spectrum:
     """Spectrum by diagonalization, one symmetric band per degree.
@@ -445,7 +444,7 @@ def asymmetric_spectrum(
     bundle: BundleKind,
     k=0,
     hbar0=1,
-    j_max=6,
+    j_max=J_MAX_DEFAULT,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Spectrum:
     """Asymmetric-top spectrum by block diagonalization.
@@ -470,11 +469,12 @@ def asymmetric_spectrum(
 
 
 def spectrum_for(
-    top: TopClass, closed, bundle: BundleKind, k=0, hbar0=1, j_max=6, tol=DEFAULT_TOLERANCES, monopole=None
+    top: TopClass, closed, bundle: BundleKind, k=0, hbar0=1, j_max=J_MAX_DEFAULT, tol=DEFAULT_TOLERANCES, monopole=None
 ) -> Spectrum:
     """The spectrum of a body of class top whose closed form takes the
     momenta closed (PrincipalMomenta.closed): the spherical, symmetric or
-    degenerate closed form (on S^2, to l_max_of(j_max)), or for an
+    degenerate closed form (on S^2, to floor(j_max), so that a negative
+    j_max stays negative and check_l_max rejects it), or for an
     asymmetric top diagonalized_spectrum, as kind "asymmetric".
     monopole = (nu, q_center_norm) asks for the monopole spectrum of a
     spherical or symmetric top, a spherical one taking I as its pair and
@@ -489,7 +489,7 @@ def spectrum_for(
     if top is TopClass.SYMMETRIC:
         return symmetric_spectrum(*closed, bundle, k, hbar0, j_max)
     if top is TopClass.DEGENERATE:
-        return degenerate_spectrum(*closed, k, hbar0, l_max_of(j_max))
+        return degenerate_spectrum(*closed, k, hbar0, math.floor(j_max))
     check_j_max(j_max)
     i1, i2, i3 = closed
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)

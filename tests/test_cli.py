@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from rotorspec import (
     BundleKind,
     ParticleSystem,
+    PrincipalMomenta,
     SpectralLine,
     Spectrum,
     TopClass,
@@ -25,6 +27,7 @@ from rotorspec import (
     inertia_tensor,
     principal_momenta,
     scalar_curvature,
+    spectra,
     spectrum_for,
     spherical_spectrum,
     symmetric_spectrum,
@@ -493,6 +496,51 @@ def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
         raise ValueError("internal failure")
 
     monkeypatch.setattr(cli, "spectrum_for", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["spectrum", "--config", _write(tmp_path, TRIANGLE)])
+    capsys.readouterr()
+
+
+# three unit masses nearly on a line: the rank rule calls the body weakly
+# non-degenerate, and its smallest principal momentum rounds to 0.0
+THIN_BODY = Path(__file__).parent / "data" / "thin_body.json"
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["eigensections", "--j", "1"]], ids=["spectrum", "eigensections"])
+def test_a_zero_principal_momentum_exits_2(capsys, command):
+    name, *rest = command
+    assert main([name, "--config", str(THIN_BODY), *rest]) == EXIT_SCHEMA
+    assert capsys.readouterr() == ("", "error: i_axis must be finite and positive, got 0.0\n")
+
+
+@pytest.mark.parametrize(
+    "doc, top, momenta, closed, name",
+    [
+        (OCTAHEDRON_I1, TopClass.SYMMETRIC, (0.0, 2.0, 2.0), (2.0, 0.0), "i_axis"),
+        (TRIANGLE, TopClass.ASYMMETRIC, (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), "i1"),
+        (DIPOLE, TopClass.DEGENERATE, (0.0, 0.0, 2.0), (0.0,), "i_mom"),
+    ],
+    ids=["symmetric", "asymmetric", "degenerate"],
+)
+def test_a_check_of_the_library_is_a_schema_error(tmp_path, capsys, monkeypatch, doc, top, momenta, closed, name):
+    # whatever the platform's rounding, a zero momentum that reaches the
+    # library's checks is reported by them, on every command that builds
+    # a spectrum and on both eigensections branches
+    axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    monkeypatch.setattr(cli, "principal_momenta", lambda *_args: PrincipalMomenta(momenta, axes, top, closed))
+    path = _write(tmp_path, doc)
+    for argv in (["spectrum", "--config", path], ["eigensections", "--config", path, "--j", "1"]):
+        assert main(argv) == EXIT_SCHEMA, argv
+        assert capsys.readouterr() == ("", f"error: {name} must be finite and positive, got 0.0\n"), argv
+
+
+def test_an_internal_value_error_of_the_library_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
+    # only a ValueError of the library's range checks maps to exit 2; one
+    # raised deeper inside spectrum_for still propagates
+    def broken(*_args, **_kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(spectra, "band_record", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["spectrum", "--config", _write(tmp_path, TRIANGLE)])
     capsys.readouterr()

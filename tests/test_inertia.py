@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rotorspec import (
     DEFAULT_TOLERANCES,
+    BundleKind,
     InertiaTensor,
     ParticleSystem,
     Tolerances,
@@ -19,9 +20,15 @@ from rotorspec import (
     principal_momenta,
     scalar_curvature,
     scalar_curvature_oracle,
+    symmetric_spectrum,
 )
 from rotorspec.inertia import (
+    _asymmetric,
     _coincidences,
+    _exact_or_float,
+    _hbar,
+    _symmetric,
+    _times_two_to,
     classify_momenta,
     curvature_asymmetric,
     curvature_degenerate,
@@ -262,6 +269,83 @@ def test_float_symmetric_curvature_at_extreme_momenta(e):
     assert curvature_symmetric(2e200, 4e200) == pytest.approx(5e-201, rel=1e-15)
     assert curvature_symmetric(1e-200, 5e-201) == pytest.approx(1.75e200, rel=1e-15)
     assert curvature_symmetric(Fraction(10**400), 3) == curvature_symmetric(1, Fraction(3, 10**400)) / 10**400
+
+
+def test_a_rational_momentum_beyond_the_float_range_keeps_a_finite_curvature():
+    # a float momentum beside a rational beyond the float range: the
+    # curvature is the exact one (floats read as dyadic rationals) rounded
+    # once, and one beyond the float range still raises OverflowError
+    want = float(curvature_asymmetric(1, 10**400, 2 * 10**400))
+    assert want == pytest.approx(-0.25)
+    assert curvature_asymmetric(1.0, 10**400, 2 * 10**400) == want
+    assert curvature_asymmetric(0.1, 10**400, 10**400, 0.5) == float(
+        curvature_asymmetric(Fraction(0.1), 10**400, 10**400, Fraction(0.5))
+    )
+    assert curvature_asymmetric(1.0, 10**400, 10**400) == 0.0  # about 2e-400
+    assert curvature_symmetric(10**400, 1.0) == 0.0
+    with pytest.raises(OverflowError):
+        curvature_symmetric(1.0, 10**400)  # about -5e399
+    # through k rho: rho rounds to 0.0, so k = 1 gives the k = 0 levels
+    spectrum = symmetric_spectrum(10**400, 1.0, BundleKind.PLUS, k=1, j_max=1)
+    assert [ln.energy for ln in spectrum.lines] == [0.0, 0.0, 0.5]
+    assert spectrum.lines == symmetric_spectrum(10**400, 1.0, BundleKind.PLUS, j_max=1).lines
+
+
+def _scaled_only(formula, momenta, hbar0):
+    """The curvature evaluator before it read a rational beyond the float
+    range exactly: float momenta scaled by 2^-e, e the binary exponent of
+    the largest, which raises OverflowError when that is such a rational."""
+    momenta, hbar0 = [*map(_exact_or_float, momenta)], _hbar(hbar0)
+    if float not in map(type, momenta):
+        return formula(*momenta, hbar0)
+    e = -math.frexp(max(momenta))[1]
+    return _times_two_to(formula(*[_times_two_to(i, e) for i in momenta], hbar0), e)
+
+
+def _overflows(x):
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
+def test_the_curvature_keeps_its_bits_wherever_scaling_alone_gave_one():
+    # on mixed float, int and Fraction momenta from 1e-420 to 1e420, each
+    # form gives the bits the scaled-only evaluator gives wherever that
+    # returns, and raises as it does unless a float momentum meets a
+    # rational beyond the float range; there the form returns the exact
+    # curvature rounded once or raises OverflowError
+    rng = np.random.default_rng(34)
+    values = []
+    for _ in range(150):
+        values.append(math.ldexp(float(rng.uniform(0.5, 1)), int(rng.integers(-1070, 1025))))
+        values.append(int(rng.integers(1, 10**6)) * Fraction(2) ** int(rng.integers(-1400, 1400)))
+        values.append(int(rng.integers(1, 100)) * 10 ** int(rng.integers(0, 400)))
+    returned = raised = rounded = 0
+    for trial in range(3000):
+        picks = [values[int(i)] for i in rng.integers(len(values), size=3)]
+        hbar0 = [1, 0.5, Fraction(2, 3), 10**300][trial % 4]
+        for form, formula, n in ((curvature_asymmetric, _asymmetric, 3), (curvature_symmetric, _symmetric, 2)):
+            try:
+                want = _scaled_only(formula, picks[:n], hbar0)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raised += 1
+                if float not in map(type, picks[:n]) or not _overflows(max(picks[:n])):
+                    with pytest.raises(type(exc)):
+                        form(*picks[:n], hbar0)
+                    continue
+                try:
+                    got = form(*picks[:n], hbar0)
+                except OverflowError:
+                    continue
+                exact = float(formula(*map(Fraction, picks[:n]), Fraction(hbar0)))
+                assert repr(got) == repr(exact), (form, picks, hbar0)
+                rounded += 1
+                continue
+            returned += 1
+            assert repr(form(*picks[:n], hbar0)) == repr(want), (form, picks, hbar0)
+    assert returned > 1000 and raised > 100 and rounded > 100
 
 
 def test_oracle_rejects_nonpositive():

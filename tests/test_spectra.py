@@ -32,7 +32,7 @@ from rotorspec.errors import HamiltonianOverflowError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import band_record, casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
 from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
-from rotorspec.quantum_structures import j_values
+from rotorspec.quantum_structures import bundle_of_j, j_values
 from rotorspec.spectra import SpectralLine, _refs, curvature_shift, group_energies
 
 
@@ -461,6 +461,45 @@ def test_spectra_of_one_degree_share_their_references():
         assert all(ref is triples[ref] for ref in ln.eigensections)
 
 
+def _partition_routes():
+    """(name, spectrum) for every route on rational and float input, both
+    bundles and k in {0, 1/2, 0.25}: the closed forms to j_max 25, the
+    diagonalized route (a symmetric triple included, whose lines join
+    several indices) to j_max 8."""
+    for k in (0, Fraction(1, 2), 0.25):
+        for bundle in (BundleKind.PLUS, BundleKind.MINUS):
+            for i, pair, axis in ((Fraction(7, 3), Fraction(7, 3), Fraction(5, 4)), (2.3, 2.3, 1.1)):
+                yield "spherical", spherical_spectrum(i, bundle, k=k, j_max=25)
+                yield "symmetric", symmetric_spectrum(pair, axis, bundle, k=k, j_max=25)
+                yield "monopole", monopole_spectrum(pair, axis, bundle, Fraction(3, 2), Fraction(1, 3), k=k, j_max=25)
+            for triple in ((1, 2, Fraction(7, 2)), (8, Fraction(17, 7), Fraction(53, 11)), (1.0, 2.0, 3.5), (3.7, 1.3, 2.9)):
+                yield "asymmetric", asymmetric_spectrum(*triple, bundle, k=k, j_max=8)
+            for triple in ((2, 2, 1), (1.0, 2.0, 3.5)):
+                yield "diagonalized", diagonalized_spectrum(*triple, bundle, k=k, j_max=8)
+        for i in (Fraction(7, 3), 2.3):
+            yield "degenerate", degenerate_spectrum(i, k=k, l_max=25)
+
+
+def test_eigensection_references_partition_each_degree():
+    # every line holds one reference per unit of multiplicity and lies on
+    # the bundle of its j; per degree d the lines' references are pairwise
+    # distinct and are all (p, d - p, idx), 0 <= p, idx <= d; on S^2 the
+    # references of the level l are (l, None, idx), idx < 2l + 1
+    for name, spec in _partition_routes():
+        by_degree = {}
+        for ln in spec.lines:
+            assert ln.multiplicity == len(ln.eigensections), (name, ln)
+            assert bundle_of_j(ln.j) is ln.bundle, (name, ln)
+            by_degree.setdefault(int(2 * ln.j), []).extend(ln.eigensections)
+        for d, refs in by_degree.items():
+            if name == "degenerate":
+                ell = d // 2
+                want = {(ell, None, idx) for idx in range(2 * ell + 1)}
+            else:
+                want = {(p, d - p, idx) for p in range(d + 1) for idx in range(d + 1)}
+            assert len(refs) == len(set(refs)) and set(refs) == want, (name, d)
+
+
 def test_exact_levels_stay_apart_beside_float_levels():
     # at k = 10^100 the three rational levels of degree 4 all round to the
     # float of the two irrational ones; a rational level joins only an
@@ -691,6 +730,7 @@ def _per_block_lines(momenta, bundle, k, j_max):
             for p in range(d + 1)
             for idx, value in enumerate(_block_levels(hamiltonian_matrix(harmonic_basis(p, d - p), *momenta)))
         ]
+        found.sort(key=lambda pair: float(pair[0]))  # group_energies takes ascending pairs
         for energy, refs in group_energies(found):
             out[j, frozenset(refs)] = energy, len(refs)
     return out
