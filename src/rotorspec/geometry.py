@@ -128,8 +128,12 @@ def _dot(a, b) -> float:
 
 def _triangular_factor(cols):
     """The three columns of R, 3 x 3 (zero-padded below n rows), of a
-    Householder QR of the n x 3 matrix with the given columns: R has the
-    singular values of the matrix."""
+    Householder QR of the n x 3 matrix with the given columns, whose
+    largest entry is in [1/2, 1): R has the singular values of the matrix.
+    A column whose reflector has v.v / 2 = 0 in floats, which takes a
+    column below 2^-537, far under the rounding of the largest entry, is
+    reduced to its norm and reflects no other column, as _singular_values
+    leaves a column below 2^-55 alone."""
     cols = [list(c) for c in cols]
     for k in range(min(len(cols[0]), 3)):
         v = cols[k][k:]
@@ -139,6 +143,8 @@ def _triangular_factor(cols):
             continue
         v[0] -= alpha
         vv = alpha * v[0]  # -(v.v) / 2
+        if not vv:
+            continue
         for c in cols[k + 1 :]:
             tail = c[k:]
             s = _dot(v, tail) / vv

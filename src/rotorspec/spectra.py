@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from numbers import Rational
+from operator import itemgetter
 from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
@@ -73,7 +74,9 @@ class SpectralLine(NamedTuple("SpectralLine", _LINE_FIELDS)):
     built once per degree, and a line's tuple of them comes from one memo
     per (degree, indices) (_refs; a diagonalized line of several indices
     joins their columns).  Degrees stop at 2 J_MAX_CAP, which bounds the
-    memo.  _replace checks the multiplicity and the bundle too.
+    memo.  SpectralLine(...) and _replace check the multiplicity and the
+    bundle of j; the routes build their lines in _spectrum, which runs the
+    same checks.
     """
 
     __slots__ = ()
@@ -81,8 +84,7 @@ class SpectralLine(NamedTuple("SpectralLine", _LINE_FIELDS)):
     def __new__(cls, energy, j, multiplicity, bundle, l=None, source="closed-form", eigensections=None):
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if bundle_of_j(j) is not bundle:
-            raise ValueError(f"bundle {bundle} inconsistent with j = {j}")
+        _check_bundle(j, bundle)
         return super().__new__(cls, energy, j, multiplicity, bundle, l, source, eigensections)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -94,14 +96,22 @@ class SpectralLine(NamedTuple("SpectralLine", _LINE_FIELDS)):
         return (_as_float(self.energy), self.j, -math.inf if self.l is None else self.l)
 
 
+def _check_bundle(j, bundle):
+    """Raise ValueError unless bundle is the bundle of j (bundle_of_j)."""
+    if bundle_of_j(j) is not bundle:
+        raise ValueError(f"bundle {bundle} inconsistent with j = {j}")
+
+
 _SPECTRUM_FIELDS = [("lines", tuple), ("kind", str), ("bundle", BundleKind | None), ("top_class", TopClass | None),
                     ("params", dict), ("k", object), ("hbar0", object), ("j_max", object)]
 
 
 class Spectrum(NamedTuple("Spectrum", _SPECTRUM_FIELDS)):
-    """Spectral lines up to a cutoff, sorted by sort_key, with the defining
-    parameters; params defaults to a new {} per spectrum, and _replace
-    sorts the lines too."""
+    """Spectral lines up to a cutoff, sorted by sort_key (a stable sort),
+    with the defining parameters; params defaults to a new {} per spectrum.
+    Spectrum(...) and _replace sort the lines; the routes hand _spectrum
+    their levels, and it builds the Spectrum of lines it has already
+    sorted by the same keys."""
 
     __slots__ = ()
 
@@ -130,7 +140,8 @@ def _as_float(energy) -> float:
     """float(energy), or HamiltonianOverflowError when that is not a finite
     float: a rational energy beyond the float range, or a float energy
     that left it (hbar or k too large).  Every line passes through here
-    when a Spectrum sorts it, so no Spectrum holds such an energy."""
+    once, when _spectrum or Spectrum(...) sorts it, so no Spectrum holds
+    such an energy."""
     try:
         value = float(energy)
     except OverflowError as exc:
@@ -201,18 +212,42 @@ def _exactify(*values):
 
 def _spectrum(kind, top, bundle, params, k, hbar0, j_max, levels, source="closed-form") -> Spectrum:
     """The Spectrum of levels, (energy, j, l, multiplicity, eigensection
-    refs) tuples taken in order.  Every spectrum forms its levels here, its
+    refs) tuples taken in order.  This is the one place a route builds its
+    lines, in one pass that runs the checks of the public constructors:
+    the bundle of j once per degree (the lines of a degree share one j
+    object, so the check runs again only when j is a new object), a
+    positive multiplicity per line, and _as_float once per line, whose
+    value starts the line's sort_key.  The lines are stable-sorted by those
+    keys, the order Spectrum(...) gives, and the Spectrum is built from
+    them without a second sort.  Every spectrum forms its levels here, its
     k rho included: an OverflowError raised while forming one (a rational
     beyond the float range meeting a float) becomes HamiltonianOverflowError,
-    and so does an energy outside the float range when the Spectrum sorts
-    its lines (_as_float)."""
+    and so does an energy outside the float range (_as_float)."""
+    keyed = []
+    checked = object()  # the j object whose bundle was checked last
     try:
-        lines = tuple(
-            SpectralLine(e, j, mult, bundle, l, source=source, eigensections=refs) for e, j, l, mult, refs in levels
-        )
+        for e, j, l, mult, refs in levels:
+            if j is not checked:
+                _check_bundle(j, bundle)
+                checked = j
+            if mult < 1:
+                raise ValueError("multiplicity must be positive")
+            key = (_as_float(e), j, -math.inf if l is None else l)
+            keyed.append((key, (e, j, mult, bundle, l, source, refs)))
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
-    return Spectrum(lines, kind, bundle, top_class=top, params=params, k=k, hbar0=hbar0, j_max=Fraction(j_max))
+    keyed.sort(key=itemgetter(0))
+    lines = tuple([tuple.__new__(SpectralLine, fields) for _, fields in keyed])
+    return tuple.__new__(Spectrum, (lines, kind, bundle, top, params, k, hbar0, Fraction(j_max)))
+
+
+def _factor_j(coefficient, j, x):
+    """The factor j of a term with this coefficient: x = float(j) when the
+    coefficient is a float, the Fraction j otherwise.  CPython's Fraction
+    operators compute a float times the Fraction j as the float times
+    float(j), and float(j) and float(j) + 1 are exact for a half-integer j,
+    so a term formed on x has the bits of the same term formed on j."""
+    return x if type(coefficient) is float else j
 
 
 def j_squared_spectrum(bundle: BundleKind, j_max, hbar0=1) -> Spectrum:
@@ -255,24 +290,33 @@ def _spherical(i_mom, bundle, k, hbar0, j_max) -> Spectrum:
 
     def levels():
         shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
-        for j in j_values(bundle, j_max):
-            d = int(2 * j)
-            e = h / (2 * i_mom) * j * (j + 1) + shift
-            yield e, j, None, int((2 * j + 1) ** 2), _refs(d, tuple(range(d + 1)))
+        js = j_values(bundle, j_max)
+        coefficient = h / (2 * i_mom) if js else None
+        for j in js:
+            x = float(j)
+            d, f = int(2 * x), _factor_j(coefficient, j, x)
+            yield coefficient * f * (f + 1) + shift, j, None, (d + 1) ** 2, _refs(d, tuple(range(d + 1)))
 
     return _spectrum("spherical", TopClass.SPHERICAL, bundle, {"I": i_mom}, k, h, j_max, levels())
 
 
-def _symmetric_degrees(i_pair, i_axis, h, bundle: BundleKind, j_max):
-    """Yield (d, j, pair, axis) for each degree d = 2j of the bundle up to
-    j_max: the j term pair = hbar0/(2 I_pair) j(j+1), and the l^2 term axis
+def _symmetric_degrees(i_pair, i_axis, h, js):
+    """Yield (d, j, x, pair, axis) for each j of js, with d = 2j and x =
+    float(j): the j term pair = hbar0/(2 I_pair) j(j+1), and the l^2 term axis
     = hbar0/2 (1/I_axis - 1/I_pair) j^2 of |l| = j, the one new |l| of the
     degree.  Each term has the operands of the per-line formula in its
     left-to-right order, and (c (-x)) (-x) = (c x) x exactly, so a level
     summed from these terms is the same float or Fraction as the formula's
-    for that line."""
-    for j in j_values(bundle, j_max):
-        yield int(2 * j), j, h / (2 * i_pair) * j * (j + 1), h / 2 * (1 / i_axis - 1 / i_pair) * j * j
+    for that line.  A float coefficient multiplies x, which gives the bits
+    the Fraction j gives (_factor_j).  The coefficients are formed once, at
+    the first degree, so a spectrum without a degree forms none."""
+    if not js:
+        return
+    pair, axis = h / (2 * i_pair), h / 2 * (1 / i_axis - 1 / i_pair)
+    for j in js:
+        x = float(j)
+        f, g = _factor_j(pair, j, x), _factor_j(axis, j, x)
+        yield int(2 * x), j, x, pair * f * (f + 1), axis * g * g
 
 
 def symmetric_spectrum(i_pair, i_axis, bundle: BundleKind, k=0, hbar0=1, j_max=J_MAX_DEFAULT) -> Spectrum:
@@ -300,7 +344,7 @@ def _symmetric(i_pair, i_axis, bundle, k, hbar0, j_max) -> Spectrum:
     def levels():
         shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
         axis = {}  # 2|l| -> (|l|, its l^2 term), for every |l| <= j so far
-        for d, j, pair_term, new_axis in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
+        for d, j, _, pair_term, new_axis in _symmetric_degrees(i_pair, i_axis, h, j_values(bundle, j_max)):
             axis[d] = (j, new_axis)
             for two_l in range(d % 2, d + 1, 2):
                 abs_l, axis_term = axis[two_l]
@@ -352,11 +396,13 @@ def monopole_spectrum(
     def levels():
         shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
         terms = {}  # 2l -> (l, its l^2 term, its linear term), for every |l| <= j so far
-        for d, j, pair_term, new_quad in _symmetric_degrees(i_pair, i_axis, h, bundle, j_max):
-            new_lin = nu * qn / i_axis * j
-            # inside the loop, so a spectrum without lines forms no term
-            # and an error of a term surfaces at the first line
-            constant = nu * nu * qn * qn / (2 * i_axis * h)
+        for d, j, x, pair_term, new_quad in _symmetric_degrees(i_pair, i_axis, h, j_values(bundle, j_max)):
+            if not terms:
+                # at the first degree, after its j terms, so a spectrum
+                # without lines forms no term and the first error of a
+                # term is the one the per-line formula meets first
+                linear, constant = nu * qn / i_axis, nu * nu * qn * qn / (2 * i_axis * h)
+            new_lin = linear * _factor_j(linear, j, x)
             terms[-d] = (-j, new_quad, -new_lin)
             terms[d] = (j, new_quad, new_lin)
             for idx in range(d + 1):

@@ -513,6 +513,25 @@ def test_a_zero_principal_momentum_exits_2(capsys, command):
     assert capsys.readouterr() == ("", "error: i_axis must be finite and positive, got 0.0\n")
 
 
+# two unit masses at the origin and one at (0, 6.0e-250, 1): the y column of
+# the relatives is about 1e-250 of the largest entry, so its Householder
+# reflector's v.v / 2 underflows to 0.0 in the rank decision
+TINY_COLUMN = Path(__file__).parent / "data" / "tiny_column.json"
+
+
+def test_a_column_below_the_rounding_takes_the_class_of_a_zero_column(tmp_path, capsys):
+    def classes(path):
+        assert main(["classify", "--config", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        return [ln for ln in out.splitlines() if ln.startswith(("characteristic", "degeneracy class", "top class"))]
+
+    doc = json.loads(TINY_COLUMN.read_text())
+    doc["particles"][2]["position"][1] = 0.0
+    zero = classes(_write(tmp_path, doc))
+    assert classes(TINY_COLUMN) == zero
+    assert zero == ["characteristic c_rot  1", "degeneracy class      degenerate", "top class             degenerate"]
+
+
 @pytest.mark.parametrize(
     "doc, top, momenta, closed, name",
     [
