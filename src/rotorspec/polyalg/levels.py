@@ -49,7 +49,8 @@ def band_record(i1, i2, i3, hbar0=1):
     (degree_band), with c_a = hbar0 / (2 I_a): a = (c1 + c2)/4, b = c3/4
     and t = (c1 - c2)/4 as numerators over den.  For rational input these
     are the integers (n1 + n2, n3, n1 - n2) over 4D, with c_a = n_a / D
-    over one common denominator D; otherwise they are floats over 1, and
+    over one common denominator D; otherwise they are floats over 1 (each
+    c_a exact and rounded once where a momentum rounds to 0.0), and
     HamiltonianOverflowError is raised when an input leaves the float
     range.  A float a is c1/4 + c2/4 where c1 + c2 leaves the float range.  A spectrum takes it once and forms each degree's band from it."""
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
@@ -58,7 +59,10 @@ def band_record(i1, i2, i3, hbar0=1):
         n1, n2, n3 = (hbar0.numerator * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
         return n1 + n2, n3, n1 - n2, 8 * hbar0.denominator * lcm
     try:
-        c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
+        try:
+            c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
+        except ZeroDivisionError:  # a momentum below the float range
+            c1, c2, c3 = (float(Fraction(hbar0) / (2 * Fraction(mom))) for mom in (i1, i2, i3))
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
     a = (c1 + c2) / 4

@@ -25,9 +25,10 @@ On a monomial the ladder operators act as
     Jp z1^a z2^b zb1^c zb2^d = b (a+1, b-1, c, d) - c (a, b, c-1, d+1)
     Jm z1^a z2^b zb1^c zb2^d = a (a-1, b+1, c, d) - d (a, b, c+1, d-1)
 
-(exponent tuples standing for monomials).  On the unnormalized sector
-kernels u_k of spaces.py the coefficient of Jp u_k on (a, c) is
-(a - c + q) u(a, c), so with d = p + q
+(exponent tuples standing for monomials).  polynomial.apply_operator
+applies Jp, Jm and 2 J3 from their term tables (_JPLUS, _JMINUS and
+_J3_TWICE).  On the unnormalized sector kernels u_k of spaces.py the
+coefficient of Jp u_k on (a, c) is (a - c + q) u(a, c), so with d = p + q
 
     Jp u_k = (k+1) u_(k+1),    Jm u_(k+1) = (d-k) u_k,
 
@@ -73,22 +74,26 @@ from typing import NamedTuple
 from ..errors import RepresentationClosureError
 from ..inertia import check_positive
 from .levels import eigenvalues  # noqa: F401  (the span target rotorbench/spans.py wraps)
-from .polynomial import Polynomial
+from .polynomial import Polynomial, apply_operator
 from .rational_linalg import mat_add, mat_mul
 from .spaces import BidegreeSpace, harmonic_basis, sector_contents
 
 
+_JPLUS = ((1, (1,), (0,)), (-1, (2,), (3,)))
+_JMINUS = ((1, (0,), (1,)), (-1, (3,), (2,)))
+_J3_TWICE = ((1, (0,), (0,)), (-1, (1,), (1,)), (-1, (2,), (2,)), (1, (3,), (3,)))
+
+
 def apply_j3(f: Polynomial) -> Polynomial:
-    twice = f.diff(0).mul_var(0) - f.diff(1).mul_var(1) - f.diff(2).mul_var(2) + f.diff(3).mul_var(3)
-    return twice.scale(Fraction(1, 2))
+    return apply_operator(f, _J3_TWICE).scale(Fraction(1, 2))
 
 
 def apply_jplus(f: Polynomial) -> Polynomial:
-    return f.diff(1).mul_var(0) - f.diff(2).mul_var(3)
+    return apply_operator(f, _JPLUS)
 
 
 def apply_jminus(f: Polynomial) -> Polynomial:
-    return f.diff(0).mul_var(1) - f.diff(3).mul_var(2)
+    return apply_operator(f, _JMINUS)
 
 
 class HamiltonianBand(NamedTuple):

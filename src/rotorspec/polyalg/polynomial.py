@@ -214,30 +214,53 @@ def _valid(nvars: int, terms: dict) -> Polynomial:
 
 # --- differential operators used throughout ---------------------------------
 
+_LAPLACIAN_R4 = ((4, (0, 2), ()), (4, (1, 3), ()))
+_LAPLACIAN_R3 = ((1, (0, 0), ()), (1, (1, 1), ()), (1, (2, 2), ()))
+_EULER_R3 = ((1, (0,), (0,)), (1, (1,), (1,)), (1, (2,), (2,)))
+
+
+def apply_operator(poly: Polynomial, operator) -> Polynomial:
+    """poly's image under an operator, a tuple of terms (coeff, down, up)
+    that stand for coeff times the variables `up` times the derivatives in
+    `down`.  Each term is applied in one pass over poly's terms, in order,
+    into one dict that drops each sum that cancels, so every coefficient is
+    the sum, with its type, that the composition of diff, mul_var and + gives."""
+    out = {}
+    for coeff, down, up in operator:
+        for exp, c in poly.terms.items():
+            new, weight = list(exp), coeff
+            for var in down:
+                weight *= new[var]
+                new[var] -= 1
+            for var in up:
+                new[var] += 1
+            if weight:
+                key = tuple(new)
+                value = out.get(key, 0) + c * weight
+                if value:
+                    out[key] = value
+                else:
+                    del out[key]
+    return _valid(poly.nvars, out)
+
 
 def laplacian_r4(poly: Polynomial) -> Polynomial:
     """Flat Laplacian on R^4 in complex coordinates:
-    Delta = 4 (d_z1 d_zb1 + d_z2 d_zb2)."""
+    Delta = 4 (d_z1 d_zb1 + d_z2 d_zb2), applied in one dict by apply_operator."""
     if poly.nvars != 4:
         raise ValueError("laplacian_r4 needs a 4-variable polynomial")
-    return (poly.diff(0).diff(2) + poly.diff(1).diff(3)) * 4
+    return apply_operator(poly, _LAPLACIAN_R4)
 
 
 def laplacian_r3(poly: Polynomial) -> Polynomial:
     if poly.nvars != 3:
         raise ValueError("laplacian_r3 needs a 3-variable polynomial")
-    out = Polynomial.zero(3)
-    for i in range(3):
-        out = out + poly.diff(i).diff(i)
-    return out
+    return apply_operator(poly, _LAPLACIAN_R3)
 
 
 def euler_r3(poly: Polynomial) -> Polynomial:
     """Radial (Euler) operator x d_x + y d_y + z d_z."""
-    out = Polynomial.zero(3)
-    for i in range(3):
-        out = out + poly.diff(i).mul_var(i)
-    return out
+    return apply_operator(poly, _EULER_R3)
 
 
 def sphere_laplacian_r3(poly: Polynomial, degree: int) -> Polynomial:

@@ -40,16 +40,14 @@ def _normalize_integer(vec) -> list[int]:
 
 
 def _sector_monomials(p: int, q: int, weight2: int) -> list[tuple[int, int, int, int]]:
-    """Bidegree-(p, q) monomials with (a - b) - (c - d) = weight2,
-    in descending lexicographic order."""
-    out = []
-    for a in range(p, -1, -1):
-        b = p - a
-        for c in range(q, -1, -1):
-            d = q - c
-            if (a - b) - (c - d) == weight2:
-                out.append((a, b, c, d))
-    return out
+    """Bidegree-(p, q) monomials (a, b, c, d) with (a - b) - (c - d) =
+    weight2, in descending lexicographic order: the weight is 2 (a - c) - p
+    + q, so the sector is empty unless s = (weight2 + p - q) / 2 is an
+    integer, and then a runs from min(p, q + s) down to max(0, s), c = a - s."""
+    if (weight2 + p - q) % 2:
+        return []
+    s = (weight2 + p - q) // 2
+    return [(a, p - a, a - s, q - a + s) for a in range(min(p, q + s), max(0, s) - 1, -1)]
 
 
 class BidegreeSpace:

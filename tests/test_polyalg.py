@@ -512,6 +512,18 @@ def test_integer_route_levels_are_bit_identical_to_the_fraction_route(momenta, h
     event(_integer_route_verdict(momenta, hbar0, d))
 
 
+def test_a_momentum_below_the_float_range_is_read_exactly():
+    # float(10^-400) is 0.0, so c_a = hbar0 / (2 I_a) is formed exactly and
+    # rounded once: beyond the float range it is an overflow, and with hbar0
+    # also below it c1 is 1/2 and c2, c3 round to 0.0
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(HamiltonianOverflowError):
+        diagonalized_spectrum(tiny, 2.0, 3.0, BundleKind.PLUS, j_max=1)
+    assert band_record(tiny, 2.0, 3.0, tiny) == (0.125, 0.0, 0.125, 1)
+    spectrum = diagonalized_spectrum(tiny, 2.0, 3.0, BundleKind.PLUS, hbar0=tiny, j_max=1)
+    assert [(ln.energy, ln.multiplicity) for ln in spectrum.lines] == [(0.0, 1), (0.0, 3), (0.5, 6)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=5))
 def test_nullspace_of_an_integer_matrix(rows):
@@ -746,6 +758,78 @@ def test_polynomial_ring_operations_store_valid_terms(f, g, factor, var):
     for name, (result, definition) in results.items():
         assert all(type(c) in (int, Fraction) and c for c in result.terms.values()), name
         assert result == Polynomial(4, result.terms) == Polynomial(4, definition), name
+
+
+# reference forms of the operators: compositions of diff, mul_var, + and
+# scale, summing the terms in the order of apply_operator's tables
+CHAINED_R4 = {
+    apply_jplus: lambda f: f.diff(1).mul_var(0) - f.diff(2).mul_var(3),
+    apply_jminus: lambda f: f.diff(0).mul_var(1) - f.diff(3).mul_var(2),
+    apply_j3: lambda f: (
+        f.diff(0).mul_var(0) - f.diff(1).mul_var(1) - f.diff(2).mul_var(2) + f.diff(3).mul_var(3)
+    ).scale(Fraction(1, 2)),
+    laplacian_r4: lambda f: (f.diff(0).diff(2) + f.diff(1).diff(3)) * 4,
+}
+CHAINED_R3 = {
+    laplacian_r3: lambda f: Polynomial.zero(3) + f.diff(0).diff(0) + f.diff(1).diff(1) + f.diff(2).diff(2),
+    polynomial.euler_r3: lambda f: Polynomial.zero(3) + f.diff(0).mul_var(0) + f.diff(1).mul_var(1) + f.diff(2).mul_var(2),
+}
+
+
+def _typed(poly):
+    return {e: (c, type(c)) for e, c in poly.terms.items()}
+
+
+def _assert_chained(chained, f):
+    for op, composed in chained.items():
+        assert _typed(op(f)) == _typed(composed(f)), (op.__name__, f)
+
+
+polys3 = st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(3))), small_rationals, max_size=8).map(
+    lambda terms: Polynomial(3, terms)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys)
+@example(Z1 * ZB1 - Z2 * ZB2)
+def test_one_pass_r4_operators_equal_their_compositions(f):
+    # term for term, coefficient types included, where terms cancel and
+    # where int and Fraction coefficients meet
+    _assert_chained(CHAINED_R4, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys3)
+# the sum over x, y, z gives the constant term 2 - 2 (a Fraction), which
+# cancels, then 4, an int; the polynomial lists z^2 before y^2, so summing
+# in its term order would give the Fraction 4
+@example(Polynomial(3, {(2, 0, 0): 1, (0, 0, 2): 2, (0, 2, 0): Fraction(-1)}))
+def test_one_pass_r3_operators_equal_their_compositions(f):
+    _assert_chained(CHAINED_R3, f)
+
+
+def test_one_pass_operators_equal_their_compositions_on_the_bases():
+    for p, q in _blocks(12):
+        for b in harmonic_basis(p, q).basis:
+            _assert_chained(CHAINED_R4, b)
+    for ell in range(9):
+        for b in harmonic_basis_r3(ell).basis:
+            _assert_chained(CHAINED_R3, b)
+
+
+def test_sector_listing_equals_the_monomial_scan():
+    # _sector_monomials lists a sector directly and feeds both the closed
+    # form and the elimination oracle; a scan of all (p+1)(q+1) monomials
+    # in descending lexicographic order is its independent check
+    for p in range(26):
+        for q in range(26):
+            scan = {}
+            for a in range(p, -1, -1):
+                for c in range(q, -1, -1):
+                    scan.setdefault((2 * a - p) - (2 * c - q), []).append((a, p - a, c, q - c))
+            for weight2 in range(-p - q - 2, p + q + 3):
+                assert spaces._sector_monomials(p, q, weight2) == scan.get(weight2, []), (p, q, weight2)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), 1j, complex(1, 0), "1", None])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotorspec import verify
-from rotorspec.polyalg import levels, operators, spaces
+from rotorspec.polyalg import levels, operators, polynomial, spaces
 
 
 def test_run_suite_passes_quietly():
@@ -170,6 +170,43 @@ def test_a_doubled_jp_image_on_one_block_fails_su2_commutators(cold_caches, monk
     ok, detail = verify.check_su2_commutators(8)
     assert not ok
     assert detail.endswith(" differs from the integer ladder on H^(4,4)")
+
+
+# faults in the one-pass kernel polynomial.apply_operator: the operator
+# table each corrupts, how, and the checks of `verify --j-max 2` that fail
+KERNEL_FAULTS = {
+    "Jp without its second term": (
+        operators._JPLUS,
+        lambda terms: terms[:1],
+        {"su2 commutators", "casimir scalars", "harmonic dimensions"},
+    ),
+    "R^4 Laplacian with 2 d_z2 d_zb2": (
+        polynomial._LAPLACIAN_R4,
+        lambda terms: (terms[0], (2, *terms[1][1:])),
+        {"harmonic dimensions"},
+    ),
+    "R^3 Laplacian with 2 d_z^2": (
+        polynomial._LAPLACIAN_R3,
+        lambda terms: (*terms[:2], (2, *terms[2][1:])),
+        {"degenerate sphere levels"},
+    ),
+    "Euler operator without z d_z": (polynomial._EULER_R3, lambda terms: terms[:2], {"degenerate sphere levels"}),
+}
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_a_fault_in_the_one_pass_kernel_fails_the_checks_that_read_it(cold_caches, monkeypatch, fault):
+    table, corrupt, failing = KERNEL_FAULTS[fault]
+    real = polynomial.apply_operator
+
+    def faulty(poly, operator):
+        return real(poly, corrupt(operator) if operator is table else operator)
+
+    monkeypatch.setattr(polynomial, "apply_operator", faulty)
+    monkeypatch.setattr(operators, "apply_operator", faulty)
+    lines = []
+    assert verify.run_suite(j_max=2, out=lines.append) == 1
+    assert {line[len("FAIL  ") :].split(":")[0] for line in lines if line.startswith("FAIL  ")} == failing
 
 
 def test_a_square_record_with_one_sign_flipped_fails_casimir_scalars(cold_caches, monkeypatch):
