@@ -208,33 +208,36 @@ def _generator_square(p: int, q: int):
     beta_k beta_(k+1) / 4 at (k, k+2).  J2^2 is J1^2 with the off-diagonals
     negated.
     """
-    space = harmonic_basis(p, q)
     alpha, beta = _ladder(p, q)
     products = [0, *(a * b for a, b in zip(alpha, beta)), 0]
-    diag = tuple(Fraction(products[k] + products[k + 1], 4) for k in range(space.dim))
-    lower = tuple(Fraction(alpha[k] * alpha[k + 1], 4) for k in range(space.dim - 2))
-    upper = tuple(Fraction(beta[k] * beta[k + 1], 4) for k in range(space.dim - 2))
-    return diag, lower, upper, tuple(l * l for l in space.l_values)
+    diag = tuple(Fraction(products[k] + products[k + 1], 4) for k in range(p + q + 1))
+    lower = tuple(Fraction(alpha[k] * alpha[k + 1], 4) for k in range(p + q - 1))
+    upper = tuple(Fraction(beta[k] * beta[k + 1], 4) for k in range(p + q - 1))
+    return diag, lower, upper, tuple(Fraction((2 * k - p - q) ** 2, 4) for k in range(p + q + 1))
 
 
-def hamiltonian_matrix(
-    space: BidegreeSpace, i1, i2, i3, hbar0=1, k=0, rho=0
-) -> HamiltonianBand:
+def hamiltonian_matrix(space: BidegreeSpace, i1, i2, i3, hbar0=1, k=0, rho=0) -> HamiltonianBand:
     """Rotational Hamiltonian on one harmonic block, exactly, as a band: the
     generator squares times c_a = hbar0 / (2 I_a), plus k * rho on the
     diagonal.  A float input is read as the rational it is.
 
     The band reads the one cached square record (D, L, U, l^2) of
     _generator_square: J2^2 shares D with J1^2 and negates L and U, so diag
-    = k rho + (c1 + c2) D + c3 l^2, lower = (c1 - c2) L and upper = (c1 -
-    c2) U.  This is the oracle of the spectrum path, which reads S_d
-    (levels.degree_band of the inputs' levels.band_record) instead.
+    = k rho + (c1 + c2) D + c3 l^2, each entry one Fraction formed in ints,
+    lower = (c1 - c2) L and upper = (c1 - c2) U.  This is the oracle of the
+    spectrum path, which reads S_d (levels.degree_band of the inputs'
+    levels.band_record) instead.
     """
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
     sq_diag, sq_lower, sq_upper, l_squared = _generator_square(space.p, space.q)
     c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in (i1, i2, i3))
     shift, c_sum, c_diff = Fraction(k) * Fraction(rho), c1 + c2, c1 - c2
-    diag = tuple(shift + c_sum * x + c3 * y for x, y in zip(sq_diag, l_squared))
+    n = math.lcm(shift.denominator, c_sum.denominator, c3.denominator)
+    s, a, c = (v.numerator * (n // v.denominator) for v in (shift, c_sum, c3))
+    diag = tuple(
+        Fraction(s * x.denominator * y.denominator + a * x.numerator * y.denominator + c * y.numerator * x.denominator, n * x.denominator * y.denominator)
+        for x, y in zip(sq_diag, l_squared)
+    )
     return HamiltonianBand(space, diag, tuple(c_diff * x for x in sq_lower), tuple(c_diff * x for x in sq_upper))
 
 

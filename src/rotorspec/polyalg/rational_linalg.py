@@ -9,6 +9,7 @@ Plain Gauss-Jordan elimination; matrices here are small (block sizes are
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -57,7 +58,7 @@ def mat_commutator(a, b):
 
 
 def mat_equal(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return all(all(map(operator.eq, ra, rb)) for ra, rb in zip(a, b))
 
 
 def nullspace(rows) -> list[list[int | Fraction]]:

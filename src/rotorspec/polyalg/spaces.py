@@ -25,15 +25,16 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .polynomial import Polynomial, laplacian_r3, laplacian_r4
+from .polynomial import _LAPLACIAN_R4, Polynomial, _valid, apply_operator, laplacian_r3, laplacian_r4
 from .rational_linalg import nullspace
 
 
 def _normalize_integer(vec) -> list[int]:
     """Scale a rational vector (ints or Fractions) to integer entries with
-    content 1 and a positive leading (first nonzero) entry."""
-    denom = math.lcm(*(f.denominator for f in vec if f != 0))
-    ints = [int(f * denom) for f in vec]
+    content 1 and a positive leading (first nonzero) entry, in ints: each
+    entry is numerator * (lcm // denominator), lcm that of the denominators."""
+    denom = math.lcm(*(f.denominator for f in vec))
+    ints = [f.numerator * (denom // f.denominator) for f in vec]
     g = math.gcd(*ints)
     sign = 1 if next(v for v in ints if v) > 0 else -1
     return [sign * v // g for v in ints]
@@ -78,29 +79,27 @@ class BidegreeSpace:
 
     @cached_property
     def sectors(self) -> tuple[tuple[tuple[tuple[int, int, int, int], int], ...], ...]:
-        """The sector vectors u_k / n_k, each checked to be harmonic."""
+        """The sector vectors u_k / n_k, each checked harmonic on its integer
+        terms: their R^4 Laplacian by the one-pass kernel must be empty."""
         p, q = self.p, self.q
         out = []
         for k, content in enumerate(sector_contents(p, q)):
             two_l = 2 * k - p - q
-            monos, laplacian = _sector_laplacian(p, q, two_l)
+            monos = _sector_monomials(p, q, two_l)
             vec = [(-1) ** c * math.comb(p, a) * math.comb(q, c) // content for a, _, c, _ in monos]
-            if any(sum(x * v for x, v in zip(row, vec)) for row in laplacian):
+            terms = {m: v for m, v in zip(monos, vec) if v}
+            if apply_operator(_valid(4, terms), _LAPLACIAN_R4).terms:
                 raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) element is not harmonic")
-            out.append(tuple(zip(monos, vec)))
+            out.append(tuple(terms.items()))
         return tuple(out)
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        return tuple(Polynomial(4, dict(sector)) for sector in self.sectors)
+        return tuple(_valid(4, dict(sector)) for sector in self.sectors)
 
     @property
     def dim(self) -> int:
         return self.p + self.q + 1
-
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.p + self.q, 2)
 
     @property
     def l_values(self) -> tuple[Fraction, ...]:
@@ -152,17 +151,17 @@ def _sector_laplacian(p: int, q: int, weight2: int):
     matrix of the Laplacian Delta = 4 (d_z1 d_zb1 + d_z2 d_zb2) on them.
 
     Delta maps the sector into the bidegree-(p-1, q-1) monomials of the
-    same weight, which index the rows.
+    same weight, which index the rows: row i is column i's monomial with a
+    and c lowered, and column i + 1's with b and d lowered, so column i
+    holds 4 a c in row i and 4 b d in row i - 1 (b d = 0 in column 0).
     """
     monos = _sector_monomials(p, q, weight2)
-    target = _sector_monomials(p - 1, q - 1, weight2) if p >= 1 and q >= 1 else []
-    t_index = {m: i for i, m in enumerate(target)}
-    rows = [[0] * len(monos) for _ in target]
-    for col, (a, b, c, d) in enumerate(monos):
-        if a >= 1 and c >= 1:
-            rows[t_index[(a - 1, b, c - 1, d)]][col] = 4 * a * c
-        if b >= 1 and d >= 1:
-            rows[t_index[(a, b - 1, c, d - 1)]][col] = 4 * b * d
+    rows = [[0] * len(monos) for _ in monos[1:]]
+    for i, (a, b, c, d) in enumerate(monos):
+        if a and c:
+            rows[i][i] = 4 * a * c
+        if b and d:
+            rows[i - 1][i] = 4 * b * d
     return monos, rows
 
 
@@ -189,9 +188,7 @@ def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     and a positive first coefficient (monomials in descending
     lexicographic order).  The sector kernel is one-dimensional, so this
     is the vector the null-space construction returns
-    (`harmonic_basis_by_elimination`).  The sector vectors are built and
-    checked harmonic when `sectors` is first read, and the polynomials
-    when `basis` is.
+    (`harmonic_basis_by_elimination`).
     """
     if p < 0 or q < 0:
         raise ValueError("bidegree must be nonnegative")
@@ -206,20 +203,14 @@ def harmonic_basis_by_elimination(p: int, q: int) -> tuple[Polynomial, ...]:
     `rotorspec verify` compares the two."""
     if p < 0 or q < 0:
         raise ValueError("bidegree must be nonnegative")
-    j2 = p + q
     basis = []
-    for two_l in range(-j2, j2 + 1, 2):
+    for two_l in range(-p - q, p + q + 1, 2):
         monos, laplacian = _sector_laplacian(p, q, two_l)
-        if laplacian:
-            kernel = nullspace(laplacian)
-        else:
-            kernel = [[int(i == k) for i in range(len(monos))] for k in range(len(monos))]
+        kernel = nullspace(laplacian or [[0]])  # no rows: a one-monomial sector
         if len(kernel) != 1:
-            raise AssertionError(
-                f"sector (p={p}, q={q}, 2l={two_l}) kernel has dimension {len(kernel)}"
-            )
+            raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) kernel has dimension {len(kernel)}")
         vec = _normalize_integer(kernel[0])
-        basis.append(Polynomial(4, {m: c for m, c in zip(monos, vec) if c}))
+        basis.append(_valid(4, {m: c for m, c in zip(monos, vec) if c}))
     for b in basis:
         assert not laplacian_r4(b), "basis element is not harmonic"
     return tuple(basis)
@@ -260,12 +251,8 @@ def harmonic_basis_r3(degree: int) -> R3HarmonicSpace:
             rows[t_index[(i, j - 2, k)]][col] += j * (j - 1)
         if k >= 2:
             rows[t_index[(i, j, k - 2)]][col] += k * (k - 1)
-    if target:
-        kernel = nullspace(rows)
-    else:
-        kernel = [[int(i == k) for i in range(len(monos))] for k in range(len(monos))]
     basis = []
-    for vec in kernel:
+    for vec in nullspace(rows or [[0] * len(monos)]):  # a zero row: no target monomial
         vec = _normalize_integer(vec)
         basis.append(Polynomial(3, {m: c for m, c in zip(monos, vec) if c}))
     space = R3HarmonicSpace(degree=degree, basis=tuple(basis))

@@ -110,10 +110,10 @@ def _rel_err(a, b) -> float:
 
 def _adjoint(a, b, weights) -> bool:
     """w_m a_mn = w_n b_nm for all m, n: the real matrix b is the adjoint of
-    a under the pairing <e_m, e_n> = w_m delta_mn, exactly."""
-    dim = len(a)
+    a under the pairing <e_m, e_n> = w_m delta_mn, exactly, in ints."""
+    dim, num, den = len(a), [w.numerator for w in weights], [w.denominator for w in weights]
     return all(
-        weights[m] * a[m][n] == weights[n] * b[n][m]
+        num[m] * den[n] * a[m][n] == num[n] * den[m] * b[n][m]
         for m in range(dim)
         for n in range(dim)
         if a[m][n] or b[n][m]
@@ -152,11 +152,12 @@ def check_su2_commutators(d_max: int = 8):
     """On all blocks with p + q <= d_max, exactly, in the Chevalley basis:
     each of Jp, Jm and J3 of the polynomial route (the differential operator
     applied to the basis polynomials) equals, entry by entry, the one built
-    from the integer ladder (so J3 is diag(l)); Jp is adjoint to Jm under
-    the pairing weights; [J3, Jp] = Jp, [J3, Jm] = -Jm and [Jp, Jm] = 2 J3.
-    J1 = (Jp + Jm) / 2 and J2 = (Jp - Jm) / (2i) is a change of basis
-    invertible over Q(i), so these hold exactly when J_a is self-adjoint,
-    L_a = -i J_a skew-adjoint, [J_a, J_b] = i J_c and [L_a, L_b] = L_c."""
+    from the integer ladder (so J3 is diag(l) and 2 J3 integral); Jp is
+    adjoint to Jm under the pairing weights; in ints, [2 J3, Jp] = 2 Jp,
+    [2 J3, Jm] = -2 Jm and [Jp, Jm] = 2 J3 (_su2_relations).  J1 = (Jp +
+    Jm) / 2 and J2 = (Jp - Jm) / (2i) is a change of basis invertible over
+    Q(i), so these hold exactly when J_a is self-adjoint, L_a = -i J_a
+    skew-adjoint, [J_a, J_b] = i J_c and [L_a, L_b] = L_c."""
     for d in range(d_max + 1):
         for p in range(d + 1):
             q = d - p
@@ -166,40 +167,47 @@ def check_su2_commutators(d_max: int = 8):
                     return False, f"{name} differs from the integer ladder on H^({p},{q})"
             if not _adjoint(jp, jm, pairing_weights(p, q)):
                 return False, f"Jm is not the adjoint of Jp (J1, J2 not self-adjoint) under the pairing weights on H^({p},{q})"
-            relations = (
-                ("[J3, Jp] != Jp", mat_commutator(j3, jp), jp),
-                ("[J3, Jm] != -Jm", mat_commutator(j3, jm), mat_scale(jm, -1)),
-                ("[Jp, Jm] != 2 J3", mat_commutator(jp, jm), mat_scale(j3, 2)),
-            )
-            for name, got, want in relations:
+            for name, got, want in _su2_relations(jp, jm, j3):
                 if not mat_equal(got, want):
                     return False, f"{name} on H^({p},{q})"
     return True, f"exact commutators on all blocks with p+q <= {d_max}"
+
+
+def _su2_relations(jp, jm, j3):
+    """(name, got, want) of each su2 relation in ints, on 2 J3 (J3 half-integral)."""
+    two_j3 = [[int(2 * x) for x in row] for row in j3]
+    return (
+        ("[J3, Jp] != Jp", mat_commutator(two_j3, jp), mat_scale(jp, 2)),
+        ("[J3, Jm] != -Jm", mat_commutator(two_j3, jm), mat_scale(jm, -2)),
+        ("[Jp, Jm] != 2 J3", mat_commutator(jp, jm), two_j3),
+    )
+
+
+def _is_quarter(rows, fourfold) -> bool:
+    """rows == fourfold / 4 entry by entry, in ints: 4 x.numerator == y x.denominator."""
+    return all(4 * x.numerator == y * x.denominator for rx, ry in zip(rows, fourfold) for x, y in zip(rx, ry))
 
 
 def check_casimir(d_max: int = 8):
     """Casimir Jm Jp + J3^2 + J3 = j(j+1) Id = d(d+2)/4 Id exactly (so it
     commutes with every matrix); the square record the Hamiltonian reads is
     J1^2 = (Jp + Jm)^2 / 4 as (D, L, U), J2^2 = -(Jp - Jm)^2 / 4 as (D, -L,
-    -U) and J3^2 as diag(l^2), exactly."""
+    -U) and J3^2 as diag(l^2), exactly; in ints (_is_quarter), 4 C against
+    d(d+2) Id and 4 J1^2, 4 J2^2 against (Jp + Jm)^2, -(Jp - Jm)^2."""
     for d in range(d_max + 1):
-        expect = Fraction(d * (d + 2), 4)
+        scalar = _band_rows(d + 1, [d * (d + 2)] * (d + 1))
         for p in range(d + 1):
             q = d - p
-            cm = casimir_matrix(p, q)
-            if not mat_equal(cm, _band_rows(d + 1, [expect] * (d + 1))):
-                return False, f"Casimir not {expect} Id on H^({p},{q})"
+            if not _is_quarter(casimir_matrix(p, q), scalar):
+                return False, f"Casimir not {Fraction(d * (d + 2), 4)} Id on H^({p},{q})"
             jp, jm, j3 = [vector_field_matrix(axis, p, q) for axis in AXES]
-            j3_squared = mat_mul(j3, j3)
             diag, lower, upper, l_squared = _generator_square(p, q)
-            record = [
-                _band_rows(d + 1, diag, lower, upper),
-                _band_rows(d + 1, diag, [-x for x in lower], [-x for x in upper]),
-                _band_rows(d + 1, l_squared),
-            ]
-            plus, minus, quarter = mat_add(jp, jm), mat_sub(jp, jm), Fraction(1, 4)
-            squares = [mat_scale(mat_mul(plus, plus), quarter), mat_scale(mat_mul(minus, minus), -quarter), j3_squared]
-            if squares != record:
+            plus, minus = mat_add(jp, jm), mat_sub(jp, jm)
+            if not (
+                _is_quarter(_band_rows(d + 1, diag, lower, upper), mat_mul(plus, plus))
+                and _is_quarter(_band_rows(d + 1, diag, [-x for x in lower], [-x for x in upper]), mat_scale(mat_mul(minus, minus), -1))
+                and mat_mul(j3, j3) == _band_rows(d + 1, l_squared)
+            ):
                 return False, f"square record differs from J1^2, J2^2 or J3^2 on H^({p},{q})"
     return True, f"Casimir scalars j(j+1) = d(d+2)/4 exact for d <= {d_max}"
 
@@ -208,8 +216,7 @@ def check_x3_spectrum(d_max: int = 8):
     """J3 of the polynomial route is diagonal with eigenvalues -j..j in
     integer steps, exactly."""
     for d in range(d_max + 1):
-        j = Fraction(d, 2)
-        expect = [(-j + t) for t in range(d + 1)]
+        expect = [Fraction(2 * t - d, 2) for t in range(d + 1)]
         for p in range(d + 1):
             q = d - p
             if not mat_equal(vector_field_matrix(3, p, q), _band_rows(d + 1, expect)):
@@ -275,10 +282,10 @@ def check_dimensions(d_max: int = 12):
                 if apply_jplus(b) != ups[k] or apply_jminus(b) != downs[k]:
                     return False, f"ladder closure fails on basis element {k} of H^({p},{q})"
             w = pairing_weights(p, q)
-            for k, (a, b) in enumerate(zip(alpha, beta)):
-                if w[k + 1] <= 0 or w[k + 1] * a != w[k] * b:
+            for k, (a, b, w0, w1) in enumerate(zip(alpha, beta, w, w[1:])):  # in ints
+                if w1.numerator <= 0 or w1.numerator * w0.denominator * a != w0.numerator * w1.denominator * b:
                     return False, f"pairing weight {k + 1} of H^({p},{q}) is not positive or not adjoint"
-            band = hamiltonian_matrix(space, *_BAND_CHECK)
+            band = rep_band if p == r else hamiltonian_matrix(space, *_BAND_CHECK)
             if band.diag != rep_band.diag or [lo * up for lo, up in zip(band.lower, band.upper)] != rep_products:
                 return False, f"band of H^({p},{q}) differs from that of H^({r},{d - r}) in its diagonal or products"
             if d <= 12 and basis != harmonic_basis_by_elimination(p, q):

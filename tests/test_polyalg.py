@@ -524,6 +524,19 @@ def test_a_momentum_below_the_float_range_is_read_exactly():
     assert [(ln.energy, ln.multiplicity) for ln in spectrum.lines] == [(0.0, 1), (0.0, 3), (0.5, 6)]
 
 
+def test_an_overflow_from_a_sub_float_momentum_says_so():
+    # the exact fallback of band_record names the momentum; every other
+    # overflow, a large hbar among them, keeps the default text
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(HamiltonianOverflowError) as raised:
+        diagonalized_spectrum(tiny, 2.0, 3.0, BundleKind.PLUS, j_max=1)
+    assert str(raised.value) == "a principal momentum below the float range: the float Hamiltonian leaves the float range"
+    for momenta, hbar0 in (((1.0, 2.0, 3.0), 10**400), ((tiny, 2.0, 3.0), 10**400), ((1e-300, 2.0, 3.0), 1e300)):
+        with pytest.raises(HamiltonianOverflowError) as raised:
+            diagonalized_spectrum(*momenta, BundleKind.PLUS, hbar0=hbar0, j_max=1)
+        assert str(raised.value) == "hbar or k too large: the float Hamiltonian leaves the float range"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=5))
 def test_nullspace_of_an_integer_matrix(rows):
@@ -830,6 +843,166 @@ def test_sector_listing_equals_the_monomial_scan():
                     scan.setdefault((2 * a - p) - (2 * c - q), []).append((a, p - a, c, q - c))
             for weight2 in range(-p - q - 2, p + q + 3):
                 assert spaces._sector_monomials(p, q, weight2) == scan.get(weight2, []), (p, q, weight2)
+
+
+# The integer routes of the exact checks against test-side copies of the
+# forms they replaced: the dict-indexed sector Laplacian, the dense
+# harmonicity product, the Fraction normalization, and the Fraction forms of
+# the su2 relations and of the Casimir and square comparisons.
+
+
+def _dict_sector_laplacian(p, q, weight2):
+    monos = spaces._sector_monomials(p, q, weight2)
+    target = spaces._sector_monomials(p - 1, q - 1, weight2) if p >= 1 and q >= 1 else []
+    t_index = {m: i for i, m in enumerate(target)}
+    rows = [[0] * len(monos) for _ in target]
+    for col, (a, b, c, d) in enumerate(monos):
+        if a >= 1 and c >= 1:
+            rows[t_index[(a - 1, b, c - 1, d)]][col] = 4 * a * c
+        if b >= 1 and d >= 1:
+            rows[t_index[(a, b - 1, c, d - 1)]][col] = 4 * b * d
+    return monos, rows
+
+
+def _dense_harmonic(laplacian, vec):
+    return not any(sum(x * v for x, v in zip(row, vec)) for row in laplacian)
+
+
+def _fraction_normalize(vec):
+    denom = math.lcm(*(f.denominator for f in vec if f != 0))
+    ints = [int(f * denom) for f in vec]
+    g = math.gcd(*ints)
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    return [sign * v // g for v in ints]
+
+
+def _typed_rows(rows):
+    return [[(x, type(x)) for x in row] for row in rows]
+
+
+def _bent(rows):
+    """Copies of a square matrix with one entry changed each: the first
+    diagonal entry plus 1/7, the first nonzero entry negated, and 1/4 added
+    in the bottom-left corner."""
+    first = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x), (0, 0))
+    for (i, j), change in (((0, 0), lambda x: x + Fraction(1, 7)), (first, lambda x: -x), ((-1, 0), lambda x: x + Fraction(1, 4))):
+        out = [list(row) for row in rows]
+        out[i][j] = change(out[i][j])
+        yield out
+
+
+def test_sector_laplacian_equals_the_dict_indexed_form():
+    for p in range(26):
+        for q in range(26 - p):
+            for weight2 in range(-p - q - 2, p + q + 3):
+                monos, rows = spaces._sector_laplacian(p, q, weight2)
+                want_monos, want_rows = _dict_sector_laplacian(p, q, weight2)
+                assert monos == want_monos and _typed_rows(rows) == _typed_rows(want_rows), (p, q, weight2)
+
+
+def test_sectors_equal_the_dense_checked_form():
+    # each sector vector and basis polynomial, value and type, against the
+    # vector that passed the dense product; on each vector with one
+    # coefficient doubled the kernel and the dense product agree
+    for p, q in _blocks(12):
+        space = harmonic_basis(p, q)
+        for k, content in enumerate(spaces.sector_contents(p, q)):
+            monos, laplacian = _dict_sector_laplacian(p, q, 2 * k - p - q)
+            vec = [(-1) ** c * math.comb(p, a) * math.comb(q, c) // content for a, _, c, _ in monos]
+            assert _dense_harmonic(laplacian, vec)
+            assert [(m, c, type(c)) for m, c in space.sectors[k]] == [(m, c, int) for m, c in zip(monos, vec)]
+            assert _typed(space.basis[k]) == _typed(Polynomial(4, dict(zip(monos, vec))))
+            for i in range(len(vec)):
+                bent = {m: 2 * v if j == i else v for j, (m, v) in enumerate(zip(monos, vec))}
+                kernel = polynomial.apply_operator(Polynomial(4, bent), polynomial._LAPLACIAN_R4)
+                assert (not kernel.terms) == _dense_harmonic(laplacian, list(bent.values())), (p, q, k, i)
+        want = tuple(l * l for l in space.l_values)
+        assert [(x, type(x)) for x in _generator_square(p, q)[3]] == [(x, type(x)) for x in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=8).filter(any))
+def test_normalize_integer_equals_the_fraction_form(vec):
+    assert [(x, type(x)) for x in spaces._normalize_integer(vec)] == [(x, type(x)) for x in _fraction_normalize(vec)]
+
+
+def test_normalize_integer_equals_the_fraction_form_on_the_sector_kernels():
+    for p, q in _blocks(12):
+        for two_l in range(-p - q, p + q + 1, 2):
+            _, laplacian = spaces._sector_laplacian(p, q, two_l)
+            for vec in nullspace(laplacian) if laplacian else [[1]]:
+                for scaled in (vec, [x * Fraction(-3, 7) for x in vec]):
+                    want = [(x, type(x)) for x in _fraction_normalize(scaled)]
+                    assert [(x, type(x)) for x in spaces._normalize_integer(scaled)] == want
+
+
+def test_su2_relations_in_ints_equal_the_fraction_forms():
+    # on 2 J3 the relations [J3, Jp] = Jp and [J3, Jm] = -Jm are doubled and
+    # [Jp, Jm] = 2 J3 is as it was; every matrix is an int matrix, and the
+    # verdict is the Fraction form's, also with Jp or Jm bent
+    for p, q in _blocks(12):
+        jp, jm, j3 = (vector_field_matrix(axis, p, q) for axis in AXES)
+        for fp, fm in ((jp, jm), *((b, jm) for b in _bent(jp)), *((jp, b) for b in _bent(jm))):
+            fraction_forms = (
+                (mat_commutator(j3, fp), fp, 2),
+                (mat_commutator(j3, fm), mat_scale(fm, -1), 2),
+                (mat_commutator(fp, fm), mat_scale(j3, 2), 1),
+            )
+            for (_, got, want), (f_got, f_want, factor) in zip(verify._su2_relations(fp, fm, j3), fraction_forms):
+                if (fp, fm) == (jp, jm):
+                    assert all(type(x) is int for row in (*got, *want) for x in row)
+                assert mat_equal(got, mat_scale(f_got, factor)) and mat_equal(want, mat_scale(f_want, factor))
+                assert mat_equal(got, want) == mat_equal(f_got, f_want)
+
+
+def test_adjointness_in_ints_equals_the_fraction_form():
+    def fraction_adjoint(a, b, weights):
+        dim = len(a)
+        return all(weights[m] * a[m][n] == weights[n] * b[n][m] for m in range(dim) for n in range(dim) if a[m][n] or b[n][m])
+
+    for p, q in _blocks(12):
+        jp, jm, w = vector_field_matrix("+", p, q), vector_field_matrix("-", p, q), pairing_weights(p, q)
+        assert verify._adjoint(jp, jm, w)
+        for a, b in ((jp, jm), *((x, jm) for x in _bent(jp)), *((jp, x) for x in _bent(jm))):
+            for weights in (w, (2 * w[0], *w[1:]), w[::-1]):
+                assert verify._adjoint(a, b, weights) == fraction_adjoint(a, b, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(positive_rationals | st.floats(0.01, 100.0), positive_rationals, positive_rationals),
+    positive_rationals,
+    nonzero_rationals,
+    nonzero_rationals,
+    st.sampled_from(_blocks(12)),
+)
+def test_hamiltonian_diagonal_in_ints_equals_the_fraction_form(momenta, hbar0, k, rho, block):
+    c1, c2, c3 = (Fraction(hbar0) / (2 * Fraction(mom)) for mom in momenta)
+    sq_diag, _, _, l_squared = _generator_square(*block)
+    want = [Fraction(k) * Fraction(rho) + (c1 + c2) * x + c3 * y for x, y in zip(sq_diag, l_squared)]
+    got = hamiltonian_matrix(harmonic_basis(*block), *momenta, hbar0, k, rho).diag
+    assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]
+
+
+def test_casimir_comparisons_in_ints_equal_the_fraction_forms():
+    # 4 C against d(d+2) Id and the square record times 4 against the
+    # integer squares decide as the Fraction comparisons do, also on bent
+    # Casimirs and records
+    for p, q in _blocks(12):
+        d = p + q
+        jp, jm, _ = (vector_field_matrix(axis, p, q) for axis in AXES)
+        diag, lower, upper, _ = _generator_square(p, q)
+        plus, minus = mat_add(jp, jm), mat_sub(jp, jm)
+        pairs = (
+            (casimir_matrix(p, q), _band_rows(d + 1, [d * (d + 2)] * (d + 1))),
+            (_band_rows(d + 1, diag, lower, upper), mat_mul(plus, plus)),
+            (_band_rows(d + 1, diag, [-x for x in lower], [-x for x in upper]), mat_scale(mat_mul(minus, minus), -1)),
+        )
+        for rows, fourfold in pairs:
+            assert all(type(y) is int for row in fourfold for y in row)
+            assert verify._is_quarter(rows, fourfold)
+            for bent in _bent(rows):
+                assert verify._is_quarter(bent, fourfold) == mat_equal(bent, mat_scale(fourfold, Fraction(1, 4)))
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), 1j, complex(1, 0), "1", None])

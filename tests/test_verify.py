@@ -194,9 +194,9 @@ KERNEL_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", KERNEL_FAULTS)
-def test_a_fault_in_the_one_pass_kernel_fails_the_checks_that_read_it(cold_caches, monkeypatch, fault):
-    table, corrupt, failing = KERNEL_FAULTS[fault]
+def _corrupt_table(monkeypatch, table, corrupt):
+    """Make the one-pass kernel apply corrupt(table) wherever it is given
+    the operator table `table`."""
     real = polynomial.apply_operator
 
     def faulty(poly, operator):
@@ -204,9 +204,99 @@ def test_a_fault_in_the_one_pass_kernel_fails_the_checks_that_read_it(cold_cache
 
     monkeypatch.setattr(polynomial, "apply_operator", faulty)
     monkeypatch.setattr(operators, "apply_operator", faulty)
+
+
+def _failures(j_max=2):
+    """{check: detail} of the FAIL lines of `verify --j-max j_max`."""
     lines = []
-    assert verify.run_suite(j_max=2, out=lines.append) == 1
-    assert {line[len("FAIL  ") :].split(":")[0] for line in lines if line.startswith("FAIL  ")} == failing
+    assert verify.run_suite(j_max=j_max, out=lines.append) == 1
+    return dict(line[len("FAIL  ") :].split(": ", 1) for line in lines if line.startswith("FAIL  "))
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_a_fault_in_the_one_pass_kernel_fails_the_checks_that_read_it(cold_caches, monkeypatch, fault):
+    table, corrupt, failing = KERNEL_FAULTS[fault]
+    _corrupt_table(monkeypatch, table, corrupt)
+    assert set(_failures()) == failing
+
+
+def _doubled_content(monkeypatch):
+    # sector 1 of H^(1,1) is (-1, 1) over its content -1: over 2 it is
+    # (-1, 0), which the R^4 Laplacian does not annihilate
+    real = spaces.sector_contents
+
+    def contents(p, q):
+        n = real(p, q)
+        return (n[0], 2 * n[1], *n[2:]) if (p, q) == (1, 1) else n
+
+    monkeypatch.setattr(spaces, "sector_contents", contents)
+
+
+def _bent_laplacian_column(monkeypatch):
+    # column 0 of the Laplacian of sector 2l = 1 of H^(2,1), doubled in the
+    # elimination oracle alone: its kernel is then no harmonic polynomial
+    real = spaces._sector_laplacian
+
+    def laplacian(p, q, weight2):
+        monos, rows = real(p, q, weight2)
+        if (p, q, weight2) == (2, 1, 1):
+            rows = [[2 * x if j == 0 else x for j, x in enumerate(row)] for row in rows]
+        return monos, rows
+
+    monkeypatch.setattr(spaces, "_sector_laplacian", laplacian)
+
+
+# the fault registry of the five exact checks: each fault, how it is
+# injected, and the FAIL lines of `verify --j-max 2` it gives, check by check
+EXACT_CHECK_FAULTS = {
+    "a non-harmonic sector vector": (
+        _doubled_content,
+        dict.fromkeys(
+            ("su2 commutators", "casimir scalars", "x3 spectrum", "harmonic dimensions", "parity selection"),
+            "raised AssertionError: sector (p=1, q=1, 2l=0) element is not harmonic",
+        ),
+    ),
+    "a wrong 2 J3 entry (3 z1 d_z1 for z1 d_z1)": (
+        lambda mp: _corrupt_table(mp, operators._J3_TWICE, lambda terms: ((3, *terms[0][1:]), *terms[1:])),
+        {
+            "su2 commutators": "J3 differs from the integer ladder on H^(1,0)",
+            "casimir scalars": "Casimir not 3/4 Id on H^(1,0)",
+            "x3 spectrum": "J3 is not diag(-1/2, 1/2) on H^(1,0)",
+        },
+    ),
+    "a Jp image with one term doubled": (
+        lambda mp: _corrupt_table(mp, operators._JPLUS, lambda terms: ((2, *terms[0][1:]), *terms[1:])),
+        {
+            "su2 commutators": "Jp differs from the integer ladder on H^(1,0)",
+            "casimir scalars": "Casimir not 3/4 Id on H^(1,0)",
+            "harmonic dimensions": "ladder closure fails on basis element 0 of H^(1,0)",
+        },
+    ),
+    "a bent column in an elimination Laplacian": (
+        _bent_laplacian_column,
+        {"harmonic dimensions": "raised AssertionError: basis element is not harmonic"},
+    ),
+    "a constant antipodal sign": (
+        lambda mp: mp.setattr(verify, "antipodal_sign", lambda poly: 1),
+        {"parity selection": "antipodal sign wrong on H^(0,1)"},
+    ),
+    "a parity rule blind to the bundle": (
+        lambda mp: mp.setattr(verify, "parity_projects", lambda d, bundle: d % 2 == 0),
+        {"parity selection": "degree 0 projects to both or neither bundle"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", EXACT_CHECK_FAULTS)
+def test_the_fault_registry_of_the_exact_checks(cold_caches, monkeypatch, fault):
+    install, failing = EXACT_CHECK_FAULTS[fault]
+    install(monkeypatch)
+    assert _failures() == failing
+
+
+def test_every_exact_check_has_a_fault_in_the_registry():
+    covered = {name for _, failing in EXACT_CHECK_FAULTS.values() for name in failing}
+    assert covered == {name for name, _ in verify.suite_plan()[:5]}
 
 
 def test_a_square_record_with_one_sign_flipped_fails_casimir_scalars(cold_caches, monkeypatch):
