@@ -19,33 +19,30 @@ from functools import cache
 from numbers import Rational
 from typing import NamedTuple
 
-from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
+from .defaults import DEFAULT_TOLERANCES, J_MAX_DEFAULT, Tolerances
 from .errors import (
     AllCoincidentError,
+    BundleRequestError,
     HamiltonianOverflowError,
     NonPositiveMassError,
-    RotorSpecError,
+    OutOfRangeError,
     SchemaError,
 )
 from .geometry import DegeneracyClass, ParticleSystem, _jacobi_eigh, canonicalize
-from .inertia import TopClass, check_positive, inertia_tensor, principal_momenta, scalar_curvature
+from .inertia import TopClass, inertia_tensor, principal_momenta, scalar_curvature
 from .quantum_structures import (
     BundleKind,
     admissible_structures,
     bundle_of_j,
     degree_of_j,
 )
-from .spectra import Spectrum, _as_float, check_j_max, check_l_max, check_q_norm, spectrum_for
+from .spectra import Spectrum, _as_float, check_j_max, spectrum_for
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_SCHEMA = 2
 EXIT_GEOMETRY = 3
 EXIT_BUNDLE = 4
-
-
-class BundleRequestError(RotorSpecError):
-    """A bundle (or mode) request is inadmissible for this body."""
 
 
 # --- numbers and schema -------------------------------------------------------
@@ -308,17 +305,13 @@ def _requested_bundles(job: JobConfig, degeneracy: DegeneracyClass) -> list[Bund
     return wanted
 
 
-# the library's range checks: the cutoff, the momenta and hbar, q_norm
-_RANGE_CHECKS = {check.__code__ for check in (check_j_max, check_l_max, check_positive, check_q_norm)}
-
-
 def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list[Spectrum]:
     """spectrum_for per requested bundle, after the checks that make a
-    request for a bundle or a mode the body lacks a bundle error.  A
-    ValueError raised by one of the library's range checks is a schema
-    error with the check's message; any other error propagates."""
+    request for a bundle or a mode the body lacks a bundle error.  The
+    library's own errors propagate: OutOfRangeError from its range checks,
+    BundleRequestError for a monopole on a top it does not admit."""
     bundles = _requested_bundles(job, config.degeneracy)
-    top, field = momenta.top_class, job.field or {"type": "none"}
+    field = job.field or {"type": "none"}
     monopole = None
     if field["type"] == "monopole":
         if not fixed_point:
@@ -327,10 +320,6 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
                 "only rotational degrees of freedom remain. Re-run with --fixed-point "
                 "to acknowledge the reduced mode."
             )
-        if top not in (TopClass.SPHERICAL, TopClass.SYMMETRIC):
-            raise BundleRequestError(
-                f"the monopole closed form needs a spherical or symmetric top; this body is {top.value}"
-            )
         monopole = (field["nu"], field["q_norm"])
     elif field["type"] == "constant":
         print(
@@ -338,14 +327,7 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
             "emitting the free spectrum",
             file=sys.stderr,
         )
-    try:
-        return [spectrum_for(top, momenta.closed, b, job.k, job.hbar0, job.j_max, job.tolerances, monopole) for b in bundles]
-    except ValueError as exc:
-        import traceback
-
-        if any(frame.f_code in _RANGE_CHECKS for frame, _ in traceback.walk_tb(exc.__traceback__)):
-            raise SchemaError(str(exc)) from exc
-        raise
+    return [spectrum_for(momenta.top_class, momenta.closed, b, job.k, job.hbar0, job.j_max, job.tolerances, monopole) for b in bundles]
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -542,8 +524,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            if args.j_max > J_MAX_CAP:
-                raise SchemaError(f"j_max exceeds the hard cap {J_MAX_CAP}")
+            check_j_max(args.j_max)
             from . import verify  # only this command needs the oracle suite
 
             return verify.run_suite(j_max=args.j_max)
@@ -557,7 +538,7 @@ def main(argv=None) -> int:
         if args.command == "em-split":
             return cmd_em_split(job)
         raise AssertionError(f"unhandled command {args.command}")
-    except (SchemaError, NonPositiveMassError, HamiltonianOverflowError) as exc:
+    except (SchemaError, OutOfRangeError, NonPositiveMassError, HamiltonianOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except AllCoincidentError as exc:

@@ -25,6 +25,14 @@ class SchemaError(RotorSpecError):
     """A job configuration document violates the input schema."""
 
 
+class OutOfRangeError(RotorSpecError, ValueError):
+    """A cutoff, momentum, hbar0 or center-of-charge norm out of range."""
+
+
+class BundleRequestError(RotorSpecError, ValueError):
+    """A bundle (or mode) request is inadmissible for this body."""
+
+
 class HamiltonianOverflowError(RotorSpecError):
     """A float Hamiltonian entry or a float energy left the float range
     (hbar or k too large); every route reports it with the same message."""

@@ -16,6 +16,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
+from .errors import OutOfRangeError
 from .geometry import DegeneracyClass, RigidConfiguration, _jacobi_eigh
 
 
@@ -180,13 +181,13 @@ def _hbar(hbar0):
 
 
 def check_positive(**values):
-    """Raise ValueError naming the first value that is not a finite number
-    > 0: the guard on the momenta and hbar0 of every spectrum entry point.
-    Rationals are compared exactly, so one beyond the float range passes;
-    NaN fails every comparison and is rejected."""
+    """Raise OutOfRangeError naming the first value that is not a finite
+    number > 0: the guard on the momenta and hbar0 of every spectrum entry
+    point.  Rationals are compared exactly, so one beyond the float range
+    passes; NaN fails every comparison and is rejected."""
     for name, x in values.items():
         if not 0 < (x if isinstance(x, Rational) else float(x)) < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {x!r}")
+            raise OutOfRangeError(f"{name} must be finite and positive, got {x!r}")
 
 
 def curvature_spherical(i_mom, hbar0=1):

@@ -32,32 +32,32 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
-from .errors import HamiltonianOverflowError
+from .errors import BundleRequestError, HamiltonianOverflowError, OutOfRangeError
 from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
 from .polyalg.levels import band_record, degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 
 def check_j_max(j_max):
-    """Raise ValueError unless j_max is a half-integer in [0, J_MAX_CAP]."""
+    """Raise OutOfRangeError unless j_max is a half-integer in [0, J_MAX_CAP]."""
     if Fraction(j_max) * 2 % 1 != 0 or j_max < 0:
-        raise ValueError("j_max must be a nonnegative half-integer")
+        raise OutOfRangeError("j_max must be a nonnegative half-integer")
     if j_max > J_MAX_CAP:
-        raise ValueError(f"j_max exceeds the hard cap {J_MAX_CAP}")
+        raise OutOfRangeError(f"j_max exceeds the hard cap {J_MAX_CAP}")
 
 
 def check_l_max(l_max):
-    """Raise ValueError unless l_max is an integer in [0, J_MAX_CAP]."""
+    """Raise OutOfRangeError unless l_max is an integer in [0, J_MAX_CAP]."""
     if int(l_max) != l_max or l_max < 0:
-        raise ValueError("l_max must be a nonnegative integer")
+        raise OutOfRangeError("l_max must be a nonnegative integer")
     if l_max > J_MAX_CAP:
-        raise ValueError(f"l_max exceeds the hard cap {J_MAX_CAP}")
+        raise OutOfRangeError(f"l_max exceeds the hard cap {J_MAX_CAP}")
 
 
 def check_q_norm(q_center_norm):
-    """Raise ValueError unless the center-of-charge norm is nonnegative."""
+    """Raise OutOfRangeError unless the center-of-charge norm is nonnegative."""
     if float(q_center_norm) < 0:
-        raise ValueError("the center-of-charge norm must be nonnegative")
+        raise OutOfRangeError("the center-of-charge norm must be nonnegative")
 
 
 _LINE_FIELDS = [("energy", object), ("j", Fraction), ("multiplicity", int), ("bundle", BundleKind),
@@ -194,11 +194,23 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     0.0 (_diagonalized), since x + 0.0 is the float x + Fraction(0) gives.
     A float k times a rational rho beyond the float range raises
     OverflowError, which a spectrum reports as HamiltonianOverflowError
-    (_spectrum)."""
+    (_spectrum); so does a rho that leaves the float range where its float
+    form divided by a rational below it (_rounded_once)."""
     if k == 0:
         exact = all(isinstance(v, Rational) for v in (k, hbar0, *momenta))
         return Fraction(0) if exact else 0.0
-    return k * scalar_curvature(top_class, momenta, hbar0)
+    return k * _rounded_once(lambda h, *closed: scalar_curvature(top_class, closed, h), hbar0, *momenta)
+
+
+def _rounded_once(formula, *values):
+    """formula(*values); where that divides by a float 0.0 (a rational
+    below the float range, or a float product that underflowed), the
+    formula on the values as Fractions, floats read exactly, rounded once
+    to a float, as band_record does: OverflowError beyond the float range."""
+    try:
+        return formula(*values)
+    except ZeroDivisionError:
+        return float(formula(*map(Fraction, values)))
 
 
 def _exactify(*values):
@@ -239,6 +251,11 @@ def _spectrum(kind, top, bundle, params, k, hbar0, j_max, levels, source="closed
     keyed.sort(key=itemgetter(0))
     lines = tuple([tuple.__new__(SpectralLine, fields) for _, fields in keyed])
     return tuple.__new__(Spectrum, (lines, kind, bundle, top, params, k, hbar0, Fraction(j_max)))
+
+
+def _over_twice(h, i_mom):
+    """hbar0 / (2 I), the coefficient of j(j+1), by _rounded_once."""
+    return _rounded_once(lambda h, i: h / (2 * i), h, i_mom)
 
 
 def _factor_j(coefficient, j, x):
@@ -291,7 +308,7 @@ def _spherical(i_mom, bundle, k, hbar0, j_max) -> Spectrum:
     def levels():
         shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
         js = j_values(bundle, j_max)
-        coefficient = h / (2 * i_mom) if js else None
+        coefficient = _over_twice(h, i_mom) if js else None
         for j in js:
             x = float(j)
             d, f = int(2 * x), _factor_j(coefficient, j, x)
@@ -312,7 +329,7 @@ def _symmetric_degrees(i_pair, i_axis, h, js):
     the first degree, so a spectrum without a degree forms none."""
     if not js:
         return
-    pair, axis = h / (2 * i_pair), h / 2 * (1 / i_axis - 1 / i_pair)
+    pair, axis = _over_twice(h, i_pair), h / 2 * (1 / i_axis - 1 / i_pair)
     for j in js:
         x = float(j)
         f, g = _factor_j(pair, j, x), _factor_j(axis, j, x)
@@ -368,9 +385,10 @@ def degenerate_spectrum(i_mom, k=0, hbar0=1, l_max=J_MAX_DEFAULT) -> Spectrum:
 
     def levels():
         shift = curvature_shift(k, TopClass.DEGENERATE, (i_mom,), h)
+        coefficient = _over_twice(h, i_mom)
         for ell in range(int(l_max) + 1):
             refs = tuple((ell, None, idx) for idx in range(2 * ell + 1))
-            yield h / (2 * i_mom) * ell * (ell + 1) + shift, Fraction(ell), None, 2 * ell + 1, refs
+            yield coefficient * ell * (ell + 1) + shift, Fraction(ell), None, 2 * ell + 1, refs
 
     params = {"I": i_mom}
     return _spectrum("degenerate", TopClass.DEGENERATE, BundleKind.PLUS, params, k, h, int(l_max), levels())
@@ -401,7 +419,8 @@ def monopole_spectrum(
                 # at the first degree, after its j terms, so a spectrum
                 # without lines forms no term and the first error of a
                 # term is the one the per-line formula meets first
-                linear, constant = nu * qn / i_axis, nu * nu * qn * qn / (2 * i_axis * h)
+                linear = _rounded_once(lambda n, q, i: n * q / i, nu, qn, i_axis)
+                constant = _rounded_once(lambda n, q, i, h: n * n * q * q / (2 * i * h), nu, qn, i_axis, h)
             new_lin = linear * _factor_j(linear, j, x)
             terms[-d] = (-j, new_quad, -new_lin)
             terms[d] = (j, new_quad, new_lin)
@@ -524,10 +543,11 @@ def spectrum_for(
     asymmetric top diagonalized_spectrum, as kind "asymmetric".
     monopole = (nu, q_center_norm) asks for the monopole spectrum of a
     spherical or symmetric top, a spherical one taking I as its pair and
-    its axis momentum."""
+    its axis momentum; BundleRequestError for any other top.  Each range
+    check the route runs raises OutOfRangeError."""
     if monopole is not None:
         if top not in (TopClass.SPHERICAL, TopClass.SYMMETRIC):
-            raise ValueError(f"the monopole closed form needs a spherical or symmetric top, not {top.value}")
+            raise BundleRequestError(f"the monopole closed form needs a spherical or symmetric top; this body is {top.value}")
         pair_axis = closed if top is TopClass.SYMMETRIC else closed * 2
         return monopole_spectrum(*pair_axis, bundle, *monopole, k, hbar0, j_max)
     if top is TopClass.SPHERICAL:

@@ -70,7 +70,7 @@ from .polyalg import rational_linalg
 from .polyalg.levels import EXACT_DEGREE_MAX, band_species
 from .polyalg.operators import AXES, _generator_square, _ladder
 from .polyalg.rational_linalg import mat_add, mat_scale, mat_sub, mat_zero
-from .polyalg.spaces import harmonic_basis_by_elimination
+from .polyalg.spaces import _sector_monomials, harmonic_basis_by_elimination
 from .quantum_structures import BundleKind, parity_projects
 from .spectra import (
     degenerate_spectrum,
@@ -229,8 +229,38 @@ def check_x3_spectrum(d_max: int = 8):
 _BAND_CHECK = (1, 2, Fraction(7, 2), 1, Fraction(5, 21), 1)
 
 
+def _dimension_certificate(p: int, q: int):
+    """None when the weight sectors prove dim H^{p,q} = p+q+1, else the
+    failure, in O(m) per sector of m monomials (a, b, c, d): its listing
+    (_sector_monomials) starts at bidegree (p, q) and weight 2l, steps by
+    z1 zb1 -> z2 zb2 while a c != 0, and the sizes add up to the (p+1)(q+1)
+    monomials of the bidegree.  So each sector holds every monomial of its
+    weight, and no step leads out of it: b d = 0 on the first, a c = 0 on
+    the last.  The Laplacian 4 (d_z1 d_zb1 + d_z2 d_zb2) sends monomial i
+    to rows i (4 a c) and i - 1 (4 b d), so its leading (m-1) x (m-1)
+    block is upper bidiagonal with a nonzero diagonal, and each of the
+    p+q+1 sectors holds one harmonic line."""
+    count = 0
+    for two_l in range(-p - q, p + q + 1, 2):
+        monos = _sector_monomials(p, q, two_l)
+        if not monos:
+            return f"weight sector 2l = {two_l} of H^({p},{q}) is empty"
+        a, b, c, d = first = monos[0]
+        if (
+            (a + b, c + d, a - b - c + d) != (p, q, two_l)
+            or min(first) < 0
+            or any(not a * c or nxt != (a - 1, b + 1, c - 1, d + 1) for (a, b, c, d), nxt in zip(monos, monos[1:]))
+        ):
+            return f"weight sector 2l = {two_l} of H^({p},{q}) is not a z1 zb1 -> z2 zb2 chain from a monomial of its weight"
+        count += len(monos)
+    if count != (p + 1) * (q + 1):
+        return f"the weight sectors of H^({p},{q}) hold {count} of its {(p + 1) * (q + 1)} monomials"
+    return None
+
+
 def check_dimensions(d_max: int = 12):
-    """dim H^{p,q} = p+q+1 and the degree-d total is (d+1)^2.  On every
+    """dim H^{p,q} = p+q+1, so the degree-d total is (d+1)^2, certified on
+    every block from its weight sectors (_dimension_certificate).  On every
     block, what the spectrum path takes on trust: each sector is harmonic
     (checked when the basis reads `sectors`); the ladder closes on the basis
     polynomials, Jp b_k = alpha_k b_(k+1) and Jm b_(k+1) = beta_k b_k, with
@@ -249,7 +279,6 @@ def check_dimensions(d_max: int = 12):
     zero = Polynomial.zero(4)
     record, shift = band_record(*_BAND_CHECK[:4]), _BAND_CHECK[4] * _BAND_CHECK[5]
     for d in range(d_max + 1):
-        total = 0
         r = d // 2
         rep_band = hamiltonian_matrix(harmonic_basis(r, d - r), *_BAND_CHECK)
         rep_products = [lo * up for lo, up in zip(rep_band.lower, rep_band.upper)]
@@ -271,9 +300,10 @@ def check_dimensions(d_max: int = 12):
                 return False, f"an exact level of the band of H^({r},{d - r}) is not a root of its characteristic polynomial"
         for p in range(d + 1):
             q = d - p
+            failure = _dimension_certificate(p, q)
+            if failure:
+                return False, failure
             space = harmonic_basis(p, q)
-            if space.dim != p + q + 1:
-                return False, f"dim H^({p},{q}) = {space.dim} != {p + q + 1}"
             alpha, beta = _ladder(p, q)
             basis = space.basis
             ups = [*(b.scale(a) for a, b in zip(alpha, basis[1:])), zero]
@@ -290,9 +320,6 @@ def check_dimensions(d_max: int = 12):
                 return False, f"band of H^({p},{q}) differs from that of H^({r},{d - r}) in its diagonal or products"
             if d <= 12 and basis != harmonic_basis_by_elimination(p, q):
                 return False, f"closed-form basis of H^({p},{q}) differs from the null-space basis"
-            total += space.dim
-        if total != (d + 1) ** 2:
-            return False, f"degree {d} total {total} != {(d + 1) ** 2}"
     return True, f"dimensions p+q+1 and (d+1)^2 verified for d <= {d_max}"
 
 

@@ -472,6 +472,7 @@ def test_out_of_range_requests_exit_2(tmp_path, capsys):
         (["spectrum", "--config", _write(tmp_path, DIPOLE, "dipole.json"), "--j-max=-1/2"], "l_max must be a nonnegative integer"),
         (["spectrum", "--config", _write(tmp_path, DIPOLE, "dipole.json"), "--j-max", "-0.5"], "l_max must be a nonnegative integer"),
         (["verify", "--j-max", "30"], "j_max exceeds the hard cap 25"),
+        (["verify", "--j-max", "-1"], "j_max must be a nonnegative half-integer"),
     ]
     # the same cutoffs as the job's j_max
     for argv, message in cases[:3]:
@@ -779,6 +780,18 @@ def test_monopole_requires_fixed_point(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "1/2" in out  # half-integer branch emitted as well
+
+
+@pytest.mark.parametrize("doc", [TRIANGLE, DIPOLE], ids=["asymmetric", "degenerate"])
+def test_a_monopole_on_a_top_without_its_closed_form_exits_4(tmp_path, capsys, doc):
+    # spectrum_for raises the BundleRequestError, and main maps it by type
+    mono = {**doc, "field": {"type": "monopole", "nu": 1, "q_norm": 1}}
+    top = "asymmetric" if doc is TRIANGLE else "degenerate"
+    assert main(["spectrum", "--config", _write(tmp_path, mono), "--fixed-point"]) == EXIT_BUNDLE
+    assert capsys.readouterr() == (
+        "",
+        f"error: the monopole closed form needs a spherical or symmetric top; this body is {top}\n",
+    )
 
 
 def _number(v):

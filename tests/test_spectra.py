@@ -28,7 +28,7 @@ from rotorspec import (
     velocities_from_angular,
 )
 from rotorspec import spectra
-from rotorspec.errors import HamiltonianOverflowError
+from rotorspec.errors import BundleRequestError, HamiltonianOverflowError, OutOfRangeError, RotorSpecError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import band_record, casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
 from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
@@ -740,6 +740,38 @@ def test_a_rational_beyond_the_float_range_meeting_a_float_raises_overflow(call)
         call()
 
 
+TINY = Fraction(1, 10**400)
+
+
+def test_a_rational_below_the_float_range_meeting_a_float_is_read_exactly():
+    # a float divided by a rational below the float range (read as 0.0), or
+    # by a float product that underflowed, in a level term or in k rho: the
+    # value is formed exactly and rounded once, as band_record does, and
+    # HamiltonianOverflowError is raised where it leaves the float range
+    for call in (
+        lambda: spherical_spectrum(TINY, BundleKind.PLUS, hbar0=0.5, j_max=1),
+        lambda: symmetric_spectrum(TINY, 2.3, BundleKind.PLUS, hbar0=0.5, j_max=1),
+        # rho's float form divides 3.5 by 2 I_pair^2, read as 0.0
+        lambda: symmetric_spectrum(Fraction(1, 10**300), 7, BundleKind.PLUS, k=Fraction(1, 2), hbar0=0.5, j_max=0),
+        lambda: degenerate_spectrum(TINY, hbar0=0.5, l_max=1),
+        lambda: monopole_spectrum(1, TINY, BundleKind.PLUS, 1.5, 1, j_max=1),
+        # 2 I_axis hbar0 underflows to 0.0 in the constant term
+        lambda: monopole_spectrum(0.1, 0.1, BundleKind.PLUS, 1.0, 1.0, hbar0=5e-324, j_max=1),
+    ):
+        with pytest.raises(HamiltonianOverflowError):
+            call()
+    # hbar0 / (2 I) is about 5e299, so the j = 1 level is finite
+    coefficient = float(Fraction(1e-100) / (2 * TINY))
+    spherical = spherical_spectrum(TINY, BundleKind.PLUS, hbar0=1e-100, j_max=1)
+    assert [(ln.j, repr(ln.energy)) for ln in spherical.lines] == [(0, "0.0"), (1, repr(coefficient * 2.0))]
+    assert repr(spherical.lines[1].energy) == "1e+300"
+    shifted = spherical_spectrum(TINY, BundleKind.PLUS, k=1, hbar0=1e-100, j_max=1)
+    rho = float(3 * Fraction(1e-100) / (2 * TINY))
+    assert [ln.energy for ln in shifted.lines] == [rho, coefficient * 2.0 + rho]
+    degenerate = degenerate_spectrum(TINY, k=1.0, hbar0=1e-100, l_max=1)
+    assert [ln.energy for ln in degenerate.lines] == [2e300, coefficient * 2.0 + 2e300]
+
+
 def _block_levels(band):
     """The levels of one exact block band, ascending, from that block
     alone: its species in closed form up to degree EXACT_DEGREE_MAX, and
@@ -988,6 +1020,80 @@ def test_nonpositive_or_nonfinite_inputs_are_named(entry, bad):
     for name in names:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             call({**VALID, name: bad})
+
+
+def _assert_out_of_range(call, message):
+    """call() raises OutOfRangeError, a ValueError and a RotorSpecError,
+    with this message."""
+    with pytest.raises(OutOfRangeError) as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, RotorSpecError)
+    assert str(info.value) == message
+
+
+# every entry point that takes a cutoff, as a function of it
+J_MAX_ENTRY_POINTS = {
+    "j_squared": lambda j_max: j_squared_spectrum(PLUS, j_max),
+    "spherical": lambda j_max: spherical_spectrum(1, PLUS, j_max=j_max),
+    "symmetric": lambda j_max: symmetric_spectrum(2, 1, PLUS, j_max=j_max),
+    "monopole": lambda j_max: monopole_spectrum(2, 1, PLUS, 1, 1, j_max=j_max),
+    "diagonalized": lambda j_max: diagonalized_spectrum(1, 2, 3, PLUS, j_max=j_max),
+    "asymmetric": lambda j_max: asymmetric_spectrum(1, 2, 3, PLUS, j_max=j_max),
+    "spectrum_for spherical": lambda j_max: spectra.spectrum_for(TopClass.SPHERICAL, (1,), PLUS, j_max=j_max),
+    "spectrum_for symmetric": lambda j_max: spectra.spectrum_for(TopClass.SYMMETRIC, (2, 1), PLUS, j_max=j_max),
+    "spectrum_for asymmetric": lambda j_max: spectra.spectrum_for(TopClass.ASYMMETRIC, (1, 2, 3), PLUS, j_max=j_max),
+    "spectrum_for monopole": lambda j_max: spectra.spectrum_for(
+        TopClass.SYMMETRIC, (2, 1), PLUS, j_max=j_max, monopole=(1, 1)
+    ),
+}
+L_MAX_ENTRY_POINTS = {
+    "degenerate": lambda l_max: degenerate_spectrum(1, l_max=l_max),
+    # on S^2 the cutoff is floor(j_max)
+    "spectrum_for degenerate": lambda l_max: spectra.spectrum_for(TopClass.DEGENERATE, (1,), PLUS, j_max=l_max + Fraction(1, 2)),
+}
+RANGE_CASES = {
+    **{
+        f"{entry}: {name} = 0": (lambda call=call, name=name: call({**VALID, name: 0}), f"{name} must be finite and positive, got 0")
+        for entry, (names, call) in ENTRY_POINTS.items()
+        for name in names
+    },
+    **{
+        f"{entry}: j_max = {j_max}": (lambda call=call, j_max=j_max: call(j_max), message)
+        for entry, call in J_MAX_ENTRY_POINTS.items()
+        for j_max, message in (
+            (-1, "j_max must be a nonnegative half-integer"),
+            (Fraction(1, 3), "j_max must be a nonnegative half-integer"),
+            (26, "j_max exceeds the hard cap 25"),
+        )
+    },
+    **{
+        f"{entry}: l_max = {l_max}": (lambda call=call, l_max=l_max: call(l_max), message)
+        for entry, call in L_MAX_ENTRY_POINTS.items()
+        for l_max, message in ((-1, "l_max must be a nonnegative integer"), (26, "l_max exceeds the hard cap 25"))
+    },
+    "monopole: q_center_norm = -1": (
+        lambda: monopole_spectrum(2, 1, PLUS, 1, -1, j_max=1),
+        "the center-of-charge norm must be nonnegative",
+    ),
+    "spectrum_for monopole: q_center_norm = -1": (
+        lambda: spectra.spectrum_for(TopClass.SYMMETRIC, (2, 1), PLUS, j_max=1, monopole=(1, -1)),
+        "the center-of-charge norm must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RANGE_CASES)
+def test_a_range_check_raises_an_out_of_range_error(case):
+    _assert_out_of_range(*RANGE_CASES[case])
+
+
+@pytest.mark.parametrize("top", [TopClass.ASYMMETRIC, TopClass.DEGENERATE])
+def test_a_monopole_on_a_top_without_its_closed_form_is_a_bundle_request_error(top):
+    closed = (1, 2, 3) if top is TopClass.ASYMMETRIC else (1,)
+    with pytest.raises(BundleRequestError) as info:
+        spectra.spectrum_for(top, closed, PLUS, j_max=1, monopole=(1, 1))
+    assert isinstance(info.value, ValueError) and isinstance(info.value, RotorSpecError)
+    assert str(info.value) == f"the monopole closed form needs a spherical or symmetric top; this body is {top.value}"
 
 
 @pytest.mark.filterwarnings("ignore:momenta nearly spherical", "ignore:two momenta nearly coincide")

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotorspec import verify
+from rotorspec import BundleKind, verify
+from rotorspec.inertia import InertiaTensor
 from rotorspec.polyalg import levels, operators, polynomial, spaces
 
 
@@ -297,6 +298,149 @@ def test_the_fault_registry_of_the_exact_checks(cold_caches, monkeypatch, fault)
 def test_every_exact_check_has_a_fault_in_the_registry():
     covered = {name for _, failing in EXACT_CHECK_FAULTS.values() for name in failing}
     assert covered == {name for name, _ in verify.suite_plan()[:5]}
+
+
+def _wrapped(name, make, module=verify):
+    """The fault that replaces module.name by make(the real one)."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def _relisted(edit):
+    """The fault that makes the suite list sector (p, q, weight2) as
+    edit(p, q, weight2, its true listing)."""
+    return _wrapped("_sector_monomials", lambda real: lambda p, q, weight2: edit(p, q, weight2, real(p, q, weight2)))
+
+
+PLUS, MINUS = BundleKind.PLUS, BundleKind.MINUS
+NOT_A_CHAIN = "is not a z1 zb1 -> z2 zb2 chain from a monomial of its weight"
+
+# the fault registry of the other twelve checks, and of the weight-sector
+# certificate of harmonic dimensions, one fault per clause: each fault, how
+# it is injected, and the FAIL lines of `verify --j-max 2` it gives, check
+# by check
+SUITE_FAULTS = {
+    "weight sectors listed in ascending order": (
+        _relisted(lambda p, q, weight2, monos: monos[::-1]),
+        {"harmonic dimensions": f"weight sector 2l = 0 of H^(1,1) {NOT_A_CHAIN}"},
+    ),
+    "a weight sector listed empty": (
+        _relisted(lambda p, q, weight2, monos: [] if (p, q, weight2) == (1, 1, 0) else monos),
+        {"harmonic dimensions": "weight sector 2l = 0 of H^(1,1) is empty"},
+    ),
+    "the listings of two weight sectors of the same size swapped": (
+        _relisted(
+            lambda p, q, weight2, monos: spaces._sector_monomials(2, 2, -weight2)
+            if (p, q) == (2, 2) and abs(weight2) == 2
+            else monos
+        ),
+        {"harmonic dimensions": f"weight sector 2l = -2 of H^(2,2) {NOT_A_CHAIN}"},
+    ),
+    "the first two monomials of a weight sector swapped": (
+        _relisted(lambda p, q, weight2, monos: [monos[1], monos[0], *monos[2:]] if (p, q, weight2) == (2, 2, 0) else monos),
+        {"harmonic dimensions": f"weight sector 2l = 0 of H^(2,2) {NOT_A_CHAIN}"},
+    ),
+    "a chain run one step past its end, and another sector one short": (
+        _relisted(
+            lambda p, q, weight2, monos: {(2, 2, 0): [*monos, (-1, 3, -1, 3)], (2, 2, 2): monos[:-1]}.get(
+                (p, q, weight2), monos
+            )
+        ),
+        {"harmonic dimensions": f"weight sector 2l = 0 of H^(2,2) {NOT_A_CHAIN}"},
+    ),
+    "a weight sector listed without its last monomial": (
+        _relisted(lambda p, q, weight2, monos: monos[:-1] if (p, q, weight2) == (1, 1, 0) else monos),
+        {"harmonic dimensions": "the weight sectors of H^(1,1) hold 3 of its 4 monomials"},
+    ),
+    "a weight sector listed one step early": (
+        _relisted(
+            lambda p, q, weight2, monos: [(a + 1, b - 1, c + 1, d - 1) for a, b, c, d in monos]
+            if (p, q, weight2) == (1, 1, 0)
+            else monos
+        ),
+        {"harmonic dimensions": f"weight sector 2l = 0 of H^(1,1) {NOT_A_CHAIN}"},
+    ),
+    "a j squared spectrum at twice hbar0": (
+        _wrapped("j_squared_spectrum", lambda real: lambda bundle, j_max, hbar0=1: real(bundle, j_max, 2 * hbar0)),
+        {"j squared spectrum": "PLUS j^2 lines wrong: [(Fraction(0, 1), 1), (Fraction(8, 1), 9), (Fraction(24, 1), 25)]"},
+    ),
+    "a trivial-bundle spherical closed form on 2I": (
+        _wrapped(
+            "spherical_spectrum",
+            lambda real: lambda i_mom, bundle, **kw: real(2 * i_mom if bundle is PLUS else i_mom, bundle, **kw),
+        ),
+        {
+            "spherical vs diagonalization": "spherical energies [Fraction(0, 1), Fraction(1, 2), Fraction(3, 2)] "
+            "!= [Fraction(0, 1), Fraction(1, 1), Fraction(3, 1)]"
+        },
+    ),
+    "a non-trivial-bundle spherical closed form one j short": (
+        _wrapped(
+            "spherical_spectrum",
+            lambda real: lambda i_mom, bundle, j_max, **kw: real(i_mom, bundle, j_max=j_max - (bundle is MINUS), **kw),
+        ),
+        {"half-integer branch": "bundle union does not cover every degree exactly once"},
+    ),
+    "a non-trivial-bundle symmetric closed form with its momenta swapped": (
+        _wrapped(
+            "symmetric_spectrum",
+            lambda real: lambda i_pair, i_axis, bundle, **kw: real(
+                *((i_axis, i_pair) if bundle is MINUS else (i_pair, i_axis)), bundle, **kw
+            ),
+        ),
+        {"symmetric vs diagonalization": "degree 1 mismatch at E = 5/16"},
+    ),
+    "every exact level read as a float": (
+        _wrapped("_species_levels", lambda real: lambda *species: [(float(v), False) for v, _ in real(*species)], levels),
+        {
+            "asymmetric j=1 triad": "j=1 triad [0.4166666666666667, 0.6666666666666666, 0.75] "
+            "!= [Fraction(5, 12), Fraction(2, 3), Fraction(3, 4)]"
+        },
+    ),
+    "float levels off by one part in 10^9": (
+        _wrapped("_ql_levels", lambda real: lambda diag, off: [v * (1 + 1e-9) for v in real(diag, off)], levels),
+        {"asymmetric ladder oracle": "degree 2: 0.39285714325 vs oracle 0.392857142857143"},
+    ),
+    "a surface Laplacian of the wrong sign": (
+        _wrapped("sphere_laplacian_r3", lambda real: lambda poly, degree: real(poly, degree).scale(-1)),
+        {"degenerate sphere levels": "surface Laplacian eigenvalue wrong at degree 1"},
+    ),
+    "a doubled spherical curvature": (
+        _wrapped("curvature_spherical", lambda real: lambda i_mom, hbar0=1: 2 * real(i_mom, hbar0)),
+        {"scalar curvature oracle": "spherical curvature mismatch at I = 25.62801646034899"},
+    ),
+    "a monopole of twice the charge": (
+        _wrapped("monopole_spectrum", lambda real: lambda *args, nu, **kw: real(*args, nu=2 * nu, **kw)),
+        {"monopole consistency": "l-asymmetry at (j,l)=(5/2,5/2) is 30"},
+    ),
+    "a negated angular velocity": (
+        _wrapped("angular_velocity", lambda real: lambda config, vel: tuple(-x for x in real(config, vel))),
+        {"geometry invariants": "angular velocity round-trip failed"},
+    ),
+    "a doubled mixed field component": (
+        _wrapped("split_field", lambda real: lambda *args: (lambda s: s._replace(mixed=2 * s.mixed))(real(*args))),
+        {"field splitting invariants": "additivity of the field splitting failed"},
+    ),
+    "a doubled inertia tensor": (
+        _wrapped(
+            "inertia_tensor",
+            lambda real: lambda config: InertiaTensor([[2 * x for x in row] for row in real(config).matrix]),
+        ),
+        {"classification pipeline": "dipole transverse momentum 16.0 != 8"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", SUITE_FAULTS)
+def test_the_fault_registry_of_the_suite(cold_caches, monkeypatch, fault):
+    install, failing = SUITE_FAULTS[fault]
+    install(monkeypatch)
+    assert _failures() == failing
+
+
+def test_every_check_of_the_suite_has_a_fault_in_the_registry():
+    registry = (*EXACT_CHECK_FAULTS.values(), *SUITE_FAULTS.values())
+    covered = {name for _, failing in registry for name in failing}
+    assert covered == {name for name, _ in verify.suite_plan()}
 
 
 def test_a_square_record_with_one_sign_flipped_fails_casimir_scalars(cold_caches, monkeypatch):
