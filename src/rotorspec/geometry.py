@@ -17,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, Tolerances
-from .errors import AllCoincidentError, NonPositiveMassError
+from .errors import AllCoincidentError, NonPositiveMassError, OutOfRangeError
 
 
 class DegeneracyClass(Enum):
@@ -233,11 +233,10 @@ def characteristic_rank(relatives, eps_rel: float) -> int:
     is scaled by a power of two, exactly, to a largest entry in [1/2, 1),
     reduced to its triangular factor (_triangular_factor), and that
     factor's singular values taken by one-sided Jacobi (_singular_values).
+    Every entry must be finite; the rank is then 0 for the zero matrix
+    only, since a nonzero one scales to sigma_max >= 1/2.
     """
-    top = max(abs(x) for row in relatives for x in row)
-    if not top:
-        return 0
-    e = -math.frexp(top)[1]
+    e = -math.frexp(max(abs(x) for row in relatives for x in row))[1]
     sv = _singular_values(_triangular_factor([math.ldexp(x, e) for x in col] for col in zip(*relatives)))
     return sum(1 for s in sv if s > eps_rel * sv[0])
 
@@ -248,10 +247,11 @@ def canonicalize(
     """Move to the center-of-mass frame and classify the body.
 
     Returns a RigidConfiguration with center = sum_i mu_i e_i and
-    r_i = e_i - center.  Raises AllCoincidentError when every particle sits
-    at one point (no rotational degrees of freedom): every position equals
-    the first, or the relatives have rank 0.  Both tests are free of any
-    length scale.
+    r_i = e_i - center.  Raises AllCoincidentError when every position
+    equals the first (no rotational degrees of freedom; a test free of any
+    length scale), and OutOfRangeError when a relative coordinate is not a
+    finite float.  Past both, a relative coordinate is finite and nonzero,
+    so the rank is at least 1.
     """
     first, *others = system.positions
     if all(e == first for e in others):
@@ -260,9 +260,9 @@ def canonicalize(
     center = tuple(_dot(mu, col) for col in zip(*system.positions))
     cx, cy, cz = center
     rel = tuple((x - cx, y - cy, z - cz) for x, y, z in system.positions)
+    if not all(math.isfinite(x) for row in rel for x in row):
+        raise OutOfRangeError("a relative position leaves the float range: the particles lie too far apart")
     c_rot = characteristic_rank(rel, tol.rel)
-    if c_rot == 0:
-        raise AllCoincidentError("all particles coincide with the center of mass")
     return RigidConfiguration(
         center=center,
         relatives=rel,

@@ -263,8 +263,20 @@ def scalar_curvature(top_class: TopClass, closed, hbar0=1):
     """Scalar curvature of the rotational space of a body of the given top
     class, from the momenta its closed form takes (PrincipalMomenta.closed):
     (I,) spherical, (I_pair, I_axis) symmetric, (I1, I2, I3) asymmetric
-    and (I,) degenerate, with I the transverse momentum."""
-    return _CURVATURE[top_class](*closed, hbar0)
+    and (I,) degenerate, with I the transverse momentum; by _rounded_once,
+    so a rational below the float range gives rho rounded once."""
+    return _rounded_once(_CURVATURE[top_class], *closed, hbar0)
+
+
+def _rounded_once(formula, *values):
+    """formula(*values); where that divides by a float 0.0 (a rational
+    below the float range, or a float product that underflowed), the
+    formula on the values as Fractions, floats read exactly, rounded once
+    to a float, as band_record does: OverflowError beyond the float range."""
+    try:
+        return formula(*values)
+    except ZeroDivisionError:
+        return float(formula(*map(Fraction, values)))
 
 
 def scalar_curvature_oracle(i1: float, i2: float, i3: float, hbar0: float = 1.0) -> float:

@@ -54,18 +54,8 @@ class Polynomial:
         return Polynomial(nvars)
 
     @staticmethod
-    def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: value})
-
-    @staticmethod
     def monomial(nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
         return Polynomial(nvars, {tuple(exponents): coeff})
-
-    @staticmethod
-    def variable(nvars: int, index: int) -> "Polynomial":
-        exp = [0] * nvars
-        exp[index] = 1
-        return Polynomial.monomial(nvars, exp)
 
     # --- ring operations ---
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -152,24 +142,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """(p, q) if every term has holomorphic degree p and antiholomorphic
-        degree q (4-variable polynomials only), else None."""
-        if self.nvars != 4 or not self.terms:
-            return None
-        bis = {(e[0] + e[1], e[2] + e[3]) for e in self.terms}
-        return bis.pop() if len(bis) == 1 else None
-
-    def evaluate(self, point) -> complex:
-        values = [complex(p) for p in point]
-        out = 0j
-        for exp, c in self.terms.items():
-            term = complex(c)
-            for v, e in zip(values, exp):
-                term *= v**e
-            out += term
-        return out
 
     def __str__(self):
         return self.pretty()

@@ -17,13 +17,6 @@ def mat_zero(n: int, m: int):
     return [[0] * m for _ in range(n)]
 
 
-def mat_identity(n: int):
-    out = mat_zero(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def mat_add(a, b):
     return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -112,7 +105,7 @@ def charpoly(a) -> list[Fraction]:
     n = len(a)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    mk = mat_identity(n)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         mk = mat_mul(a, mk)
         ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k

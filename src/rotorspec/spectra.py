@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import BundleRequestError, HamiltonianOverflowError, OutOfRangeError
-from .inertia import TopClass, _exact_or_float, check_positive, classify_momenta, scalar_curvature
+from .inertia import TopClass, _exact_or_float, _rounded_once, check_positive, classify_momenta, scalar_curvature
 from .polyalg.levels import band_record, degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
@@ -195,22 +195,11 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     A float k times a rational rho beyond the float range raises
     OverflowError, which a spectrum reports as HamiltonianOverflowError
     (_spectrum); so does a rho that leaves the float range where its float
-    form divided by a rational below it (_rounded_once)."""
+    form divided by a rational below it (scalar_curvature)."""
     if k == 0:
         exact = all(isinstance(v, Rational) for v in (k, hbar0, *momenta))
         return Fraction(0) if exact else 0.0
-    return k * _rounded_once(lambda h, *closed: scalar_curvature(top_class, closed, h), hbar0, *momenta)
-
-
-def _rounded_once(formula, *values):
-    """formula(*values); where that divides by a float 0.0 (a rational
-    below the float range, or a float product that underflowed), the
-    formula on the values as Fractions, floats read exactly, rounded once
-    to a float, as band_record does: OverflowError beyond the float range."""
-    try:
-        return formula(*values)
-    except ZeroDivisionError:
-        return float(formula(*map(Fraction, values)))
+    return k * scalar_curvature(top_class, momenta, hbar0)
 
 
 def _exactify(*values):

@@ -560,11 +560,12 @@ def check_monopole():
 
 
 def check_j_squared():
-    """hbar0^2 j(j+1) with multiplicity (2j+1)^2 on both bundles."""
-    plus = j_squared_spectrum(BundleKind.PLUS, j_max=2)
-    got = [(ln.energy, ln.multiplicity) for ln in plus.lines]
-    if got != [(0, 1), (2, 9), (6, 25)]:
-        return False, f"PLUS j^2 lines wrong: {got}"
+    """hbar0^2 j(j+1) with multiplicity (2j+1)^2 on both bundles, and on
+    PLUS also at hbar0 = 2/3, where a spectrum linear in hbar0 differs."""
+    for hbar0, j_max, want in ((1, 2, [(0, 1), (2, 9), (6, 25)]), (Fraction(2, 3), 1, [(0, 1), (Fraction(8, 9), 9)])):
+        got = [(ln.energy, ln.multiplicity) for ln in j_squared_spectrum(BundleKind.PLUS, j_max, hbar0).lines]
+        if got != want:
+            return False, f"PLUS j^2 lines wrong: {got}"
     minus = j_squared_spectrum(BundleKind.MINUS, j_max=Fraction(1, 2))
     if [(ln.energy, ln.multiplicity) for ln in minus.lines] != [(Fraction(3, 4), 4)]:
         return False, "MINUS j^2 line wrong"

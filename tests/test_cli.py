@@ -533,6 +533,25 @@ def test_a_column_below_the_rounding_takes_the_class_of_a_zero_column(tmp_path, 
     assert zero == ["characteristic c_rot  1", "degeneracy class      degenerate", "top class             degenerate"]
 
 
+# unit masses at (1.7e308, 0, 0) and (0, 1, 0), mass 1e10 at (-1.7e308, 0, 0):
+# three distinct particles whose relative x leaves the float range
+FAR_APART = Path(__file__).parent / "data" / "far_apart.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["classify"], ["spectrum"], ["eigensections", "--j", "1"], ["em-split"]],
+    ids=["classify", "spectrum", "eigensections", "em-split"],
+)
+def test_relatives_beyond_the_float_range_exit_2(capsys, command):
+    name, *rest = command
+    assert main([name, "--config", str(FAR_APART), *rest]) == EXIT_SCHEMA
+    assert capsys.readouterr() == (
+        "",
+        "error: a relative position leaves the float range: the particles lie too far apart\n",
+    )
+
+
 @pytest.mark.parametrize(
     "doc, top, momenta, closed, name",
     [

@@ -17,6 +17,7 @@ from rotorspec import (
     velocities_from_angular,
 )
 from rotorspec.classical_em import weighted_inner
+from rotorspec.errors import OutOfRangeError
 
 TETRAHEDRON = [
     [1.0, 1.0, 1.0],
@@ -82,6 +83,15 @@ def test_all_coincident_is_decided_without_a_length_scale():
     for scale in (1e-13, 1e-150, 2.0**-500):
         config = canonicalize(_system([1, 2, 3], [[scale * x for x in p] for p in triangle]))
         assert config.degeneracy is DegeneracyClass.WEAKLY_NONDEGENERATE
+
+
+def test_relatives_beyond_the_float_range_raise_out_of_range():
+    # three distinct particles (tests/data/far_apart.json): the center sits
+    # near the heavy one, so the relative x of the first overflows; the
+    # body is refused as out of range, not as coincident
+    system = _system([1, 1, 1e10], [[1.7e308, 0, 0], [0, 1, 0], [-1.7e308, 0, 0]])
+    with pytest.raises(OutOfRangeError, match="^a relative position leaves the float range"):
+        canonicalize(system)
 
 
 def test_nonpositive_mass_raises():

@@ -348,6 +348,17 @@ def test_the_curvature_keeps_its_bits_wherever_scaling_alone_gave_one():
     assert returned > 1000 and raised > 100 and rounded > 100
 
 
+def test_scalar_curvature_rounds_once_where_a_float_meets_a_rational_below_the_float_range():
+    # the float form divides by the rational read as 0.0; rho is formed
+    # exactly and rounded once, or raises OverflowError beyond the float range
+    tiny = Fraction(1, 10**400)
+    assert scalar_curvature(TopClass.SPHERICAL, (tiny,), 1e-300) == 1.5000000000000001e100
+    assert scalar_curvature(TopClass.DEGENERATE, (tiny,), 1e-300) == 2e100
+    assert scalar_curvature(TopClass.ASYMMETRIC, (tiny, 2, 3), 1e-300) == -8.333333333333333e98
+    with pytest.raises(OverflowError):
+        scalar_curvature(TopClass.SYMMETRIC, (Fraction(1, 10**300), 7), 0.5)
+
+
 def test_oracle_rejects_nonpositive():
     with pytest.raises(ValueError):
         scalar_curvature_oracle(0.0, 1.0, 1.0)
