@@ -19,7 +19,7 @@ class Tolerances(NamedTuple):
     Both are relative: no decision depends on the units, and a job's
     `tolerances.abs` is ignored like any unknown key.
 
-    rel:  relative threshold (rank decisions, momentum coincidences,
+    rel:  relative threshold, below 1 (rank decisions, momentum coincidences,
           angular-velocity residuals, charge/mass proportionality)
     spec: relative threshold for grouping nearly equal eigenvalues
     """

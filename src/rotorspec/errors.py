@@ -26,7 +26,7 @@ class SchemaError(RotorSpecError):
 
 
 class OutOfRangeError(RotorSpecError, ValueError):
-    """A cutoff, momentum, hbar0, center-of-charge norm or relative position out of range."""
+    """A cutoff, momentum, hbar0, center-of-charge norm, relative position or tol.rel out of range."""
 
 
 class BundleRequestError(RotorSpecError, ValueError):

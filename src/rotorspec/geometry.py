@@ -250,7 +250,8 @@ def canonicalize(
     r_i = e_i - center.  Raises AllCoincidentError when every position
     equals the first (no rotational degrees of freedom; a test free of any
     length scale), and OutOfRangeError when a relative coordinate is not a
-    finite float.  Past both, a relative coordinate is finite and nonzero,
+    finite float or tol.rel is not below 1.  Past these, a relative
+    coordinate is finite and nonzero and sigma_max > tol.rel * sigma_max,
     so the rank is at least 1.
     """
     first, *others = system.positions
@@ -261,7 +262,9 @@ def canonicalize(
     cx, cy, cz = center
     rel = tuple((x - cx, y - cy, z - cz) for x, y, z in system.positions)
     if not all(math.isfinite(x) for row in rel for x in row):
-        raise OutOfRangeError("a relative position leaves the float range: the particles lie too far apart")
+        raise OutOfRangeError("particles: a relative position is not a finite float (positions too far apart or not finite)")
+    if not tol.rel < 1:
+        raise OutOfRangeError(f"tolerances.rel must be below 1, got {tol.rel!r}")
     c_rot = characteristic_rank(rel, tol.rel)
     return RigidConfiguration(
         center=center,

@@ -548,8 +548,24 @@ def test_relatives_beyond_the_float_range_exit_2(capsys, command):
     assert main([name, "--config", str(FAR_APART), *rest]) == EXIT_SCHEMA
     assert capsys.readouterr() == (
         "",
-        "error: a relative position leaves the float range: the particles lie too far apart\n",
+        "error: particles: a relative position is not a finite float (positions too far apart or not finite)\n",
     )
+
+
+@pytest.mark.parametrize("command", [["classify"], ["spectrum"], ["eigensections", "--j", "1"]], ids=lambda c: c[0])
+def test_a_relative_tolerance_of_1_or_more_exits_2(tmp_path, capsys, command):
+    # at tol.rel >= 1 no singular value would count, so no rank; the
+    # largest float below 1 still counts the largest one (rank 1)
+    name, *rest = command
+    path = _write(tmp_path, TRIANGLE)
+    for flag_value, doc_value in (("1", 1), ("2", 2.5)):
+        assert main([name, "--config", path, "--tol-rel", flag_value, *rest]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", f"error: tolerances.rel must be below 1, got {float(flag_value)!r}\n")
+        doc = _write(tmp_path, {**TRIANGLE, "tolerances": {"rel": doc_value}})
+        assert main([name, "--config", doc, *rest]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", f"error: tolerances.rel must be below 1, got {float(doc_value)!r}\n")
+    assert main([name, "--config", path, "--tol-rel", repr(math.nextafter(1.0, 0.0)), *rest]) == EXIT_OK
+    assert name != "classify" or "top class             degenerate" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Center-of-mass canonicalization, splitting maps and angular velocity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rotorspec import (
     NonPositiveMassError,
     NotRigidVelocityError,
     ParticleSystem,
+    Tolerances,
     angular_velocity,
     canonicalize,
     recombine,
@@ -90,8 +93,19 @@ def test_relatives_beyond_the_float_range_raise_out_of_range():
     # near the heavy one, so the relative x of the first overflows; the
     # body is refused as out of range, not as coincident
     system = _system([1, 1, 1e10], [[1.7e308, 0, 0], [0, 1, 0], [-1.7e308, 0, 0]])
-    with pytest.raises(OutOfRangeError, match="^a relative position leaves the float range"):
+    with pytest.raises(OutOfRangeError, match="^particles: a relative position is not a finite float"):
         canonicalize(system)
+
+
+def test_a_relative_tolerance_of_1_or_more_raises_out_of_range():
+    # no singular value exceeds tol.rel * sigma_max when tol.rel >= 1 (or
+    # NaN), so the rank would be 0 for a body that is not one point
+    system = _system([1, 2, 3], [[0, 0, 0], [1.1, 0, 0], [0.3, 1.7, 0]])
+    for rel in (1.0, 2.0, math.inf, math.nan):
+        with pytest.raises(OutOfRangeError, match="^tolerances.rel must be below 1, got "):
+            canonicalize(system, Tolerances(rel=rel))
+    config = canonicalize(system, Tolerances(rel=math.nextafter(1.0, 0.0)))
+    assert config.degeneracy is DegeneracyClass.DEGENERATE
 
 
 def test_nonpositive_mass_raises():
