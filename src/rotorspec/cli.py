@@ -36,7 +36,7 @@ from .quantum_structures import (
     bundle_of_j,
     degree_of_j,
 )
-from .spectra import Spectrum, _as_float, check_j_max, spectrum_for
+from .spectra import Spectrum, check_closed, check_j_max, spectrum_for
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -280,11 +280,7 @@ def _build_body(job: JobConfig):
         positions=[p[2] for p in job.particles],
     )
     config = canonicalize(system, job.tolerances)
-    tensor = inertia_tensor(config)
-    if not all(math.isfinite(x) for row in tensor.matrix for x in row):
-        raise SchemaError("particles: the inertia tensor leaves the float range (positions or masses too large)")
-    momenta = principal_momenta(tensor, config.degeneracy, job.tolerances)
-    return system, config, momenta
+    return system, config, principal_momenta(inertia_tensor(config), config.degeneracy, job.tolerances)
 
 
 _BUNDLE_REQUESTS = {
@@ -334,9 +330,11 @@ def _spectra_for_job(job: JobConfig, config, momenta, fixed_point: bool) -> list
 
 
 def cmd_classify(job: JobConfig) -> int:
-    """Print the body's classification; HamiltonianOverflowError (exit 2),
-    before any row, when hbar is so large that rho leaves the float range."""
+    """Print the body's classification; exit 2 before any row on spectrum's
+    error for a closed-form momentum of 0 (check_closed) or a rho beyond the
+    float range (OverflowError, as HamiltonianOverflowError)."""
     system, config, momenta = _build_body(job)
+    check_closed(momenta.top_class, momenta.closed, job.hbar0)
     structures = admissible_structures(config.degeneracy)
     try:
         rho = scalar_curvature(momenta.top_class, momenta.closed, job.hbar0)
@@ -350,7 +348,7 @@ def cmd_classify(job: JobConfig) -> int:
         ("degeneracy class", _CLASS_NAMES[config.characteristic]),
         ("principal momenta", " ".join(_fmt(x) for x in momenta.momenta)),
         ("top class", momenta.top_class.value),
-        ("scalar curvature", _fmt(_as_float(rho))),
+        ("scalar curvature", _fmt(rho)),
         ("admissible bundles", ", ".join(b.value for b in structures.admissible)),
         ("H^2(S_rot, Z)", structures.h2_integer),
         ("H^2(S_rot, R)", structures.h2_real),

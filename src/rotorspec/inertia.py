@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from numbers import Rational
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ class TopClass(Enum):
 
 class InertiaTensor(NamedTuple("InertiaTensor", [("matrix", tuple)])):
     """Symmetric positive-semidefinite 3x3 matrix in mass * length^2 units,
-    as three rows of floats; _replace converts and checks the same way.
+    as three rows of finite floats (else OutOfRangeError); _replace checks too.
 
     M_ab = sum_i m_i (|r_i|^2 delta_ab - r_ia r_ib); trace = 2 sum_i m_i |r_i|^2.
     """
@@ -40,6 +41,8 @@ class InertiaTensor(NamedTuple("InertiaTensor", [("matrix", tuple)])):
         m = tuple(tuple(map(float, row)) for row in matrix)
         if len(m) != 3 or any(len(row) != 3 for row in m):
             raise ValueError("inertia tensor must be 3x3")
+        if not all(map(math.isfinite, m[0] + m[1] + m[2])):
+            raise OutOfRangeError("particles: the inertia tensor leaves the float range (positions or masses too large)")
         return super().__new__(cls, m)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -121,14 +124,9 @@ def _coincidences(momenta, rel, num):
 
 
 def _pair_mean(x, y):
-    """(x + y) / 2, as a Fraction when both values are rational (the true
-    division of two ints would give a float).  Two floats whose sum leaves
-    the float range give x/2 + y/2, which is finite, so the closed form of
-    a checked triple takes a finite pair momentum."""
-    if isinstance(x, Rational) and isinstance(y, Rational):
-        return (Fraction(x) + Fraction(y)) / 2
-    mean = (x + y) / 2
-    return x / 2 + y / 2 if mean == math.inf else mean
+    """(x + y) / 2 by _rounded_once: a Fraction when both are rational, and
+    finite for finite floats, so a checked triple gets a finite pair momentum."""
+    return _rounded_once(lambda x, y: (x + y) / 2, _exact_or_float(x), _exact_or_float(y))
 
 
 def principal_momenta(
@@ -136,15 +134,11 @@ def principal_momenta(
     degeneracy: DegeneracyClass | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> PrincipalMomenta:
-    """Diagonalize the inertia tensor (_jacobi_eigh) and classify the top.
-
-    Eigenvalues are sorted ascending and the axes are re-oriented to a
-    right-handed frame.  Negative eigenvalues within tol.rel times the
-    largest of zero (roundoff) are clamped to zero.  ValueError when an
-    entry is not a finite float.
-    """
-    if not all(math.isfinite(x) for row in tensor.matrix for x in row):
-        raise ValueError("the inertia tensor has an entry that is not a finite float")
+    """Diagonalize the inertia tensor, whose entries are finite floats
+    (InertiaTensor), by _jacobi_eigh and classify the top.  Eigenvalues are
+    sorted ascending and the axes are re-oriented to a right-handed frame.
+    Negative eigenvalues within tol.rel times the largest of zero
+    (roundoff) are clamped to zero."""
     vals, vecs = _jacobi_eigh(tensor.matrix)
     order = sorted(range(3), key=vals.__getitem__)
     small = tol.rel * max(vals)
@@ -191,13 +185,17 @@ def check_positive(**values):
 
 
 def curvature_spherical(i_mom, hbar0=1):
-    i_mom, hbar0 = _exact_or_float(i_mom), _hbar(hbar0)
+    """3 hbar0 / (2 I), by _rounded_once."""
+    return _rounded_once(_spherical, _exact_or_float(i_mom), _hbar(hbar0))
+
+
+def _spherical(i_mom, hbar0):
     return 3 * hbar0 / (2 * i_mom)
 
 
 def curvature_symmetric(i_pair, i_axis, hbar0=1):
-    """2 hbar0 / I_pair - hbar0 I_axis / (2 I_pair^2), evaluated by _scale_free."""
-    return _scale_free(_symmetric, (i_pair, i_axis), hbar0)
+    """2 hbar0 / I_pair - hbar0 I_axis / (2 I_pair^2), scale-free (_scale_free) by _rounded_once."""
+    return _rounded_once(_SCALE_FREE_SYMMETRIC, _exact_or_float(i_pair), _exact_or_float(i_axis), _hbar(hbar0))
 
 
 def _symmetric(i_pair, i_axis, hbar0):
@@ -205,34 +203,27 @@ def _symmetric(i_pair, i_axis, hbar0):
 
 
 def curvature_asymmetric(i1, i2, i3, hbar0=1):
-    """hbar0 (1/I1 + 1/I2 + 1/I3 - (I1^2 + I2^2 + I3^2) / (2 I1 I2 I3)), evaluated by _scale_free."""
-    return _scale_free(_asymmetric, (i1, i2, i3), hbar0)
+    """hbar0 (1/I1 + 1/I2 + 1/I3 - (I1^2 + I2^2 + I3^2) / (2 I1 I2 I3)), scale-free (_scale_free) by _rounded_once."""
+    return _rounded_once(_SCALE_FREE_ASYMMETRIC, _exact_or_float(i1), _exact_or_float(i2), _exact_or_float(i3), _hbar(hbar0))
 
 
 def _asymmetric(i1, i2, i3, hbar0):
     return hbar0 / i1 + hbar0 / i2 + hbar0 / i3 - hbar0 * (i1 * i1 + i2 * i2 + i3 * i3) / (2 * i1 * i2 * i3)
 
 
-def _scale_free(formula, momenta, hbar0):
-    """formula(*momenta, hbar0), a curvature closed form, at the momenta
-    and hbar0 taken exact or float (_exact_or_float, _hbar).  When a
-    momentum is a float it is evaluated at the momenta times 2^-e, e the
-    binary exponent of the largest, so that their squares and products
-    stay in the float range, and the result is scaled back by 2^-e (the
-    curvature has degree -1 in I).  A power of two leaves every rounding
-    as it was; all-exact momenta are not scaled.  When a rational momentum
-    lies beyond the float range, the formula is evaluated on Fractions,
-    each float read as the dyadic rational it is, and rounded once to a
-    float, which raises OverflowError where the curvature leaves the
-    float range."""
-    momenta, hbar0 = [*map(_exact_or_float, momenta)], _hbar(hbar0)
+def _scale_free(formula, *values):
+    """formula(*values), a curvature form of the momenta and hbar0 (last);
+    with a float momentum, at the momenta times 2^-e, e the binary exponent
+    of the largest, scaled back by 2^-e (rho has degree -1 in I): a power
+    of two changes no rounding and keeps squares and products in range."""
+    *momenta, hbar0 = values
     if float not in map(type, momenta):
-        return formula(*momenta, hbar0)
-    try:
-        e = -math.frexp(max(momenta))[1]
-    except OverflowError:  # the largest momentum is a rational beyond the float range
-        return float(formula(*map(Fraction, momenta), Fraction(hbar0)))
+        return formula(*values)
+    e = -math.frexp(max(momenta))[1]
     return _times_two_to(formula(*[_times_two_to(i, e) for i in momenta], hbar0), e)
+
+
+_SCALE_FREE_SYMMETRIC, _SCALE_FREE_ASYMMETRIC = partial(_scale_free, _symmetric), partial(_scale_free, _asymmetric)
 
 
 def _times_two_to(x, e: int):
@@ -247,36 +238,39 @@ def _times_two_to(x, e: int):
 
 
 def curvature_degenerate(i_mom, hbar0=1):
-    i_mom, hbar0 = _exact_or_float(i_mom), _hbar(hbar0)
+    """2 hbar0 / I, with I the transverse momentum, by _rounded_once."""
+    return _rounded_once(_degenerate, _exact_or_float(i_mom), _hbar(hbar0))
+
+
+def _degenerate(i_mom, hbar0):
     return 2 * hbar0 / i_mom
 
 
-_CURVATURE = {
-    TopClass.SPHERICAL: curvature_spherical,
-    TopClass.SYMMETRIC: curvature_symmetric,
-    TopClass.ASYMMETRIC: curvature_asymmetric,
-    TopClass.DEGENERATE: curvature_degenerate,
-}
+_CURVATURE = {TopClass.SPHERICAL: curvature_spherical, TopClass.SYMMETRIC: curvature_symmetric,
+              TopClass.ASYMMETRIC: curvature_asymmetric, TopClass.DEGENERATE: curvature_degenerate}
 
 
 def scalar_curvature(top_class: TopClass, closed, hbar0=1):
     """Scalar curvature of the rotational space of a body of the given top
     class, from the momenta its closed form takes (PrincipalMomenta.closed):
     (I,) spherical, (I_pair, I_axis) symmetric, (I1, I2, I3) asymmetric
-    and (I,) degenerate, with I the transverse momentum; by _rounded_once,
-    so a rational below the float range gives rho rounded once."""
-    return _rounded_once(_CURVATURE[top_class], *closed, hbar0)
+    and (I,) degenerate, with I the transverse momentum; as each form gives it."""
+    return _CURVATURE[top_class](*closed, hbar0)
 
 
 def _rounded_once(formula, *values):
-    """formula(*values); where that divides by a float 0.0 (a rational
-    below the float range, or a float product that underflowed), the
-    formula on the values as Fractions, floats read exactly, rounded once
-    to a float, as band_record does: OverflowError beyond the float range."""
+    """formula(*values), a closed-form value; the one fallback for float
+    arithmetic that fails on one.  Where it raises ZeroDivisionError or
+    OverflowError, or gives a non-finite float from finite values, the
+    formula is evaluated on Fractions (floats read exactly) and rounded
+    once: OverflowError exactly where the value leaves the float range."""
     try:
-        return formula(*values)
-    except ZeroDivisionError:
-        return float(formula(*map(Fraction, values)))
+        value = formula(*values)
+        if type(value) is not float or math.isfinite(value) or any(type(v) is float and not math.isfinite(v) for v in values):
+            return value
+    except (ZeroDivisionError, OverflowError):
+        pass
+    return float(formula(*map(Fraction, values)))
 
 
 def scalar_curvature_oracle(i1: float, i2: float, i3: float, hbar0: float = 1.0) -> float:

@@ -60,6 +60,16 @@ def check_q_norm(q_center_norm):
         raise OutOfRangeError("the center-of-charge norm must be nonnegative")
 
 
+_CLOSED_NAMES = {TopClass.SPHERICAL: ("i_mom",), TopClass.SYMMETRIC: ("i_pair", "i_axis"),
+                 TopClass.ASYMMETRIC: ("i1", "i2", "i3"), TopClass.DEGENERATE: ("i_mom",)}
+
+
+def check_closed(top: TopClass, closed, hbar0=1):
+    """check_positive on hbar0 and the momenta closed of a top of class top
+    (PrincipalMomenta.closed), by the names its spectrum gives them."""
+    check_positive(**dict(zip(_CLOSED_NAMES[top], closed)), hbar0=hbar0)
+
+
 _LINE_FIELDS = [("energy", object), ("j", Fraction), ("multiplicity", int), ("bundle", BundleKind),
                 ("l", Fraction | None), ("source", str), ("eigensections", tuple | None)]
 
@@ -192,10 +202,8 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
     turns it off.  The zero shift is Fraction(0) when k, hbar0 and the
     momenta are all rational, and 0.0 otherwise; a float level adds it as
     0.0 (_diagonalized), since x + 0.0 is the float x + Fraction(0) gives.
-    A float k times a rational rho beyond the float range raises
-    OverflowError, which a spectrum reports as HamiltonianOverflowError
-    (_spectrum); so does a rho that leaves the float range where its float
-    form divided by a rational below it (scalar_curvature)."""
+    A rho beyond the float range (scalar_curvature), and a float k times a
+    rational one, raise OverflowError: HamiltonianOverflowError (_spectrum)."""
     if k == 0:
         exact = all(isinstance(v, Rational) for v in (k, hbar0, *momenta))
         return Fraction(0) if exact else 0.0
@@ -295,8 +303,8 @@ def _spherical(i_mom, bundle, k, hbar0, j_max) -> Spectrum:
     i_mom, k, h = _exactify(i_mom, k, hbar0)
 
     def levels():
-        shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h)
         js = j_values(bundle, j_max)
+        shift = curvature_shift(k, TopClass.SPHERICAL, (i_mom,), h) if js else None
         coefficient = _over_twice(h, i_mom) if js else None
         for j in js:
             x = float(j)
@@ -314,11 +322,11 @@ def _symmetric_degrees(i_pair, i_axis, h, js):
     left-to-right order, and (c (-x)) (-x) = (c x) x exactly, so a level
     summed from these terms is the same float or Fraction as the formula's
     for that line.  A float coefficient multiplies x, which gives the bits
-    the Fraction j gives (_factor_j).  The coefficients are formed once, at
-    the first degree, so a spectrum without a degree forms none."""
+    the Fraction j gives (_factor_j).  The coefficients are formed once, by
+    _rounded_once, at the first degree, so a spectrum without one forms none."""
     if not js:
         return
-    pair, axis = _over_twice(h, i_pair), h / 2 * (1 / i_axis - 1 / i_pair)
+    pair, axis = _over_twice(h, i_pair), _rounded_once(lambda h, p, a: h / 2 * (1 / a - 1 / p), h, i_pair, i_axis)
     for j in js:
         x = float(j)
         f, g = _factor_j(pair, j, x), _factor_j(axis, j, x)
@@ -348,9 +356,10 @@ def _symmetric(i_pair, i_axis, bundle, k, hbar0, j_max) -> Spectrum:
     i_pair, i_axis, k, h = _exactify(i_pair, i_axis, k, hbar0)
 
     def levels():
-        shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
         axis = {}  # 2|l| -> (|l|, its l^2 term), for every |l| <= j so far
         for d, j, _, pair_term, new_axis in _symmetric_degrees(i_pair, i_axis, h, j_values(bundle, j_max)):
+            if not axis:  # k rho at the first degree, so a spectrum without one forms none
+                shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
             axis[d] = (j, new_axis)
             for two_l in range(d % 2, d + 1, 2):
                 abs_l, axis_term = axis[two_l]
@@ -401,13 +410,12 @@ def monopole_spectrum(
     i_pair, i_axis, nu, qn, k, h = _exactify(i_pair, i_axis, nu, q_center_norm, k, hbar0)
 
     def levels():
-        shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
         terms = {}  # 2l -> (l, its l^2 term, its linear term), for every |l| <= j so far
         for d, j, x, pair_term, new_quad in _symmetric_degrees(i_pair, i_axis, h, j_values(bundle, j_max)):
             if not terms:
                 # at the first degree, after its j terms, so a spectrum
-                # without lines forms no term and the first error of a
-                # term is the one the per-line formula meets first
+                # without lines forms no term, k rho included
+                shift = curvature_shift(k, TopClass.SYMMETRIC, (i_pair, i_axis), h)
                 linear = _rounded_once(lambda n, q, i: n * q / i, nu, qn, i_axis)
                 constant = _rounded_once(lambda n, q, i, h: n * n * q * q / (2 * i * h), nu, qn, i_axis, h)
             new_lin = linear * _factor_j(linear, j, x)
@@ -463,17 +471,17 @@ def diagonalized_spectrum(
 
 def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectrum:
     """diagonalized_spectrum as kind, for the class top (None: classify),
-    on a j_max and momenta its caller has checked.  The band record of the
-    inputs (band_record) is taken once per spectrum, after the k rho shift
-    and only when the spectrum has a degree, so an empty spectrum raises no
-    overflow of the record."""
+    on a j_max and momenta its caller has checked.  The k rho shift and
+    then the band record of the inputs (band_record) are taken once per
+    spectrum, only when it has a degree, so an empty spectrum raises no
+    overflow of either."""
     i1, i2, i3, k, h = _exactify(i1, i2, i3, k, hbar0)
     top, closed = classify_momenta((i1, i2, i3), tol) if top is None else (top, None)
 
     def levels():
-        shift = curvature_shift(k, top, closed or (i1, i2, i3), h)
-        exact_zero = type(shift) is Fraction and not shift
         js = j_values(bundle, j_max)
+        shift = curvature_shift(k, top, closed or (i1, i2, i3), h) if js else None
+        exact_zero = type(shift) is Fraction and not shift
         record = band_record(i1, i2, i3, h) if js else None
         for j in js:
             d = int(2 * j)
@@ -546,6 +554,5 @@ def spectrum_for(
     if top is TopClass.DEGENERATE:
         return degenerate_spectrum(*closed, k, hbar0, math.floor(j_max))
     check_j_max(j_max)
-    i1, i2, i3 = closed
-    check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
-    return _diagonalized("asymmetric", top, i1, i2, i3, bundle, k, hbar0, j_max, tol)
+    check_closed(top, closed, hbar0)
+    return _diagonalized("asymmetric", top, *closed, bundle, k, hbar0, j_max, tol)

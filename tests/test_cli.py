@@ -507,11 +507,24 @@ def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
 THIN_BODY = Path(__file__).parent / "data" / "thin_body.json"
 
 
-@pytest.mark.parametrize("command", [["spectrum"], ["eigensections", "--j", "1"]], ids=["spectrum", "eigensections"])
+@pytest.mark.parametrize(
+    "command", [["classify"], ["spectrum"], ["eigensections", "--j", "1"]], ids=["classify", "spectrum", "eigensections"]
+)
 def test_a_zero_principal_momentum_exits_2(capsys, command):
     name, *rest = command
     assert main([name, "--config", str(THIN_BODY), *rest]) == EXIT_SCHEMA
     assert capsys.readouterr() == ("", "error: i_axis must be finite and positive, got 0.0\n")
+
+
+# unit masses at (1e-200, 0, 0) and the origin: a collinear body whose
+# transverse momentum 1e-400 rounds to 0.0
+ZERO_MOMENTUM = Path(__file__).parent / "data" / "zero_momentum.json"
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum"])
+def test_a_collinear_body_with_a_zero_momentum_exits_2(capsys, command):
+    assert main([command, "--config", str(ZERO_MOMENTUM)]) == EXIT_SCHEMA
+    assert capsys.readouterr() == ("", "error: i_mom must be finite and positive, got 0.0\n")
 
 
 # two unit masses at the origin and one at (0, 6.0e-250, 1): the y column of
@@ -720,21 +733,26 @@ def test_closed_form_overflow_exit_2(tmp_path, capsys, doc, extra):
     ids=["asymmetric", "spherical", "symmetric", "degenerate"],
 )
 def test_classify_curvature_beyond_the_float_range_exit_2(tmp_path, capsys, doc, rho):
-    # at hbar 1e308 rho leaves the float range: with an exact --hbar its
-    # Fraction-over-float division overflows, with a document float it is
-    # inf or nan; classify rejects both with the error spectrum prints for
-    # that hbar, before any row
+    # at hbar 1e308 an intermediate of rho leaves the float range (3 hbar is
+    # inf for a document float, and an exact --hbar overflows its
+    # Fraction-over-float division), but rho itself, ten times its value
+    # at hbar 1e307, does not: classify prints it formed exactly and
+    # rounded once, while the spectrum's levels leave the float range
     path = _write(tmp_path, doc)
     assert main(["spectrum", "--config", path, "--hbar", "1e308", "--k", "1"]) == EXIT_SCHEMA
     error = capsys.readouterr().err
     assert error == "error: hbar or k too large: the float Hamiltonian leaves the float range\n"
-    for config in (["--config", path, "--hbar", "1e308"], ["--config", _write(tmp_path, {**doc, "hbar": 1e308}, "hbar.json")]):
+    for hbar, want in (("1e307", rho), ("1e308", 10 * rho)):
+        for config in (["--config", path, "--hbar", hbar], ["--config", _write(tmp_path, {**doc, "hbar": float(hbar)}, "hbar.json")]):
+            assert main(["classify", *config]) == EXIT_OK, config
+            row = next(r for r in capsys.readouterr().out.splitlines() if r.startswith("scalar curvature"))
+            assert row.split()[-1] == format(want, ".12g"), config
+    # rho = 3 hbar / 2 = 2.55e308 of the octahedron at hbar 1.7e308 leaves
+    # it: classify rejects it with the error spectrum prints, before any row
+    octahedron = _write(tmp_path, OCTAHEDRON_I1, "octahedron.json")
+    for config in (["--config", octahedron, "--hbar", "1.7e308"], ["--config", _write(tmp_path, {**OCTAHEDRON_I1, "hbar": 1.7e308}, "hbar.json")]):
         assert main(["classify", *config]) == EXIT_SCHEMA, config
         assert capsys.readouterr() == ("", error), config
-    # a finite rho prints as it did
-    assert main(["classify", "--config", path, "--hbar", "1e307"]) == EXIT_OK
-    row = next(r for r in capsys.readouterr().out.splitlines() if r.startswith("scalar curvature"))
-    assert row.split()[-1] == format(rho, ".12g")
 
 
 COLLINEAR = {

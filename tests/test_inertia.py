@@ -25,8 +25,10 @@ from rotorspec import (
 from rotorspec.inertia import (
     _asymmetric,
     _coincidences,
+    _degenerate,
     _exact_or_float,
     _hbar,
+    _spherical,
     _symmetric,
     _times_two_to,
     classify_momenta,
@@ -310,42 +312,54 @@ def _overflows(x):
     return False
 
 
+def _unscaled(formula, momenta, hbar0):
+    """A one-line curvature form as it was evaluated before _rounded_once."""
+    return formula(*map(_exact_or_float, momenta), _hbar(hbar0))
+
+
 def test_the_curvature_keeps_its_bits_wherever_scaling_alone_gave_one():
     # on mixed float, int and Fraction momenta from 1e-420 to 1e420, each
-    # form gives the bits the scaled-only evaluator gives wherever that
-    # returns, and raises as it does unless a float momentum meets a
-    # rational beyond the float range; there the form returns the exact
-    # curvature rounded once or raises OverflowError
+    # form and scalar_curvature give the bits the evaluator without the
+    # exact fallback gives wherever that returns a finite value; where it
+    # raises or gives inf or nan, they give the exact curvature rounded
+    # once, and raise OverflowError exactly where that leaves the float range
     rng = np.random.default_rng(34)
     values = []
     for _ in range(150):
         values.append(math.ldexp(float(rng.uniform(0.5, 1)), int(rng.integers(-1070, 1025))))
         values.append(int(rng.integers(1, 10**6)) * Fraction(2) ** int(rng.integers(-1400, 1400)))
         values.append(int(rng.integers(1, 100)) * 10 ** int(rng.integers(0, 400)))
-    returned = raised = rounded = 0
+    forms = (
+        (TopClass.ASYMMETRIC, curvature_asymmetric, _asymmetric, 3, _scaled_only),
+        (TopClass.SYMMETRIC, curvature_symmetric, _symmetric, 2, _scaled_only),
+        (TopClass.SPHERICAL, curvature_spherical, _spherical, 1, _unscaled),
+        (TopClass.DEGENERATE, curvature_degenerate, _degenerate, 1, _unscaled),
+    )
+    returned = rounded = overflowed = 0
     for trial in range(3000):
         picks = [values[int(i)] for i in rng.integers(len(values), size=3)]
         hbar0 = [1, 0.5, Fraction(2, 3), 10**300][trial % 4]
-        for form, formula, n in ((curvature_asymmetric, _asymmetric, 3), (curvature_symmetric, _symmetric, 2)):
+        for top, form, formula, n, reference in forms:
+            momenta = picks[:n]
             try:
-                want = _scaled_only(formula, picks[:n], hbar0)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raised += 1
-                if float not in map(type, picks[:n]) or not _overflows(max(picks[:n])):
-                    with pytest.raises(type(exc)):
-                        form(*picks[:n], hbar0)
+                want = reference(formula, momenta, hbar0)
+                finite = type(want) is not float or math.isfinite(want)
+            except (OverflowError, ZeroDivisionError):
+                finite = False
+            for call in (lambda: form(*momenta, hbar0), lambda: scalar_curvature(top, momenta, hbar0)):
+                if finite:
+                    assert repr(call()) == repr(want), (form, picks, hbar0)
+                    returned += 1
                     continue
-                try:
-                    got = form(*picks[:n], hbar0)
-                except OverflowError:
-                    continue
-                exact = float(formula(*map(Fraction, picks[:n]), Fraction(hbar0)))
-                assert repr(got) == repr(exact), (form, picks, hbar0)
-                rounded += 1
-                continue
-            returned += 1
-            assert repr(form(*picks[:n], hbar0)) == repr(want), (form, picks, hbar0)
-    assert returned > 1000 and raised > 100 and rounded > 100
+                exact = formula(*map(Fraction, momenta), Fraction(hbar0))
+                if _overflows(exact):
+                    with pytest.raises(OverflowError):
+                        call()
+                    overflowed += 1
+                else:
+                    assert repr(call()) == repr(float(exact)), (form, picks, hbar0)
+                    rounded += 1
+    assert returned > 10000 and rounded > 1000 and overflowed > 1000, (returned, rounded, overflowed)
 
 
 def test_scalar_curvature_rounds_once_where_a_float_meets_a_rational_below_the_float_range():

@@ -1,5 +1,6 @@
 """The public records: immutable named tuples that compare by value."""
 
+import math
 from fractions import Fraction
 from types import ModuleType
 
@@ -22,6 +23,7 @@ from rotorspec import (
 )
 from rotorspec.classical_em import PatternField, split_field
 from rotorspec.cli import JobConfig
+from rotorspec.errors import OutOfRangeError
 from rotorspec.polyalg import hamiltonian_matrix, harmonic_basis, harmonic_basis_r3
 from rotorspec.polyalg.spaces import BidegreeSpace
 from rotorspec.quantum_structures import admissible_structures
@@ -93,6 +95,13 @@ def test_an_inertia_tensor_converts_and_checks_its_matrix():
             InertiaTensor(bad)
         with pytest.raises(ValueError, match="^inertia tensor must be 3x3$"):
             tensor._replace(matrix=bad)
+    # the one check that a body's inertia tensor stays in the float range
+    message = "^particles: the inertia tensor leaves the float range"
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OutOfRangeError, match=message):
+            InertiaTensor([[1, 0, 0], [0, bad, 0], [0, 0, 3]])
+        with pytest.raises(OutOfRangeError, match=message):
+            tensor._replace(matrix=[[bad, 0, 0], [0, 2, 0], [0, 0, 2]])
 
 
 def test_a_spectrum_sorts_its_lines_and_owns_its_params():

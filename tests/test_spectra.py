@@ -517,13 +517,17 @@ def test_the_checked_pass_runs_the_checks_of_the_public_path():
 
 @pytest.mark.parametrize("build", [symmetric_spectrum, lambda *args, **kw: monopole_spectrum(*args[:3], 1.5, 0.7, **kw)], ids=["symmetric", "monopole"])
 def test_a_spectrum_without_a_degree_forms_no_term(build):
-    # the coefficients are formed at the first degree, so on the
-    # non-trivial bundle at j_max 0 a momentum beyond the float range
-    # beside a float one (whose coefficient overflows) forms nothing and
-    # raises nothing
-    assert build(10**400, 1.0, BundleKind.MINUS, hbar0=0.5, j_max=0).lines == ()
+    # the coefficients and k rho are formed at the first degree, so on the
+    # non-trivial bundle at j_max 0 a pair momentum below the float range
+    # beside a float one (whose coefficient and rho overflow) forms nothing
+    # and raises nothing
+    assert build(TINY, 1.0, BundleKind.MINUS, k=1, hbar0=1e100, j_max=0).lines == ()
     with pytest.raises(HamiltonianOverflowError):
-        build(10**400, 1.0, BundleKind.MINUS, hbar0=0.5, j_max=Fraction(1, 2))
+        build(TINY, 1.0, BundleKind.MINUS, hbar0=1e100, j_max=Fraction(1, 2))
+    # a pair momentum beyond the float range gives the coefficient
+    # 0.5 / (2 10^400), rounded once to 0.0, so its levels fit
+    levels = [ln.energy for ln in build(10**400, 1.0, BundleKind.MINUS, hbar0=0.5, j_max=Fraction(1, 2)).lines]
+    assert levels == ([0.0625] if build is symmetric_spectrum else [pytest.approx(0.64), pytest.approx(1.69)])
 
 
 def test_eigensection_references_partition_each_degree():
@@ -770,6 +774,10 @@ def test_a_rational_below_the_float_range_meeting_a_float_is_read_exactly():
     assert [ln.energy for ln in shifted.lines] == [rho, coefficient * 2.0 + rho]
     degenerate = degenerate_spectrum(TINY, k=1.0, hbar0=1e-100, l_max=1)
     assert [ln.energy for ln in degenerate.lines] == [2e300, coefficient * 2.0 + 2e300]
+    # the l^2 coefficient hbar0/2 (1/I_axis - 1/I_pair) subtracts 1/2.0 from
+    # the Fraction 10^400: about 5e99, rounded once
+    symmetric = symmetric_spectrum(2.0, TINY, BundleKind.PLUS, hbar0=1e-300, j_max=1)
+    assert [repr(ln.energy) for ln in symmetric.lines] == ["0.0", "5e-301", "5e+99"]
 
 
 def _block_levels(band):
