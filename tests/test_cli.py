@@ -505,6 +505,9 @@ def test_internal_error_is_not_a_schema_error(tmp_path, capsys, monkeypatch):
 # three unit masses nearly on a line: the rank rule calls the body weakly
 # non-degenerate, and its smallest principal momentum rounds to 0.0
 THIN_BODY = Path(__file__).parent / "data" / "thin_body.json"
+# unit masses at (1e-200, 0, 0) and the origin: a collinear body whose
+# transverse momentum 1e-400 rounds to 0.0
+ZERO_MOMENTUM = Path(__file__).parent / "data" / "zero_momentum.json"
 
 
 @pytest.mark.parametrize(
@@ -512,19 +515,9 @@ THIN_BODY = Path(__file__).parent / "data" / "thin_body.json"
 )
 def test_a_zero_principal_momentum_exits_2(capsys, command):
     name, *rest = command
-    assert main([name, "--config", str(THIN_BODY), *rest]) == EXIT_SCHEMA
-    assert capsys.readouterr() == ("", "error: i_axis must be finite and positive, got 0.0\n")
-
-
-# unit masses at (1e-200, 0, 0) and the origin: a collinear body whose
-# transverse momentum 1e-400 rounds to 0.0
-ZERO_MOMENTUM = Path(__file__).parent / "data" / "zero_momentum.json"
-
-
-@pytest.mark.parametrize("command", ["classify", "spectrum"])
-def test_a_collinear_body_with_a_zero_momentum_exits_2(capsys, command):
-    assert main([command, "--config", str(ZERO_MOMENTUM)]) == EXIT_SCHEMA
-    assert capsys.readouterr() == ("", "error: i_mom must be finite and positive, got 0.0\n")
+    for body, momentum in ((THIN_BODY, "i_axis"), (ZERO_MOMENTUM, "i_mom")):
+        assert main([name, "--config", str(body), *rest]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", f"error: {momentum} must be finite and positive, got 0.0\n"), body
 
 
 # two unit masses at the origin and one at (0, 6.0e-250, 1): the y column of
