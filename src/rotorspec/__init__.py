@@ -2,11 +2,13 @@
 
 The pipeline runs canonicalize -> classify -> inertia -> admissible quantum
 structures -> spectrum.  Closed forms cover the spherical, symmetric,
-degenerate and monopole cases; the asymmetric top is solved by exact
-operator matrices on harmonic polynomial spaces.  The package runs in pure
-Python with no dependencies; the classical_em names below (field and
-velocity splitting) are imported on first use, which keeps that code off
-the classify/spectrum compile path.
+degenerate and monopole cases; the asymmetric top is solved on one
+symmetric band per degree, which every harmonic block H^{p,q} of that
+degree is similar to, and `rotorspec verify` checks that band against
+exact operator matrices on the harmonic polynomial spaces.  The package
+runs in pure Python with no dependencies; the classical_em names below
+(field and velocity splitting) are imported on first use, which keeps
+that code off the classify/spectrum compile path.
 """
 
 from types import ModuleType as _ModuleType

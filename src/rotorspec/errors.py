@@ -35,7 +35,11 @@ class BundleRequestError(RotorSpecError, ValueError):
 
 class HamiltonianOverflowError(RotorSpecError):
     """A float Hamiltonian entry or a float energy left the float range
-    (hbar or k too large); every route reports it with the same message."""
+    (hbar or k too large); every route reports it with the same message,
+    except that the diagonalized route says BELOW_RANGE where a principal
+    momentum below the float range is the cause."""
+
+    BELOW_RANGE = "a principal momentum below the float range: the float Hamiltonian leaves the float range"
 
     def __init__(self, message: str = "hbar or k too large: the float Hamiltonian leaves the float range"):
         super().__init__(message)

@@ -100,7 +100,8 @@ def classify_momenta(momenta, tol: Tolerances = DEFAULT_TOLERANCES):
     exact and the result does not depend on the order of the triple.  This
     is the one coincidence rule every classifier uses.  It compares floats;
     only when a momentum is a rational beyond the float range does it
-    compare the exact values instead.
+    compare the exact values instead.  OutOfRangeError where the pair mean
+    of a float and such a rational leaves the float range.
     """
     try:
         (i1, i2, i3), eq12, eq23 = _coincidences(momenta, tol.rel, float)
@@ -125,8 +126,13 @@ def _coincidences(momenta, rel, num):
 
 def _pair_mean(x, y):
     """(x + y) / 2 by _rounded_once: a Fraction when both are rational, and
-    finite for finite floats, so a checked triple gets a finite pair momentum."""
-    return _rounded_once(lambda x, y: (x + y) / 2, _exact_or_float(x), _exact_or_float(y))
+    finite for finite floats, so a checked triple gets a finite pair
+    momentum.  OutOfRangeError where a float meets a rational and their mean
+    leaves the float range."""
+    try:
+        return _rounded_once(lambda x, y: (x + y) / 2, _exact_or_float(x), _exact_or_float(y))
+    except OverflowError as exc:
+        raise OutOfRangeError("the mean of two coinciding momenta leaves the float range") from exc
 
 
 def principal_momenta(

@@ -51,20 +51,19 @@ def band_record(i1, i2, i3, hbar0=1):
     are the integers (n1 + n2, n3, n1 - n2) over 4D, with c_a = n_a / D
     over one common denominator D; otherwise they are floats over 1 (each
     c_a exact and rounded once where a momentum rounds to 0.0), and
-    HamiltonianOverflowError is raised when an input leaves the float
-    range (naming a momentum below it where that made c_a overflow).  A float a is c1/4 + c2/4 where c1 + c2 leaves the float range.  A spectrum takes it once and forms each degree's band from it."""
+    HamiltonianOverflowError is raised when a c_a leaves the float range.
+    A float a is c1/4 + c2/4 where c1 + c2 leaves the float range.  A
+    spectrum takes it once and forms each degree's band from it."""
     if all(isinstance(v, Rational) for v in (i1, i2, i3, hbar0)):
         # n_a = h.num I_a.den (L / I_a.num) and D = 2 h.den L, L = lcm(I_a.num)
         lcm = math.lcm(i1.numerator, i2.numerator, i3.numerator)
         n1, n2, n3 = (hbar0.numerator * mom.denominator * (lcm // mom.numerator) for mom in (i1, i2, i3))
         return n1 + n2, n3, n1 - n2, 8 * hbar0.denominator * lcm
     try:
-        c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
-    except ZeroDivisionError:  # a momentum below the float range
         try:
+            c1, c2, c3 = (float(hbar0) / (2 * float(mom)) for mom in (i1, i2, i3))
+        except ZeroDivisionError:  # a momentum below the float range
             c1, c2, c3 = (float(Fraction(hbar0) / (2 * Fraction(mom))) for mom in (i1, i2, i3))
-        except OverflowError as exc:
-            raise HamiltonianOverflowError("a principal momentum below the float range: the float Hamiltonian leaves the float range") from exc
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
     a = (c1 + c2) / 4

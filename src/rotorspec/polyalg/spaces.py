@@ -11,11 +11,12 @@ exactly one harmonic element, with the closed-form coefficients
 ascending l, divided by its signed content (`sector_contents`).  All
 coefficients are exact integers.  The ladder coordinates follow from the
 contents alone (operators._ladder), so a space is just its bidegree and
-its vectors are built on first read.
+its vectors are built on first read, each checked harmonic.
 
-The null-space construction (Gauss-Jordan on the Laplacian restricted to
-each sector), `harmonic_basis_by_elimination`, is kept as the independent
-oracle that `rotorspec verify` compares the closed form against.
+`rotorspec verify` proves this basis in integers: each sector kernel is
+one line (its weight-sector certificate), and each sector vector, being
+harmonic, has content 1 and a positive first coefficient, which picks the
+one vector of that line the null-space construction would return.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .polynomial import _LAPLACIAN_R4, Polynomial, _valid, apply_operator, laplacian_r3, laplacian_r4
+from .polynomial import Polynomial, _valid, laplacian_r3, laplacian_r4
 from .rational_linalg import nullspace
 
 
@@ -80,7 +81,7 @@ class BidegreeSpace:
     @cached_property
     def sectors(self) -> tuple[tuple[tuple[tuple[int, int, int, int], int], ...], ...]:
         """The sector vectors u_k / n_k, each checked harmonic on its integer
-        terms: their R^4 Laplacian by the one-pass kernel must be empty."""
+        terms: their R^4 Laplacian (polynomial.laplacian_r4) must be empty."""
         p, q = self.p, self.q
         out = []
         for k, content in enumerate(sector_contents(p, q)):
@@ -88,7 +89,7 @@ class BidegreeSpace:
             monos = _sector_monomials(p, q, two_l)
             vec = [(-1) ** c * math.comb(p, a) * math.comb(q, c) // content for a, _, c, _ in monos]
             terms = {m: v for m, v in zip(monos, vec) if v}
-            if apply_operator(_valid(4, terms), _LAPLACIAN_R4).terms:
+            if laplacian_r4(_valid(4, terms)).terms:
                 raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) element is not harmonic")
             out.append(tuple(terms.items()))
         return tuple(out)
@@ -146,25 +147,6 @@ class BidegreeSpace:
         return coords
 
 
-def _sector_laplacian(p: int, q: int, weight2: int):
-    """The monomials of one weight sector of bidegree (p, q) and the integer
-    matrix of the Laplacian Delta = 4 (d_z1 d_zb1 + d_z2 d_zb2) on them.
-
-    Delta maps the sector into the bidegree-(p-1, q-1) monomials of the
-    same weight, which index the rows: row i is column i's monomial with a
-    and c lowered, and column i + 1's with b and d lowered, so column i
-    holds 4 a c in row i and 4 b d in row i - 1 (b d = 0 in column 0).
-    """
-    monos = _sector_monomials(p, q, weight2)
-    rows = [[0] * len(monos) for _ in monos[1:]]
-    for i, (a, b, c, d) in enumerate(monos):
-        if a and c:
-            rows[i][i] = 4 * a * c
-        if b and d:
-            rows[i - 1][i] = 4 * b * d
-    return monos, rows
-
-
 @lru_cache(maxsize=None)
 def sector_contents(p: int, q: int) -> tuple[int, ...]:
     """The signed contents n_0..n_(p+q) of the sector kernels u_k of H^{p,q}:
@@ -187,33 +169,12 @@ def harmonic_basis(p: int, q: int) -> BidegreeSpace:
     (-1)^c C(p, a) C(q, c) on z1^a z2^b zb1^c zb2^d, scaled to content 1
     and a positive first coefficient (monomials in descending
     lexicographic order).  The sector kernel is one-dimensional, so this
-    is the vector the null-space construction returns
-    (`harmonic_basis_by_elimination`).
+    is the vector the null-space construction returns; `rotorspec verify`
+    checks both facts in integers.
     """
     if p < 0 or q < 0:
         raise ValueError("bidegree must be nonnegative")
     return BidegreeSpace(p, q)
-
-
-def harmonic_basis_by_elimination(p: int, q: int) -> tuple[Polynomial, ...]:
-    """The basis of H^{p,q} by exact null-space extraction: Gauss-Jordan on
-    the Laplacian restricted to each weight sector, the one-dimensional
-    kernel normalized as in `harmonic_basis`.  Independent of the closed
-    form, and checked harmonic by polynomial differentiation;
-    `rotorspec verify` compares the two."""
-    if p < 0 or q < 0:
-        raise ValueError("bidegree must be nonnegative")
-    basis = []
-    for two_l in range(-p - q, p + q + 1, 2):
-        monos, laplacian = _sector_laplacian(p, q, two_l)
-        kernel = nullspace(laplacian or [[0]])  # no rows: a one-monomial sector
-        if len(kernel) != 1:
-            raise AssertionError(f"sector (p={p}, q={q}, 2l={two_l}) kernel has dimension {len(kernel)}")
-        vec = _normalize_integer(kernel[0])
-        basis.append(_valid(4, {m: c for m, c in zip(monos, vec) if c}))
-    for b in basis:
-        assert not laplacian_r4(b), "basis element is not harmonic"
-    return tuple(basis)
 
 
 class R3HarmonicSpace(NamedTuple):

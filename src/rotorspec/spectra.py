@@ -461,8 +461,10 @@ def diagonalized_spectrum(
     within tol.spec, and an exact level never joins one (group_energies).
     HamiltonianOverflowError is raised exactly when an entry of S_d or a
     level is not a finite float, or when an exact level lies beyond the
-    float range.  This is the oracle route the closed forms are verified
-    against, and the production route for the asymmetric top.
+    float range; where a momentum rounds to 0.0 and hbar0 does not leave
+    the float range, its message names the momentum (BELOW_RANGE).  This
+    is the oracle route the closed forms are verified against, and the
+    production route for the asymmetric top.
     """
     check_j_max(j_max)
     check_positive(i1=i1, i2=i2, i3=i3, hbar0=hbar0)
@@ -496,7 +498,17 @@ def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectr
                 yield energy, j, None, (d + 1) * len(idxs), refs
 
     params = {"I1": i1, "I2": i2, "I3": i3}
-    return _spectrum(kind, top, bundle, params, k, h, j_max, levels(), source="diagonalized")
+    try:
+        return _spectrum(kind, top, bundle, params, k, h, j_max, levels(), source="diagonalized")
+    except HamiltonianOverflowError as exc:
+        if min(i1, i2, i3) > _ROUNDS_TO_ZERO or h >= _ROUNDS_TO_INFINITY:
+            raise
+        raise HamiltonianOverflowError(HamiltonianOverflowError.BELOW_RANGE) from exc
+
+
+# float() rounds a rational to 0.0 up to 2^-1075 and beyond the float range
+# from 2^1024 - 2^970 on
+_ROUNDS_TO_ZERO, _ROUNDS_TO_INFINITY = Fraction(1, 1 << 1075), (1 << 1024) - (1 << 970)
 
 
 def asymmetric_spectrum(

@@ -38,7 +38,6 @@ from rotorspec.polyalg import levels, operators, polynomial, rational_linalg, sp
 from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _float_band, _ql_levels, _species_levels, band_record, band_species, degree_band
 from rotorspec.polyalg.operators import AXES, _generator_square, _ladder, _raw_matrix
 from rotorspec.polyalg.rational_linalg import mat_add, mat_scale, mat_sub, nullspace
-from rotorspec.polyalg.spaces import harmonic_basis_by_elimination
 from rotorspec.quantum_structures import BundleKind, parity_projects
 from rotorspec.verify import _band_rows, _species_rows
 
@@ -200,6 +199,22 @@ def _squares(p, q):
     )
 
 
+def _basis_by_elimination(p, q):
+    """The basis of H^{p,q} by null-space extraction: fraction-free
+    Gauss-Jordan on the Laplacian of each weight sector, its one kernel
+    vector scaled to content 1 and a positive first coefficient, each
+    element checked harmonic by polynomial differentiation."""
+    basis = []
+    for two_l in range(-p - q, p + q + 1, 2):
+        monos, laplacian = _dict_sector_laplacian(p, q, two_l)
+        kernel = nullspace(laplacian or [[0]])  # no rows: a one-monomial sector
+        assert len(kernel) == 1, (p, q, two_l)
+        element = Polynomial(4, dict(zip(monos, spaces._normalize_integer(kernel[0]))))
+        assert not laplacian_r4(element)
+        basis.append(element)
+    return tuple(basis)
+
+
 @pytest.mark.parametrize("d", range(13))
 def test_closed_form_route_equals_polynomial_route(d):
     # bases against null-space extraction; the ladder, l-values, weights
@@ -209,7 +224,7 @@ def test_closed_form_route_equals_polynomial_route(d):
     for p in range(d + 1):
         q = d - p
         space = harmonic_basis(p, q)
-        assert space.basis == harmonic_basis_by_elimination(p, q)
+        assert space.basis == _basis_by_elimination(p, q)
         jp, jm, j3 = poly_route = [_raw_matrix(space, op) for op in (apply_jplus, apply_jminus, apply_j3)]
         for axis, rows in zip(AXES, poly_route):
             assert vector_field_matrix(axis, p, q) == generator_matrix(axis, p, q) == tuple(map(tuple, rows))
@@ -537,6 +552,21 @@ def test_an_overflow_from_a_sub_float_momentum_says_so():
         assert str(raised.value) == "hbar or k too large: the float Hamiltonian leaves the float range"
 
 
+def test_an_overflow_of_the_exact_route_from_a_sub_float_momentum_says_so():
+    # all-rational momenta give an exact band, which overflows where its
+    # levels are taken as floats: at hbar0 = 1 and k = 0 the message names
+    # the momentum, on both diagonalized routes, and hbar0 = 10^400 keeps
+    # the default text
+    tiny = Fraction(1, 10**400)
+    for run in (diagonalized_spectrum, asymmetric_spectrum):
+        with pytest.raises(HamiltonianOverflowError) as raised:
+            run(tiny, 2, 3, BundleKind.PLUS, j_max=1)
+        assert str(raised.value) == "a principal momentum below the float range: the float Hamiltonian leaves the float range"
+    with pytest.raises(HamiltonianOverflowError) as raised:
+        diagonalized_spectrum(1, 2, 3, BundleKind.PLUS, hbar0=10**400, j_max=1)
+    assert str(raised.value) == "hbar or k too large: the float Hamiltonian leaves the float range"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=5))
 def test_nullspace_of_an_integer_matrix(rows):
@@ -581,10 +611,10 @@ def test_diagonalized_spectrum_reads_only_the_degree_band(monkeypatch):
 
 
 def test_ladder_closure_check_rejects_a_corrupted_sector():
-    # sector 1 of H^{2,1} has two monomials: doubling one breaks the closure
-    # Jp b_0 = alpha_0 b_1, which the verify sweep checks before comparing
-    # with the null-space basis; a fresh space takes the corrupted vectors
-    # as its cached sectors, before its basis polynomials are built
+    # sector 1 of H^{2,1} is (2, -1): doubled to (4, -1) it keeps content 1
+    # and its sign, but breaks the closure Jp b_0 = alpha_0 b_1, which the
+    # verify sweep checks; a fresh space takes the corrupted vectors as its
+    # cached sectors, before its basis polynomials are built
     spaces.harmonic_basis.cache_clear()
     try:
         space = harmonic_basis(2, 1)
@@ -824,7 +854,7 @@ def test_one_pass_operators_equal_their_compositions_on_the_bases():
 
 def test_sector_listing_equals_the_monomial_scan():
     # _sector_monomials lists a sector directly and feeds both the closed
-    # form and the elimination oracle; a scan of all (p+1)(q+1) monomials
+    # form and the weight-sector certificate; a scan of all (p+1)(q+1) monomials
     # in descending lexicographic order is its independent check
     for p in range(26):
         for q in range(26):
@@ -836,8 +866,8 @@ def test_sector_listing_equals_the_monomial_scan():
                 assert spaces._sector_monomials(p, q, weight2) == scan.get(weight2, []), (p, q, weight2)
 
 
-# The integer routes of the exact checks against test-side copies of the
-# forms they replaced: the dict-indexed sector Laplacian, the dense
+# The integer routes of the exact checks against test-side forms: the
+# dict-indexed sector Laplacian of the null-space reference, the dense
 # harmonicity product, the Fraction normalization, and the Fraction forms of
 # the su2 relations and of the Casimir and square comparisons.
 
@@ -867,10 +897,6 @@ def _fraction_normalize(vec):
     return [sign * v // g for v in ints]
 
 
-def _typed_rows(rows):
-    return [[(x, type(x)) for x in row] for row in rows]
-
-
 def _bent(rows):
     """Copies of a square matrix with one entry changed each: the first
     diagonal entry plus 1/7, the first nonzero entry negated, and 1/4 added
@@ -880,15 +906,6 @@ def _bent(rows):
         out = [list(row) for row in rows]
         out[i][j] = change(out[i][j])
         yield out
-
-
-def test_sector_laplacian_equals_the_dict_indexed_form():
-    for p in range(26):
-        for q in range(26 - p):
-            for weight2 in range(-p - q - 2, p + q + 3):
-                monos, rows = spaces._sector_laplacian(p, q, weight2)
-                want_monos, want_rows = _dict_sector_laplacian(p, q, weight2)
-                assert monos == want_monos and _typed_rows(rows) == _typed_rows(want_rows), (p, q, weight2)
 
 
 def test_sectors_equal_the_dense_checked_form():
@@ -905,7 +922,7 @@ def test_sectors_equal_the_dense_checked_form():
             assert _typed(space.basis[k]) == _typed(Polynomial(4, dict(zip(monos, vec))))
             for i in range(len(vec)):
                 bent = {m: 2 * v if j == i else v for j, (m, v) in enumerate(zip(monos, vec))}
-                kernel = polynomial.apply_operator(Polynomial(4, bent), polynomial._LAPLACIAN_R4)
+                kernel = laplacian_r4(Polynomial(4, bent))
                 assert (not kernel.terms) == _dense_harmonic(laplacian, list(bent.values())), (p, q, k, i)
         want = tuple(l * l for l in space.l_values)
         assert [(x, type(x)) for x in _generator_square(p, q)[3]] == [(x, type(x)) for x in want]
@@ -920,7 +937,7 @@ def test_normalize_integer_equals_the_fraction_form(vec):
 def test_normalize_integer_equals_the_fraction_form_on_the_sector_kernels():
     for p, q in _blocks(12):
         for two_l in range(-p - q, p + q + 1, 2):
-            _, laplacian = spaces._sector_laplacian(p, q, two_l)
+            _, laplacian = _dict_sector_laplacian(p, q, two_l)
             for vec in nullspace(laplacian) if laplacian else [[1]]:
                 for scaled in (vec, [x * Fraction(-3, 7) for x in vec]):
                     want = [(x, type(x)) for x in _fraction_normalize(scaled)]

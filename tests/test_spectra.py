@@ -1167,6 +1167,17 @@ def test_a_pair_mean_beyond_the_float_range_takes_the_symmetric_closed_form():
     assert spec == symmetric_spectrum(1.5e308, 1.0, PLUS, j_max=2)
 
 
+def test_a_pair_mean_of_a_float_and_a_rational_beyond_the_float_range_is_out_of_range():
+    # 1.7e-232 and 10^309 differ by far less than 1e-9 * 10^362, so the
+    # triple is symmetric with a pair mean of about 5e308, which no float
+    # holds; at 10^307 the mean is the float 5e306, as it was
+    triple = (10**309, 1.7e-232, 10**362)
+    for call in (lambda: classify_momenta(triple), lambda: asymmetric_spectrum(*triple, PLUS, j_max=1)):
+        with pytest.raises(OutOfRangeError, match="^the mean of two coinciding momenta leaves the float range$"):
+            call()
+    assert classify_momenta((10**307, 1.7e-232, 10**362)) == (TopClass.SYMMETRIC, (5e306, 10**362))
+
+
 # --- classical momentum map ---------------------------------------------------
 
 

@@ -184,7 +184,7 @@ KERNEL_FAULTS = {
     "R^4 Laplacian with 2 d_z2 d_zb2": (
         polynomial._LAPLACIAN_R4,
         lambda terms: (terms[0], (2, *terms[1][1:])),
-        {"harmonic dimensions"},
+        {"su2 commutators", "casimir scalars", "x3 spectrum", "harmonic dimensions", "parity selection"},
     ),
     "R^3 Laplacian with 2 d_z^2": (
         polynomial._LAPLACIAN_R3,
@@ -233,18 +233,22 @@ def _doubled_content(monkeypatch):
     monkeypatch.setattr(spaces, "sector_contents", contents)
 
 
-def _bent_laplacian_column(monkeypatch):
-    # column 0 of the Laplacian of sector 2l = 1 of H^(2,1), doubled in the
-    # elimination oracle alone: its kernel is then no harmonic polynomial
-    real = spaces._sector_laplacian
+def _edited_contents(edit):
+    """The fault that makes sector_contents of H^(2,2) edit(its true
+    contents), seen by the basis and the ladder alike: the ladder, weights
+    and square records stay consistent with the basis, whose vectors stay
+    harmonic, so only their normalization is wrong."""
 
-    def laplacian(p, q, weight2):
-        monos, rows = real(p, q, weight2)
-        if (p, q, weight2) == (2, 1, 1):
-            rows = [[2 * x if j == 0 else x for j, x in enumerate(row)] for row in rows]
-        return monos, rows
+    def install(monkeypatch):
+        real = spaces.sector_contents
 
-    monkeypatch.setattr(spaces, "_sector_laplacian", laplacian)
+        def contents(p, q):
+            return edit(real(p, q)) if (p, q) == (2, 2) else real(p, q)
+
+        monkeypatch.setattr(spaces, "sector_contents", contents)
+        monkeypatch.setattr(operators, "sector_contents", contents)
+
+    return install
 
 
 # the fault registry of the five exact checks: each fault, how it is
@@ -273,9 +277,13 @@ EXACT_CHECK_FAULTS = {
             "harmonic dimensions": "ladder closure fails on basis element 0 of H^(1,0)",
         },
     ),
-    "a bent column in an elimination Laplacian": (
-        _bent_laplacian_column,
-        {"harmonic dimensions": "raised AssertionError: basis element is not harmonic"},
+    "the contents of H^(2,2) dropped": (
+        _edited_contents(lambda n: (1,) * len(n)),
+        {"harmonic dimensions": "sector vector 1 of H^(2,2) does not have content 1 and a positive first coefficient"},
+    ),
+    "one content of H^(2,2) with its sign flipped": (
+        _edited_contents(lambda n: (*n[:2], -n[2], *n[3:])),
+        {"harmonic dimensions": "sector vector 2 of H^(2,2) does not have content 1 and a positive first coefficient"},
     ),
     "a constant antipodal sign": (
         lambda mp: mp.setattr(verify, "antipodal_sign", lambda poly: 1),
@@ -554,9 +562,9 @@ def test_harmonic_dimensions_detects_an_exact_level_that_is_not_a_root(monkeypat
 
 
 def test_harmonic_dimensions_hold_up_to_degree_24():
-    # harmonic sectors, ladder closure on the basis polynomials, the weight
-    # recurrence and the band comparison with the representative block on
-    # every block p + q <= 24; the null-space comparison up to 12
+    # harmonic, primitive sectors, ladder closure on the basis polynomials,
+    # the weight recurrence and the square-record comparison with the
+    # representative block on every block p + q <= 24
     assert verify.check_dimensions(24) == (True, "dimensions p+q+1 and (d+1)^2 verified for d <= 24")
 
 
