@@ -39,7 +39,6 @@ from .quantum_structures import (
     admissible_structures,
     bundle_of_j,
     degree_of_j,
-    j_of_degree,
     j_values,
     parity_projects,
 )

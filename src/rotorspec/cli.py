@@ -39,7 +39,6 @@ from .quantum_structures import (
 from .spectra import Spectrum, check_closed, check_j_max, spectrum_for
 
 EXIT_OK = 0
-EXIT_VERIFY = 1
 EXIT_SCHEMA = 2
 EXIT_GEOMETRY = 3
 EXIT_BUNDLE = 4
@@ -370,7 +369,7 @@ def cmd_spectrum(job: JobConfig, fixed_point: bool) -> int:
 
 def cmd_eigensections(job: JobConfig, j_str: str, l_str: str | None) -> int:
     # only this command reads harmonic bases and eigenvectors
-    from .polyalg.levels import band_record, degree_band, degree_matrix
+    from .levels import band_record, degree_band, degree_matrix
     from .polyalg.operators import block_vector
     from .polyalg.spaces import harmonic_basis, harmonic_basis_r3
 

@@ -36,8 +36,8 @@ class BundleRequestError(RotorSpecError, ValueError):
 class HamiltonianOverflowError(RotorSpecError):
     """A float Hamiltonian entry or a float energy left the float range
     (hbar or k too large); every route reports it with the same message,
-    except that the diagonalized route says BELOW_RANGE where a principal
-    momentum below the float range is the cause."""
+    except that it says BELOW_RANGE where a principal momentum below the
+    float range is the cause."""
 
     BELOW_RANGE = "a principal momentum below the float range: the float Hamiltonian leaves the float range"
 

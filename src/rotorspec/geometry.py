@@ -94,8 +94,7 @@ class RigidConfiguration(NamedTuple):
 
     relatives r_i (rows (x, y, z)) satisfy sum_i mu_i r_i = 0;
     characteristic is the rank of the span of pairwise differences and
-    fixes the degeneracy class; distances, the symmetric matrix of mutual
-    lengths, is computed on each read.
+    fixes the degeneracy class.
     """
 
     center: tuple[float, float, float]
@@ -116,10 +115,6 @@ class RigidConfiguration(NamedTuple):
     def weights(self) -> tuple[float, ...]:
         total = self.total_mass
         return tuple(m / total for m in self.masses)
-
-    @property
-    def distances(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(math.dist(a, b) for b in self.relatives) for a in self.relatives)
 
 
 def _dot(a, b) -> float:

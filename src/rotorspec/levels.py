@@ -15,10 +15,9 @@ exactly on degrees p + q <= 4, in closed form, and otherwise as floats
 from an implicit QL sweep of each species (_ql_levels), in pure Python.
 A float entry is one division by den, which rounds correctly (exact for
 den 1), and the closed form is solved on the integers, so a Fraction is
-built only for an exact level.  This module imports nothing of the exact
-polynomial oracle (polynomial, rational_linalg, spaces and operators,
-over the integers and Fractions), which `rotorspec verify` checks it
-against.
+built only for an exact level.  This module sits outside the polyalg
+package, the exact polynomial oracle (over the integers and Fractions)
+that `rotorspec verify` checks it against, so a spectrum loads none of it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from ..errors import HamiltonianOverflowError
+from .errors import HamiltonianOverflowError
 
 
 @lru_cache(maxsize=None)

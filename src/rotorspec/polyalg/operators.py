@@ -58,7 +58,7 @@ l +- 2, the banded form of the rotor (King, Hainer & Cross, J. Chem.
 Phys. 11, 27 (1943)).  hamiltonian_matrix builds it exactly on one block
 as a HamiltonianBand, from the block's cached square record
 (_generator_square): the oracle of the spectrum path, which reads the one
-band S_d every block of degree d is similar to (levels.py).  A block's
+band S_d every block of degree d is similar to (rotorspec.levels).  A block's
 weighted symmetrization is Sigma S_d Sigma with Sigma = diag(sign of
 alpha_0 ... alpha_(k-1)), which maps an eigenvector of S_d to one of the
 block (block_vector).
@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 from ..errors import RepresentationClosureError
 from ..inertia import check_positive
-from .levels import eigenvalues  # noqa: F401  (the span target rotorbench/spans.py wraps)
+from ..levels import eigenvalues  # noqa: F401  (the span target rotorbench/spans.py wraps)
 from .polynomial import Polynomial, apply_operator
 from .rational_linalg import mat_add, mat_mul
 from .spaces import BidegreeSpace, harmonic_basis, sector_contents

@@ -50,10 +50,6 @@ class Polynomial:
 
     # --- constructors ---
     @staticmethod
-    def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars)
-
-    @staticmethod
     def monomial(nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
         return Polynomial(nvars, {tuple(exponents): coeff})
 
@@ -112,26 +108,6 @@ class Polynomial:
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-
-    # --- calculus ---
-    def diff(self, var: int) -> "Polynomial":
-        terms = {}
-        for exp, c in self.terms.items():
-            k = exp[var]
-            if k == 0:
-                continue
-            new = list(exp)
-            new[var] = k - 1
-            terms[tuple(new)] = c * k  # lowering exponent var is one-to-one
-        return _valid(self.nvars, terms)
-
-    def mul_var(self, var: int) -> "Polynomial":
-        terms = {}
-        for exp, c in self.terms.items():
-            new = list(exp)
-            new[var] = exp[var] + 1
-            terms[tuple(new)] = c
-        return _valid(self.nvars, terms)
 
     # --- structure queries ---
     def total_degree(self) -> int:
@@ -196,7 +172,8 @@ def apply_operator(poly: Polynomial, operator) -> Polynomial:
     that stand for coeff times the variables `up` times the derivatives in
     `down`.  Each term is applied in one pass over poly's terms, in order,
     into one dict that drops each sum that cancels, so every coefficient is
-    the sum, with its type, that the composition of diff, mul_var and + gives."""
+    the sum, with its type, that composing single derivatives, products with
+    one variable and + term by term gives."""
     out = {}
     for coeff, down, up in operator:
         for exp, c in poly.terms.items():

@@ -57,11 +57,6 @@ def parity_projects(total_degree: int, kind: BundleKind) -> bool:
     return even if kind is BundleKind.PLUS else not even
 
 
-def j_of_degree(total_degree: int) -> Fraction:
-    """Angular momentum quantum number j = d / 2 of a degree-d eigenspace."""
-    return Fraction(total_degree, 2)
-
-
 def degree_of_j(j) -> int:
     """Total polynomial degree d = 2j; j must be a half-integer."""
     d = Fraction(j) * 2

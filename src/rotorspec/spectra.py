@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .defaults import DEFAULT_TOLERANCES, J_MAX_CAP, J_MAX_DEFAULT, Tolerances
 from .errors import BundleRequestError, HamiltonianOverflowError, OutOfRangeError
 from .inertia import TopClass, _exact_or_float, _rounded_once, check_positive, classify_momenta, scalar_curvature
-from .polyalg.levels import band_record, degree_band, eigenvalues
+from .levels import band_record, degree_band, eigenvalues
 from .quantum_structures import BundleKind, bundle_of_j, j_values
 
 
@@ -54,9 +54,17 @@ def check_l_max(l_max):
         raise OutOfRangeError(f"l_max exceeds the hard cap {J_MAX_CAP}")
 
 
-def check_q_norm(q_center_norm):
-    """Raise OutOfRangeError unless the center-of-charge norm is nonnegative."""
-    if float(q_center_norm) < 0:
+def check_charge(nu, q_center_norm):
+    """Raise OutOfRangeError unless nu is finite and the center-of-charge
+    norm finite and nonnegative.  Rationals are compared exactly, so one
+    beyond the float range passes; NaN fails every comparison and is
+    rejected."""
+    nu, q = (x if isinstance(x, Rational) else float(x) for x in (nu, q_center_norm))
+    if not -math.inf < nu < math.inf:
+        raise OutOfRangeError(f"nu must be finite, got {nu!r}")
+    if not q < math.inf:
+        raise OutOfRangeError(f"the center-of-charge norm must be finite, got {q!r}")
+    if q < 0:
         raise OutOfRangeError("the center-of-charge norm must be nonnegative")
 
 
@@ -130,9 +138,6 @@ class Spectrum(NamedTuple("Spectrum", _SPECTRUM_FIELDS)):
         return super().__new__(cls, lines, kind, bundle, top_class, {} if params is None else params, k, hbar0, j_max)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def total_multiplicity(self) -> int:
-        return sum(ln.multiplicity for ln in self.lines)
 
     def lines_for_degree(self, d: int) -> list[SpectralLine]:
         return [ln for ln in self.lines if ln.j == Fraction(d, 2)]
@@ -219,6 +224,11 @@ def _exactify(*values):
 # --- closed-form spectra ------------------------------------------------------
 
 
+# float() rounds a rational to 0.0 up to 2^-1075 and beyond the float range
+# from 2^1024 - 2^970 on
+_ROUNDS_TO_ZERO, _ROUNDS_TO_INFINITY = Fraction(1, 1 << 1075), (1 << 1024) - (1 << 970)
+
+
 def _spectrum(kind, top, bundle, params, k, hbar0, j_max, levels, source="closed-form") -> Spectrum:
     """The Spectrum of levels, (energy, j, l, multiplicity, eigensection
     refs) tuples taken in order.  This is the one place a route builds its
@@ -231,7 +241,10 @@ def _spectrum(kind, top, bundle, params, k, hbar0, j_max, levels, source="closed
     them without a second sort.  Every spectrum forms its levels here, its
     k rho included: an OverflowError raised while forming one (a rational
     beyond the float range meeting a float) becomes HamiltonianOverflowError,
-    and so does an energy outside the float range (_as_float)."""
+    and so does an energy outside the float range (_as_float).  Its message
+    is BELOW_RANGE where a principal momentum (a params entry named I...)
+    rounds to 0.0 and hbar0 does not leave the float range, on every route
+    alike."""
     keyed = []
     checked = object()  # the j object whose bundle was checked last
     try:
@@ -243,7 +256,10 @@ def _spectrum(kind, top, bundle, params, k, hbar0, j_max, levels, source="closed
                 raise ValueError("multiplicity must be positive")
             key = (_as_float(e), j, -math.inf if l is None else l)
             keyed.append((key, (e, j, mult, bundle, l, source, refs)))
-    except OverflowError as exc:
+    except (OverflowError, HamiltonianOverflowError) as exc:
+        momenta = (v for name, v in params.items() if name.startswith("I"))
+        if hbar0 < _ROUNDS_TO_INFINITY and any(v <= _ROUNDS_TO_ZERO for v in momenta):
+            raise HamiltonianOverflowError(HamiltonianOverflowError.BELOW_RANGE) from exc
         raise HamiltonianOverflowError() from exc
     keyed.sort(key=itemgetter(0))
     lines = tuple([tuple.__new__(SpectralLine, fields) for _, fields in keyed])
@@ -406,7 +422,7 @@ def monopole_spectrum(
     """
     check_j_max(j_max)
     check_positive(i_pair=i_pair, i_axis=i_axis, hbar0=hbar0)
-    check_q_norm(q_center_norm)
+    check_charge(nu, q_center_norm)
     i_pair, i_axis, nu, qn, k, h = _exactify(i_pair, i_axis, nu, q_center_norm, k, hbar0)
 
     def levels():
@@ -445,7 +461,7 @@ def diagonalized_spectrum(
     """Spectrum by diagonalization, one symmetric band per degree.
 
     Every block H^{p,q} of degree d = 2j carries the same spin-j action, so
-    its band is similar to S_d (polyalg.degree_band; King, Hainer & Cross
+    its band is similar to S_d (levels.degree_band; King, Hainer & Cross
     1943; `rotorspec verify` checks that S_d plus k rho has the diagonal
     and the products lower * upper of the band of H^(d//2, d-d//2) for
     p+q <= 2J).  A level of multiplicity m of S_d is a line of
@@ -453,7 +469,7 @@ def diagonalized_spectrum(
     to each level last (curvature_shift): an exact zero one leaves an exact
     level as it is and adds 0.0, the float that Fraction(0) gives, to a
     float one.  S_d of each degree is formed from one record of the inputs
-    (polyalg.levels.band_record): integers over one denominator for
+    (levels.band_record): integers over one denominator for
     rational input, floats otherwise.  eigenvalues() owns the
     exactness policy: under rational inputs a level is exact when S_d is
     diagonal and, up to degree EXACT_DEGREE_MAX = 4, exactly when it is
@@ -498,17 +514,7 @@ def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectr
                 yield energy, j, None, (d + 1) * len(idxs), refs
 
     params = {"I1": i1, "I2": i2, "I3": i3}
-    try:
-        return _spectrum(kind, top, bundle, params, k, h, j_max, levels(), source="diagonalized")
-    except HamiltonianOverflowError as exc:
-        if min(i1, i2, i3) > _ROUNDS_TO_ZERO or h >= _ROUNDS_TO_INFINITY:
-            raise
-        raise HamiltonianOverflowError(HamiltonianOverflowError.BELOW_RANGE) from exc
-
-
-# float() rounds a rational to 0.0 up to 2^-1075 and beyond the float range
-# from 2^1024 - 2^970 on
-_ROUNDS_TO_ZERO, _ROUNDS_TO_INFINITY = Fraction(1, 1 << 1075), (1 << 1024) - (1 << 970)
+    return _spectrum(kind, top, bundle, params, k, h, j_max, levels(), source="diagonalized")
 
 
 def asymmetric_spectrum(

@@ -44,14 +44,12 @@ from .inertia import (
     principal_momenta,
     scalar_curvature_oracle,
 )
+from .levels import EXACT_DEGREE_MAX, band_record, band_species, degree_band, eigenvalues
 from .polyalg import (
     antipodal_sign,
     apply_jminus,
     apply_jplus,
-    band_record,
     casimir_matrix,
-    degree_band,
-    eigenvalues,
     generator_matrix,
     hamiltonian_matrix,
     harmonic_basis,
@@ -65,7 +63,6 @@ from .polyalg import (
     vector_field_matrix,
 )
 from .polyalg import rational_linalg
-from .polyalg.levels import EXACT_DEGREE_MAX, band_species
 from .polyalg.operators import AXES, _generator_square, _ladder
 from .polyalg.rational_linalg import mat_add, mat_scale, mat_sub, mat_zero
 from .polyalg.spaces import _sector_monomials
@@ -393,10 +390,12 @@ def check_half_integer_branch(j_max=6):
     return True, "E_{1/2} = 3/8 (mult 4); bundle parity selection holds"
 
 
-def check_symmetric_spectrum(j_max=6, i_pair=2, i_axis=1):
-    """Symmetric closed form vs diagonalization for all j <= j_max on both
-    bundles; multiplicity pattern (2j+1) at l = 0 and 2(2j+1) otherwise;
-    exact arithmetical-degeneracy grouping under rational inputs."""
+def check_symmetric_spectrum(j_max=6):
+    """Symmetric closed form vs diagonalization, momenta (2, 1), for all j
+    <= j_max on both bundles; multiplicity pattern (2j+1) at l = 0 and
+    2(2j+1) otherwise; exact arithmetical-degeneracy grouping under
+    rational inputs, E(3,3) = E(4,1) at j_max 4 or more."""
+    i_pair, i_axis = 2, 1
     for bundle in (BundleKind.PLUS, BundleKind.MINUS):
         closed = symmetric_spectrum(i_pair, i_axis, bundle, k=0, hbar0=1, j_max=j_max)
         brute = diagonalized_spectrum(
@@ -423,7 +422,7 @@ def check_symmetric_spectrum(j_max=6, i_pair=2, i_axis=1):
     merged = symmetric_spectrum(i_pair, i_axis, BundleKind.PLUS, j_max=max(4, int(j_max)))
     groups = merged.group_by_energy()
     collision = [g for g in groups if len(g[2]) > 1 and len({ln.j for ln in g[2]}) > 1]
-    if i_pair == 2 and i_axis == 1 and Fraction(j_max) >= 4 and not collision:
+    if not collision:
         return False, "expected arithmetical degeneracy (e.g. E(3,3) = E(4,1)) not found"
     return True, f"symmetric (I_pair={i_pair}, I_axis={i_axis}) verified for j <= {j_max}"
 
@@ -505,15 +504,15 @@ def check_degenerate_case(l_max=8):
     return True, f"S^2 levels l(l+1)/(2I), multiplicity 2l+1, exact for l <= {l_max}"
 
 
-def check_curvature(n_samples=1000):
+def check_curvature():
     """The four closed forms vs the structure-constant oracle to 1e-10
-    relative: n_samples random asymmetric, spherical and symmetric triples
+    relative: 1000 random asymmetric, spherical and symmetric triples
     (one fixed seed), and the degenerate case as the collapsing-axis limit;
     the spherical limit of the asymmetric formula is checked exactly."""
     # each row of six draws is the asymmetric triple, the spherical value
     # and (pair, axis)
     rng = Random(20240521)
-    for _ in range(n_samples):
+    for _ in range(1000):
         *triple, i_sph, pair, axis = _uniforms(rng, 0.1, 50.0, 6)
         i1, i2, i3 = sorted(triple)
         if _rel_err(curvature_asymmetric(i1, i2, i3), scalar_curvature_oracle(i1, i2, i3)) > 1e-10:
@@ -537,7 +536,7 @@ def check_curvature(n_samples=1000):
         oracle = scalar_curvature_oracle(eps_axis, float(i_val), float(i_val))
         if _rel_err(curvature_symmetric(float(i_val), eps_axis), oracle) > 1e-10:
             return False, f"oracle strays from the symmetric form near collapse, I = {i_val}"
-    return True, f"all four closed forms agree with the oracle over {n_samples} triples"
+    return True, "all four closed forms agree with the oracle over 1000 triples"
 
 
 def check_monopole():

@@ -57,7 +57,7 @@ def test_criterion_02_half_integer_branch():
 
 
 def test_criterion_03_symmetric_top():
-    ok, detail = check_symmetric_spectrum(6, i_pair=2, i_axis=1)
+    ok, detail = check_symmetric_spectrum(6)
     _report("criterion 3 (symmetric top closed form vs diagonalization)", ok, detail)
 
 
@@ -79,7 +79,7 @@ def test_criterion_05_su2_integrity():
 
 
 def test_criterion_06_scalar_curvature():
-    ok, detail = check_curvature(n_samples=1000)
+    ok, detail = check_curvature()
     _report("criterion 6 (curvature closed forms vs oracle, 1000 triples)", ok, detail)
 
 

@@ -197,12 +197,13 @@ def test_only_the_verify_command_imports_the_oracle_suite(tmp_path):
 
 # what importing the CLI and running one spectrum must not add to sys.modules:
 # dataclasses (with inspect, which it imports), the oracle suite, the field
-# splitting and the polynomial oracle
+# splitting and the polynomial oracle, its package included
 SPECTRUM_UNLOADED = (
     "dataclasses",
     "inspect",
     "rotorspec.verify",
     "rotorspec.classical_em",
+    "rotorspec.polyalg",
     "rotorspec.polyalg.spaces",
     "rotorspec.polyalg.operators",
     "rotorspec.polyalg.polynomial",

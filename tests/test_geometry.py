@@ -60,16 +60,6 @@ def test_canonicalize_tetrahedron_full_rank():
     assert config.degeneracy is DegeneracyClass.STRONGLY_NONDEGENERATE
 
 
-def test_distances_match_pairwise_norms():
-    config = canonicalize(_system([1, 2, 4], [[0, 0, 0], [1, 0, 0], [0, 2, 0]]))
-    relatives, distances = np.asarray(config.relatives), np.asarray(config.distances)
-    for i in range(3):
-        for j in range(3):
-            expect = np.linalg.norm(relatives[i] - relatives[j])
-            assert distances[i, j] == pytest.approx(expect)
-            assert distances[i, j] == distances[j, i]
-
-
 def test_all_coincident_raises():
     with pytest.raises(AllCoincidentError):
         canonicalize(_system([1, 2], [[5, 5, 5], [5, 5, 5]]))

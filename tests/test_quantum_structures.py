@@ -18,7 +18,6 @@ from rotorspec import (
     bundle_of_j,
     canonicalize,
     degree_of_j,
-    j_of_degree,
     j_values,
     parity_projects,
 )
@@ -58,7 +57,6 @@ def test_parity_rejects_negative_degree():
 
 
 def test_j_degree_mapping():
-    assert j_of_degree(3) == Fraction(3, 2)
     assert degree_of_j(Fraction(3, 2)) == 3
     assert degree_of_j(2) == 4
     with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from rotorspec import spectra
 from rotorspec.errors import BundleRequestError, HamiltonianOverflowError, OutOfRangeError, RotorSpecError
 from rotorspec.inertia import TopClass, classify_momenta, scalar_curvature
 from rotorspec.polyalg import band_record, casimir_matrix, degree_band, eigenvalues, hamiltonian_matrix, harmonic_basis, pairing_weights
-from rotorspec.polyalg.levels import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
+from rotorspec.levels import EXACT_DEGREE_MAX, _species_levels, band_species, degree_matrix
 from rotorspec.quantum_structures import bundle_of_j, j_values
 from rotorspec.spectra import SpectralLine, Spectrum, _refs, _spectrum, curvature_shift, group_energies
 
@@ -580,7 +580,7 @@ def test_spectrum_sorted_and_total():
     spec = symmetric_spectrum(2, 1, BundleKind.PLUS, j_max=3)
     energies = [float(ln.energy) for ln in spec.lines]
     assert energies == sorted(energies)
-    assert spec.total_multiplicity() == sum((2 * j + 1) ** 2 for j in range(4))
+    assert sum(ln.multiplicity for ln in spec.lines) == sum((2 * j + 1) ** 2 for j in range(4))
 
 
 def test_j_max_cap_enforced():
@@ -733,13 +733,15 @@ HUGE = Fraction(10**400)
         lambda: symmetric_spectrum(1.5, 2.5, BundleKind.PLUS, 0.25, HUGE, 6),
         lambda: degenerate_spectrum(1.5, 0.25, HUGE, 6),
         lambda: monopole_spectrum(1.5, 2.5, BundleKind.PLUS, HUGE, 1, 0.25, 1, 6),
+        lambda: monopole_spectrum(2, 1, BundleKind.PLUS, 1, 10**400, j_max=1),
     ],
-    ids=["spherical", "symmetric", "degenerate", "monopole_nu"],
+    ids=["spherical", "symmetric", "degenerate", "monopole_nu", "monopole_q_norm"],
 )
 def test_a_rational_beyond_the_float_range_meeting_a_float_raises_overflow(call):
     # float(10**400) raises a bare OverflowError where the float momentum
     # or k meets it, in k rho or in a level; every spectrum reports it as
-    # HamiltonianOverflowError
+    # HamiltonianOverflowError, and so does an exact level beyond the float
+    # range (a q_norm of 10**400 is compared exactly)
     with pytest.raises(HamiltonianOverflowError):
         call()
 
@@ -1083,6 +1085,24 @@ RANGE_CASES = {
         lambda: monopole_spectrum(2, 1, PLUS, 1, -1, j_max=1),
         "the center-of-charge norm must be nonnegative",
     ),
+    # a charge is compared exactly where it is rational; NaN and infinities are out of range
+    "monopole: q_center_norm = -10**400": (
+        lambda: monopole_spectrum(2, 1, PLUS, 1, -(10**400), j_max=1),
+        "the center-of-charge norm must be nonnegative",
+    ),
+    "monopole: q_center_norm = nan, nu = 10**400": (
+        lambda: monopole_spectrum(2, 1, PLUS, 10**400, math.nan, j_max=1),
+        "the center-of-charge norm must be finite, got nan",
+    ),
+    "monopole: q_center_norm = inf": (
+        lambda: monopole_spectrum(2, 1, PLUS, 1, math.inf, j_max=1),
+        "the center-of-charge norm must be finite, got inf",
+    ),
+    "monopole: nu = nan, I_axis = 10**-400": (
+        lambda: monopole_spectrum(2, Fraction(1, 10**400), PLUS, math.nan, 1.0, j_max=1),
+        "nu must be finite, got nan",
+    ),
+    "monopole: nu = -inf": (lambda: monopole_spectrum(2, 1, PLUS, -math.inf, 1, j_max=1), "nu must be finite, got -inf"),
     "spectrum_for monopole: q_center_norm = -1": (
         lambda: spectra.spectrum_for(TopClass.SYMMETRIC, (2, 1), PLUS, j_max=1, monopole=(1, -1)),
         "the center-of-charge norm must be nonnegative",
@@ -1093,6 +1113,31 @@ RANGE_CASES = {
 @pytest.mark.parametrize("case", RANGE_CASES)
 def test_a_range_check_raises_an_out_of_range_error(case):
     _assert_out_of_range(*RANGE_CASES[case])
+
+
+def test_a_sub_float_momentum_is_named_on_every_route():
+    # a momentum that rounds to 0.0 gives the message the diagonalized route
+    # gives (test_polyalg) on every closed form too; hbar0 beyond the float
+    # range keeps the default text
+    tiny = Fraction(1, 10**400)
+    below = "a principal momentum below the float range: the float Hamiltonian leaves the float range"
+    calls = {
+        "spherical": lambda: spherical_spectrum(tiny, PLUS, j_max=1),
+        "symmetric": lambda: symmetric_spectrum(tiny, 2, PLUS, j_max=1),
+        "degenerate": lambda: degenerate_spectrum(tiny, l_max=1),
+        "monopole": lambda: monopole_spectrum(tiny, 1, PLUS, 0, 0, j_max=1),
+        "asymmetric, routed to the symmetric form": lambda: asymmetric_spectrum(tiny, tiny, 3, PLUS, j_max=1),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for route, call in calls.items():
+            with pytest.raises(HamiltonianOverflowError) as raised:
+                call()
+            assert str(raised.value) == below, route
+    for call in (lambda: spherical_spectrum(tiny, PLUS, hbar0=10**400, j_max=1), lambda: symmetric_spectrum(1, 2, PLUS, hbar0=10**400, j_max=1)):
+        with pytest.raises(HamiltonianOverflowError) as raised:
+            call()
+        assert str(raised.value) == "hbar or k too large: the float Hamiltonian leaves the float range"
 
 
 @pytest.mark.parametrize("top", [TopClass.ASYMMETRIC, TopClass.DEGENERATE])
@@ -1222,12 +1267,12 @@ def test_rational_momentum_beyond_the_float_range():
     huge = 10**400
     spec = diagonalized_spectrum(huge, 2, 3, BundleKind.PLUS, j_max=1)
     assert spec.top_class is TopClass.SYMMETRIC
-    assert spec.total_multiplicity() == 1 + 9
+    assert sum(ln.multiplicity for ln in spec.lines) == 1 + 9
     with pytest.warns(UserWarning, match="symmetric closed form"):
         routed = asymmetric_spectrum(huge, 2, 3, BundleKind.PLUS, j_max=1)
     assert routed.kind == "symmetric"
     assert routed.params == {"I_pair": Fraction(5, 2), "I_axis": huge}
-    assert routed.total_multiplicity() == 1 + 9
+    assert sum(ln.multiplicity for ln in routed.lines) == 1 + 9
 
 
 def test_float_k_with_a_rational_momentum_beyond_the_float_range_raises_overflow():

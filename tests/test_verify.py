@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotorspec import BundleKind, verify
+from rotorspec import BundleKind, levels, verify
 from rotorspec.inertia import InertiaTensor
-from rotorspec.polyalg import levels, operators, polynomial, spaces
+from rotorspec.polyalg import operators, polynomial, spaces
 
 
 def test_run_suite_passes_quietly():
