@@ -233,33 +233,24 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+_BUNDLE_TEXT = {kind: kind.value for kind in BundleKind}
+_SPECTRUM_COLUMNS = ("bundle", "j", "l", "energy", "multiplicity", "source")
+
+
 def render_spectra(spectra: list[Spectrum], output: str) -> str:
     if output == "json":
         doc = {"version": 1, "spectra": [spectrum_to_dict(s) for s in spectra]}
         return json.dumps(doc, indent=2, sort_keys=True)
-    rows = []
-    for spec in spectra:
-        for ln in spec.lines:
-            rows.append(
-                (
-                    ln.bundle.value,
-                    str(ln.j),
-                    "" if ln.l is None else str(ln.l),
-                    _fmt(ln.energy),
-                    str(ln.multiplicity),
-                    ln.source,
-                )
-            )
+    rows = [
+        (_BUNDLE_TEXT[bundle], str(j), "" if l is None else str(l),
+         format(energy, ".12g") if type(energy) is float else _fmt(energy), str(mult), source)
+        for spec in spectra
+        for energy, j, mult, bundle, l, source, _ in spec.lines
+    ]
     if output == "csv":
-        out = ["bundle,j,l,energy,multiplicity,source"]
-        out += [",".join(r) for r in rows]
-        return "\n".join(out)
-    header = ("bundle", "j", "l", "energy", "multiplicity", "source")
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    fmt_row = lambda r: "  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip()
-    lines = [fmt_row(header)]
-    lines += [fmt_row(r) for r in rows]
-    return "\n".join(lines)
+        return "\n".join([",".join(_SPECTRUM_COLUMNS), *map(",".join, rows)])
+    template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(_SPECTRUM_COLUMNS, *rows))
+    return "\n".join([template.format(*row).rstrip() for row in (_SPECTRUM_COLUMNS, *rows)])
 
 
 # --- pipeline helpers ------------------------------------------------------------

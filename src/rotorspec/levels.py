@@ -166,53 +166,60 @@ def _ql_levels(diag, off) -> list[float]:
     tql1 (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 293
     (1968)).  The matrix is scaled by 2^-e, with 2^e bounding its largest
     entry, before the sweep and its levels by 2^e after it, both exactly
-    (math.ldexp), so no intermediate leaves the float range.
-    HamiltonianOverflowError when an entry or a level is not a finite
-    float."""
+    (math.ldexp), so no intermediate leaves the float range.  Each shift
+    is subtracted from the trailing diagonal in place, and a one-entry
+    species is its entry plus 0.0, the value the sweep gives, with no
+    sweep.  HamiltonianOverflowError when an entry or a level is not a
+    finite float."""
     top = max(map(abs, (*diag, *off)))
     if not math.isfinite(top):
         raise HamiltonianOverflowError()
-    if not top:
-        return [0.0] * len(diag)
+    if len(diag) == 1 or not top:
+        return [x + 0.0 for x in diag]
+    abs_, ldexp, hypot, copysign = abs, math.ldexp, math.hypot, math.copysign
     e = math.frexp(top)[1]
-    d = [math.ldexp(x, -e) for x in diag]
-    sub = [*(math.ldexp(x, -e) for x in off), 0.0]
-    n, f, tst1, hypot = len(d), 0.0, 0.0, math.hypot
+    d = [ldexp(x, -e) for x in diag]
+    sub = [ldexp(x, -e) for x in off]
+    sub.append(0.0)
+    n, f, tst1 = len(d), 0.0, 0.0
     for l in range(n):
-        tst1 = max(tst1, abs(d[l]) + abs(sub[l]))
+        tst1 = max(tst1, abs_(d[l]) + abs_(sub[l]))
         m = l
-        while tst1 + abs(sub[m]) != tst1:  # sub[n-1] = 0 ends the search
+        while tst1 + abs_(sub[m]) != tst1:  # sub[n-1] = 0 ends the search
             m += 1
         if m > l:
             for _ in range(30):
                 # the shift, from the leading 2 x 2 block
-                g = d[l]
-                p = (d[l + 1] - g) / (2 * sub[l])
-                r = math.copysign(hypot(p, 1.0), p)
-                d[l] = sub[l] / (p + r)
-                d[l + 1] = dl1 = sub[l] * (p + r)
-                h = g - d[l]
-                d[l + 2 :] = [x - h for x in d[l + 2 :]]
+                g, el, el1 = d[l], sub[l], sub[l + 1]
+                p = (d[l + 1] - g) / (2 * el)
+                r = p + copysign(hypot(p, 1.0), p)
+                d[l] = dl = el / r
+                d[l + 1] = dl1 = el * r
+                h = g - dl
+                for i in range(l + 2, n):
+                    d[i] -= h
                 f += h
                 # the QL transformation, from m up to l
-                p, c, c2, s, s2, el1 = d[m], 1.0, 1.0, 0.0, 0.0, sub[l + 1]
+                p, c, c2, s, s2 = d[m], 1.0, 1.0, 0.0, 0.0
                 for i in range(m - 1, l - 1, -1):
                     c3, c2, s2 = c2, c, s
-                    g, h = c * sub[i], c * p
-                    r = hypot(p, sub[i])
+                    ei, di = sub[i], d[i]
+                    g, h = c * ei, c * p
+                    r = hypot(p, ei)
                     sub[i + 1] = s * r
-                    s, c = sub[i] / r, p / r
-                    p = c * d[i] - s * g
-                    d[i + 1] = h + s * (c * g + s * d[i])
-                p = -s * s2 * c3 * el1 * sub[l] / dl1
-                sub[l], d[l] = s * p, c * p
-                if tst1 + abs(sub[l]) == tst1:
+                    s, c = ei / r, p / r
+                    p = c * di - s * g
+                    d[i + 1] = h + s * (c * g + s * di)
+                p = -s * s2 * c3 * el1 * el / dl1
+                sub[l] = el = s * p
+                d[l] = c * p
+                if tst1 + abs_(el) == tst1:
                     break
             else:
                 raise ArithmeticError("the QL sweep did not converge in 30 iterations")
         d[l] += f
     try:
-        return [math.ldexp(x, e) for x in d]
+        return [ldexp(x, e) for x in d]
     except OverflowError as exc:
         raise HamiltonianOverflowError() from exc
 

@@ -178,15 +178,19 @@ def group_energies(pairs, eps_spec: float = DEFAULT_TOLERANCES.spec):
     float, a non-finite one included, starts a level.  A rational and a
     float energy never share a level.  The level's energy is its first
     energy.  A float is told by its type before the (ABC) Rational test.
+    An exact level is keyed by the (numerator, denominator) of its energy,
+    in lowest terms for every rational, so equal rationals of any type (an
+    int and a Fraction) share one level and no Fraction is hashed.
     """
     groups: list[tuple[object, list]] = []
-    exact: dict = {}  # rational energy -> its level
+    exact: dict = {}  # (numerator, denominator) of a rational energy -> its level
     ref = None  # the first energy, as a float, of the level a float energy may join
     for energy, item in pairs:
         if type(energy) is not float and isinstance(energy, Rational):
-            level = exact.get(energy)
+            key = energy.numerator, energy.denominator
+            level = exact.get(key)
             if level is None:
-                level = exact[energy] = (energy, [])
+                level = exact[key] = (energy, [])
                 groups.append(level)
         else:
             value = float(energy)
@@ -217,8 +221,8 @@ def curvature_shift(k, top_class: TopClass, momenta, hbar0=1):
 
 def _exactify(*values):
     """Map rational inputs to Fractions so downstream arithmetic is exact;
-    leave floats alone."""
-    return tuple(map(_exact_or_float, values))
+    leave floats and Fractions alone."""
+    return tuple([v if type(v) is Fraction else _exact_or_float(v) for v in values])
 
 
 # --- closed-form spectra ------------------------------------------------------
@@ -502,7 +506,7 @@ def _diagonalized(kind, top, i1, i2, i3, bundle, k, hbar0, j_max, tol) -> Spectr
         exact_zero = type(shift) is Fraction and not shift
         record = band_record(i1, i2, i3, h) if js else None
         for j in js:
-            d = int(2 * j)
+            d = 2 * j.numerator // j.denominator  # int(2 * j), without Fraction arithmetic
             found = eigenvalues(d, *degree_band(d, record))
             if exact_zero:
                 # an exact level as it is, a float one plus 0.0, which makes -0.0 0.0

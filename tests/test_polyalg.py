@@ -425,6 +425,113 @@ def test_exact_and_float_species_pair_by_sign(momenta):
             assert all(math.isclose(p / den**2, y * y, rel_tol=1e-12) for p, y in zip(ep, fo)), d
 
 
+def _tql1_reference(diag, off):
+    """The implicit QL sweep of tql1 as _ql_levels first wrote it: the
+    trailing diagonal rebuilt as a new list at every shift, every entry
+    read from its list at each use, and a one-entry species swept like any
+    other; the reference _ql_levels is pinned to bit for bit."""
+    top = max(map(abs, (*diag, *off)))
+    if not math.isfinite(top):
+        raise HamiltonianOverflowError()
+    if not top:
+        return [0.0] * len(diag)
+    e = math.frexp(top)[1]
+    d = [math.ldexp(x, -e) for x in diag]
+    sub = [*(math.ldexp(x, -e) for x in off), 0.0]
+    n, f, tst1, hypot = len(d), 0.0, 0.0, math.hypot
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(sub[l]))
+        m = l
+        while tst1 + abs(sub[m]) != tst1:
+            m += 1
+        if m > l:
+            for _ in range(30):
+                g = d[l]
+                p = (d[l + 1] - g) / (2 * sub[l])
+                r = math.copysign(hypot(p, 1.0), p)
+                d[l] = sub[l] / (p + r)
+                d[l + 1] = dl1 = sub[l] * (p + r)
+                h = g - d[l]
+                d[l + 2 :] = [x - h for x in d[l + 2 :]]
+                f += h
+                p, c, c2, s, s2, el1 = d[m], 1.0, 1.0, 0.0, 0.0, sub[l + 1]
+                for i in range(m - 1, l - 1, -1):
+                    c3, c2, s2 = c2, c, s
+                    g, h = c * sub[i], c * p
+                    r = hypot(p, sub[i])
+                    sub[i + 1] = s * r
+                    s, c = sub[i] / r, p / r
+                    p = c * d[i] - s * g
+                    d[i + 1] = h + s * (c * g + s * d[i])
+                p = -s * s2 * c3 * el1 * sub[l] / dl1
+                sub[l], d[l] = s * p, c * p
+                if tst1 + abs(sub[l]) == tst1:
+                    break
+            else:
+                raise ArithmeticError("the QL sweep did not converge in 30 iterations")
+        d[l] += f
+    try:
+        return [math.ldexp(x, e) for x in d]
+    except OverflowError as exc:
+        raise HamiltonianOverflowError() from exc
+
+
+def _random_species(rng, n):
+    """A species of n entries: signed mantissas in [1/2, 1) at exponents
+    within 8 of a centre anywhere from the subnormals to the top of the
+    float range, or, one time in three, anywhere in 2^+-1000; 0.0 and -0.0
+    on the diagonal, zero and tiny (2^-60 of the centre) off-diagonals, and
+    now and then an infinity, or a NaN first."""
+    centre, wide = rng.randint(-1080, 1024), rng.random() < 1 / 3
+
+    def entry():
+        exponent = rng.randint(-1000, 1000) if wide else min(centre + rng.randint(-8, 8), 1024)
+        return rng.choice((-1, 1)) * math.ldexp(rng.uniform(0.5, 1), exponent)
+
+    diag = [rng.choice((0.0, -0.0)) if rng.random() < 0.1 else entry() for _ in range(n)]
+    off = [rng.choice((0.0, math.ldexp(1.0, centre - 60))) if rng.random() < 0.2 else entry() for _ in range(n - 1)]
+    if rng.random() < 0.03:
+        cells = (diag, off) if off else (diag,)
+        cell = rng.choice(cells)
+        cell[rng.randrange(len(cell))] = rng.choice((math.inf, -math.inf))
+    elif rng.random() < 0.01:
+        diag[0] = math.nan
+    return diag, off
+
+
+def _sweep_outcome(sweep, diag, off):
+    """The levels of a sweep by float.hex, or the name of what it raised:
+    HamiltonianOverflowError, ArithmeticError where it does not converge,
+    or, on a few species of the widest spread, the error its NaNs lead to."""
+    try:
+        return [v.hex() for v in sweep(list(diag), list(off))]
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_the_ql_sweep_keeps_the_bits_of_the_reference_sweep():
+    # sizes 1-26, those of the species of every degree up to 2 J_MAX_CAP;
+    # the levels agree by float.hex, and HamiltonianOverflowError (a
+    # non-finite entry, a level beyond the float range) is raised on the
+    # same inputs
+    rng, seen = random.Random("tql1 bit for bit"), set()
+    for n in range(1, 27):
+        for _ in range(120):
+            diag, off = _random_species(rng, n)
+            want = _sweep_outcome(_tql1_reference, diag, off)
+            assert _sweep_outcome(_ql_levels, diag, off) == want, (diag, off)
+            seen.add(want if type(want) is str else "levels")
+            if type(want) is list and any(0 < abs(x) < sys.float_info.min for x in (*diag, *off)):
+                seen.add("subnormal input")
+    assert {"levels", "subnormal input", "HamiltonianOverflowError"} <= seen
+    for diag, off in (([math.inf], []), ([1.0, 2.0], [-math.inf]), ([math.nan, 1.0], [1.0]), ([1.5e308] * 2, [1.5e308])):
+        assert _sweep_outcome(_tql1_reference, diag, off) == "HamiltonianOverflowError"
+        with pytest.raises(HamiltonianOverflowError):
+            _ql_levels(diag, off)
+    for x in (0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 1.5):
+        assert _ql_levels([x], []) == _tql1_reference([x], []) and _ql_levels([x], [])[0].hex() == (x + 0.0).hex()
+
+
 def _fraction_species_levels(diag, products):
     """The levels of a species of one or two Fraction entries as the
     Fraction solver computed them: exact when ((a_0 - a_1)/2)^2 + products[0]

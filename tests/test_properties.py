@@ -146,7 +146,7 @@ def _same_groups(got, want):
 # equal rationals, the floats of rationals, float clusters within and just
 # beyond eps * |ref| of a base, signed zeros and negative energies
 _energy_pool = st.sampled_from(
-    [0, Fraction(0), 0.0, -0.0, Fraction(1, 3), float(Fraction(1, 3)), Fraction(-5, 2), -2.5, 3, 3.0, 1e-300, -1e300]
+    [0, Fraction(0), 0.0, -0.0, Fraction(1, 3), float(Fraction(1, 3)), Fraction(-5, 2), -2.5, 3, Fraction(3), 3.0, 1e-300, -1e300]
 )
 _clustered = st.builds(
     lambda base, steps, eps: base * (1 + steps * eps),
